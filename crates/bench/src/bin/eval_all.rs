@@ -134,10 +134,13 @@ fn parse_cli() -> CliOpts {
             }
             "--watchdog-budget" => {
                 let v = value("--watchdog-budget");
-                opts.watchdog_budget = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--watchdog-budget: `{v}` is not a u64\n{USAGE}");
+                // 0 would trip before the first grant; the engine asserts
+                // against it, so refuse it here as a usage error.
+                let budget = v.parse().ok().filter(|n| *n > 0).unwrap_or_else(|| {
+                    eprintln!("--watchdog-budget: `{v}` is not a positive u64\n{USAGE}");
                     std::process::exit(2);
-                }));
+                });
+                opts.watchdog_budget = Some(budget);
             }
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")),

@@ -321,6 +321,26 @@ fn eval_all_rejects_unknown_fault_plans_listing_every_name() {
     assert!(stderr.contains("key=value"), "error does not mention spec form:\n{stderr}");
 }
 
+/// A watchdog budget the engine would reject (0 trips an assertion in
+/// `set_watchdog`) or cannot parse is a usage error, never a raw panic.
+#[test]
+fn eval_all_rejects_zero_and_non_numeric_watchdog_budgets() {
+    for bad in ["0", "many"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_eval_all"))
+            .args(["--watchdog-budget", bad])
+            .envs(TINY.iter().copied())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "`{bad}`: usage errors exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("--watchdog-budget: `{bad}` is not a positive u64")),
+            "wrong error:\n{stderr}"
+        );
+        assert!(stderr.contains("usage: eval_all"), "usage not printed:\n{stderr}");
+    }
+}
+
 /// `--fault-plan` also accepts the `key=value` spec form the chaos fuzzer
 /// prints, arming the crash audit when the spec has a crash dimension.
 #[test]

@@ -61,14 +61,12 @@
 //! ```
 
 mod deque;
-mod native;
 mod patterns;
 mod runtime;
 mod task;
 mod telemetry;
 
 pub use deque::SimDeque;
-pub use native::{native_fib, NativeCtx, NativePool, NativeTask};
 pub use patterns::{parallel_for, parallel_invoke, parallel_invoke3};
 pub use runtime::{
     run_task_parallel, DequeKind, Mutation, MutationKind, RuntimeConfig, RuntimeKind, RuntimeStats,

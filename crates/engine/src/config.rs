@@ -8,34 +8,34 @@ use crate::event::CheckMode;
 use crate::fault::FaultPlan;
 use crate::flight::{Heartbeat, DEFAULT_FLIGHT_CAPACITY};
 
-/// Host execution backend for the simulated cores. Both backends produce
-/// the identical sequenced-op stream (pinned by the golden-trace tests);
-/// they differ only in host wall clock.
+/// Host execution backend for the simulated cores. Every backend produces
+/// the identical sequenced-op stream (pinned by the golden-trace tests) and
+/// hosts the liveness watchdog; they differ only in host wall clock.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecBackend {
-    /// Pick automatically: fibers where supported (x86_64 Linux, watchdog
-    /// disarmed, `BIGTINY_BACKEND` not set to `threads` or `sharded`),
-    /// else threads. `BIGTINY_BACKEND=sharded` selects
-    /// [`ExecBackend::ShardedFibers`] where supported.
+    /// Pick automatically: [`ExecBackend::Fibers`] where supported (x86_64
+    /// Linux), else [`ExecBackend::Threads`]. Where fibers are supported,
+    /// `BIGTINY_BACKEND=threads` / `BIGTINY_BACKEND=sharded` select
+    /// [`ExecBackend::Threads`] / [`ExecBackend::ShardedFibers`] instead;
+    /// any other value is ignored with a warning on stderr.
     #[default]
     Auto,
-    /// One OS thread per simulated core. Portable, and required by the
-    /// watchdog's wall-clock fallback (a stalled run can only be observed
-    /// from a second runnable thread).
+    /// One OS thread per simulated core: a token handoff is a futex wake
+    /// plus a kernel context switch. The portability fallback for hosts
+    /// without fiber support.
     Threads,
-    /// Every core as a stackful fiber on the simulation thread: a token
-    /// handoff is a user-space stack switch instead of a futex wake plus a
-    /// kernel context switch. Panics at run start where unsupported.
+    /// Every core as a stackful fiber on the thread that calls
+    /// `run_system`: a token handoff is a user-space stack switch. This is
+    /// the fiber backend with a single island holding every core. Panics
+    /// at run start where unsupported (non-x86_64-Linux).
     Fibers,
-    /// Cores sharded into mesh-quadrant islands, each island's fibers
-    /// driven by its own OS thread: token handoffs inside an island are
-    /// user-space stack switches, and only cross-island handoffs pay a
-    /// futex wake. Scales the fiber backend's wall-clock win to the
-    /// 256-core configuration, where one thread multiplexing every core
-    /// serializes the host. Produces the identical sequenced-op stream
-    /// (golden-pinned); supports the watchdog (the wall-clock fallback
-    /// runs in the island launchers). Panics at run start where
-    /// unsupported (non-x86_64-Linux).
+    /// The fiber backend with one island per mesh quadrant, each island's
+    /// fibers driven by its own OS thread: token handoffs inside an island
+    /// are user-space stack switches, and only cross-island handoffs pay a
+    /// futex wake. Kept as the N-island configuration of
+    /// [`ExecBackend::Fibers`]; on the measured two-core host it does not
+    /// beat the one-island default (DESIGN.md §3.1.2). Panics at run start
+    /// where unsupported (non-x86_64-Linux).
     ShardedFibers,
 }
 
@@ -130,11 +130,12 @@ pub struct SystemConfig {
     /// disables the watchdog entirely.
     pub watchdog_budget: Option<u64>,
     /// Wall-clock fallback window of the watchdog in milliseconds (only
-    /// meaningful with `watchdog_budget` set). Trips when no sequencer
-    /// grant happens at all for this long.
+    /// meaningful with `watchdog_budget` set). Trips when a core waits for
+    /// the token while no sequencer grant and no productive local work
+    /// happens at all for this long.
     pub watchdog_wall_ms: u64,
     /// Host execution backend (fibers vs one thread per core). Simulated
-    /// results are identical either way; see [`ExecBackend`].
+    /// results are identical whichever is picked; see [`ExecBackend`].
     pub backend: ExecBackend,
     /// DRF conformance checking. `Off` (default) collects nothing and is
     /// bit-for-bit invisible; armed modes buffer the addressed per-op

@@ -1,19 +1,20 @@
-//! Minimal stackful fibers for the single-threaded execution backend.
+//! Minimal stackful fibers for the fiber execution backend.
 //!
 //! The sequencer serializes the simulation to one core at a time, so with
 //! one OS thread per core almost every token handoff is a futex wake plus a
 //! kernel context switch — about 1.4 µs of system time per sequenced op on
 //! a busy host, which dominates engine wall clock (measured ~2/3 of the
 //! whole perf suite). This module runs every simulated core as a *fiber*: a
-//! heap stack plus a saved stack pointer, all multiplexed on the one
-//! simulation thread. A token handoff becomes a user-space stack switch
-//! (tens of nanoseconds) and the kernel is never involved.
+//! heap stack plus a saved stack pointer, the fibers of one island all
+//! multiplexed on that island's host thread. A token handoff inside an
+//! island becomes a user-space stack switch (tens of nanoseconds) and the
+//! kernel is never involved.
 //!
 //! Only the switching primitive lives here; scheduling policy stays in the
 //! [`Sequencer`](crate::sequencer::Sequencer), which drives fibers through
-//! [`FiberRt`] — one runtime for the whole run on the single-threaded
-//! backend, or one per island on the sharded backend (where each runtime is
-//! still driven by exactly one OS thread: its island's launcher). The
+//! [`FiberRt`] — one runtime per island (a single island holding every core
+//! on the `fibers` backend, one per mesh quadrant on `sharded-fibers`), each
+//! driven by exactly one OS thread: its island's launcher. The
 //! implementation is x86_64-Linux-only (the module is compiled out
 //! elsewhere and the engine falls back to the thread backend):
 //!
@@ -29,8 +30,7 @@
 //!
 //! Safety rules the callers uphold:
 //! - All fibers of one `FiberRt` are switched only from the one OS thread
-//!   that drives that runtime (the simulation thread, or the owning
-//!   island's thread under the sharded backend).
+//!   that drives that runtime (its island's launcher thread).
 //! - An entry closure never returns: it must exit by switching away for
 //!   good (the trampoline aborts the process if one does return).
 //! - No lock guard is held across a switch (the target fiber may take the
@@ -224,25 +224,24 @@ impl Drop for Fiber {
 }
 
 /// Identifies a switch endpoint: a core fiber or the launcher (the real OS
-/// thread driving `run_system`, which starts fibers and drains poison).
+/// thread driving the island, which starts fibers and drains poison).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FiberId {
     Core(usize),
     Launcher,
 }
 
-/// The saved contexts of one fiber-backed run (or of one island of a
-/// sharded run). Lives inside the
+/// The saved contexts of one island of a fiber-backed run. Lives inside the
 /// [`Sequencer`](crate::sequencer::Sequencer) so token handoffs can switch
 /// directly between core fibers.
 ///
 /// All cells of a given runtime are only ever touched from the one OS
-/// thread that drives it: the simulation thread on the single-threaded
-/// backend, or the owning island's launcher thread (and the fibers it
-/// runs) on the sharded backend. The `Send`/`Sync` impls exist because the
-/// sequencer sits in an `Arc` shared across threads — core threads on the
-/// thread backend, island threads on the sharded one — and rustc cannot
-/// see that each runtime's cells stay thread-local by construction.
+/// thread that drives it: the owning island's launcher thread (and the
+/// fibers it runs). The `Send`/`Sync` impls exist because the sequencer
+/// sits in an `Arc` shared across threads — core threads on the thread
+/// backend, island threads and the watchdog monitor on the fiber one — and
+/// rustc cannot see that each runtime's cells stay thread-local by
+/// construction.
 #[derive(Debug)]
 pub(crate) struct FiberRt {
     /// Saved stack pointer of each suspended core fiber (or its initial
@@ -287,9 +286,9 @@ impl FiberRt {
     ///
     /// # Safety
     ///
-    /// Must be called on the simulation thread, with `from` actually being
-    /// the currently executing context and `to` a live suspended one; no
-    /// lock guard may be held across the call.
+    /// Must be called on the thread that drives this runtime, with `from`
+    /// actually being the currently executing context and `to` a live
+    /// suspended one; no lock guard may be held across the call.
     pub(crate) unsafe fn switch(&self, from: FiberId, to: FiberId) {
         debug_assert_ne!(from, to, "cannot switch a context to itself");
         if let FiberId::Core(c) = to {

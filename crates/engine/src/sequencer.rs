@@ -1,19 +1,26 @@
 //! Deterministic min-time token sequencing of simulated cores.
 //!
-//! Each simulated core runs on its own OS thread so that arbitrarily nested
-//! task execution keeps a real call stack, but **at most one core thread
-//! executes at a time**: before any operation that touches shared simulated
-//! state, a core enters the sequencer with its local clock and is granted
-//! the token only when it holds the globally minimum `(time, core_id)`.
-//! This makes the whole simulation a single logical thread of execution in
-//! simulated-time order — bit-for-bit deterministic and free of data races
-//! by construction.
+//! Each simulated core keeps a real call stack, so arbitrarily nested task
+//! execution just works: a stackful fiber on the fiber backend (every core
+//! of an *island* multiplexed on one host thread — one island for
+//! `fibers`, one per mesh quadrant for `sharded-fibers`), or an OS thread
+//! of its own on the portable thread backend. Either way **at most one
+//! core executes at a time**: before any operation that touches shared
+//! simulated state, a core enters the sequencer with its local clock and is
+//! granted the token only when it holds the globally minimum
+//! `(time, core_id)`. This makes the whole simulation a single logical
+//! thread of execution in simulated-time order — bit-for-bit deterministic
+//! and free of data races by construction. The backends share every line
+//! of grant selection and bookkeeping; they differ only in how a blocked
+//! core wakes its successor and yields the host thread
+//! ([`Sequencer::wake`], [`Sequencer::yield_host`]).
 //!
 //! The sequencer doubles as the attachment point of the liveness
 //! [`watchdog`](crate::watchdog): every grant is counted, and if too many
-//! grants pass without a progress mark (or a parked core observes no grant
-//! activity at all for the wall-clock fallback window) the sequencer is
-//! poisoned with [`PoisonReason::Watchdog`] and every core unwinds.
+//! grants pass without a progress mark (or the wall-clock monitor thread
+//! sees a core wait while nothing is granted and no core does productive
+//! local work for a whole window) the sequencer is poisoned with
+//! [`PoisonReason::Watchdog`] and every core unwinds.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -23,7 +30,7 @@ use std::time::{Duration, Instant};
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use crate::fiber::{FiberId, FiberRt};
 use crate::flight::{CoreBeat, Heartbeat, HeartbeatSnap, LiveCounters};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, MutexGuard};
 use crate::watchdog::{PoisonReason, SeqCoreDiag, WatchdogConfig, WATCHDOG_MSG};
 
 pub(crate) const POISON_MSG: &str = "simulation poisoned by a panic on another core";
@@ -75,11 +82,13 @@ struct Inner {
     poisoned: bool,
     reason: Option<PoisonReason>,
     cores: Vec<CoreState>,
-    /// OS thread driving each core, registered on the core's first `enter`.
-    /// Token handoff uses `Thread::unpark` *after* the sequencer lock is
-    /// released: waking a core through a condvar while still holding the
-    /// lock made the woken thread contend on it (an extra futex round trip
-    /// and context switch per handoff on a loaded host).
+    /// Host thread driving each core — its own on the thread backend, its
+    /// island's launcher on the fiber backend — registered on the core's
+    /// first blocking `enter`. A hand-off to another host thread uses
+    /// `Thread::unpark` *after* the sequencer lock is released: waking a
+    /// core through a condvar while still holding the lock made the woken
+    /// thread contend on it (an extra futex round trip and context switch
+    /// per handoff on a loaded host).
     threads: Vec<Option<std::thread::Thread>>,
     /// Order-sensitive FNV-1a fold of every `(time, core)` grant: the
     /// fingerprint of the sequenced-op stream. Golden-trace tests pin this
@@ -129,21 +138,15 @@ pub struct Sequencer {
     /// local operations (which never take the sequencer lock) can still
     /// observe the poison and unwind.
     poison_flag: AtomicBool,
-    /// Fiber-backend contexts: when set, cores are stackful fibers on one
-    /// OS thread and a blocked `enter` *switches stacks* to the dispatched
-    /// core instead of parking — no futex, no kernel context switch. The
-    /// grant-selection logic is shared with the thread backend, so both
-    /// produce the identical sequenced-op stream (pinned by the golden
-    /// hashes). Mutually exclusive with the watchdog: its wall-clock
-    /// fallback needs a second runnable thread.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fiber: Option<FiberRt>,
-    /// Sharded-backend contexts: cores are fibers partitioned into mesh
-    /// islands, each island driven by its own OS thread (see
-    /// [`ShardedRt`]). Intra-island handoffs are user-space switches;
-    /// cross-island handoffs unpark the target island's launcher thread.
-    /// Grant selection is still the single global `(time, core)` minimum,
-    /// so the op stream is identical to both other backends.
+    /// Fiber-backend contexts: when set, cores are stackful fibers
+    /// partitioned into islands, each island driven by one host thread
+    /// (see [`ShardedRt`]), and a blocked `enter` *switches stacks* instead
+    /// of parking. Same-island handoffs are user-space switches — no
+    /// futex, no kernel context switch; cross-island handoffs unpark the
+    /// target island's launcher thread. `None` is the thread backend.
+    /// Grant selection is the single global `(time, core)` minimum either
+    /// way, so every backend produces the identical sequenced-op stream
+    /// (pinned by the golden hashes).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sharded: Option<ShardedRt>,
     /// Heartbeat hook: every `heartbeat.every` grants the granting core
@@ -161,14 +164,16 @@ struct HeartbeatHook {
     live: Arc<LiveCounters>,
 }
 
-/// Runtime state of the sharded fiber backend: the island partition and
-/// one [`FiberRt`] per island.
+/// Runtime state of the fiber backend: the island partition and one
+/// [`FiberRt`] per island. One island holding every core is the
+/// single-thread `fibers` backend; mesh-quadrant islands are
+/// `sharded-fibers`.
 ///
-/// Unlike the single-thread fiber backend, each island's `FiberRt` is
-/// touched only by that island's OS thread (its launcher and its own
-/// fibers); the sequencer lock serializes everything else. The conservative
-/// cross-island lookahead derived from mesh hop latency is carried along as
-/// the bound a relaxed (non-bit-exact) mode could exploit — see DESIGN.md.
+/// Each island's `FiberRt` is touched only by that island's host thread
+/// (its launcher and its own fibers); the sequencer lock serializes
+/// everything else. The conservative cross-island lookahead derived from
+/// mesh hop latency is carried along as the bound a relaxed (non-bit-exact)
+/// mode could exploit — see DESIGN.md.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[derive(Debug)]
 pub(crate) struct ShardedRt {
@@ -179,7 +184,8 @@ pub(crate) struct ShardedRt {
     /// slots are ever used.
     rts: Vec<FiberRt>,
     /// Minimum cross-island mesh latency in cycles: no interaction between
-    /// islands can land earlier than this after it was initiated.
+    /// islands can land earlier than this after it was initiated (0 with a
+    /// single island: there is no cross-island pair).
     lookahead: u64,
 }
 
@@ -215,11 +221,6 @@ impl ShardedRt {
     pub(crate) fn num_islands(&self) -> usize {
         self.rts.len()
     }
-
-    /// The conservative cross-island lookahead in cycles.
-    pub(crate) fn lookahead(&self) -> u64 {
-        self.lookahead
-    }
 }
 
 impl Sequencer {
@@ -244,8 +245,6 @@ impl Sequencer {
             fast_grants: AtomicU64::new(0),
             activity: AtomicU64::new(0),
             poison_flag: AtomicBool::new(false),
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            fiber: None,
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             sharded: None,
             heartbeat: None,
@@ -281,40 +280,22 @@ impl Sequencer {
     }
 
     /// Arms the liveness watchdog. Must be called before core threads
-    /// start.
+    /// start. Every backend supports it: the grant budget is checked by
+    /// whichever core grants, and the wall-clock fallback runs on a monitor
+    /// thread of its own (`watch_wall_clock`, started by `run_system`).
     pub fn set_watchdog(&mut self, config: WatchdogConfig) {
         assert!(config.budget > 0, "watchdog budget must be positive");
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        assert!(self.fiber.is_none(), "the watchdog requires the thread backend");
         self.watchdog = Some(config);
     }
 
-    /// Switches this sequencer to the fiber backend. Must be called before
-    /// the run starts; incompatible with an armed watchdog (the wall-clock
-    /// fallback needs a second runnable thread to observe a stall).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn set_fiber_backend(&mut self, rt: FiberRt) {
-        assert!(self.watchdog.is_none(), "fiber backend is incompatible with the watchdog");
-        self.fiber = Some(rt);
-    }
-
-    /// The fiber-backend runtime, if this sequencer uses fibers.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn fiber_rt(&self) -> Option<&FiberRt> {
-        self.fiber.as_ref()
-    }
-
-    /// Switches this sequencer to the sharded fiber backend. Must be
-    /// called before the run starts. Compatible with the watchdog: the
-    /// grant-budget check runs on whichever fiber grants (as on threads),
-    /// and the wall-clock fallback runs in the island launcher threads.
+    /// Switches this sequencer to the fiber backend over the island
+    /// partition in `rt`. Must be called before the run starts.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub(crate) fn set_sharded_backend(&mut self, rt: ShardedRt) {
-        assert!(self.fiber.is_none(), "fiber and sharded backends are mutually exclusive");
         self.sharded = Some(rt);
     }
 
-    /// The sharded-backend runtime, if this sequencer uses it.
+    /// The fiber-backend runtime, if this sequencer uses fibers.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub(crate) fn sharded_rt(&self) -> Option<&ShardedRt> {
         self.sharded.as_ref()
@@ -336,39 +317,45 @@ impl Sequencer {
         }
     }
 
-    /// Non-panicking watchdog trip for island launcher threads: poisons
-    /// with a [`PoisonReason::Watchdog`] naming the earliest waiter and
-    /// wakes every thread. The launchers then drain their fibers, whose
-    /// `enter` assertions raise the panics `run_system` reports as a
-    /// watchdog diagnostic bundle. (The launcher itself must not panic —
-    /// its unwind would bypass report collection.)
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn launcher_trip(&self) {
-        let mut g = self.inner.lock();
-        if g.poisoned {
-            return;
+    /// The watchdog's wall-clock fallback: the body of the monitor thread
+    /// `run_system` starts when a watchdog is armed. Until `stop` is set
+    /// (the owner then unparks this thread), it compares the liveness
+    /// counters across one `wall_ms` window at a time; a window in which
+    /// nothing was granted anywhere AND no core did any productive local
+    /// work, while some core waits for the token, means the run is stuck,
+    /// not slow. The trip poisons without panicking: the woken cores' own
+    /// `enter` assertions (and the poison poll of purely local spinners)
+    /// raise the panics `run_system` reports as a watchdog diagnostic
+    /// bundle, so the same monitor serves every backend — including a
+    /// single-thread fiber run, which has no second core thread to observe
+    /// the stall from.
+    pub(crate) fn watch_wall_clock(&self, stop: &AtomicBool) {
+        let Some(wd) = self.watchdog else { return };
+        let window = Duration::from_millis(wd.wall_ms);
+        let liveness =
+            || (self.total_grants.load(Ordering::Relaxed), self.activity.load(Ordering::Relaxed));
+        while !stop.load(Ordering::Acquire) {
+            let before = liveness();
+            let t0 = Instant::now();
+            std::thread::park_timeout(window);
+            if t0.elapsed() < window || liveness() != before {
+                continue;
+            }
+            let mut g = self.inner.lock();
+            if g.poisoned {
+                return;
+            }
+            // Only a core still waiting for the token can be stuck: with
+            // the waiting set empty (or its one member already granted and
+            // about to wake) the run is starting up, finishing, or busy in
+            // host code nobody is blocked on.
+            let current = g.current;
+            let stuck = g.waiting.iter().find(|&&(_, c)| current != Some(c)).copied();
+            if let Some((time, core)) = stuck {
+                self.poison_locked(&mut g, PoisonReason::Watchdog { core, time });
+                return;
+            }
         }
-        let (time, core) = g.waiting.iter().next().copied().unwrap_or((0, 0));
-        g.poisoned = true;
-        g.reason.get_or_insert(PoisonReason::Watchdog { core, time });
-        self.poison_flag.store(true, Ordering::Relaxed);
-        for t in g.threads.iter().flatten() {
-            t.unpark();
-        }
-    }
-
-    /// The armed watchdog configuration, if any (island launchers read the
-    /// wall-clock window from it).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn watchdog_config(&self) -> Option<WatchdogConfig> {
-        self.watchdog
-    }
-
-    /// Snapshot of the liveness counters island launchers compare across a
-    /// wall-clock window: `(total_grants, activity)`.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn liveness_snapshot(&self) -> (u64, u64) {
-        (self.total_grants.load(Ordering::Relaxed), self.activity.load(Ordering::Relaxed))
     }
 
     /// Grants the token to a minimum-*time* waiter, if any. This is the
@@ -407,20 +394,6 @@ impl Sequencer {
         let chosen = candidates[idx];
         st.choices.push(ChoicePoint { time: min_time, candidates, chosen: idx as u32 });
         Some(chosen)
-    }
-
-    /// Thread backend: picks the next waiter and returns the thread to
-    /// unpark — the caller must deliver the unpark AFTER releasing the
-    /// sequencer lock, so the woken core never contends on it. When the
-    /// caller selects itself, no wake is needed: it re-checks `current`
-    /// before parking.
-    #[must_use]
-    fn dispatch(&self, inner: &mut Inner, caller: Option<usize>) -> Option<std::thread::Thread> {
-        let core = Self::pick_next(inner)?;
-        if caller == Some(core) {
-            return None;
-        }
-        Some(inner.threads[core].clone().expect("waiting core has registered its thread"))
     }
 
     /// Per-grant bookkeeping: stats, the op-stream hash fold, and the
@@ -485,11 +458,13 @@ impl Sequencer {
         (hb.config.sink)(&snap);
     }
 
-    /// Per-island maximum granted time under the sharded backend (empty
-    /// elsewhere).
+    /// Per-island maximum granted time of a multi-island fiber run (empty
+    /// elsewhere: one island has no peer to lead or lag).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     fn island_times(&self, cores: &[CoreBeat]) -> Vec<u64> {
-        let Some(sh) = &self.sharded else { return Vec::new() };
+        let Some(sh) = self.sharded.as_ref().filter(|sh| sh.num_islands() > 1) else {
+            return Vec::new();
+        };
         let mut out = vec![0u64; sh.num_islands()];
         for (core, beat) in cores.iter().enumerate() {
             let isl = sh.island_of(core);
@@ -503,15 +478,74 @@ impl Sequencer {
         Vec::new()
     }
 
-    /// Poisons with a watchdog reason and panics on the calling thread.
-    fn trip(&self, g: &mut Inner, core: usize, time: u64) -> ! {
+    /// Marks the simulation failed for `reason` (the first reason sticks)
+    /// and wakes every host thread so parked cores and launchers observe
+    /// the poison and unwind.
+    fn poison_locked(&self, g: &mut Inner, reason: PoisonReason) {
         g.poisoned = true;
-        g.reason.get_or_insert(PoisonReason::Watchdog { core, time });
+        g.reason.get_or_insert(reason);
         self.poison_flag.store(true, Ordering::Relaxed);
         for t in g.threads.iter().flatten() {
             t.unpark();
         }
+    }
+
+    /// Poisons with a watchdog reason and panics on the calling thread.
+    fn trip(&self, g: &mut Inner, core: usize, time: u64) -> ! {
+        self.poison_locked(g, PoisonReason::Watchdog { core, time });
         panic!("{WATCHDOG_MSG} (tripped on core {core} at cycle {time})");
+    }
+
+    /// Whether cores `a` and `b` are fibers of one island, multiplexed on
+    /// the same host thread (never, on the thread backend).
+    #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(unused_variables))]
+    fn same_island(&self, a: usize, b: usize) -> bool {
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if let Some(sh) = &self.sharded {
+            return sh.island_of[a] == sh.island_of[b];
+        }
+        false
+    }
+
+    /// First half of a token hand-off, and the one step of `enter` and
+    /// `retire` that knows the backend: releases the sequencer lock and
+    /// makes the dispatched core `next` runnable. A core on another host
+    /// thread (every core, on the thread backend; another island's fiber)
+    /// is unparked — strictly after the lock release, so the woken thread
+    /// never contends on it. A fiber of `core`'s own island cannot be
+    /// woken, only switched to: it is returned for the caller's yield.
+    #[must_use]
+    fn wake(&self, g: MutexGuard<'_, Inner>, core: usize, next: Option<usize>) -> Option<usize> {
+        let next = next?;
+        if self.same_island(core, next) {
+            return Some(next);
+        }
+        let t = g.threads[next].clone().expect("waiting core has registered its host thread");
+        drop(g);
+        t.unpark();
+        None
+    }
+
+    /// Second half of a hand-off: gives up the host thread until someone
+    /// hands the token to `core`. A thread parks; a fiber switches stacks,
+    /// to the same-island fiber [`Sequencer::wake`] returned or else to its
+    /// island launcher (which starts the remaining fibers during start-up
+    /// and afterwards sleeps until a cross-island hand-off unparks it).
+    #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(unused_variables))]
+    fn yield_host(&self, core: usize, local: Option<usize>) {
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if let Some(sh) = &self.sharded {
+            let to = local.map_or(FiberId::Launcher, FiberId::Core);
+            // SAFETY: `core` is the fiber executing on this host thread and
+            // the caller holds no lock guard. A same-island `local` is a
+            // live suspended waiter (it sits in the waiting set), and the
+            // island's launcher is suspended whenever one of its fibers
+            // runs; both share this thread's `FiberRt`.
+            unsafe { sh.rts[sh.island_of[core]].switch(FiberId::Core(core), to) };
+            return;
+        }
+        debug_assert!(local.is_none(), "the thread backend never switches stacks");
+        std::thread::park();
     }
 
     /// Blocks until `core` (at simulated time `time`) holds the global
@@ -538,233 +572,45 @@ impl Sequencer {
         } else {
             g.waiting.first().is_none_or(|&min| time < min.0)
         };
-        if g.running == 1 && g.current.is_none() && fast_ok {
+        let fast = g.running == 1 && g.current.is_none() && fast_ok;
+        if fast {
             g.current = Some(core);
             self.fast_grants.fetch_add(1, Ordering::Relaxed);
-            let hb_due = self.record_grant(&mut g, core, time);
-            drop(g);
-            if hb_due {
-                self.emit_heartbeat(time);
+        } else {
+            // Slow path: join the waiting set, and until the token comes
+            // back hand it to the minimum waiter (when this core was the
+            // last one running) and yield the host thread.
+            if g.threads[core].is_none() {
+                g.threads[core] = Some(std::thread::current());
             }
-            return;
-        }
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if self.fiber.is_some() {
-            return self.enter_fiber(g, core, time);
-        }
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if self.sharded.is_some() {
-            return self.enter_sharded(g, core, time);
-        }
-        if g.threads[core].is_none() {
-            g.threads[core] = Some(std::thread::current());
-        }
-        g.waiting.insert((time, core));
-        g.running -= 1;
-        if g.running == 0 {
-            if let Some(next) = self.dispatch(&mut g, Some(core)) {
-                drop(g);
-                next.unpark();
+            g.waiting.insert((time, core));
+            g.running -= 1;
+            while g.current != Some(core) {
+                assert!(!g.poisoned, "{}", POISON_MSG);
+                // `running > 0` means another core still executes or, on
+                // the fiber backend, is yet to be started by a launcher.
+                let next = if g.running == 0 && g.current.is_none() {
+                    Self::pick_next(&mut g)
+                } else {
+                    None
+                };
+                if next == Some(core) {
+                    break; // re-granted ourselves
+                }
+                let local = self.wake(g, core, next);
+                self.yield_host(core, local);
                 g = self.inner.lock();
             }
-        }
-        while g.current != Some(core) {
             assert!(!g.poisoned, "{}", POISON_MSG);
-            match self.watchdog {
-                None => {
-                    drop(g);
-                    std::thread::park();
-                    g = self.inner.lock();
-                }
-                Some(wd) => {
-                    let before = self.total_grants.load(Ordering::Relaxed);
-                    let before_act = self.activity.load(Ordering::Relaxed);
-                    let window = Duration::from_millis(wd.wall_ms);
-                    let t0 = Instant::now();
-                    drop(g);
-                    std::thread::park_timeout(window);
-                    let timed_out = t0.elapsed() >= window;
-                    g = self.inner.lock();
-                    if timed_out
-                        && !g.poisoned
-                        && g.current != Some(core)
-                        && self.total_grants.load(Ordering::Relaxed) == before
-                        && self.activity.load(Ordering::Relaxed) == before_act
-                    {
-                        // Nothing was granted anywhere AND no core did any
-                        // productive local work for the whole window: the
-                        // run is stuck, not slow.
-                        self.trip(&mut g, core, time);
-                    }
-                }
-            }
+            let removed = g.waiting.remove(&(time, core));
+            debug_assert!(removed, "granted core must be in the waiting set");
+            g.running += 1;
         }
-        assert!(!g.poisoned, "{}", POISON_MSG);
-        let removed = g.waiting.remove(&(time, core));
-        debug_assert!(removed, "granted core must be in the waiting set");
-        g.running += 1;
         let hb_due = self.record_grant(&mut g, core, time);
         drop(g);
         if hb_due {
             self.emit_heartbeat(time);
         }
-    }
-
-    /// Fiber-backend slow path of [`Sequencer::enter`]: same bookkeeping
-    /// and grant-selection as the thread path, but "parking" is a direct
-    /// user-space stack switch to the dispatched core (or to the launcher
-    /// while cores are still being started), and "unparking" is someone
-    /// switching back to us.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fn enter_fiber<'a>(
-        &'a self,
-        mut g: crate::sync::MutexGuard<'a, Inner>,
-        core: usize,
-        time: u64,
-    ) {
-        let rt = self.fiber.as_ref().expect("fiber backend armed");
-        g.waiting.insert((time, core));
-        g.running -= 1;
-        loop {
-            if g.current == Some(core) {
-                break;
-            }
-            assert!(!g.poisoned, "{}", POISON_MSG);
-            // `running > 0` here means unstarted fibers remain (a started,
-            // live, non-waiting fiber is the caller itself): hand control
-            // back to the launcher so it can start them. Otherwise dispatch
-            // the minimum waiter and jump straight onto its stack.
-            let target = if g.running == 0 && g.current.is_none() {
-                match Self::pick_next(&mut g) {
-                    Some(c) if c == core => continue, // re-granted ourselves
-                    Some(c) => FiberId::Core(c),
-                    None => unreachable!("we inserted ourselves into the waiting set"),
-                }
-            } else {
-                FiberId::Launcher
-            };
-            drop(g);
-            // SAFETY: single simulation thread, no guard held, target is a
-            // live suspended context (the dispatched waiter or launcher).
-            unsafe { rt.switch(FiberId::Core(core), target) };
-            g = self.inner.lock();
-        }
-        assert!(!g.poisoned, "{}", POISON_MSG);
-        let removed = g.waiting.remove(&(time, core));
-        debug_assert!(removed, "granted core must be in the waiting set");
-        g.running += 1;
-        let hb_due = self.record_grant(&mut g, core, time);
-        drop(g);
-        if hb_due {
-            self.emit_heartbeat(time);
-        }
-    }
-
-    /// Sharded-backend slow path of [`Sequencer::enter`]: bookkeeping and
-    /// grant selection identical to both other backends, but the yield
-    /// depends on where the dispatched core lives. A same-island grantee
-    /// is resumed by a direct user-space stack switch; a cross-island
-    /// grantee is woken by unparking its island's thread (the one futex
-    /// point of this backend), after which the caller yields to its own
-    /// island launcher.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fn enter_sharded<'a>(
-        &'a self,
-        mut g: crate::sync::MutexGuard<'a, Inner>,
-        core: usize,
-        time: u64,
-    ) {
-        let sh = self.sharded.as_ref().expect("sharded backend armed");
-        let island = sh.island_of[core];
-        let rt = &sh.rts[island];
-        // Register the island thread under this core so `poison`'s
-        // unpark-all and cross-island dispatch reach our launcher.
-        if g.threads[core].is_none() {
-            g.threads[core] = Some(std::thread::current());
-        }
-        g.waiting.insert((time, core));
-        g.running -= 1;
-        loop {
-            if g.current == Some(core) {
-                break;
-            }
-            assert!(!g.poisoned, "{}", POISON_MSG);
-            // `running > 0` means unstarted fibers remain somewhere (every
-            // started, live, non-waiting fiber is the caller itself):
-            // yield to our launcher; the token will find us by unpark.
-            if g.running == 0 && g.current.is_none() {
-                match Self::pick_next(&mut g) {
-                    Some(c) if c == core => continue, // re-granted ourselves
-                    Some(c) if sh.island_of[c] == island => {
-                        drop(g);
-                        // SAFETY: same island ⇒ same OS thread; the target
-                        // is a live suspended waiter, no guard is held.
-                        unsafe { rt.switch(FiberId::Core(core), FiberId::Core(c)) };
-                    }
-                    Some(c) => {
-                        let t = g.threads[c]
-                            .clone()
-                            .expect("waiting core has registered its island thread");
-                        drop(g);
-                        // Unpark strictly after the lock release so the
-                        // woken launcher never contends on it.
-                        t.unpark();
-                        // SAFETY: yielding to our own launcher, which is
-                        // suspended whenever one of its fibers runs.
-                        unsafe { rt.switch(FiberId::Core(core), FiberId::Launcher) };
-                    }
-                    None => unreachable!("we inserted ourselves into the waiting set"),
-                }
-            } else {
-                drop(g);
-                // SAFETY: as above — our launcher is suspended.
-                unsafe { rt.switch(FiberId::Core(core), FiberId::Launcher) };
-            }
-            g = self.inner.lock();
-        }
-        assert!(!g.poisoned, "{}", POISON_MSG);
-        let removed = g.waiting.remove(&(time, core));
-        debug_assert!(removed, "granted core must be in the waiting set");
-        g.running += 1;
-        let hb_due = self.record_grant(&mut g, core, time);
-        drop(g);
-        if hb_due {
-            self.emit_heartbeat(time);
-        }
-    }
-
-    /// Fiber-backend retirement: the usual bookkeeping, plus the choice of
-    /// where the finished fiber must switch next — the dispatched minimum
-    /// waiter, or the launcher when none exists (run over, or poison drain
-    /// in progress). The caller performs the switch after storing its
-    /// report, because nothing else runs until it yields the thread.
-    ///
-    /// Shared with the sharded backend, where a cross-island grantee is
-    /// woken through its launcher instead of switched to directly.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn retire_fiber_target(&self, core: usize) -> FiberId {
-        let mut g = self.inner.lock();
-        g.cores[core].retired = true;
-        if g.poisoned {
-            return FiberId::Launcher;
-        }
-        g.running -= 1;
-        if g.running == 0 && g.current.is_none() {
-            if let Some(c) = Self::pick_next(&mut g) {
-                if let Some(sh) = self.sharded.as_ref() {
-                    if sh.island_of[c] != sh.island_of[core] {
-                        let t = g.threads[c]
-                            .clone()
-                            .expect("waiting core has registered its island thread");
-                        drop(g);
-                        t.unpark();
-                        return FiberId::Launcher;
-                    }
-                }
-                return FiberId::Core(c);
-            }
-        }
-        FiberId::Launcher
     }
 
     /// Releases the token after a sequenced section. The core keeps running
@@ -778,20 +624,36 @@ impl Sequencer {
         g.current = None;
     }
 
-    /// Removes `core` from the simulation (its worker returned).
+    /// Removes `core` from the simulation (its worker returned), handing
+    /// the token to the minimum waiter if the run was waiting on this core.
     pub fn retire(&self, core: usize) {
+        let _ = self.retire_and_wake(core);
+    }
+
+    /// Fiber-backend retirement: [`Sequencer::retire`], plus where the
+    /// finished fiber must switch next — the dispatched minimum waiter if
+    /// it shares the island, else the island launcher (a cross-island
+    /// grantee was woken through its own launcher; or none exists: run
+    /// over, or poison drain in progress). The caller performs the switch
+    /// after storing its report, because nothing else runs on its host
+    /// thread until it yields.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    pub(crate) fn retire_fiber_target(&self, core: usize) -> FiberId {
+        self.retire_and_wake(core).map_or(FiberId::Launcher, FiberId::Core)
+    }
+
+    /// Retirement bookkeeping shared by every backend; returns what
+    /// [`Sequencer::wake`] returns.
+    fn retire_and_wake(&self, core: usize) -> Option<usize> {
         let mut g = self.inner.lock();
         g.cores[core].retired = true;
         if g.poisoned {
-            return;
+            return None;
         }
         g.running -= 1;
         let next =
-            if g.running == 0 && g.current.is_none() { self.dispatch(&mut g, None) } else { None };
-        drop(g);
-        if let Some(t) = next {
-            t.unpark();
-        }
+            if g.running == 0 && g.current.is_none() { Self::pick_next(&mut g) } else { None };
+        self.wake(g, core, next)
     }
 
     /// Resets the watchdog's no-progress counter. Called by the runtime
@@ -814,18 +676,15 @@ impl Sequencer {
         self.fast_grants.load(Ordering::Relaxed)
     }
 
-    /// Conservative cross-island lookahead of the sharded backend in
-    /// cycles, or 0 on the other backends (and on hosts without fiber
-    /// support).
+    /// Conservative cross-island lookahead of a multi-island fiber run in
+    /// cycles, or 0 elsewhere (one island, the thread backend, hosts
+    /// without fiber support).
     pub fn sharded_lookahead(&self) -> u64 {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        {
-            self.sharded.as_ref().map_or(0, |s| s.lookahead())
+        if let Some(sh) = &self.sharded {
+            return sh.lookahead;
         }
-        #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-        {
-            0
-        }
+        0
     }
 
     /// Order-sensitive hash of the `(time, core)` grant stream so far.
@@ -836,13 +695,7 @@ impl Sequencer {
     /// Marks the simulation as failed (a core panicked) and wakes every
     /// waiting core so its `enter` panics too, unwinding all threads.
     pub fn poison(&self) {
-        let mut g = self.inner.lock();
-        g.poisoned = true;
-        g.reason.get_or_insert(PoisonReason::WorkerPanic);
-        self.poison_flag.store(true, Ordering::Relaxed);
-        for t in g.threads.iter().flatten() {
-            t.unpark();
-        }
+        self.poison_locked(&mut self.inner.lock(), PoisonReason::WorkerPanic);
     }
 
     /// Lock-free poison check for hot purely-local paths (see
@@ -897,8 +750,7 @@ impl Sequencer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicUsize;
 
     /// Three cores perform interleaved sequenced ops; the observed global
     /// order must be exactly ascending (time, core).
@@ -1101,22 +953,43 @@ mod tests {
         assert_eq!(seq.total_grants(), 100);
     }
 
+    /// Drives the monitor function directly, as `run_system`'s monitor
+    /// thread does: it must stay quiet while nobody waits, trip once a core
+    /// has waited a whole window with nothing granted, and wake that core
+    /// into a poison panic.
     #[test]
     fn wall_clock_fallback_trips_when_nothing_is_granted() {
         let mut seq = Sequencer::new(2);
         seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 30 });
-        let seq = Arc::new(seq);
-        let seq2 = Arc::clone(&seq);
-        // Core 1 parks; core 0 never enters or retires (simulating a core
-        // stuck in host-level code while holding the logical token).
-        let h = std::thread::spawn(move || {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                seq2.enter(1, 0);
-            }));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let monitor = scope.spawn(|| seq.watch_wall_clock(&stop));
+            // Several windows with an empty waiting set: a run that is
+            // starting up (or busy in host code) is not stuck.
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(!seq.is_poisoned(), "no core waits yet, so nothing can be stuck");
+            // Core 1 parks; core 0 never enters or retires (simulating a
+            // core stuck in host-level code while holding the logical
+            // token).
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| seq.enter(1, 7)));
             assert!(r.is_err(), "stalled run must trip the wall-clock fallback");
+            monitor.join().expect("the monitor returns once it has tripped");
         });
-        h.join().unwrap();
-        assert!(matches!(seq.poison_reason(), Some(PoisonReason::Watchdog { .. })));
+        assert_eq!(seq.poison_reason(), Some(PoisonReason::Watchdog { core: 1, time: 7 }));
+    }
+
+    /// The owner's stop request ends the monitor promptly, mid-window.
+    #[test]
+    fn wall_clock_monitor_stops_on_request() {
+        let mut seq = Sequencer::new(1);
+        seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 60_000 });
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let monitor = scope.spawn(|| seq.watch_wall_clock(&stop));
+            stop.store(true, Ordering::Release);
+            monitor.thread().unpark();
+        });
+        assert!(!seq.is_poisoned());
     }
 
     #[test]

@@ -138,8 +138,27 @@ pub fn backend_label(config: &SystemConfig) -> &'static str {
 
 /// Decides which backend this run executes cores on (see [`ExecBackend`]).
 fn resolve_backend(config: &SystemConfig) -> Backend {
+    let env = std::env::var("BIGTINY_BACKEND").ok();
+    let typo = env.as_deref().filter(|v| !matches!(*v, "threads" | "sharded"));
+    if let (ExecBackend::Auto, Some(value)) = (config.backend, typo) {
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| {
+            eprintln!(
+                "warning: ignoring BIGTINY_BACKEND={value:?}: the accepted values are \
+                 `threads` and `sharded` (unset picks fibers where supported)"
+            );
+        });
+    }
     let supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    match config.backend {
+    select_backend(config.backend, env.as_deref(), supported)
+}
+
+/// The backend decision as a pure function of the configured
+/// [`ExecBackend`], the value of `BIGTINY_BACKEND` (consulted only under
+/// `Auto`; anything but `threads` / `sharded` counts as unset) and whether
+/// the host supports fibers (x86_64 Linux).
+fn select_backend(requested: ExecBackend, env: Option<&str>, supported: bool) -> Backend {
+    match requested {
         ExecBackend::Threads => Backend::Threads,
         ExecBackend::Fibers => {
             assert!(supported, "ExecBackend::Fibers requires x86_64 Linux");
@@ -149,22 +168,18 @@ fn resolve_backend(config: &SystemConfig) -> Backend {
             assert!(supported, "ExecBackend::ShardedFibers requires x86_64 Linux");
             Backend::Sharded
         }
-        ExecBackend::Auto => {
-            if !supported {
-                return Backend::Threads;
-            }
-            match std::env::var("BIGTINY_BACKEND").as_deref() {
-                Ok("threads") => Backend::Threads,
-                Ok("sharded") => Backend::Sharded,
-                _ if config.watchdog_budget.is_none() => Backend::Fibers,
-                _ => Backend::Threads,
-            }
-        }
+        ExecBackend::Auto if !supported => Backend::Threads,
+        ExecBackend::Auto => match env {
+            Some("threads") => Backend::Threads,
+            Some("sharded") => Backend::Sharded,
+            _ => Backend::Fibers,
+        },
     }
 }
 
-/// Runs every core on its own OS thread (the portable backend, and the only
-/// one compatible with the watchdog's wall-clock fallback).
+/// Runs every core on its own OS thread: the portable backend, for hosts
+/// without fiber support. A token handoff is a futex wake plus a kernel
+/// context switch.
 fn run_cores_on_threads(
     config: &SystemConfig,
     workers: Vec<Worker>,
@@ -208,29 +223,69 @@ fn run_cores_on_threads(
     }
 }
 
-/// Runs every core as a stackful fiber on the calling thread. A token
-/// handoff is a user-space stack switch, with no kernel involvement; the
-/// sequenced-op stream is identical to the threaded backend's because both
-/// share the sequencer's grant-selection logic.
+/// Runs cores as stackful fibers over the island partition installed in
+/// the sequencer, one host thread per island. Fibers of the same island
+/// hand the token to each other with pure user-space stack switches; only
+/// a cross-island handoff pays a futex (unparking the target island's
+/// launcher thread). [`Backend::Fibers`] is the one-island case, driven
+/// inline on the calling thread: no handoff ever leaves user space.
+/// Grant selection is the sequencer's single global `(time, core)` minimum,
+/// so the sequenced-op stream is bit-for-bit identical to the thread
+/// backend's whatever the partition.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_cores_on_fibers(
+fn run_cores_on_islands(
     config: &SystemConfig,
+    backend: Backend,
     workers: Vec<Worker>,
+    shared: &Arc<Shared>,
+    reports: &PortReports,
+    panics: &Panics,
+) {
+    let sh = shared.seq.sharded_rt().expect("fiber backend installed");
+    let mut members: Vec<Vec<(usize, Worker)>> =
+        (0..sh.num_islands()).map(|_| Vec::new()).collect();
+    for (core, worker) in workers.into_iter().enumerate() {
+        members[sh.island_of(core)].push((core, worker));
+    }
+    if backend == Backend::Fibers {
+        let own = members.pop().expect("the fibers backend installs exactly one island");
+        return drive_island(config, 0, own, shared, reports, panics);
+    }
+    std::thread::scope(|scope| {
+        for (island, own) in members.into_iter().enumerate() {
+            std::thread::Builder::new()
+                .name(format!("sim-island-{island}"))
+                .spawn_scoped(scope, move || {
+                    drive_island(config, island, own, shared, reports, panics);
+                })
+                .expect("spawn island launcher thread");
+        }
+    });
+}
+
+/// One island's launcher: builds the island's fibers, starts them in core
+/// order, then keeps resuming whichever of its fibers holds (or is being
+/// handed) the token until all of them are done.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn drive_island(
+    config: &SystemConfig,
+    island: usize,
+    own: Vec<(usize, Worker)>,
     shared: &Arc<Shared>,
     reports: &PortReports,
     panics: &Panics,
 ) {
     use crate::fiber::{Fiber, FiberId, FiberRt};
 
-    let num_cores = workers.len();
     let stack_bytes = config.core_stack_bytes();
-    // The runtime outlives every fiber switch: `shared` is kept alive by the
-    // caller's Arc until after this function returns, by which point all
-    // fibers are done.
-    let rt_ptr: *const FiberRt = shared.seq.fiber_rt().expect("fiber backend installed");
+    let rt = shared.seq.sharded_rt().expect("fiber backend installed").rt(island);
+    // The runtime outlives every fiber switch: it lives inside `Shared`,
+    // which the caller keeps alive until after all fibers are done.
+    let rt_ptr: *const FiberRt = rt;
+    let own_cores: Vec<usize> = own.iter().map(|(c, _)| *c).collect();
 
-    let mut fibers = Vec::with_capacity(num_cores);
-    for (core, worker) in workers.into_iter().enumerate() {
+    let mut fibers = Vec::with_capacity(own.len());
+    for (core, worker) in own {
         let shared = Arc::clone(shared);
         let reports = Arc::clone(reports);
         let panics = Arc::clone(panics);
@@ -251,130 +306,7 @@ fn run_cores_on_fibers(
             reports.lock()[core] = Some(port.into_report());
             // Control never returns to this closure, so its captured state
             // would otherwise leak: drop every owned handle before the final
-            // switch. Nothing else runs concurrently, so the order is safe.
-            drop(shared);
-            drop(reports);
-            drop(panics);
-            // SAFETY: `rt_ptr` stays valid (see above); this fiber is marked
-            // done and is never resumed, so switching away without a saved
-            // return path is fine.
-            unsafe {
-                (*rt_ptr).mark_done(core);
-                (*rt_ptr).switch(FiberId::Core(core), next);
-            }
-            unreachable!("a finished fiber must never be resumed");
-        });
-        fibers.push(Fiber::new(stack_bytes, entry));
-    }
-
-    let rt = shared.seq.fiber_rt().expect("fiber backend installed");
-    for (core, fiber) in fibers.iter().enumerate() {
-        rt.set_initial(core, fiber.initial_ctx());
-    }
-
-    // Launcher loop. First start every fiber in core order (the threaded
-    // backend's spawn order); each runs until its first suspension. After
-    // that, control only comes back here when all fibers are done or — under
-    // poison — when a retiring/panicking fiber has nobody to hand the token
-    // to; resuming a still-waiting fiber then makes its sequencer re-entry
-    // observe the poison and unwind, draining the run.
-    let mut next_start = 0;
-    loop {
-        let target = if next_start < num_cores {
-            next_start += 1;
-            Some(next_start - 1)
-        } else {
-            (0..num_cores).find(|&c| !rt.is_done(c))
-        };
-        let Some(core) = target else { break };
-        // SAFETY: the target fiber is live (not done) and suspended (or
-        // unstarted), and we are the only thread that ever switches fibers.
-        unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
-    }
-    // Dropping `fibers` unmaps every stack; all fibers are done here.
-}
-
-/// Runs cores as stackful fibers sharded into mesh-quadrant islands, one
-/// OS thread per island. Fibers of the same island hand the token to each
-/// other with pure user-space stack switches; only a cross-island handoff
-/// pays a futex (unparking the target island's launcher thread). Grant
-/// selection is the sequencer's single global `(time, core)` minimum, so
-/// the sequenced-op stream is bit-for-bit identical to the other backends.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_cores_on_sharded_fibers(
-    config: &SystemConfig,
-    workers: Vec<Worker>,
-    shared: &Arc<Shared>,
-    reports: &PortReports,
-    panics: &Panics,
-) {
-    let num_islands = shared.seq.sharded_rt().expect("sharded backend installed").num_islands();
-    let mut members: Vec<Vec<(usize, Worker)>> = (0..num_islands).map(|_| Vec::new()).collect();
-    {
-        let sh = shared.seq.sharded_rt().expect("sharded backend installed");
-        for (core, worker) in workers.into_iter().enumerate() {
-            members[sh.island_of(core)].push((core, worker));
-        }
-    }
-    std::thread::scope(|scope| {
-        for (island, own) in members.into_iter().enumerate() {
-            let shared = Arc::clone(shared);
-            let reports = Arc::clone(reports);
-            let panics = Arc::clone(panics);
-            std::thread::Builder::new()
-                .name(format!("sim-island-{island}"))
-                .spawn_scoped(scope, move || {
-                    drive_island(config, island, own, shared, reports, panics);
-                })
-                .expect("spawn island launcher thread");
-        }
-    });
-}
-
-/// One island's launcher: builds the island's fibers, starts them in core
-/// order, then keeps resuming whichever of its fibers holds (or is being
-/// handed) the token until all of them are done.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn drive_island(
-    config: &SystemConfig,
-    island: usize,
-    own: Vec<(usize, Worker)>,
-    shared: Arc<Shared>,
-    reports: PortReports,
-    panics: Panics,
-) {
-    use crate::fiber::{Fiber, FiberId, FiberRt};
-    use std::time::{Duration, Instant};
-
-    let stack_bytes = config.core_stack_bytes();
-    let rt = shared.seq.sharded_rt().expect("sharded backend installed").rt(island);
-    // The runtime outlives every fiber switch: it lives inside `Shared`,
-    // which this launcher keeps alive until after all its fibers are done.
-    let rt_ptr: *const FiberRt = rt;
-    let own_cores: Vec<usize> = own.iter().map(|(c, _)| *c).collect();
-
-    let mut fibers = Vec::with_capacity(own.len());
-    for (core, worker) in own {
-        let shared = Arc::clone(&shared);
-        let reports = Arc::clone(&reports);
-        let panics = Arc::clone(&panics);
-        let params = CoreParams::of(config, core);
-        let entry = Box::new(move || {
-            let mut port = params.build_port(core, &shared);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker(&mut port);
-            }));
-            let next = match result {
-                Ok(()) => shared.seq.retire_fiber_target(core),
-                Err(payload) => {
-                    panics.lock().push(payload);
-                    shared.seq.poison();
-                    FiberId::Launcher
-                }
-            };
-            reports.lock()[core] = Some(port.into_report());
-            // Control never returns to this closure: drop every owned
-            // handle before the final switch (see `run_cores_on_fibers`).
+            // switch. Nothing else runs on this host thread meanwhile.
             drop(shared);
             drop(reports);
             drop(panics);
@@ -403,6 +335,10 @@ fn drive_island(
         unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
     }
 
+    // After the startup wave control only comes back here when the island
+    // has nothing to run: every fiber done, a handoff left for another
+    // island, or — under poison — a retiring/panicking fiber had nobody to
+    // hand the token to.
     loop {
         if own_cores.iter().all(|&c| rt.is_done(c)) {
             break;
@@ -425,34 +361,28 @@ fn drive_island(
             }
             continue;
         }
-        // Nothing to run on this island: sleep until a cross-island
-        // handoff (or poison) unparks us. The unpark token is sticky, so a
-        // wake delivered between the checks above and the park is never
-        // lost. With a watchdog armed, this launcher doubles as the
-        // wall-clock stall detector (the role `enter`'s park_timeout plays
-        // on the thread backend).
-        match shared.seq.watchdog_config() {
-            None => std::thread::park(),
-            Some(wd) => {
-                let before = shared.seq.liveness_snapshot();
-                let window = Duration::from_millis(wd.wall_ms);
-                let t0 = Instant::now();
-                std::thread::park_timeout(window);
-                if t0.elapsed() >= window
-                    && !shared.seq.check_poison()
-                    && shared.seq.liveness_snapshot() == before
-                {
-                    // No grant and no productive local work anywhere for a
-                    // full window: the run is stuck, not slow. Poison
-                    // without panicking — the drained fibers raise the
-                    // panics, keeping this launcher alive to collect their
-                    // reports for the diagnostic bundle.
-                    shared.seq.launcher_trip();
-                }
-            }
-        }
+        // Sleep until a cross-island handoff (or poison, which the
+        // watchdog monitor delivers too) unparks us. The unpark token is
+        // sticky, so a wake delivered between the checks above and the
+        // park is never lost.
+        std::thread::park();
     }
     // Dropping `fibers` unmaps the island's stacks; all are done here.
+}
+
+/// Stops the watchdog monitor thread when dropped — on unwind too, so a
+/// failed core launch can never leave `run_system`'s scope joining a
+/// monitor nobody will stop.
+struct StopMonitor<'a> {
+    stop: &'a std::sync::atomic::AtomicBool,
+    monitor: std::thread::Thread,
+}
+
+impl Drop for StopMonitor<'_> {
+    fn drop(&mut self) {
+        self.stop.store(true, std::sync::atomic::Ordering::Release);
+        self.monitor.unpark();
+    }
 }
 
 /// Summary of the ULI network's activity during a run.
@@ -613,19 +543,21 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         seq.set_watchdog(WatchdogConfig { budget, wall_ms: config.watchdog_wall_ms });
     }
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    match backend {
-        Backend::Fibers => seq.set_fiber_backend(crate::fiber::FiberRt::new(num_cores)),
-        Backend::Sharded => {
-            let islands = config.topology().quadrant_islands(num_cores);
-            // Minimum cross-island mesh latency: one cycle per hop each
-            // way plus the receiving unit's cycle — the same formula the
-            // ULI network charges for a `hops`-hop message.
-            let lookahead = u64::from(config.topology().min_cross_island_hops(&islands)) * 2 + 1;
-            seq.set_sharded_backend(crate::sequencer::ShardedRt::new(
-                &islands, num_cores, lookahead,
-            ));
-        }
-        Backend::Threads => {}
+    if backend != Backend::Threads {
+        // The fiber backend's one parameter: which cores share a host
+        // thread. `fibers` is the one-island partition.
+        let islands = match backend {
+            Backend::Fibers => vec![(0..num_cores).collect()],
+            _ => config.topology().quadrant_islands(num_cores),
+        };
+        // Minimum cross-island mesh latency: one cycle per hop each way
+        // plus the receiving unit's cycle — the same formula the ULI
+        // network charges for a `hops`-hop message.
+        let lookahead = match config.topology().min_cross_island_hops(&islands) {
+            0 => 0,
+            hops => u64::from(hops) * 2 + 1,
+        };
+        seq.set_sharded_backend(crate::sequencer::ShardedRt::new(&islands, num_cores, lookahead));
     }
     // Heartbeat arming: the live counters the ports publish into and the
     // sequencer hook that snapshots them every K grants. `None` keeps both
@@ -651,19 +583,29 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     let reports: PortReports = Arc::new(Mutex::new((0..num_cores).map(|_| None).collect()));
     let panics: Panics = Arc::new(Mutex::new(Vec::new()));
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    match backend {
-        Backend::Fibers => run_cores_on_fibers(config, workers, &shared, &reports, &panics),
-        Backend::Sharded => {
-            run_cores_on_sharded_fibers(config, workers, &shared, &reports, &panics)
+    // The watchdog's wall-clock fallback: one monitor thread, whatever the
+    // backend, alive exactly as long as the cores run.
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let _monitor = config.watchdog_budget.map(|_| {
+            let handle = std::thread::Builder::new()
+                .name("sim-watchdog".to_owned())
+                .spawn_scoped(scope, || shared.seq.watch_wall_clock(&stop))
+                .expect("spawn watchdog monitor thread");
+            StopMonitor { stop: &stop, monitor: handle.thread().clone() }
+        });
+        match backend {
+            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+            Backend::Fibers | Backend::Sharded => {
+                run_cores_on_islands(config, backend, workers, &shared, &reports, &panics)
+            }
+            #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+            Backend::Fibers | Backend::Sharded => {
+                unreachable!("select_backend rejects fibers off-platform")
+            }
+            Backend::Threads => run_cores_on_threads(config, workers, &shared, &reports, &panics),
         }
-        Backend::Threads => run_cores_on_threads(config, workers, &shared, &reports, &panics),
-    }
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    {
-        debug_assert_eq!(backend, Backend::Threads, "resolve_backend rejects fibers off-platform");
-        run_cores_on_threads(config, workers, &shared, &reports, &panics);
-    }
+    });
 
     let mut panics = std::mem::take(&mut *panics.lock());
     if !panics.is_empty() {
@@ -865,6 +807,40 @@ mod tests {
         let total: u64 = out.snapshot().iter().sum();
         assert_eq!(total, (0..n as u64).sum::<u64>(), "functional result correct");
         report
+    }
+
+    /// Every (requested variant × `BIGTINY_BACKEND` value × host support)
+    /// cell of the backend decision.
+    #[test]
+    fn select_backend_covers_every_cell() {
+        use Backend::{Fibers, Sharded, Threads};
+        // (env value, what `Auto` resolves to on a fiber-capable host)
+        let envs = [
+            (None, Fibers),
+            (Some("threads"), Threads),
+            (Some("sharded"), Sharded),
+            // Unrecognised values (typos, wrong case, the label of the
+            // default) count as unset; `resolve_backend` warns about them.
+            (Some("shard"), Fibers),
+            (Some("Threads"), Fibers),
+            (Some("fibres"), Fibers),
+            (Some("fibers"), Fibers),
+            (Some(""), Fibers),
+        ];
+        for (env, auto_supported) in envs {
+            assert_eq!(select_backend(ExecBackend::Auto, env, true), auto_supported, "{env:?}");
+            assert_eq!(select_backend(ExecBackend::Auto, env, false), Threads, "{env:?}");
+            for supported in [true, false] {
+                // A pinned backend never consults the environment.
+                assert_eq!(select_backend(ExecBackend::Threads, env, supported), Threads);
+            }
+            assert_eq!(select_backend(ExecBackend::Fibers, env, true), Fibers);
+            assert_eq!(select_backend(ExecBackend::ShardedFibers, env, true), Sharded);
+            for pinned in [ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+                let r = std::panic::catch_unwind(|| select_backend(pinned, env, false));
+                assert!(r.is_err(), "{pinned:?} must be rejected on a host without fibers");
+            }
+        }
     }
 
     #[test]

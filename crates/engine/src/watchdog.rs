@@ -11,8 +11,9 @@
 //!   core is demonstrably spinning and the run is declared stuck. Because
 //!   grants are counted in simulated order, the trip point is bit-for-bit
 //!   reproducible.
-//! * **Wall-clock fallback** (safety net): a core parked in the sequencer
-//!   that observes no grant activity at all for `wall_ms` trips the
+//! * **Wall-clock fallback** (safety net): a monitor thread beside the
+//!   cores that sees a core wait for the token through a whole `wall_ms`
+//!   window with no grant and no productive local work anywhere trips the
 //!   watchdog even if the token holder never re-enters the sequencer
 //!   (e.g. an accidental host-level deadlock). This path is inherently
 //!   non-deterministic and exists only to guarantee termination.
@@ -59,8 +60,9 @@ pub enum PoisonReason {
 pub struct WatchdogConfig {
     /// Maximum sequencer grants between progress marks.
     pub budget: u64,
-    /// Wall-clock fallback: a parked core seeing no grants for this long
-    /// trips the watchdog regardless of the budget.
+    /// Wall-clock fallback: a core waiting this long with no grants and no
+    /// productive local work anywhere trips the watchdog regardless of the
+    /// budget.
     pub wall_ms: u64,
 }
 

@@ -4,10 +4,11 @@
 //! the engine's bundle ring retains the crash-time state, the obs layer
 //! serializes it into a valid `bigtiny-obs-blackbox-v1` document with
 //! non-empty, time-ordered per-core tails, and the whole artifact is
-//! deterministic — the same hang reruns to the same dump, on the threaded
-//! and the sharded-fiber backend alike. Heartbeat lines inherit the same
-//! split the engine makes: every in-band field is a function of the grant
-//! stream and replays bit-for-bit, while wall-clock extras ride out-of-band.
+//! deterministic — the same hang reruns to the same dump, and (the
+//! `backend` string aside) to the same dump on the threaded and both fiber
+//! backends. Heartbeat lines inherit the same split the engine makes: every
+//! in-band field is a function of the grant stream and replays bit-for-bit,
+//! while wall-clock extras ride out-of-band.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -88,29 +89,39 @@ fn backend_name(backend: ExecBackend) -> &'static str {
     }
 }
 
-/// Threads backend: a forced idle-spin trips the watchdog, and the dump is
-/// bit-for-bit stable across reruns (the budget trip is a deterministic
-/// function of the grant stream; nothing in the bundle reads the wall
-/// clock).
-#[test]
-fn watchdog_trip_dumps_stable_blackbox_on_threads() {
-    let a = trip_and_dump(ExecBackend::Threads, "blackbox-threads-a");
-    let b = trip_and_dump(ExecBackend::Threads, "blackbox-threads-b");
-    let normalize =
-        |s: &str| s.replace("blackbox-threads-a", "X").replace("blackbox-threads-b", "X");
-    assert_eq!(normalize(&a), normalize(&b), "rerun produced a different black box");
+/// Trips the watchdog twice on `backend` and returns the dump with the
+/// config name and the backend label blanked, after checking the header
+/// names the backend and the rerun reproduced the document byte for byte
+/// (the budget trip is a deterministic function of the grant stream;
+/// nothing in the bundle reads the wall clock).
+fn stable_dump(backend: ExecBackend) -> String {
+    let label = backend_name(backend);
+    let names = [format!("blackbox-{label}-a"), format!("blackbox-{label}-b")];
+    let [a, b] = names.map(|name| trip_and_dump(backend, &name).replace(&name, "X"));
+    assert_eq!(a, b, "rerun on {label} produced a different black box");
+    let header = format!("\"backend\":\"{label}\"");
+    assert_eq!(a.matches(&header).count(), 1, "dump header names the backend once: {a}");
+    a.replace(&header, "\"backend\":\"B\"")
 }
 
-/// Sharded-fiber backend: same contract — the trip still deposits a full
-/// bundle even though all cores multiplex onto island-sharded host fibers.
+/// Threads backend: a forced idle-spin trips the watchdog, and the dump is
+/// bit-for-bit stable across reruns.
+#[test]
+fn watchdog_trip_dumps_stable_blackbox_on_threads() {
+    stable_dump(ExecBackend::Threads);
+}
+
+/// Fiber backend, one island inline (`Fibers`) and quadrant islands on
+/// their own threads (`ShardedFibers`): same contract, and the same dump —
+/// the trip deposits a bundle that differs from the threaded one only in
+/// the `backend` string, however the cores multiplex onto host threads.
 #[test]
 #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), ignore)]
 fn watchdog_trip_dumps_stable_blackbox_on_sharded_fibers() {
-    let a = trip_and_dump(ExecBackend::ShardedFibers, "blackbox-sharded-a");
-    let b = trip_and_dump(ExecBackend::ShardedFibers, "blackbox-sharded-b");
-    let normalize =
-        |s: &str| s.replace("blackbox-sharded-a", "X").replace("blackbox-sharded-b", "X");
-    assert_eq!(normalize(&a), normalize(&b), "rerun produced a different black box");
+    let threads = stable_dump(ExecBackend::Threads);
+    for backend in [ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+        assert_eq!(stable_dump(backend), threads, "{backend:?} dump differs from Threads");
+    }
 }
 
 /// The in-band fields of one beat: everything except `fast_grants`, the

@@ -73,27 +73,41 @@ fn sequenced_op_stream_matches_golden_hashes() {
 /// must replay the exact same grant stream: they share the sequencer's
 /// grant-selection rule and differ only in how a blocked core yields the
 /// host CPU. Pinning all of them against the same table proves the fiber
-/// and sharding fast paths cannot change a single simulated cycle.
+/// and sharding fast paths cannot change a single simulated cycle — with
+/// the watchdog disarmed, and again with it armed and its wall-clock
+/// monitor thread alive beside the cores (the watchdog only observes).
 #[test]
 fn both_backends_produce_identical_op_streams() {
-    use bigtiny_engine::ExecBackend;
+    use bigtiny_engine::{backend_label, ExecBackend};
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
     let mut failures = Vec::new();
     for &(app_name, setup_label, want_cycles, want_hash) in
         GOLDEN.iter().filter(|g| g.0 == "cilk5-nq")
     {
         let app = app_by_name(app_name).unwrap();
+        let mut cells = Vec::new();
         for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
-            if backend != ExecBackend::Threads && !fibers_supported {
-                continue;
+            if backend == ExecBackend::Threads || fibers_supported {
+                cells.extend([(backend, None), (backend, Some(2_000_000))]);
             }
+        }
+        // `Auto` resolves to fibers whether or not a watchdog is armed.
+        cells.push((ExecBackend::Auto, Some(2_000_000)));
+        for (backend, watchdog) in cells {
             let mut setup = setup_by_label(setup_label);
             setup.sys = setup.sys.clone().with_backend(backend);
+            setup.sys.watchdog_budget = watchdog;
+            if backend == ExecBackend::Auto
+                && fibers_supported
+                && std::env::var_os("BIGTINY_BACKEND").is_none()
+            {
+                assert_eq!(backend_label(&setup.sys), "fibers", "Auto + watchdog stays on fibers");
+            }
             let r = run_app(&setup, &app, AppSize::Test, 0);
             if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
                 failures.push(format!(
-                    "{app_name} on {setup_label} with {backend:?}: cycles {} (want \
-                     {want_cycles}), op hash {:#018x} (want {want_hash:#018x})",
+                    "{app_name} on {setup_label} with {backend:?}, watchdog {watchdog:?}: cycles \
+                     {} (want {want_cycles}), op hash {:#018x} (want {want_hash:#018x})",
                     r.cycles, r.run.report.seq_op_hash
                 ));
             }
@@ -300,14 +314,14 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     let app = app_by_name("cilk5-nq").unwrap();
     let run_once = |backend: ExecBackend| {
         let mut setup = setup_by_label("b.T/HCC-DTS-gwb");
-        setup.sys = setup.sys.clone().with_faults(FaultPlan::crash_storm(11)).with_backend(backend);
-        if backend != ExecBackend::Fibers {
-            // The watchdog is observational (it never perturbs simulated
-            // results) but needs a second runnable thread for its
-            // wall-clock fallback, so every backend except the
-            // single-threaded fiber one arms it.
-            setup.sys = setup.sys.clone().with_watchdog(2_000_000);
-        }
+        // The watchdog is observational: armed, with its monitor thread
+        // alive, it never perturbs simulated results on any backend.
+        setup.sys = setup
+            .sys
+            .clone()
+            .with_faults(FaultPlan::crash_storm(11))
+            .with_backend(backend)
+            .with_watchdog(2_000_000);
         setup.rt.record_task_events = true;
         let r = run_app(&setup, &app, AppSize::Test, 0);
         let audit = audit_task_events(&r.run.task_events, true, r.app);
