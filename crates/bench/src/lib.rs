@@ -17,6 +17,7 @@
 use bigtiny_apps::{all_apps, AppSize, AppSpec};
 use bigtiny_core::{run_task_parallel, RuntimeConfig, RuntimeKind, TaskRun};
 use bigtiny_engine::{AddrSpace, Protocol, SystemConfig, TimeCategory};
+use bigtiny_obs::{parse_json, Json};
 
 pub mod fuzz;
 pub mod live;
@@ -309,156 +310,25 @@ pub enum JsonScalar {
 /// so an unparseable record fails loudly instead of corrupting downstream
 /// analysis.
 pub fn parse_json_line(line: &str) -> Result<Vec<(String, JsonScalar)>, String> {
-    struct P<'a> {
-        s: &'a [u8],
-        i: usize,
+    // The grammar (strings, escapes, numbers, duplicate keys, trailing
+    // bytes) is `bigtiny_obs::parse_json`'s; this adapter only adds the
+    // flat, single-line record shape on top.
+    if line.contains(['\n', '\r']) {
+        return Err("record spans more than one line".to_owned());
     }
-    impl P<'_> {
-        fn skip_ws(&mut self) {
-            while matches!(self.s.get(self.i), Some(b' ' | b'\t')) {
-                self.i += 1;
-            }
-        }
-        fn next_byte(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            let b = *self.s.get(self.i).ok_or("unexpected end of line")?;
-            self.i += 1;
-            Ok(b)
-        }
-        fn expect(&mut self, want: u8) -> Result<(), String> {
-            let got = self.next_byte()?;
-            if got == want {
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, got {:?}",
-                    want as char,
-                    self.i - 1,
-                    got as char
-                ))
-            }
-        }
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self.s.get(self.i).ok_or("unterminated string")?;
-                self.i += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self.s.get(self.i).ok_or("unterminated escape")?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hex = self
-                                    .s
-                                    .get(self.i..self.i + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or("truncated \\u escape")?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                                out.push(
-                                    char::from_u32(cp)
-                                        .ok_or(format!("\\u{hex} is not a scalar"))?,
-                                );
-                                self.i += 4;
-                            }
-                            other => return Err(format!("bad escape \\{}", other as char)),
-                        }
-                    }
-                    b if b < 0x20 => return Err("raw control character in string".to_owned()),
-                    b if b < 0x80 => out.push(b as char),
-                    _ => {
-                        // Decode exactly one UTF-8 scalar from its leading
-                        // byte; validating the whole remaining line here
-                        // would make parsing quadratic in line length.
-                        let start = self.i - 1;
-                        let len = match b {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            0xf0..=0xf7 => 4,
-                            _ => return Err("invalid UTF-8 in string".to_owned()),
-                        };
-                        let bytes = self.s.get(start..start + len).ok_or("truncated UTF-8")?;
-                        let c = std::str::from_utf8(bytes)
-                            .map_err(|_| "invalid UTF-8 in string")?
-                            .chars()
-                            .next()
-                            .expect("nonempty");
-                        out.push(c);
-                        self.i = start + len;
-                    }
-                }
-            }
-        }
-        fn value(&mut self) -> Result<JsonScalar, String> {
-            self.skip_ws();
-            match self.s.get(self.i) {
-                Some(b'"') => Ok(JsonScalar::Str(self.string()?)),
-                Some(b'n') => {
-                    if self.s[self.i..].starts_with(b"null") {
-                        self.i += 4;
-                        Ok(JsonScalar::Null)
-                    } else {
-                        Err("bare word (only null is allowed)".to_owned())
-                    }
-                }
-                Some(b'{' | b'[') => Err("nested containers are not flat".to_owned()),
-                Some(_) => {
-                    let start = self.i;
-                    while matches!(
-                        self.s.get(self.i),
-                        Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                    ) {
-                        self.i += 1;
-                    }
-                    let text = std::str::from_utf8(&self.s[start..self.i]).expect("ascii");
-                    let v: f64 =
-                        text.parse().map_err(|_| format!("bad number {text:?} at byte {start}"))?;
-                    if !v.is_finite() {
-                        return Err(format!("non-finite number {text:?}"));
-                    }
-                    Ok(JsonScalar::Num(v))
-                }
-                None => Err("unexpected end of line".to_owned()),
-            }
-        }
-    }
-
-    let mut p = P { s: line.as_bytes(), i: 0 };
-    p.expect(b'{')?;
-    let mut out: Vec<(String, JsonScalar)> = Vec::new();
-    p.skip_ws();
-    if p.s.get(p.i) == Some(&b'}') {
-        p.i += 1;
-    } else {
-        loop {
-            let key = p.string()?;
-            if out.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate key {key:?}"));
-            }
-            p.expect(b':')?;
-            let val = p.value()?;
-            out.push((key, val));
-            match p.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                c => return Err(format!("expected ',' or '}}', got {:?}", c as char)),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing bytes after object: {:?}", &line[p.i..]));
-    }
-    Ok(out)
+    let Json::Obj(fields) = parse_json(line)? else {
+        return Err("expected a JSON object".to_owned());
+    };
+    fields
+        .into_iter()
+        .map(|(key, value)| match value {
+            Json::Str(s) => Ok((key, JsonScalar::Str(s))),
+            Json::Num(v) => Ok((key, JsonScalar::Num(v))),
+            Json::Null => Ok((key, JsonScalar::Null)),
+            Json::Bool(_) => Err(format!("{key:?}: bare word (only null is allowed)")),
+            Json::Arr(_) | Json::Obj(_) => Err(format!("{key:?}: nested containers are not flat")),
+        })
+        .collect()
 }
 
 impl ResultRecord {
@@ -849,5 +719,15 @@ mod json_tests {
             assert!(parse_json_line(bad).is_err(), "accepted malformed line {bad:?}");
         }
         assert_eq!(parse_json_line("{}").unwrap(), vec![]);
+    }
+
+    /// The two rejections the flat adapter itself owns (the document
+    /// parser underneath accepts both shapes).
+    #[test]
+    fn flat_adapter_rejects_nested_values_and_booleans() {
+        let err = |line| parse_json_line(line).unwrap_err();
+        assert!(err("{\"ok\":1,\"deep\":{\"x\":[1,2]}}").contains("\"deep\": nested containers"));
+        assert!(err("{\"ok\":1,\"flag\":false}").contains("\"flag\": bare word"));
+        assert!(err("[1]").contains("expected a JSON object"));
     }
 }

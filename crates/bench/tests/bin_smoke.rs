@@ -356,6 +356,23 @@ fn eval_all_accepts_fuzzer_specs_and_audits_crash_runs() {
     assert!(out.contains("all 7 crash-armed runs audited clean"), "audit not clean:\n{out}");
 }
 
+/// A modelled fail-stop is not a panic: a crash-storm run that recovers
+/// and exits 0 must not print a single `panicked at` line (the fail-stop
+/// unwind bypasses the panic hook).
+#[test]
+fn eval_all_crash_storm_succeeds_without_panic_noise() {
+    let out = Command::new(env!("CARGO_BIN_EXE_eval_all"))
+        .args(["--fault-plan", "crash-storm", "--fault-seed", "1"])
+        .envs(TINY.iter().copied())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "crash-storm run failed ({}):\n{stderr}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Crash-recovery audit"), "no crash was armed:\n{stdout}");
+    assert!(!stderr.contains("panicked"), "fail-stops reached the panic hook:\n{stderr}");
+}
+
 #[test]
 fn chaos_fuzz_survives_a_tiny_budget() {
     let out = run_bin(env!("CARGO_BIN_EXE_chaos_fuzz"), TINY, &["--budget", "2", "--seed", "1"]);

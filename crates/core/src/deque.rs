@@ -13,6 +13,7 @@ use bigtiny_engine::sync::RwLock;
 use bigtiny_coherence::Addr;
 use bigtiny_engine::{AddrSpace, CorePort, FlightKind, RacyTag, SyncNote, TimeCategory};
 
+use crate::config::DequeKind;
 use crate::task::TaskId;
 
 #[derive(Debug)]
@@ -64,6 +65,44 @@ impl SimDeque {
 
     fn slot_addr(&self, index: u64) -> Addr {
         self.slots_addr.offset((index % self.capacity) * 8)
+    }
+
+    // ------------------------------------------------------------------
+    // Policy dispatch: the one place that knows which primitives implement
+    // which [`DequeKind`]. Under `Locked` these are the bare queue
+    // operations of Figure 3 — the caller holds the lock whenever another
+    // core can reach the deque ([`DequeKind::takes_lock`]); the lock-free
+    // policies synchronise themselves.
+    // ------------------------------------------------------------------
+
+    /// Owner-side push under `policy`. Returns `false` if full.
+    pub fn push(&self, port: &mut CorePort, policy: DequeKind, task: TaskId) -> bool {
+        match policy {
+            DequeKind::Locked => self.push_tail(port, task),
+            DequeKind::ChaseLev => self.cl_push_tail(port, task),
+            DequeKind::FenceFree | DequeKind::Idempotent => self.mp_push_tail(port, task),
+        }
+    }
+
+    /// Owner-side take under `policy`. Returns `(task, duplicate)`;
+    /// `duplicate` is only ever set by the multiplicity policies (see
+    /// [`SimDeque::ff_pop_tail`]).
+    pub fn pop(&self, port: &mut CorePort, policy: DequeKind) -> (Option<TaskId>, bool) {
+        match policy {
+            DequeKind::Locked => (self.pop_tail(port), false),
+            DequeKind::ChaseLev => (self.cl_pop_tail(port), false),
+            DequeKind::FenceFree => self.ff_pop_tail(port),
+            DequeKind::Idempotent => self.idem_take_head(port),
+        }
+    }
+
+    /// Thief-side steal (oldest task) under `policy`.
+    pub fn steal(&self, port: &mut CorePort, policy: DequeKind) -> Option<TaskId> {
+        match policy {
+            DequeKind::Locked => self.pop_head(port),
+            DequeKind::ChaseLev => self.cl_steal(port),
+            DequeKind::FenceFree | DequeKind::Idempotent => self.mp_steal(port),
+        }
     }
 
     /// One attempt to acquire the deque lock (an AMO on the lock word).
@@ -290,25 +329,11 @@ impl SimDeque {
     /// tail store, with only an audited racy peek at `head` for the
     /// capacity check. Returns `false` when full.
     pub fn mp_push_tail(&self, port: &mut CorePort, task: TaskId) -> bool {
-        port.flight_note(FlightKind::DequePush);
-        port.load(self.tail_addr);
-        let (full, tail) = port.load_words_racy(self.head_addr, 1, RacyTag::DequeOwnerPeek, || {
-            let st = self.state.read();
-            (st.tail - st.head >= self.capacity, st.tail)
-        });
-        if full {
-            return false;
-        }
-        port.store_words(self.slot_addr(tail), 1, || {
-            self.state.write().slots[(tail % self.capacity) as usize] = Some(task);
-        });
-        // Release-publish, as in `cl_push_tail`: the multiplicity policies
-        // drop the owner's claim-side fences, not the push-side ordering a
-        // thief needs to read the stolen descriptor safely.
-        port.store_words_racy(self.tail_addr, 1, RacyTag::DequeTailPublish, || {
-            self.state.write().tail += 1;
-        });
-        true
+        // Same operations as Chase-Lev's push, release-publish included:
+        // the multiplicity policies drop the owner's claim-side fences, not
+        // the push-side ordering a thief needs to read the stolen
+        // descriptor safely.
+        self.cl_push_tail(port, task)
     }
 
     /// Fence-free owner pop (LIFO): the claim is a plain `tail` store —
@@ -386,26 +411,11 @@ impl SimDeque {
     /// against the sequenced peeks so a claimed task's push-publish
     /// happens-before the thief's acquiring `tail` peek.
     pub fn mp_steal(&self, port: &mut CorePort) -> Option<TaskId> {
-        port.flight_note(FlightKind::DequeSteal);
-        let head_now = port
-            .load_words_racy(self.head_addr, 1, RacyTag::DequeThiefPeek, || self.state.read().head);
-        let tail_now = port
-            .load_words_racy(self.tail_addr, 1, RacyTag::DequeThiefPeek, || self.state.read().tail);
-        port.load_words_racy(self.slot_addr(head_now), 1, RacyTag::DequeThiefPeek, || ());
-        port.amo_word(self.head_addr, || {
-            let mut st = self.state.write();
-            // Same three-way validation as `cl_steal`; the fresh
-            // non-emptiness conjunct is what keeps the thief the *primary*
-            // claimant — an owner claim that linearized since the peek
-            // wins outright instead of creating a thief-side duplicate.
-            if st.head != head_now || head_now >= tail_now || st.head >= st.tail {
-                None
-            } else {
-                let t = st.slots[(st.head % self.capacity) as usize];
-                st.head += 1;
-                t
-            }
-        })
+        // Same three-way validation as `cl_steal`; its fresh non-emptiness
+        // conjunct is what keeps the thief the *primary* claimant — an
+        // owner claim that linearized since the peek wins outright instead
+        // of creating a thief-side duplicate.
+        self.cl_steal(port)
     }
 
     /// Current length (host-side, for tests and assertions).

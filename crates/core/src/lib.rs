@@ -60,17 +60,18 @@
 //! assert_eq!(run.report.stale_reads, 0);
 //! ```
 
+mod config;
 mod deque;
 mod patterns;
 mod runtime;
 mod task;
 mod telemetry;
 
+pub use config::{
+    DequeKind, Mutation, MutationKind, RuntimeConfig, RuntimeKind, RuntimeStats, VictimPolicy,
+};
 pub use deque::SimDeque;
 pub use patterns::{parallel_for, parallel_invoke, parallel_invoke3};
-pub use runtime::{
-    run_task_parallel, DequeKind, Mutation, MutationKind, RuntimeConfig, RuntimeKind, RuntimeStats,
-    TaskCx, TaskRun, VictimPolicy,
-};
+pub use runtime::{run_task_parallel, TaskCx, TaskRun};
 pub use task::{TaskBody, TaskId, TaskProfile, TaskRecord, WorkSpan};
 pub use telemetry::{Log2Histogram, StealTelemetry, TaskEvent, TaskEventKind, VictimCounters};

@@ -79,7 +79,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{run_task_parallel, RuntimeConfig, RuntimeKind};
+    use crate::{run_task_parallel, RuntimeConfig, RuntimeKind};
     use bigtiny_engine::{AddrSpace, Protocol, ShScalar, ShVec, SystemConfig};
 
     fn small_sys(tiny: Protocol) -> SystemConfig {

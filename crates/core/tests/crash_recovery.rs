@@ -134,6 +134,32 @@ fn crash_runs_are_deterministic() {
     assert_eq!(runs[0].1.stats, runs[1].1.stats);
 }
 
+/// Near-zero deque capacity under armed fault plans: every hardened push
+/// overflows into inline execution, a bounced steal re-pushes into the one
+/// slot its pop just freed, and recovered tasks that do not fit run inline
+/// on the recovering core. Every runtime variant still computes fib.
+#[test]
+fn tiny_deques_survive_hostile_and_crash_plans() {
+    let cases = [
+        (RuntimeKind::Baseline, Protocol::Mesi),
+        (RuntimeKind::Hcc, Protocol::GpuWb),
+        (RuntimeKind::Dts, Protocol::GpuWb),
+    ];
+    for (kind, proto) in cases {
+        for plan_name in ["hostile", "crash-storm", "crash-hostile"] {
+            for capacity in 1..=2 {
+                let mut rt = RuntimeConfig::new(kind);
+                rt.deque_capacity = capacity;
+                let plan = FaultPlan::by_name(plan_name, 3).expect("named plan");
+                let (got, run) = run_fib(&sys(proto, plan), &rt, 12);
+                let what = format!("{kind:?}/{plan_name}/capacity {capacity}");
+                assert_eq!(got, serial_fib(12), "{what}");
+                assert_eq!(run.stats.reexecutions, run.stats.joins_repaired, "{what}");
+            }
+        }
+    }
+}
+
 /// Without a crash dimension, an armed (transient-only) fault plan takes
 /// none of the crash paths: no crashes, no recovery counters.
 #[test]

@@ -419,6 +419,45 @@ fn chase_lev_baseline_correct_and_cheaper_on_atomics() {
     );
 }
 
+/// A full deque degenerates `spawn` to immediate depth-first execution on
+/// every access discipline: with 1-3 slots nearly every spawn of a 256-leaf
+/// `parallel_for` overflows, and the run still covers the range exactly
+/// once, DAG-consistently, in exactly the 511 tasks of the split tree.
+#[test]
+fn full_deque_runs_spawns_inline_on_every_discipline() {
+    use bigtiny_core::DequeKind;
+    for (kind, proto, deque_kind) in [
+        (RuntimeKind::Baseline, Protocol::Mesi, DequeKind::Locked),
+        (RuntimeKind::Baseline, Protocol::Mesi, DequeKind::ChaseLev),
+        (RuntimeKind::Hcc, Protocol::GpuWb, DequeKind::Locked),
+        (RuntimeKind::Dts, Protocol::GpuWb, DequeKind::Locked),
+    ] {
+        for capacity in 1..=3 {
+            let what = format!("{kind:?}/{proto:?}/{deque_kind:?}/capacity {capacity}");
+            let s = sys(1, 7, proto);
+            let mut cfg = RuntimeConfig::new(kind);
+            cfg.deque_kind = deque_kind;
+            cfg.deque_capacity = capacity;
+            let mut space = AddrSpace::new();
+            let n = 256;
+            let marks = Arc::new(ShVec::new(&mut space, n, 0u64));
+            let m = Arc::clone(&marks);
+            let run = run_task_parallel(&s, &cfg, &mut space, move |cx| {
+                let m2 = Arc::clone(&m);
+                parallel_for(cx, 0..n, 1, move |cx, r| {
+                    for i in r {
+                        let v = m2.read(cx.port(), i);
+                        m2.write(cx.port(), i, v + 1);
+                    }
+                });
+            });
+            assert!(marks.snapshot().iter().all(|v| *v == 1), "{what}");
+            assert_eq!(run.report.stale_reads, 0, "{what}");
+            assert_eq!(run.stats.tasks_executed, 511, "{what}");
+        }
+    }
+}
+
 /// Steal telemetry is collected on every run (it is pure host-side
 /// bookkeeping), is consistent with the coarse runtime counters, and DTS
 /// runs populate the ULI round-trip histogram.
