@@ -70,7 +70,7 @@ pub use flight::{
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use port::{AttrSpan, CorePort, UliHandler};
-pub use sequencer::{ChoicePoint, Sequencer};
+pub use sequencer::{ChoicePoint, Section, Sequencer};
 pub use space::{AddrSpace, ShScalar, ShVec};
 pub use system::{backend_label, run_system, RunReport, UliReport, Worker};
 pub use trace::{render_timeline, TraceEvent, UliMark, UliMarkKind};

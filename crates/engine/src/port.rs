@@ -10,7 +10,11 @@
 //! **Locking discipline:** a sequenced operation may park the calling
 //! thread until its simulated turn. Never hold a lock (or a guard
 //! temporary) across a `CorePort` call — bind values out of guards first —
-//! or a token holder blocking on that lock deadlocks the simulation.
+//! or a token holder blocking on that lock deadlocks the simulation. The
+//! same rule binds the port itself: the [`Section`](crate::sequencer::Section)
+//! guard a sequenced operation holds *is* the sequencer lock, so it is
+//! dropped before a ULI handler is dispatched — the handler's own sequenced
+//! operations re-enter the sequencer on this thread.
 //!
 //! ULIs are delivered at instruction boundaries: every sequenced operation
 //! checks (inside the same critical section, at no extra cost) whether an
@@ -112,8 +116,8 @@ pub struct CorePort {
     /// where time ties are not broken by core id.
     events: Option<Vec<(u64, MemEvent)>>,
     /// Sequencer grant counter captured inside the most recent sequenced
-    /// section (between `enter` and `leave`, no other core can be granted,
-    /// so the counter uniquely identifies this core's grant). Sync
+    /// section (where no other core can be granted, so the counter
+    /// uniquely identifies this core's grant). Sync
     /// annotations and handler-entry events take the stamp of the
     /// operation they ride on.
     last_stamp: u64,
@@ -259,25 +263,21 @@ impl CorePort {
         self.flush_compute();
         let check_uli = self.handler.is_some() && !self.in_handler;
         let (r, msg) = {
-            self.shared.seq.enter(self.core, self.clock);
+            let mut st = self.shared.seq.enter(self.core, self.clock);
             self.flight.record(self.clock, FlightKind::Grant);
             if let Some(live) = &self.live {
-                // Under the token: no other core can be granted until we
-                // leave, so heartbeat reads of these counters are a
+                // Under the token: no other core can be granted until our
+                // next `enter`, so heartbeat reads of these counters are a
                 // deterministic function of the grant stream.
                 live.publish(self.core, self.clock, &self.breakdown, &self.faults.counters);
             }
             if self.events.is_some() {
-                // Between our grant and `leave` no other core can be
-                // granted, so the counter read here uniquely stamps this
-                // sequenced operation with its global grant index.
+                // For the same reason the counter read here uniquely stamps
+                // this sequenced operation with its global grant index.
                 self.last_stamp = self.shared.seq.total_grants();
             }
-            let mut st = self.shared.state.lock();
             let r = f(&mut st, self.clock, self.core);
             let msg = if check_uli { st.uli.take_request(self.core, self.clock) } else { None };
-            drop(st);
-            self.shared.seq.leave(self.core);
             (r, msg)
         };
         if self.events.is_some() {

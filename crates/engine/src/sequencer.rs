@@ -15,6 +15,16 @@
 //! core wakes its successor and yields the host thread
 //! ([`Sequencer::wake`], [`Sequencer::yield_host`]).
 //!
+//! **The token is the lock.** The sequencer owns the sequenced state `S`
+//! behind the same mutex as its own bookkeeping, and [`Sequencer::enter`]
+//! returns a [`Section`] guard that *is* that mutex held: it derefs to
+//! `&mut S`, and dropping it (normally or on unwind) ends the sequenced
+//! section. A pick happens only when `running == 0` and no picked core is
+//! unresumed, so between a grant and the grantee's next `enter` nothing
+//! else can be granted — there is no separate "release the token" step.
+//! A fast re-grant costs one lock round trip, a hand-off two (the
+//! grantor's and the re-lock of the resumed grantee).
+//!
 //! The sequencer doubles as the attachment point of the liveness
 //! [`watchdog`](crate::watchdog): every grant is counted, and if too many
 //! grants pass without a progress mark (or the wall-clock monitor thread
@@ -22,7 +32,6 @@
 //! local work for a whole window) the sequencer is poisoned with
 //! [`PoisonReason::Watchdog`] and every core unwinds.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -70,14 +79,90 @@ struct ScriptState {
     choices: Vec<ChoicePoint>,
 }
 
+/// [`WaitTree`]'s in-band "this core is not waiting" time. No core can wait
+/// at it: [`Sequencer::enter`] rejects it before touching the tree.
+const NOT_WAITING: u64 = u64::MAX;
+
+/// The cores blocked in `enter`: a fixed, array-backed winner (tournament)
+/// tree. Insert and remove replay one leaf-to-root path (`log2(cores)`
+/// compares), the minimum is the root, and nothing allocates after
+/// construction.
 #[derive(Debug)]
-struct Inner {
-    /// Cores blocked in `enter`, keyed by (time, core) for min dispatch.
-    waiting: BTreeSet<(u64, usize)>,
+struct WaitTree {
+    /// The implicit tree: node 1 is the root, node `i` has children `2i`
+    /// and `2i + 1`, and node `node.len() / 2 + c` is core `c`'s leaf. A
+    /// leaf holds `(time, c)` while `c` waits at `time`, `(NOT_WAITING, c)`
+    /// otherwise; an internal node holds the minimum of its children. Keys
+    /// order by time, then core id — the lowest-core-id rule of
+    /// [`SchedulePolicy::MinCore`] — so a padding leaf (there to make the
+    /// leaf count a power of two) loses even to an idle real core.
+    node: Vec<(u64, usize)>,
+}
+
+impl WaitTree {
+    fn new(num_cores: usize) -> Self {
+        let leaves = num_cores.next_power_of_two().max(2);
+        let mut node = vec![(NOT_WAITING, 0); 2 * leaves];
+        for core in 0..leaves {
+            node[leaves + core].1 = core;
+        }
+        // Every time ties, so every minimum is the left child.
+        for i in (1..leaves).rev() {
+            node[i] = node[2 * i];
+        }
+        WaitTree { node }
+    }
+
+    /// Sets `core`'s wait time ([`NOT_WAITING`] removes it) and replays its
+    /// path to the root.
+    fn set(&mut self, core: usize, time: u64) {
+        let mut i = self.node.len() / 2 + core;
+        let (mut t, mut c) = (time, core);
+        self.node[i] = (t, c);
+        while i > 1 {
+            // Which of two waiters is earlier is a coin flip, and the next
+            // level up needs the answer: select, never branch.
+            let (ts, cs) = self.node[i ^ 1];
+            let sibling_first = (ts, cs) < (t, c);
+            t = std::hint::select_unpredictable(sibling_first, ts, t);
+            c = std::hint::select_unpredictable(sibling_first, cs, c);
+            i /= 2;
+            self.node[i] = (t, c);
+        }
+    }
+
+    /// The time `core` waits at, if it waits.
+    fn waiting_at(&self, core: usize) -> Option<u64> {
+        Some(self.node[self.node.len() / 2 + core].0).filter(|&t| t != NOT_WAITING)
+    }
+
+    /// The waiter with the minimum `(time, core)`.
+    fn first(&self) -> Option<(u64, usize)> {
+        Some(self.node[1]).filter(|&(t, _)| t != NOT_WAITING)
+    }
+
+    /// Every waiter as `(time, core)`, in ascending core order.
+    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.node[self.node.len() / 2..].iter().copied().filter(|&(t, _)| t != NOT_WAITING)
+    }
+
+    /// The cores waiting at exactly `time`, in ascending core order.
+    fn tied_at(&self, time: u64) -> Vec<usize> {
+        self.iter().filter(|&(t, _)| t == time).map(|(_, c)| c).collect()
+    }
+}
+
+#[derive(Debug)]
+struct Inner<S> {
+    /// The sequenced state, reachable only through a [`Section`].
+    state: S,
+    /// Cores blocked in `enter`.
+    waiting: WaitTree,
     /// Cores currently executing user code (not waiting, not retired).
     running: usize,
-    /// Core currently granted the token (inside its sequenced section or
-    /// running user code after `leave`).
+    /// Core picked for the token but not yet resumed: set by `pick_next`,
+    /// cleared by the picked core when it wakes up in `enter`. From then on
+    /// `running > 0` is what keeps a second pick from happening.
     current: Option<usize>,
     poisoned: bool,
     reason: Option<PoisonReason>,
@@ -111,18 +196,23 @@ fn fold_grant(h: u64, time: u64, core: usize) -> u64 {
     fold_u64(fold_u64(h, time), core as u64)
 }
 
-/// The token scheduler. See the module docs.
+/// The token scheduler, owning the sequenced state `S`. See the module
+/// docs.
 #[derive(Debug)]
-pub struct Sequencer {
-    inner: Mutex<Inner>,
+pub struct Sequencer<S> {
+    inner: Mutex<Inner<S>>,
     watchdog: Option<WatchdogConfig>,
     /// Grants since the last progress mark (watchdog budget counter).
     since_progress: AtomicU64,
     /// Total grants over the run (wall-clock stall discriminator + stats).
+    /// Written only under the sequencer lock (a plain load + store, no
+    /// locked read-modify-write); atomic so the wall-clock monitor and the
+    /// ports' grant stamps can read it without the lock.
     total_grants: AtomicU64,
     /// Grants taken through the inline fast re-grant path (no waiting-set
-    /// churn, no condvar). Diagnostic for the perf harness: fast-path hit
-    /// rate is the fraction of sequenced ops that avoid the parked path.
+    /// churn, no condvar), written like `total_grants`. Diagnostic for the
+    /// perf harness: fast-path hit rate is the fraction of sequenced ops
+    /// that avoid the parked path.
     fast_grants: AtomicU64,
     /// Host-level liveness ticks from purely local *productive* work
     /// (compute/memory charging between sequenced ops). Only bumped while a
@@ -150,8 +240,8 @@ pub struct Sequencer {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     sharded: Option<ShardedRt>,
     /// Heartbeat hook: every `heartbeat.every` grants the granting core
-    /// emits a [`HeartbeatSnap`] *after* releasing the sequencer lock (the
-    /// sink may do I/O). `None` is zero-cost: one never-taken branch in
+    /// emits a [`HeartbeatSnap`] with the sequencer lock released (the sink
+    /// may do I/O). `None` is zero-cost: one never-taken branch in
     /// `record_grant`.
     heartbeat: Option<HeartbeatHook>,
 }
@@ -223,13 +313,44 @@ impl ShardedRt {
     }
 }
 
-impl Sequencer {
-    /// Creates a sequencer for `num_cores` cores, all initially running.
-    pub fn new(num_cores: usize) -> Self {
+/// A sequenced section: the token, held. Derefs to the sequenced state;
+/// dropping it — at the end of the section or on unwind out of it — lets
+/// the next grant happen. Drop it before anything that re-enters the
+/// sequencer.
+#[derive(Debug)]
+pub struct Section<'a, S> {
+    g: MutexGuard<'a, Inner<S>>,
+}
+
+impl<S> std::ops::Deref for Section<'_, S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        &self.g.state
+    }
+}
+
+impl<S> std::ops::DerefMut for Section<'_, S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.g.state
+    }
+}
+
+/// Adds one to a counter that is only written under the sequencer lock.
+fn bump(counter: &AtomicU64) -> u64 {
+    let n = counter.load(Ordering::Relaxed) + 1;
+    counter.store(n, Ordering::Relaxed);
+    n
+}
+
+impl<S> Sequencer<S> {
+    /// Creates a sequencer for `num_cores` cores, all initially running,
+    /// that owns the sequenced `state`.
+    pub fn new(num_cores: usize, state: S) -> Self {
         assert!(num_cores > 0);
         Sequencer {
             inner: Mutex::new(Inner {
-                waiting: BTreeSet::new(),
+                state,
+                waiting: WaitTree::new(num_cores),
                 running: num_cores,
                 current: None,
                 poisoned: false,
@@ -301,12 +422,12 @@ impl Sequencer {
         self.sharded.as_ref()
     }
 
-    /// The core currently granted the token, if it belongs to `island`.
-    /// Island launchers poll this after an unpark to learn whether a
-    /// cross-island handoff dispatched one of their fibers. Sound to act
-    /// on: a granted core of this island can only be *suspended* while its
-    /// launcher executes (fibers of an island never run concurrently with
-    /// their launcher).
+    /// The core picked for the token and not yet resumed, if it belongs to
+    /// `island`. Island launchers poll this after an unpark to learn
+    /// whether a cross-island handoff dispatched one of their fibers. Sound
+    /// to act on: a picked core of this island can only be *suspended*
+    /// while its launcher executes (fibers of an island never run
+    /// concurrently with their launcher).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub(crate) fn granted_core_on_island(&self, island: usize) -> Option<usize> {
         let g = self.inner.lock();
@@ -346,11 +467,11 @@ impl Sequencer {
                 return;
             }
             // Only a core still waiting for the token can be stuck: with
-            // the waiting set empty (or its one member already granted and
+            // the waiting set empty (or its one member already picked and
             // about to wake) the run is starting up, finishing, or busy in
             // host code nobody is blocked on.
             let current = g.current;
-            let stuck = g.waiting.iter().find(|&&(_, c)| current != Some(c)).copied();
+            let stuck = g.waiting.iter().filter(|&(_, c)| current != Some(c)).min();
             if let Some((time, core)) = stuck {
                 self.poison_locked(&mut g, PoisonReason::Watchdog { core, time });
                 return;
@@ -364,10 +485,10 @@ impl Sequencer {
     /// stream. Under [`SchedulePolicy::MinCore`] a time tie goes to the
     /// lowest core id; under [`SchedulePolicy::Scripted`] the script picks
     /// among the tied cores and the tie is recorded as a [`ChoicePoint`].
-    fn pick_next(inner: &mut Inner) -> Option<usize> {
+    fn pick_next(inner: &mut Inner<S>) -> Option<usize> {
         debug_assert!(inner.current.is_none());
         let core = if inner.script.is_none() {
-            inner.waiting.iter().next()?.1
+            inner.waiting.first()?.1
         } else {
             Self::pick_scripted(inner)?
         };
@@ -381,10 +502,9 @@ impl Sequencer {
     /// waiting set (or via the single-runner fast path, which under
     /// `Scripted` never fires on a tie), so the candidate set — and with
     /// it the whole choice tree — is deterministic.
-    fn pick_scripted(inner: &mut Inner) -> Option<usize> {
-        let &(min_time, first) = inner.waiting.iter().next()?;
-        let candidates: Vec<usize> =
-            inner.waiting.iter().take_while(|&&(t, _)| t == min_time).map(|&(_, c)| c).collect();
+    fn pick_scripted(inner: &mut Inner<S>) -> Option<usize> {
+        let (min_time, first) = inner.waiting.first()?;
+        let candidates = inner.waiting.tied_at(min_time);
         if candidates.len() < 2 {
             return Some(first);
         }
@@ -400,15 +520,15 @@ impl Sequencer {
     /// watchdog budget check. Shared by the parked and fast re-grant paths
     /// so both produce the identical op stream.
     ///
-    /// Returns whether a heartbeat is due at this grant. The *caller* must
-    /// drop the inner guard and then call [`Sequencer::emit_heartbeat`]:
-    /// the sink may do I/O and must never run under the sequencer lock.
+    /// Returns whether a heartbeat is due at this grant; the *caller* then
+    /// calls [`Sequencer::emit_heartbeat`], which gives the lock up around
+    /// the sink.
     #[must_use]
-    fn record_grant(&self, g: &mut Inner, core: usize, time: u64) -> bool {
+    fn record_grant(&self, g: &mut Inner<S>, core: usize, time: u64) -> bool {
         g.cores[core].grants += 1;
         g.cores[core].last_time = time;
         g.op_hash = fold_grant(g.op_hash, time, core);
-        let total = self.total_grants.fetch_add(1, Ordering::Relaxed) + 1;
+        let total = bump(&self.total_grants);
         if let Some(wd) = self.watchdog {
             let since = self.since_progress.fetch_add(1, Ordering::Relaxed) + 1;
             if since > wd.budget {
@@ -421,31 +541,28 @@ impl Sequencer {
         }
     }
 
-    /// Builds and delivers the heartbeat snapshot due at grant-time `time`.
-    /// Called by the granting core after releasing the sequencer lock (it
-    /// still holds the token, so nothing can be granted while the snapshot
-    /// is taken — the deterministic fields are frozen).
-    fn emit_heartbeat(&self, time: u64) {
-        let Some(hb) = &self.heartbeat else { return };
+    /// Builds and delivers the heartbeat snapshot due at grant-time `time`:
+    /// the granting core snapshots under the lock it holds, releases it
+    /// around the sink (which may do I/O) and takes it back for its section.
+    /// The core counts as running throughout, so nothing can be granted
+    /// meanwhile — the deterministic fields are frozen.
+    fn emit_heartbeat<'a>(
+        &'a self,
+        g: MutexGuard<'a, Inner<S>>,
+        time: u64,
+    ) -> MutexGuard<'a, Inner<S>> {
+        let Some(hb) = &self.heartbeat else { return g };
+        let cores: Vec<CoreBeat> = (g.cores.iter().enumerate())
+            .map(|(core, s)| CoreBeat {
+                grants: s.grants,
+                last_time: s.last_time,
+                retired: s.retired,
+                waiting_at: g.waiting.waiting_at(core),
+            })
+            .collect();
+        drop(g);
         let total = self.total_grants.load(Ordering::Relaxed);
-        let (cores, islands) = {
-            let g = self.inner.lock();
-            let waiting: std::collections::HashMap<usize, u64> =
-                g.waiting.iter().map(|&(t, c)| (c, t)).collect();
-            let cores: Vec<CoreBeat> = g
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(core, s)| CoreBeat {
-                    grants: s.grants,
-                    last_time: s.last_time,
-                    retired: s.retired,
-                    waiting_at: waiting.get(&core).copied(),
-                })
-                .collect();
-            let islands = self.island_times(&cores);
-            (cores, islands)
-        };
+        let islands = self.island_times(&cores);
         let snap = HeartbeatSnap::new(
             total / hb.config.every,
             time,
@@ -456,6 +573,7 @@ impl Sequencer {
             islands,
         );
         (hb.config.sink)(&snap);
+        self.inner.lock()
     }
 
     /// Per-island maximum granted time of a multi-island fiber run (empty
@@ -481,7 +599,7 @@ impl Sequencer {
     /// Marks the simulation failed for `reason` (the first reason sticks)
     /// and wakes every host thread so parked cores and launchers observe
     /// the poison and unwind.
-    fn poison_locked(&self, g: &mut Inner, reason: PoisonReason) {
+    fn poison_locked(&self, g: &mut Inner<S>, reason: PoisonReason) {
         g.poisoned = true;
         g.reason.get_or_insert(reason);
         self.poison_flag.store(true, Ordering::Relaxed);
@@ -491,7 +609,7 @@ impl Sequencer {
     }
 
     /// Poisons with a watchdog reason and panics on the calling thread.
-    fn trip(&self, g: &mut Inner, core: usize, time: u64) -> ! {
+    fn trip(&self, g: &mut Inner<S>, core: usize, time: u64) -> ! {
         self.poison_locked(g, PoisonReason::Watchdog { core, time });
         panic!("{WATCHDOG_MSG} (tripped on core {core} at cycle {time})");
     }
@@ -515,7 +633,7 @@ impl Sequencer {
     /// never contends on it. A fiber of `core`'s own island cannot be
     /// woken, only switched to: it is returned for the caller's yield.
     #[must_use]
-    fn wake(&self, g: MutexGuard<'_, Inner>, core: usize, next: Option<usize>) -> Option<usize> {
+    fn wake(&self, g: MutexGuard<'_, Inner<S>>, core: usize, next: Option<usize>) -> Option<usize> {
         let next = next?;
         if self.same_island(core, next) {
             return Some(next);
@@ -549,33 +667,39 @@ impl Sequencer {
     }
 
     /// Blocks until `core` (at simulated time `time`) holds the global
-    /// minimum and is granted the token.
+    /// minimum and is granted the token, then returns the sequenced section
+    /// it now holds.
     ///
     /// # Panics
     ///
-    /// Panics if the simulation was poisoned by a panic on another core, or
-    /// if the armed watchdog finds the simulation stuck.
-    pub fn enter(&self, core: usize, time: u64) {
+    /// Panics if the simulation was poisoned by a panic on another core, if
+    /// the armed watchdog finds the simulation stuck, or if `time` is
+    /// `u64::MAX` (reserved by the waiting set).
+    pub fn enter(&self, core: usize, time: u64) -> Section<'_, S> {
+        assert!(
+            time != NOT_WAITING,
+            "core {core} entered the sequencer at cycle u64::MAX, which the waiting set reserves"
+        );
         let mut g = self.inner.lock();
         assert!(!g.poisoned, "{}", POISON_MSG);
-        // Fast re-grant: this core is the only one running, nobody holds
-        // the token, and every parked core waits at a later `(time, core)`
-        // — dispatch would pick this core right back. Grant inline and skip
-        // the waiting-set churn and park/unpark round trip entirely. This
+        // Fast re-grant: this core is the only one running, no picked core
+        // is yet to resume, and every parked core waits at a later
+        // `(time, core)` — dispatch would pick this core right back. Grant
+        // inline and skip the waiting-set churn and park/unpark round trip
+        // entirely (the lock is simply kept for the section). This
         // is the steady state of steal-free inner loops and serial phases.
         // Under `Scripted`, a time tie with the earliest waiter must fall
         // through to the slow path: the tie is a choice point the script
         // decides and the run records. `MinCore` can take the tie inline —
         // `(time, core) < min` already encodes its lowest-core-id rule.
         let fast_ok = if g.script.is_none() {
-            g.waiting.first().is_none_or(|&min| (time, core) < min)
+            g.waiting.first().is_none_or(|min| (time, core) < min)
         } else {
-            g.waiting.first().is_none_or(|&min| time < min.0)
+            g.waiting.first().is_none_or(|min| time < min.0)
         };
         let fast = g.running == 1 && g.current.is_none() && fast_ok;
         if fast {
-            g.current = Some(core);
-            self.fast_grants.fetch_add(1, Ordering::Relaxed);
+            bump(&self.fast_grants);
         } else {
             // Slow path: join the waiting set, and until the token comes
             // back hand it to the minimum waiter (when this core was the
@@ -583,7 +707,7 @@ impl Sequencer {
             if g.threads[core].is_none() {
                 g.threads[core] = Some(std::thread::current());
             }
-            g.waiting.insert((time, core));
+            g.waiting.set(core, time);
             g.running -= 1;
             while g.current != Some(core) {
                 assert!(!g.poisoned, "{}", POISON_MSG);
@@ -602,26 +726,23 @@ impl Sequencer {
                 g = self.inner.lock();
             }
             assert!(!g.poisoned, "{}", POISON_MSG);
-            let removed = g.waiting.remove(&(time, core));
-            debug_assert!(removed, "granted core must be in the waiting set");
+            // Resumed: the pick is consumed, and counting as running again
+            // is what now keeps anyone else from being picked.
+            g.current = None;
+            g.waiting.set(core, NOT_WAITING);
             g.running += 1;
         }
-        let hb_due = self.record_grant(&mut g, core, time);
-        drop(g);
-        if hb_due {
-            self.emit_heartbeat(time);
+        if self.record_grant(&mut g, core, time) {
+            g = self.emit_heartbeat(g, time);
         }
+        Section { g }
     }
 
-    /// Releases the token after a sequenced section. The core keeps running
-    /// user code exclusively until its next `enter`.
-    pub fn leave(&self, core: usize) {
-        let mut g = self.inner.lock();
-        if g.poisoned {
-            return;
-        }
-        debug_assert_eq!(g.current, Some(core), "leave() by a core that does not hold the token");
-        g.current = None;
+    /// Locks the sequenced state outside any grant, for the end-of-run
+    /// readers. Every other method of the sequencer takes the same lock:
+    /// read what you need from them *before* calling this.
+    pub fn state(&self) -> Section<'_, S> {
+        Section { g: self.inner.lock() }
     }
 
     /// Removes `core` from the simulation (its worker returned), handing
@@ -732,13 +853,11 @@ impl Sequencer {
     /// Per-core sequencer diagnostics (for the crash bundle).
     pub fn core_diag(&self) -> Vec<SeqCoreDiag> {
         let g = self.inner.lock();
-        let waiting: std::collections::HashMap<usize, u64> =
-            g.waiting.iter().map(|&(t, c)| (c, t)).collect();
         g.cores
             .iter()
             .enumerate()
             .map(|(core, s)| SeqCoreDiag {
-                waiting_at: waiting.get(&core).copied(),
+                waiting_at: g.waiting.waiting_at(core),
                 grants: s.grants,
                 last_time: s.last_time,
                 retired: s.retired,
@@ -756,7 +875,7 @@ mod tests {
     /// order must be exactly ascending (time, core).
     #[test]
     fn grants_follow_time_order() {
-        let seq = Arc::new(Sequencer::new(3));
+        let seq = Arc::new(Sequencer::new(3, ()));
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for core in 0..3usize {
@@ -765,9 +884,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut t = core as u64; // staggered start times
                 for _ in 0..50 {
-                    seq.enter(core, t);
+                    let section = seq.enter(core, t);
                     log.lock().push((t, core));
-                    seq.leave(core);
+                    drop(section);
                     t += 3; // all cores advance at the same rate
                 }
                 seq.retire(core);
@@ -785,26 +904,25 @@ mod tests {
 
     #[test]
     fn single_core_never_blocks() {
-        let seq = Sequencer::new(1);
+        let seq = Sequencer::new(1, ());
         for t in 0..10 {
-            seq.enter(0, t);
-            seq.leave(0);
+            drop(seq.enter(0, t));
         }
         seq.retire(0);
     }
 
     #[test]
     fn retire_unblocks_waiters() {
-        let seq = Arc::new(Sequencer::new(2));
+        let seq = Arc::new(Sequencer::new(2, ()));
         let seq2 = Arc::clone(&seq);
         let done = Arc::new(AtomicUsize::new(0));
         let done2 = Arc::clone(&done);
         let h = std::thread::spawn(move || {
             // Core 1 waits at a later time than core 0 will ever reach; it
             // can only be granted after core 0 retires.
-            seq2.enter(1, 1_000_000);
+            let section = seq2.enter(1, 1_000_000);
             done2.store(1, Ordering::SeqCst);
-            seq2.leave(1);
+            drop(section);
             seq2.retire(1);
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -816,11 +934,11 @@ mod tests {
 
     #[test]
     fn poison_unblocks_with_panic() {
-        let seq = Arc::new(Sequencer::new(2));
+        let seq = Arc::new(Sequencer::new(2, ()));
         let seq2 = Arc::clone(&seq);
         let h = std::thread::spawn(move || {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                seq2.enter(1, 42);
+                drop(seq2.enter(1, 42));
             }));
             assert!(r.is_err(), "poisoned enter must panic");
         });
@@ -833,16 +951,16 @@ mod tests {
 
     #[test]
     fn ties_break_by_core_id() {
-        let seq = Arc::new(Sequencer::new(2));
+        let seq = Arc::new(Sequencer::new(2, ()));
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for core in [1usize, 0usize] {
             let seq = Arc::clone(&seq);
             let log = Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
-                seq.enter(core, 5);
+                let section = seq.enter(core, 5);
                 log.lock().push(core);
-                seq.leave(core);
+                drop(section);
                 seq.retire(core);
             }));
         }
@@ -855,7 +973,7 @@ mod tests {
     /// Runs two cores that tie at time 5 under `policy` and returns the
     /// observed grant order plus the recorded choice points.
     fn tied_pair(policy: SchedulePolicy) -> (Vec<usize>, Vec<ChoicePoint>) {
-        let seq = Arc::new(Sequencer::new(2));
+        let seq = Arc::new(Sequencer::new(2, ()));
         seq.set_policy(policy);
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
@@ -863,9 +981,9 @@ mod tests {
             let seq = Arc::clone(&seq);
             let log = Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
-                seq.enter(core, 5);
+                let section = seq.enter(core, 5);
                 log.lock().push(core);
-                seq.leave(core);
+                drop(section);
                 seq.retire(core);
             }));
         }
@@ -909,11 +1027,10 @@ mod tests {
         // (the fast re-grant path is gated differently but grants the
         // same stream).
         let run = |policy: SchedulePolicy| {
-            let seq = Sequencer::new(1);
+            let seq = Sequencer::new(1, ());
             seq.set_policy(policy);
             for t in 0..10 {
-                seq.enter(0, t);
-                seq.leave(0);
+                drop(seq.enter(0, t));
             }
             seq.retire(0);
             seq.op_hash()
@@ -923,12 +1040,11 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_grant_budget() {
-        let mut seq = Sequencer::new(1);
+        let mut seq = Sequencer::new(1, ());
         seq.set_watchdog(WatchdogConfig { budget: 10, wall_ms: 60_000 });
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for t in 0..100 {
-                seq.enter(0, t);
-                seq.leave(0);
+                drop(seq.enter(0, t));
             }
         }));
         let err = r.expect_err("budget of 10 must trip within 100 grants");
@@ -939,11 +1055,10 @@ mod tests {
 
     #[test]
     fn progress_marks_keep_watchdog_quiet() {
-        let mut seq = Sequencer::new(1);
+        let mut seq = Sequencer::new(1, ());
         seq.set_watchdog(WatchdogConfig { budget: 10, wall_ms: 60_000 });
         for t in 0..100 {
-            seq.enter(0, t);
-            seq.leave(0);
+            drop(seq.enter(0, t));
             if t % 5 == 0 {
                 seq.mark_progress();
             }
@@ -959,7 +1074,7 @@ mod tests {
     /// into a poison panic.
     #[test]
     fn wall_clock_fallback_trips_when_nothing_is_granted() {
-        let mut seq = Sequencer::new(2);
+        let mut seq = Sequencer::new(2, ());
         seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 30 });
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -971,7 +1086,8 @@ mod tests {
             // Core 1 parks; core 0 never enters or retires (simulating a
             // core stuck in host-level code while holding the logical
             // token).
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| seq.enter(1, 7)));
+            let r =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(seq.enter(1, 7))));
             assert!(r.is_err(), "stalled run must trip the wall-clock fallback");
             monitor.join().expect("the monitor returns once it has tripped");
         });
@@ -981,7 +1097,7 @@ mod tests {
     /// The owner's stop request ends the monitor promptly, mid-window.
     #[test]
     fn wall_clock_monitor_stops_on_request() {
-        let mut seq = Sequencer::new(1);
+        let mut seq = Sequencer::new(1, ());
         seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 60_000 });
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -992,13 +1108,92 @@ mod tests {
         assert!(!seq.is_poisoned());
     }
 
+    /// The waiting set against the structure it replaced: a
+    /// `BTreeSet<(time, core)>` oracle must agree on the minimum, on the
+    /// `Scripted` candidate list and on the full membership after every
+    /// step of seeded random churn — heavy time ties, removal of waiters
+    /// that are not the minimum (a `Scripted` tie-flip), sizes on both
+    /// sides of a power of two.
+    #[test]
+    fn wait_tree_matches_btreeset_oracle() {
+        use std::collections::BTreeSet;
+        for (n, seed) in [1usize, 2, 3, 64, 65, 256, 1000].into_iter().zip(1u64..) {
+            let mut rng = bigtiny_mesh::XorShift64::new(seed);
+            let mut tree = WaitTree::new(n);
+            let mut oracle: BTreeSet<(u64, usize)> = BTreeSet::new();
+            assert_eq!(tree.first(), None);
+            for step in 0..4000 {
+                let core = rng.next_below(n as u64) as usize;
+                match tree.waiting_at(core) {
+                    Some(t) => {
+                        tree.set(core, NOT_WAITING);
+                        assert!(oracle.remove(&(t, core)));
+                    }
+                    None => {
+                        // Four distinct times, one of them the largest a
+                        // core can wait at (one below the padding leaves').
+                        let t = [5, 6, 7, NOT_WAITING - 1][rng.next_below(4) as usize];
+                        tree.set(core, t);
+                        assert!(oracle.insert((t, core)));
+                    }
+                }
+                let ctx = format!("{n} cores, step {step}");
+                assert_eq!(tree.first(), oracle.first().copied(), "{ctx}");
+                let mut waiters: Vec<_> = tree.iter().collect();
+                assert!(waiters.iter().all(|&(_, c)| c < n), "padding leaf surfaced: {ctx}");
+                waiters.sort_unstable();
+                assert!(waiters.iter().eq(oracle.iter()), "{ctx}");
+                if let Some(&(min, _)) = oracle.first() {
+                    let tied: Vec<usize> =
+                        oracle.iter().take_while(|&&(t, _)| t == min).map(|&(_, c)| c).collect();
+                    assert_eq!(tree.tied_at(min), tied, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// `u64::MAX` is the tree's "not waiting" mark: entering at it must be
+    /// refused before the waiting set (or anything else) is touched.
+    #[test]
+    fn enter_at_u64_max_is_rejected_up_front() {
+        let seq = Sequencer::new(2, ());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(seq.enter(0, u64::MAX));
+        }));
+        let msg = *r.expect_err("u64::MAX is not a time").downcast::<String>().unwrap();
+        assert!(msg.contains("u64::MAX"), "got: {msg}");
+        assert!(!seq.is_poisoned());
+        assert_eq!(seq.core_diag()[0].waiting_at, None);
+        assert_eq!(seq.total_grants(), 0);
+        // The sequencer is untouched: the run goes on.
+        seq.retire(1);
+        drop(seq.enter(0, u64::MAX - 1));
+        assert_eq!(seq.total_grants(), 1);
+    }
+
+    /// Non-power-of-two core counts pad the tree with leaves that wait at
+    /// `u64::MAX`; the last real core waiting at the largest legal time must
+    /// still beat them, and an empty set must report no winner.
+    #[test]
+    fn padding_leaves_never_win() {
+        for n in [1usize, 3, 65, 1000] {
+            let seq = Sequencer::new(n, ());
+            let mut g = seq.inner.lock();
+            assert_eq!(g.waiting.first(), None, "{n} cores");
+            g.waiting.set(n - 1, u64::MAX - 1);
+            assert_eq!(g.waiting.first(), Some((u64::MAX - 1, n - 1)), "{n} cores");
+            assert_eq!(g.waiting.iter().count(), 1, "{n} cores");
+            g.waiting.set(n - 1, NOT_WAITING);
+            assert_eq!(g.waiting.first(), None, "{n} cores");
+        }
+    }
+
     #[test]
     fn core_diag_reflects_state() {
-        let seq = Sequencer::new(2);
+        let seq = Sequencer::new(2, ());
         // Core 1 retires first so core 0's enter can be granted.
         seq.retire(1);
-        seq.enter(0, 7);
-        seq.leave(0);
+        drop(seq.enter(0, 7));
         let d = seq.core_diag();
         assert_eq!(d[0].grants, 1);
         assert_eq!(d[0].last_time, 7);

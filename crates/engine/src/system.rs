@@ -17,7 +17,8 @@ use crate::watchdog::{
     record_bundle, DiagnosticBundle, PoisonReason, WatchdogConfig, WATCHDOG_MSG,
 };
 
-/// All mutable simulated state, accessed only under the sequencer token.
+/// All mutable simulated state, owned by the sequencer and reachable only
+/// through the sequenced section a grant returns.
 pub(crate) struct GlobalState {
     pub mem: MemorySystem,
     pub uli: UliNetwork,
@@ -27,8 +28,7 @@ pub(crate) struct GlobalState {
 
 /// State shared by every core thread.
 pub(crate) struct Shared {
-    pub seq: Sequencer,
-    pub state: Mutex<GlobalState>,
+    pub seq: Sequencer<GlobalState>,
     /// Heartbeat live-counter sink each port publishes into (`None` unless
     /// a heartbeat is armed).
     pub live: Option<Arc<LiveCounters>>,
@@ -536,8 +536,16 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     );
     let num_cores = config.num_cores();
     let backend = resolve_backend(config);
+    let mut mem = MemorySystem::new(&config.mem_config());
+    mem.set_mesh_faults(config.faults.mesh_faults());
+    let state = GlobalState {
+        mem,
+        uli: UliNetwork::new(config.topology(), num_cores),
+        done: false,
+        done_time: 0,
+    };
     #[allow(unused_mut)]
-    let mut seq = Sequencer::new(num_cores);
+    let mut seq = Sequencer::new(num_cores, state);
     seq.set_policy(config.schedule.clone());
     if let Some(budget) = config.watchdog_budget {
         seq.set_watchdog(WatchdogConfig { budget, wall_ms: config.watchdog_wall_ms });
@@ -567,18 +575,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         seq.set_heartbeat(hb.clone(), Arc::clone(&live));
         live
     });
-    let mut mem = MemorySystem::new(&config.mem_config());
-    mem.set_mesh_faults(config.faults.mesh_faults());
-    let shared = Arc::new(Shared {
-        seq,
-        state: Mutex::new(GlobalState {
-            mem,
-            uli: UliNetwork::new(config.topology(), num_cores),
-            done: false,
-            done_time: 0,
-        }),
-        live,
-    });
+    let shared = Arc::new(Shared { seq, live });
 
     let reports: PortReports = Arc::new(Mutex::new((0..num_cores).map(|_| None).collect()));
     let panics: Panics = Arc::new(Mutex::new(Vec::new()));
@@ -672,7 +669,11 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     }
     let mem_events: Vec<MemEvent> = stamped_events.into_iter().map(|(_, e)| e).collect();
 
-    let st = shared.state.lock();
+    // Sequencer totals first: `state()` holds the lock they all take.
+    let seq = &shared.seq;
+    let (seq_grants, seq_fast_grants) = (seq.total_grants(), seq.fast_grants());
+    let (seq_op_hash, choice_points) = (seq.op_hash(), seq.choice_points());
+    let st = seq.state();
     let completion = if st.done_time > 0 {
         st.done_time
     } else {
@@ -706,12 +707,12 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         attr_spans,
         fault_counters,
         mesh_fault_spikes: st.mem.mesh_fault_spikes(),
-        seq_grants: shared.seq.total_grants(),
-        seq_fast_grants: shared.seq.fast_grants(),
-        seq_lookahead: shared.seq.sharded_lookahead(),
-        seq_op_hash: shared.seq.op_hash(),
+        seq_grants,
+        seq_fast_grants,
+        seq_lookahead: seq.sharded_lookahead(),
+        seq_op_hash,
         mem_events,
-        choice_points: shared.seq.choice_points(),
+        choice_points,
         flight,
         flight_totals,
     }
@@ -725,8 +726,10 @@ fn build_bundle(
     shared: &Shared,
     reports: &[Option<PortReport>],
 ) -> DiagnosticBundle {
-    let st = shared.state.lock();
+    // Sequencer diagnostics first: `state()` holds the lock they all take.
     let seq_diag = shared.seq.core_diag();
+    let reason = shared.seq.poison_reason().unwrap_or(PoisonReason::WorkerPanic);
+    let st = shared.seq.state();
     let cores = reports
         .iter()
         .enumerate()
@@ -737,7 +740,7 @@ fn build_bundle(
         })
         .collect();
     DiagnosticBundle {
-        reason: shared.seq.poison_reason().unwrap_or(PoisonReason::WorkerPanic),
+        reason,
         config_name: config.name.clone(),
         backend: backend.label().to_owned(),
         fault_spec: config.faults.to_spec(),
@@ -944,6 +947,50 @@ mod tests {
             .or_else(|| err.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("worker exploded"), "got: {msg}");
+    }
+
+    /// A panic raised *inside* a sequenced closure unwinds through the held
+    /// section guard, whose drop must free the token: on every backend the
+    /// run ends (no hang), re-raises the original panic, and still collects
+    /// every core's partial report for the crash bundle.
+    #[test]
+    fn panic_inside_a_sequenced_section_propagates() {
+        let backends: &[ExecBackend] = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+            &[ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers]
+        } else {
+            &[ExecBackend::Threads]
+        };
+        for &backend in backends {
+            let mut config = small_config(Protocol::Mesi);
+            config.backend = backend;
+            config.name = format!("boom-in-section-{backend:?}");
+            let workers: Vec<Worker> = (0..4usize)
+                .map(|core| {
+                    Box::new(move |port: &mut CorePort| {
+                        for t in 0..1000 {
+                            port.idle(10);
+                            if core == 2 && t == 5 {
+                                port.load_words(bigtiny_coherence::Addr(0x9000), 1, || {
+                                    panic!("boom in section")
+                                })
+                            } else {
+                                port.load(bigtiny_coherence::Addr(0x9000 + 64 * core as u64));
+                            }
+                        }
+                    }) as Worker
+                })
+                .collect();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_system(&config, workers)
+            }));
+            let err = r.expect_err("panic must propagate");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("boom in section"), "{backend:?} got: {msg}");
+            let bundle = crate::last_bundle_for(&config.name).expect("crash bundle recorded");
+            assert_eq!(bundle.reason, PoisonReason::WorkerPanic, "{backend:?}");
+            assert_eq!(bundle.cores.len(), 4, "{backend:?}: every core reported");
+            assert!(bundle.cores[2].seq.grants > 0, "{backend:?}");
+        }
     }
 
     /// A two-party ULI steal handshake through the engine.

@@ -7,9 +7,9 @@
 //! fast paths (sequencer re-grant, compute coalescing) landed, so a match
 //! proves those wall-clock optimizations are bit-for-bit invisible to
 //! simulated results. Future engine PRs inherit the guard: if a change is
-//! *meant* to alter simulated timing, re-capture with
-//! `BIGTINY_SIZE=test cargo run --release --bin perf_regress` and update
-//! the table with a note in the PR; if it isn't, a mismatch here is a bug.
+//! *meant* to alter simulated timing, update the table (the failing
+//! assertion prints the observed `(cycles, hash)`) with a note in the PR;
+//! if it isn't, a mismatch here is a bug.
 
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, Setup};
