@@ -124,3 +124,30 @@ fn amo_placement_traffic_signature() {
     }
     assert_eq!(gwb.traffic().messages(TrafficClass::SyncReq), 8, "every AMO at the L2");
 }
+
+/// The one shrunk case the retired proptest suite ever recorded
+/// (`Load{core 0, slot 0}`, `Store{core 1, slot 7}`, `Load{core 0, slot 7}`,
+/// tiny = GPU-WB): a MESI reader *hits* a line in which a GPU-WB writer has
+/// since dirtied another word without flushing. The directory never hears
+/// of the write, so the MESI copy survives and the oracle charges the stale
+/// read to the hardware-coherent core; the writer's flush then invalidates
+/// that copy and the re-read is fresh.
+#[test]
+fn mesi_reader_hits_line_dirtied_by_unflushed_gpu_wb_writer() {
+    let mut m = system(Protocol::GpuWb);
+    let slot = |s: u64| Addr(0x10000 + s * 8);
+    let miss = m.load(0, slot(0), 10);
+    assert!(miss > 1, "cold miss");
+    assert_eq!(m.store(1, slot(7), 20), 1, "no-fetch write-allocate is local");
+    assert_eq!(m.load(0, slot(7), 30), 1, "MESI copy is still resident: a hit");
+    assert_eq!(m.core_stats(0).stale_reads, 1, "the hit observed the pre-store value");
+    assert_eq!(m.total_stale_reads(), 1);
+    assert_eq!(m.traffic().messages(TrafficClass::CohReq), 0, "nothing reached the directory");
+
+    let (_, flushed) = m.flush_all(1, 40);
+    assert_eq!(flushed, 1);
+    assert!(m.traffic().messages(TrafficClass::CohReq) > 0, "flush recalls the MESI holder");
+    assert!(m.load(0, slot(7), 100) > 1, "copy was invalidated: refetch");
+    assert_eq!(m.total_stale_reads(), 1, "fresh after the flush");
+    m.check_invariants().expect("invariants");
+}
