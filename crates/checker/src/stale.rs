@@ -29,7 +29,7 @@
 //! invalidate (acquire side); a *miss* while `committed < latest` is a
 //! missing flush (release side, blamed on the delinquent writer). The
 //! miss check also covers MESI readers — the simulator skips it there
-//! (`check_stale_read` trusts MESI fills), but a MESI big core reading a
+//! (`load_with` trusts MESI fills), but a MESI big core reading a
 //! word some tiny core left unflushed is the same runtime bug, and clean
 //! runs never trip it because clean remote reads happen only after a
 //! flush-and-release.
@@ -39,11 +39,40 @@
 //! a clean verdict is trustworthy modulo that documented slack.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-use bigtiny_coherence::Protocol;
+use bigtiny_coherence::{CoreSet, Protocol};
 use bigtiny_engine::{MemEvent, MemOp};
 
 use crate::{Collector, ViolationKind};
+
+/// Deterministic single-round multiply-xor hasher for the pass's
+/// word-address maps. Every event probes several of them, and the keys are
+/// `u64` word addresses of the simulated machine, never attacker-chosen,
+/// so SipHash's DoS resistance buys nothing here. Where a map is iterated
+/// (bulk invalidate/flush) each word is handled independently of the
+/// others, so hash order cannot reach a verdict.
+#[derive(Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let x = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
+type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
 
 /// One core's cached copy of a word.
 #[derive(Clone, Copy)]
@@ -56,26 +85,31 @@ struct Copy {
 pub(crate) struct StalePass {
     protocols: Vec<Protocol>,
     /// Global version per word (every store/AMO bumps it).
-    latest: HashMap<u64, u64>,
+    latest: WordMap<u64>,
     /// Version the shared L2 would supply on a miss.
-    committed: HashMap<u64, u64>,
+    committed: WordMap<u64>,
     /// Last writer `(core, cycle)` of each word, for blame.
-    writer: HashMap<u64, (usize, u64)>,
+    writer: WordMap<(usize, u64)>,
     /// Ownership pin: MESI Modified or DeNovo registration.
-    owner: HashMap<u64, usize>,
+    owner: WordMap<usize>,
     /// Per-core word copies.
-    copies: Vec<HashMap<u64, Copy>>,
+    copies: Vec<WordMap<Copy>>,
+    /// The MESI cores among `copies` that hold each word — the directory's
+    /// sharer list at word granularity, so that invalidating "every other
+    /// MESI copy" costs the word's real sharers, not a walk over all cores.
+    mesi_holders: WordMap<CoreSet>,
 }
 
 impl StalePass {
     pub(crate) fn new(protocols: &[Protocol]) -> Self {
         StalePass {
             protocols: protocols.to_vec(),
-            latest: HashMap::new(),
-            committed: HashMap::new(),
-            writer: HashMap::new(),
-            owner: HashMap::new(),
-            copies: vec![HashMap::new(); protocols.len()],
+            latest: WordMap::default(),
+            committed: WordMap::default(),
+            writer: WordMap::default(),
+            owner: WordMap::default(),
+            copies: vec![WordMap::default(); protocols.len()],
+            mesi_holders: WordMap::default(),
         }
     }
 
@@ -94,16 +128,31 @@ impl StalePass {
         }
     }
 
+    /// Gives `core` a copy of `w`, registering MESI cores as holders.
+    fn install(&mut self, core: usize, w: u64, copy: Copy) {
+        self.copies[core].insert(w, copy);
+        if self.protocols[core] == Protocol::Mesi {
+            self.mesi_holders.entry(w).or_default().insert(core);
+        }
+    }
+
     /// Invalidate other MESI cores' copies of `w` (the directory tracks
-    /// MESI sharers only) and clear a MESI ownership pin.
+    /// MESI sharers only) and clear a MESI ownership pin. MESI copies are
+    /// dropped nowhere else, which is what keeps `mesi_holders` exact.
     fn drop_other_mesi(&mut self, w: u64, except: usize) {
-        for d in 0..self.protocols.len() {
-            if d != except && self.protocols[d] == Protocol::Mesi {
+        if let Some(holders) = self.mesi_holders.get_mut(&w) {
+            let mut others = *holders;
+            others.remove(except);
+            for d in others.iter() {
                 self.copies[d].remove(&w);
-                if self.owner.get(&w) == Some(&d) {
-                    self.owner.remove(&w);
-                }
+                holders.remove(d);
             }
+            if holders.is_empty() {
+                self.mesi_holders.remove(&w);
+            }
+        }
+        if self.owner.get(&w).is_some_and(|&o| o != except && self.protocols[o] == Protocol::Mesi) {
+            self.owner.remove(&w);
         }
     }
 
@@ -119,7 +168,7 @@ impl StalePass {
                 if self.owner.get(&w).is_some_and(|&o| o != core) {
                     self.owner.remove(&w);
                 }
-                self.copies[core].insert(w, Copy { version, dirty: false });
+                self.install(core, w, Copy { version, dirty: false });
                 self.owner.insert(w, core);
             }
             Protocol::DeNovo => {
@@ -128,7 +177,7 @@ impl StalePass {
                     self.drop_other_mesi(w, core);
                     self.owner.insert(w, core);
                 }
-                self.copies[core].insert(w, Copy { version, dirty: false });
+                self.install(core, w, Copy { version, dirty: false });
             }
             Protocol::GpuWt | Protocol::GpuWb => unreachable!("L2-coherent protocol"),
         }
@@ -189,7 +238,7 @@ impl StalePass {
                                 self.owner.remove(&w);
                             }
                         }
-                        self.copies[core].insert(w, Copy { version: com, dirty: false });
+                        self.install(core, w, Copy { version: com, dirty: false });
                     }
                 }
             }
@@ -221,7 +270,7 @@ impl StalePass {
                         // Write-back: dirty in L1 only. No commit and no
                         // remote effects until the flush — which is what
                         // makes a dropped flush observable.
-                        self.copies[core].insert(w, Copy { version: lat, dirty: true });
+                        self.install(core, w, Copy { version: lat, dirty: true });
                     }
                 }
             }
@@ -281,6 +330,51 @@ impl StalePass {
                 }
             }
             MemOp::Sync(_) => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bigtiny_coherence::Addr;
+    use bigtiny_engine::XorShift64;
+
+    /// `drop_other_mesi` trusts `mesi_holders` instead of walking every
+    /// core, so the set must equal the MESI cores holding a copy after
+    /// every event of any stream — on every protocol mix, including the
+    /// all-MESI machine where every copy is tracked.
+    #[test]
+    fn mesi_holders_mirror_the_copies_after_every_event() {
+        use Protocol::{DeNovo, GpuWb, GpuWt, Mesi};
+        let mut rng = XorShift64::new(0x484f_4c44_4552_5331);
+        for protocols in [[Mesi; 6], [Mesi, Mesi, DeNovo, GpuWt, GpuWb, GpuWb]] {
+            let mut pass = StalePass::new(&protocols);
+            let mut col = Collector::new();
+            for cycle in 0..20_000 {
+                let addr = Addr(0x1000 + rng.next_below(24) * 8);
+                let op = match rng.next_below(10) {
+                    0..=3 => MemOp::Load { addr, racy: None },
+                    4..=6 => MemOp::Store { addr, racy: None },
+                    7 => MemOp::Amo { addr },
+                    8 => MemOp::InvalidateAll,
+                    _ => MemOp::FlushAll,
+                };
+                let core = rng.next_below(protocols.len() as u64) as usize;
+                pass.step(&MemEvent { cycle, core, op }, &mut col);
+                for w in (0..24).map(|i| 0x1000 + i * 8) {
+                    let mut held = CoreSet::EMPTY;
+                    for (d, _) in protocols.iter().enumerate().filter(|(_, p)| **p == Mesi) {
+                        if pass.copies[d].contains_key(&w) {
+                            held.insert(d);
+                        }
+                    }
+                    let tracked = pass.mesi_holders.get(&w).copied().unwrap_or_default();
+                    assert_eq!(tracked, held, "cycle {cycle}, word {w:#x}");
+                    assert!(pass.mesi_holders.get(&w).is_none_or(|s| !s.is_empty()));
+                }
+            }
+            assert!(!col.violations.is_empty() || protocols == [Mesi; 6]);
         }
     }
 }

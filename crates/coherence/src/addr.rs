@@ -13,6 +13,18 @@ pub const WORD_BYTES: u64 = 8;
 /// Words per cache line.
 pub const WORDS_PER_LINE: usize = (LINE_BYTES / WORD_BYTES) as usize;
 
+/// `(n / d, n % d)` for a runtime divisor, by shift and mask when `d` is a
+/// power of two. Every set and bank count of the paper's geometries is one,
+/// and a hardware divide is most of what a cache probe would otherwise
+/// cost the host; any other geometry takes the plain division.
+pub(crate) fn div_rem(n: u64, d: usize) -> (u64, usize) {
+    if d.is_power_of_two() {
+        (n >> d.trailing_zeros(), (n & (d as u64 - 1)) as usize)
+    } else {
+        (n / d as u64, (n % d as u64) as usize)
+    }
+}
+
 /// A simulated physical byte address.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Addr(pub u64);
@@ -63,7 +75,7 @@ impl LineAddr {
 
     /// Home L2 bank of this line, with line-interleaved banking.
     pub fn home_bank(self, num_banks: usize) -> usize {
-        (self.0 % num_banks as u64) as usize
+        div_rem(self.0, num_banks).1
     }
 
     /// The global word index of word `i` of this line.
@@ -157,6 +169,15 @@ mod tests {
         assert_eq!(a.line(), LineAddr(0x1000 / 64));
         assert_eq!(a.word_in_line(), 3);
         assert_eq!(a.word(), (0x1000 + 24) / 8);
+    }
+
+    #[test]
+    fn div_rem_agrees_with_division_for_every_divisor_shape() {
+        for d in [1usize, 2, 3, 5, 7, 8, 11, 32, 512, 1000, 1024, 1 << 20] {
+            for n in [0u64, 1, 7, 8, 63, 64, 1023, 1 << 40, u64::MAX / 64, u64::MAX] {
+                assert_eq!(div_rem(n, d), (n / d as u64, (n % d as u64) as usize), "{n} / {d}");
+            }
+        }
     }
 
     #[test]

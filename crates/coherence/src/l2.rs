@@ -6,8 +6,21 @@
 //! directory is embedded in the L2 with a precise sharer list for MESI L1s
 //! (Table II) and an owner pointer that can name either a MESI core holding
 //! the line in E/M or a DeNovo core that registered ownership.
+//!
+//! # Host layout
+//!
+//! Parallel plain-integer arrays indexed by *slot* (`(bank * sets + set) *
+//! ways + way`). The tags of a set are adjacent `u64`s (`line + 1`, 0 =
+//! empty way), so an 8-way probe reads one host cache line; LRU stamp,
+//! owner, dirty bit and sharer words each have their own array. Everything
+//! is an all-zero allocation — megabytes per machine, most of it sets a
+//! kernel never reaches, which the host then never pays for. A miss
+//! resolves its slot once ([`L2Cache::find`] or [`L2Cache::insert`]) and
+//! the recall, invalidation and directory-update steps all work on that
+//! slot; every operation that resolves a slot marks it most-recently-used
+//! exactly once ([`L2Cache::touch`]).
 
-use crate::addr::LineAddr;
+use crate::addr::{div_rem, LineAddr};
 
 /// A set of core ids, used for the precise MESI sharer list.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -76,18 +89,15 @@ impl CoreSet {
     }
 }
 
-/// One L2-resident line with its embedded directory state.
-#[derive(Clone, Debug)]
+/// Snapshot of one L2-resident line's embedded directory state.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct L2Line {
-    /// The line address.
-    pub line: LineAddr,
     /// Dirty with respect to DRAM.
     pub dirty: bool,
     /// MESI cores holding the line in S (precise sharer list).
     pub sharers: CoreSet,
     /// Core holding the line in MESI E/M or with DeNovo ownership.
     pub owner: Option<usize>,
-    lru: u64,
 }
 
 impl L2Line {
@@ -97,14 +107,6 @@ impl L2Line {
     }
 }
 
-/// Result of an L2 line allocation.
-#[derive(Debug, Default)]
-pub struct L2Eviction {
-    /// Displaced line, if any (its directory state must be recalled by the
-    /// caller before reuse).
-    pub victim: Option<L2Line>,
-}
-
 /// The banked, shared, set-associative L2 with embedded directory and
 /// per-bank service queues.
 #[derive(Clone, Debug)]
@@ -112,12 +114,24 @@ pub struct L2Cache {
     banks: usize,
     sets_per_bank: usize,
     ways: usize,
-    lines: Vec<Option<L2Line>>,
+    /// `line + 1` per slot, 0 for an empty way. The arrays below are
+    /// meaningful only where the tag is non-zero.
+    tags: Vec<u64>,
+    lru: Vec<u64>,
+    /// Owner core + 1, or 0 for none (every core id a [`CoreSet`] can hold
+    /// fits).
+    owner: Vec<u16>,
+    dirty: Vec<bool>,
+    /// The words of each line's sharer [`CoreSet`].
+    sharers: Vec<[u64; 4]>,
     bank_busy_until: Vec<u64>,
     lru_clock: u64,
     access_latency: u64,
     occupancy: u64,
 }
+
+// The sentinel-coded owner must hold every core id the sharer list can.
+const _: () = assert!(CoreSet::CAPACITY < u16::MAX as usize);
 
 impl L2Cache {
     /// Creates an L2 with `banks` banks of `bank_bytes` each, `ways`-way
@@ -127,12 +141,16 @@ impl L2Cache {
         assert!(banks > 0 && ways > 0);
         let lines_per_bank = bank_bytes / crate::addr::LINE_BYTES as usize;
         assert!(lines_per_bank > 0 && lines_per_bank.is_multiple_of(ways), "invalid L2 geometry");
-        let sets_per_bank = lines_per_bank / ways;
+        let slots = lines_per_bank * banks;
         L2Cache {
             banks,
-            sets_per_bank,
+            sets_per_bank: lines_per_bank / ways,
             ways,
-            lines: vec![None; lines_per_bank * banks],
+            tags: vec![0; slots],
+            lru: vec![0; slots],
+            owner: vec![0; slots],
+            dirty: vec![false; slots],
+            sharers: vec![[0; 4]; slots],
             bank_busy_until: vec![0; banks],
             lru_clock: 0,
             access_latency: 6,
@@ -158,74 +176,98 @@ impl L2Cache {
         start + self.access_latency
     }
 
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let bank = self.home_bank(line);
-        let set = ((line.0 / self.banks as u64) % self.sets_per_bank as u64) as usize;
-        let base = bank * self.sets_per_bank * self.ways + set * self.ways;
-        base..base + self.ways
+    fn set_base(&self, line: LineAddr) -> usize {
+        let (above_bank, bank) = div_rem(line.0, self.banks);
+        let set = div_rem(above_bank, self.sets_per_bank).1;
+        (bank * self.sets_per_bank + set) * self.ways
     }
 
-    /// Looks up `line` without updating LRU.
-    pub fn peek(&self, line: LineAddr) -> Option<&L2Line> {
-        self.lines[self.set_range(line)].iter().flatten().find(|e| e.line == line)
+    /// Probes `line`'s set; returns its slot if resident. No LRU update.
+    pub fn find(&self, line: LineAddr) -> Option<usize> {
+        let base = self.set_base(line);
+        self.tags[base..base + self.ways].iter().position(|&t| t == line.0 + 1).map(|i| base + i)
     }
 
-    /// Looks up `line` mutably, marking it most-recently-used.
-    pub fn lookup(&mut self, line: LineAddr) -> Option<&mut L2Line> {
+    /// Marks the line in `slot` most-recently-used.
+    pub fn touch(&mut self, slot: usize) {
+        debug_assert!(self.tags[slot] != 0, "touch of an empty way");
         self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let range = self.set_range(line);
-        #[allow(clippy::manual_inspect)]
-        self.lines[range].iter_mut().flatten().find(|e| e.line == line).map(|e| {
-            e.lru = clock;
-            e
-        })
+        self.lru[slot] = self.lru_clock;
     }
 
-    /// Allocates `line`, evicting if necessary. Victims without directory
-    /// state are preferred; the returned victim's state (dirty data, sharers)
-    /// must be handled by the caller.
+    /// Core holding the line in `slot` in MESI E/M or with DeNovo ownership.
+    pub fn owner(&self, slot: usize) -> Option<usize> {
+        self.owner[slot].checked_sub(1).map(usize::from)
+    }
+
+    /// Names `owner` as the owner of the line in `slot`, or clears the
+    /// owner pointer.
+    pub fn set_owner(&mut self, slot: usize, owner: Option<usize>) {
+        self.owner[slot] = owner.map_or(0, |core| {
+            assert!(core < CoreSet::CAPACITY, "core id {core} out of directory range");
+            core as u16 + 1
+        });
+    }
+
+    /// MESI cores holding the line in `slot` in S (precise sharer list).
+    pub fn sharers(&self, slot: usize) -> CoreSet {
+        CoreSet { words: self.sharers[slot] }
+    }
+
+    /// Edits the sharer list of the line in `slot`.
+    pub fn update_sharers(&mut self, slot: usize, edit: impl FnOnce(&mut CoreSet)) {
+        let mut set = self.sharers(slot);
+        edit(&mut set);
+        self.sharers[slot] = set.words;
+    }
+
+    /// Marks the line in `slot` dirty with respect to DRAM.
+    pub fn set_dirty(&mut self, slot: usize) {
+        self.dirty[slot] = true;
+    }
+
+    /// The directory state of the line in `slot`.
+    pub fn line(&self, slot: usize) -> L2Line {
+        debug_assert!(self.tags[slot] != 0, "access to an empty way");
+        L2Line { dirty: self.dirty[slot], sharers: self.sharers(slot), owner: self.owner(slot) }
+    }
+
+    /// Allocates `line` as most-recently-used, clean and without directory
+    /// state: into the first empty way of its set, else over the LRU line
+    /// without directory state, else over the LRU line. Returns the fresh
+    /// line's slot and the displaced line, whose state (dirty data,
+    /// sharers, owner) the caller must handle.
     ///
     /// # Panics
     ///
     /// Panics if the line is already resident.
-    pub fn insert(&mut self, line: LineAddr) -> (L2Eviction, &mut L2Line) {
-        assert!(self.peek(line).is_none(), "L2 line {line} already resident");
-        self.lru_clock += 1;
-        let clock = self.lru_clock;
-        let range = self.set_range(line);
-
-        let slot = {
-            let set = &self.lines[range.clone()];
-            if let Some(i) = set.iter().position(|e| e.is_none()) {
-                range.start + i
-            } else {
-                // Prefer LRU among lines without directory state.
-                let pick = set
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.as_ref().is_some_and(|l| !l.has_directory_state()))
-                    .min_by_key(|(_, e)| e.as_ref().map(|l| l.lru).unwrap_or(u64::MAX))
-                    .map(|(i, _)| i)
-                    .or_else(|| {
-                        set.iter()
-                            .enumerate()
-                            .min_by_key(|(_, e)| e.as_ref().map(|l| l.lru).unwrap_or(u64::MAX))
-                            .map(|(i, _)| i)
-                    })
-                    .expect("nonempty set");
-                range.start + pick
+    pub fn insert(&mut self, line: LineAddr) -> (usize, Option<(LineAddr, L2Line)>) {
+        let base = self.set_base(line);
+        // One pass; a way's rank orders empty < undirected by age < directed
+        // by age (ages are unique and far below 2^63).
+        let (mut slot, mut best) = (base, u64::MAX);
+        for way in base..base + self.ways {
+            let rank = match self.tags[way] {
+                0 => 0,
+                t => {
+                    assert!(t != line.0 + 1, "L2 line {line} already resident");
+                    self.lru[way] | u64::from(self.line(way).has_directory_state()) << 63
+                }
+            };
+            if rank < best {
+                (slot, best) = (way, rank);
             }
-        };
-        let victim = self.lines[slot].take();
-        self.lines[slot] =
-            Some(L2Line { line, dirty: false, sharers: CoreSet::EMPTY, owner: None, lru: clock });
-        (L2Eviction { victim }, self.lines[slot].as_mut().expect("just inserted"))
+        }
+        let victim = self.tags[slot].checked_sub(1).map(|v| (LineAddr(v), self.line(slot)));
+        self.tags[slot] = line.0 + 1;
+        (self.owner[slot], self.dirty[slot], self.sharers[slot]) = (0, false, [0; 4]);
+        self.touch(slot);
+        (slot, victim)
     }
 
     /// Number of resident lines (for tests).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().flatten().count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 
@@ -295,10 +337,13 @@ mod tests {
         let mut l2 = L2Cache::new(8, 512 * 1024, 8);
         assert_eq!(l2.banks(), 8);
         assert_eq!(l2.home_bank(LineAddr(13)), 5);
-        let (ev, e) = l2.insert(LineAddr(13));
-        assert!(ev.victim.is_none());
-        e.dirty = true;
-        assert!(l2.lookup(LineAddr(13)).expect("resident").dirty);
+        let (slot, victim) = l2.insert(LineAddr(13));
+        assert!(victim.is_none());
+        assert_eq!(l2.line(slot), L2Line { dirty: false, sharers: CoreSet::EMPTY, owner: None });
+        l2.set_dirty(slot);
+        assert_eq!(l2.find(LineAddr(13)), Some(slot));
+        assert!(l2.line(slot).dirty);
+        assert!(l2.find(LineAddr(21)).is_none(), "same bank and set, different line");
     }
 
     #[test]
@@ -317,25 +362,64 @@ mod tests {
         // Tiny L2: 1 bank, 2 ways, 2 sets.
         let mut l2 = L2Cache::new(1, 4 * 64, 2);
         // Lines 0 and 2 map to set 0.
-        let (_, a) = l2.insert(LineAddr(0));
-        a.sharers.insert(3); // a has directory state
+        let (a, _) = l2.insert(LineAddr(0));
+        l2.update_sharers(a, |s| s.insert(3)); // a has directory state
         l2.insert(LineAddr(2));
         // Inserting line 4 (set 0) must evict line 2 despite line 0 being LRU.
-        let (ev, _) = l2.insert(LineAddr(4));
-        assert_eq!(ev.victim.expect("evicts").line, LineAddr(2));
-        assert!(l2.peek(LineAddr(0)).is_some());
+        let (_, victim) = l2.insert(LineAddr(4));
+        assert_eq!(victim.expect("evicts").0, LineAddr(2));
+        assert!(l2.find(LineAddr(0)).is_some());
     }
 
     #[test]
     fn l2_evicts_directory_lines_when_forced() {
         let mut l2 = L2Cache::new(1, 4 * 64, 2);
-        let (_, a) = l2.insert(LineAddr(0));
-        a.owner = Some(1);
-        let (_, b) = l2.insert(LineAddr(2));
-        b.sharers.insert(2);
-        let (ev, _) = l2.insert(LineAddr(4));
-        let v = ev.victim.expect("must still evict");
-        assert!(v.has_directory_state());
+        let (a, _) = l2.insert(LineAddr(0));
+        l2.set_owner(a, Some(1));
+        l2.set_dirty(a);
+        let (b, _) = l2.insert(LineAddr(2));
+        l2.update_sharers(b, |s| s.insert(2));
+        l2.touch(a); // b is now the LRU of the two directed lines
+        let (slot, victim) = l2.insert(LineAddr(4));
+        let (vline, v) = victim.expect("must still evict");
+        assert_eq!(vline, LineAddr(2));
+        assert!(v.has_directory_state() && v.sharers.contains(2) && !v.dirty);
+        assert_eq!(slot, b);
+        assert!(!l2.line(slot).has_directory_state(), "the reused way starts clean");
+        assert_eq!(l2.line(a), L2Line { dirty: true, sharers: CoreSet::EMPTY, owner: Some(1) });
+    }
+
+    #[test]
+    fn owner_is_sentinel_coded() {
+        let mut l2 = L2Cache::new(1, 64, 1);
+        let (slot, _) = l2.insert(LineAddr(0));
+        assert_eq!(l2.owner(slot), None);
+        for core in [0, 1, 255] {
+            l2.set_owner(slot, Some(core));
+            assert_eq!(l2.owner(slot), Some(core));
+            assert!(l2.line(slot).has_directory_state());
+        }
+        l2.set_owner(slot, None);
+        assert!(!l2.line(slot).has_directory_state());
+    }
+
+    /// Three banks (a 3-column mesh), direct-mapped, five sets per bank:
+    /// nothing is a power of two and every line still finds its own slot.
+    #[test]
+    fn one_way_and_odd_bank_and_set_counts_index_correctly() {
+        let mut l2 = L2Cache::new(3, 5 * 64, 1);
+        for l in 0..15 {
+            assert_eq!(l2.home_bank(LineAddr(l)), (l % 3) as usize);
+            assert!(l2.insert(LineAddr(l)).1.is_none(), "15 slots hold 15 consecutive lines");
+        }
+        assert_eq!(l2.resident_lines(), 15);
+        let slots: std::collections::HashSet<_> =
+            (0..15).map(|l| l2.find(LineAddr(l)).expect("resident")).collect();
+        assert_eq!(slots.len(), 15, "no two lines share a slot");
+        // Line 15 + 7 = bank 1, set (22 / 3) % 5 = 2: conflicts with line 7.
+        let (_, victim) = l2.insert(LineAddr(22));
+        assert_eq!(victim.expect("conflict").0, LineAddr(7));
+        assert!(l2.find(LineAddr(0)).is_some(), "line 0 is distinct from an empty way");
     }
 
     #[test]

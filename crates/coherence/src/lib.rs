@@ -45,10 +45,11 @@ mod l2;
 mod protocol;
 mod stats;
 mod system;
+mod versions;
 
 pub use addr::{Addr, LineAddr, WordMask, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
-pub use l1::{Eviction, L1Cache, LineEntry, MesiState};
-pub use l2::{CoreSet, Dram, L2Cache, L2Eviction, L2Line};
+pub use l1::{L1Cache, LineEntry, MesiState};
+pub use l2::{CoreSet, Dram, L2Cache, L2Line};
 pub use protocol::{
     DirtyPropagation, Protocol, ProtocolTraits, StaleInvalidation, WriteGranularity,
 };

@@ -20,19 +20,30 @@
 //! real hardware a missing `cache_invalidate`/`cache_flush` would return
 //! stale data; the staleness checker detects exactly those situations by
 //! versioning every word (a `latest` version bumped by every store, and a
-//! `committed` version that tracks what the L2/owner can supply) and counts
+//! `committed` version that tracks what the L2/owner can supply, both in
+//! the line-indexed `VersionTable` of `versions.rs`) and counts
 //! [`CoreMemStats::stale_reads`]. A correct runtime exhibits zero stale
 //! reads; tests exercise a deliberately broken runtime to show nonzero.
-
-use std::collections::HashMap;
+//!
+//! # One probe per access
+//!
+//! An operation probes its L1 set once and, on a miss, resolves its L2 set
+//! once; the slots found are threaded through the recall, invalidation,
+//! directory-update and install steps. Slots stay valid for the whole
+//! operation because nothing an operation does on the way can displace the
+//! requested line: L2 victim recalls and L1 evictions only ever remove
+//! *other* lines. Each path marks a line most-recently-used in the same
+//! place in the global order as one probe-per-step would, so every LRU
+//! decision — and with it every simulated cycle — is layout-independent.
 
 use bigtiny_mesh::{Mesh, MeshConfig, Tile, TrafficClass, TrafficStats};
 
-use crate::addr::{Addr, LineAddr, WordMask, LINE_BYTES, WORDS_PER_LINE};
+use crate::addr::{Addr, LineAddr, WordMask, LINE_BYTES};
 use crate::l1::{L1Cache, LineEntry, MesiState};
-use crate::l2::{Dram, L2Cache};
+use crate::l2::{CoreSet, Dram, L2Cache};
 use crate::protocol::Protocol;
 use crate::stats::CoreMemStats;
+use crate::versions::VersionTable;
 
 /// Per-core cache configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,37 +125,9 @@ pub struct MemorySystem {
     stats: Vec<CoreMemStats>,
 
     track_staleness: bool,
-    latest: VersionMap,
-    committed: VersionMap,
+    /// Stays empty (every version reads 0) unless `track_staleness`.
+    versions: VersionTable,
 }
-
-/// Deterministic single-round multiply-xor hasher for the word-address
-/// version maps. These maps sit on the per-access staleness-check path (one
-/// probe per load hit, several per store) and are keyed by u64 word
-/// addresses that are never attacker-controlled, so SipHash's DoS
-/// resistance buys nothing here; they are also never iterated, so hash
-/// order cannot leak into simulated behaviour.
-#[derive(Clone, Copy, Default)]
-struct WordHasher(u64);
-
-impl std::hash::Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let x = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = x ^ (x >> 32);
-    }
-}
-
-type VersionMap = HashMap<u64, u64, std::hash::BuildHasherDefault<WordHasher>>;
 
 impl MemorySystem {
     /// Builds the memory system for `config`.
@@ -166,8 +149,7 @@ impl MemorySystem {
             mesh: Mesh::new(config.mesh),
             stats: vec![CoreMemStats::default(); config.cores.len()],
             track_staleness: config.track_staleness,
-            latest: VersionMap::default(),
-            committed: VersionMap::default(),
+            versions: VersionTable::default(),
         }
     }
 
@@ -232,26 +214,25 @@ impl MemorySystem {
         for (core, l1) in self.l1s.iter().enumerate() {
             let proto = self.protocols[core];
             let mut seen = std::collections::HashSet::new();
-            for e in l1.iter() {
-                if !seen.insert(e.line) {
-                    return Err(format!("core {core}: line {} resident twice", e.line));
+            for (line, e) in l1.iter() {
+                if !seen.insert(line) {
+                    return Err(format!("core {core}: line {line} resident twice"));
                 }
                 for w in e.dirty.iter() {
                     if !e.valid.contains(w) {
                         return Err(format!(
-                            "core {core}: line {} word {w} dirty but not valid",
-                            e.line
+                            "core {core}: line {line} word {w} dirty but not valid"
                         ));
                     }
                 }
                 if proto == Protocol::Mesi {
-                    if e.valid != crate::addr::WordMask::FULL {
-                        return Err(format!("core {core}: MESI line {} partially valid", e.line));
+                    if e.valid != WordMask::FULL {
+                        return Err(format!("core {core}: MESI line {line} partially valid"));
                     }
-                    if !e.dirty.is_empty() && e.mesi != crate::l1::MesiState::Modified {
+                    if !e.dirty.is_empty() && e.mesi != MesiState::Modified {
                         return Err(format!(
-                            "core {core}: MESI line {} dirty in state {:?}",
-                            e.line, e.mesi
+                            "core {core}: MESI line {line} dirty in state {:?}",
+                            e.mesi
                         ));
                     }
                 }
@@ -268,52 +249,35 @@ impl MemorySystem {
         self.mesh.topology().l2_bank_tile(bank)
     }
 
-    // ------------------------------------------------------------------
-    // Word version tracking (staleness checker)
-    // ------------------------------------------------------------------
-
-    fn bump_latest(&mut self, word: u64) {
+    /// Records a store to global word index `word` with the staleness
+    /// checker; returns the word's new latest version. (Reads and commits
+    /// go to `self.versions` directly: on an empty table they are no-ops.)
+    fn bump_latest(&mut self, word: u64) -> u32 {
         if self.track_staleness {
-            *self.latest.entry(word).or_insert(0) += 1;
+            self.versions.bump_latest(word)
+        } else {
+            0
         }
-    }
-
-    fn commit_word(&mut self, word: u64) {
-        if self.track_staleness {
-            if let Some(v) = self.latest.get(&word) {
-                self.committed.insert(word, *v);
-            }
-        }
-    }
-
-    fn commit_line_words(&mut self, line: LineAddr, mask: WordMask) {
-        for i in mask.iter() {
-            self.commit_word(line.word(i));
-        }
-    }
-
-    fn latest_version(&self, word: u64) -> u64 {
-        self.latest.get(&word).copied().unwrap_or(0)
-    }
-
-    fn committed_version(&self, word: u64) -> u64 {
-        self.committed.get(&word).copied().unwrap_or(0)
     }
 
     // ------------------------------------------------------------------
     // L2-side helpers
     // ------------------------------------------------------------------
 
-    /// Invalidates every MESI sharer of `line` except `except`, charging
-    /// parallel invalidation round trips from `bank`. Returns the time at
-    /// which all acknowledgements have arrived.
-    fn invalidate_sharers(&mut self, line: LineAddr, bank: usize, t: u64, except: usize) -> u64 {
+    /// Invalidates every MESI sharer of `line` (resident in L2 slot `slot`)
+    /// except `except`, charging parallel invalidation round trips from
+    /// `bank`. Returns the time at which all acknowledgements have arrived.
+    fn invalidate_sharers(
+        &mut self,
+        slot: usize,
+        line: LineAddr,
+        bank: usize,
+        t: u64,
+        except: usize,
+    ) -> u64 {
         // CoreSet is a small Copy bitset: snapshot it instead of collecting
         // members into a Vec — this runs on every write-through store.
-        let mut sharers = match self.l2.peek(line) {
-            Some(e) => e.sharers,
-            None => return t,
-        };
+        let mut sharers = self.l2.sharers(slot);
         sharers.remove(except);
         if sharers.is_empty() {
             return t;
@@ -327,130 +291,126 @@ impl MemorySystem {
             done = done.max(t + leg + ack);
             self.l1s[core].remove(line);
         }
-        let entry = self.l2.lookup(line).expect("sharers imply residency");
-        for core in sharers.iter() {
-            entry.sharers.remove(core);
-        }
+        self.l2.update_sharers(slot, |s| sharers.iter().for_each(|core| s.remove(core)));
         done
     }
 
     /// Recalls the current owner of `line` (MESI E/M holder or DeNovo
-    /// owner): fetches its dirty data into the L2 and optionally revokes the
-    /// owner's copy. Returns the time at which fresh data is at the bank.
-    fn recall_owner(&mut self, line: LineAddr, bank: usize, t: u64, revoke: bool) -> u64 {
-        let owner = match self.l2.peek(line).and_then(|e| e.owner) {
-            Some(o) => o,
-            None => return t,
+    /// owner; `slot` is the line's L2 slot): fetches its dirty data into
+    /// the L2 and optionally revokes the owner's copy. Returns the time at
+    /// which fresh data is at the bank.
+    fn recall_owner(
+        &mut self,
+        slot: usize,
+        line: LineAddr,
+        bank: usize,
+        t: u64,
+        revoke: bool,
+    ) -> u64 {
+        let Some(owner) = self.l2.owner(slot) else {
+            return t;
         };
         let bank_tile = self.bank_tile(bank);
         let owner_tile = self.core_tile(owner);
         let req = self.mesh.send(bank_tile, owner_tile, TrafficClass::CohReq, 0);
 
         let owner_proto = self.protocols[owner];
+        let l1 = &mut self.l1s[owner];
         // (bytes supplied, words committed, owner becomes a MESI sharer,
         //  owner pointer survives in the directory)
-        let (payload, commit_mask, keep_as_sharer, keep_owner) = match self.l1s[owner].lookup(line)
-        {
-            Some(entry) => match owner_proto {
-                Protocol::Mesi => {
-                    let dirty = entry.mesi == MesiState::Modified;
-                    if revoke {
-                        self.l1s[owner].remove(line);
-                    } else {
-                        let entry = self.l1s[owner].lookup(line).expect("still resident");
-                        entry.mesi = MesiState::Shared;
-                    }
-                    (
-                        if dirty { LINE_BYTES } else { 0 },
-                        if dirty { WordMask::FULL } else { WordMask::EMPTY },
-                        !revoke,
-                        false,
-                    )
+        let (payload, commit_mask, keep_as_sharer, keep_owner) = match l1.find(line) {
+            Some(l1_slot) if owner_proto == Protocol::Mesi => {
+                let entry = l1.touch(l1_slot);
+                let dirty = entry.mesi == MesiState::Modified;
+                if revoke {
+                    l1.remove_slot(l1_slot);
+                } else {
+                    entry.mesi = MesiState::Shared;
                 }
-                _ => {
-                    // DeNovo owner: supply dirty words. On a read-forward
-                    // (no revoke) the owner keeps ownership — DeNovo readers
-                    // self-invalidate, so the directory must keep naming the
-                    // owner to serve future readers fresh data.
-                    let dirty = entry.dirty;
-                    entry.dirty = WordMask::EMPTY;
-                    if revoke {
-                        let e = self.l1s[owner].lookup(line).expect("still resident");
-                        e.owned = false;
-                    }
-                    (dirty.count() as u64 * 8, dirty, false, !revoke)
+                (
+                    if dirty { LINE_BYTES } else { 0 },
+                    if dirty { WordMask::FULL } else { WordMask::EMPTY },
+                    !revoke,
+                    false,
+                )
+            }
+            Some(l1_slot) => {
+                // DeNovo owner: supply dirty words. On a read-forward
+                // (no revoke) the owner keeps ownership — DeNovo readers
+                // self-invalidate, so the directory must keep naming the
+                // owner to serve future readers fresh data.
+                let entry = l1.touch(l1_slot);
+                let dirty = std::mem::take(&mut entry.dirty);
+                if revoke {
+                    entry.owned = false;
                 }
-            },
+                (dirty.count() as u64 * 8, dirty, false, !revoke)
+            }
             // Owner lost the line silently (clean eviction already updated
             // the directory in the oracle model); nothing to fetch and the
             // stale owner pointer is dropped.
             None => (0, WordMask::EMPTY, false, false),
         };
         let resp = self.mesh.send(owner_tile, bank_tile, TrafficClass::CohResp, payload);
-        self.commit_line_words(line, commit_mask);
+        self.versions.commit_line_words(line, commit_mask);
 
-        let entry = self.l2.lookup(line).expect("owned line is L2-resident");
         if payload > 0 {
-            entry.dirty = true;
+            self.l2.set_dirty(slot);
         }
         if !keep_owner {
-            entry.owner = None;
+            self.l2.set_owner(slot, None);
         }
-        if keep_as_sharer && owner_proto == Protocol::Mesi {
-            entry.sharers.insert(owner);
+        if keep_as_sharer {
+            self.l2.update_sharers(slot, |s| s.insert(owner));
         }
         t + req + resp
     }
 
-    /// Ensures `line` is resident in the L2, fetching from DRAM on a miss
-    /// (recalling and writing back any victim). Returns the data-ready time.
-    fn ensure_l2_resident(&mut self, line: LineAddr, bank: usize, t: u64) -> u64 {
-        if self.l2.peek(line).is_some() {
-            return t;
+    /// Resolves `line`'s L2 slot, fetching the line from DRAM on a miss
+    /// (recalling and writing back any victim). Returns the slot and the
+    /// data-ready time.
+    fn ensure_l2_resident(&mut self, line: LineAddr, bank: usize, t: u64) -> (usize, u64) {
+        if let Some(slot) = self.l2.find(line) {
+            return (slot, t);
         }
         let mut t = t;
-        let (eviction, _) = self.l2.insert(line);
-        if let Some(victim) = eviction.victim {
-            let vline = victim.line;
-            // Re-install directory state so the recall helpers can find it,
-            // then recall through the normal paths.
+        let (slot, victim) = self.l2.insert(line);
+        if let Some((vline, victim)) = victim {
+            // insert() removed the victim; recall its L1 copies from its
+            // saved directory state.
             let vbank = self.l2.home_bank(vline);
-            {
-                // The victim was removed by insert(); we recall via its saved
-                // directory state directly to avoid re-inserting.
-                let bank_tile = self.bank_tile(vbank);
-                for core in victim.sharers.iter() {
-                    let tile = self.core_tile(core);
-                    self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
-                    self.mesh.send(tile, bank_tile, TrafficClass::CohResp, 0);
-                    self.l1s[core].remove(vline);
-                }
-                let mut vdirty = victim.dirty;
-                if let Some(owner) = victim.owner {
-                    let tile = self.core_tile(owner);
-                    self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
-                    let payload = match self.l1s[owner].remove(vline) {
-                        Some(e) if e.has_dirty_data() => {
-                            let mask = if self.protocols[owner] == Protocol::Mesi {
-                                WordMask::FULL
-                            } else {
-                                e.dirty
-                            };
-                            self.commit_line_words(vline, mask);
-                            vdirty = true;
-                            mask.count() as u64 * 8
-                        }
-                        _ => 0,
-                    };
-                    self.mesh.send(tile, bank_tile, TrafficClass::CohResp, payload);
-                }
-                if vdirty {
-                    // Write the victim back to DRAM (off the critical path:
-                    // traffic and occupancy are charged, latency is not).
-                    let mc_tile = self.mesh.topology().mem_ctrl_tile(vbank);
-                    self.mesh.send(bank_tile, mc_tile, TrafficClass::DramReq, LINE_BYTES);
-                    self.dram.access(vbank, t);
-                }
+            let bank_tile = self.bank_tile(vbank);
+            for core in victim.sharers.iter() {
+                let tile = self.core_tile(core);
+                self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
+                self.mesh.send(tile, bank_tile, TrafficClass::CohResp, 0);
+                self.l1s[core].remove(vline);
+            }
+            let mut vdirty = victim.dirty;
+            if let Some(owner) = victim.owner {
+                let tile = self.core_tile(owner);
+                self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
+                let payload = match self.l1s[owner].remove(vline) {
+                    Some(e) if e.has_dirty_data() => {
+                        let mask = if self.protocols[owner] == Protocol::Mesi {
+                            WordMask::FULL
+                        } else {
+                            e.dirty
+                        };
+                        self.versions.commit_line_words(vline, mask);
+                        vdirty = true;
+                        mask.count() as u64 * 8
+                    }
+                    _ => 0,
+                };
+                self.mesh.send(tile, bank_tile, TrafficClass::CohResp, payload);
+            }
+            if vdirty {
+                // Write the victim back to DRAM (off the critical path:
+                // traffic and occupancy are charged, latency is not).
+                let mc_tile = self.mesh.topology().mem_ctrl_tile(vbank);
+                self.mesh.send(bank_tile, mc_tile, TrafficClass::DramReq, LINE_BYTES);
+                self.dram.access(vbank, t);
             }
         }
         // Demand fetch from DRAM.
@@ -459,19 +419,34 @@ impl MemorySystem {
         let req = self.mesh.send(bank_tile, mc_tile, TrafficClass::DramReq, 0);
         t = self.dram.access(bank, t + req);
         t += self.mesh.send(mc_tile, bank_tile, TrafficClass::DramResp, LINE_BYTES);
+        (slot, t)
+    }
+
+    /// A write by `core` performed at the L2 (a write-through word, flushed
+    /// words, an at-L2 atomic), arriving at `bank` at `t`: the written data
+    /// supersedes any copy held by hardware-coherent caches, so an owner is
+    /// revoked and MESI sharers are invalidated. Returns the completion
+    /// time at the bank.
+    fn write_at_l2(&mut self, core: usize, line: LineAddr, bank: usize, t: u64) -> u64 {
+        let (slot, t) = self.ensure_l2_resident(line, bank, t);
+        let t = self.recall_owner(slot, line, bank, t, true);
+        let t = self.invalidate_sharers(slot, line, bank, t, core);
+        self.l2.touch(slot);
+        self.l2.set_dirty(slot);
         t
     }
 
     /// The full L2-side fetch: request leg, bank service, residency, owner
     /// recall / sharer invalidation per `intent`, directory update, data
-    /// response leg. Returns the completion time at the requesting core.
-    fn fetch_line(&mut self, core: usize, line: LineAddr, now: u64, intent: Intent) -> u64 {
+    /// response leg. Returns the completion time at the requesting core and
+    /// whether the directory granted a MESI reader exclusivity (E state).
+    fn fetch_line(&mut self, core: usize, line: LineAddr, now: u64, intent: Intent) -> (u64, bool) {
         let bank = self.l2.home_bank(line);
         let core_tile = self.core_tile(core);
         let bank_tile = self.bank_tile(bank);
         let req_leg = self.mesh.send(core_tile, bank_tile, TrafficClass::CpuReq, 0);
-        let mut t = self.l2.access(bank, now + req_leg);
-        t = self.ensure_l2_resident(line, bank, t);
+        let t = self.l2.access(bank, now + req_leg);
+        let (slot, mut t) = self.ensure_l2_resident(line, bank, t);
 
         let requester_is_mesi = self.protocols[core] == Protocol::Mesi;
         match intent {
@@ -480,60 +455,58 @@ impl MemorySystem {
                 // requesters force a revoke of software-centric owners to
                 // preserve SWMR for hardware-coherent caches; MESI owners
                 // are downgraded to sharers.
-                let owner = self.l2.peek(line).and_then(|e| e.owner);
-                if let Some(o) = owner {
-                    let owner_is_mesi = self.protocols[o] == Protocol::Mesi;
-                    let revoke = requester_is_mesi && !owner_is_mesi;
-                    t = self.recall_owner(line, bank, t, revoke);
+                if let Some(o) = self.l2.owner(slot) {
+                    let revoke = requester_is_mesi && self.protocols[o] != Protocol::Mesi;
+                    t = self.recall_owner(slot, line, bank, t, revoke);
                 }
             }
             Intent::ReadExcl | Intent::Own => {
-                t = self.recall_owner(line, bank, t, true);
-                t = self.invalidate_sharers(line, bank, t, core);
+                t = self.recall_owner(slot, line, bank, t, true);
+                t = self.invalidate_sharers(slot, line, bank, t, core);
             }
         }
 
         // Directory update for the requester.
-        {
-            let entry = self.l2.lookup(line).expect("resident");
-            match intent {
-                Intent::Read if requester_is_mesi => {
-                    if entry.sharers.is_empty() && entry.owner.is_none() {
-                        // Exclusive grant.
-                        entry.owner = Some(core);
-                    } else {
-                        entry.sharers.insert(core);
-                    }
+        self.l2.touch(slot);
+        let mut exclusive = false;
+        match intent {
+            Intent::Read if requester_is_mesi => {
+                exclusive = !self.l2.line(slot).has_directory_state();
+                if exclusive {
+                    self.l2.set_owner(slot, Some(core));
+                } else {
+                    self.l2.update_sharers(slot, |s| s.insert(core));
                 }
-                Intent::Read => {}
-                Intent::ReadExcl | Intent::Own => {
-                    entry.owner = Some(core);
-                    entry.sharers = crate::l2::CoreSet::EMPTY;
-                }
+            }
+            Intent::Read => {}
+            Intent::ReadExcl | Intent::Own => {
+                self.l2.set_owner(slot, Some(core));
+                self.l2.update_sharers(slot, |s| *s = CoreSet::EMPTY);
             }
         }
 
-        t + self.mesh.send(bank_tile, core_tile, TrafficClass::DataResp, LINE_BYTES)
+        (t + self.mesh.send(bank_tile, core_tile, TrafficClass::DataResp, LINE_BYTES), exclusive)
     }
 
-    /// Fill versions for a line about to be installed: what the L2 can
-    /// supply right now (committed versions).
-    fn fill_versions(&self, line: LineAddr) -> [u64; WORDS_PER_LINE] {
-        let mut v = [0; WORDS_PER_LINE];
-        if self.track_staleness {
-            for (i, slot) in v.iter_mut().enumerate() {
-                *slot = self.committed_version(line.word(i));
-            }
-        }
-        v
-    }
-
-    /// Installs a fetched line into `core`'s L1 (merging with a partially
-    /// valid resident entry), handling any eviction. Returns extra cycles.
-    fn install_line(&mut self, core: usize, line: LineAddr, mesi: MesiState, owned: bool) -> u64 {
-        let versions = self.fill_versions(line);
-        if let Some(entry) = self.l1s[core].lookup(line) {
+    /// Installs a fetched line into `core`'s L1 — merging into the
+    /// partially valid entry in `resident` if the line was found there
+    /// before the fetch — handling any eviction. Returns the line's slot
+    /// and the extra cycles.
+    fn install_line(
+        &mut self,
+        core: usize,
+        resident: Option<usize>,
+        line: LineAddr,
+        mesi: MesiState,
+        owned: bool,
+    ) -> (usize, u64) {
+        // What the L2 can supply right now (committed versions).
+        let versions = self.versions.fill_versions(line);
+        let l1 = &mut self.l1s[core];
+        if let Some(slot) = resident {
+            debug_assert_eq!(l1.find(line), Some(slot), "a fetch displaced its own line");
             // Merge: locally dirty words keep their own (newer) versions.
+            let entry = l1.touch(slot);
             let dirty = entry.dirty;
             entry.valid = WordMask::FULL;
             entry.mesi = mesi;
@@ -543,17 +516,15 @@ impl MemorySystem {
                     entry.fill_version[i] = *v;
                 }
             }
-            return 0;
+            return (slot, 0);
         }
-        let (eviction, entry) = self.l1s[core].insert(line);
+        let (slot, victim) = l1.insert(line);
+        let entry = l1.entry_mut(slot);
         entry.valid = WordMask::FULL;
         entry.mesi = mesi;
         entry.owned = owned;
         entry.fill_version = versions;
-        match eviction.victim {
-            Some(v) => self.handle_l1_eviction(core, v),
-            None => 0,
-        }
+        (slot, victim.map_or(0, |(vline, v)| self.handle_l1_eviction(core, vline, v)))
     }
 
     /// Handles an L1 eviction: dirty data is written back (traffic + bank
@@ -562,8 +533,7 @@ impl MemorySystem {
     /// released. Clean-eviction directory downgrades use an oracle (zero
     /// traffic) to keep the MESI sharer list precise, a standard simulator
     /// simplification.
-    fn handle_l1_eviction(&mut self, core: usize, victim: LineEntry) -> u64 {
-        let line = victim.line;
+    fn handle_l1_eviction(&mut self, core: usize, line: LineAddr, victim: LineEntry) -> u64 {
         let bank = self.l2.home_bank(line);
         let proto = self.protocols[core];
         let dirty_payload = match proto {
@@ -576,61 +546,35 @@ impl MemorySystem {
             }
             _ => victim.dirty.count() as u64 * 8,
         };
-        // Release directory state.
-        if let Some(entry) = self.l2.lookup(line) {
-            if entry.owner == Some(core) {
-                entry.owner = None;
+        // Release directory state (software-centric copies are untracked,
+        // so the line need not be L2-resident at all).
+        let l2_slot = self.l2.find(line);
+        if let Some(slot) = l2_slot {
+            self.l2.touch(slot);
+            if self.l2.owner(slot) == Some(core) {
+                self.l2.set_owner(slot, None);
             }
-            entry.sharers.remove(core);
+            self.l2.update_sharers(slot, |s| s.remove(core));
             if dirty_payload > 0 {
-                entry.dirty = true;
+                self.l2.set_dirty(slot);
             }
         }
-        if dirty_payload > 0 {
-            let core_tile = self.core_tile(core);
-            let bank_tile = self.bank_tile(bank);
-            self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, dirty_payload);
-            let mask = if proto == Protocol::Mesi { WordMask::FULL } else { victim.dirty };
-            self.commit_line_words(line, mask);
-            // A dirty write-back from a no-ownership cache commits values a
-            // hardware-coherent cache may still hold: keep MESI copies
-            // coherent (traffic charged, off the critical path).
-            if proto == Protocol::GpuWb || proto == Protocol::GpuWt {
-                let t = 0;
-                let t = self.recall_owner(line, bank, t, true);
-                self.invalidate_sharers(line, bank, t, core);
-            }
-            1
-        } else {
-            0
+        if dirty_payload == 0 {
+            return 0;
         }
-    }
-
-    fn check_stale_read(&mut self, core: usize, addr: Addr) {
-        if !self.track_staleness {
-            return;
+        let core_tile = self.core_tile(core);
+        let bank_tile = self.bank_tile(bank);
+        self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, dirty_payload);
+        let mask = if proto == Protocol::Mesi { WordMask::FULL } else { victim.dirty };
+        self.versions.commit_line_words(line, mask);
+        // A dirty write-back from a no-ownership cache commits values a
+        // hardware-coherent cache may still hold: keep MESI copies
+        // coherent (traffic charged, off the critical path).
+        if let (Protocol::GpuWb | Protocol::GpuWt, Some(slot)) = (proto, l2_slot) {
+            let t = self.recall_owner(slot, line, bank, 0, true);
+            self.invalidate_sharers(slot, line, bank, t, core);
         }
-        let line = addr.line();
-        let w = addr.word_in_line();
-        let latest = self.latest_version(addr.word());
-        if latest == 0 {
-            return;
-        }
-        if let Some(entry) = self.l1s[core].peek(line) {
-            // Own dirty data and owned lines are fresh by construction.
-            if entry.dirty.contains(w) || entry.owned || entry.mesi == MesiState::Modified {
-                return;
-            }
-            if entry.fill_version[w] < latest {
-                self.stats[core].stale_reads += 1;
-                if std::env::var_os("BIGTINY_STALE_PANIC").is_some() {
-                    panic!(
-                        "stale HIT read: core {core} addr {addr} fill {} latest {latest}",
-                        entry.fill_version[w]
-                    );
-                }
-            }
-        }
+        1
     }
 
     // ------------------------------------------------------------------
@@ -651,52 +595,57 @@ impl MemorySystem {
     }
 
     fn load_with(&mut self, core: usize, addr: Addr, now: u64, check_stale: bool) -> u64 {
-        self.stats[core].loads += 1;
+        let stats = &mut self.stats[core];
+        stats.loads += 1;
         let proto = self.protocols[core];
         let line = addr.line();
         let w = addr.word_in_line();
-        let hit = match self.l1s[core].lookup(line) {
-            Some(e) if proto == Protocol::Mesi => {
-                debug_assert!(e.valid == WordMask::FULL || !e.valid.is_empty());
-                true
+        let l1 = &mut self.l1s[core];
+        let resident = l1.find(line);
+        if let Some(slot) = resident {
+            let e = l1.touch(slot);
+            // MESI lines are always whole-line valid.
+            if proto == Protocol::Mesi || e.valid.contains(w) {
+                stats.load_hits += 1;
+                // Own dirty data and owned lines are fresh by construction.
+                let fresh = e.dirty.contains(w) || e.owned || e.mesi == MesiState::Modified;
+                if check_stale && !fresh && e.fill_version[w] < self.versions.latest(addr.word()) {
+                    stats.stale_reads += 1;
+                }
+                return 1;
             }
-            Some(e) => e.valid.contains(w),
-            None => false,
-        };
-        if hit {
-            self.stats[core].load_hits += 1;
-            if check_stale {
-                self.check_stale_read(core, addr);
-            }
-            return 1;
         }
+        self.load_miss(core, addr, now, check_stale, resident)
+    }
+
+    /// The miss half of a load (`resident`: the L1 slot of a partially
+    /// valid copy of the line). Out of line so that the hit path — most of
+    /// all memory operations — stays a small leaf function.
+    #[inline(never)]
+    fn load_miss(
+        &mut self,
+        core: usize,
+        addr: Addr,
+        now: u64,
+        check_stale: bool,
+        resident: Option<usize>,
+    ) -> u64 {
+        let line = addr.line();
         // A fetch from the L2 returns committed data; if an owner was
-        // recalled the recall committed its words first, so the fill-version
-        // snapshot below is taken after the fetch.
-        let t = self.fetch_line(core, line, now, Intent::Read);
-        let extra = self.install_line(core, line, MesiState::Shared, false);
-        // MESI E-state: the directory granted exclusivity if we are owner.
-        if proto == Protocol::Mesi {
-            if self.l2.peek(line).and_then(|e| e.owner) == Some(core) {
-                if let Some(entry) = self.l1s[core].lookup(line) {
-                    entry.mesi = MesiState::Exclusive;
-                }
-            }
-            // Stale-at-fetch cannot happen for MESI.
-        } else if self.track_staleness && check_stale {
-            // Reading a word whose latest version is not yet visible at the
-            // L2 (an unflushed GPU-WB write elsewhere) is a stale read on
-            // real hardware even though it misses.
-            let latest = self.latest_version(addr.word());
-            if latest > 0 && self.committed_version(addr.word()) < latest {
-                self.stats[core].stale_reads += 1;
-                if std::env::var_os("BIGTINY_STALE_PANIC").is_some() {
-                    panic!(
-                        "stale MISS read: core {core} addr {addr} committed {} latest {latest}",
-                        self.committed_version(addr.word())
-                    );
-                }
-            }
+        // recalled the recall committed its words first, so install_line's
+        // fill-version snapshot is taken after the fetch.
+        let (t, exclusive) = self.fetch_line(core, line, now, Intent::Read);
+        let mesi = if exclusive { MesiState::Exclusive } else { MesiState::Shared };
+        let (_, extra) = self.install_line(core, resident, line, mesi, false);
+        // Stale-at-fetch cannot happen for MESI. Elsewhere, reading a word
+        // whose latest version is not yet visible at the L2 (an unflushed
+        // GPU-WB write elsewhere) is a stale read on real hardware even
+        // though it misses.
+        if self.protocols[core] != Protocol::Mesi
+            && check_stale
+            && self.versions.committed(addr.word()) < self.versions.latest(addr.word())
+        {
+            self.stats[core].stale_reads += 1;
         }
         t - now + extra
     }
@@ -715,70 +664,66 @@ impl MemorySystem {
 
     fn store_mesi(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
         let line = addr.line();
-        let word = addr.word();
-        let state = self.l1s[core].lookup(line).map(|e| e.mesi);
-        let latency = match state {
-            Some(MesiState::Modified) => {
+        let (slot, latency) = match self.l1s[core].find(line) {
+            Some(slot) => {
                 self.stats[core].store_hits += 1;
-                1
-            }
-            Some(MesiState::Exclusive) => {
-                self.stats[core].store_hits += 1;
-                self.l1s[core].lookup(line).expect("resident").mesi = MesiState::Modified;
-                1
-            }
-            Some(MesiState::Shared) => {
-                // Upgrade: invalidate other sharers through the directory.
-                self.stats[core].store_hits += 1;
-                let bank = self.l2.home_bank(line);
-                let core_tile = self.core_tile(core);
-                let bank_tile = self.bank_tile(bank);
-                let req = self.mesh.send(core_tile, bank_tile, TrafficClass::CpuReq, 0);
-                let mut t = self.l2.access(bank, now + req);
-                t = self.invalidate_sharers(line, bank, t, core);
-                let entry = self.l2.lookup(line).expect("S-state line is resident");
-                entry.sharers.remove(core);
-                entry.owner = Some(core);
-                t += self.mesh.send(bank_tile, core_tile, TrafficClass::DataResp, 0);
-                self.l1s[core].lookup(line).expect("resident").mesi = MesiState::Modified;
-                t - now
+                let latency = match self.l1s[core].touch(slot).mesi {
+                    // E->M is silent.
+                    MesiState::Modified | MesiState::Exclusive => 1,
+                    MesiState::Shared => {
+                        // Upgrade: invalidate other sharers through the directory.
+                        let bank = self.l2.home_bank(line);
+                        let core_tile = self.core_tile(core);
+                        let bank_tile = self.bank_tile(bank);
+                        let req = self.mesh.send(core_tile, bank_tile, TrafficClass::CpuReq, 0);
+                        let t = self.l2.access(bank, now + req);
+                        let l2_slot = self.l2.find(line).expect("S-state line is resident");
+                        let t = self.invalidate_sharers(l2_slot, line, bank, t, core);
+                        self.l2.touch(l2_slot);
+                        self.l2.update_sharers(l2_slot, |s| s.remove(core));
+                        self.l2.set_owner(l2_slot, Some(core));
+                        t + self.mesh.send(bank_tile, core_tile, TrafficClass::DataResp, 0) - now
+                    }
+                };
+                (slot, latency)
             }
             None => {
-                let t = self.fetch_line(core, line, now, Intent::ReadExcl);
-                let extra = self.install_line(core, line, MesiState::Modified, false);
-                t - now + extra
+                let (t, _) = self.fetch_line(core, line, now, Intent::ReadExcl);
+                let (slot, extra) = self.install_line(core, None, line, MesiState::Modified, false);
+                (slot, t - now + extra)
             }
         };
-        let next_v = self.latest_version(word) + 1;
-        if let Some(entry) = self.l1s[core].lookup(line) {
-            entry.fill_version[addr.word_in_line()] = next_v;
-        }
         // MESI writes are immediately visible through the directory.
-        self.bump_latest(word);
-        self.commit_word(word);
+        let version = self.bump_latest(addr.word());
+        self.versions.commit_word(addr.word());
+        let entry = self.l1s[core].entry_mut(slot);
+        entry.mesi = MesiState::Modified;
+        entry.fill_version[addr.word_in_line()] = version;
         latency
     }
 
     fn store_denovo(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
         let line = addr.line();
         let w = addr.word_in_line();
-        let owned = self.l1s[core].lookup(line).is_some_and(|e| e.owned);
-        let latency = if owned {
-            self.stats[core].store_hits += 1;
-            1
-        } else {
-            let t = self.fetch_line(core, line, now, Intent::Own);
-            let extra = self.install_line(core, line, MesiState::Shared, true);
-            t - now + extra
+        let (slot, latency) = match self.l1s[core].find(line) {
+            Some(slot) if self.l1s[core].touch(slot).owned => {
+                self.stats[core].store_hits += 1;
+                (slot, 1)
+            }
+            resident => {
+                let (t, _) = self.fetch_line(core, line, now, Intent::Own);
+                let (slot, extra) =
+                    self.install_line(core, resident, line, MesiState::Shared, true);
+                (slot, t - now + extra)
+            }
         };
-        let next_v = self.latest_version(addr.word()) + 1;
-        let entry = self.l1s[core].lookup(line).expect("resident after GetO");
+        // Ownership makes the write visible on demand (L2 forwards to owner).
+        let version = self.bump_latest(addr.word());
+        self.versions.commit_word(addr.word());
+        let entry = self.l1s[core].entry_mut(slot);
         entry.dirty.insert(w);
         entry.valid.insert(w);
-        entry.fill_version[w] = next_v;
-        // Ownership makes the write visible on demand (L2 forwards to owner).
-        self.bump_latest(addr.word());
-        self.commit_word(addr.word());
+        entry.fill_version[w] = version;
         latency
     }
 
@@ -786,27 +731,23 @@ impl MemorySystem {
         let line = addr.line();
         let w = addr.word_in_line();
         // Write-through, no write-allocate: update a resident copy, never refill.
-        let next_v = self.latest_version(addr.word()) + 1;
-        let mut hit = false;
-        if let Some(entry) = self.l1s[core].lookup(line) {
-            hit = entry.valid.contains(w);
+        let resident = self.l1s[core].find(line);
+        if let Some(slot) = resident {
+            let entry = self.l1s[core].touch(slot);
+            self.stats[core].store_hits += u64::from(entry.valid.contains(w));
             entry.valid.insert(w);
-            entry.fill_version[w] = next_v;
-        }
-        if hit {
-            self.stats[core].store_hits += 1;
         }
         let bank = self.l2.home_bank(line);
         let core_tile = self.core_tile(core);
         let bank_tile = self.bank_tile(bank);
         let leg = self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, 8);
-        let mut t = self.l2.access(bank, now + leg);
-        t = self.ensure_l2_resident(line, bank, t);
-        t = self.recall_owner(line, bank, t, true);
-        t = self.invalidate_sharers(line, bank, t, core);
-        self.l2.lookup(line).expect("resident").dirty = true;
-        self.bump_latest(addr.word());
-        self.commit_word(addr.word());
+        let t = self.l2.access(bank, now + leg);
+        let t = self.write_at_l2(core, line, bank, t);
+        let version = self.bump_latest(addr.word());
+        self.versions.commit_word(addr.word());
+        if let Some(slot) = resident {
+            self.l1s[core].entry_mut(slot).fill_version[w] = version;
+        }
         // Full write-through completion time; the engine's store buffer
         // decides how much of it stalls the core.
         t - now
@@ -816,30 +757,27 @@ impl MemorySystem {
         let line = addr.line();
         let w = addr.word_in_line();
         let _ = now;
-        let next_v = self.latest_version(addr.word()) + 1;
-        let extra = if let Some(entry) = self.l1s[core].lookup(line) {
-            let hit = entry.valid.contains(w);
-            entry.valid.insert(w);
-            entry.dirty.insert(w);
-            entry.fill_version[w] = next_v;
-            if hit {
-                self.stats[core].store_hits += 1;
-            }
-            0
-        } else {
-            // No-fetch write-allocate: install the line with only this word.
-            let (eviction, entry) = self.l1s[core].insert(line);
-            entry.valid = WordMask::single(w);
-            entry.dirty = WordMask::single(w);
-            entry.fill_version[w] = next_v;
-            match eviction.victim {
-                Some(v) => self.handle_l1_eviction(core, v),
-                None => 0,
-            }
-        };
         // Visible only after a flush: bump latest, do NOT commit.
-        self.bump_latest(addr.word());
-        1 + extra
+        let version = self.bump_latest(addr.word());
+        match self.l1s[core].find(line) {
+            Some(slot) => {
+                let entry = self.l1s[core].touch(slot);
+                self.stats[core].store_hits += u64::from(entry.valid.contains(w));
+                entry.valid.insert(w);
+                entry.dirty.insert(w);
+                entry.fill_version[w] = version;
+                1
+            }
+            None => {
+                // No-fetch write-allocate: install the line with only this word.
+                let (slot, victim) = self.l1s[core].insert(line);
+                let entry = self.l1s[core].entry_mut(slot);
+                entry.valid = WordMask::single(w);
+                entry.dirty = WordMask::single(w);
+                entry.fill_version[w] = version;
+                1 + victim.map_or(0, |(vline, v)| self.handle_l1_eviction(core, vline, v))
+            }
+        }
     }
 
     /// An atomic read-modify-write by `core`; returns its latency.
@@ -866,11 +804,8 @@ impl MemorySystem {
             let core_tile = self.core_tile(core);
             let bank_tile = self.bank_tile(bank);
             let req = self.mesh.send(core_tile, bank_tile, TrafficClass::SyncReq, 8);
-            let mut t = self.l2.access(bank, now + req);
-            t = self.ensure_l2_resident(line, bank, t);
-            t = self.recall_owner(line, bank, t, true);
-            t = self.invalidate_sharers(line, bank, t, core);
-            self.l2.lookup(line).expect("resident").dirty = true;
+            let t = self.l2.access(bank, now + req);
+            let t = self.write_at_l2(core, line, bank, t);
             // Our own cached copy of the word (if any) is now stale.
             let w = addr.word_in_line();
             if let Some(entry) = self.l1s[core].lookup(line) {
@@ -878,9 +813,8 @@ impl MemorySystem {
                 entry.dirty.remove(w);
             }
             self.bump_latest(addr.word());
-            self.commit_word(addr.word());
-            t += self.mesh.send(bank_tile, core_tile, TrafficClass::SyncResp, 8);
-            t - now
+            self.versions.commit_word(addr.word());
+            t + self.mesh.send(bank_tile, core_tile, TrafficClass::SyncResp, 8) - now
         }
     }
 
@@ -939,47 +873,36 @@ impl MemorySystem {
             }
             Protocol::GpuWb => {
                 self.stats[core].flush_ops += 1;
-                let dirty_lines: Vec<(LineAddr, WordMask)> = self.l1s[core]
-                    .iter()
-                    .filter(|e| !e.dirty.is_empty())
-                    .map(|e| (e.line, e.dirty))
-                    .collect();
-                if dirty_lines.is_empty() {
-                    return (1, 0);
-                }
                 let core_tile = self.core_tile(core);
-                let mut issue = now;
-                let mut done = now;
-                let n = dirty_lines.len() as u64;
-                let mut words = 0u64;
-                for (line, mask) in dirty_lines {
+                let (mut issue, mut done) = (now, now);
+                let (mut lines, mut words) = (0u64, 0u64);
+                // Dirty lines in slot order. Writing one back never adds or
+                // removes a line of this (untracked) cache, so the walk
+                // needs no snapshot.
+                for slot in 0..self.l1s[core].slots() {
+                    let (line, mask) = match self.l1s[core].at(slot) {
+                        Some((line, e)) if !e.dirty.is_empty() => (line, e.dirty),
+                        _ => continue,
+                    };
                     issue += 1; // one write-back issued per cycle
                     let bank = self.l2.home_bank(line);
                     let bank_tile = self.bank_tile(bank);
-                    let leg = self.mesh.send(
-                        core_tile,
-                        bank_tile,
-                        TrafficClass::WbReq,
-                        mask.count() as u64 * 8,
-                    );
-                    let mut t = self.l2.access(bank, issue + leg);
-                    t = self.ensure_l2_resident(line, bank, t);
-                    // The flushed data supersedes any copy held by
-                    // hardware-coherent caches: revoke a MESI owner and
-                    // invalidate MESI sharers.
-                    t = self.recall_owner(line, bank, t, true);
-                    t = self.invalidate_sharers(line, bank, t, core);
-                    self.l2.lookup(line).expect("resident").dirty = true;
-                    self.commit_line_words(line, mask);
-                    words += mask.count() as u64;
-                    done = done.max(t);
-                    let entry = self.l1s[core].lookup(line).expect("resident");
-                    entry.dirty = WordMask::EMPTY;
+                    let payload = u64::from(mask.count()) * 8;
+                    let leg = self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, payload);
+                    let t = self.l2.access(bank, issue + leg);
+                    done = done.max(self.write_at_l2(core, line, bank, t));
+                    self.versions.commit_line_words(line, mask);
+                    self.l1s[core].touch(slot).dirty = WordMask::EMPTY;
+                    lines += 1;
+                    words += u64::from(mask.count());
                 }
-                self.stats[core].lines_flushed += n;
+                if lines == 0 {
+                    return (1, 0);
+                }
+                self.stats[core].lines_flushed += lines;
                 self.stats[core].words_flushed += words;
                 // Final acknowledgement leg back to the core.
-                (done - now + 2, n)
+                (done - now + 2, lines)
             }
         }
     }
@@ -1225,6 +1148,47 @@ mod tests {
         let big = m.core_stats(0);
         let tiny = m.core_stats(2);
         assert!(big.l1d_hit_rate() > tiny.l1d_hit_rate());
+    }
+
+    /// Two lines 2^40 bytes apart and the last word of the address space:
+    /// tags, set indexing and the version table all take them, and host
+    /// memory follows the three lines touched, not the address magnitude.
+    #[test]
+    fn sparse_and_extreme_addresses_cost_only_the_lines_touched() {
+        for tiny in [Protocol::Mesi, Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb] {
+            let mut m = system(tiny);
+            let mut t = 0;
+            for a in [A, A.offset(1 << 40), Addr(u64::MAX - 7)] {
+                for core in [0, 2, 3] {
+                    t += m.load(core, a, t);
+                    t += m.store(core, a, t);
+                    t += m.amo(core, a, t);
+                    t += m.flush_all(core, t).0;
+                    t += m.invalidate_all(core, t).0;
+                    assert_eq!(
+                        m.load(0, a, t) > 1,
+                        core != 0,
+                        "{tiny:?}: remote write recalls core 0"
+                    );
+                }
+            }
+            assert_eq!(m.versions.pages(), 3, "{tiny:?}: one 4 KB page per line touched");
+            assert_eq!(m.total_stale_reads(), 0, "{tiny:?}");
+            m.check_invariants().expect("invariants");
+        }
+    }
+
+    #[test]
+    fn untracked_system_keeps_no_versions() {
+        let mesh = MeshConfig::with_topology(Topology::new(2, 2));
+        let mut cfg = MemConfig::paper(mesh, vec![CoreMemConfig::tiny(Protocol::GpuWb); 2]);
+        cfg.track_staleness = false;
+        let mut m = MemorySystem::new(&cfg);
+        m.load(1, A, 0);
+        m.store(0, A, 10);
+        m.load(1, A, 20); // would be stale if anyone were counting
+        m.flush_all(0, 30);
+        assert_eq!((m.versions.pages(), m.total_stale_reads()), (0, 0));
     }
 
     #[test]

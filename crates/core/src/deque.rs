@@ -21,7 +21,23 @@ struct DequeState {
     locked: bool,
     head: u64,
     tail: u64,
-    slots: Vec<Option<TaskId>>,
+    /// The ring: task id + 1, or 0 for a never-written slot. Plain zeroable
+    /// words so the array is a zeroed allocation the host only pays for
+    /// slot by slot as the ring advances.
+    slots: Vec<u64>,
+}
+
+impl DequeState {
+    /// The task in ring position `index % capacity`.
+    fn slot(&self, index: u64) -> Option<TaskId> {
+        let word = self.slots[(index % self.slots.len() as u64) as usize];
+        word.checked_sub(1).map(|id| TaskId(id as u32))
+    }
+
+    fn set_slot(&mut self, index: u64, task: TaskId) {
+        let capacity = self.slots.len() as u64;
+        self.slots[(index % capacity) as usize] = u64::from(task.0) + 1;
+    }
 }
 
 /// A lock-based work-stealing deque in simulated memory.
@@ -58,7 +74,7 @@ impl SimDeque {
                 locked: false,
                 head: 0,
                 tail: 0,
-                slots: vec![None; capacity],
+                slots: vec![0; capacity],
             }),
         }
     }
@@ -157,7 +173,7 @@ impl SimDeque {
             return false;
         }
         port.store_words(self.slot_addr(tail), 1, || {
-            self.state.write().slots[(tail % self.capacity) as usize] = Some(task);
+            self.state.write().set_slot(tail, task);
         });
         port.store_words(self.tail_addr, 1, || {
             self.state.write().tail += 1;
@@ -177,9 +193,7 @@ impl SimDeque {
             }
             st.tail - 1
         };
-        let task = port.load_words(self.slot_addr(tail), 1, || {
-            self.state.read().slots[(tail % self.capacity) as usize]
-        });
+        let task = port.load_words(self.slot_addr(tail), 1, || self.state.read().slot(tail));
         port.store_words(self.tail_addr, 1, || {
             self.state.write().tail = tail;
         });
@@ -198,9 +212,7 @@ impl SimDeque {
             }
             st.head
         };
-        let task = port.load_words(self.slot_addr(head), 1, || {
-            self.state.read().slots[(head % self.capacity) as usize]
-        });
+        let task = port.load_words(self.slot_addr(head), 1, || self.state.read().slot(head));
         port.store_words(self.head_addr, 1, || {
             self.state.write().head = head + 1;
         });
@@ -232,7 +244,7 @@ impl SimDeque {
             return false;
         }
         port.store_words(self.slot_addr(tail), 1, || {
-            self.state.write().slots[(tail % self.capacity) as usize] = Some(task);
+            self.state.write().set_slot(tail, task);
         });
         // Release-publish: a thief's acquiring `tail` peek orders the
         // stolen task's descriptor reads after everything the owner wrote
@@ -259,7 +271,7 @@ impl SimDeque {
                 (None, false)
             } else {
                 st.tail -= 1;
-                let t = st.slots[(st.tail % self.capacity) as usize];
+                let t = st.slot(st.tail);
                 (t, st.tail == st.head)
             }
         });
@@ -307,7 +319,7 @@ impl SimDeque {
             if st.head != head_now || head_now >= tail_now || st.head >= st.tail {
                 None
             } else {
-                let t = st.slots[(st.head % self.capacity) as usize];
+                let t = st.slot(st.head);
                 st.head += 1;
                 t
             }
@@ -362,7 +374,7 @@ impl SimDeque {
             } else {
                 st.tail -= 1;
                 let idx = st.tail;
-                let t = st.slots[(idx % self.capacity) as usize];
+                let t = st.slot(idx);
                 let dup = idx < st.head;
                 if dup {
                     // The thief also won the last element; reset to
@@ -396,7 +408,7 @@ impl SimDeque {
             if idx >= st.tail {
                 (None, false)
             } else {
-                let t = st.slots[(idx % self.capacity) as usize];
+                let t = st.slot(idx);
                 let dup = idx < st.head;
                 st.head = st.head.max(idx + 1);
                 (t, dup)
@@ -443,6 +455,17 @@ mod tests {
             port.set_done();
         })];
         run_system(&config, workers);
+    }
+
+    #[test]
+    fn slot_words_distinguish_every_task_id_from_never_written() {
+        let mut st = DequeState { locked: false, head: 0, tail: 0, slots: vec![0; 4] };
+        assert_eq!(st.slot(2), None, "a zeroed slot holds no task");
+        for id in [0, 1, u32::MAX] {
+            st.set_slot(6, TaskId(id)); // ring position 6 % 4
+            assert_eq!(st.slot(2), Some(TaskId(id)));
+        }
+        assert_eq!(st.slot(3), None);
     }
 
     #[test]
