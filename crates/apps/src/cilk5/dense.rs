@@ -55,11 +55,6 @@ impl Matrix {
         let flat = self.data.snapshot();
         (0..self.n).map(|r| flat[r * self.n..(r + 1) * self.n].to_vec()).collect()
     }
-
-    /// Host-side write (setup).
-    pub fn host_set(&self, r: usize, c: usize, v: f64) {
-        self.data.host_write(r * self.n + c, v)
-    }
 }
 
 /// Recursive blocked `C[rc] += sign * A[ra] * B[rb]` over `s`×`s`

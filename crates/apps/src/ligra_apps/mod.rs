@@ -9,18 +9,6 @@ pub mod mis;
 pub mod radii;
 pub mod tc;
 
-use crate::registry::AppSize;
-
-/// Default graph scale per input size: (vertices, edge factor).
-#[allow(dead_code)]
-pub(crate) fn graph_scale(size: AppSize) -> (usize, usize) {
-    match size {
-        AppSize::Test => (64, 4),
-        AppSize::Eval => (4096, 8),
-        AppSize::Large => (16384, 8),
-    }
-}
-
 /// Serial BFS distances from `src` over a host adjacency list
 /// (`u64::MAX` = unreachable). Shared by several verifiers.
 pub(crate) fn host_bfs(adj: &[Vec<usize>], src: usize) -> Vec<u64> {

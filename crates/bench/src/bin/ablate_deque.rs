@@ -27,15 +27,14 @@
 //! threshold 0.
 
 use bigtiny_apps::app_by_name;
-use bigtiny_bench::{render_table, run_app, size_from_env, Setup};
+use bigtiny_bench::live::{metrics_doc, write_doc};
+use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_checker::{audit_task_events_mode, kernel_is_duplicate_safe, AuditMode};
-use bigtiny_core::{DequeKind, Mutation, MutationKind, RuntimeKind};
+use bigtiny_core::{DequeKind, Mutation, MutationKind};
 use bigtiny_engine::Protocol;
-use bigtiny_obs::{metrics_document, CycleConservation, RunMetrics};
+use bigtiny_obs::CycleConservation;
 
-const USAGE: &str = "usage: ablate_deque [--metrics-out PATH]
-  --metrics-out PATH  write the v3 metrics document for the whole sweep
-size comes from BIGTINY_SIZE (test|eval|large)";
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::METRICS_OUT, &cli::SIZE]);
 
 /// The kernel set: every member must be duplicate-safe, because the
 /// multiplicity policies may re-execute a completed task. The main
@@ -81,28 +80,8 @@ fn cells() -> Vec<Cell> {
 }
 
 fn main() {
-    let mut metrics_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--metrics-out" => {
-                metrics_out = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--metrics-out needs a value\n{USAGE}");
-                    std::process::exit(2);
-                }));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let size = size_from_env();
+    let args = CLI.parse();
+    let size = args.size();
     for k in KERNELS {
         assert!(
             kernel_is_duplicate_safe(k),
@@ -137,13 +116,7 @@ fn main() {
             // The policy's execution contract, checked on the recorded
             // task events: exactly-once everywhere except the
             // multiplicity policies, which get the at-most-twice audit.
-            let multiplicity = cell.setup.rt.kind == RuntimeKind::Baseline
-                && cell.setup.rt.deque_kind.multiplicity();
-            let mode = if multiplicity {
-                AuditMode::Multiplicity { crash_armed: false }
-            } else {
-                AuditMode::ExactlyOnce
-            };
+            let mode = AuditMode::for_run(&cell.setup.rt, false);
             let audit = audit_task_events_mode(&r.run.task_events, mode, name);
             if !audit.is_clean() {
                 eprintln!("[ablate_deque] FAIL {name} @ {}: audit:\n{}", r.setup, audit.render());
@@ -157,7 +130,7 @@ fn main() {
                 );
                 failures += 1;
             }
-            if !multiplicity && dups > 0 {
+            if !mode.multiplicity() && dups > 0 {
                 eprintln!(
                     "[ablate_deque] FAIL {name} @ {}: {dups} duplicates under an \
                      exactly-once policy",
@@ -252,20 +225,8 @@ fn main() {
         println!("Per-policy totals over the kernel set\n{}", render_table(&header, &rows));
     }
 
-    if let Some(path) = &metrics_out {
-        let runs: Vec<RunMetrics<'_>> = results
-            .iter()
-            .map(|r| RunMetrics {
-                app: r.app,
-                setup: &r.setup,
-                deque_policy: r.deque_policy,
-                run: &r.run,
-                tiny_cores: &r.tiny_cores,
-            })
-            .collect();
-        let doc = metrics_document(&runs);
-        std::fs::write(path, doc.to_json() + "\n")
-            .unwrap_or_else(|e| panic!("--metrics-out {path}: {e}"));
+    if let Some(path) = args.text(&cli::METRICS_OUT) {
+        write_doc(path, &metrics_doc(&results));
         println!("[ablate_deque] metrics document ({} runs) -> {path}", results.len());
     }
 

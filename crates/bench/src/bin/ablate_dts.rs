@@ -6,11 +6,13 @@
 //! * steal back-off sweep.
 
 use bigtiny_apps::app_by_name;
-use bigtiny_bench::{render_table, run_app, size_from_env, Setup};
+use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_engine::Protocol;
 
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE]);
+
 fn main() {
-    let size = size_from_env();
+    let size = CLI.parse().size();
     let names = ["cilk5-cs", "ligra-bfs", "ligra-tc"];
 
     println!("DTS ablations ({size:?} inputs, b.T/HCC-DTS-gwb)\n");

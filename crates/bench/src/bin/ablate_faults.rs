@@ -6,7 +6,8 @@
 //! `BIGTINY_SIZE` / `BIGTINY_APPS` / `BIGTINY_JSON` work as in `eval_all`;
 //! `BIGTINY_FAULT_SEED` overrides the plan seed (default 1).
 
-use bigtiny_bench::{apps_from_env, find_result, render_table, run_matrix, size_from_env, Setup};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, find_result, render_table, Setup};
 use bigtiny_core::{RuntimeConfig, RuntimeKind};
 use bigtiny_engine::{FaultPlan, Protocol, SystemConfig};
 use bigtiny_mesh::{MeshConfig, Topology};
@@ -14,11 +15,16 @@ use bigtiny_mesh::{MeshConfig, Topology};
 const PLANS: [&str; 5] =
     ["none", "uli-drop-storm", "steal-miss-storm", "mesh-latency-spikes", "hostile"];
 
+const CLI: cli::Spec = cli::Spec::new(
+    env!("CARGO_BIN_NAME"),
+    &[&cli::SIZE, &cli::APPS, &cli::JSON, &cli::FAULT_SEED_ENV],
+);
+
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
-    let seed: u64 =
-        std::env::var("BIGTINY_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let args = CLI.parse();
+    let harness = Harness::new(&args);
+    let (size, apps) = (harness.size, &harness.apps);
+    let seed = args.get(&cli::FAULT_SEED_ENV);
 
     let base = SystemConfig::big_tiny(
         "ablate-faults",
@@ -35,7 +41,7 @@ fn main() {
             rt: RuntimeConfig::new(RuntimeKind::Dts),
         })
         .collect();
-    let results = run_matrix(&setups, &apps, size);
+    let results = harness.run_matrix(&setups);
 
     let header: Vec<String> = [
         "Name",
@@ -51,7 +57,7 @@ fn main() {
     .map(String::from)
     .to_vec();
     let mut rows = Vec::new();
-    for app in &apps {
+    for app in apps {
         let clean = find_result(&results, app.name, "none").cycles.max(1) as f64;
         for plan in PLANS {
             let r = find_result(&results, app.name, plan);

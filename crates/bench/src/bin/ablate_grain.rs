@@ -3,12 +3,14 @@
 //! the paper's observation that fine granularity penalizes HCC most and
 //! makes DTS's advantage grow.
 
-use bigtiny_bench::{apps_from_env, render_table, run_app, size_from_env, Setup};
+use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_engine::Protocol;
 
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS]);
+
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
+    let args = CLI.parse();
+    let (size, apps) = (args.size(), args.apps());
     let grains = [4usize, 16, 64, 256];
 
     let mesi = Setup::bt_mesi();

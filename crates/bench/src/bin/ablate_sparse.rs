@@ -6,9 +6,11 @@ use std::sync::Arc;
 
 use bigtiny_apps::graph::Graph;
 use bigtiny_apps::ligra::{edge_map, edge_map_auto, VertexSubset};
-use bigtiny_bench::{render_table, Setup};
+use bigtiny_bench::{cli, render_table, Setup};
 use bigtiny_core::run_task_parallel;
 use bigtiny_engine::{AddrSpace, Protocol, RacyTag, ShVec};
+
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[]);
 
 const UNVISITED: u64 = u64::MAX;
 
@@ -56,6 +58,7 @@ fn bfs_run(setup: &Setup, n: usize, ef: usize, auto: bool) -> (u64, u64) {
 }
 
 fn main() {
+    CLI.parse();
     let header: Vec<String> = [
         "Config",
         "graph",

@@ -18,74 +18,28 @@
 //! Exit status: 0 when every sampled plan survives, 1 on a reproduced
 //! failure, 2 on usage errors.
 
-use bigtiny_bench::fuzz::{check_app, check_plan_with, plan_dimensions, sample_plan, shrink_plan};
-use bigtiny_bench::live::{dump_on_panic, HeartbeatWriter, DEFAULT_HEARTBEAT_EVERY};
-use bigtiny_bench::{apps_from_env, size_from_env};
+use bigtiny_bench::cli;
+use bigtiny_bench::fuzz::{check_app, check_plan, plan_dimensions, sample_plan, shrink_plan};
+use bigtiny_bench::live::{dump_on_panic, Harness};
 use bigtiny_engine::{FaultPlan, XorShift64};
 
-const USAGE: &str = "usage: chaos_fuzz [--budget N] [--seed S] [--heartbeat-out PATH]
-                  [--blackbox-out PATH]
-  --budget N   number of fault plans to sample and check (default 25)
-  --seed S     seed of the plan-sampling stream (default 1)
-  --heartbeat-out PATH
-               stream live telemetry from every probe run (one
-               bigtiny-obs-heartbeat-v1 line per beat)
-  --blackbox-out PATH
-               on a failing plan whose probe aborted (watchdog trip or
-               poison), dump the crash-time flight-recorder bundle here
-kernel list and input size come from BIGTINY_APPS / BIGTINY_SIZE";
+/// `--heartbeat-out` streams from every probe run; `--blackbox-out` gets
+/// the crash-time bundle of a failing plan whose probe aborted (watchdog
+/// trip or poison).
+const CLI: cli::Spec = cli::Spec::new(
+    env!("CARGO_BIN_NAME"),
+    &[&cli::BUDGET, &cli::SEED, &cli::HEARTBEAT_OUT, &cli::BLACKBOX_OUT, &cli::SIZE, &cli::APPS],
+);
 
 fn main() {
-    let mut budget = 25usize;
-    let mut seed = 1u64;
-    let mut heartbeat_out: Option<String> = None;
-    let mut blackbox_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--budget" => {
-                let v = value("--budget");
-                budget = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--budget: `{v}` is not a usize\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                let v = value("--seed");
-                seed = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed: `{v}` is not a u64\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--heartbeat-out" => heartbeat_out = Some(value("--heartbeat-out")),
-            "--blackbox-out" => blackbox_out = Some(value("--blackbox-out")),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let heartbeat = heartbeat_out.as_ref().map(|path| {
-        HeartbeatWriter::create(path, DEFAULT_HEARTBEAT_EVERY)
-            .unwrap_or_else(|e| panic!("--heartbeat-out {path}: {e}"))
-    });
-    let size = size_from_env();
-    let apps = apps_from_env();
+    let args = CLI.parse();
+    let (budget, seed) = (args.get(&cli::BUDGET), args.get(&cli::SEED));
+    let harness = Harness::new(&args);
+    let size = harness.size;
     let mut rng = XorShift64::new(seed);
     println!(
         "[chaos] fuzzing {budget} plans (seed {seed:#x}) over {} kernel(s) at {size:?}",
-        apps.len()
+        harness.apps.len()
     );
 
     for i in 1..=budget {
@@ -93,13 +47,7 @@ fn main() {
         let t0 = std::time::Instant::now();
         // Probing intentionally panics on broken runs; keep the default
         // hook's backtrace chatter off the fuzzing log.
-        let failed = quiet(|| {
-            check_plan_with(&plan, &apps, size, &mut |s, app| {
-                if let Some(w) = &heartbeat {
-                    w.arm(s, app);
-                }
-            })
-        });
+        let failed = quiet(|| check_plan(&plan, &harness));
         match failed {
             None => {
                 println!(
@@ -113,7 +61,7 @@ fn main() {
                 println!("[chaos] {}: {}", failure.app, failure.message);
                 // A panicking probe (watchdog trip / poison) left the
                 // engine a crash-time bundle; audit-only failures did not.
-                if let Some(path) = &blackbox_out {
+                if let Some(path) = harness.blackbox() {
                     if !dump_on_panic(path) {
                         eprintln!("[blackbox] failure recorded no bundle (audit-only)");
                     }

@@ -31,17 +31,22 @@
 //! of the first *dirty* cell (reason `drf_violation`) alongside a
 //! Perfetto tail trace at `PATH.trace.json`.
 
-use bigtiny_bench::live::{write_blackbox, HeartbeatWriter, DEFAULT_HEARTBEAT_EVERY};
-use bigtiny_bench::{apps_from_env, render_table, run_app, size_from_env, Setup};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_checker::{check_run, CheckReport, ViolationKind};
-use bigtiny_engine::{backend_label, CheckMode, RacyTag};
-use bigtiny_obs::blackbox_from_report;
+use bigtiny_engine::{CheckMode, RacyTag};
 
-const USAGE: &str = "usage: check_all [--fail-fast] [--heartbeat-out PATH] [--blackbox-out PATH]
-  --fail-fast          stop at the first dirty cell
-  --heartbeat-out PATH stream live telemetry (bigtiny-obs-heartbeat-v1 lines)
-  --blackbox-out PATH  dump the first dirty cell's flight-recorder tails
-sizes and app selection come from BIGTINY_SIZE / BIGTINY_APPS";
+const CLI: cli::Spec = cli::Spec::new(
+    env!("CARGO_BIN_NAME"),
+    &[
+        &cli::FAIL_FAST,
+        &cli::HEARTBEAT_OUT,
+        &cli::BLACKBOX_OUT,
+        &cli::SIZE,
+        &cli::APPS,
+        &cli::CHECK_OUT,
+    ],
+);
 
 fn json_line(app: &str, setup: &str, report: &CheckReport, wall_ms: u128) -> String {
     let mut s = String::from("{");
@@ -63,37 +68,10 @@ fn json_line(app: &str, setup: &str, report: &CheckReport, wall_ms: u128) -> Str
 }
 
 fn main() {
-    let mut fail_fast = false;
-    let mut heartbeat_out: Option<String> = None;
-    let mut blackbox_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--fail-fast" => fail_fast = true,
-            "--heartbeat-out" => heartbeat_out = Some(value("--heartbeat-out")),
-            "--blackbox-out" => blackbox_out = Some(value("--blackbox-out")),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let heartbeat = heartbeat_out.as_ref().map(|path| {
-        HeartbeatWriter::create(path, DEFAULT_HEARTBEAT_EVERY)
-            .unwrap_or_else(|e| panic!("--heartbeat-out {path}: {e}"))
-    });
-    let size = size_from_env();
-    let apps = apps_from_env();
+    let args = CLI.parse();
+    let fail_fast = args.given(&cli::FAIL_FAST);
+    let harness = Harness::new(&args);
+    let (size, apps) = (harness.size, &harness.apps);
     let setups: Vec<Setup> = Setup::big_tiny_matrix()
         .into_iter()
         .map(|mut s| {
@@ -108,12 +86,10 @@ fn main() {
     let mut lines = Vec::new();
     let mut dirty = 0usize;
 
-    'sweep: for app in &apps {
+    'sweep: for app in apps {
         for base in &setups {
             let mut armed = base.clone();
-            if let Some(w) = &heartbeat {
-                w.arm(&mut armed, app.name);
-            }
+            harness.arm(&mut armed, app.name);
             let setup = &armed;
             let t0 = std::time::Instant::now();
             let r = run_app(setup, app, size, 0);
@@ -130,14 +106,8 @@ fn main() {
                 dirty += 1;
                 eprint!("{}", report.render());
                 // First dirty cell: dump its flight tails for forensics.
-                if let Some(path) = blackbox_out.take() {
-                    let doc = blackbox_from_report(
-                        "drf_violation",
-                        backend_label(&setup.sys),
-                        &setup.sys.faults.to_spec(),
-                        &r.run.report,
-                    );
-                    write_blackbox(&path, &doc);
+                if dirty == 1 {
+                    harness.dump_report("drf_violation", setup, &r);
                 }
             }
             rows.push(vec![
@@ -163,10 +133,9 @@ fn main() {
     println!("DRF conformance sweep ({} kernels x {} setups)\n", apps.len(), setups.len());
     println!("{}", render_table(&header, &rows));
 
-    let out_path =
-        std::env::var("BIGTINY_CHECK_OUT").unwrap_or_else(|_| "CHECK_verdicts.json".to_owned());
+    let out_path = args.text(&cli::CHECK_OUT).expect("has a default");
     let body = lines.join("\n") + "\n";
-    std::fs::write(&out_path, body).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    std::fs::write(out_path, body).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("[check_all] wrote {out_path}");
 
     if dirty > 0 {

@@ -3,13 +3,15 @@
 //! *together*. This harness compares the combined big.TINY machine against
 //! its two halves run alone.
 
-use bigtiny_bench::{apps_from_env, geomean, render_table, run_app, size_from_env, Setup};
+use bigtiny_bench::{cli, geomean, render_table, run_app, Setup};
 use bigtiny_core::RuntimeKind;
 use bigtiny_engine::{Protocol, SystemConfig};
 
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS]);
+
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
+    let args = CLI.parse();
+    let (size, apps) = (args.size(), args.apps());
 
     let big_only = Setup::o3(4);
     let tiny_only = Setup {

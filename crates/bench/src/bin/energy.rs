@@ -2,17 +2,19 @@
 //! efficiency" claim): first-order energy estimates, normalized to
 //! `b.T/MESI`, plus an energy-efficiency view against `O3x8`.
 
-use bigtiny_bench::{
-    apps_from_env, find_result, geomean, render_table, run_matrix, size_from_env, Setup,
-};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, find_result, geomean, render_table, Setup};
 use bigtiny_engine::{EnergyModel, SystemConfig};
 
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
+
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
+    let harness = Harness::new(&CLI.parse());
+    let (size, apps) = (harness.size, &harness.apps);
     let mut setups = vec![Setup::o3(8)];
     setups.extend(Setup::big_tiny_matrix());
-    let results = run_matrix(&setups, &apps, size);
+    let results = harness.run_matrix(&setups);
     let model = EnergyModel::default();
 
     let config_of = |label: &str| -> SystemConfig {
@@ -23,7 +25,7 @@ fn main() {
     header.extend(setups.iter().map(|s| format!("E {}", s.label)));
     let mut rows = Vec::new();
     let mut geo: Vec<Vec<f64>> = vec![Vec::new(); setups.len()];
-    for app in &apps {
+    for app in apps {
         let mesi_e = {
             let r = find_result(&results, app.name, "b.T/MESI");
             model.estimate(&config_of("b.T/MESI"), &r.run.report).total()

@@ -2,12 +2,14 @@
 //! granularity on a 64-tiny-core system.
 
 use bigtiny_apps::app_by_name;
-use bigtiny_bench::{render_table, run_app, size_from_env, Setup};
+use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_core::RuntimeConfig;
 use bigtiny_engine::{Protocol, SystemConfig};
 
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE]);
+
 fn main() {
-    let size = size_from_env();
+    let size = CLI.parse().size();
     let tc = app_by_name("ligra-tc").expect("ligra-tc registered");
 
     let serial = Setup::serial_io();

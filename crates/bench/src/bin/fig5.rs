@@ -1,36 +1,17 @@
 //! Figure 5: speedup of each big.TINY HCC configuration over `b.T/MESI`,
 //! per application.
 
-use bigtiny_bench::{
-    apps_from_env, find_result, geomean, render_table, run_matrix, size_from_env, Setup,
-};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, figures, Setup};
+
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
-    let setups = Setup::big_tiny_matrix();
-    let results = run_matrix(&setups, &apps, size);
-
-    let labels: Vec<String> = setups.iter().skip(1).map(|s| s.label.clone()).collect();
-    let mut header = vec!["Name".to_owned()];
-    header.extend(labels.iter().cloned());
-
-    let mut rows = Vec::new();
-    let mut geo: Vec<Vec<f64>> = vec![Vec::new(); labels.len()];
-    for app in &apps {
-        let mesi = find_result(&results, app.name, "b.T/MESI").cycles as f64;
-        let mut row = vec![app.name.to_owned()];
-        for (i, label) in labels.iter().enumerate() {
-            let v = mesi / find_result(&results, app.name, label).cycles as f64;
-            geo[i].push(v);
-            row.push(format!("{v:.2}"));
-        }
-        rows.push(row);
-    }
-    let mut geo_row = vec!["geomean".to_owned()];
-    geo_row.extend(geo.iter().map(|g| format!("{:.2}", geomean(g.iter().copied()))));
-    rows.push(geo_row);
+    let harness = Harness::new(&CLI.parse());
+    let size = harness.size;
+    let results = harness.run_matrix(&Setup::big_tiny_matrix());
 
     println!("Figure 5: speedup over big.TINY/MESI ({size:?} inputs)\n");
-    println!("{}", render_table(&header, &rows));
+    println!("{}", figures::fig5(&results));
 }

@@ -1,28 +1,19 @@
 //! Figure 6: aggregate tiny-core L1 data-cache hit rate per application and
 //! configuration.
 
-use bigtiny_bench::{apps_from_env, find_result, render_table, run_matrix, size_from_env, Setup};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, figures, Setup};
+
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
-    let setups = Setup::big_tiny_matrix();
-    let results = run_matrix(&setups, &apps, size);
+    let harness = Harness::new(&CLI.parse());
+    let size = harness.size;
+    let results = harness.run_matrix(&Setup::big_tiny_matrix());
 
-    let mut header = vec!["Name".to_owned()];
-    header.extend(setups.iter().map(|s| s.label.clone()));
-
-    let mut rows = Vec::new();
-    for app in &apps {
-        let mut row = vec![app.name.to_owned()];
-        for setup in &setups {
-            let r = find_result(&results, app.name, &setup.label);
-            row.push(format!("{:.1}%", 100.0 * r.l1d_hit_rate()));
-        }
-        rows.push(row);
-    }
     println!("Figure 6: L1 data cache hit rate, tiny cores ({size:?} inputs)\n");
-    println!("{}", render_table(&header, &rows));
+    println!("{}", figures::fig6(&results));
     println!(
         "Expected shape: MESI >= DTS variants >= HCC variants; gwt lowest (no write-allocate)."
     );

@@ -1,39 +1,21 @@
 //! Figure 7: aggregated tiny-core execution-time breakdown, normalized to
 //! `b.T/MESI`, per application and configuration.
 
-use bigtiny_bench::{
-    apps_from_env, breakdown_labels, find_result, render_table, run_matrix, size_from_env, Setup,
-};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, figures, Setup};
+
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
-    let setups = Setup::big_tiny_matrix();
-    let results = run_matrix(&setups, &apps, size);
+    let harness = Harness::new(&CLI.parse());
+    let size = harness.size;
+    let results = harness.run_matrix(&Setup::big_tiny_matrix());
 
-    let mut header = vec!["Name".to_owned(), "Config".to_owned()];
-    header.extend(breakdown_labels().map(String::from));
-    header.push("Total(norm)".to_owned());
-
-    let mut rows = Vec::new();
-    for app in &apps {
-        let mesi_total =
-            find_result(&results, app.name, "b.T/MESI").tiny_breakdown().total().max(1) as f64;
-        for setup in &setups {
-            let r = find_result(&results, app.name, &setup.label);
-            let b = r.tiny_breakdown();
-            let mut row = vec![app.name.to_owned(), setup.label.clone()];
-            for (_, cycles) in b.paper_groups() {
-                row.push(format!("{:.3}", cycles as f64 / mesi_total));
-            }
-            row.push(format!("{:.3}", b.total() as f64 / mesi_total));
-            rows.push(row);
-        }
-    }
     println!(
         "Figure 7: tiny-core execution-time breakdown, normalized to b.T/MESI ({size:?} inputs)\n"
     );
-    println!("{}", render_table(&header, &rows));
+    println!("{}", figures::fig7(&results, "Total(norm)"));
     println!(
         "Expected shape: HCC adds Flush (gwb) and Atomic (gwt/gwb) time; DTS removes most of it."
     );

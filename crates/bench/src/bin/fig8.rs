@@ -1,49 +1,18 @@
 //! Figure 8: total on-chip network traffic in bytes, split by message
 //! category and normalized to `b.T/MESI`, per application and configuration.
 
-use bigtiny_bench::{
-    apps_from_env, find_result, render_table, run_matrix, size_from_env, Setup, TrafficClass,
-};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, figures, Setup};
 
-/// Figure 8's legend order.
-const CLASSES: [TrafficClass; 9] = [
-    TrafficClass::CpuReq,
-    TrafficClass::WbReq,
-    TrafficClass::DataResp,
-    TrafficClass::SyncReq,
-    TrafficClass::SyncResp,
-    TrafficClass::CohReq,
-    TrafficClass::CohResp,
-    TrafficClass::DramReq,
-    TrafficClass::DramResp,
-];
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
-    let size = bigtiny_bench::size_from_env();
-    let _ = size_from_env;
-    let apps = apps_from_env();
-    let setups = Setup::big_tiny_matrix();
-    let results = run_matrix(&setups, &apps, size);
+    let harness = Harness::new(&CLI.parse());
+    let size = harness.size;
+    let results = harness.run_matrix(&Setup::big_tiny_matrix());
 
-    let mut header = vec!["Name".to_owned(), "Config".to_owned()];
-    header.extend(CLASSES.iter().map(|c| c.label().to_owned()));
-    header.push("total(norm)".to_owned());
-
-    let mut rows = Vec::new();
-    for app in &apps {
-        let mesi_total = find_result(&results, app.name, "b.T/MESI").traffic_bytes().max(1) as f64;
-        for setup in &setups {
-            let r = find_result(&results, app.name, &setup.label);
-            let t = &r.run.report.traffic;
-            let mut row = vec![app.name.to_owned(), setup.label.clone()];
-            for c in CLASSES {
-                row.push(format!("{:.3}", t.bytes(c) as f64 / mesi_total));
-            }
-            row.push(format!("{:.3}", r.traffic_bytes() as f64 / mesi_total));
-            rows.push(row);
-        }
-    }
     println!("Figure 8: OCN traffic by category, normalized to b.T/MESI ({size:?} inputs)\n");
-    println!("{}", render_table(&header, &rows));
+    println!("{}", figures::fig8(&results, "total(norm)"));
     println!("Expected shape: gwt dominated by wb_req write-throughs; DTS cuts cpu_req/data_resp and (for gwb) wb_req.");
 }

@@ -12,18 +12,19 @@
 //!   through the strict flat-object parser, so an unparseable record (e.g.
 //!   a bare `NaN`) fails loudly instead of corrupting downstream analysis.
 
-use bigtiny_bench::parse_json_line;
+use bigtiny_bench::{cli, parse_json_line};
 use bigtiny_obs::{
     looks_like_heartbeat_stream, parse_json, validate_heartbeat_stream, Json,
     METRICS_SCHEMAS_ACCEPTED,
 };
 
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[]).positionals(&["results.jsonl | metrics.json"], &[]);
+
 fn main() {
-    let path = std::env::args().nth(1).unwrap_or_else(|| {
-        eprintln!("usage: json_check <results.jsonl | metrics.json>");
-        std::process::exit(2);
-    });
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+    let args = CLI.parse();
+    let path = args.positional(0).expect("required positional");
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("json_check: {path}: {e}");
         std::process::exit(2);
     });

@@ -13,15 +13,14 @@
 //! kernel matrix intentionally, pass `--allow-missing` for the one run
 //! that regenerates the baseline.
 
-use bigtiny_bench::render_table;
+use bigtiny_bench::{cli, render_table};
 use bigtiny_obs::{parse_json, Json, METRICS_SCHEMAS_ACCEPTED};
 
-const USAGE: &str = "usage: metrics_diff BASELINE.json NEW.json [--threshold PCT] [--allow-missing]
-  --threshold PCT  maximum |cycle delta| per run, in percent (default 0:
-                   any cycle movement fails — the simulator is deterministic)
-  --allow-missing  do not fail on cells present in only one document
-                   (for intentional matrix growth; missing rows still print)";
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::THRESHOLD, &cli::ALLOW_MISSING])
+        .positionals(&["BASELINE.json", "NEW.json"], &[]);
 
+#[derive(Debug)]
 struct Run {
     app: String,
     setup: String,
@@ -49,47 +48,56 @@ impl Run {
     }
 }
 
-fn load(path: &str) -> Vec<Run> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("metrics_diff: {path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = parse_json(text.trim_end()).unwrap_or_else(|e| {
-        eprintln!("metrics_diff: {path}: invalid JSON: {e}");
-        std::process::exit(2);
-    });
+/// The runs of the metrics document `text`. What the gate compares must
+/// be there: a run without a string `app`/`setup` or a numeric `cycles` is
+/// a malformed document, not a run of `"?"` at 0 cycles (two such
+/// documents would diff clean). `deque_policy` and `steals.*` keep their
+/// documented defaults so v1/v2 documents still load.
+fn runs_of(text: &str) -> Result<Vec<Run>, String> {
+    let doc = parse_json(text.trim_end()).map_err(|e| format!("invalid JSON: {e}"))?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("(none)");
     if !METRICS_SCHEMAS_ACCEPTED.contains(&schema) {
-        eprintln!(
-            "metrics_diff: {path}: unsupported schema `{schema}` (accepted: {})",
+        return Err(format!(
+            "unsupported schema `{schema}` (accepted: {})",
             METRICS_SCHEMAS_ACCEPTED.join(", ")
-        );
-        std::process::exit(2);
+        ));
     }
-    let runs = doc.get("runs").and_then(Json::as_arr).unwrap_or_else(|| {
-        eprintln!("metrics_diff: {path}: document has no `runs` array");
-        std::process::exit(2);
-    });
-    let num = |r: &Json, path: &[&str]| -> f64 {
-        let mut cur = r.clone();
-        for k in path {
-            match cur.get(k) {
-                Some(v) => cur = v.clone(),
-                None => return 0.0,
-            }
-        }
-        cur.as_num().unwrap_or(0.0)
-    };
+    let runs = doc.get("runs").and_then(Json::as_arr).ok_or("document has no `runs` array")?;
     runs.iter()
-        .map(|r| Run {
-            app: r.get("app").and_then(Json::as_str).unwrap_or("?").to_owned(),
-            setup: r.get("setup").and_then(Json::as_str).unwrap_or("?").to_owned(),
-            policy: r.get("deque_policy").and_then(Json::as_str).unwrap_or("locked").to_owned(),
-            cycles: num(r, &["cycles"]),
-            steal_attempts: num(r, &["steals", "attempts"]),
-            steal_hits: num(r, &["steals", "hits"]),
+        .enumerate()
+        .map(|(i, r)| {
+            let text = |key: &str| {
+                r.get(key)
+                    .and_then(Json::as_str)
+                    .map(str::to_owned)
+                    .ok_or_else(|| format!("run {i} has no string `{key}`"))
+            };
+            let steals = |key: &str| {
+                r.get("steals").and_then(|s| s.get(key)).and_then(Json::as_num).unwrap_or(0.0)
+            };
+            Ok(Run {
+                app: text("app")?,
+                setup: text("setup")?,
+                policy: r.get("deque_policy").and_then(Json::as_str).unwrap_or("locked").to_owned(),
+                cycles: r
+                    .get("cycles")
+                    .and_then(Json::as_num)
+                    .ok_or_else(|| format!("run {i} has no numeric `cycles`"))?,
+                steal_attempts: steals("attempts"),
+                steal_hits: steals("hits"),
+            })
         })
         .collect()
+}
+
+fn load(path: &str) -> Vec<Run> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| runs_of(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("metrics_diff: {path}: {e}");
+            std::process::exit(2);
+        })
 }
 
 /// The diff verdict, separated from I/O so the gate logic is unit-tested.
@@ -163,41 +171,11 @@ fn diff(base: &[Run], new: &[Run]) -> Diff {
 }
 
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut threshold = 0.0f64;
-    let mut allow_missing = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let v = args.next().unwrap_or_else(|| {
-                    eprintln!("--threshold needs a value\n{USAGE}");
-                    std::process::exit(2);
-                });
-                threshold = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--threshold: `{v}` is not a number\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--allow-missing" => allow_missing = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-            other => positional.push(other.to_owned()),
-        }
-    }
-    let [base_path, new_path] = positional.as_slice() else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    };
-
-    let base = load(base_path);
-    let new = load(new_path);
+    let args = CLI.parse();
+    let threshold = args.get(&cli::THRESHOLD);
+    let allow_missing = args.given(&cli::ALLOW_MISSING);
+    let base = load(args.positional(0).expect("required positional"));
+    let new = load(args.positional(1).expect("required positional"));
     let d = diff(&base, &new);
 
     for r in &base {
@@ -256,6 +234,47 @@ mod tests {
             steal_attempts: 0.0,
             steal_hits: 0.0,
         }
+    }
+
+    fn doc(runs: &str) -> String {
+        format!("{{\"schema\":\"{}\",\"runs\":[{runs}]}}\n", METRICS_SCHEMAS_ACCEPTED[0])
+    }
+
+    /// The hole in the threshold-0 gate: a run without `cycles` used to
+    /// load as 0 cycles, so two documents that both lost the field
+    /// compared 0 == 0 and passed.
+    #[test]
+    fn a_run_missing_what_the_gate_compares_is_a_malformed_document() {
+        for (run, culprit) in [
+            (r#"{"app":"nq","setup":"b.T/MESI"}"#, "run 1 has no numeric `cycles`"),
+            (r#"{"app":"nq","setup":"b.T/MESI","cycles":"12"}"#, "run 1 has no numeric `cycles`"),
+            (r#"{"app":"nq","setup":"b.T/MESI","cycles":null}"#, "run 1 has no numeric `cycles`"),
+            (r#"{"setup":"b.T/MESI","cycles":12}"#, "run 1 has no string `app`"),
+            (r#"{"app":"nq","setup":7,"cycles":12}"#, "run 1 has no string `setup`"),
+        ] {
+            let good = r#"{"app":"cs","setup":"b.T/MESI","cycles":5}"#;
+            let err = runs_of(&doc(&format!("{good},{run}"))).err();
+            assert_eq!(err.as_deref(), Some(culprit), "{run}");
+        }
+        assert!(runs_of("{\"runs\":[]}").unwrap_err().starts_with("unsupported schema"));
+        assert!(runs_of(&doc("").replace("\"runs\"", "\"rnus\""))
+            .unwrap_err()
+            .contains("no `runs`"));
+        assert!(runs_of("{").unwrap_err().starts_with("invalid JSON"));
+    }
+
+    /// What older documents lack keeps its documented default: no
+    /// `deque_policy` means the locked deque, no `steals` means zeros.
+    #[test]
+    fn v1_documents_load_with_the_documented_defaults() {
+        let runs = runs_of(&doc(r#"{"app":"nq","setup":"b.T/MESI","cycles":100},
+               {"app":"nq","setup":"b.T/HCC-dnv","cycles":90,"deque_policy":"chase-lev",
+                "steals":{"attempts":7,"hits":3}}"#))
+        .unwrap();
+        assert_eq!(runs[0].key(), ("nq", "b.T/MESI", "locked"));
+        assert_eq!((runs[0].cycles, runs[0].steal_attempts, runs[0].steal_hits), (100.0, 0.0, 0.0));
+        assert_eq!(runs[1].key(), ("nq", "b.T/HCC-dnv", "chase-lev"));
+        assert_eq!((runs[1].steal_attempts, runs[1].steal_hits), (7.0, 3.0));
     }
 
     #[test]

@@ -54,7 +54,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use bigtiny_apps::{app_by_name, AppSize, Prepared, RootFn};
-use bigtiny_bench::{render_table, Setup};
+use bigtiny_bench::{cli, render_table, Setup};
 use bigtiny_checker::explore::{explore, ExploreBudget, ExploreReport, ScheduleOutcome};
 use bigtiny_checker::{audit_task_events_mode, check_run, kernel_is_duplicate_safe, AuditMode};
 use bigtiny_core::{
@@ -63,6 +63,11 @@ use bigtiny_core::{
 };
 use bigtiny_engine::{AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig};
 use bigtiny_obs::CycleConservation;
+
+const CLI: cli::Spec = cli::Spec::new(
+    env!("CARGO_BIN_NAME"),
+    &[&cli::MC_OUT, &cli::MC_SCHEDULES, &cli::MC_DEPTH, &cli::MC_APPS],
+);
 
 /// Kernels with schedule-deterministic output (plus the local `fib`).
 const MC_APPS: &[&str] =
@@ -106,7 +111,7 @@ fn prepare(app: &str, space: &mut AddrSpace) -> Prepared {
     if app == "fib" {
         fib_prepared(space)
     } else {
-        let spec = app_by_name(app).unwrap_or_else(|| panic!("unknown kernel {app}"));
+        let spec = app_by_name(app).expect("validated by the parser");
         spec.prepare_default(space, AppSize::Test)
     }
 }
@@ -217,11 +222,7 @@ fn run_scripted(setup: &Setup, app: &str, script: &[u32]) -> ScheduleOutcome {
         // Multiplicity policies relax the audit from exactly-once to
         // at-most-twice-with-idempotent-side-effects; everything else
         // keeps the exact contract.
-        let mode = if setup.rt.kind == RuntimeKind::Baseline && setup.rt.deque_kind.multiplicity() {
-            AuditMode::Multiplicity { crash_armed: false }
-        } else {
-            AuditMode::ExactlyOnce
-        };
+        let mode = AuditMode::for_run(&setup.rt, false);
         let audit = audit_task_events_mode(&run.task_events, mode, app);
         if !audit.is_clean() {
             failure = audit.violations.first().map(|v| format!("audit: {v}"));
@@ -234,12 +235,6 @@ fn run_scripted(setup: &Setup, app: &str, script: &[u32]) -> ScheduleOutcome {
         failure,
         fingerprint: prepared.fingerprint.map(|f| f()),
     }
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| panic!("{name} must be an integer, got {v}"))
-    })
 }
 
 fn json_row(app: &str, cell: &Cell, r: &ExploreReport) -> String {
@@ -269,14 +264,12 @@ fn json_row(app: &str, cell: &Cell, r: &ExploreReport) -> String {
 }
 
 fn main() {
+    let args = CLI.parse();
     let budget = ExploreBudget {
-        max_choice_points: env_usize("BIGTINY_MC_DEPTH", 5),
-        max_schedules: env_usize("BIGTINY_MC_SCHEDULES", 24),
+        max_choice_points: args.get(&cli::MC_DEPTH),
+        max_schedules: args.get(&cli::MC_SCHEDULES),
     };
-    let apps: Vec<String> = match std::env::var("BIGTINY_MC_APPS") {
-        Ok(list) => list.split(',').map(|s| s.trim().to_owned()).collect(),
-        Err(_) => MC_APPS.iter().map(|&s| s.to_owned()).collect(),
-    };
+    let apps = args.names(&cli::MC_APPS).unwrap_or_else(|| MC_APPS.to_vec());
     let cells = mc_cells();
 
     let header: Vec<String> = ["app", "setup", "policy", "explored", "pruned", "depth", "verdict"]
@@ -311,7 +304,7 @@ fn main() {
                 eprint!("{}", report.render());
             }
             rows.push(vec![
-                app.clone(),
+                (*app).to_owned(),
                 setup.label.clone(),
                 setup.rt.deque_kind.label().to_owned(),
                 report.schedules_explored.to_string(),
@@ -342,9 +335,8 @@ fn main() {
         budget.max_choice_points,
         json_rows.join(",\n"),
     );
-    let out_path =
-        std::env::var("BIGTINY_MC_OUT").unwrap_or_else(|_| "MODEL_CHECK_verdicts.json".to_owned());
-    std::fs::write(&out_path, doc).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    let out_path = args.text(&cli::MC_OUT).expect("has a default");
+    std::fs::write(out_path, doc).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("[model_check] wrote {out_path}");
 
     if dirty > 0 {

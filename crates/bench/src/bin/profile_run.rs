@@ -18,90 +18,35 @@
 //! `--trace-out` additionally arms per-core tracing and writes a Chrome
 //! trace with the critical path as its own highlighted track.
 
-use bigtiny_apps::app_by_name;
-use bigtiny_bench::live::{HeartbeatWriter, DEFAULT_HEARTBEAT_EVERY};
-use bigtiny_bench::{apps_from_env, render_table, run_app, size_from_env, Setup};
-use bigtiny_obs::{
-    export_chrome_trace, metrics_document, replay_run, validate_chrome_trace, verify_attr_spans,
-    CycleConservation, CycleLens, RunMetrics, TraceRun, WhatIf,
-};
+use bigtiny_bench::live::{metrics_doc, observe, trace_doc, write_doc, Harness};
+use bigtiny_bench::{cli, render_table, Setup};
+use bigtiny_obs::{replay_run, verify_attr_spans, CycleConservation, CycleLens, WhatIf};
 
-const USAGE: &str = "usage: profile_run [--app NAME] [--dts-only] [--out PATH] [--trace-out PATH]
-                   [--heartbeat-out PATH]
-  --app NAME       profile one kernel (default: BIGTINY_APPS or cilk5-nq)
-  --dts-only       only the three DTS configurations (skip MESI + plain HCC)
-  --out PATH       write the v2 metrics document (critpath section populated)
-  --trace-out PATH also arm per-core tracing; write a Chrome trace with the
-                   critical path as a highlighted track (ui.perfetto.dev)
-  --heartbeat-out PATH
-                   stream live telemetry (bigtiny-obs-heartbeat-v1 lines)
-size comes from BIGTINY_SIZE (test|eval|large)";
+const CLI: cli::Spec = cli::Spec::new(
+    env!("CARGO_BIN_NAME"),
+    &[
+        &cli::APP,
+        &cli::DTS_ONLY,
+        &cli::OUT,
+        &cli::TRACE_OUT,
+        &cli::HEARTBEAT_OUT,
+        &cli::SIZE,
+        &cli::APPS,
+    ],
+);
 
 fn main() {
-    let mut app_name: Option<String> = None;
-    let mut dts_only = false;
-    let mut out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut heartbeat_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--app" => app_name = Some(value("--app")),
-            "--dts-only" => dts_only = true,
-            "--out" => out = Some(value("--out")),
-            "--trace-out" => trace_out = Some(value("--trace-out")),
-            "--heartbeat-out" => heartbeat_out = Some(value("--heartbeat-out")),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let size = size_from_env();
-    let apps = match &app_name {
-        Some(name) => vec![app_by_name(name).unwrap_or_else(|| {
-            eprintln!("unknown app `{name}`");
-            std::process::exit(2);
-        })],
-        None => apps_from_env(),
-    };
+    let args = CLI.parse();
+    let harness = Harness::new(&args);
+    let size = harness.size;
     let mut setups = Setup::big_tiny_matrix();
-    if dts_only {
+    if args.given(&cli::DTS_ONLY) {
         setups.retain(|s| s.label.contains("DTS"));
     }
-    for s in &mut setups {
-        s.sys.attr = true;
-        s.rt.record_task_events = true;
-        if trace_out.is_some() {
-            s.sys.trace = true;
-        }
-    }
-
-    let heartbeat = heartbeat_out.as_ref().map(|path| {
-        HeartbeatWriter::create(path, DEFAULT_HEARTBEAT_EVERY)
-            .unwrap_or_else(|e| panic!("--heartbeat-out {path}: {e}"))
-    });
-    let mut results = Vec::new();
-    for app in &apps {
-        for setup in &setups {
-            let mut armed = setup.clone();
-            if let Some(w) = &heartbeat {
-                w.arm(&mut armed, app.name);
-            }
-            results.push(run_app(&armed, app, size, 0));
-        }
-    }
+    // The profile needs attribution and task events on every run;
+    // `--trace-out` adds per-core tracing through the harness.
+    setups.iter_mut().for_each(|s| observe(s, false));
+    let results = harness.run_matrix(&setups);
 
     let mut summary_rows = Vec::new();
     let mut conservation_rows = Vec::new();
@@ -188,29 +133,13 @@ fn main() {
         println!("{:>10}: {:>12}\n", "span", cp.span);
     }
 
-    if let Some(path) = &out {
-        let runs: Vec<RunMetrics<'_>> = results
-            .iter()
-            .map(|r| RunMetrics {
-                app: r.app,
-                setup: &r.setup,
-                deque_policy: r.deque_policy,
-                run: &r.run,
-                tiny_cores: &r.tiny_cores,
-            })
-            .collect();
-        let doc = metrics_document(&runs);
-        std::fs::write(path, doc.to_json() + "\n").unwrap_or_else(|e| panic!("--out {path}: {e}"));
+    if let Some(path) = args.text(&cli::OUT) {
+        write_doc(path, &metrics_doc(&results));
         println!("[profile_run] metrics document ({} runs) -> {path}", results.len());
     }
-    if let Some(path) = &trace_out {
-        let runs: Vec<TraceRun<'_>> =
-            results.iter().map(|r| TraceRun { app: r.app, setup: &r.setup, run: &r.run }).collect();
-        let doc = export_chrome_trace(&runs);
-        let s = validate_chrome_trace(&doc)
-            .unwrap_or_else(|e| panic!("--trace-out produced an invalid document: {e}"));
-        std::fs::write(path, doc.to_json() + "\n")
-            .unwrap_or_else(|e| panic!("--trace-out {path}: {e}"));
+    if let Some(path) = args.text(&cli::TRACE_OUT) {
+        let (doc, s) = trace_doc(&results);
+        write_doc(path, &doc);
         println!(
             "[profile_run] chrome trace ({} spans incl. critical-path track, {} lifetimes) -> {path}",
             s.complete, s.async_pairs

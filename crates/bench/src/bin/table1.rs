@@ -2,10 +2,13 @@
 //! from the implementation's own `ProtocolTraits` so that the table and the
 //! simulator can never drift apart.
 
-use bigtiny_bench::render_table;
+use bigtiny_bench::{cli, render_table};
 use bigtiny_coherence::{DirtyPropagation, Protocol, StaleInvalidation, WriteGranularity};
 
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[]);
+
 fn main() {
+    CLI.parse();
     let header: Vec<String> = [
         "Protocol",
         "Who initiates invalidation?",

@@ -1,9 +1,13 @@
 //! Table II: simulated-system configuration, printed from the live
 //! `SystemConfig`/`MemConfig` values.
 
+use bigtiny_bench::cli;
 use bigtiny_engine::{CoreKind, SystemConfig};
 
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[]);
+
 fn main() {
+    CLI.parse();
     let cfg = SystemConfig::big_tiny_mesi();
     let mem = cfg.mem_config();
     let topo = cfg.topology();

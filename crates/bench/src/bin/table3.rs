@@ -7,17 +7,19 @@
 //! and speedup relative to `b.T/MESI` for the HCC and HCC-DTS
 //! configurations.
 
-use bigtiny_bench::{
-    apps_from_env, find_result, geomean, render_table, run_matrix, size_from_env, Setup,
-};
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, find_result, geomean, render_table, Setup};
+
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
+    let harness = Harness::new(&CLI.parse());
+    let (size, apps) = (harness.size, &harness.apps);
 
     let mut setups = vec![Setup::serial_io(), Setup::o3(1), Setup::o3(4), Setup::o3(8)];
     setups.extend(Setup::big_tiny_matrix());
-    let results = run_matrix(&setups, &apps, size);
+    let results = harness.run_matrix(&setups);
 
     let header: Vec<String> = [
         "Name", "DInst", "Work", "Span", "Para", "IPT", // Cilkview-style columns
@@ -30,7 +32,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut geo: Vec<Vec<f64>> = vec![Vec::new(); 10];
-    for app in &apps {
+    for app in apps {
         let serial = find_result(&results, app.name, "serial-io").cycles as f64;
         let mesi = find_result(&results, app.name, "b.T/MESI");
         let mesi_cycles = mesi.cycles as f64;

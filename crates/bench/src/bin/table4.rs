@@ -1,56 +1,18 @@
 //! Table IV: reduction in cache-line invalidations and flushes, and the
 //! resulting L1 hit-rate increase, of DTS relative to the HCC runtime.
 
-use bigtiny_bench::{apps_from_env, find_result, render_table, run_matrix, size_from_env, Setup};
-use bigtiny_engine::Protocol;
+use bigtiny_bench::live::Harness;
+use bigtiny_bench::{cli, figures, Setup};
+
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
-    let size = size_from_env();
-    let apps = apps_from_env();
-    let setups = Setup::big_tiny_matrix();
-    let results = run_matrix(&setups, &apps, size);
+    let harness = Harness::new(&CLI.parse());
+    let size = harness.size;
+    let results = harness.run_matrix(&Setup::big_tiny_matrix());
 
-    let header: Vec<String> = [
-        "App",
-        "InvDec dnv",
-        "InvDec gwt",
-        "InvDec gwb",
-        "FlsDec gwb",
-        "HitInc dnv",
-        "HitInc gwt",
-        "HitInc gwb",
-    ]
-    .map(String::from)
-    .to_vec();
-
-    let pct_dec = |hcc: u64, dts: u64| -> String {
-        if hcc == 0 {
-            "--".to_owned()
-        } else {
-            format!("{:.2}%", 100.0 * (hcc.saturating_sub(dts)) as f64 / hcc as f64)
-        }
-    };
-
-    let mut rows = Vec::new();
-    for app in &apps {
-        let mut row = vec![app.name.to_owned()];
-        let mut hit_inc = Vec::new();
-        let mut fls_dec = String::new();
-        for proto in [Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb] {
-            let hcc = find_result(&results, app.name, &format!("b.T/HCC-{}", proto.label()));
-            let dts = find_result(&results, app.name, &format!("b.T/HCC-DTS-{}", proto.label()));
-            let (mh, md) = (hcc.tiny_mem(), dts.tiny_mem());
-            row.push(pct_dec(mh.lines_invalidated, md.lines_invalidated));
-            if proto == Protocol::GpuWb {
-                fls_dec = pct_dec(mh.lines_flushed, md.lines_flushed);
-            }
-            hit_inc.push(format!("{:.2}%", 100.0 * (dts.l1d_hit_rate() - hcc.l1d_hit_rate())));
-        }
-        row.push(fls_dec);
-        row.extend(hit_inc);
-        rows.push(row);
-    }
     println!("Table IV: DTS vs HCC — invalidation/flush reduction and L1D hit-rate increase ({size:?} inputs)\n");
-    println!("{}", render_table(&header, &rows));
+    println!("{}", figures::table4(&results));
     println!("Expected shape: >90% reductions for most kernels; smaller for steal-heavy ones (bf, bfsbv, tc).");
 }

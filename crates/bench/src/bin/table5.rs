@@ -2,18 +2,17 @@
 //! 8x32 mesh, 4x the banks and memory bandwidth) with larger inputs, for
 //! the five kernels the paper selects.
 
-use bigtiny_apps::{app_by_name, AppSize};
-use bigtiny_bench::{render_table, run_app, Setup};
+use bigtiny_apps::app_by_name;
+use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_core::RuntimeKind;
 use bigtiny_engine::Protocol;
 
+/// Table V uses the Large inputs unless overridden for smoke runs.
+const SIZE: cli::Opt = cli::Opt { default: Some("large"), ..cli::SIZE };
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&SIZE]);
+
 fn main() {
-    // Table V always uses the Large inputs unless overridden for smoke runs.
-    let size = match std::env::var("BIGTINY_SIZE").as_deref() {
-        Ok("test") => AppSize::Test,
-        Ok("eval") => AppSize::Eval,
-        _ => AppSize::Large,
-    };
+    let size = CLI.parse().size();
     let names = ["cilk5-cs", "ligra-bc", "ligra-bfs", "ligra-cc", "ligra-tc"];
 
     let o3x1 = Setup::o3(1);

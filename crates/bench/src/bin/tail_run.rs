@@ -20,13 +20,12 @@
 
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 
+use bigtiny_bench::cli;
 use bigtiny_obs::{parse_json, validate_heartbeat_line, Json};
 
-const USAGE: &str =
-    "usage: tail_run [--once] [--interval-ms N] [--idle-exit SECS] <heartbeat.jsonl>
-  --once           render the current tail once and exit (no screen clearing)
-  --interval-ms N  refresh cadence in follow mode (default 500)
-  --idle-exit SECS exit follow mode after SECS with no new beats (default 0 = never)";
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::ONCE, &cli::INTERVAL_MS, &cli::IDLE_EXIT])
+        .positionals(&["heartbeat.jsonl"], &[]);
 
 /// How many recent grants/s samples feed the sparkline.
 const SPARK_WIDTH: usize = 32;
@@ -155,49 +154,11 @@ fn render(beat: &Beat, rates: &[f64], beats_seen: usize) -> String {
 }
 
 fn main() {
-    let mut once = false;
-    let mut interval_ms = 500u64;
-    let mut idle_exit_secs = 0u64;
-    let mut path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--once" => once = true,
-            "--interval-ms" => {
-                let v = value("--interval-ms");
-                interval_ms = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--interval-ms: `{v}` is not a u64\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--idle-exit" => {
-                let v = value("--idle-exit");
-                idle_exit_secs = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--idle-exit: `{v}` is not a u64\n{USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other if path.is_none() && !other.starts_with('-') => path = Some(other.to_owned()),
-            other => {
-                eprintln!("unknown argument `{other}`\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let path = path.unwrap_or_else(|| {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    });
+    let args = CLI.parse();
+    let once = args.given(&cli::ONCE);
+    let interval_ms = args.get(&cli::INTERVAL_MS);
+    let idle_exit_secs = args.get(&cli::IDLE_EXIT);
+    let path = args.positional(0).expect("required positional");
 
     let mut offset = 0u64;
     let mut rates: Vec<f64> = Vec::new();
@@ -207,7 +168,7 @@ fn main() {
     loop {
         // Re-open each poll: the writer may have recreated the file, and a
         // fresh handle with an explicit seek is simpler than inotify.
-        if let Ok(f) = std::fs::File::open(&path) {
+        if let Ok(f) = std::fs::File::open(path) {
             let mut r = BufReader::new(f);
             if r.seek(SeekFrom::Start(offset)).is_ok() {
                 let mut line = String::new();

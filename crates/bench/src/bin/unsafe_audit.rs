@@ -18,6 +18,10 @@
 
 use std::path::{Path, PathBuf};
 
+use bigtiny_bench::cli;
+
+const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[]).positionals(&[], &["ROOT"]);
+
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 /// Generous enough for an attribute stack (`#[unsafe(naked)]`,
 /// `#[cfg(...)]`) between the comment and the keyword.
@@ -96,12 +100,13 @@ fn audit_file(path: &Path, keyword: &str, offenders: &mut Vec<String>) -> usize 
 }
 
 fn main() {
-    let root = std::env::args().nth(1).unwrap_or_else(|| ".".to_owned());
+    let args = CLI.parse();
+    let root = args.positional(0).unwrap_or(".");
     // Built at runtime so this file never matches its own scan.
     let keyword = concat!("un", "safe");
     let mut files = Vec::new();
     for dir in ["crates", "tests"] {
-        rust_files(&Path::new(&root).join(dir), &mut files);
+        rust_files(&Path::new(root).join(dir), &mut files);
     }
     if files.is_empty() {
         eprintln!("unsafe_audit: no .rs files under {root}/crates — run from the repo root");

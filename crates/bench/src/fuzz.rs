@@ -21,6 +21,7 @@ use bigtiny_core::{RuntimeConfig, RuntimeKind};
 use bigtiny_engine::{FaultPlan, Protocol, SystemConfig, XorShift64};
 use bigtiny_mesh::{CoreSet, MeshConfig, Topology};
 
+use crate::live::Harness;
 use crate::{run_app, Setup};
 
 /// One invariant failure: the kernel that broke and why.
@@ -67,19 +68,19 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// and its task-event stream must audit clean (exactly-once without a crash
 /// dimension, at-least-once with full recovery accounting with one).
 pub fn check_app(plan: &FaultPlan, app: &AppSpec, size: AppSize) -> Option<FuzzFailure> {
-    check_app_with(plan, app, size, &mut |_, _| {})
+    probe(plan, app, size, |_| {})
 }
 
-/// [`check_app`] with an arming hook run on the probe's setup before the
-/// run (a heartbeat sink, a live-stats handle — observation only).
-pub fn check_app_with(
+/// [`check_app`] with `arm` run on the probe's setup before the run (a
+/// heartbeat sink — observation only).
+fn probe(
     plan: &FaultPlan,
     app: &AppSpec,
     size: AppSize,
-    arm: &mut dyn FnMut(&mut Setup, &str),
+    arm: impl FnOnce(&mut Setup),
 ) -> Option<FuzzFailure> {
     let mut setup = fuzz_setup(plan.clone());
-    arm(&mut setup, app.name);
+    arm(&mut setup);
     let setup = &setup;
     let r = match catch_unwind(AssertUnwindSafe(|| run_app(setup, app, size, 0))) {
         Ok(r) => r,
@@ -100,19 +101,15 @@ pub fn check_app_with(
     None
 }
 
-/// Checks every kernel in `apps` under `plan`; returns the first failure.
-pub fn check_plan(plan: &FaultPlan, apps: &[AppSpec], size: AppSize) -> Option<FuzzFailure> {
-    apps.iter().find_map(|app| check_app(plan, app, size))
-}
-
-/// [`check_plan`] with a per-probe arming hook (see [`check_app_with`]).
-pub fn check_plan_with(
-    plan: &FaultPlan,
-    apps: &[AppSpec],
-    size: AppSize,
-    arm: &mut dyn FnMut(&mut Setup, &str),
-) -> Option<FuzzFailure> {
-    apps.iter().find_map(|app| check_app_with(plan, app, size, arm))
+/// Checks every kernel of the invocation under `plan`, each probe armed by
+/// `harness` (whose own fault and watchdog options a fuzzing binary does
+/// not take: the plan under test and [`fuzz_setup`]'s watchdog stand);
+/// returns the first failure.
+pub fn check_plan(plan: &FaultPlan, harness: &Harness) -> Option<FuzzFailure> {
+    harness
+        .apps
+        .iter()
+        .find_map(|app| probe(plan, app, harness.size, |setup| harness.arm(setup, app.name)))
 }
 
 /// Samples one fault plan from the stream: each dimension arms

@@ -9,16 +9,18 @@
 //! paper has a binary in `src/bin/` that drives this library; see
 //! `EXPERIMENTS.md` at the repository root for the index.
 //!
-//! Environment knobs (read by the binaries):
-//!
-//! * `BIGTINY_SIZE` — `test` | `eval` (default) | `large`: input scale.
-//! * `BIGTINY_APPS` — comma-separated kernel names to restrict a run.
+//! The binaries share three things, each decided in one module: what a
+//! command line and the `BIGTINY_*` environment may say ([`cli`]), how
+//! that arms runs and where their artifacts go ([`live`]), and how a
+//! result matrix reads as Figures 5–8 and Table IV ([`figures`]).
 
-use bigtiny_apps::{all_apps, AppSize, AppSpec};
+use bigtiny_apps::{AppSize, AppSpec};
 use bigtiny_core::{run_task_parallel, RuntimeConfig, RuntimeKind, TaskRun};
-use bigtiny_engine::{AddrSpace, Protocol, SystemConfig, TimeCategory};
+use bigtiny_engine::{AddrSpace, Protocol, SystemConfig};
 use bigtiny_obs::{parse_json, Json};
 
+pub mod cli;
+pub mod figures;
 pub mod fuzz;
 pub mod live;
 
@@ -167,8 +169,8 @@ pub fn run_app(setup: &Setup, app: &AppSpec, size: AppSize, grain: usize) -> App
 }
 
 /// A machine-readable summary of one run, for downstream analysis
-/// (`BIGTINY_JSON=<path>` makes [`run_matrix`] append one JSON object per
-/// line). Serialized by [`ResultRecord::to_json_line`] — the workspace is
+/// (`BIGTINY_JSON=<path>` makes [`live::Harness::run_matrix`] append one
+/// JSON object per line). Serialized by [`ResultRecord::to_json_line`] — the workspace is
 /// dependency-free, and the record is flat, so the JSON is hand-rolled.
 #[derive(Clone, Debug)]
 pub struct ResultRecord {
@@ -376,88 +378,12 @@ impl ResultRecord {
     }
 }
 
-/// Runs every (setup × app) pairing, with progress on stderr. Results are
-/// indexable with [`find_result`]. When `BIGTINY_JSON` names a file, one
-/// [`ResultRecord`] per run is appended to it as JSON lines.
-pub fn run_matrix(setups: &[Setup], apps: &[AppSpec], size: AppSize) -> Vec<AppResult> {
-    run_matrix_with(setups, apps, size, |_, _| {})
-}
-
-/// [`run_matrix`] with a per-run arming hook: before each run, `arm` gets a
-/// fresh clone of the setup plus the kernel name and may attach run-scoped
-/// observers (a heartbeat sink labelled with this `(app, setup)`, a live
-/// stats handle — see [`live::HeartbeatWriter::arm`]). The hook must not
-/// change anything that affects simulated results.
-pub fn run_matrix_with(
-    setups: &[Setup],
-    apps: &[AppSpec],
-    size: AppSize,
-    mut arm: impl FnMut(&mut Setup, &str),
-) -> Vec<AppResult> {
-    use std::io::Write;
-    let mut json_out = std::env::var("BIGTINY_JSON").ok().map(|path| {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .unwrap_or_else(|e| panic!("BIGTINY_JSON={path}: {e}"))
-    });
-    let mut out = Vec::with_capacity(setups.len() * apps.len());
-    for app in apps {
-        for setup in setups {
-            let mut setup = setup.clone();
-            arm(&mut setup, app.name);
-            let setup = &setup;
-            let t0 = std::time::Instant::now();
-            let r = run_app(setup, app, size, 0);
-            eprintln!(
-                "[bench] {:<12} {:<18} {:>12} cycles  ({:.1}s wall)",
-                app.name,
-                setup.label,
-                r.cycles,
-                t0.elapsed().as_secs_f64()
-            );
-            if let Some(f) = json_out.as_mut() {
-                let rec = ResultRecord::from(&r);
-                writeln!(f, "{}", rec.to_json_line()).expect("write JSON record");
-            }
-            out.push(r);
-        }
-    }
-    out
-}
-
 /// Looks up a result by app and setup label.
 pub fn find_result<'a>(results: &'a [AppResult], app: &str, setup: &str) -> &'a AppResult {
     results
         .iter()
         .find(|r| r.app == app && r.setup == setup)
         .unwrap_or_else(|| panic!("missing result for {app} on {setup}"))
-}
-
-/// Input size from `BIGTINY_SIZE` (default `eval`).
-pub fn size_from_env() -> AppSize {
-    match std::env::var("BIGTINY_SIZE").as_deref() {
-        Ok("test") => AppSize::Test,
-        Ok("large") => AppSize::Large,
-        Ok("eval") | Err(_) => AppSize::Eval,
-        Ok(other) => panic!("BIGTINY_SIZE must be test|eval|large, got {other}"),
-    }
-}
-
-/// Kernel list, restricted by `BIGTINY_APPS` if set.
-pub fn apps_from_env() -> Vec<AppSpec> {
-    let apps = all_apps();
-    match std::env::var("BIGTINY_APPS") {
-        Ok(list) => {
-            let names: Vec<&str> = list.split(',').map(str::trim).collect();
-            let picked: Vec<AppSpec> =
-                apps.into_iter().filter(|a| names.contains(&a.name)).collect();
-            assert!(!picked.is_empty(), "BIGTINY_APPS matched no kernels: {list}");
-            picked
-        }
-        Err(_) => apps,
-    }
 }
 
 /// Geometric mean of the positive values in the input.
@@ -517,17 +443,6 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     }
     out
 }
-
-/// The Figure 7 category labels in display order.
-pub fn breakdown_labels() -> [&'static str; 6] {
-    ["Inst Fetch", "Data Load", "Data Store", "Atomic", "Flush", "Others"]
-}
-
-/// Re-export for binaries.
-pub use bigtiny_mesh::{TrafficClass, TRAFFIC_CLASSES};
-
-/// Time categories re-export for binaries.
-pub const ALL_TIME_CATEGORIES: [TimeCategory; 9] = bigtiny_engine::TIME_CATEGORIES;
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,9 @@
 //! tried to regenerate a paper figure.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
+use bigtiny_bench::cli::{self, Kind};
 use bigtiny_bench::parse_json_line;
 use bigtiny_obs::{parse_json, validate_chrome_trace, METRICS_SCHEMA};
 
@@ -28,6 +29,30 @@ fn run_bin(exe: &str, env: &[(&str, &str)], args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
+/// Runs a binary that must refuse its input: exit 2 with the complaint on
+/// stderr, no panic, and not a single simulation started. Returns stderr.
+fn usage_error(exe: &str, env: &[(&str, &str)], args: &[&str]) -> String {
+    let out = Command::new(exe)
+        .args(args)
+        .envs(env.iter().copied())
+        .output()
+        .unwrap_or_else(|e| panic!("spawning {exe}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?} {env:?}: usage errors exit 2\n{stderr}");
+    assert_quiet(&out, &format!("{exe} {args:?} {env:?}"));
+    assert!(out.stdout.is_empty(), "{exe} {args:?}: a refused run prints nothing on stdout");
+    stderr
+}
+
+/// Neither a panic nor a progress line of any sweep: the binary stopped
+/// in its option parser.
+fn assert_quiet(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for noise in ["panicked at", "[bench]", "[model_check]", "[check_all]", "[chaos]", "[fig4]"] {
+        assert!(!stderr.contains(noise), "{what}: `{noise}` on stderr:\n{stderr}");
+    }
+}
+
 /// A fresh scratch path that does not survive the test on success.
 fn scratch(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("bigtiny-bin-smoke-{}-{name}", std::process::id()));
@@ -38,6 +63,15 @@ fn scratch(name: &str) -> PathBuf {
 /// The tiny-input environment for matrix-driven bins: Test size, one
 /// kernel, so a full 7-setup matrix stays subsecond.
 const TINY: &[(&str, &str)] = &[("BIGTINY_SIZE", "test"), ("BIGTINY_APPS", "cilk5-nq")];
+
+/// [`TINY`] plus the model checker's equivalent: under it, a binary that
+/// wrongly accepts what a test expects it to refuse at least fails fast.
+const CHEAP: &[(&str, &str)] = &[
+    ("BIGTINY_SIZE", "test"),
+    ("BIGTINY_APPS", "cilk5-nq"),
+    ("BIGTINY_MC_APPS", "fib"),
+    ("BIGTINY_MC_SCHEDULES", "2"),
+];
 
 /// A rendered table has a header row, a dashed rule, and data rows.
 fn assert_renders_table(stdout: &str, bin: &str, marker: &str) {
@@ -265,8 +299,37 @@ fn metrics_diff_passes_identical_documents_and_gates_regressions() {
     );
     assert!(lax.contains("[metrics_diff] OK"), "generous threshold still failed:\n{lax}");
 
+    // A threshold that makes `worst > threshold` false for every `worst`
+    // is not a threshold: `nan` used to print OK over the same 100%
+    // regression. Usage errors, each naming the value.
+    let (base_s, doctored_s) = (base.to_str().unwrap(), doctored_path.to_str().unwrap());
+    for bad in ["nan", "NaN", "inf", "-inf", "-1", "1e999", "five"] {
+        let stderr = usage_error(
+            env!("CARGO_BIN_EXE_metrics_diff"),
+            &[],
+            &[base_s, doctored_s, "--threshold", bad],
+        );
+        assert!(stderr.contains(&format!("--threshold: `{bad}`")), "`{bad}`:\n{stderr}");
+    }
+    // A dash-led argument that is no flag is a typo, not a document path.
+    let stderr = usage_error(env!("CARGO_BIN_EXE_metrics_diff"), &[], &[base_s, "-x"]);
+    assert!(stderr.contains("`-x`"), "{stderr}");
+
+    // Both documents losing `cycles` used to compare 0 == 0 and pass the
+    // threshold-0 gate; now the first one read is malformed.
+    let gutted_path = scratch("diff-gutted.json");
+    let gutted = std::fs::read_to_string(&base).unwrap().replace("\"cycles\":", "\"cycels\":");
+    std::fs::write(&gutted_path, gutted).unwrap();
+    let gutted_s = gutted_path.to_str().unwrap();
+    let stderr = usage_error(env!("CARGO_BIN_EXE_metrics_diff"), &[], &[gutted_s, gutted_s]);
+    assert!(
+        stderr.contains(gutted_s) && stderr.contains("run 0 has no numeric `cycles`"),
+        "malformed document not named:\n{stderr}"
+    );
+
     let _ = std::fs::remove_file(&base);
     let _ = std::fs::remove_file(&doctored_path);
+    let _ = std::fs::remove_file(&gutted_path);
 }
 
 #[test]
@@ -413,4 +476,283 @@ fn json_check_accepts_nested_documents_and_rejects_garbage() {
         String::from_utf8_lossy(&status.stderr)
     );
     let _ = std::fs::remove_file(&drift);
+}
+
+// ---------------------------------------------------------------------
+// The CLI contract, one table over all 27 binaries.
+// ---------------------------------------------------------------------
+
+/// What one binary accepts: the flags it takes and the environment
+/// variables it honours (entries of the one options table), plus sample
+/// positionals that satisfy it. Kept apart from the binaries' own `Spec`s
+/// on purpose: this is the pin that no binary gains or loses an option.
+struct Bin {
+    name: &'static str,
+    exe: &'static str,
+    opts: &'static [&'static cli::Opt],
+    positionals: &'static [&'static str],
+}
+
+macro_rules! bin {
+    ($name:literal, [$($opt:ident),*]) => { bin!($name, [$($opt),*], []) };
+    ($name:literal, [$($opt:ident),*], [$($positional:literal),*]) => {
+        Bin {
+            name: $name,
+            exe: env!(concat!("CARGO_BIN_EXE_", $name)),
+            opts: &[$(&cli::$opt),*],
+            positionals: &[$($positional),*],
+        }
+    };
+}
+
+const BINS: [Bin; 27] = [
+    bin!("ablate_deque", [METRICS_OUT, SIZE]),
+    bin!("ablate_dts", [SIZE]),
+    bin!("ablate_faults", [SIZE, APPS, JSON, FAULT_SEED_ENV]),
+    bin!("ablate_grain", [SIZE, APPS]),
+    bin!("ablate_sparse", []),
+    bin!("chaos_fuzz", [BUDGET, SEED, HEARTBEAT_OUT, BLACKBOX_OUT, SIZE, APPS]),
+    bin!("check_all", [FAIL_FAST, HEARTBEAT_OUT, BLACKBOX_OUT, SIZE, APPS, CHECK_OUT]),
+    bin!("collab", [SIZE, APPS]),
+    bin!("energy", [SIZE, APPS, JSON]),
+    bin!(
+        "eval_all",
+        [
+            FAULT_SEED,
+            FAULT_PLAN,
+            WATCHDOG_BUDGET,
+            METRICS_OUT,
+            TRACE_OUT,
+            HEARTBEAT_OUT,
+            HEARTBEAT_EVERY,
+            BLACKBOX_OUT,
+            SETUPS_256,
+            SIZE,
+            APPS,
+            JSON
+        ]
+    ),
+    bin!("fig4", [SIZE]),
+    bin!("fig5", [SIZE, APPS, JSON]),
+    bin!("fig6", [SIZE, APPS, JSON]),
+    bin!("fig7", [SIZE, APPS, JSON]),
+    bin!("fig8", [SIZE, APPS, JSON]),
+    bin!("json_check", [], ["results.jsonl"]),
+    bin!("metrics_diff", [THRESHOLD, ALLOW_MISSING], ["base.json", "new.json"]),
+    bin!("model_check", [MC_OUT, MC_SCHEDULES, MC_DEPTH, MC_APPS]),
+    bin!("profile_run", [APP, DTS_ONLY, OUT, TRACE_OUT, HEARTBEAT_OUT, SIZE, APPS]),
+    bin!("table1", []),
+    bin!("table2", []),
+    bin!("table3", [SIZE, APPS, JSON]),
+    bin!("table4", [SIZE, APPS, JSON]),
+    bin!("table5", [SIZE]),
+    bin!("tail_run", [ONCE, INTERVAL_MS, IDLE_EXIT], ["heartbeat.jsonl"]),
+    bin!("trace_smoke", [METRICS_OUT, TRACE_OUT]),
+    bin!("unsafe_audit", [], ["."]),
+];
+
+impl Bin {
+    fn takes(&self, opt: &cli::Opt) -> bool {
+        self.opts.iter().any(|o| o.name == opt.name)
+    }
+
+    fn flags(&self) -> impl Iterator<Item = &&'static cli::Opt> {
+        self.opts.iter().filter(|o| o.is_flag())
+    }
+}
+
+/// An option's entry in a usage text starts its own line, two spaces in.
+fn usage_lists(usage: &str, opt: &cli::Opt) -> bool {
+    let sep = if opt.is_flag() { ' ' } else { '=' };
+    usage.lines().filter_map(|l| l.strip_prefix("  ")).any(|l| {
+        l.strip_prefix(opt.name).is_some_and(|rest| rest.is_empty() || rest.starts_with(sep))
+    })
+}
+
+#[test]
+fn the_contract_counts_29_flags_and_9_variables() {
+    let flags: usize = BINS.iter().map(|b| b.flags().count()).sum();
+    assert_eq!(flags, 29, "a binary gained or lost a flag");
+    let mut vars: Vec<&str> =
+        BINS.iter().flat_map(|b| b.opts.iter()).filter(|o| !o.is_flag()).map(|o| o.name).collect();
+    vars.sort_unstable();
+    vars.dedup();
+    assert_eq!(vars.len(), 9, "the harness gained or lost an environment variable: {vars:?}");
+    for opt in cli::ALL {
+        assert!(BINS.iter().any(|b| b.takes(opt)), "{} is in the table but no binary takes it", {
+            opt.name
+        });
+    }
+}
+
+/// `--help` is answered by the one parser in every binary: exit 0, the
+/// generated usage on stdout listing exactly the options the contract
+/// says the binary has, and nothing simulated — even under an environment
+/// that would be refused.
+#[test]
+fn every_binary_answers_help_with_its_exact_option_set_and_runs_nothing() {
+    for bin in &BINS {
+        for help in ["--help", "-h"] {
+            let out = Command::new(bin.exe)
+                .arg(help)
+                .env("BIGTINY_SIZE", "tiny")
+                .output()
+                .unwrap_or_else(|e| panic!("spawning {}: {e}", bin.name));
+            assert_eq!(out.status.code(), Some(0), "{} {help}", bin.name);
+            assert_quiet(&out, bin.name);
+            assert!(out.stderr.is_empty(), "{} {help}: help goes to stdout only", bin.name);
+            let usage = String::from_utf8(out.stdout).expect("usage is UTF-8");
+            assert!(usage.starts_with(&format!("usage: {}", bin.name)), "{}:\n{usage}", bin.name);
+            for opt in cli::ALL {
+                assert_eq!(
+                    usage_lists(&usage, opt),
+                    bin.takes(opt),
+                    "{}: usage and contract disagree about {}:\n{usage}",
+                    bin.name,
+                    opt.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn every_binary_rejects_unknown_flags_and_malformed_values_identically() {
+    for bin in &BINS {
+        // Exit 2, the culprit named, the usage printed, nothing simulated.
+        // (`CHEAP` keeps a wrongly accepted input from running for long.)
+        let refused = |env: &[(&str, &str)], args: &[&str], culprit: &str| {
+            let stderr = usage_error(bin.exe, &[CHEAP, env].concat(), args);
+            assert!(stderr.contains(culprit), "{}: error does not name {culprit}:\n{stderr}", {
+                bin.name
+            });
+            assert!(stderr.contains(&format!("usage: {}", bin.name)), "{}:\n{stderr}", bin.name);
+        };
+        refused(&[], &["--no-such-flag"], "`--no-such-flag`");
+        // One positional too many, after the ones the binary wants.
+        refused(&[], &[bin.positionals, &["surplus"]].concat(), "`surplus`");
+        for flag in bin.flags().filter(|o| o.kind != Kind::Switch) {
+            // The flag last on the line, and the flag followed by a flag.
+            refused(&[], &[flag.name], flag.name);
+            refused(&[], &[flag.name, "--help-me"], flag.name);
+            let bads: &[&str] = match flag.kind {
+                Kind::U64 | Kind::Percent => &["many", "-1", "0x9"],
+                Kind::PositiveU64 => &["many", "-1", "0x9", "0"],
+                Kind::OutPath => &["/no/such/dir/artifact"],
+                _ => &["no-such-thing"],
+            };
+            for bad in bads {
+                refused(&[], &[flag.name, bad], &format!("{}: ", flag.name));
+                refused(&[], &[flag.name, bad], &format!("`{bad}`"));
+            }
+        }
+        // Every honoured variable goes through the same validators.
+        for var in bin.opts.iter().filter(|o| !o.is_flag()) {
+            let bads: &[&str] = match var.kind {
+                Kind::OutPath => &["", "/no/such/dir/artifact"],
+                Kind::Size => &["", "tset", "Test"],
+                Kind::Kernels { .. } => &["", "cilk5-typo", "cilk5-nq,,ligra-bfs"],
+                _ => &["", "0x9", "-1", "many"],
+            };
+            for bad in bads {
+                refused(&[(var.name, *bad)], bin.positionals, &format!("{}: ", var.name));
+            }
+        }
+    }
+}
+
+/// The parent's silent mis-runs that the table-driven test above does not
+/// already pin. (It covers the rest of ISSUE 20's list on every binary
+/// that can meet them: `BIGTINY_SIZE=tset` ran Large inputs in `table5`
+/// and panicked elsewhere, an uncreatable `--heartbeat-out`/`BIGTINY_JSON`
+/// panicked with exit 101, `chaos_fuzz --budget 0` passed vacuously,
+/// `tail_run --interval-ms 0` spun, `fig5 --help` ran the sweep.)
+#[test]
+fn nothing_silently_runs_something_else() {
+    let lists_kernels = |stderr: &str| {
+        for app in bigtiny_apps::all_apps() {
+            assert!(stderr.contains(app.name), "valid kernels not listed:\n{stderr}");
+        }
+    };
+    // Ran one kernel of the two asked for.
+    let env = [("BIGTINY_SIZE", "test"), ("BIGTINY_APPS", "cilk5-nq,cilk5-typo")];
+    let stderr = usage_error(env!("CARGO_BIN_EXE_fig6"), &env, &[]);
+    assert!(stderr.contains("BIGTINY_APPS: unknown kernel `cilk5-typo`"), "{stderr}");
+    lists_kernels(&stderr);
+    // Panicked deep in `prepare`, after exploring the first kernel.
+    let env = [("BIGTINY_MC_APPS", "fib,cilk5-typo")];
+    let stderr = usage_error(env!("CARGO_BIN_EXE_model_check"), &env, &[]);
+    assert!(stderr.contains("BIGTINY_MC_APPS: unknown kernel `cilk5-typo`"), "{stderr}");
+    assert!(stderr.contains("fib, "), "the local kernel is valid here:\n{stderr}");
+    lists_kernels(&stderr);
+    // Ran seed 1, byte-identical to the default. One rule with --fault-seed.
+    for (exe, env, args) in [
+        (env!("CARGO_BIN_EXE_ablate_faults"), &[("BIGTINY_FAULT_SEED", "0x9")][..], &[][..]),
+        (env!("CARGO_BIN_EXE_eval_all"), &[], &["--fault-seed", "0x9"]),
+    ] {
+        let stderr = usage_error(exe, &[env, TINY].concat(), args);
+        assert!(stderr.contains("`0x9` is not a u64"), "{stderr}");
+    }
+    // Ignored a flag that is real elsewhere and started the full sweep.
+    let stderr = usage_error(env!("CARGO_BIN_EXE_table3"), TINY, &["--fault-plan", "hostile"]);
+    assert!(stderr.contains("`--fault-plan`"), "{stderr}");
+}
+
+/// A probed output path leaves nothing behind when the run is refused
+/// for another reason.
+#[test]
+fn a_refused_run_leaves_no_artifact_behind() {
+    let metrics = scratch("refused-metrics.json");
+    let stderr = usage_error(
+        env!("CARGO_BIN_EXE_eval_all"),
+        TINY,
+        &["--metrics-out", metrics.to_str().unwrap(), "--watchdog-budget", "0"],
+    );
+    assert!(stderr.contains("--watchdog-budget"), "{stderr}");
+    assert!(!metrics.exists(), "the probe of --metrics-out left a file behind");
+}
+
+/// The five binaries whose outputs EXPERIMENTS.md cites but that neither
+/// CI nor any other test runs.
+#[test]
+fn the_remaining_experiment_binaries_run_at_test_size() {
+    let size = &[("BIGTINY_SIZE", "test")][..];
+    for (exe, bin, env, marker) in [
+        (env!("CARGO_BIN_EXE_ablate_dts"), "ablate_dts", size, "Ablation 5: baseline deque"),
+        (env!("CARGO_BIN_EXE_ablate_grain"), "ablate_grain", TINY, "Granularity sensitivity"),
+        (env!("CARGO_BIN_EXE_ablate_sparse"), "ablate_sparse", &[], "Dense vs hybrid sparse/dense"),
+        (env!("CARGO_BIN_EXE_collab"), "collab", TINY, "Collaborative execution"),
+        (env!("CARGO_BIN_EXE_energy"), "energy", TINY, "Energy (total, arbitrary units)"),
+    ] {
+        assert_renders_table(&run_bin(exe, env, &[]), bin, marker);
+    }
+}
+
+/// README's "Harness options" table is this contract and the options
+/// table's own definitions, rendered: it cannot drift from either.
+#[test]
+fn readme_options_table_matches_the_options_module() {
+    let mut table = String::from("| Option | Taken by | Valid value |\n|---|---|---|\n");
+    for opt in cli::ALL {
+        let sep = if opt.is_flag() { " " } else { "=" };
+        let takers: Vec<String> =
+            BINS.iter().filter(|b| b.takes(opt)).map(|b| format!("`{}`", b.name)).collect();
+        let default = match (opt.name, opt.default) {
+            ("BIGTINY_SIZE", _) => " (default eval; `table5`: large)".to_owned(),
+            (_, Some(d)) => format!(" (default {d})"),
+            (_, None) => String::new(),
+        };
+        table.push_str(&format!(
+            "| `{}` | {} | {}{default} |\n",
+            [opt.name, opt.metavar].join(sep).trim_end_matches(['=', ' ']),
+            takers.join(", "),
+            opt.kind.describe().replace('|', ", "),
+        ));
+    }
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md at the repository root");
+    assert!(
+        readme.contains(&table),
+        "README.md's \"Harness options\" table is out of date; it should read:\n\n{table}"
+    );
 }

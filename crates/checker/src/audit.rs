@@ -36,7 +36,7 @@
 //! verdict: the chaos fuzzer and the golden-trace determinism pins compare
 //! it across runs and backends.
 
-use bigtiny_core::{TaskEvent, TaskEventKind};
+use bigtiny_core::{RuntimeConfig, RuntimeKind, TaskEvent, TaskEventKind};
 use bigtiny_engine::hash;
 
 /// Kernels whose side effects are idempotent under subtree re-execution:
@@ -127,6 +127,23 @@ pub enum AuditMode {
 }
 
 impl AuditMode {
+    /// The contract a run under `rt` is audited against. A multiplicity
+    /// deque policy is only in force under the `Baseline` runtime (HCC and
+    /// DTS always schedule through the locked protocol); `crash_armed`
+    /// says whether the fault plan can fail-stop cores.
+    pub fn for_run(rt: &RuntimeConfig, crash_armed: bool) -> Self {
+        let multiplicity = rt.kind == RuntimeKind::Baseline && rt.deque_kind.multiplicity();
+        Self::select(multiplicity, crash_armed)
+    }
+
+    fn select(multiplicity: bool, crash_armed: bool) -> Self {
+        match (multiplicity, crash_armed) {
+            (true, crash_armed) => AuditMode::Multiplicity { crash_armed },
+            (false, true) => AuditMode::AtLeastOnce,
+            (false, false) => AuditMode::ExactlyOnce,
+        }
+    }
+
     /// Whether respawn/discard recovery events are expected.
     pub fn crash_armed(self) -> bool {
         matches!(self, AuditMode::AtLeastOnce | AuditMode::Multiplicity { crash_armed: true })
@@ -300,11 +317,12 @@ struct TaskState {
 /// Audits a task-event stream for exactly-once (crash-free) or accounted
 /// at-least-once (crash-armed) execution.
 ///
-/// Compatibility wrapper over [`audit_task_events_mode`]: `crash_armed`
-/// selects [`AuditMode::AtLeastOnce`] vs [`AuditMode::ExactlyOnce`].
+/// [`audit_task_events_mode`] for a run that scheduled through an
+/// exactly-once deque policy (see [`AuditMode::for_run`] for the rest):
+/// `crash_armed` selects [`AuditMode::AtLeastOnce`] vs
+/// [`AuditMode::ExactlyOnce`].
 pub fn audit_task_events(events: &[TaskEvent], crash_armed: bool, kernel: &str) -> AuditReport {
-    let mode = if crash_armed { AuditMode::AtLeastOnce } else { AuditMode::ExactlyOnce };
-    audit_task_events_mode(events, mode, kernel)
+    audit_task_events_mode(events, AuditMode::select(false, crash_armed), kernel)
 }
 
 /// Audits a task-event stream under `mode` (see [`AuditMode`]).
@@ -801,6 +819,35 @@ mod tests {
         // Duplicate-safety implies respawn-idempotence, never the reverse.
         for k in DUPLICATE_SAFE_KERNELS {
             assert!(kernel_is_idempotent(k), "{k} duplicate-safe but not respawn-idempotent");
+        }
+    }
+
+    /// The one place that decides which contract a run is held to: a
+    /// multiplicity deque only counts under the Baseline runtime (HCC/DTS
+    /// ignore `deque_kind`), and the crash dimension layers on either.
+    #[test]
+    fn for_run_selects_the_contract_from_runtime_deque_and_crash_arming() {
+        use bigtiny_core::DequeKind;
+        let rt = |kind, deque| {
+            let mut rt = RuntimeConfig::new(kind);
+            rt.deque_kind = deque;
+            rt
+        };
+        for deque in [DequeKind::Locked, DequeKind::ChaseLev] {
+            let rt = rt(RuntimeKind::Baseline, deque);
+            assert_eq!(AuditMode::for_run(&rt, false), AuditMode::ExactlyOnce);
+            assert_eq!(AuditMode::for_run(&rt, true), AuditMode::AtLeastOnce);
+        }
+        for deque in [DequeKind::FenceFree, DequeKind::Idempotent] {
+            for crash_armed in [false, true] {
+                assert_eq!(
+                    AuditMode::for_run(&rt(RuntimeKind::Baseline, deque), crash_armed),
+                    AuditMode::Multiplicity { crash_armed }
+                );
+            }
+            for kind in [RuntimeKind::Hcc, RuntimeKind::Dts] {
+                assert_eq!(AuditMode::for_run(&rt(kind, deque), false), AuditMode::ExactlyOnce);
+            }
         }
     }
 

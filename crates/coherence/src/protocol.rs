@@ -116,12 +116,6 @@ impl Protocol {
         self.traits().dirty_propagation == DirtyPropagation::OwnerWriteBack
     }
 
-    /// Whether this protocol can hold a line in an owned/modified state that
-    /// survives self-invalidation.
-    pub fn has_ownership(self) -> bool {
-        self.amo_in_l1()
-    }
-
     /// Short configuration label used in reports (`mesi`, `dnv`, `gwt`, `gwb`).
     pub fn label(self) -> &'static str {
         match self {

@@ -83,8 +83,6 @@ pub struct MemConfig {
     pub dram_latency: u64,
     /// DRAM occupancy of one 64-byte line transfer per controller.
     pub dram_cycles_per_line: u64,
-    /// Enable the per-word staleness checker (small time/memory cost).
-    pub track_staleness: bool,
 }
 
 impl MemConfig {
@@ -98,7 +96,6 @@ impl MemConfig {
             l2_ways: 8,
             dram_latency: 60,
             dram_cycles_per_line: 32,
-            track_staleness: true,
         }
     }
 }
@@ -124,8 +121,6 @@ pub struct MemorySystem {
     mesh: Mesh,
     stats: Vec<CoreMemStats>,
 
-    track_staleness: bool,
-    /// Stays empty (every version reads 0) unless `track_staleness`.
     versions: VersionTable,
 }
 
@@ -148,7 +143,6 @@ impl MemorySystem {
             dram: Dram::new(topo.num_banks(), config.dram_latency, config.dram_cycles_per_line),
             mesh: Mesh::new(config.mesh),
             stats: vec![CoreMemStats::default(); config.cores.len()],
-            track_staleness: config.track_staleness,
             versions: VersionTable::default(),
         }
     }
@@ -176,11 +170,6 @@ impl MemorySystem {
     /// Data-OCN traffic statistics.
     pub fn traffic(&self) -> &TrafficStats {
         self.mesh.stats()
-    }
-
-    /// Number of unidirectional OCN links (for utilization reporting).
-    pub fn ocn_links(&self) -> u64 {
-        self.mesh.links()
     }
 
     /// Total stale reads observed across all cores (0 for a correct runtime).
@@ -247,17 +236,6 @@ impl MemorySystem {
 
     fn bank_tile(&self, bank: usize) -> Tile {
         self.mesh.topology().l2_bank_tile(bank)
-    }
-
-    /// Records a store to global word index `word` with the staleness
-    /// checker; returns the word's new latest version. (Reads and commits
-    /// go to `self.versions` directly: on an empty table they are no-ops.)
-    fn bump_latest(&mut self, word: u64) -> u32 {
-        if self.track_staleness {
-            self.versions.bump_latest(word)
-        } else {
-            0
-        }
     }
 
     // ------------------------------------------------------------------
@@ -694,7 +672,7 @@ impl MemorySystem {
             }
         };
         // MESI writes are immediately visible through the directory.
-        let version = self.bump_latest(addr.word());
+        let version = self.versions.bump_latest(addr.word());
         self.versions.commit_word(addr.word());
         let entry = self.l1s[core].entry_mut(slot);
         entry.mesi = MesiState::Modified;
@@ -718,7 +696,7 @@ impl MemorySystem {
             }
         };
         // Ownership makes the write visible on demand (L2 forwards to owner).
-        let version = self.bump_latest(addr.word());
+        let version = self.versions.bump_latest(addr.word());
         self.versions.commit_word(addr.word());
         let entry = self.l1s[core].entry_mut(slot);
         entry.dirty.insert(w);
@@ -743,7 +721,7 @@ impl MemorySystem {
         let leg = self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, 8);
         let t = self.l2.access(bank, now + leg);
         let t = self.write_at_l2(core, line, bank, t);
-        let version = self.bump_latest(addr.word());
+        let version = self.versions.bump_latest(addr.word());
         self.versions.commit_word(addr.word());
         if let Some(slot) = resident {
             self.l1s[core].entry_mut(slot).fill_version[w] = version;
@@ -758,7 +736,7 @@ impl MemorySystem {
         let w = addr.word_in_line();
         let _ = now;
         // Visible only after a flush: bump latest, do NOT commit.
-        let version = self.bump_latest(addr.word());
+        let version = self.versions.bump_latest(addr.word());
         match self.l1s[core].find(line) {
             Some(slot) => {
                 let entry = self.l1s[core].touch(slot);
@@ -812,7 +790,7 @@ impl MemorySystem {
                 entry.valid.remove(w);
                 entry.dirty.remove(w);
             }
-            self.bump_latest(addr.word());
+            self.versions.bump_latest(addr.word());
             self.versions.commit_word(addr.word());
             t + self.mesh.send(bank_tile, core_tile, TrafficClass::SyncResp, 8) - now
         }
@@ -1176,19 +1154,6 @@ mod tests {
             assert_eq!(m.total_stale_reads(), 0, "{tiny:?}");
             m.check_invariants().expect("invariants");
         }
-    }
-
-    #[test]
-    fn untracked_system_keeps_no_versions() {
-        let mesh = MeshConfig::with_topology(Topology::new(2, 2));
-        let mut cfg = MemConfig::paper(mesh, vec![CoreMemConfig::tiny(Protocol::GpuWb); 2]);
-        cfg.track_staleness = false;
-        let mut m = MemorySystem::new(&cfg);
-        m.load(1, A, 0);
-        m.store(0, A, 10);
-        m.load(1, A, 20); // would be stale if anyone were counting
-        m.flush_all(0, 30);
-        assert_eq!((m.versions.pages(), m.total_stale_reads()), (0, 0));
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl<'a> TaskCx<'a> {
         self.crash_armed || self.multiplicity()
     }
 
-    /// The simulated core this worker runs on.
-    pub fn worker_id(&self) -> usize {
-        self.wid
-    }
-
     /// Total number of workers.
     pub fn num_workers(&self) -> usize {
         self.rt.deques.len()

@@ -113,8 +113,6 @@ pub struct SystemConfig {
     pub uli_cost_big: u64,
     /// Global seed for deterministic pseudo-randomness.
     pub seed: u64,
-    /// Enable the stale-read checker.
-    pub track_staleness: bool,
     /// Record per-core execution traces (see [`crate::render_timeline`]).
     pub trace: bool,
     /// Record per-task attribution spans (see [`crate::AttrSpan`]): which
@@ -177,7 +175,6 @@ impl SystemConfig {
             uli_cost_tiny: 5,
             uli_cost_big: 30,
             seed: 0x5eed,
-            track_staleness: true,
             trace: false,
             attr: false,
             faults: FaultPlan::none(),
@@ -277,9 +274,7 @@ impl SystemConfig {
 
     /// Derives the memory-system configuration.
     pub fn mem_config(&self) -> MemConfig {
-        let mut cfg = MemConfig::paper(self.mesh, self.cores.iter().map(|c| c.mem).collect());
-        cfg.track_staleness = self.track_staleness;
-        cfg
+        MemConfig::paper(self.mesh, self.cores.iter().map(|c| c.mem).collect())
     }
 
     /// Returns a copy with a different seed (for replicated experiments).

@@ -460,10 +460,6 @@ impl FaultState {
         }
     }
 
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
     /// Whether fail-stop crashes are armed in the plan (on any core, not
     /// necessarily this one).
     pub fn crash_armed(&self) -> bool {

@@ -432,13 +432,6 @@ impl CorePort {
         }
     }
 
-    /// Whether checker event collection is armed on this port. Lets the
-    /// runtime skip work that only feeds annotations (it currently never
-    /// needs to — annotations are themselves free).
-    pub fn events_armed(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Enables attribution-span recording on this port (set by the engine
     /// when [`crate::SystemConfig::attr`] is armed).
     pub(crate) fn enable_attr(&mut self) {
@@ -910,13 +903,6 @@ impl CorePort {
     /// armed; never affects simulated timing.
     pub fn mark_progress(&mut self) {
         self.shared.seq.mark_progress();
-    }
-
-    /// Whether a fault plan is armed on this run. Runtimes use this to
-    /// switch on their hardened (timeout + fallback) protocols, which cost
-    /// extra bookkeeping and are kept off the golden path.
-    pub fn faults_active(&self) -> bool {
-        self.faults.active()
     }
 
     /// Fault-injection hook for the runtime's victim selection: `true`

@@ -166,15 +166,6 @@ impl Mesh {
     pub fn reset_stats(&mut self) {
         self.stats = TrafficStats::new();
     }
-
-    /// Number of unidirectional core-to-core links (for utilization).
-    pub fn links(&self) -> u64 {
-        let r = self.config.topology.rows() as u64;
-        let c = self.config.topology.cols() as u64;
-        // Horizontal links + vertical links (including the edge row), twice
-        // for the two directions.
-        2 * ((r + 1) * (c - 1) + c * r)
-    }
 }
 
 /// A single-word user-level interrupt message.
@@ -256,7 +247,6 @@ pub struct UliNetwork {
     total_latency: u64,
     total_hops: u64,
     nacks: u64,
-    drops: u64,
 }
 
 /// Payload + header size of a ULI message in bytes (one word + routing info).
@@ -277,7 +267,6 @@ impl UliNetwork {
             total_latency: 0,
             total_hops: 0,
             nacks: 0,
-            drops: 0,
         }
     }
 
@@ -297,11 +286,6 @@ impl UliNetwork {
     /// Enables or disables ULI reception on `core`.
     pub fn set_enabled(&mut self, core: usize, enabled: bool) {
         self.units[core].enabled = enabled;
-    }
-
-    /// Whether `core` currently accepts ULIs.
-    pub fn is_enabled(&self, core: usize) -> bool {
-        self.units[core].enabled
     }
 
     /// Attempts to deliver a ULI request from core `from` to core `to` at
@@ -391,12 +375,6 @@ impl UliNetwork {
     /// sender believes the send succeeded.
     pub fn drop_request(&mut self, from: usize, to: usize) {
         let _ = self.record(from, to);
-        self.drops += 1;
-    }
-
-    /// Number of requests silently dropped by fault injection.
-    pub fn drop_count(&self) -> u64 {
-        self.drops
     }
 
     /// Injects a forced NACK for a request from `from` to `to`: the request

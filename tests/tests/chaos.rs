@@ -322,11 +322,7 @@ fn steal_accounting_bounds_hold_on_every_deque_policy() {
                 r.stats.steals,
                 r.stats.steal_attempts
             );
-            let mode = if deque.multiplicity() {
-                AuditMode::Multiplicity { crash_armed: false }
-            } else {
-                AuditMode::ExactlyOnce
-            };
+            let mode = AuditMode::for_run(&rt, plan.crash_armed());
             let audit = audit_task_events_mode(&r.task_events, mode, name);
             assert!(audit.is_clean(), "{label}/{deque:?}: audit:\n{}", audit.render());
             assert_eq!(

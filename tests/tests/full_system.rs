@@ -215,12 +215,7 @@ fn deque_policy_ablation_cells_smoke() {
             cons.bucket_sum(),
             cons.total_core_cycles
         );
-        let mode = if deque.multiplicity() {
-            AuditMode::Multiplicity { crash_armed: false }
-        } else {
-            AuditMode::ExactlyOnce
-        };
-        let audit = audit_task_events_mode(&r.task_events, mode, name);
+        let audit = audit_task_events_mode(&r.task_events, AuditMode::for_run(&rt, false), name);
         assert!(audit.is_clean(), "{ctx}: audit:\n{}", audit.render());
         let dups = r.stats.duplicate_executions;
         if dup {
