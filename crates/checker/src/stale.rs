@@ -7,7 +7,10 @@
 //! (what the shared L2 would supply on a miss), a last `writer` for blame,
 //! and an optional ownership pin (MESI Modified / DeNovo registration);
 //! each core holds a set of word copies `{version, dirty}`. Protocol
-//! effects mirror `coherence::system`:
+//! effects mirror the memory model (`coherence`'s `ops.rs` for the L1 side,
+//! `directory.rs` for the L2 side) but are restated here per protocol rather
+//! than through its Table-I axis predicates: an independent reference must
+//! not share the statement it checks.
 //!
 //! * **MESI** stores commit and invalidate other *MESI* copies (hardware
 //!   tracks MESI sharers in the directory; software-centric caches are
@@ -29,10 +32,10 @@
 //! invalidate (acquire side); a *miss* while `committed < latest` is a
 //! missing flush (release side, blamed on the delinquent writer). The
 //! miss check also covers MESI readers — the simulator skips it there
-//! (`load_with` trusts MESI fills), but a MESI big core reading a
-//! word some tiny core left unflushed is the same runtime bug, and clean
-//! runs never trip it because clean remote reads happen only after a
-//! flush-and-release.
+//! (`ops.rs::load_miss` trusts hardware-coherent fills), but a MESI big
+//! core reading a word some tiny core left unflushed is the same runtime
+//! bug, and clean runs never trip it because clean remote reads happen
+//! only after a flush-and-release.
 //!
 //! Word granularity and eviction blindness can only *miss* violations
 //! (a reused or evicted line hides a stale copy), never invent them, so

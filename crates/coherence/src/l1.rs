@@ -17,7 +17,6 @@
 //! [`L1Cache::remove_slot`]) instead of probing again.
 
 use crate::addr::{div_rem, LineAddr, WordMask, WORDS_PER_LINE};
-use crate::protocol::Protocol;
 
 /// MESI stable states for lines in hardware-coherent caches.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -51,7 +50,7 @@ const _: () = assert!(std::mem::size_of::<LineEntry>() == 48);
 
 impl LineEntry {
     /// A just-allocated line: nothing valid yet (all-zero bytes).
-    const EMPTY: LineEntry = LineEntry {
+    pub(crate) const EMPTY: LineEntry = LineEntry {
         fill_version: [0; WORDS_PER_LINE],
         lru: 0,
         mesi: MesiState::Shared,
@@ -59,17 +58,11 @@ impl LineEntry {
         dirty: WordMask::EMPTY,
         owned: false,
     };
-
-    /// Whether the line holds unwritten-back data the cache must preserve.
-    pub fn has_dirty_data(&self) -> bool {
-        !self.dirty.is_empty() || self.mesi == MesiState::Modified
-    }
 }
 
 /// A set-associative L1 cache tag array.
 #[derive(Clone, Debug)]
 pub struct L1Cache {
-    protocol: Protocol,
     sets: usize,
     ways: usize,
     /// `line + 1` per slot, 0 for an empty way.
@@ -81,12 +74,12 @@ pub struct L1Cache {
 
 impl L1Cache {
     /// Creates a cache of `size_bytes` capacity with `ways` ways and
-    /// 64-byte lines running `protocol`.
+    /// 64-byte lines.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide evenly or is zero-sized.
-    pub fn new(protocol: Protocol, size_bytes: usize, ways: usize) -> Self {
+    pub fn new(size_bytes: usize, ways: usize) -> Self {
         assert!(ways > 0, "cache must have at least one way");
         let lines_total = size_bytes / crate::addr::LINE_BYTES as usize;
         assert!(
@@ -94,33 +87,12 @@ impl L1Cache {
             "invalid cache geometry: {size_bytes} B / {ways} ways"
         );
         L1Cache {
-            protocol,
             sets: lines_total / ways,
             ways,
             tags: vec![0; lines_total],
             entries: vec![LineEntry::EMPTY; lines_total],
             lru_clock: 0,
         }
-    }
-
-    /// The protocol this cache runs.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.tags.len() * crate::addr::LINE_BYTES as usize
     }
 
     /// Number of slots (`sets * ways`).
@@ -156,11 +128,6 @@ impl L1Cache {
     pub fn entry_mut(&mut self, slot: usize) -> &mut LineEntry {
         debug_assert!(self.tags[slot] != 0, "access to an empty way");
         &mut self.entries[slot]
-    }
-
-    /// Looks up `line`, returning its entry without updating LRU.
-    pub fn peek(&self, line: LineAddr) -> Option<&LineEntry> {
-        self.find(line).map(|slot| &self.entries[slot])
     }
 
     /// Looks up `line` mutably and marks it most-recently-used.
@@ -227,11 +194,6 @@ impl L1Cache {
         }
         removed
     }
-
-    /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -240,15 +202,13 @@ mod tests {
 
     fn cache() -> L1Cache {
         // 4 KB, 2-way: the paper's tiny-core L1D. 32 sets.
-        L1Cache::new(Protocol::GpuWb, 4096, 2)
+        L1Cache::new(4096, 2)
     }
 
     #[test]
     fn geometry() {
         let c = cache();
-        assert_eq!(c.sets(), 32);
-        assert_eq!(c.ways(), 2);
-        assert_eq!(c.capacity_bytes(), 4096);
+        assert_eq!((c.sets, c.ways), (32, 2));
         assert_eq!(c.slots(), 64);
     }
 
@@ -261,7 +221,7 @@ mod tests {
         c.entry_mut(slot).valid = WordMask::FULL;
         assert_eq!(c.find(l), Some(slot));
         assert_eq!(c.lookup(l).expect("resident").valid, WordMask::FULL);
-        assert!(c.peek(LineAddr(101)).is_none());
+        assert!(c.find(LineAddr(101)).is_none());
     }
 
     #[test]
@@ -274,8 +234,8 @@ mod tests {
         c.lookup(a); // a is now MRU
         let (_, victim) = c.insert(d);
         assert_eq!(victim.expect("must evict").0, b, "LRU line evicted");
-        assert!(c.peek(a).is_some());
-        assert!(c.peek(b).is_none());
+        assert!(c.find(a).is_some());
+        assert!(c.find(b).is_none());
     }
 
     #[test]
@@ -300,8 +260,7 @@ mod tests {
         // Drop clean lines: the DeNovo/GPU self-invalidation pattern.
         let dropped = c.retain_lines(|e| e.dirty.is_empty());
         assert_eq!(dropped, 2);
-        assert_eq!(c.resident_lines(), 1);
-        assert!(c.peek(LineAddr(1)).is_some());
+        assert!(c.find(LineAddr(1)).is_some());
         assert_eq!(c.iter().map(|(line, _)| line).collect::<Vec<_>>(), [LineAddr(1)]);
     }
 
@@ -313,22 +272,11 @@ mod tests {
         c.insert(LineAddr(9));
     }
 
-    #[test]
-    fn dirty_detection_covers_mesi_and_masks() {
-        let mut e = LineEntry::EMPTY;
-        assert!(!e.has_dirty_data());
-        e.mesi = MesiState::Modified;
-        assert!(e.has_dirty_data());
-        e.mesi = MesiState::Shared;
-        e.dirty = WordMask::single(2);
-        assert!(e.has_dirty_data());
-    }
-
     /// Line 0 is a legal address: the `line + 1` tag keeps it distinct from
     /// an empty way, and a reused way starts from a clean entry.
     #[test]
     fn line_zero_and_way_reuse() {
-        let mut c = L1Cache::new(Protocol::Mesi, 64, 1);
+        let mut c = L1Cache::new(64, 1);
         assert!(c.find(LineAddr(0)).is_none(), "empty cache holds nothing, not line 0");
         let (slot, _) = c.insert(LineAddr(0));
         *c.entry_mut(slot) = LineEntry {
@@ -342,7 +290,7 @@ mod tests {
         let (slot2, victim) = c.insert(LineAddr(1));
         assert_eq!(slot2, slot);
         assert_eq!(victim.expect("direct-mapped conflict").0, LineAddr(0));
-        let e = c.peek(LineAddr(1)).expect("resident");
+        let e = c.lookup(LineAddr(1)).expect("resident");
         assert_eq!(
             (e.fill_version, e.valid, e.dirty, e.owned),
             ([0; 8], WordMask::EMPTY, WordMask::EMPTY, false)
@@ -353,22 +301,22 @@ mod tests {
     /// Direct-mapped and non-power-of-two set counts index by plain modulo.
     #[test]
     fn one_way_and_odd_set_counts_index_correctly() {
-        let mut c = L1Cache::new(Protocol::DeNovo, 7 * 64, 1);
-        assert_eq!((c.sets(), c.ways()), (7, 1));
+        let mut c = L1Cache::new(7 * 64, 1);
+        assert_eq!((c.sets, c.ways), (7, 1));
         for l in 0..7 {
             assert!(c.insert(LineAddr(l)).1.is_none(), "7 sets hold 7 consecutive lines");
         }
         let (slot, victim) = c.insert(LineAddr(7 * 1000 + 3));
         assert_eq!((slot, victim.expect("conflict").0), (3, LineAddr(3)));
 
-        let mut c = L1Cache::new(Protocol::Mesi, 15 * 64, 3);
-        assert_eq!((c.sets(), c.ways()), (5, 3));
+        let mut c = L1Cache::new(15 * 64, 3);
+        assert_eq!((c.sets, c.ways), (5, 3));
         for k in 0..3 {
             assert!(c.insert(LineAddr(2 + 5 * k)).1.is_none(), "three ways of set 2");
         }
         c.lookup(LineAddr(2));
         let (_, victim) = c.insert(LineAddr(2 + 5 * 3));
         assert_eq!(victim.expect("set full").0, LineAddr(7), "LRU of the set, not of the cache");
-        assert_eq!(c.resident_lines(), 3);
+        assert_eq!(c.iter().count(), 3);
     }
 }

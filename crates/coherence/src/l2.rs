@@ -52,11 +52,6 @@ impl CoreSet {
         core < Self::CAPACITY && self.words[core / 64] & (1 << (core % 64)) != 0
     }
 
-    /// Number of cores in the set.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| *w == 0)
@@ -79,13 +74,6 @@ impl CoreSet {
                 Some(i * 64 + bit)
             })
         })
-    }
-
-    /// Removes and returns all members.
-    pub fn drain(&mut self) -> Vec<usize> {
-        let members: Vec<usize> = self.iter().collect();
-        *self = CoreSet::EMPTY;
-        members
     }
 }
 
@@ -156,11 +144,6 @@ impl L2Cache {
             access_latency: 6,
             occupancy: 2,
         }
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.banks
     }
 
     /// Home bank of `line`.
@@ -264,11 +247,6 @@ impl L2Cache {
         self.touch(slot);
         (slot, victim)
     }
-
-    /// Number of resident lines (for tests).
-    pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != 0).count()
-    }
 }
 
 /// The DRAM controllers: fixed access latency plus a bandwidth model in
@@ -291,22 +269,12 @@ impl Dram {
         Dram { ctrl_busy_until: vec![0; controllers], access_latency, cycles_per_line }
     }
 
-    /// The paper's 64-core memory system: 8 controllers, 16 GB/s total.
-    pub fn paper_64_core() -> Self {
-        Dram::new(8, 60, 32)
-    }
-
     /// Charges a line transfer at controller `ctrl` arriving at `arrival`;
     /// returns the completion cycle.
     pub fn access(&mut self, ctrl: usize, arrival: u64) -> u64 {
         let start = arrival.max(self.ctrl_busy_until[ctrl]);
         self.ctrl_busy_until[ctrl] = start + self.cycles_per_line;
         start + self.access_latency + self.cycles_per_line
-    }
-
-    /// Number of controllers.
-    pub fn controllers(&self) -> usize {
-        self.ctrl_busy_until.len()
     }
 }
 
@@ -322,20 +290,16 @@ mod tests {
         s.insert(63);
         s.insert(64);
         s.insert(255);
-        assert_eq!(s.len(), 4);
         assert!(s.contains(64) && !s.contains(65));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 255]);
         s.remove(63);
-        assert_eq!(s.len(), 3);
-        let drained = s.drain();
-        assert_eq!(drained, vec![0, 64, 255]);
-        assert!(s.is_empty());
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 64, 255]);
+        assert!(!s.is_empty());
     }
 
     #[test]
     fn l2_lookup_and_banking() {
         let mut l2 = L2Cache::new(8, 512 * 1024, 8);
-        assert_eq!(l2.banks(), 8);
         assert_eq!(l2.home_bank(LineAddr(13)), 5);
         let (slot, victim) = l2.insert(LineAddr(13));
         assert!(victim.is_none());
@@ -412,7 +376,6 @@ mod tests {
             assert_eq!(l2.home_bank(LineAddr(l)), (l % 3) as usize);
             assert!(l2.insert(LineAddr(l)).1.is_none(), "15 slots hold 15 consecutive lines");
         }
-        assert_eq!(l2.resident_lines(), 15);
         let slots: std::collections::HashSet<_> =
             (0..15).map(|l| l2.find(LineAddr(l)).expect("resident")).collect();
         assert_eq!(slots.len(), 15, "no two lines share a slot");

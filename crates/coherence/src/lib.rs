@@ -40,16 +40,17 @@
 //! ```
 
 mod addr;
+mod directory;
 mod l1;
 mod l2;
+mod ops;
 mod protocol;
 mod stats;
 mod system;
 mod versions;
 
-pub use addr::{Addr, LineAddr, WordMask, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
-pub use l1::{L1Cache, LineEntry, MesiState};
-pub use l2::{CoreSet, Dram, L2Cache, L2Line};
+pub use addr::{Addr, LINE_BYTES};
+pub use l2::CoreSet;
 pub use protocol::{
     DirtyPropagation, Protocol, ProtocolTraits, StaleInvalidation, WriteGranularity,
 };

@@ -1,11 +1,6 @@
 //! The heterogeneous memory system: private L1s running per-core protocols,
 //! integrated at a shared banked L2 with an embedded directory.
 //!
-//! This is the Spandex-style integration point of the paper (Section V-A):
-//! the L2 serves MESI GetS/GetM, DeNovo ownership requests, GPU write-through
-//! words, bulk write-backs, and at-L2 atomics, keeping MESI L1s coherent with
-//! writer-initiated invalidations while software-centric L1s self-invalidate.
-//!
 //! # Timing model
 //!
 //! Every operation completes atomically in global event order (the engine
@@ -25,21 +20,18 @@
 //! [`CoreMemStats::stale_reads`]. A correct runtime exhibits zero stale
 //! reads; tests exercise a deliberately broken runtime to show nonzero.
 //!
-//! # One probe per access
+//! # Layout of the model
 //!
-//! An operation probes its L1 set once and, on a miss, resolves its L2 set
-//! once; the slots found are threaded through the recall, invalidation,
-//! directory-update and install steps. Slots stay valid for the whole
-//! operation because nothing an operation does on the way can displace the
-//! requested line: L2 victim recalls and L1 evictions only ever remove
-//! *other* lines. Each path marks a line most-recently-used in the same
-//! place in the global order as one probe-per-step would, so every LRU
-//! decision — and with it every simulated cycle — is layout-independent.
+//! This file says what the machine *is* (configuration, construction,
+//! statistics, structural invariants). What an operation does in its private
+//! L1 is in `ops.rs`; what the shared L2 and its directory do for it is in
+//! `directory.rs`; where a protocol sits on Table I — the only thing either
+//! asks of it, outside the four store algorithms — is in `protocol.rs`.
 
-use bigtiny_mesh::{Mesh, MeshConfig, Tile, TrafficClass, TrafficStats};
+use bigtiny_mesh::{Mesh, MeshConfig, TrafficStats};
 
-use crate::addr::{Addr, LineAddr, WordMask, LINE_BYTES};
-use crate::l1::{L1Cache, LineEntry, MesiState};
+use crate::addr::WordMask;
+use crate::l1::{L1Cache, MesiState};
 use crate::l2::{CoreSet, Dram, L2Cache};
 use crate::protocol::Protocol;
 use crate::stats::CoreMemStats;
@@ -100,28 +92,17 @@ impl MemConfig {
     }
 }
 
-/// What a line fetch wants from the L2.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Intent {
-    /// Read a copy (MESI GetS or software-centric refill).
-    Read,
-    /// MESI GetM: exclusive copy, invalidating all others.
-    ReadExcl,
-    /// DeNovo GetO: data plus registered ownership.
-    Own,
-}
-
 /// The heterogeneous cache-coherent memory system.
 #[derive(Debug)]
 pub struct MemorySystem {
-    protocols: Vec<Protocol>,
-    l1s: Vec<L1Cache>,
-    l2: L2Cache,
-    dram: Dram,
-    mesh: Mesh,
-    stats: Vec<CoreMemStats>,
-
-    versions: VersionTable,
+    pub(crate) protocols: Vec<Protocol>,
+    pub(crate) l1s: Vec<L1Cache>,
+    pub(crate) l2: L2Cache,
+    pub(crate) dram: Dram,
+    pub(crate) mesh: Mesh,
+    pub(crate) stats: Vec<CoreMemStats>,
+    /// The staleness oracle's word versions.
+    pub(crate) versions: VersionTable,
 }
 
 impl MemorySystem {
@@ -129,27 +110,27 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `config.cores` is empty or exceeds the mesh capacity.
+    /// Panics if `config.cores` is empty or exceeds the mesh capacity or the
+    /// directory's sharer-list capacity ([`CoreSet::CAPACITY`]).
     pub fn new(config: &MemConfig) -> Self {
         let topo = config.mesh.topology;
-        assert!(!config.cores.is_empty(), "need at least one core");
-        assert!(config.cores.len() <= topo.num_tiles(), "more cores than mesh tiles");
-        let l1s: Vec<L1Cache> =
-            config.cores.iter().map(|c| L1Cache::new(c.protocol, c.l1_bytes, c.l1_ways)).collect();
+        let num_cores = config.cores.len();
+        assert!(num_cores > 0, "need at least one core");
+        assert!(num_cores <= topo.num_tiles(), "more cores than mesh tiles");
+        assert!(
+            num_cores <= CoreSet::CAPACITY,
+            "{num_cores} cores exceed the directory's limit of {} (CoreSet::CAPACITY)",
+            CoreSet::CAPACITY
+        );
         MemorySystem {
             protocols: config.cores.iter().map(|c| c.protocol).collect(),
-            l1s,
+            l1s: config.cores.iter().map(|c| L1Cache::new(c.l1_bytes, c.l1_ways)).collect(),
             l2: L2Cache::new(topo.num_banks(), config.l2_bank_bytes, config.l2_ways),
             dram: Dram::new(topo.num_banks(), config.dram_latency, config.dram_cycles_per_line),
             mesh: Mesh::new(config.mesh),
-            stats: vec![CoreMemStats::default(); config.cores.len()],
+            stats: vec![CoreMemStats::default(); num_cores],
             versions: VersionTable::default(),
         }
-    }
-
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.l1s.len()
     }
 
     /// Protocol of `core`'s L1.
@@ -193,8 +174,13 @@ impl MemorySystem {
     /// runtime only takes under adversarial schedules:
     ///
     /// * every dirty word is valid (a cache never writes back garbage);
-    /// * MESI lines are always whole-line valid, and dirty data only exists
-    ///   in `Modified` state;
+    /// * hardware-coherent (MESI) lines are always whole-line valid, and
+    ///   dirty data only exists in `Modified` state;
+    /// * only a self-invalidating cache that tracks ownership (DeNovo) ever
+    ///   holds an `owned` line;
+    /// * where a flush is a no-op, every dirty word is in an owned line
+    ///   (none at all under GPU-WT): nothing dirty is ever stranded, and
+    ///   `invalidate_all` / `flush_all` need not tell the protocols apart;
     /// * no line is resident twice in one L1.
     ///
     /// Returns a description of the first violation, if any. Chaos tests
@@ -202,6 +188,7 @@ impl MemorySystem {
     pub fn check_invariants(&self) -> Result<(), String> {
         for (core, l1) in self.l1s.iter().enumerate() {
             let proto = self.protocols[core];
+            let hardware = proto.hardware_coherent();
             let mut seen = std::collections::HashSet::new();
             for (line, e) in l1.iter() {
                 if !seen.insert(line) {
@@ -214,7 +201,10 @@ impl MemorySystem {
                         ));
                     }
                 }
-                if proto == Protocol::Mesi {
+                if e.owned && (hardware || !proto.tracks_ownership()) {
+                    return Err(format!("core {core}: {proto} line {line} is owned"));
+                }
+                if hardware {
                     if e.valid != WordMask::FULL {
                         return Err(format!("core {core}: MESI line {line} partially valid"));
                     }
@@ -224,672 +214,22 @@ impl MemorySystem {
                             e.mesi
                         ));
                     }
+                } else if proto.flush_is_noop() && !e.owned && !e.dirty.is_empty() {
+                    return Err(format!(
+                        "core {core}: {proto} line {line} holds unowned dirty words"
+                    ));
                 }
             }
         }
         Ok(())
-    }
-
-    fn core_tile(&self, core: usize) -> Tile {
-        self.mesh.topology().core_tile(core)
-    }
-
-    fn bank_tile(&self, bank: usize) -> Tile {
-        self.mesh.topology().l2_bank_tile(bank)
-    }
-
-    // ------------------------------------------------------------------
-    // L2-side helpers
-    // ------------------------------------------------------------------
-
-    /// Invalidates every MESI sharer of `line` (resident in L2 slot `slot`)
-    /// except `except`, charging parallel invalidation round trips from
-    /// `bank`. Returns the time at which all acknowledgements have arrived.
-    fn invalidate_sharers(
-        &mut self,
-        slot: usize,
-        line: LineAddr,
-        bank: usize,
-        t: u64,
-        except: usize,
-    ) -> u64 {
-        // CoreSet is a small Copy bitset: snapshot it instead of collecting
-        // members into a Vec — this runs on every write-through store.
-        let mut sharers = self.l2.sharers(slot);
-        sharers.remove(except);
-        if sharers.is_empty() {
-            return t;
-        }
-        let bank_tile = self.bank_tile(bank);
-        let mut done = t;
-        for core in sharers.iter() {
-            let tile = self.core_tile(core);
-            let leg = self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
-            let ack = self.mesh.send(tile, bank_tile, TrafficClass::CohResp, 0);
-            done = done.max(t + leg + ack);
-            self.l1s[core].remove(line);
-        }
-        self.l2.update_sharers(slot, |s| sharers.iter().for_each(|core| s.remove(core)));
-        done
-    }
-
-    /// Recalls the current owner of `line` (MESI E/M holder or DeNovo
-    /// owner; `slot` is the line's L2 slot): fetches its dirty data into
-    /// the L2 and optionally revokes the owner's copy. Returns the time at
-    /// which fresh data is at the bank.
-    fn recall_owner(
-        &mut self,
-        slot: usize,
-        line: LineAddr,
-        bank: usize,
-        t: u64,
-        revoke: bool,
-    ) -> u64 {
-        let Some(owner) = self.l2.owner(slot) else {
-            return t;
-        };
-        let bank_tile = self.bank_tile(bank);
-        let owner_tile = self.core_tile(owner);
-        let req = self.mesh.send(bank_tile, owner_tile, TrafficClass::CohReq, 0);
-
-        let owner_proto = self.protocols[owner];
-        let l1 = &mut self.l1s[owner];
-        // (bytes supplied, words committed, owner becomes a MESI sharer,
-        //  owner pointer survives in the directory)
-        let (payload, commit_mask, keep_as_sharer, keep_owner) = match l1.find(line) {
-            Some(l1_slot) if owner_proto == Protocol::Mesi => {
-                let entry = l1.touch(l1_slot);
-                let dirty = entry.mesi == MesiState::Modified;
-                if revoke {
-                    l1.remove_slot(l1_slot);
-                } else {
-                    entry.mesi = MesiState::Shared;
-                }
-                (
-                    if dirty { LINE_BYTES } else { 0 },
-                    if dirty { WordMask::FULL } else { WordMask::EMPTY },
-                    !revoke,
-                    false,
-                )
-            }
-            Some(l1_slot) => {
-                // DeNovo owner: supply dirty words. On a read-forward
-                // (no revoke) the owner keeps ownership — DeNovo readers
-                // self-invalidate, so the directory must keep naming the
-                // owner to serve future readers fresh data.
-                let entry = l1.touch(l1_slot);
-                let dirty = std::mem::take(&mut entry.dirty);
-                if revoke {
-                    entry.owned = false;
-                }
-                (dirty.count() as u64 * 8, dirty, false, !revoke)
-            }
-            // Owner lost the line silently (clean eviction already updated
-            // the directory in the oracle model); nothing to fetch and the
-            // stale owner pointer is dropped.
-            None => (0, WordMask::EMPTY, false, false),
-        };
-        let resp = self.mesh.send(owner_tile, bank_tile, TrafficClass::CohResp, payload);
-        self.versions.commit_line_words(line, commit_mask);
-
-        if payload > 0 {
-            self.l2.set_dirty(slot);
-        }
-        if !keep_owner {
-            self.l2.set_owner(slot, None);
-        }
-        if keep_as_sharer {
-            self.l2.update_sharers(slot, |s| s.insert(owner));
-        }
-        t + req + resp
-    }
-
-    /// Resolves `line`'s L2 slot, fetching the line from DRAM on a miss
-    /// (recalling and writing back any victim). Returns the slot and the
-    /// data-ready time.
-    fn ensure_l2_resident(&mut self, line: LineAddr, bank: usize, t: u64) -> (usize, u64) {
-        if let Some(slot) = self.l2.find(line) {
-            return (slot, t);
-        }
-        let mut t = t;
-        let (slot, victim) = self.l2.insert(line);
-        if let Some((vline, victim)) = victim {
-            // insert() removed the victim; recall its L1 copies from its
-            // saved directory state.
-            let vbank = self.l2.home_bank(vline);
-            let bank_tile = self.bank_tile(vbank);
-            for core in victim.sharers.iter() {
-                let tile = self.core_tile(core);
-                self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
-                self.mesh.send(tile, bank_tile, TrafficClass::CohResp, 0);
-                self.l1s[core].remove(vline);
-            }
-            let mut vdirty = victim.dirty;
-            if let Some(owner) = victim.owner {
-                let tile = self.core_tile(owner);
-                self.mesh.send(bank_tile, tile, TrafficClass::CohReq, 0);
-                let payload = match self.l1s[owner].remove(vline) {
-                    Some(e) if e.has_dirty_data() => {
-                        let mask = if self.protocols[owner] == Protocol::Mesi {
-                            WordMask::FULL
-                        } else {
-                            e.dirty
-                        };
-                        self.versions.commit_line_words(vline, mask);
-                        vdirty = true;
-                        mask.count() as u64 * 8
-                    }
-                    _ => 0,
-                };
-                self.mesh.send(tile, bank_tile, TrafficClass::CohResp, payload);
-            }
-            if vdirty {
-                // Write the victim back to DRAM (off the critical path:
-                // traffic and occupancy are charged, latency is not).
-                let mc_tile = self.mesh.topology().mem_ctrl_tile(vbank);
-                self.mesh.send(bank_tile, mc_tile, TrafficClass::DramReq, LINE_BYTES);
-                self.dram.access(vbank, t);
-            }
-        }
-        // Demand fetch from DRAM.
-        let bank_tile = self.bank_tile(bank);
-        let mc_tile = self.mesh.topology().mem_ctrl_tile(bank);
-        let req = self.mesh.send(bank_tile, mc_tile, TrafficClass::DramReq, 0);
-        t = self.dram.access(bank, t + req);
-        t += self.mesh.send(mc_tile, bank_tile, TrafficClass::DramResp, LINE_BYTES);
-        (slot, t)
-    }
-
-    /// A write by `core` performed at the L2 (a write-through word, flushed
-    /// words, an at-L2 atomic), arriving at `bank` at `t`: the written data
-    /// supersedes any copy held by hardware-coherent caches, so an owner is
-    /// revoked and MESI sharers are invalidated. Returns the completion
-    /// time at the bank.
-    fn write_at_l2(&mut self, core: usize, line: LineAddr, bank: usize, t: u64) -> u64 {
-        let (slot, t) = self.ensure_l2_resident(line, bank, t);
-        let t = self.recall_owner(slot, line, bank, t, true);
-        let t = self.invalidate_sharers(slot, line, bank, t, core);
-        self.l2.touch(slot);
-        self.l2.set_dirty(slot);
-        t
-    }
-
-    /// The full L2-side fetch: request leg, bank service, residency, owner
-    /// recall / sharer invalidation per `intent`, directory update, data
-    /// response leg. Returns the completion time at the requesting core and
-    /// whether the directory granted a MESI reader exclusivity (E state).
-    fn fetch_line(&mut self, core: usize, line: LineAddr, now: u64, intent: Intent) -> (u64, bool) {
-        let bank = self.l2.home_bank(line);
-        let core_tile = self.core_tile(core);
-        let bank_tile = self.bank_tile(bank);
-        let req_leg = self.mesh.send(core_tile, bank_tile, TrafficClass::CpuReq, 0);
-        let t = self.l2.access(bank, now + req_leg);
-        let (slot, mut t) = self.ensure_l2_resident(line, bank, t);
-
-        let requester_is_mesi = self.protocols[core] == Protocol::Mesi;
-        match intent {
-            Intent::Read => {
-                // Fresh data comes from the owner if there is one. MESI
-                // requesters force a revoke of software-centric owners to
-                // preserve SWMR for hardware-coherent caches; MESI owners
-                // are downgraded to sharers.
-                if let Some(o) = self.l2.owner(slot) {
-                    let revoke = requester_is_mesi && self.protocols[o] != Protocol::Mesi;
-                    t = self.recall_owner(slot, line, bank, t, revoke);
-                }
-            }
-            Intent::ReadExcl | Intent::Own => {
-                t = self.recall_owner(slot, line, bank, t, true);
-                t = self.invalidate_sharers(slot, line, bank, t, core);
-            }
-        }
-
-        // Directory update for the requester.
-        self.l2.touch(slot);
-        let mut exclusive = false;
-        match intent {
-            Intent::Read if requester_is_mesi => {
-                exclusive = !self.l2.line(slot).has_directory_state();
-                if exclusive {
-                    self.l2.set_owner(slot, Some(core));
-                } else {
-                    self.l2.update_sharers(slot, |s| s.insert(core));
-                }
-            }
-            Intent::Read => {}
-            Intent::ReadExcl | Intent::Own => {
-                self.l2.set_owner(slot, Some(core));
-                self.l2.update_sharers(slot, |s| *s = CoreSet::EMPTY);
-            }
-        }
-
-        (t + self.mesh.send(bank_tile, core_tile, TrafficClass::DataResp, LINE_BYTES), exclusive)
-    }
-
-    /// Installs a fetched line into `core`'s L1 — merging into the
-    /// partially valid entry in `resident` if the line was found there
-    /// before the fetch — handling any eviction. Returns the line's slot
-    /// and the extra cycles.
-    fn install_line(
-        &mut self,
-        core: usize,
-        resident: Option<usize>,
-        line: LineAddr,
-        mesi: MesiState,
-        owned: bool,
-    ) -> (usize, u64) {
-        // What the L2 can supply right now (committed versions).
-        let versions = self.versions.fill_versions(line);
-        let l1 = &mut self.l1s[core];
-        if let Some(slot) = resident {
-            debug_assert_eq!(l1.find(line), Some(slot), "a fetch displaced its own line");
-            // Merge: locally dirty words keep their own (newer) versions.
-            let entry = l1.touch(slot);
-            let dirty = entry.dirty;
-            entry.valid = WordMask::FULL;
-            entry.mesi = mesi;
-            entry.owned = entry.owned || owned;
-            for (i, v) in versions.iter().enumerate() {
-                if !dirty.contains(i) {
-                    entry.fill_version[i] = *v;
-                }
-            }
-            return (slot, 0);
-        }
-        let (slot, victim) = l1.insert(line);
-        let entry = l1.entry_mut(slot);
-        entry.valid = WordMask::FULL;
-        entry.mesi = mesi;
-        entry.owned = owned;
-        entry.fill_version = versions;
-        (slot, victim.map_or(0, |(vline, v)| self.handle_l1_eviction(core, vline, v)))
-    }
-
-    /// Handles an L1 eviction: dirty data is written back (traffic + bank
-    /// occupancy charged; the write-back is off the requester's critical
-    /// path so only one cycle of latency is charged), and directory state is
-    /// released. Clean-eviction directory downgrades use an oracle (zero
-    /// traffic) to keep the MESI sharer list precise, a standard simulator
-    /// simplification.
-    fn handle_l1_eviction(&mut self, core: usize, line: LineAddr, victim: LineEntry) -> u64 {
-        let bank = self.l2.home_bank(line);
-        let proto = self.protocols[core];
-        let dirty_payload = match proto {
-            Protocol::Mesi => {
-                if victim.mesi == MesiState::Modified {
-                    LINE_BYTES
-                } else {
-                    0
-                }
-            }
-            _ => victim.dirty.count() as u64 * 8,
-        };
-        // Release directory state (software-centric copies are untracked,
-        // so the line need not be L2-resident at all).
-        let l2_slot = self.l2.find(line);
-        if let Some(slot) = l2_slot {
-            self.l2.touch(slot);
-            if self.l2.owner(slot) == Some(core) {
-                self.l2.set_owner(slot, None);
-            }
-            self.l2.update_sharers(slot, |s| s.remove(core));
-            if dirty_payload > 0 {
-                self.l2.set_dirty(slot);
-            }
-        }
-        if dirty_payload == 0 {
-            return 0;
-        }
-        let core_tile = self.core_tile(core);
-        let bank_tile = self.bank_tile(bank);
-        self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, dirty_payload);
-        let mask = if proto == Protocol::Mesi { WordMask::FULL } else { victim.dirty };
-        self.versions.commit_line_words(line, mask);
-        // A dirty write-back from a no-ownership cache commits values a
-        // hardware-coherent cache may still hold: keep MESI copies
-        // coherent (traffic charged, off the critical path).
-        if let (Protocol::GpuWb | Protocol::GpuWt, Some(slot)) = (proto, l2_slot) {
-            let t = self.recall_owner(slot, line, bank, 0, true);
-            self.invalidate_sharers(slot, line, bank, t, core);
-        }
-        1
-    }
-
-    // ------------------------------------------------------------------
-    // Public operations
-    // ------------------------------------------------------------------
-
-    /// A word load by `core` at simulated cycle `now`; returns its latency.
-    pub fn load(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        self.load_with(core, addr, now, true)
-    }
-
-    /// A word load that tolerates stale data: identical timing and protocol
-    /// behaviour, but exempt from the staleness checker. Used for the
-    /// deliberate benign races of Ligra-style algorithms (monotone values
-    /// repaired by a later round, with CAS deciding the winner).
-    pub fn load_racy(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        self.load_with(core, addr, now, false)
-    }
-
-    fn load_with(&mut self, core: usize, addr: Addr, now: u64, check_stale: bool) -> u64 {
-        let stats = &mut self.stats[core];
-        stats.loads += 1;
-        let proto = self.protocols[core];
-        let line = addr.line();
-        let w = addr.word_in_line();
-        let l1 = &mut self.l1s[core];
-        let resident = l1.find(line);
-        if let Some(slot) = resident {
-            let e = l1.touch(slot);
-            // MESI lines are always whole-line valid.
-            if proto == Protocol::Mesi || e.valid.contains(w) {
-                stats.load_hits += 1;
-                // Own dirty data and owned lines are fresh by construction.
-                let fresh = e.dirty.contains(w) || e.owned || e.mesi == MesiState::Modified;
-                if check_stale && !fresh && e.fill_version[w] < self.versions.latest(addr.word()) {
-                    stats.stale_reads += 1;
-                }
-                return 1;
-            }
-        }
-        self.load_miss(core, addr, now, check_stale, resident)
-    }
-
-    /// The miss half of a load (`resident`: the L1 slot of a partially
-    /// valid copy of the line). Out of line so that the hit path — most of
-    /// all memory operations — stays a small leaf function.
-    #[inline(never)]
-    fn load_miss(
-        &mut self,
-        core: usize,
-        addr: Addr,
-        now: u64,
-        check_stale: bool,
-        resident: Option<usize>,
-    ) -> u64 {
-        let line = addr.line();
-        // A fetch from the L2 returns committed data; if an owner was
-        // recalled the recall committed its words first, so install_line's
-        // fill-version snapshot is taken after the fetch.
-        let (t, exclusive) = self.fetch_line(core, line, now, Intent::Read);
-        let mesi = if exclusive { MesiState::Exclusive } else { MesiState::Shared };
-        let (_, extra) = self.install_line(core, resident, line, mesi, false);
-        // Stale-at-fetch cannot happen for MESI. Elsewhere, reading a word
-        // whose latest version is not yet visible at the L2 (an unflushed
-        // GPU-WB write elsewhere) is a stale read on real hardware even
-        // though it misses.
-        if self.protocols[core] != Protocol::Mesi
-            && check_stale
-            && self.versions.committed(addr.word()) < self.versions.latest(addr.word())
-        {
-            self.stats[core].stale_reads += 1;
-        }
-        t - now + extra
-    }
-
-    /// A word store by `core`; returns its latency.
-    pub fn store(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        self.stats[core].stores += 1;
-        let proto = self.protocols[core];
-        match proto {
-            Protocol::Mesi => self.store_mesi(core, addr, now),
-            Protocol::DeNovo => self.store_denovo(core, addr, now),
-            Protocol::GpuWt => self.store_gpu_wt(core, addr, now),
-            Protocol::GpuWb => self.store_gpu_wb(core, addr, now),
-        }
-    }
-
-    fn store_mesi(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        let line = addr.line();
-        let (slot, latency) = match self.l1s[core].find(line) {
-            Some(slot) => {
-                self.stats[core].store_hits += 1;
-                let latency = match self.l1s[core].touch(slot).mesi {
-                    // E->M is silent.
-                    MesiState::Modified | MesiState::Exclusive => 1,
-                    MesiState::Shared => {
-                        // Upgrade: invalidate other sharers through the directory.
-                        let bank = self.l2.home_bank(line);
-                        let core_tile = self.core_tile(core);
-                        let bank_tile = self.bank_tile(bank);
-                        let req = self.mesh.send(core_tile, bank_tile, TrafficClass::CpuReq, 0);
-                        let t = self.l2.access(bank, now + req);
-                        let l2_slot = self.l2.find(line).expect("S-state line is resident");
-                        let t = self.invalidate_sharers(l2_slot, line, bank, t, core);
-                        self.l2.touch(l2_slot);
-                        self.l2.update_sharers(l2_slot, |s| s.remove(core));
-                        self.l2.set_owner(l2_slot, Some(core));
-                        t + self.mesh.send(bank_tile, core_tile, TrafficClass::DataResp, 0) - now
-                    }
-                };
-                (slot, latency)
-            }
-            None => {
-                let (t, _) = self.fetch_line(core, line, now, Intent::ReadExcl);
-                let (slot, extra) = self.install_line(core, None, line, MesiState::Modified, false);
-                (slot, t - now + extra)
-            }
-        };
-        // MESI writes are immediately visible through the directory.
-        let version = self.versions.bump_latest(addr.word());
-        self.versions.commit_word(addr.word());
-        let entry = self.l1s[core].entry_mut(slot);
-        entry.mesi = MesiState::Modified;
-        entry.fill_version[addr.word_in_line()] = version;
-        latency
-    }
-
-    fn store_denovo(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        let line = addr.line();
-        let w = addr.word_in_line();
-        let (slot, latency) = match self.l1s[core].find(line) {
-            Some(slot) if self.l1s[core].touch(slot).owned => {
-                self.stats[core].store_hits += 1;
-                (slot, 1)
-            }
-            resident => {
-                let (t, _) = self.fetch_line(core, line, now, Intent::Own);
-                let (slot, extra) =
-                    self.install_line(core, resident, line, MesiState::Shared, true);
-                (slot, t - now + extra)
-            }
-        };
-        // Ownership makes the write visible on demand (L2 forwards to owner).
-        let version = self.versions.bump_latest(addr.word());
-        self.versions.commit_word(addr.word());
-        let entry = self.l1s[core].entry_mut(slot);
-        entry.dirty.insert(w);
-        entry.valid.insert(w);
-        entry.fill_version[w] = version;
-        latency
-    }
-
-    fn store_gpu_wt(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        let line = addr.line();
-        let w = addr.word_in_line();
-        // Write-through, no write-allocate: update a resident copy, never refill.
-        let resident = self.l1s[core].find(line);
-        if let Some(slot) = resident {
-            let entry = self.l1s[core].touch(slot);
-            self.stats[core].store_hits += u64::from(entry.valid.contains(w));
-            entry.valid.insert(w);
-        }
-        let bank = self.l2.home_bank(line);
-        let core_tile = self.core_tile(core);
-        let bank_tile = self.bank_tile(bank);
-        let leg = self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, 8);
-        let t = self.l2.access(bank, now + leg);
-        let t = self.write_at_l2(core, line, bank, t);
-        let version = self.versions.bump_latest(addr.word());
-        self.versions.commit_word(addr.word());
-        if let Some(slot) = resident {
-            self.l1s[core].entry_mut(slot).fill_version[w] = version;
-        }
-        // Full write-through completion time; the engine's store buffer
-        // decides how much of it stalls the core.
-        t - now
-    }
-
-    fn store_gpu_wb(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        let line = addr.line();
-        let w = addr.word_in_line();
-        let _ = now;
-        // Visible only after a flush: bump latest, do NOT commit.
-        let version = self.versions.bump_latest(addr.word());
-        match self.l1s[core].find(line) {
-            Some(slot) => {
-                let entry = self.l1s[core].touch(slot);
-                self.stats[core].store_hits += u64::from(entry.valid.contains(w));
-                entry.valid.insert(w);
-                entry.dirty.insert(w);
-                entry.fill_version[w] = version;
-                1
-            }
-            None => {
-                // No-fetch write-allocate: install the line with only this word.
-                let (slot, victim) = self.l1s[core].insert(line);
-                let entry = self.l1s[core].entry_mut(slot);
-                entry.valid = WordMask::single(w);
-                entry.dirty = WordMask::single(w);
-                entry.fill_version[w] = version;
-                1 + victim.map_or(0, |(vline, v)| self.handle_l1_eviction(core, vline, v))
-            }
-        }
-    }
-
-    /// An atomic read-modify-write by `core`; returns its latency.
-    ///
-    /// MESI and DeNovo perform AMOs in the private L1 (they track ownership);
-    /// GPU-WT and GPU-WB perform them at the shared L2 (Section II-A).
-    pub fn amo(&mut self, core: usize, addr: Addr, now: u64) -> u64 {
-        self.stats[core].amos += 1;
-        let proto = self.protocols[core];
-        if proto.amo_in_l1() {
-            // Like a store that requires ownership, plus one ALU cycle.
-            let hits_before = self.stats[core].store_hits;
-            let lat = match proto {
-                Protocol::Mesi => self.store_mesi(core, addr, now),
-                Protocol::DeNovo => self.store_denovo(core, addr, now),
-                _ => unreachable!(),
-            };
-            // AMOs are accounted separately from demand stores.
-            self.stats[core].store_hits = hits_before;
-            lat + 1
-        } else {
-            let line = addr.line();
-            let bank = self.l2.home_bank(line);
-            let core_tile = self.core_tile(core);
-            let bank_tile = self.bank_tile(bank);
-            let req = self.mesh.send(core_tile, bank_tile, TrafficClass::SyncReq, 8);
-            let t = self.l2.access(bank, now + req);
-            let t = self.write_at_l2(core, line, bank, t);
-            // Our own cached copy of the word (if any) is now stale.
-            let w = addr.word_in_line();
-            if let Some(entry) = self.l1s[core].lookup(line) {
-                entry.valid.remove(w);
-                entry.dirty.remove(w);
-            }
-            self.versions.bump_latest(addr.word());
-            self.versions.commit_word(addr.word());
-            t + self.mesh.send(bank_tile, core_tile, TrafficClass::SyncResp, 8) - now
-        }
-    }
-
-    /// Bulk self-invalidation of clean data (`cache_invalidate`): flash-
-    /// invalidates in one cycle. Returns `(latency, lines_invalidated)`.
-    ///
-    /// Per Table I / Figure 3: a no-op on MESI; DeNovo keeps owned lines;
-    /// GPU-WB keeps dirty words; GPU-WT drops everything.
-    pub fn invalidate_all(&mut self, core: usize, now: u64) -> (u64, u64) {
-        let _ = now;
-        let proto = self.protocols[core];
-        if proto.invalidate_is_noop() {
-            return (0, 0);
-        }
-        self.stats[core].invalidate_ops += 1;
-        let dropped = match proto {
-            Protocol::Mesi => unreachable!(),
-            Protocol::DeNovo => self.l1s[core].retain_lines(|e| !e.owned),
-            Protocol::GpuWt => self.l1s[core].retain_lines(|_| true),
-            Protocol::GpuWb => {
-                let mut count = 0;
-                let full_drop = self.l1s[core].retain_lines(|e| {
-                    if e.dirty.is_empty() {
-                        true
-                    } else {
-                        if e.valid != e.dirty {
-                            // Partially invalidated: stale clean words dropped.
-                            e.valid = e.dirty;
-                            count += 1;
-                        }
-                        false
-                    }
-                });
-                full_drop + count
-            }
-        };
-        self.stats[core].lines_invalidated += dropped;
-        (1, dropped)
-    }
-
-    /// Bulk write-back of dirty data (`cache_flush`). Returns
-    /// `(latency, lines_flushed)`.
-    ///
-    /// A no-op on MESI and DeNovo (ownership propagates dirty data); on
-    /// GPU-WT it drains the store buffer; on GPU-WB it writes back every
-    /// dirty word and waits for the acknowledgements.
-    pub fn flush_all(&mut self, core: usize, now: u64) -> (u64, u64) {
-        let proto = self.protocols[core];
-        match proto {
-            Protocol::Mesi | Protocol::DeNovo => (0, 0),
-            Protocol::GpuWt => {
-                // Write-throughs are already on their way to the L2; the
-                // engine-level store buffer drains at the flush point.
-                self.stats[core].flush_ops += 1;
-                (1, 0)
-            }
-            Protocol::GpuWb => {
-                self.stats[core].flush_ops += 1;
-                let core_tile = self.core_tile(core);
-                let (mut issue, mut done) = (now, now);
-                let (mut lines, mut words) = (0u64, 0u64);
-                // Dirty lines in slot order. Writing one back never adds or
-                // removes a line of this (untracked) cache, so the walk
-                // needs no snapshot.
-                for slot in 0..self.l1s[core].slots() {
-                    let (line, mask) = match self.l1s[core].at(slot) {
-                        Some((line, e)) if !e.dirty.is_empty() => (line, e.dirty),
-                        _ => continue,
-                    };
-                    issue += 1; // one write-back issued per cycle
-                    let bank = self.l2.home_bank(line);
-                    let bank_tile = self.bank_tile(bank);
-                    let payload = u64::from(mask.count()) * 8;
-                    let leg = self.mesh.send(core_tile, bank_tile, TrafficClass::WbReq, payload);
-                    let t = self.l2.access(bank, issue + leg);
-                    done = done.max(self.write_at_l2(core, line, bank, t));
-                    self.versions.commit_line_words(line, mask);
-                    self.l1s[core].touch(slot).dirty = WordMask::EMPTY;
-                    lines += 1;
-                    words += u64::from(mask.count());
-                }
-                if lines == 0 {
-                    return (1, 0);
-                }
-                self.stats[core].lines_flushed += lines;
-                self.stats[core].words_flushed += words;
-                // Final acknowledgement leg back to the core.
-                (done - now + 2, lines)
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigtiny_mesh::Topology;
+    use crate::addr::Addr;
+    use bigtiny_mesh::{Topology, TrafficClass};
 
     /// A 4-core system: cores 0-1 MESI big, cores 2-3 `tiny_proto` tiny.
     fn system(tiny_proto: Protocol) -> MemorySystem {
@@ -1154,6 +494,28 @@ mod tests {
             assert_eq!(m.total_stale_reads(), 0, "{tiny:?}");
             m.check_invariants().expect("invariants");
         }
+    }
+
+    /// The directory's sharer list bounds the machine: the largest machine
+    /// it can track builds, one core more is refused before any operation
+    /// (not by an assert inside the first sharer-list update).
+    #[test]
+    fn core_count_is_checked_against_the_directory_at_construction() {
+        let build = |cores: usize| {
+            let mut cfg = MemConfig::paper(
+                MeshConfig::with_topology(Topology::new(17, 16)),
+                vec![CoreMemConfig::tiny(Protocol::Mesi); cores],
+            );
+            cfg.l2_bank_bytes = 4096;
+            MemorySystem::new(&cfg)
+        };
+        let mut m = build(CoreSet::CAPACITY);
+        m.load(255, A, 0);
+        m.store(254, A, 100);
+        m.check_invariants().expect("invariants");
+        let refused = std::panic::catch_unwind(|| build(CoreSet::CAPACITY + 1)).expect_err("257");
+        let msg = refused.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("257 cores") && msg.contains("256"), "{msg}");
     }
 
     #[test]

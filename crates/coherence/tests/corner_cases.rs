@@ -151,3 +151,29 @@ fn mesi_reader_hits_line_dirtied_by_unflushed_gpu_wb_writer() {
     assert_eq!(m.total_stale_reads(), 1, "fresh after the flush");
     m.check_invariants().expect("invariants");
 }
+
+/// A dirty *eviction* (not a flush) from a no-ownership cache reaches the L2
+/// unannounced, like a flush does: the directory recalls the MESI copy the
+/// written-back word supersedes.
+#[test]
+fn gpu_wb_dirty_eviction_recalls_the_mesi_copy() {
+    let mut m = system(Protocol::GpuWb);
+    let a = Addr(0x80000);
+    // Tiny L1: 4 KB, 2-way, 32 sets — lines 2 KB apart share a set.
+    let stride = 32 * 64;
+    m.load(0, a, 0);
+    assert_eq!(m.store(1, a.offset(8), 10), 1, "no-fetch write-allocate is local");
+    m.store(1, a.offset(stride), 20);
+    assert_eq!(m.traffic().messages(TrafficClass::CohReq), 0, "nothing reached the directory");
+    let wb_before = m.traffic().messages(TrafficClass::WbReq);
+    m.store(1, a.offset(2 * stride), 30); // third line of the set: evicts the first
+    assert_eq!(m.traffic().messages(TrafficClass::WbReq), wb_before + 1, "dirty eviction");
+    assert!(m.traffic().messages(TrafficClass::CohReq) > 0, "write-back recalls the MESI holder");
+    assert_eq!(m.flush_all(1, 40).1, 2, "the evicted line was not flushed: two dirty lines left");
+
+    let hits_before = m.core_stats(0).load_hits;
+    assert!(m.load(0, a.offset(8), 100) > 1, "copy was invalidated: refetch");
+    assert_eq!(m.core_stats(0).load_hits, hits_before);
+    assert_eq!(m.total_stale_reads(), 0);
+    m.check_invariants().expect("invariants");
+}

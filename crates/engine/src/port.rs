@@ -558,40 +558,26 @@ impl CorePort {
         f: impl FnOnce() -> R,
     ) -> R {
         assert!(words >= 1, "load of zero words");
-        for w in 0..words - 1 {
+        // `f` runs inside the last word's sequenced section.
+        let (mut f, mut out) = (Some(f), None);
+        for w in 0..words {
             let a = addr.offset(w * 8);
+            let (f, out) = (f.take_if(|_| w + 1 == words), &mut out);
             let lat = self.seq_with(
-                move |st, now, core| {
-                    if racy.is_some() {
-                        st.mem.load_racy(core, a, now)
-                    } else {
-                        st.mem.load(core, a, now)
-                    }
-                },
-                |_| Some(MemOp::Load { addr: a, racy }),
-            );
-            let lat = self.mem_latency(lat);
-            self.charge(TimeCategory::Load, lat);
-        }
-        let a = addr.offset((words - 1) * 8);
-        let mut out = None;
-        let lat = {
-            let out_ref = &mut out;
-            self.seq_with(
                 move |st, now, core| {
                     let l = if racy.is_some() {
                         st.mem.load_racy(core, a, now)
                     } else {
                         st.mem.load(core, a, now)
                     };
-                    *out_ref = Some(f());
+                    *out = f.map(|f| f());
                     l
                 },
                 |_| Some(MemOp::Load { addr: a, racy }),
-            )
-        };
-        let lat = self.mem_latency(lat);
-        self.charge(TimeCategory::Load, lat);
+            );
+            let lat = self.mem_latency(lat);
+            self.charge(TimeCategory::Load, lat);
+        }
         self.instructions += words;
         out.expect("functional closure ran")
     }
@@ -660,32 +646,23 @@ impl CorePort {
         f: impl FnOnce() -> R,
     ) -> R {
         assert!(words >= 1, "store of zero words");
-        for w in 0..words - 1 {
+        // `f` runs inside the last word's sequenced section.
+        let (mut f, mut out) = (Some(f), None);
+        for w in 0..words {
             let a = addr.offset(w * 8);
+            let (f, out) = (f.take_if(|_| w + 1 == words), &mut out);
             let lat = self.seq_with(
-                move |st, now, core| st.mem.store(core, a, now),
+                move |st, now, core| {
+                    let l = st.mem.store(core, a, now);
+                    *out = f.map(|f| f());
+                    l
+                },
                 |_| Some(MemOp::Store { addr: a, racy }),
             );
             let lat = self.mem_latency(lat);
             let charged = self.buffer_store(lat);
             self.charge(TimeCategory::Store, charged);
         }
-        let a = addr.offset((words - 1) * 8);
-        let mut out = None;
-        let lat = {
-            let out_ref = &mut out;
-            self.seq_with(
-                move |st, now, core| {
-                    let l = st.mem.store(core, a, now);
-                    *out_ref = Some(f());
-                    l
-                },
-                |_| Some(MemOp::Store { addr: a, racy }),
-            )
-        };
-        let lat = self.mem_latency(lat);
-        let charged = self.buffer_store(lat);
-        self.charge(TimeCategory::Store, charged);
         self.instructions += words;
         out.expect("functional closure ran")
     }

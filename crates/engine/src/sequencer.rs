@@ -33,13 +33,13 @@
 //! [`PoisonReason::Watchdog`] and every core unwinds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use crate::fiber::{FiberId, FiberRt};
 use crate::flight::{CoreBeat, Heartbeat, HeartbeatSnap, LiveCounters};
-use crate::sync::{Mutex, MutexGuard};
+use crate::sync::Mutex;
 use crate::watchdog::{PoisonReason, SeqCoreDiag, WatchdogConfig, WATCHDOG_MSG};
 
 pub(crate) const POISON_MSG: &str = "simulation poisoned by a panic on another core";

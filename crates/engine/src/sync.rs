@@ -1,6 +1,6 @@
 //! Minimal lock primitives with a `parking_lot`-style API on top of `std`.
 //!
-//! The simulator needs three properties from its host-side locks:
+//! The simulator needs two properties from its host-side locks:
 //!
 //! 1. **No lock poisoning.** A panicking simulated core must not poison the
 //!    host locks it held: the other core threads still need to lock shared
@@ -8,13 +8,10 @@
 //!    Poison errors are therefore swallowed (`into_inner`) — the simulated
 //!    state itself is guarded by the [`Sequencer`](crate::sequencer)'s own
 //!    poison flag, which carries a reason and a diagnostic.
-//! 2. **Guard-by-reference condvar waits**, so the sequencer can park a core
-//!    without re-acquiring the lock by hand.
-//! 3. **No external dependency**, so the workspace builds fully offline and
+//! 2. **No external dependency**, so the workspace builds fully offline and
 //!    lock behaviour cannot shift under a third-party version bump.
 
-use std::sync::PoisonError;
-use std::time::Duration;
+use std::sync::{MutexGuard, PoisonError};
 
 /// A mutual-exclusion lock whose `lock()` never fails: poisoning from a
 /// panicked holder is ignored (see the module docs for why that is safe
@@ -22,13 +19,6 @@ use std::time::Duration;
 #[derive(Debug, Default)]
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,
-}
-
-/// RAII guard for [`Mutex`]. Holds an `Option` internally so a
-/// [`Condvar::wait`] can move the underlying std guard out and back.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
@@ -39,64 +29,7 @@ impl<T> Mutex<T> {
 
     /// Acquires the lock, recovering from poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard { inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)) }
-    }
-}
-
-impl<T> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside a condvar wait")
-    }
-}
-
-impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside a condvar wait")
-    }
-}
-
-/// A condition variable operating on [`MutexGuard`]s by reference.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Self {
-        Condvar { inner: std::sync::Condvar::new() }
-    }
-
-    /// Blocks until notified, releasing the guard's lock while parked.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        guard.inner = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Blocks until notified or `timeout` elapses. Returns `true` if the
-    /// wait timed out.
-    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let g = guard.inner.take().expect("guard present");
-        let (g, result) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
-        guard.inner = Some(g);
-        result.timed_out()
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -151,31 +84,5 @@ mod tests {
         .join();
         *l.write() = 2;
         assert_eq!(*l.read(), 2);
-    }
-
-    #[test]
-    fn condvar_wait_and_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut g = m.lock();
-            while !*g {
-                cv.wait(&mut g);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let (m, cv) = &*pair;
-        *m.lock() = true;
-        cv.notify_all();
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        assert!(cv.wait_for(&mut g, Duration::from_millis(5)), "must time out");
     }
 }
