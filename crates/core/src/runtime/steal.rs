@@ -2,7 +2,7 @@
 //! transports, and the two tails every attempt ends in
 //! ([`TaskCx::run_stolen`], [`TaskCx::steal_missed`]).
 
-use bigtiny_engine::{FlightKind, TimeCategory, UliMessage, UliOutcome};
+use bigtiny_engine::{FlightKind, UliMessage, UliOutcome, UliWait};
 
 use super::shared::{Role, Transport};
 use super::{TaskCx, VictimHealth};
@@ -70,25 +70,21 @@ impl TaskCx<'_> {
                 // to avoid mutual-steal deadlock. Without faults a response
                 // is guaranteed; hardened mode bounds the wait because the
                 // request may have been dropped in flight.
-                let deadline = self.port.now() + ULI_RESPONSE_TIMEOUT_CYCLES;
-                loop {
-                    if let Some(m) = self.port.uli_poll_response() {
+                let deadline = hardened.then(|| self.port.now() + ULI_RESPONSE_TIMEOUT_CYCLES);
+                match self.port.uli_await_response(deadline) {
+                    UliWait::Response(m) => {
                         self.rt.tel.write().uli_rtt.record(self.port.now() - rtt_start);
-                        return self.uli_response(m);
+                        self.uli_response(m);
                     }
-                    self.port.uli_poll();
-                    if self.port.is_done() {
-                        return; // program finished while waiting
-                    }
-                    if hardened && self.port.now() >= deadline {
+                    UliWait::Done => {} // program finished while waiting
+                    UliWait::TimedOut => {
                         // The request (or its response) was lost or badly
                         // delayed; back off and try elsewhere. If it was
                         // merely delayed, the drain at the top of `step`
                         // handles the eventual response.
                         self.rt.counters.write().uli_timeouts += 1;
-                        return self.uli_missed(vid);
+                        self.uli_missed(vid);
                     }
-                    self.port.wait_cycles(8, TimeCategory::UliWait);
                 }
             }
             UliOutcome::Nack { .. } => {

@@ -262,7 +262,12 @@ impl FlightRing {
             self.buf.push(ev);
         } else {
             self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
+            // Wrap by compare-and-reset: `% self.cap` is a 64-bit division
+            // by a runtime value on every recorded event of every run.
+            self.next += 1;
+            if self.next == self.cap {
+                self.next = 0;
+            }
         }
     }
 
@@ -487,6 +492,22 @@ mod tests {
         }
         assert_eq!(r.tail().iter().map(|e| e.time).collect::<Vec<_>>(), vec![3, 5, 9]);
         assert_eq!(r.total(), 3);
+    }
+
+    /// Every capacity (1 wraps on each record) at every fill level, across
+    /// several wraps: the tail is the last `cap` events, oldest first.
+    #[test]
+    fn ring_tail_is_the_last_cap_events_at_every_fill_level() {
+        for cap in [1usize, 2, 3, 4, 7] {
+            let mut r = FlightRing::new(cap);
+            for n in 0..=3 * cap as u64 + 1 {
+                let want: Vec<u64> = (n.saturating_sub(cap as u64)..n).collect();
+                let got: Vec<u64> = r.tail().iter().map(|e| e.time).collect();
+                assert_eq!(got, want, "capacity {cap} after {n} records");
+                assert_eq!(r.total(), n);
+                r.record(n, FlightKind::Grant);
+            }
+        }
     }
 
     #[test]

@@ -69,8 +69,10 @@ pub use flight::{
     CoreBeat, FlightEvent, FlightKind, FlightRing, Heartbeat, HeartbeatSnap,
     DEFAULT_FLIGHT_CAPACITY,
 };
-pub use port::{AttrSpan, CorePort, UliHandler};
-pub use sequencer::{ChoicePoint, Section, Sequencer};
+pub use port::{AttrSpan, CorePort, UliHandler, UliWait};
+pub use sequencer::{
+    ChoicePoint, PollOp, PollPlan, PollState, PollWake, Section, Sequencer, POLL_SPIN_CYCLES,
+};
 pub use space::{AddrSpace, ShScalar, ShVec};
 pub use system::{backend_label, run_system, RunReport, UliReport, Worker};
 pub use trace::{render_timeline, TraceEvent, UliMark, UliMarkKind};

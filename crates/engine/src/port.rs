@@ -31,6 +31,7 @@ use crate::config::CoreKind;
 use crate::event::{MemEvent, MemOp, RacyTag, SyncNote};
 use crate::fault::{FaultCounters, FaultPlan, FaultState, UliSendFault};
 use crate::flight::{FlightKind, FlightRing, LiveCounters};
+use crate::sequencer::{PollOp, PollPlan, Section, POISON_MSG, POLL_SPIN_CYCLES};
 use crate::system::{GlobalState, Shared};
 use crate::trace::{UliMark, UliMarkKind};
 
@@ -49,6 +50,17 @@ const STORE_BUFFER_ENTRIES: usize = 8;
 /// far above any real kernel's inter-operation compute stretch, so it only
 /// exists as that safety valve.
 const MAX_PENDING_COMPUTE: u64 = 4096;
+
+/// How a wait for a ULI response ended ([`CorePort::uli_await_response`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum UliWait {
+    /// The response arrived.
+    Response(UliMessage),
+    /// The program signalled completion first.
+    Done,
+    /// The deadline passed with neither.
+    TimedOut,
+}
 
 /// One contiguous stretch of a core's timeline attributed to a single task
 /// (or to no task — scheduler time between tasks: steal loops, idling,
@@ -260,10 +272,27 @@ impl CorePort {
         f: impl FnOnce(&mut GlobalState, u64, usize) -> R,
         op_of: impl FnOnce(&R) -> Option<MemOp>,
     ) -> R {
+        self.seq_in(None, f, op_of)
+    }
+
+    /// The body of every sequenced operation: [`CorePort::seq_with`] in the
+    /// section it enters the sequencer for, or in one the caller already
+    /// `held` for this operation at the current clock (a parked poll's
+    /// wake-up grant — it must not borrow this port).
+    #[inline]
+    fn seq_in<R>(
+        &mut self,
+        held: Option<Section<'_, GlobalState>>,
+        f: impl FnOnce(&mut GlobalState, u64, usize) -> R,
+        op_of: impl FnOnce(&R) -> Option<MemOp>,
+    ) -> R {
         self.flush_compute();
-        let check_uli = self.handler.is_some() && !self.in_handler;
+        let check_uli = self.takes_requests();
         let (r, msg) = {
-            let mut st = self.shared.seq.enter(self.core, self.clock);
+            let mut st = match held {
+                Some(st) => st,
+                None => self.shared.seq.enter(self.core, self.clock),
+            };
             self.flight.record(self.clock, FlightKind::Grant);
             if let Some(live) = &self.live {
                 // Under the token: no other core can be granted until our
@@ -297,6 +326,12 @@ impl CorePort {
             }
         }
         r
+    }
+
+    /// Whether a ULI request arriving now would be delivered at this core's
+    /// next sequenced operation: a handler is installed and not running.
+    fn takes_requests(&self) -> bool {
+        self.handler.is_some() && !self.in_handler
     }
 
     fn dispatch_uli(&mut self, msg: UliMessage) {
@@ -345,7 +380,7 @@ impl CorePort {
             // never takes the sequencer lock, so it must poll the poison
             // flag here or a poisoned run could not unwind it.
             if self.shared.seq.check_poison() {
-                panic!("{}", crate::sequencer::POISON_MSG);
+                panic!("{}", POISON_MSG);
             }
             // Productive local cycles are liveness evidence for the
             // watchdog's wall-clock fallback; idle spinning is not (it only
@@ -353,6 +388,16 @@ impl CorePort {
             if cat != TimeCategory::Idle {
                 self.shared.seq.note_local_progress();
             }
+        }
+        self.book(cat, cycles);
+    }
+
+    /// Moves the clock by `cycles` spent in `cat`: trace event, breakdown,
+    /// clock. Never panics and tells the watchdog nothing, so it is also
+    /// how a core accounts for time after the fact (polls served in place,
+    /// the terminal flush of a worker that has already unwound).
+    fn book(&mut self, cat: TimeCategory, cycles: u64) {
+        if cycles > 0 {
             if let Some(t) = self.trace.as_mut() {
                 t.push(crate::trace::TraceEvent { start: self.clock, cycles, category: cat });
             }
@@ -507,7 +552,7 @@ impl CorePort {
         }
         // Long pure-compute stretches must remain interruptible: poll for
         // ULIs every ~256 accumulated compute cycles.
-        if self.handler.is_some() && !self.in_handler {
+        if self.takes_requests() {
             self.compute_since_poll += cycles;
             if self.compute_since_poll >= 256 {
                 self.uli_poll();
@@ -835,8 +880,13 @@ impl CorePort {
 
     /// Collects a ULI response if one has arrived.
     pub fn uli_poll_response(&mut self) -> Option<UliMessage> {
+        self.poll_response_in(None)
+    }
+
+    fn poll_response_in(&mut self, held: Option<Section<'_, GlobalState>>) -> Option<UliMessage> {
         let poll_cycle = self.now();
-        let msg = self.seq_with(
+        let msg = self.seq_in(
+            held,
             |st, now, core| st.uli.take_response(core, now),
             |m: &Option<UliMessage>| {
                 m.as_ref().map(|m| MemOp::Sync(SyncNote::UliRespRecv { from: m.from }))
@@ -846,7 +896,7 @@ impl CorePort {
             self.mark_uli(poll_cycle, UliMarkKind::RespRecv { from: m.from });
             self.flight.record(self.clock, FlightKind::UliRespRecv { from: m.from });
         }
-        self.charge(TimeCategory::UliWait, 1);
+        self.charge(TimeCategory::UliWait, PollOp::Response.cycles());
         self.instructions += 1;
         msg
     }
@@ -854,11 +904,87 @@ impl CorePort {
     /// Explicitly polls for an incoming ULI request and services it (used in
     /// wait loops; ordinary sequenced operations poll automatically).
     pub fn uli_poll(&mut self) {
-        if self.handler.is_none() || self.in_handler {
-            return;
+        if self.takes_requests() {
+            // The sequenced op itself delivers (or fault-drops) any pending
+            // request.
+            self.seq(|_, _, _| ());
         }
-        // `seq` itself delivers (or fault-drops) any pending request.
-        self.seq(|_, _, _| ());
+    }
+
+    /// Waits for the response to a ULI request this core has sent
+    /// (Figure 3(c) lines 24-34): rounds of [`CorePort::uli_poll_response`],
+    /// [`CorePort::uli_poll`] — servicing incoming steal requests, so two
+    /// cores stealing from each other cannot deadlock — and
+    /// [`CorePort::is_done`], with a short spin between rounds, until the
+    /// response arrives, the program completes, or a round ends at or after
+    /// `deadline`.
+    ///
+    /// Simulated exactly as that loop of one-op calls, but the core does not
+    /// take a grant per poll: it parks in the sequencer, which serves the
+    /// polls that observe nothing in place and wakes the core for the first
+    /// one that needs it (see [`Sequencer::park_poll`](crate::Sequencer));
+    /// the core then catches up on what those polls left behind locally.
+    pub fn uli_await_response(&mut self, deadline: Option<u64>) -> UliWait {
+        // One handle for the whole wait: a section borrowed from the port's
+        // own could not be handed back to the port's methods.
+        let shared = Arc::clone(&self.shared);
+        let plan = PollPlan { requests: self.takes_requests(), deadline };
+        let mut op = PollOp::Response;
+        loop {
+            self.flush_compute();
+            let held = match shared.seq.park_poll(self.core, self.clock, plan, op) {
+                Ok(wake) => {
+                    op = self.replay_polls(plan, op, wake.served);
+                    debug_assert_eq!((op, self.clock), (wake.op, wake.time));
+                    wake.section
+                }
+                Err(served) => {
+                    self.replay_polls(plan, op, served);
+                    panic!("{}", POISON_MSG);
+                }
+            };
+            match op {
+                PollOp::Response => {
+                    if let Some(m) = self.poll_response_in(Some(held)) {
+                        return UliWait::Response(m);
+                    }
+                }
+                PollOp::Requests => self.seq_in(Some(held), |_, _, _| (), |_| None),
+                PollOp::Done => {
+                    if self.is_done_in(Some(held)) {
+                        return UliWait::Done;
+                    }
+                    if deadline.is_some_and(|d| self.now() >= d) {
+                        return UliWait::TimedOut;
+                    }
+                    self.charge(TimeCategory::UliWait, POLL_SPIN_CYCLES);
+                }
+            }
+            op = plan.next(op);
+        }
+    }
+
+    /// Catches up on `served` polls of `plan`, starting at `op`, that the
+    /// sequencer granted in place and that observed nothing: each one's
+    /// flight-ring `Grant` record and what the one-op call charges after a
+    /// negative poll. Returns the poll after them.
+    fn replay_polls(&mut self, plan: PollPlan, mut op: PollOp, served: u64) -> PollOp {
+        for _ in 0..served {
+            self.flight.record(self.clock, FlightKind::Grant);
+            match op {
+                PollOp::Response => {
+                    self.book(TimeCategory::UliWait, op.cycles());
+                    self.instructions += 1;
+                }
+                PollOp::Requests => {}
+                PollOp::Done => {
+                    self.book(TimeCategory::Idle, op.cycles());
+                    self.book(TimeCategory::UliWait, POLL_SPIN_CYCLES);
+                }
+            }
+            op = plan.next(op);
+        }
+        op
     }
 
     // ------------------------------------------------------------------
@@ -956,8 +1082,12 @@ impl CorePort {
 
     /// Whether global completion has been signalled.
     pub fn is_done(&mut self) -> bool {
-        let d = self.seq(|st, _, _| st.done);
-        self.charge(TimeCategory::Idle, 1);
+        self.is_done_in(None)
+    }
+
+    fn is_done_in(&mut self, held: Option<Section<'_, GlobalState>>) -> bool {
+        let d = self.seq_in(held, |st, _, _| st.done, |_| None);
+        self.charge(TimeCategory::Idle, PollOp::Done.cycles());
         d
     }
 
@@ -967,17 +1097,7 @@ impl CorePort {
         // and panicking here again would lose the report (and abort the
         // process on the fiber backend).
         let pending = std::mem::take(&mut self.pending_compute);
-        if pending > 0 {
-            if let Some(t) = self.trace.as_mut() {
-                t.push(crate::trace::TraceEvent {
-                    start: self.clock,
-                    cycles: pending,
-                    category: TimeCategory::Compute,
-                });
-            }
-            self.breakdown.add(TimeCategory::Compute, pending);
-            self.clock += pending;
-        }
+        self.book(TimeCategory::Compute, pending);
         // Close the final attribution span so the spans tile [0, clock].
         let attr_spans = match self.attr.take() {
             Some(mut a) => {

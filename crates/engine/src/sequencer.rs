@@ -25,6 +25,17 @@
 //! A fast re-grant costs one lock round trip, a hand-off two (the
 //! grantor's and the re-lock of the resumed grantee).
 //!
+//! **Parked polls.** A core busy-waiting on sequenced state (a DTS thief
+//! waiting for its steal response) does not take one grant per poll. It
+//! parks with a [`PollPlan`] ([`Sequencer::park_poll`]), and whoever runs
+//! the pick loop (`Sequencer::dispatch`) serves its negative polls *in
+//! place*: same `(time, core)` keys, same order, same bookkeeping, no
+//! hand-off. The core is woken for the first poll that needs it and replays
+//! the served polls' local effects. The grant stream cannot tell the
+//! difference — selection is still the one global minimum under the one
+//! lock — and neither can `fast_grants`: a served poll counts as a fast
+//! re-grant exactly when the poller's own `enter` would have taken one.
+//!
 //! The sequencer doubles as the attachment point of the liveness
 //! [`watchdog`](crate::watchdog): every grant is counted, and if too many
 //! grants pass without a progress mark (or the wall-clock monitor thread
@@ -82,6 +93,110 @@ struct ScriptState {
 /// [`WaitTree`]'s in-band "this core is not waiting" time. No core can wait
 /// at it: [`Sequencer::enter`] rejects it before touching the tree.
 const NOT_WAITING: u64 = u64::MAX;
+
+/// One poll of a busy-wait loop the sequencer can serve in place (see
+/// [`PollPlan`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PollOp {
+    /// Has a ULI response arrived?
+    Response,
+    /// Has a ULI request arrived? (Every poll of a plan with
+    /// [`PollPlan::requests`] asks this too; this one asks nothing else.)
+    Requests,
+    /// Has the program signalled completion?
+    Done,
+}
+
+/// Cycles a polling core burns after a round's last poll, before the next
+/// round.
+pub const POLL_SPIN_CYCLES: u64 = 8;
+
+impl PollOp {
+    /// Local cycles the polling core charges after this poll.
+    pub const fn cycles(self) -> u64 {
+        match self {
+            PollOp::Response | PollOp::Done => 1,
+            PollOp::Requests => 0,
+        }
+    }
+
+    /// Cycles from this poll, negative, to the one after it.
+    fn gap(self) -> u64 {
+        self.cycles() + if self == PollOp::Done { POLL_SPIN_CYCLES } else { 0 }
+    }
+}
+
+/// The busy-wait loop of a parked core: rounds of `Response`, `Requests`
+/// (only with [`PollPlan::requests`]) and `Done` polls, each followed by
+/// its [`PollOp::cycles`], with [`POLL_SPIN_CYCLES`] more between rounds.
+#[derive(Clone, Copy, Debug)]
+pub struct PollPlan {
+    /// Whether the core takes ULI requests while it waits (a handler is
+    /// installed and the core is not inside it): the round then has a
+    /// `Requests` poll, and every poll also delivers an arrived request.
+    pub requests: bool,
+    /// The core gives up when a round's polls end at or after this cycle.
+    pub deadline: Option<u64>,
+}
+
+impl PollPlan {
+    /// The poll after `op`.
+    pub fn next(&self, op: PollOp) -> PollOp {
+        match op {
+            PollOp::Response if self.requests => PollOp::Requests,
+            PollOp::Response | PollOp::Requests => PollOp::Done,
+            PollOp::Done => PollOp::Response,
+        }
+    }
+
+    /// Whether the loop ends after a negative `op` granted at `time`: the
+    /// round is over and the deadline has passed.
+    fn ends_after(&self, op: PollOp, time: u64) -> bool {
+        op == PollOp::Done && self.deadline.is_some_and(|d| time + op.cycles() >= d)
+    }
+}
+
+/// What parked polls ask of the sequenced state.
+pub trait PollState {
+    /// Whether `core`'s poll `op` granted at cycle `time` would observe
+    /// something — what it asks for or, with `requests`, an arrived ULI
+    /// request. Must be free of side effects, and so must a poll for which
+    /// it answers `false`.
+    fn poll_ready(&self, core: usize, time: u64, op: PollOp, requests: bool) -> bool;
+}
+
+/// The state of sequencers that sequence nothing: no poll ever observes
+/// anything.
+impl PollState for () {
+    fn poll_ready(&self, _: usize, _: u64, _: PollOp, _: bool) -> bool {
+        false
+    }
+}
+
+/// A parked core's place in its [`PollPlan`].
+#[derive(Clone, Copy, Debug)]
+struct Parked {
+    plan: PollPlan,
+    /// The next poll, to be granted at `time`.
+    op: PollOp,
+    time: u64,
+    /// Polls served in place since the core parked.
+    served: u64,
+}
+
+/// The grant a parked core wakes up to ([`Sequencer::park_poll`]).
+#[derive(Debug)]
+pub struct PollWake<'a, S> {
+    /// The sequenced section of the poll the core was woken for.
+    pub section: Section<'a, S>,
+    /// That poll, and the cycle it was granted at.
+    pub op: PollOp,
+    /// See `op`.
+    pub time: u64,
+    /// Polls served in place before it, whose local effects the core must
+    /// now replay.
+    pub served: u64,
+}
 
 /// The cores blocked in `enter`: a fixed, array-backed winner (tournament)
 /// tree. Insert and remove replay one leaf-to-root path (`log2(cores)`
@@ -156,8 +271,12 @@ impl WaitTree {
 struct Inner<S> {
     /// The sequenced state, reachable only through a [`Section`].
     state: S,
-    /// Cores blocked in `enter`.
+    /// Cores blocked in `enter` or parked in `park_poll`.
     waiting: WaitTree,
+    /// The plan position of each core parked in `park_poll`.
+    parked: Vec<Option<Parked>>,
+    /// Polls served in place over the run.
+    in_place_grants: u64,
     /// Cores currently executing user code (not waiting, not retired).
     running: usize,
     /// Core picked for the token but not yet resumed: set by `pick_next`,
@@ -210,9 +329,10 @@ pub struct Sequencer<S> {
     /// ports' grant stamps can read it without the lock.
     total_grants: AtomicU64,
     /// Grants taken through the inline fast re-grant path (no waiting-set
-    /// churn, no condvar), written like `total_grants`. Diagnostic for the
-    /// perf harness: fast-path hit rate is the fraction of sequenced ops
-    /// that avoid the parked path.
+    /// churn, no hand-off), written like `total_grants` — including polls
+    /// served in place where the poller's own `enter` would have taken it.
+    /// Diagnostic for the perf harness: the fraction of sequenced ops whose
+    /// grantee was the sole runner and ahead of every waiter.
     fast_grants: AtomicU64,
     /// Host-level liveness ticks from purely local *productive* work
     /// (compute/memory charging between sequenced ops). Only bumped while a
@@ -342,7 +462,7 @@ fn bump(counter: &AtomicU64) -> u64 {
     n
 }
 
-impl<S> Sequencer<S> {
+impl<S: PollState> Sequencer<S> {
     /// Creates a sequencer for `num_cores` cores, all initially running,
     /// that owns the sequenced `state`.
     pub fn new(num_cores: usize, state: S) -> Self {
@@ -351,6 +471,8 @@ impl<S> Sequencer<S> {
             inner: Mutex::new(Inner {
                 state,
                 waiting: WaitTree::new(num_cores),
+                parked: vec![None; num_cores],
+                in_place_grants: 0,
                 running: num_cores,
                 current: None,
                 poisoned: false,
@@ -516,9 +638,94 @@ impl<S> Sequencer<S> {
         Some(chosen)
     }
 
+    /// Whether a sole running `core` entering at `time` is granted inline:
+    /// every waiter sits at a later `(time, core)`, so a pick would hand
+    /// the token right back. Under `Scripted`, a time tie with the earliest
+    /// waiter is a choice point the script decides and the run records, so
+    /// only a strictly earlier time qualifies; `MinCore` can take the tie —
+    /// `(time, core) < min` already encodes its lowest-core-id rule.
+    fn regrant_ok(g: &Inner<S>, core: usize, time: u64) -> bool {
+        g.waiting.first().is_none_or(|min| {
+            if g.script.is_none() {
+                (time, core) < min
+            } else {
+                time < min.0
+            }
+        })
+    }
+
+    /// The one pick loop, run by `enter`, `park_poll` and `retire` whenever
+    /// no core runs and none is picked: decides which core resumes next and
+    /// marks it picked. On the way it serves every parked poll that
+    /// provably needs no core, stepping the poller through exactly what its
+    /// own `enter` calls would have done: picked out of the waiting set, its
+    /// poll is a hand-off grant; from then on it is the sole running core,
+    /// and each next poll is a fast re-grant while it stays ahead of every
+    /// other waiter and a wait in the set once it does not. `runner` on
+    /// entry is a core parking with its first poll eligible for the fast
+    /// re-grant.
+    ///
+    /// A served poller is re-keyed at once (one replay per poll, and the
+    /// waiting set is accurate whenever anyone looks): it has stayed ahead
+    /// exactly if it is still the set's minimum — alone at its time, under
+    /// `Scripted`.
+    fn dispatch(&self, g: &mut Inner<S>, runner: Option<usize>) -> Option<usize> {
+        debug_assert!(g.running == 0 && g.current.is_none());
+        let mut regranted = runner;
+        loop {
+            let core = match regranted.take() {
+                Some(core) => {
+                    bump(&self.fast_grants);
+                    core
+                }
+                None => Self::pick_next(g)?,
+            };
+            if !self.serve_in_place(g, core) {
+                g.current = Some(core);
+                return Some(core);
+            }
+            g.current = None;
+            let time = g.parked[core].expect("only a parked core is served").time;
+            g.waiting.set(core, time);
+            let ahead = g.waiting.first() == Some((time, core))
+                && (g.script.is_none() || g.waiting.tied_at(time).len() == 1);
+            regranted = ahead.then_some(core);
+        }
+    }
+
+    /// Grants `core`'s next poll right here if `core` is parked and the
+    /// poll needs nobody: it observes nothing, the loop goes on after it,
+    /// and nothing must happen on the core at this grant — no heartbeat
+    /// publishes its counters, and the watchdog budget does not run out
+    /// (the trip is the grantee's to raise).
+    fn serve_in_place(&self, g: &mut Inner<S>, core: usize) -> bool {
+        let Some(p) = g.parked[core] else { return false };
+        let budget_spent = self
+            .watchdog
+            .is_some_and(|wd| self.since_progress.load(Ordering::Relaxed) >= wd.budget);
+        if self.heartbeat.is_some()
+            || budget_spent
+            || p.plan.ends_after(p.op, p.time)
+            || g.state.poll_ready(core, p.time, p.op, p.plan.requests)
+        {
+            return false;
+        }
+        let heartbeat_due = self.record_grant(g, core, p.time);
+        debug_assert!(!heartbeat_due);
+        g.in_place_grants += 1;
+        g.parked[core] = Some(Parked {
+            op: p.plan.next(p.op),
+            time: p.time + p.op.gap(),
+            served: p.served + 1,
+            ..p
+        });
+        true
+    }
+
     /// Per-grant bookkeeping: stats, the op-stream hash fold, and the
-    /// watchdog budget check. Shared by the parked and fast re-grant paths
-    /// so both produce the identical op stream.
+    /// watchdog budget check. Shared by every way a grant happens (hand-off,
+    /// fast re-grant, served in place) so all produce the identical op
+    /// stream.
     ///
     /// Returns whether a heartbeat is due at this grant; the *caller* then
     /// calls [`Sequencer::emit_heartbeat`], which gives the lock up around
@@ -666,6 +873,54 @@ impl<S> Sequencer<S> {
         std::thread::park();
     }
 
+    /// The checks every entry starts with, before anything is touched: the
+    /// time is one the waiting set can hold, and the run is not poisoned.
+    fn lock_to_enter(&self, core: usize, time: u64) -> MutexGuard<'_, Inner<S>> {
+        assert!(
+            time != NOT_WAITING,
+            "core {core} entered the sequencer at cycle u64::MAX, which the waiting set reserves"
+        );
+        let g = self.inner.lock();
+        assert!(!g.poisoned, "{}", POISON_MSG);
+        g
+    }
+
+    /// Waits until `core` — which has just stopped running — is the picked
+    /// core or the run is poisoned: hands the token on whenever nothing runs
+    /// and nothing is picked, and yields the host thread in between.
+    /// `runner` is passed on to the first `dispatch`.
+    fn await_pick<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, Inner<S>>,
+        core: usize,
+        mut runner: Option<usize>,
+    ) -> MutexGuard<'a, Inner<S>> {
+        while g.current != Some(core) && !g.poisoned {
+            // `running > 0` means another core still executes or, on the
+            // fiber backend, is yet to be started by a launcher.
+            let next = if g.running == 0 && g.current.is_none() {
+                self.dispatch(&mut g, runner.take())
+            } else {
+                None
+            };
+            if next == Some(core) {
+                break; // re-granted ourselves
+            }
+            let local = self.wake(g, core, next);
+            self.yield_host(core, local);
+            g = self.inner.lock();
+        }
+        g
+    }
+
+    /// The picked `core` resumes: the pick is consumed, and counting as
+    /// running again is what now keeps anyone else from being picked.
+    fn resume(g: &mut Inner<S>, core: usize) {
+        g.current = None;
+        g.waiting.set(core, NOT_WAITING);
+        g.running += 1;
+    }
+
     /// Blocks until `core` (at simulated time `time`) holds the global
     /// minimum and is granted the token, then returns the sequenced section
     /// it now holds.
@@ -676,29 +931,14 @@ impl<S> Sequencer<S> {
     /// the armed watchdog finds the simulation stuck, or if `time` is
     /// `u64::MAX` (reserved by the waiting set).
     pub fn enter(&self, core: usize, time: u64) -> Section<'_, S> {
-        assert!(
-            time != NOT_WAITING,
-            "core {core} entered the sequencer at cycle u64::MAX, which the waiting set reserves"
-        );
-        let mut g = self.inner.lock();
-        assert!(!g.poisoned, "{}", POISON_MSG);
+        let mut g = self.lock_to_enter(core, time);
         // Fast re-grant: this core is the only one running, no picked core
         // is yet to resume, and every parked core waits at a later
         // `(time, core)` — dispatch would pick this core right back. Grant
         // inline and skip the waiting-set churn and park/unpark round trip
-        // entirely (the lock is simply kept for the section). This
-        // is the steady state of steal-free inner loops and serial phases.
-        // Under `Scripted`, a time tie with the earliest waiter must fall
-        // through to the slow path: the tie is a choice point the script
-        // decides and the run records. `MinCore` can take the tie inline —
-        // `(time, core) < min` already encodes its lowest-core-id rule.
-        let fast_ok = if g.script.is_none() {
-            g.waiting.first().is_none_or(|min| (time, core) < min)
-        } else {
-            g.waiting.first().is_none_or(|min| time < min.0)
-        };
-        let fast = g.running == 1 && g.current.is_none() && fast_ok;
-        if fast {
+        // entirely (the lock is simply kept for the section). This is the
+        // steady state of steal-free inner loops.
+        if g.running == 1 && g.current.is_none() && Self::regrant_ok(&g, core, time) {
             bump(&self.fast_grants);
         } else {
             // Slow path: join the waiting set, and until the token comes
@@ -709,33 +949,63 @@ impl<S> Sequencer<S> {
             }
             g.waiting.set(core, time);
             g.running -= 1;
-            while g.current != Some(core) {
-                assert!(!g.poisoned, "{}", POISON_MSG);
-                // `running > 0` means another core still executes or, on
-                // the fiber backend, is yet to be started by a launcher.
-                let next = if g.running == 0 && g.current.is_none() {
-                    Self::pick_next(&mut g)
-                } else {
-                    None
-                };
-                if next == Some(core) {
-                    break; // re-granted ourselves
-                }
-                let local = self.wake(g, core, next);
-                self.yield_host(core, local);
-                g = self.inner.lock();
-            }
+            g = self.await_pick(g, core, None);
             assert!(!g.poisoned, "{}", POISON_MSG);
-            // Resumed: the pick is consumed, and counting as running again
-            // is what now keeps anyone else from being picked.
-            g.current = None;
-            g.waiting.set(core, NOT_WAITING);
-            g.running += 1;
+            Self::resume(&mut g, core);
         }
         if self.record_grant(&mut g, core, time) {
             g = self.emit_heartbeat(g, time);
         }
         Section { g }
+    }
+
+    /// [`Sequencer::enter`] for a core about to busy-wait: `core` stands at
+    /// poll `op` of `plan` at cycle `time`. Every poll from there on that
+    /// observes nothing is granted in place by the pick loop, at the
+    /// `(time, core)` its own `enter` would have been; the call returns the
+    /// section of the first poll that needs the core — it would observe
+    /// something, it is the last before `plan.deadline`, or a heartbeat or
+    /// the watchdog needs the grantee itself — and how many polls were
+    /// served before it. The caller owes those polls their local effects.
+    ///
+    /// `Err(served)` instead of a poison panic: the run is poisoned, and the
+    /// caller must still replay that many polls before it unwinds, so that
+    /// its crash report reads as if it had polled by itself.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sequencer::enter`], except for poison observed while parked.
+    pub fn park_poll(
+        &self,
+        core: usize,
+        time: u64,
+        plan: PollPlan,
+        op: PollOp,
+    ) -> Result<PollWake<'_, S>, u64> {
+        let mut g = self.lock_to_enter(core, time);
+        if g.threads[core].is_none() {
+            g.threads[core] = Some(std::thread::current());
+        }
+        g.parked[core] = Some(Parked { plan, op, time, served: 0 });
+        // The first poll is stepped by `dispatch` like every later one: as
+        // the sole runner's fast re-grant where `enter` would take one, out
+        // of the waiting set otherwise.
+        let sole = g.running == 1 && g.current.is_none();
+        let runner = (sole && Self::regrant_ok(&g, core, time)).then_some(core);
+        if runner.is_none() {
+            g.waiting.set(core, time);
+        }
+        g.running -= 1;
+        g = self.await_pick(g, core, runner);
+        let at = g.parked[core].take().expect("a parked core keeps its plan until it wakes");
+        if g.poisoned {
+            return Err(at.served);
+        }
+        Self::resume(&mut g, core);
+        if self.record_grant(&mut g, core, at.time) {
+            g = self.emit_heartbeat(g, at.time);
+        }
+        Ok(PollWake { section: Section { g }, op: at.op, time: at.time, served: at.served })
     }
 
     /// Locks the sequenced state outside any grant, for the end-of-run
@@ -773,7 +1043,7 @@ impl<S> Sequencer<S> {
         }
         g.running -= 1;
         let next =
-            if g.running == 0 && g.current.is_none() { Self::pick_next(&mut g) } else { None };
+            if g.running == 0 && g.current.is_none() { self.dispatch(&mut g, None) } else { None };
         self.wake(g, core, next)
     }
 
@@ -795,6 +1065,11 @@ impl<S> Sequencer<S> {
     /// Grants that took the inline fast re-grant path.
     pub fn fast_grants(&self) -> u64 {
         self.fast_grants.load(Ordering::Relaxed)
+    }
+
+    /// Grants served in place to parked polls ([`Sequencer::park_poll`]).
+    pub fn in_place_grants(&self) -> u64 {
+        self.inner.lock().in_place_grants
     }
 
     /// Conservative cross-island lookahead of a multi-island fiber run in
@@ -1199,5 +1474,245 @@ mod tests {
         assert_eq!(d[0].last_time, 7);
         assert!(!d[0].retired);
         assert!(d[1].retired);
+    }
+
+    // ------------------------------------------------------------------
+    // Parked polls
+    // ------------------------------------------------------------------
+
+    /// Sequenced state for the parked-poll tests: `Done` polls observe
+    /// `done`, `Response` polls a response that arrives at a cycle, and
+    /// nobody ever sends a request.
+    #[derive(Default)]
+    struct Flags {
+        done: bool,
+        response_at: Option<u64>,
+    }
+
+    impl PollState for Flags {
+        fn poll_ready(&self, _: usize, time: u64, op: PollOp, _: bool) -> bool {
+            match op {
+                PollOp::Response => self.response_at.is_some_and(|at| at <= time),
+                PollOp::Requests => false,
+                PollOp::Done => self.done,
+            }
+        }
+    }
+
+    type GrantLog = Arc<Mutex<Vec<(u64, usize)>>>;
+
+    /// How a test's poller takes its grants: parked, or — the loop
+    /// `park_poll` stands for — one `enter` per poll.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Polling {
+        Parked,
+        PerOpEnter,
+    }
+
+    /// Polls `plan` from `op` at `time` until a poll observes something or
+    /// the deadline ends the loop; logs every grant the thread itself
+    /// received and returns the last poll and its cycle.
+    fn poll_until_stopped<S: PollState>(
+        seq: &Sequencer<S>,
+        how: Polling,
+        core: usize,
+        plan: PollPlan,
+        (mut op, mut time): (PollOp, u64),
+        log: &GrantLog,
+    ) -> (PollOp, u64) {
+        loop {
+            let section = match how {
+                Polling::Parked => {
+                    let wake = seq.park_poll(core, time, plan, op).expect("not poisoned");
+                    (op, time) = (wake.op, wake.time);
+                    wake.section
+                }
+                Polling::PerOpEnter => seq.enter(core, time),
+            };
+            log.lock().push((time, core));
+            let stop =
+                section.poll_ready(core, time, op, plan.requests) || plan.ends_after(op, time);
+            drop(section);
+            if stop {
+                return (op, time);
+            }
+            time += op.gap();
+            op = plan.next(op);
+        }
+    }
+
+    /// One poller among three plain enterers, one of which makes the awaited
+    /// response arrive part-way through. Returns everything the grant stream
+    /// leaves behind.
+    fn poller_among_enterers(how: Polling) -> (Vec<(u64, usize)>, u64, u64, Vec<u64>, u64) {
+        let seq = Arc::new(Sequencer::new(4, Flags::default()));
+        let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|scope| {
+            let (seq, log) = (&seq, &log);
+            scope.spawn(move || {
+                let plan = PollPlan { requests: true, deadline: None };
+                let stopped = poll_until_stopped(seq, how, 0, plan, (PollOp::Response, 5), log);
+                assert_eq!(stopped.0, PollOp::Response, "only a response ends this wait");
+                seq.retire(0);
+            });
+            for core in 1..4usize {
+                scope.spawn(move || {
+                    // Strides of 7 against the poller's rounds of 10: every
+                    // phase, including exact time ties with the poller.
+                    for i in 0..40u64 {
+                        let time = core as u64 + 7 * i;
+                        let mut section = seq.enter(core, time);
+                        log.lock().push((time, core));
+                        if core == 2 && i == 20 {
+                            section.response_at = Some(time + 13);
+                        }
+                        drop(section);
+                    }
+                    seq.retire(core);
+                });
+            }
+        });
+        let grants = seq.core_diag().iter().map(|d| d.grants).collect();
+        let log = log.lock().clone();
+        (log, seq.op_hash(), seq.total_grants(), grants, seq.in_place_grants())
+    }
+
+    /// The grant stream with a parked poller is the stream with the poller
+    /// calling `enter` per poll: same `(time, core)` keys in the same
+    /// ascending order, hence the same hash, totals and per-core counts —
+    /// only who performs a grant differs.
+    #[test]
+    fn parked_poller_leaves_the_grant_stream_of_per_op_enters() {
+        let (full_log, hash, total, grants, in_place) = poller_among_enterers(Polling::PerOpEnter);
+        let mut sorted = full_log.clone();
+        sorted.sort_unstable();
+        assert_eq!(full_log, sorted, "per-op enters are granted in (time, core) order");
+        assert_eq!(full_log.len() as u64, total);
+        let oracle = full_log.iter().fold(FNV_OFFSET, |h, &(t, c)| fold_grant(h, t, c));
+        assert_eq!(hash, oracle, "the op hash folds exactly the logged grants");
+        assert_eq!(in_place, 0, "plain enters are never served in place");
+
+        let (woken_log, parked_hash, parked_total, parked_grants, in_place) =
+            poller_among_enterers(Polling::Parked);
+        assert_eq!((parked_hash, parked_total, &parked_grants), (hash, total, &grants));
+        assert!(in_place > 0 && in_place < grants[0], "{in_place} of {} polls", grants[0]);
+        assert_eq!(woken_log.len() as u64 + in_place, total, "a poll is served or woken for");
+        assert_subsequence(&woken_log, &full_log);
+    }
+
+    /// The grants somebody woke up for must be a subsequence of the stream
+    /// of per-op enters: in-place service reorders nothing around them.
+    fn assert_subsequence(woken: &[(u64, usize)], full: &[(u64, usize)]) {
+        let mut rest = full.iter();
+        for g in woken {
+            assert!(rest.any(|f| f == g), "{g:?} granted out of order: {woken:?} in {full:?}");
+        }
+    }
+
+    /// Two cores under a scripted policy: core 0 polls from cycle 5 until
+    /// its deadline ends the loop at the `Done` poll of cycle 6; core 1
+    /// enters at 5 and 6, tying with it at both. Returns the order of the
+    /// grants somebody woke for, every recorded tie, and the stream totals.
+    fn scripted_poller(
+        how: Polling,
+        script: Vec<u32>,
+    ) -> (Vec<(u64, usize)>, Vec<ChoicePoint>, u64) {
+        let seq = Arc::new(Sequencer::new(2, ()));
+        seq.set_policy(SchedulePolicy::Scripted(script));
+        let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
+        std::thread::scope(|scope| {
+            let (seq, log) = (&seq, &log);
+            scope.spawn(move || {
+                let plan = PollPlan { requests: true, deadline: Some(7) };
+                let stopped = poll_until_stopped(seq, how, 0, plan, (PollOp::Response, 5), log);
+                assert_eq!(stopped, (PollOp::Done, 6));
+                seq.retire(0);
+            });
+            scope.spawn(move || {
+                for time in [5, 6] {
+                    let section = seq.enter(1, time);
+                    log.lock().push((time, 1));
+                    drop(section);
+                }
+                seq.retire(1);
+            });
+        });
+        let log = log.lock().clone();
+        (log, seq.choice_points(), seq.op_hash())
+    }
+
+    /// Under `Scripted`, a time tie involving a parked core is still a
+    /// choice point: it goes through `pick_scripted`, the script decides it
+    /// and the run records it, exactly as with per-op enters — the parked
+    /// core is stepped in place only while its time is *strictly* ahead.
+    #[test]
+    fn scripted_ties_with_a_parked_core_are_recorded_choice_points() {
+        for script in [vec![], vec![1], vec![1, 1], vec![0, 1, 1], vec![1, 0, 1, 1]] {
+            let (by_enter, enter_choices, enter_hash) =
+                scripted_poller(Polling::PerOpEnter, script.clone());
+            let (by_parking, park_choices, park_hash) =
+                scripted_poller(Polling::Parked, script.clone());
+            assert_eq!(park_choices, enter_choices, "script {script:?}");
+            assert_eq!(park_hash, enter_hash, "script {script:?}");
+            assert!(!park_choices.is_empty(), "script {script:?}: the ties at 5 and 6 are choices");
+            assert!(
+                park_choices.iter().all(|c| c.candidates == [0, 1]),
+                "script {script:?}: {park_choices:?}"
+            );
+            assert_subsequence(&by_parking, &by_enter);
+            assert!(by_parking.contains(&(6, 0)), "the deadline poll is a real grant");
+        }
+    }
+
+    /// Every live core parked, nothing pending, no deadline: the polls are
+    /// served in place until the armed grant budget runs out, and the trip
+    /// is raised by the poller itself with the text its own `enter` would
+    /// have produced.
+    #[test]
+    fn grant_budget_trips_on_the_parked_core_with_the_same_text() {
+        let trip = |how: Polling| {
+            let mut seq = Sequencer::new(2, ());
+            seq.set_watchdog(WatchdogConfig { budget: 25, wall_ms: 60_000 });
+            seq.retire(1);
+            let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
+            let plan = PollPlan { requests: true, deadline: None };
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                poll_until_stopped(&seq, how, 0, plan, (PollOp::Response, 3), &log)
+            }));
+            let msg = *r.expect_err("nothing ever answers").downcast::<String>().unwrap();
+            (msg, seq.poison_reason(), seq.total_grants(), seq.in_place_grants())
+        };
+        let (enter_msg, enter_reason, enter_total, _) = trip(Polling::PerOpEnter);
+        let (park_msg, park_reason, park_total, in_place) = trip(Polling::Parked);
+        assert!(enter_msg.contains(WATCHDOG_MSG), "got: {enter_msg}");
+        assert!(enter_msg.contains("tripped on core 0 at cycle "), "got: {enter_msg}");
+        assert_eq!(park_msg, enter_msg);
+        assert_eq!(park_reason, enter_reason);
+        assert!(matches!(park_reason, Some(PoisonReason::Watchdog { core: 0, .. })));
+        assert_eq!(park_total, enter_total);
+        assert_eq!(in_place, 25, "the whole budget was served in place; the trip was not");
+    }
+
+    /// Poison while parked unwinds the parked core — with the number of
+    /// polls served before it, so the core can still account for them.
+    #[test]
+    fn poison_while_parked_returns_the_served_polls() {
+        let seq = Arc::new(Sequencer::new(2, ()));
+        let plan = PollPlan { requests: false, deadline: None };
+        let (served, in_place, waiting_at) = std::thread::scope(|scope| {
+            let seq = &seq;
+            let poller = scope.spawn(move || seq.park_poll(1, 42, plan, PollOp::Response).err());
+            // Whoever of the two stops running last runs the pick loop: it
+            // serves core 1's polls at 42, 43, 52, 53, ..., 92, 93 — every
+            // one before (100, 0) — and then grants core 0.
+            drop(seq.enter(0, 100));
+            let seen = (seq.in_place_grants(), seq.core_diag()[1].waiting_at);
+            seq.poison();
+            (poller.join().unwrap(), seen.0, seen.1)
+        });
+        assert_eq!(in_place, 12);
+        assert_eq!(waiting_at, Some(102), "parked at its next poll");
+        assert_eq!(served, Some(12));
+        assert_eq!(seq.poison_reason(), Some(PoisonReason::WorkerPanic));
     }
 }

@@ -11,7 +11,7 @@ use crate::event::{CheckMode, MemEvent};
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::flight::{FlightEvent, LiveCounters};
 use crate::port::{CorePort, PortReport};
-use crate::sequencer::{ChoicePoint, Sequencer, POISON_MSG};
+use crate::sequencer::{ChoicePoint, PollOp, PollState, Sequencer, POISON_MSG};
 use crate::sync::Mutex;
 use crate::watchdog::{
     record_bundle, DiagnosticBundle, PoisonReason, WatchdogConfig, WATCHDOG_MSG,
@@ -24,6 +24,17 @@ pub(crate) struct GlobalState {
     pub uli: UliNetwork,
     pub done: bool,
     pub done_time: u64,
+}
+
+impl PollState for GlobalState {
+    fn poll_ready(&self, core: usize, time: u64, op: PollOp, requests: bool) -> bool {
+        (requests && self.uli.request_ready(core, time))
+            || match op {
+                PollOp::Response => self.uli.response_ready(core, time),
+                PollOp::Requests => false,
+                PollOp::Done => self.done,
+            }
+    }
 }
 
 /// State shared by every core thread.
@@ -438,6 +449,13 @@ pub struct RunReport {
     /// Grants that took the sequencer's inline fast re-grant path (a
     /// host-performance diagnostic; has no simulated-time meaning).
     pub seq_fast_grants: u64,
+    /// Grants the sequencer served in place to the negative polls of a
+    /// core waiting in [`CorePort::uli_await_response`], without waking it
+    /// (counted in `seq_grants` like any other; a host-performance
+    /// diagnostic with no simulated-time meaning). Zero when nothing waits
+    /// on a ULI response, and zero with a heartbeat armed: every grant then
+    /// publishes the grantee's live counters, so every grant wakes it.
+    pub seq_in_place_grants: u64,
     /// Conservative cross-island lookahead of the sharded backend in
     /// cycles (0 on the other backends): the bound below which no
     /// cross-island interaction can land, derived from the minimum
@@ -672,6 +690,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     // Sequencer totals first: `state()` holds the lock they all take.
     let seq = &shared.seq;
     let (seq_grants, seq_fast_grants) = (seq.total_grants(), seq.fast_grants());
+    let seq_in_place_grants = seq.in_place_grants();
     let (seq_op_hash, choice_points) = (seq.op_hash(), seq.choice_points());
     let st = seq.state();
     let completion = if st.done_time > 0 {
@@ -709,6 +728,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         mesh_fault_spikes: st.mem.mesh_fault_spikes(),
         seq_grants,
         seq_fast_grants,
+        seq_in_place_grants,
         seq_lookahead: seq.sharded_lookahead(),
         seq_op_hash,
         mem_events,

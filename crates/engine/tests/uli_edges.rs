@@ -138,44 +138,19 @@ fn uli_poll_response_after_victim_death() {
 // The thief's response wait (Figure 3(c) lines 24-34)
 // ----------------------------------------------------------------------
 //
-// Every case below pins what the wait leaves on the waiting core — final
-// clock, time breakdown, retired instructions — against constants captured
-// while the wait was still spelled as one sequencer round trip per poll
-// (`uli_poll_response`, `uli_poll`, `is_done`, `wait_cycles(8)`), and
-// requires all three backends to agree on them.
+// Every case below pins what `uli_await_response` leaves on the waiting
+// core — final clock, time breakdown, retired instructions — against
+// constants captured while the wait was still spelled as one sequencer
+// round trip per poll (`uli_poll_response`, `uli_poll`, `is_done`,
+// `wait_cycles(8)`), and requires all three backends to agree on them.
 
 mod response_wait {
     use std::sync::Arc;
 
     use bigtiny_engine::{
         run_system, AddrSpace, CorePort, ExecBackend, Protocol, RunReport, ShScalar, SystemConfig,
-        TimeCategory, UliMessage, UliOutcome, Worker,
+        TimeCategory, UliOutcome, UliWait, Worker,
     };
-
-    /// How a wait ended.
-    #[derive(Debug, PartialEq)]
-    enum Waited {
-        Response(UliMessage),
-        Done,
-        TimedOut,
-    }
-
-    /// The wait under test.
-    fn await_response(port: &mut CorePort, deadline: Option<u64>) -> Waited {
-        loop {
-            if let Some(m) = port.uli_poll_response() {
-                return Waited::Response(m);
-            }
-            port.uli_poll();
-            if port.is_done() {
-                return Waited::Done;
-            }
-            if deadline.is_some_and(|d| port.now() >= d) {
-                return Waited::TimedOut;
-            }
-            port.wait_cycles(8, TimeCategory::UliWait);
-        }
-    }
 
     /// `[cycles, uli_wait, idle, uli, compute, instructions]` of `core`.
     type Local = [u64; 6];
@@ -249,8 +224,8 @@ mod response_wait {
                 }
                 port.idle(50);
                 assert_eq!(port.uli_send_request(0, 7), UliOutcome::Sent);
-                match await_response(port, None) {
-                    Waited::Response(m) => {
+                match port.uli_await_response(None) {
+                    UliWait::Response(m) => {
                         assert_eq!((m.from, m.payload), (0, 1));
                         // The collecting poll was granted one cycle ago.
                         lag.store(
@@ -329,16 +304,16 @@ mod response_wait {
                         port.idle(50);
                         assert_eq!(port.uli_send_request(0, 7), UliOutcome::Sent);
                         assert!(
-                            matches!(await_response(port, None), Waited::Response(m) if m.from == 0)
+                            matches!(port.uli_await_response(None), UliWait::Response(m) if m.from == 0)
                         );
                         port.set_done();
                     });
                     let intruder: Worker = Box::new(move |port| {
                         port.idle(100 + phase);
                         assert_eq!(port.uli_send_request(1, 9), UliOutcome::Sent);
-                        let waited = await_response(port, None);
+                        let waited = port.uli_await_response(None);
                         assert!(
-                            matches!(waited, Waited::Response(m) if (m.from, m.payload) == (1, 0)),
+                            matches!(waited, UliWait::Response(m) if (m.from, m.payload) == (1, 0)),
                             "the waiting thief must answer from its wait loop"
                         );
                         idle_until_done(port);
@@ -390,7 +365,7 @@ mod response_wait {
                         port.uli_enable();
                         port.idle(50);
                         assert_eq!(port.uli_send_request(1, 7), UliOutcome::Sent);
-                        assert_eq!(await_response(port, None), Waited::Done);
+                        assert_eq!(port.uli_await_response(None), UliWait::Done);
                     });
                     vec![main, victim, thief, Box::new(idle_until_done)]
                 });
@@ -426,7 +401,7 @@ mod response_wait {
                         port.idle(50);
                         assert_eq!(port.uli_send_request(0, 7), UliOutcome::Sent);
                         let deadline = port.now() + 100 + phase;
-                        assert_eq!(await_response(port, Some(deadline)), Waited::TimedOut);
+                        assert_eq!(port.uli_await_response(Some(deadline)), UliWait::TimedOut);
                         assert!(port.now() >= deadline);
                         port.set_done();
                     });
@@ -463,8 +438,8 @@ mod response_wait {
                 while joined.amo(port, |d| *d) == 0 {
                     attempts += 1;
                     assert_eq!(port.uli_send_request(1, 7), UliOutcome::Sent);
-                    let waited = await_response(port, None);
-                    assert!(matches!(waited, Waited::Response(m) if m.payload == 0));
+                    let waited = port.uli_await_response(None);
+                    assert!(matches!(waited, UliWait::Response(m) if m.payload == 0));
                     port.idle(20);
                 }
                 assert!(attempts > 3, "the join wait must have stolen repeatedly");

@@ -320,15 +320,21 @@ impl UliNetwork {
         UliOutcome::Sent
     }
 
+    /// Whether [`UliNetwork::take_request`] at cycle `now` would return a
+    /// request: one has arrived at `core` by `now`, and the core is alive
+    /// with ULI enabled.
+    pub fn request_ready(&self, core: usize, now: u64) -> bool {
+        let unit = &self.units[core];
+        unit.enabled && !unit.dead && unit.pending_req.is_some_and(|m| m.arrives_at <= now)
+    }
+
     /// Removes and returns the pending request at `core` if one has arrived
     /// by cycle `now` **and** the core has ULI enabled.
     pub fn take_request(&mut self, core: usize, now: u64) -> Option<UliMessage> {
-        if !self.units[core].enabled || self.units[core].dead {
-            return None;
-        }
-        match self.units[core].pending_req {
-            Some(m) if m.arrives_at <= now => self.units[core].pending_req.take(),
-            _ => None,
+        if self.request_ready(core, now) {
+            self.units[core].pending_req.take()
+        } else {
+            None
         }
     }
 
@@ -359,13 +365,20 @@ impl UliNetwork {
         unit.pending_resp.push_back(UliMessage { from, payload, arrives_at: now + lat });
     }
 
+    /// Whether [`UliNetwork::take_response`] at cycle `now` would return a
+    /// response: the oldest one buffered at `core` has arrived by `now`.
+    pub fn response_ready(&self, core: usize, now: u64) -> bool {
+        self.units[core].pending_resp.front().is_some_and(|m| m.arrives_at <= now)
+    }
+
     /// Removes and returns the oldest response buffered at `core` if it has
     /// arrived by cycle `now`. Responses are accepted even while ULI is
     /// disabled.
     pub fn take_response(&mut self, core: usize, now: u64) -> Option<UliMessage> {
-        match self.units[core].pending_resp.front() {
-            Some(m) if m.arrives_at <= now => self.units[core].pending_resp.pop_front(),
-            _ => None,
+        if self.response_ready(core, now) {
+            self.units[core].pending_resp.pop_front()
+        } else {
+            None
         }
     }
 
@@ -528,7 +541,9 @@ mod tests {
         u.set_enabled(5, true);
         assert_eq!(u.try_send_request(0, 5, 42, 100), UliOutcome::Sent);
         // 5 hops * 2 + 1 = 11 cycles
+        assert!(!u.request_ready(5, 110));
         assert!(u.take_request(5, 105).is_none(), "must not arrive early");
+        assert!(u.request_ready(5, 111), "the peek answers what the take would");
         let m = u.take_request(5, 111).expect("arrived");
         assert_eq!(m.from, 0);
         assert_eq!(m.payload, 42);
@@ -559,6 +574,7 @@ mod tests {
         u.set_enabled(1, true);
         assert_eq!(u.try_send_request(0, 1, 3, 0), UliOutcome::Sent);
         u.set_enabled(1, false);
+        assert!(!u.request_ready(1, 1000));
         assert!(u.take_request(1, 1000).is_none(), "disabled core does not service");
         u.set_enabled(1, true);
         assert!(u.take_request(1, 1000).is_some());
@@ -571,7 +587,9 @@ mod tests {
         u.try_send_request(0, 8, 0xdead, 0);
         let req = u.take_request(8, 100).unwrap();
         u.send_response(8, req.from, 0xbeef, 100);
+        assert!(!u.response_ready(0, 102));
         assert!(u.take_response(0, 100).is_none());
+        assert!(u.response_ready(0, 103), "the peek answers what the take would");
         let resp = u.take_response(0, 103).expect("1 hop back: 2+1 cycles");
         assert_eq!(resp.payload, 0xbeef);
         assert_eq!(resp.from, 8);

@@ -9,7 +9,7 @@
 //! bare words, trailing garbage, raw control characters, and non-finite
 //! numbers are all hard errors.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Object keys keep insertion order so serialization is
 /// deterministic and schema diffs stay readable.
@@ -92,22 +92,29 @@ impl Json {
 
     /// Serializes compactly (no whitespace), deterministically.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.len_hint());
         self.write(&mut out);
         out
+    }
+
+    /// A cheap estimate of the serialized length (exact but for numbers and
+    /// escapes), so a multi-megabyte document is written into one
+    /// allocation instead of being copied at every doubling.
+    fn len_hint(&self) -> usize {
+        match self {
+            Json::Null | Json::Bool(_) => 5,
+            Json::Num(_) => 8,
+            Json::Str(s) => s.len() + 2,
+            Json::Arr(items) => 2 + items.iter().map(|v| v.len_hint() + 1).sum::<usize>(),
+            Json::Obj(kv) => 2 + kv.iter().map(|(k, v)| k.len() + 4 + v.len_hint()).sum::<usize>(),
+        }
     }
 
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                if v.is_finite() {
-                    out.push_str(&format!("{v}"));
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(v) => write_num(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -141,19 +148,44 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `v` as `{v}` would print it, straight into `out`. Counters —
+/// integers below 2^53, nearly every number of every document — skip the
+/// shortest-round-trip float formatter: `f64`'s `Display` never uses an
+/// exponent, so it prints such a value exactly as the integer prints.
+/// `-0.0` (which prints `-0`), fractions and larger magnitudes keep the
+/// float path.
+fn write_num(v: f64, out: &mut String) {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v.fract() == 0.0 && v.abs() < EXACT && !(v == 0.0 && v.is_sign_negative()) {
+        write!(out, "{}", v as i64).expect("writing to a String cannot fail");
+    } else {
+        write!(out, "{v}").expect("writing to a String cannot fail");
+    }
+}
+
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy runs that need no escape whole. Every byte that does is ASCII,
+    // so cutting the string around it stays on character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..0x20) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -386,6 +418,80 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(Json::f64(bad), Json::Null);
             assert_eq!(Json::Num(bad).to_json(), "null");
+        }
+    }
+
+    /// The integer path must print exactly what `f64`'s `Display` prints,
+    /// and everything else must still go through it.
+    #[test]
+    fn numbers_serialize_as_display_prints_them() {
+        let p53 = (1u64 << 53) as f64;
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            42.0,
+            7808.0,
+            1e15,
+            p53 - 1.0,
+            -(p53 - 1.0),
+            p53,
+            p53 + 2.0,
+            -p53,
+            1e21,
+            u64::MAX as f64,
+            0.5,
+            -0.5,
+            0.1 + 0.2,
+            1e-7,
+            123456.789,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        for v in values {
+            assert_eq!(Json::Num(v).to_json(), format!("{v}"), "{v:e}");
+        }
+        assert_eq!(Json::Num(-0.0).to_json(), "-0");
+        assert_eq!(Json::u64(1 << 53).to_json(), "9007199254740992");
+    }
+
+    /// Escaping by runs must produce what escaping char by char does.
+    #[test]
+    fn strings_escape_like_the_char_by_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c",
+            "\"\"\\\\",
+            "tab\there",
+            "\n\r\t",
+            "\u{0}\u{1}\u{1f}\u{20}\u{7f}",
+            "é\"大\\🚀\n",
+            "ends with escape\n",
+            "\nstarts with escape",
+            "cilk5-nq @ b.T/HCC-DTS-gwb",
+        ] {
+            assert_eq!(Json::str(s).to_json(), reference(s), "{s:?}");
+            assert_eq!(parse_json(&Json::str(s).to_json()).unwrap().as_str(), Some(s));
         }
     }
 

@@ -38,7 +38,9 @@ pub struct TraceRun<'a> {
     pub run: &'a TaskRun,
 }
 
-fn ev(fields: Vec<(&str, Json)>) -> Json {
+/// One trace event. The fields arrive as an array, so the object's vector
+/// is allocated once, at its final size.
+fn ev<const N: usize>(fields: [(&str, Json); N]) -> Json {
     Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
@@ -69,14 +71,14 @@ pub fn export_chrome_trace(runs: &[TraceRun<'_>]) -> Json {
 
 /// Process/thread naming so the Perfetto UI shows run and core labels.
 fn emit_metadata(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
-    events.push(ev(vec![
+    events.push(ev([
         ("name", Json::str("process_name")),
         ("ph", Json::str("M")),
         ("pid", Json::u64(pid)),
         ("args", Json::Obj(vec![("name".into(), Json::str(format!("{} @ {}", r.app, r.setup)))])),
     ]));
     for core in 0..r.run.report.traces.len() {
-        events.push(ev(vec![
+        events.push(ev([
             ("name", Json::str("thread_name")),
             ("ph", Json::str("M")),
             ("pid", Json::u64(pid)),
@@ -88,9 +90,11 @@ fn emit_metadata(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
 
 /// Per-core execution spans as `"X"` complete events.
 fn emit_core_spans(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
+    // Nearly every event of a document is one of these.
+    events.reserve(r.run.report.traces.iter().map(Vec::len).sum());
     for (core, trace) in r.run.report.traces.iter().enumerate() {
         for t in trace {
-            events.push(ev(vec![
+            events.push(ev([
                 ("name", Json::str(t.category.label())),
                 ("cat", Json::str("core")),
                 ("ph", Json::str("X")),
@@ -124,7 +128,7 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
             })
             .or_insert((e.cycle, e.core, e.cycle, e.core));
         if let TaskEventKind::Stolen { from } = e.kind {
-            events.push(ev(vec![
+            events.push(ev([
                 ("name", Json::str("steal")),
                 ("cat", Json::str("steal")),
                 ("ph", Json::str("i")),
@@ -139,7 +143,7 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
     for (task, (t0, c0, t1, c1)) in lifetimes {
         let id = Json::str(format!("task-{pid}-{task}"));
         let name = Json::str(format!("task {task}"));
-        events.push(ev(vec![
+        events.push(ev([
             ("name", name.clone()),
             ("cat", Json::str("task")),
             ("ph", Json::str("b")),
@@ -148,7 +152,7 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
             ("pid", Json::u64(pid)),
             ("tid", Json::u64(c0 as u64)),
         ]));
-        events.push(ev(vec![
+        events.push(ev([
             ("name", name),
             ("cat", Json::str("task")),
             ("ph", Json::str("e")),
@@ -177,7 +181,7 @@ fn emit_critpath_track(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
         return;
     };
     let tid = r.run.report.core_cycles.len() as u64;
-    events.push(ev(vec![
+    events.push(ev([
         ("name", Json::str("thread_name")),
         ("ph", Json::str("M")),
         ("pid", Json::u64(pid)),
@@ -185,7 +189,7 @@ fn emit_critpath_track(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
         ("args", Json::Obj(vec![("name".into(), Json::str("critical path"))])),
     ]));
     for link in &cp.chain {
-        events.push(ev(vec![
+        events.push(ev([
             ("name", Json::str(format!("task {}", link.task))),
             ("cat", Json::str("critpath")),
             ("ph", Json::str("X")),
@@ -237,7 +241,7 @@ fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &
         for (s_cycle, r_cycle) in sends.iter().zip(recvs.iter()) {
             let id = Json::u64(*flow_id);
             *flow_id += 1;
-            events.push(ev(vec![
+            events.push(ev([
                 ("name", Json::str(name)),
                 ("cat", Json::str("uli")),
                 ("ph", Json::str("s")),
@@ -246,7 +250,7 @@ fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &
                 ("pid", Json::u64(pid)),
                 ("tid", Json::u64(sender as u64)),
             ]));
-            events.push(ev(vec![
+            events.push(ev([
                 ("name", Json::str(name)),
                 ("cat", Json::str("uli")),
                 ("ph", Json::str("f")),

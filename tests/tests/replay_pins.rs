@@ -160,3 +160,40 @@ fn per_core_local_history_matches_pins_on_every_backend() {
         failures.join("\n  ")
     );
 }
+
+/// The mechanism those pins guard must actually be engaged — and only
+/// where it applies. A DTS thief's negative polls are served in place; a
+/// runtime that sends no ULIs has none to serve; and with a heartbeat armed
+/// every grant publishes the grantee's live counters, so every grant wakes
+/// its core and the same `uli_await_response` runs with nothing served in
+/// place — through the same grant stream, to the same cycle.
+#[test]
+fn polls_are_served_in_place_only_where_a_thief_waits_unobserved() {
+    use std::sync::Arc;
+
+    use bigtiny_engine::Heartbeat;
+
+    let app = app_by_name("cilk5-nq").unwrap();
+    let dts = run_app(&Setup::bt_hcc(Protocol::GpuWb, true), &app, AppSize::Test, 0);
+    let rep = &dts.run.report;
+    assert!(
+        rep.seq_in_place_grants > 0 && rep.seq_in_place_grants < rep.seq_grants,
+        "{} of {} grants served in place",
+        rep.seq_in_place_grants,
+        rep.seq_grants
+    );
+
+    let mesi = run_app(&Setup::bt_mesi(), &app, AppSize::Test, 0);
+    assert_eq!(mesi.run.report.seq_in_place_grants, 0, "the baseline runtime never waits on a ULI");
+
+    let mut armed = Setup::bt_hcc(Protocol::GpuWb, true);
+    armed.sys = armed.sys.clone().with_heartbeat(Heartbeat::new(100, Arc::new(|_snap| {})));
+    let armed = run_app(&armed, &app, AppSize::Test, 0);
+    let armed_rep = &armed.run.report;
+    assert_eq!(armed_rep.seq_in_place_grants, 0, "a heartbeat needs every grantee awake");
+    assert_eq!(
+        (armed_rep.seq_grants, armed_rep.seq_op_hash, armed.cycles),
+        (rep.seq_grants, rep.seq_op_hash, dts.cycles),
+        "serving polls in place changed the grant stream"
+    );
+}
