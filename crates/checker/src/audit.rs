@@ -35,8 +35,16 @@
 //! so [`AuditReport::verdict_hash`] is a stable fingerprint of the
 //! verdict: the chaos fuzzer and the golden-trace determinism pins compare
 //! it across runs and backends.
+//!
+//! What the events *mean* for a task — its parent, its execution window,
+//! whether a respawn covers it — is [`TaskLedger`]'s to say; this module
+//! decides what a lifecycle violates.
+//!
+//! [`TaskEventKind::Respawn`]: bigtiny_core::TaskEventKind::Respawn
+//! [`TaskEventKind::Discarded`]: bigtiny_core::TaskEventKind::Discarded
+//! [`TaskEventKind::Duplicate`]: bigtiny_core::TaskEventKind::Duplicate
 
-use bigtiny_core::{RuntimeConfig, RuntimeKind, TaskEvent, TaskEventKind};
+use bigtiny_core::{RuntimeConfig, RuntimeKind, TaskEvent, TaskFault, TaskLedger};
 use bigtiny_engine::hash;
 
 /// Kernels whose side effects are idempotent under subtree re-execution:
@@ -298,22 +306,6 @@ impl AuditReport {
     }
 }
 
-/// Per-task lifecycle state accumulated by the linear pass.
-#[derive(Clone, Copy, Default)]
-struct TaskState {
-    spawned: bool,
-    began: bool,
-    ended: u32,
-    discarded: bool,
-    parent: Option<u32>,
-    /// A respawn named this task as the one that died mid-execution.
-    respawned_of: bool,
-    /// How many `Duplicate` events named this task as their original.
-    dup_count: u32,
-    /// This record *is* a multiplicity duplicate.
-    is_duplicate: bool,
-}
-
 /// Audits a task-event stream for exactly-once (crash-free) or accounted
 /// at-least-once (crash-armed) execution.
 ///
@@ -331,234 +323,113 @@ pub fn audit_task_events(events: &[TaskEvent], crash_armed: bool, kernel: &str) 
 /// and duplicates; pass the registry name (e.g. `cilk5-nq`) or any other
 /// label — unknown names are simply not whitelisted.
 pub fn audit_task_events_mode(events: &[TaskEvent], mode: AuditMode, kernel: &str) -> AuditReport {
-    let mut states: Vec<TaskState> = Vec::new();
-    let mut report = AuditReport {
-        crash_armed: mode.crash_armed(),
-        tasks: 0,
-        completed: 0,
-        respawns: 0,
-        discards: 0,
-        recovered: 0,
-        duplicates: 0,
-        violations: Vec::new(),
-    };
-    fn flag(
-        violations: &mut Vec<AuditViolation>,
-        kind: AuditViolationKind,
-        task: u32,
-        detail: String,
-    ) {
+    let mut violations = Vec::new();
+    let mut flag = |kind: AuditViolationKind, task: u32, detail: String| {
         violations.push(AuditViolation { kind, task, detail });
-    }
+    };
 
-    fn state(states: &mut Vec<TaskState>, id: u32) -> &mut TaskState {
-        let id = id as usize;
-        if states.len() <= id {
-            states.resize(id + 1, TaskState::default());
-        }
-        &mut states[id]
-    }
-
+    // The lifecycle is the ledger's; a stream it faults is still folded to
+    // the end, every fault a finding against the event's task.
+    let mut ledger = TaskLedger::default();
     for e in events {
-        match e.kind {
-            TaskEventKind::Spawn { parent } => {
-                let s = state(&mut states, e.task);
-                if s.spawned {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::MalformedStream,
-                        e.task,
-                        "spawned twice".into(),
-                    );
-                }
-                s.spawned = true;
-                s.parent = parent;
-                report.tasks += 1;
-            }
-            TaskEventKind::Respawn { of } => {
-                let known = states.get(of as usize).is_some_and(|s| s.spawned);
-                if !known {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::MalformedStream,
-                        e.task,
-                        format!("respawns unknown task {of}"),
-                    );
-                }
-                let parent = states.get(of as usize).and_then(|s| s.parent);
-                {
-                    let of_state = state(&mut states, of);
-                    of_state.respawned_of = true;
-                }
-                let s = state(&mut states, e.task);
-                s.spawned = true;
-                s.parent = parent;
-                report.tasks += 1;
-                report.respawns += 1;
-            }
-            TaskEventKind::ExecBegin => {
-                let s = state(&mut states, e.task);
-                if !s.spawned {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::MalformedStream,
-                        e.task,
-                        "executed without a spawn".into(),
-                    );
-                }
-                s.began = true;
-            }
-            TaskEventKind::ExecEnd => {
-                let s = state(&mut states, e.task);
-                s.ended += 1;
-                report.completed += 1;
-                if s.ended == 2 {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::DoubleExec,
-                        e.task,
-                        "one task record completed twice".into(),
-                    );
-                }
-            }
-            TaskEventKind::Discarded => {
-                let s = state(&mut states, e.task);
-                if s.began {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::DiscardedMidExec,
-                        e.task,
-                        "discarded after its body began executing".into(),
-                    );
-                }
-                s.discarded = true;
-                report.discards += 1;
-            }
-            TaskEventKind::Duplicate { of } => {
-                let known = states.get(of as usize).is_some_and(|s| s.spawned);
-                if !known {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::MalformedStream,
-                        e.task,
-                        format!("duplicates unknown task {of}"),
-                    );
-                }
-                if !mode.multiplicity() {
-                    flag(
-                        &mut report.violations,
-                        AuditViolationKind::UnexpectedDuplicate,
-                        e.task,
-                        format!("duplicate of task {of} under an exactly-once deque policy"),
-                    );
-                }
-                {
-                    let of_state = state(&mut states, of);
-                    of_state.dup_count += 1;
-                    if of_state.dup_count == 2 {
-                        flag(
-                            &mut report.violations,
-                            AuditViolationKind::OverDuplicated,
-                            of,
-                            "original duplicated more than once (at-most-twice broken)".into(),
-                        );
-                    }
-                }
-                let s = state(&mut states, e.task);
-                s.spawned = true;
-                s.is_duplicate = true;
-                report.tasks += 1;
-                report.duplicates += 1;
-            }
-            TaskEventKind::Stolen { .. } | TaskEventKind::Join => {}
+        if let Some(fault) = ledger.push(e) {
+            let kind = match fault {
+                TaskFault::EndedTwice(_) => AuditViolationKind::DoubleExec,
+                TaskFault::DiscardedMidExec(_) => AuditViolationKind::DiscardedMidExec,
+                TaskFault::Malformed(_) => AuditViolationKind::MalformedStream,
+            };
+            flag(kind, e.task, fault.to_string());
         }
     }
+    let (respawns, discards, duplicates) = (ledger.respawns, ledger.discards, ledger.duplicates);
 
-    if !mode.crash_armed() && (report.respawns > 0 || report.discards > 0) {
+    if !mode.crash_armed() && (respawns > 0 || discards > 0) {
         flag(
-            &mut report.violations,
             AuditViolationKind::UnexpectedRecovery,
             0,
-            format!(
-                "{} respawns and {} discards in a crash-free run",
-                report.respawns, report.discards
-            ),
+            format!("{respawns} respawns and {discards} discards in a crash-free run"),
         );
     }
 
-    // A task that stopped mid-execution is accounted for iff a respawn
-    // covers it or one of its ancestors (the replacement re-runs the whole
-    // subtree, recreating descendants under fresh ids).
-    let covered = |mut t: usize| -> bool {
-        loop {
-            if states[t].respawned_of {
-                return true;
-            }
-            match states[t].parent {
-                Some(p) => t = p as usize,
-                None => return false,
-            }
+    let mut recovered = 0;
+    for (life, id) in ledger.lives().iter().zip(0u32..) {
+        if life.is_duplicate && !mode.multiplicity() {
+            flag(
+                AuditViolationKind::UnexpectedDuplicate,
+                id,
+                "a duplicate under an exactly-once deque policy".into(),
+            );
         }
-    };
-    for (id, &s) in states.iter().enumerate() {
-        if !s.spawned {
+        if life.duplicates >= 2 {
+            flag(
+                AuditViolationKind::OverDuplicated,
+                id,
+                "original duplicated more than once (at-most-twice broken)".into(),
+            );
+        }
+        if !life.spawned {
             continue;
         }
-        if s.began && s.ended == 0 {
-            if covered(id) {
-                report.recovered += 1;
+        // A task that stopped mid-execution, or never started, is accounted
+        // for iff a respawn covers it or one of its ancestors (the
+        // replacement re-runs the whole subtree, recreating descendants
+        // under fresh ids).
+        let began = life.exec_begin.is_some();
+        if began && life.exec_end.is_none() {
+            if ledger.covered(id) {
+                recovered += 1;
             } else {
                 flag(
-                    &mut report.violations,
                     AuditViolationKind::Unrecovered,
-                    id as u32,
+                    id,
                     "died mid-execution with no covering respawn".into(),
                 );
             }
         }
-        if !s.began && !s.discarded && !covered(id) {
-            flag(
-                &mut report.violations,
-                AuditViolationKind::Lost,
-                id as u32,
-                "spawned but never executed nor discarded".into(),
-            );
+        if !began && !life.discarded && !ledger.covered(id) {
+            flag(AuditViolationKind::Lost, id, "spawned but never executed nor discarded".into());
         }
     }
 
-    if report.respawns > 0 && !kernel_is_idempotent(kernel) {
+    if respawns > 0 && !kernel_is_idempotent(kernel) {
         flag(
-            &mut report.violations,
             AuditViolationKind::NonIdempotentReexec,
             0,
             format!(
-                "{} subtree re-executions but kernel {kernel:?} is not respawn-idempotent",
-                report.respawns
+                "{respawns} subtree re-executions but kernel {kernel:?} is not respawn-idempotent"
             ),
         );
     }
     // Duplicates are held to the stricter whitelist: re-running an
     // already-completed task double-applies accumulations that a
     // cut-short respawn replay would not.
-    if report.duplicates > 0 && !kernel_is_duplicate_safe(kernel) {
+    if duplicates > 0 && !kernel_is_duplicate_safe(kernel) {
         flag(
-            &mut report.violations,
             AuditViolationKind::NonIdempotentReexec,
             0,
             format!(
-                "{} duplicate executions but kernel {kernel:?} is not duplicate-safe",
-                report.duplicates
+                "{duplicates} duplicate executions but kernel {kernel:?} is not duplicate-safe"
             ),
         );
     }
 
-    report.violations.sort_by_key(|v| (v.task, v.kind.label()));
-    report
+    violations.sort_by_key(|v| (v.task, v.kind.label()));
+    AuditReport {
+        crash_armed: mode.crash_armed(),
+        tasks: ledger.tasks,
+        completed: ledger.executed,
+        respawns,
+        discards,
+        recovered,
+        duplicates,
+        violations,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigtiny_core::TaskEventKind;
 
     fn ev(cycle: u64, core: usize, task: u32, kind: TaskEventKind) -> TaskEvent {
         TaskEvent { cycle, core, task, kind }
@@ -802,6 +673,62 @@ mod tests {
             "cilk5-nq",
         );
         assert_eq!(r.count(AuditViolationKind::Unrecovered), 1, "{}", r.render());
+    }
+
+    /// Streams the audit used to panic on (an unknown parent indexed out
+    /// of bounds), hang on (a self-parent looped the coverage walk) or
+    /// wave through (a second `ExecBegin`), and the other shapes only the
+    /// DAG check used to reject: each is a `MalformedStream` finding
+    /// against the offending event's task. The audit runs on its own thread
+    /// so that a walk that loops again fails this test instead of wedging
+    /// the suite.
+    #[test]
+    fn structurally_broken_streams_are_findings_not_panics_or_hangs() {
+        use TaskEventKind::*;
+        // Task 1 began and never ended, so the coverage walk starts at it.
+        let walked = |parent| {
+            vec![
+                ev(0, 0, 0, Spawn { parent: None }),
+                ev(1, 0, 0, ExecBegin),
+                ev(2, 0, 1, Spawn { parent: Some(parent) }),
+                ev(3, 1, 1, ExecBegin),
+                ev(9, 0, 0, ExecEnd),
+            ]
+        };
+        let with = |extra: &[TaskEvent]| [clean_stream(), extra.to_vec()].concat();
+        let cases: Vec<(&str, Vec<TaskEvent>, u32)> = vec![
+            ("unknown parent", walked(7), 1),
+            ("self-parent", walked(1), 1),
+            ("second ExecBegin", with(&[ev(11, 1, 1, ExecBegin)]), 1),
+            ("respawn reusing a live id", with(&[ev(11, 2, 1, Respawn { of: 0 })]), 1),
+            ("duplicate reusing a live id", with(&[ev(11, 2, 1, Duplicate { of: 0 })]), 1),
+            ("steal of a task never spawned", with(&[ev(11, 2, 5, Stolen { from: 0 })]), 5),
+            ("join of a task never spawned", with(&[ev(11, 2, 5, Join)]), 5),
+            ("time going backwards on a core", with(&[ev(5, 1, 1, Join)]), 1),
+            ("second root", with(&[ev(11, 2, 2, Spawn { parent: None })]), 2),
+        ];
+        let (tx, rx) = std::sync::mpsc::channel();
+        let jobs = cases.clone();
+        std::thread::spawn(move || {
+            for (_, events, _) in jobs {
+                let mode = AuditMode::Multiplicity { crash_armed: true };
+                if tx.send(audit_task_events_mode(&events, mode, "cilk5-nq")).is_err() {
+                    return;
+                }
+            }
+        });
+        for (what, _, task) in cases {
+            let r = rx
+                .recv_timeout(std::time::Duration::from_secs(3))
+                .unwrap_or_else(|_| panic!("{what}: the audit did not return"));
+            let malformed: Vec<u32> = r
+                .violations
+                .iter()
+                .filter(|v| v.kind == AuditViolationKind::MalformedStream)
+                .map(|v| v.task)
+                .collect();
+            assert_eq!(malformed, [task], "{what}:\n{}", r.render());
+        }
     }
 
     #[test]

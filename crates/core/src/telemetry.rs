@@ -270,6 +270,253 @@ pub enum TaskEventKind {
     },
 }
 
+/// Why an event cannot extend a well-formed task stream. `Display` is the
+/// sentence `check_task_dag` reports.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TaskFault {
+    /// A second `ExecEnd` for one task record.
+    EndedTwice(u32),
+    /// `Discarded` after the task's body began executing.
+    DiscardedMidExec(u32),
+    /// Anything else that makes the stream not a spawn/join DAG recorded
+    /// in per-core time order; the text says what.
+    Malformed(String),
+}
+
+impl std::fmt::Display for TaskFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TaskFault::EndedTwice(t) => write!(f, "task {t} ended twice"),
+            TaskFault::DiscardedMidExec(t) => {
+                write!(f, "task {t} discarded after it began executing")
+            }
+            TaskFault::Malformed(why) => f.write_str(why),
+        }
+    }
+}
+
+/// What the stream has said about one task so far (see [`TaskLedger`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct TaskLife {
+    /// A `Spawn`, `Respawn` or `Duplicate` introduced the task.
+    pub spawned: bool,
+    /// The task whose join waits for this one: the `Spawn`'s parent, or
+    /// for a `Respawn` replacement the dead original's. `None` for the
+    /// root and for a `Duplicate`, which carries no join obligation.
+    pub parent: Option<u32>,
+    /// `(cycle, core)` of the `ExecBegin`.
+    pub exec_begin: Option<(u64, usize)>,
+    /// Cycle of the `ExecEnd`.
+    pub exec_end: Option<u64>,
+    /// Recovery discarded the task from a dead core's deque.
+    pub discarded: bool,
+    /// A `Respawn` names this task as the original that died mid-execution.
+    pub respawned: bool,
+    /// How many `Duplicate`s name this task as their original.
+    pub duplicates: u32,
+    /// This record *is* a multiplicity duplicate.
+    pub is_duplicate: bool,
+    /// A thief claimed the task.
+    pub stolen: bool,
+    /// `(cycle, core)` of the first and the last event recorded for the
+    /// task; `None` for an id the stream only ever named as a parent or an
+    /// original, or never named at all (ids are dense, records are not).
+    pub seen: Option<((u64, usize), (u64, usize))>,
+}
+
+/// The task lifecycle, stated once: a fold over the [`TaskEvent`] stream in
+/// recording order that keeps one [`TaskLife`] per task id and the stream's
+/// lifecycle counts. Every reader of the stream — the crash / multiplicity
+/// audit, the DAG check, the critical-path replay, the trace exporter —
+/// reads this and decides only what is its own to decide.
+///
+/// [`TaskLedger::push`] reports an event that breaks well-formedness and
+/// applies it anyway, as far as it can be, so a reader may stop at the
+/// first fault (a stream is a DAG or it is not) or carry on and report
+/// every one (the audit). A well-formed stream obeys:
+///
+/// * every task is introduced exactly once, before any of its other
+///   events, by a `Spawn` whose parent was introduced earlier and is not
+///   the task itself, or by a `Respawn` / `Duplicate` of an introduced
+///   original; exactly one `Spawn` — the root — has no parent;
+/// * a task begins and ends execution at most once, in that order, and is
+///   discarded only before it begins;
+/// * cycles never decrease on one core.
+#[derive(Clone, Debug, Default)]
+pub struct TaskLedger {
+    /// Tasks introduced (root, spawns, respawn replacements, duplicates).
+    pub tasks: u64,
+    /// `ExecEnd`s: task bodies that ran to completion.
+    pub executed: u64,
+    /// Steal claims.
+    pub steals: u64,
+    /// Completed `wait()` joins.
+    pub joins: u64,
+    /// Crash-recovery re-spawns of tasks lost on dead cores.
+    pub respawns: u64,
+    /// Orphans discarded from dead cores' deques.
+    pub discards: u64,
+    /// Multiplicity-deque duplicate re-executions.
+    pub duplicates: u64,
+    lives: Vec<TaskLife>,
+    root: Option<u32>,
+    last_cycle: Vec<u64>,
+}
+
+impl TaskLedger {
+    /// Folds a whole stream, stopping at its first fault.
+    pub fn fold(events: &[TaskEvent]) -> Result<Self, TaskFault> {
+        let mut ledger = TaskLedger::default();
+        let fault = events.iter().find_map(|e| ledger.push(e));
+        fault.map_or(Ok(ledger), Err)
+    }
+
+    /// One record per task id up to the largest the stream named.
+    pub fn lives(&self) -> &[TaskLife] {
+        &self.lives
+    }
+
+    /// The parentless `Spawn`ed task.
+    pub fn root(&self) -> Option<u32> {
+        self.root
+    }
+
+    /// Whether a `Respawn` names `task` or one of its ancestors: the
+    /// replacement re-runs the dead task's whole subtree, so a covered task
+    /// that stopped mid-execution, or never started, is accounted for.
+    pub fn covered(&self, task: u32) -> bool {
+        let mut at = Some(task);
+        // A well-formed stream's links run to strictly earlier spawns; the
+        // bound only matters on a malformed one, whose links may cycle.
+        for _ in 0..self.lives.len() {
+            match at.and_then(|t| self.lives.get(t as usize)) {
+                Some(life) if life.respawned => return true,
+                Some(life) => at = life.parent,
+                None => return false,
+            }
+        }
+        false
+    }
+
+    fn life(&mut self, task: u32) -> &mut TaskLife {
+        let id = task as usize;
+        if self.lives.len() <= id {
+            self.lives.resize(id + 1, TaskLife::default());
+        }
+        &mut self.lives[id]
+    }
+
+    fn is_spawned(&self, task: u32) -> bool {
+        self.lives.get(task as usize).is_some_and(|l| l.spawned)
+    }
+
+    /// Advances the ledger by one event. Returns the (first) way the event
+    /// breaks well-formedness, if it does; the event is applied regardless.
+    pub fn push(&mut self, e: &TaskEvent) -> Option<TaskFault> {
+        use TaskEventKind::*;
+        let id = e.task;
+        let mut fault = None;
+        macro_rules! bad {
+            ($($why:tt)*) => {{
+                fault.get_or_insert(TaskFault::Malformed(format!($($why)*)));
+            }};
+        }
+        if self.last_cycle.len() <= e.core {
+            self.last_cycle.resize(e.core + 1, 0);
+        }
+        let last = std::mem::replace(&mut self.last_cycle[e.core], e.cycle);
+        if e.cycle < last {
+            bad!("core {} went back in time: cycle {} after {last}", e.core, e.cycle);
+        }
+        let introduces = matches!(e.kind, Spawn { .. } | Respawn { .. } | Duplicate { .. });
+        if introduces {
+            if self.is_spawned(id) {
+                bad!("task {id} spawned twice");
+            }
+            self.tasks += 1;
+        } else if !self.is_spawned(id) {
+            match e.kind {
+                ExecBegin => bad!("task {id} began executing without a Spawn"),
+                Discarded => bad!("task {id} discarded without a Spawn"),
+                Stolen { .. } => bad!("task {id} stolen without a Spawn"),
+                Join => bad!("task {id} joined without a Spawn"),
+                // An end is faulted below for the begin it lacks.
+                _ => {}
+            }
+        }
+        match e.kind {
+            Spawn { parent } => {
+                match parent {
+                    Some(p) if p == id => bad!("task {id} is its own parent"),
+                    Some(p) if !self.is_spawned(p) => {
+                        bad!("task {id} spawned by task {p}, which was never spawned")
+                    }
+                    Some(_) => {}
+                    None if self.root.is_some() => {
+                        bad!("expected exactly one parentless root task, found 2")
+                    }
+                    None => self.root = Some(id),
+                }
+                self.life(id).parent = parent;
+            }
+            Respawn { of } => {
+                if !self.is_spawned(of) {
+                    bad!("task {id} respawns task {of}, which was never spawned");
+                }
+                self.respawns += 1;
+                let original = self.life(of);
+                original.respawned = true;
+                // The replacement re-runs the dead task's subtree in its
+                // parent's stead.
+                let parent = original.parent;
+                self.life(id).parent = parent;
+            }
+            Duplicate { of } => {
+                if !self.is_spawned(of) {
+                    bad!("task {id} duplicates task {of}, which was never spawned");
+                }
+                self.duplicates += 1;
+                self.life(of).duplicates += 1;
+                // Parentless, but not a root: the original carries the join.
+                self.life(id).is_duplicate = true;
+            }
+            ExecBegin => {
+                if self.life(id).exec_begin.replace((e.cycle, e.core)).is_some() {
+                    bad!("task {id} began executing twice");
+                }
+            }
+            ExecEnd => {
+                self.executed += 1;
+                let life = self.life(id);
+                if life.exec_begin.is_none() {
+                    bad!("task {id} ended without beginning");
+                }
+                if life.exec_end.replace(e.cycle).is_some() {
+                    fault.get_or_insert(TaskFault::EndedTwice(id));
+                }
+            }
+            Discarded => {
+                self.discards += 1;
+                let life = self.life(id);
+                life.discarded = true;
+                if life.exec_begin.is_some() {
+                    fault.get_or_insert(TaskFault::DiscardedMidExec(id));
+                }
+            }
+            Stolen { .. } => {
+                self.steals += 1;
+                self.life(id).stolen = true;
+            }
+            Join => self.joins += 1,
+        }
+        let at = (e.cycle, e.core);
+        let life = self.life(id);
+        life.spawned |= introduces;
+        life.seen = Some((life.seen.map_or(at, |(first, _)| first), at));
+        fault
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,6 +665,176 @@ mod tests {
         }
         assert!(h.p50() >= 1u64 << 31);
         assert_eq!(h.percentile(100.0), u64::MAX);
+    }
+
+    fn ev(cycle: u64, core: usize, task: u32, kind: TaskEventKind) -> TaskEvent {
+        TaskEvent { cycle, core, task, kind }
+    }
+
+    /// Root 0 spawns 1 (stolen to core 1, which dies inside it with child 2
+    /// begun and child 3 still queued); 4 respawns 1; 5 duplicates 4.
+    fn recovery_stream() -> Vec<TaskEvent> {
+        use TaskEventKind::*;
+        vec![
+            ev(0, 0, 0, Spawn { parent: None }),
+            ev(1, 0, 0, ExecBegin),
+            ev(2, 0, 1, Spawn { parent: Some(0) }),
+            ev(3, 1, 1, Stolen { from: 0 }),
+            ev(4, 1, 1, ExecBegin),
+            ev(5, 1, 2, Spawn { parent: Some(1) }),
+            ev(6, 1, 3, Spawn { parent: Some(1) }),
+            ev(7, 1, 2, ExecBegin),
+            ev(9, 2, 3, Discarded),
+            ev(10, 2, 4, Respawn { of: 1 }),
+            ev(11, 2, 4, ExecBegin),
+            ev(12, 0, 5, Duplicate { of: 4 }),
+            ev(13, 0, 5, ExecBegin),
+            ev(14, 0, 5, ExecEnd),
+            ev(15, 2, 4, ExecEnd),
+            ev(16, 0, 0, Join),
+            ev(17, 0, 0, ExecEnd),
+        ]
+    }
+
+    #[test]
+    fn ledger_folds_a_recovery_stream_into_lives_and_counts() {
+        let l = TaskLedger::fold(&recovery_stream()).expect("well-formed");
+        assert_eq!(
+            (l.tasks, l.executed, l.steals, l.joins, l.respawns, l.discards, l.duplicates),
+            (6, 3, 1, 1, 1, 1, 1)
+        );
+        assert_eq!(l.root(), Some(0));
+        let lives = l.lives();
+        assert_eq!(lives.len(), 6);
+        // The replacement inherits the dead original's parent; the
+        // duplicate has none and is not a root.
+        assert_eq!(lives[4].parent, Some(0));
+        assert!(lives[1].respawned && !lives[4].respawned);
+        assert_eq!((lives[5].parent, lives[5].is_duplicate, lives[4].duplicates), (None, true, 1));
+        assert!(lives[1].stolen && !lives[2].stolen);
+        assert_eq!((lives[4].exec_begin, lives[4].exec_end), (Some((11, 2)), Some(15)));
+        assert_eq!(lives[3].seen, Some(((6, 1), (9, 2))), "first and last sighting");
+        assert!(lives[3].discarded && lives[3].exec_begin.is_none());
+        // The respawn covers the dead task and everything under it, and
+        // nothing else.
+        assert!(l.covered(1) && l.covered(2) && l.covered(3));
+        assert!(!l.covered(0) && !l.covered(4) && !l.covered(5) && !l.covered(99));
+    }
+
+    #[test]
+    fn ledger_reports_the_first_fault_of_an_event_and_applies_it_anyway() {
+        use TaskEventKind::*;
+        let fault = |prefix: &[TaskEvent], e: TaskEvent| {
+            let mut l = TaskLedger::default();
+            for p in prefix {
+                assert_eq!(l.push(p), None, "prefix must be well-formed: {p:?}");
+            }
+            (l.push(&e).map(|f| f.to_string()).unwrap_or_default(), l)
+        };
+        let root = ev(0, 0, 0, Spawn { parent: None });
+        let begun = [root, ev(1, 0, 0, ExecBegin)];
+        let cases = [
+            (&[][..], ev(0, 0, 3, Stolen { from: 1 }), "task 3 stolen without a Spawn"),
+            (&[], ev(0, 0, 3, Join), "task 3 joined without a Spawn"),
+            (&[], ev(0, 0, 3, Discarded), "task 3 discarded without a Spawn"),
+            (&[], ev(0, 0, 3, ExecBegin), "task 3 began executing without a Spawn"),
+            (&[], ev(0, 0, 3, ExecEnd), "task 3 ended without beginning"),
+            (&[root], ev(1, 0, 0, Spawn { parent: None }), "task 0 spawned twice"),
+            (&[root], ev(1, 0, 0, Respawn { of: 0 }), "task 0 spawned twice"),
+            (&[root], ev(1, 0, 0, Duplicate { of: 0 }), "task 0 spawned twice"),
+            (&[root], ev(1, 0, 1, Spawn { parent: Some(1) }), "task 1 is its own parent"),
+            (
+                &[root],
+                ev(1, 0, 1, Spawn { parent: Some(7) }),
+                "task 1 spawned by task 7, which was never spawned",
+            ),
+            (
+                &[root],
+                ev(1, 0, 1, Spawn { parent: None }),
+                "expected exactly one parentless root task, found 2",
+            ),
+            (
+                &[root],
+                ev(1, 0, 1, Respawn { of: 7 }),
+                "task 1 respawns task 7, which was never spawned",
+            ),
+            (
+                &[root],
+                ev(1, 0, 1, Duplicate { of: 7 }),
+                "task 1 duplicates task 7, which was never spawned",
+            ),
+            (&begun, ev(2, 0, 0, ExecBegin), "task 0 began executing twice"),
+            (&begun, ev(2, 0, 0, Discarded), "task 0 discarded after it began executing"),
+            (&begun, ev(0, 0, 0, ExecEnd), "core 0 went back in time: cycle 0 after 1"),
+        ];
+        for (prefix, e, want) in cases {
+            let (got, l) = fault(prefix, e);
+            assert_eq!(got, want, "{e:?}");
+            assert_eq!(
+                l.lives()[e.task as usize].seen.map(|(_, last)| last),
+                Some((e.cycle, e.core))
+            );
+        }
+        // Applied anyway: the late `ExecEnd` still ends the task, a second
+        // one is the one fault with a kind of its own.
+        let (_, mut l) = fault(&begun, ev(0, 0, 0, ExecEnd));
+        assert_eq!((l.executed, l.lives()[0].exec_end), (1, Some(0)));
+        assert_eq!(l.push(&ev(5, 0, 0, ExecEnd)), Some(TaskFault::EndedTwice(0)));
+        assert_eq!(l.executed, 2);
+        // `fold` stops at the first fault.
+        assert_eq!(
+            TaskLedger::fold(&[root, ev(1, 0, 0, ExecBegin), ev(2, 0, 0, Discarded), root]).err(),
+            Some(TaskFault::DiscardedMidExec(0))
+        );
+    }
+
+    /// Bad parent links are recorded as the stream gave them, so they can
+    /// dangle or close a cycle; the coverage walk must return regardless.
+    #[test]
+    fn coverage_walk_survives_dangling_and_cyclic_parent_links() {
+        use TaskEventKind::*;
+        let mut l = TaskLedger::default();
+        for e in [
+            ev(0, 0, 0, Spawn { parent: None }),
+            ev(1, 0, 1, Spawn { parent: Some(1) }),
+            ev(2, 0, 2, Spawn { parent: Some(3) }),
+            ev(3, 0, 3, Spawn { parent: Some(2) }),
+            ev(4, 0, 4, Spawn { parent: Some(900) }),
+        ] {
+            l.push(&e);
+        }
+        for t in 0..6 {
+            assert!(!l.covered(t), "task {t}");
+        }
+        l.push(&ev(5, 0, 5, Respawn { of: 3 }));
+        assert!(l.covered(2) && l.covered(3) && !l.covered(1) && !l.covered(4));
+    }
+
+    /// A fifth copy of the lifecycle cannot grow back unnoticed: outside
+    /// this file, no non-test code of the stream's readers walks parent
+    /// links for coverage, or takes a respawn's original to copy its
+    /// parent link.
+    #[test]
+    fn only_the_ledger_derives_a_task_lifecycle() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("crates/");
+        let mut scanned = 0;
+        for reader in ["checker", "obs"] {
+            for entry in std::fs::read_dir(crates.join(reader).join("src")).expect("source dir") {
+                let path = entry.expect("directory entry").path();
+                let text = std::fs::read_to_string(&path).expect("source is readable");
+                let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+                let squeezed: String = code.split_whitespace().collect();
+                for forbidden in ["fncovered", "letcovered", "Respawn{of"] {
+                    assert!(
+                        !squeezed.contains(forbidden),
+                        "{} has `{forbidden}`: read the TaskLedger instead",
+                        path.display()
+                    );
+                }
+                scanned += 1;
+            }
+        }
+        assert!(scanned >= 15, "the readers' sources moved: {scanned} files scanned");
     }
 
     #[test]

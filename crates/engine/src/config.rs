@@ -146,12 +146,6 @@ pub struct SystemConfig {
     /// [`crate::ChoicePoint`] — the hook the schedule-space explorer
     /// (`bigtiny-checker::explore`) drives.
     pub schedule: SchedulePolicy,
-    /// Host stack bytes reserved per simulated core (thread stack or fiber
-    /// mmap). `None` (default) picks a core-count-aware size via
-    /// [`SystemConfig::core_stack_bytes`]: big reservations are free for a
-    /// handful of cores, but 1024 × 32 MB would burn 32 GB of address
-    /// space and can exhaust `vm.max_map_count`.
-    pub stack_bytes: Option<usize>,
     /// Per-core flight-recorder ring capacity in events
     /// ([`DEFAULT_FLIGHT_CAPACITY`] by default; 0 disables recording).
     /// The recorder is always on because it is observation-only: it reads
@@ -183,7 +177,6 @@ impl SystemConfig {
             backend: ExecBackend::Auto,
             check: CheckMode::Off,
             schedule: SchedulePolicy::MinCore,
-            stack_bytes: None,
             flight_ring: DEFAULT_FLIGHT_CAPACITY,
             heartbeat: None,
         }
@@ -320,12 +313,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy reserving `bytes` of host stack per simulated core.
-    pub fn with_core_stack(mut self, bytes: usize) -> Self {
-        self.stack_bytes = Some(bytes);
-        self
-    }
-
     /// Returns a copy with the per-core flight-recorder ring resized to
     /// `events` entries (0 disables recording).
     pub fn with_flight_ring(mut self, events: usize) -> Self {
@@ -339,17 +326,14 @@ impl SystemConfig {
         self
     }
 
-    /// Host stack bytes per simulated core: the explicit
-    /// [`SystemConfig::stack_bytes`] if set, else a core-count-aware
-    /// default. Stacks are lazily committed, so the cost of a large size
-    /// is address space and mapping count, both of which scale with core
-    /// count — hence the default shrinks as the system grows: 32 MB up to
-    /// 64 cores (the historical fixed size), 8 MB up to 256, 2 MB beyond
-    /// (a 1024-core system then reserves 2 GB, not 32 GB).
+    /// Host stack bytes reserved per simulated core (thread stack or
+    /// guard-paged fiber mmap, so an overflow faults loudly). Stacks are
+    /// lazily committed, so the cost of a large size is address space and
+    /// mapping count, both of which scale with core count — hence the size
+    /// shrinks as the system grows: 32 MB up to 64 cores (the historical
+    /// fixed size), 8 MB up to 256, 2 MB beyond (a 1024-core system then
+    /// reserves 2 GB, not 32 GB, and stays clear of `vm.max_map_count`).
     pub fn core_stack_bytes(&self) -> usize {
-        if let Some(bytes) = self.stack_bytes {
-            return bytes;
-        }
         match self.num_cores() {
             0..=64 => 32 << 20,
             65..=256 => 8 << 20,
@@ -405,8 +389,6 @@ mod tests {
         assert_eq!(SystemConfig::big_tiny_mesi().core_stack_bytes(), 32 << 20);
         assert_eq!(SystemConfig::o3(4).core_stack_bytes(), 32 << 20);
         assert_eq!(SystemConfig::big_tiny_256(Protocol::GpuWb).core_stack_bytes(), 8 << 20);
-        let c = SystemConfig::big_tiny_256(Protocol::GpuWb).with_core_stack(1 << 20);
-        assert_eq!(c.core_stack_bytes(), 1 << 20, "explicit size wins");
     }
 
     #[test]

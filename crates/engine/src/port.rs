@@ -27,9 +27,9 @@ use bigtiny_coherence::Addr;
 use bigtiny_mesh::{CoreSet, UliMessage, UliOutcome, XorShift64};
 
 use crate::breakdown::{TimeBreakdown, TimeCategory};
-use crate::config::CoreKind;
+use crate::config::{CoreKind, SystemConfig};
 use crate::event::{MemEvent, MemOp, RacyTag, SyncNote};
-use crate::fault::{FaultCounters, FaultPlan, FaultState, UliSendFault};
+use crate::fault::{FaultCounters, FaultState, UliSendFault};
 use crate::flight::{FlightKind, FlightRing, LiveCounters};
 use crate::sequencer::{PollOp, PollPlan, Section, POISON_MSG, POLL_SPIN_CYCLES};
 use crate::system::{GlobalState, Shared};
@@ -170,18 +170,11 @@ impl std::fmt::Debug for CorePort {
 }
 
 impl CorePort {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        core: usize,
-        kind: CoreKind,
-        shared: Arc<Shared>,
-        seed: u64,
-        faults: FaultPlan,
-        issue_width: u64,
-        overlap_div: u64,
-        uli_cost: u64,
-        num_cores: usize,
-    ) -> Self {
+    /// The port of `core` in a system configured by `config`, with every
+    /// recording channel the configuration arms. Built by the launching
+    /// thread; the port then moves into the core's own thread or fiber.
+    pub(crate) fn new(core: usize, config: &SystemConfig, shared: &Arc<Shared>) -> Self {
+        let kind = config.cores[core].kind;
         CorePort {
             core,
             kind,
@@ -191,25 +184,37 @@ impl CorePort {
             compute_since_poll: 0,
             pending_compute: 0,
             breakdown: TimeBreakdown::new(),
-            trace: None,
-            uli_marks: None,
-            events: None,
+            trace: config.trace.then(Vec::new),
+            uli_marks: config.trace.then(Vec::new),
+            events: config.check.armed().then(Vec::new),
             last_stamp: 0,
-            attr: None,
-            flight: FlightRing::new(0),
-            live: None,
-            rng: XorShift64::new(seed ^ (core as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15)),
+            attr: config.attr.then(|| AttrState {
+                current: None,
+                mark_clock: 0,
+                mark_breakdown: TimeBreakdown::new(),
+                spans: Vec::new(),
+            }),
+            flight: FlightRing::new(config.flight_ring),
+            live: shared.live.clone(),
+            rng: XorShift64::new(config.seed ^ (core as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15)),
             // Only tiny cores other than core 0 are crash-eligible: core 0
             // runs the program's root task, and the paper's big cores are
             // the reliable hosts of last resort.
-            faults: FaultState::new(faults, core, kind == CoreKind::Tiny && core != 0),
-            shared,
+            faults: FaultState::new(
+                config.faults.clone(),
+                core,
+                kind == CoreKind::Tiny && core != 0,
+            ),
+            shared: Arc::clone(shared),
             handler: None,
             in_handler: false,
-            issue_width,
-            overlap_div,
-            uli_cost,
-            num_cores,
+            issue_width: config.big_issue_width,
+            overlap_div: config.big_overlap_div,
+            uli_cost: match kind {
+                CoreKind::Big => config.uli_cost_big,
+                CoreKind::Tiny => config.uli_cost_tiny,
+            },
+            num_cores: config.num_cores(),
         }
     }
 
@@ -406,13 +411,6 @@ impl CorePort {
         self.clock += cycles;
     }
 
-    /// Enables trace recording on this port (set by the engine when the
-    /// system configuration requests traces).
-    pub(crate) fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-        self.uli_marks = Some(Vec::new());
-    }
-
     /// Records one ULI protocol mark at `cycle` (a grant or dispatch time
     /// the simulation already computed). Never sequences and never charges:
     /// with tracing disabled this is one never-taken branch.
@@ -421,24 +419,6 @@ impl CorePort {
         if let Some(m) = self.uli_marks.as_mut() {
             m.push(UliMark { cycle, kind });
         }
-    }
-
-    /// Enables checker event collection on this port (set by the engine
-    /// when [`crate::SystemConfig::check`] is armed).
-    pub(crate) fn enable_events(&mut self) {
-        self.events = Some(Vec::new());
-    }
-
-    /// Sizes this port's flight-recorder ring (set by the engine from
-    /// [`crate::SystemConfig::flight_ring`]; 0 disables recording).
-    pub(crate) fn set_flight_capacity(&mut self, events: usize) {
-        self.flight = FlightRing::new(events);
-    }
-
-    /// Installs the live-counter sink the heartbeat reads (set by the
-    /// engine when [`crate::SystemConfig::heartbeat`] is armed).
-    pub(crate) fn set_live(&mut self, live: Arc<LiveCounters>) {
-        self.live = Some(live);
     }
 
     /// Records one event on this core's flight recorder at the current
@@ -475,17 +455,6 @@ impl CorePort {
             let cycle = self.clock + self.pending_compute;
             ev.push((self.last_stamp, MemEvent { cycle, core: self.core, op: MemOp::Sync(note) }));
         }
-    }
-
-    /// Enables attribution-span recording on this port (set by the engine
-    /// when [`crate::SystemConfig::attr`] is armed).
-    pub(crate) fn enable_attr(&mut self) {
-        self.attr = Some(AttrState {
-            current: None,
-            mark_clock: 0,
-            mark_breakdown: TimeBreakdown::new(),
-            spans: Vec::new(),
-        });
     }
 
     /// Switches the open attribution span to `task`, returning the previous

@@ -8,7 +8,7 @@ use bigtiny_mesh::{TrafficStats, UliNetwork};
 use crate::breakdown::TimeBreakdown;
 use crate::config::{ExecBackend, SchedulePolicy, SystemConfig};
 use crate::event::{CheckMode, MemEvent};
-use crate::fault::{FaultCounters, FaultPlan};
+use crate::fault::FaultCounters;
 use crate::flight::{FlightEvent, LiveCounters};
 use crate::port::{CorePort, PortReport};
 use crate::sequencer::{ChoicePoint, PollOp, PollState, Sequencer, POISON_MSG};
@@ -51,71 +51,31 @@ pub type Worker = Box<dyn FnOnce(&mut CorePort) + Send + 'static>;
 type PortReports = Arc<Mutex<Vec<Option<PortReport>>>>;
 type Panics = Arc<Mutex<Vec<Box<dyn std::any::Any + Send>>>>;
 
-/// The per-core configuration a core execution context needs, extracted so
-/// it can move into a `'static` closure.
-#[derive(Clone)]
-struct CoreParams {
-    kind: crate::config::CoreKind,
-    seed: u64,
-    faults: FaultPlan,
-    issue_width: u64,
-    overlap_div: u64,
-    uli_cost: u64,
-    trace: bool,
-    check: bool,
-    attr: bool,
-    flight_ring: usize,
-    num_cores: usize,
-}
-
-impl CoreParams {
-    fn of(config: &SystemConfig, core: usize) -> Self {
-        let kind = config.cores[core].kind;
-        CoreParams {
-            kind,
-            seed: config.seed,
-            faults: config.faults.clone(),
-            issue_width: config.big_issue_width,
-            overlap_div: config.big_overlap_div,
-            uli_cost: match kind {
-                crate::config::CoreKind::Big => config.uli_cost_big,
-                crate::config::CoreKind::Tiny => config.uli_cost_tiny,
-            },
-            trace: config.trace,
-            check: config.check.armed(),
-            attr: config.attr,
-            flight_ring: config.flight_ring,
-            num_cores: config.num_cores(),
+/// The whole life of one core inside its own execution context (thread or
+/// fiber): run the worker, then retire the core — `retire` is how the
+/// backend does that — or, if the worker panicked, poison the run. The
+/// report is stored either way: a crash diagnostic is assembled from the
+/// partial ones after every core has unwound. `None` after a panic.
+fn run_core<T>(
+    mut port: CorePort,
+    worker: Worker,
+    shared: &Shared,
+    reports: &PortReports,
+    panics: &Panics,
+    retire: impl FnOnce() -> T,
+) -> Option<T> {
+    let core = port.core();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(&mut port)));
+    let retired = match result {
+        Ok(()) => Some(retire()),
+        Err(payload) => {
+            panics.lock().push(payload);
+            shared.seq.poison();
+            None
         }
-    }
-
-    fn build_port(self, core: usize, shared: &Arc<Shared>) -> CorePort {
-        let mut port = CorePort::new(
-            core,
-            self.kind,
-            Arc::clone(shared),
-            self.seed,
-            self.faults,
-            self.issue_width,
-            self.overlap_div,
-            self.uli_cost,
-            self.num_cores,
-        );
-        if self.trace {
-            port.enable_trace();
-        }
-        if self.check {
-            port.enable_events();
-        }
-        if self.attr {
-            port.enable_attr();
-        }
-        port.set_flight_capacity(self.flight_ring);
-        if let Some(live) = &shared.live {
-            port.set_live(Arc::clone(live));
-        }
-        port
-    }
+    };
+    reports.lock()[core] = Some(port.into_report());
+    retired
 }
 
 /// The concrete execution backend a run resolved to (see [`ExecBackend`]).
@@ -203,28 +163,12 @@ fn run_cores_on_threads(
         let shared = Arc::clone(shared);
         let reports = Arc::clone(reports);
         let panics = Arc::clone(panics);
-        let params = CoreParams::of(config, core);
+        let port = CorePort::new(core, config, &shared);
         let handle = std::thread::Builder::new()
             .name(format!("sim-core-{core}"))
             .stack_size(config.core_stack_bytes())
             .spawn(move || {
-                let mut port = params.build_port(core, &shared);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker(&mut port);
-                }));
-                match result {
-                    Ok(()) => {
-                        shared.seq.retire(core);
-                        reports.lock()[core] = Some(port.into_report());
-                    }
-                    Err(payload) => {
-                        panics.lock().push(payload);
-                        shared.seq.poison();
-                        // Keep the partial report: the crash diagnostic is
-                        // assembled from it after every thread has unwound.
-                        reports.lock()[core] = Some(port.into_report());
-                    }
-                }
+                run_core(port, worker, &shared, &reports, &panics, || shared.seq.retire(core));
             })
             .expect("spawn simulated core thread");
         handles.push(handle);
@@ -300,21 +244,11 @@ fn drive_island(
         let shared = Arc::clone(shared);
         let reports = Arc::clone(reports);
         let panics = Arc::clone(panics);
-        let params = CoreParams::of(config, core);
+        let port = CorePort::new(core, config, &shared);
         let entry = Box::new(move || {
-            let mut port = params.build_port(core, &shared);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                worker(&mut port);
-            }));
-            let next = match result {
-                Ok(()) => shared.seq.retire_fiber_target(core),
-                Err(payload) => {
-                    panics.lock().push(payload);
-                    shared.seq.poison();
-                    FiberId::Launcher
-                }
-            };
-            reports.lock()[core] = Some(port.into_report());
+            let retire = || shared.seq.retire_fiber_target(core);
+            let next = run_core(port, worker, &shared, &reports, &panics, retire)
+                .unwrap_or(FiberId::Launcher);
             // Control never returns to this closure, so its captured state
             // would otherwise leak: drop every owned handle before the final
             // switch. Nothing else runs on this host thread meanwhile.

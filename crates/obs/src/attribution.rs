@@ -9,10 +9,10 @@
 //! `tests/tests/critpath.rs` checks the invariant across the full
 //! kernel × configuration matrix.
 
-use bigtiny_core::TaskRun;
-use bigtiny_engine::{RunReport, TimeBreakdown, TimeCategory};
+use bigtiny_core::{TaskEvent, TaskRun};
+use bigtiny_engine::{AttrSpan, RunReport, TimeBreakdown, TimeCategory};
 
-use crate::critpath::{replay_run, CritPath, CycleLens};
+use crate::critpath::{replay_ledger, well_formed, CritPath, CycleLens};
 
 /// Where every core-cycle of a run went, folded into the six buckets the
 /// profiler reports. Buckets sum exactly to the total core-cycles.
@@ -183,19 +183,33 @@ impl WhatIf {
                     .into(),
             );
         }
-        let workers = run.report.core_cycles.len() as u64;
-        let tp = run.report.completion_cycles;
-        let burdened = replay_run(run, CycleLens::Burdened)?;
-        let zero_steal = replay_run(run, CycleLens::ZeroSteal)?;
-        let zero_coherence = replay_run(run, CycleLens::ZeroCoherence)?;
-        let work_only = replay_run(run, CycleLens::WorkOnly)?;
+        Self::over(&run.task_events, &run.report.attr_spans, &run.report)
+    }
+
+    /// The all-zero analysis of a run that recorded nothing to replay: the
+    /// same shape, so a document's schema never depends on the data.
+    pub(crate) fn unprofiled(rep: &RunReport) -> WhatIf {
+        Self::over(&[], &[], rep).expect("an empty stream is well-formed")
+    }
+
+    /// Validates the stream once, then replays it under every lens.
+    fn over(
+        events: &[TaskEvent],
+        spans: &[Vec<AttrSpan>],
+        rep: &RunReport,
+    ) -> Result<WhatIf, String> {
+        let workers = rep.core_cycles.len() as u64;
+        let tp = rep.completion_cycles;
+        let ledger = well_formed(events)?;
+        let under = |lens| replay_ledger(&ledger, events, spans, lens);
+        let burdened = under(CycleLens::Burdened)?;
         Ok(WhatIf {
             measured_tp: tp,
             workers,
             measured: projection(&burdened, workers, tp),
-            zero_steal: projection(&zero_steal, workers, tp),
-            zero_coherence: projection(&zero_coherence, workers, tp),
-            work_only: projection(&work_only, workers, tp),
+            zero_steal: projection(&under(CycleLens::ZeroSteal)?, workers, tp),
+            zero_coherence: projection(&under(CycleLens::ZeroCoherence)?, workers, tp),
+            work_only: projection(&under(CycleLens::WorkOnly)?, workers, tp),
             burdened,
         })
     }

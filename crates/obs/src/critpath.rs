@@ -34,7 +34,7 @@
 
 use std::rc::Rc;
 
-use bigtiny_core::{TaskEvent, TaskEventKind, TaskRun};
+use bigtiny_core::{TaskEvent, TaskEventKind, TaskLedger, TaskRun};
 use bigtiny_engine::{AttrSpan, TimeBreakdown, TimeCategory};
 
 /// Which time categories a replay counts when weighting DAG nodes.
@@ -161,164 +161,42 @@ pub struct DagCheck {
 }
 
 /// Checks that a recorded task-event stream describes a well-formed
-/// spawn/join DAG:
+/// spawn/join DAG — [`TaskLedger`] states the rules and finds the first
+/// event that breaks one — in which, additionally, every task that began
+/// executing also ended, or is covered.
 ///
-/// * every task is spawned exactly once, before any of its other events;
-/// * every `Spawn`'s parent was spawned earlier (so parent links are
-///   acyclic), and exactly one task — the root — has no parent;
-/// * each task begins and ends execution at most once, in order, and
-///   never ends without beginning;
-/// * event cycles are non-decreasing per core.
-///
-/// Crash-recovery streams stay well-formed under two relaxations: a task
-/// that began but never ended is accepted when it — or an ancestor — was
-/// covered by a `Respawn` (its core fail-stopped mid-execution and a
-/// replacement re-runs the subtree), and `Discarded` orphans are accepted
-/// as terminal without ever executing.
-///
-/// Multiplicity-deque streams add one more shape: a `Duplicate { of }`
-/// enters a parentless non-root task that re-executes `of`'s body. Unlike
-/// a `Respawn` it does not *cover* the original — the original also runs
-/// to completion — so it never relaxes the began-but-never-ended check.
+/// That is what keeps crash-recovery streams well-formed: a task that
+/// began but never ended is accepted when a `Respawn` covers it or an
+/// ancestor (its core fail-stopped mid-execution and a replacement re-runs
+/// the subtree), and `Discarded` orphans are terminal without ever
+/// executing. A multiplicity `Duplicate { of }` enters a parentless
+/// non-root task that re-executes `of`'s body; unlike a `Respawn` it does
+/// not cover the original — the original also runs to completion.
 pub fn check_task_dag(events: &[TaskEvent]) -> Result<DagCheck, String> {
-    // Task id -> (spawned, began, ended); ids are dense.
-    let mut state: Vec<(bool, bool, bool)> = Vec::new();
-    let mut parents: Vec<Option<u32>> = Vec::new();
-    let mut respawned_of: Vec<bool> = Vec::new();
-    let mut last_cycle_per_core: Vec<u64> = Vec::new();
-    let mut check = DagCheck::default();
-    let mut roots = 0u64;
-    for e in events {
-        let id = e.task as usize;
-        if state.len() <= id {
-            state.resize(id + 1, (false, false, false));
-            parents.resize(id + 1, None);
-            respawned_of.resize(id + 1, false);
-        }
-        if last_cycle_per_core.len() <= e.core {
-            last_cycle_per_core.resize(e.core + 1, 0);
-        }
-        if e.cycle < last_cycle_per_core[e.core] {
-            return Err(format!(
-                "core {} went back in time: cycle {} after {}",
-                e.core, e.cycle, last_cycle_per_core[e.core]
-            ));
-        }
-        last_cycle_per_core[e.core] = e.cycle;
-        match e.kind {
-            TaskEventKind::Spawn { parent } => {
-                if state[id].0 {
-                    return Err(format!("task {id} spawned twice"));
-                }
-                state[id].0 = true;
-                parents[id] = parent;
-                check.tasks += 1;
-                match parent {
-                    None => roots += 1,
-                    Some(p) => {
-                        if p as usize == id {
-                            return Err(format!("task {id} is its own parent"));
-                        }
-                        if !state.get(p as usize).is_some_and(|s| s.0) {
-                            return Err(format!(
-                                "task {id} spawned by task {p}, which was never spawned"
-                            ));
-                        }
-                    }
-                }
-            }
-            TaskEventKind::Respawn { of } => {
-                if state[id].0 {
-                    return Err(format!("task {id} spawned twice"));
-                }
-                if !state.get(of as usize).is_some_and(|s| s.0) {
-                    return Err(format!("task {id} respawns task {of}, which was never spawned"));
-                }
-                state[id].0 = true;
-                // The replacement re-runs the dead task's subtree in its
-                // parent's stead.
-                parents[id] = parents[of as usize];
-                respawned_of[of as usize] = true;
-                check.tasks += 1;
-                check.respawns += 1;
-            }
-            TaskEventKind::Duplicate { of } => {
-                if state[id].0 {
-                    return Err(format!("task {id} spawned twice"));
-                }
-                if !state.get(of as usize).is_some_and(|s| s.0) {
-                    return Err(format!("task {id} duplicates task {of}, which was never spawned"));
-                }
-                // Parentless by construction (no join obligation), but not
-                // a root: `roots` counts only parentless `Spawn`s.
-                state[id].0 = true;
-                check.tasks += 1;
-                check.duplicates += 1;
-            }
-            TaskEventKind::Discarded => {
-                if !state[id].0 {
-                    return Err(format!("task {id} discarded without a Spawn"));
-                }
-                if state[id].1 {
-                    return Err(format!("task {id} discarded after it began executing"));
-                }
-                check.discards += 1;
-            }
-            TaskEventKind::ExecBegin => {
-                if !state[id].0 {
-                    return Err(format!("task {id} began executing without a Spawn"));
-                }
-                if state[id].1 {
-                    return Err(format!("task {id} began executing twice"));
-                }
-                state[id].1 = true;
-            }
-            TaskEventKind::ExecEnd => {
-                if !state[id].1 {
-                    return Err(format!("task {id} ended without beginning"));
-                }
-                if state[id].2 {
-                    return Err(format!("task {id} ended twice"));
-                }
-                state[id].2 = true;
-                check.executed += 1;
-            }
-            TaskEventKind::Stolen { .. } => {
-                if !state[id].0 {
-                    return Err(format!("task {id} stolen without a Spawn"));
-                }
-                check.steals += 1;
-            }
-            TaskEventKind::Join => {
-                if !state[id].0 {
-                    return Err(format!("task {id} joined without a Spawn"));
-                }
-                check.joins += 1;
-            }
-        }
+    let l = well_formed(events)?;
+    Ok(DagCheck {
+        tasks: l.tasks,
+        executed: l.executed,
+        steals: l.steals,
+        joins: l.joins,
+        respawns: l.respawns,
+        discards: l.discards,
+        duplicates: l.duplicates,
+    })
+}
+
+/// The [`TaskLedger`] of a well-formed stream (see [`check_task_dag`]):
+/// the fold stops at the first structural fault, and a task lost
+/// mid-execution must be covered by a `Respawn`.
+pub(crate) fn well_formed(events: &[TaskEvent]) -> Result<TaskLedger, String> {
+    let ledger = TaskLedger::fold(events).map_err(|fault| fault.to_string())?;
+    let lost = ledger.lives().iter().zip(0u32..).find(|(life, id)| {
+        life.exec_begin.is_some() && life.exec_end.is_none() && !ledger.covered(*id)
+    });
+    match lost {
+        Some((_, id)) => Err(format!("task {id} began executing but never ended")),
+        None => Ok(ledger),
     }
-    if !events.is_empty() && roots != 1 {
-        return Err(format!("expected exactly one parentless root task, found {roots}"));
-    }
-    // A task lost mid-execution is accounted for iff a Respawn covers it
-    // or one of its ancestors (the re-executed subtree recreates it).
-    let covered = |mut t: usize| -> bool {
-        loop {
-            if respawned_of[t] {
-                return true;
-            }
-            match parents[t] {
-                Some(p) => t = p as usize,
-                None => return false,
-            }
-        }
-    };
-    for (id, (_, began, ended)) in state.iter().enumerate() {
-        if *began && !*ended && !covered(id) {
-            return Err(format!("task {id} began executing but never ended"));
-        }
-    }
-    Ok(check)
 }
 
 /// Whether `run` carries everything a replay needs: recorded task events
@@ -350,72 +228,43 @@ fn via_forward(via: &Via) -> Vec<u32> {
     out
 }
 
-/// Per-task replay state, mirroring the online profiler's `TaskProfile`
-/// with cycles for instructions, plus the path *structure* (which child
-/// chains the path runs through) that the online profiler never needs.
-#[derive(Clone)]
-struct TaskNode {
-    spawned: bool,
-    parent: Option<u32>,
-    /// Lens-weighted cycles on this task's longest serial chain so far.
-    path: u64,
-    path_bd: TimeBreakdown,
-    /// Children whose chains the current `path` descends through.
+/// A weighted path through the DAG: its lens-weighted cycles, where those
+/// cycles went by category, and the children whose chains it descends
+/// through.
+#[derive(Clone, Default)]
+struct Stretch {
+    cycles: u64,
+    breakdown: TimeBreakdown,
     via: Via,
-    /// Best completed-child chain folded in so far, and its structure:
-    /// the winning child appended to the parent structure snapshotted at
-    /// that child's spawn.
-    candidate: u64,
-    cand_bd: TimeBreakdown,
-    cand_via: Via,
-    /// Parent's `path` (and structure) at the moment this task was
-    /// spawned.
-    spawn_path: u64,
-    spawn_bd: TimeBreakdown,
-    spawn_via: Via,
+}
+
+/// Per-task span state, mirroring the online profiler's `TaskProfile` with
+/// cycles for instructions, plus the path *structure* that the online
+/// profiler never needs. The lifecycle half — parent, execution window,
+/// stolen — is the [`TaskLedger`]'s.
+#[derive(Clone, Default)]
+struct TaskNode {
+    /// This task's longest serial chain so far.
+    path: Stretch,
+    /// Best completed-child chain folded in so far: the parent's path as
+    /// snapshotted at the winning child's spawn, then that child's span.
+    candidate: Stretch,
+    /// Parent's `path` at the moment this task was spawned.
+    at_spawn: Stretch,
     /// Total lens-weighted cycles attributed to this task (its work).
     accrued: u64,
-    /// Fixed at ExecEnd: the task's final span, its category breakdown,
-    /// and its structure.
-    final_span: Option<u64>,
-    final_bd: TimeBreakdown,
-    final_via: Via,
-    exec_begin: Option<(u64, usize)>,
-    exec_end: Option<u64>,
-    stolen: bool,
+    /// Fixed at ExecEnd: the task's final span.
+    final_span: Option<Stretch>,
 }
 
 impl TaskNode {
-    fn new() -> Self {
-        TaskNode {
-            spawned: false,
-            parent: None,
-            path: 0,
-            path_bd: TimeBreakdown::new(),
-            via: None,
-            candidate: 0,
-            cand_bd: TimeBreakdown::new(),
-            cand_via: None,
-            spawn_path: 0,
-            spawn_bd: TimeBreakdown::new(),
-            spawn_via: None,
-            accrued: 0,
-            final_span: None,
-            final_bd: TimeBreakdown::new(),
-            final_via: None,
-            exec_begin: None,
-            exec_end: None,
-            stolen: false,
-        }
-    }
-
-    fn span(&self) -> (u64, TimeBreakdown, Via) {
+    fn span(&self) -> &Stretch {
         // Ties go to the serial path, like the online profiler's
         // `path.max(candidate)`.
-        if self.candidate > self.path {
-            (self.candidate, self.cand_bd, self.cand_via.clone())
+        if self.candidate.cycles > self.path.cycles {
+            &self.candidate
         } else {
-            (self.path, self.path_bd, self.via.clone())
+            &self.path
         }
     }
 }
@@ -423,7 +272,7 @@ impl TaskNode {
 fn node(nodes: &mut Vec<TaskNode>, id: u32) -> &mut TaskNode {
     let id = id as usize;
     if nodes.len() <= id {
-        nodes.resize(id + 1, TaskNode::new());
+        nodes.resize(id + 1, TaskNode::default());
     }
     &mut nodes[id]
 }
@@ -441,10 +290,20 @@ pub fn replay(
     attr_spans: &[Vec<AttrSpan>],
     lens: CycleLens,
 ) -> Result<CritPath, String> {
-    let check = check_task_dag(events)?;
-    let mut nodes: Vec<TaskNode> = Vec::new();
+    replay_ledger(&well_formed(events)?, events, attr_spans, lens)
+}
+
+/// [`replay`] given the stream's already-validated ledger, so that several
+/// lenses share one validation.
+pub(crate) fn replay_ledger(
+    ledger: &TaskLedger,
+    events: &[TaskEvent],
+    attr_spans: &[Vec<AttrSpan>],
+    lens: CycleLens,
+) -> Result<CritPath, String> {
+    let lives = ledger.lives();
+    let mut nodes: Vec<TaskNode> = vec![TaskNode::default(); lives.len()];
     let mut cursors: Vec<usize> = vec![0; attr_spans.len()];
-    let mut root: Option<u32> = None;
 
     // Consume the spans of `core` that closed at or before `cycle`,
     // accruing each interval to its owning task. Task-lifecycle recording
@@ -458,8 +317,8 @@ pub fn replay(
             if let Some(t) = s.task {
                 let w = lens.weigh(&s.breakdown);
                 let n = node(nodes, t);
-                n.path += w;
-                n.path_bd += s.breakdown;
+                n.path.cycles += w;
+                n.path.breakdown += s.breakdown;
                 n.accrued += w;
             }
         }
@@ -469,87 +328,48 @@ pub fn replay(
         if e.core < attr_spans.len() {
             consume(&mut nodes, &mut cursors, e.core, e.cycle);
         }
+        let parent = lives[e.task as usize].parent;
         match e.kind {
-            TaskEventKind::Spawn { parent } => {
-                let snapshot = parent.map(|p| {
-                    let pn = node(&mut nodes, p);
-                    (pn.path, pn.path_bd, pn.via.clone())
-                });
-                let n = node(&mut nodes, e.task);
-                n.spawned = true;
-                n.parent = parent;
-                if let Some((path, bd, via)) = snapshot {
-                    n.spawn_path = path;
-                    n.spawn_bd = bd;
-                    n.spawn_via = via;
-                } else {
-                    root = Some(e.task);
+            // A task enters the DAG under its ledger parent (a crash
+            // replacement: under the dead original's), snapshotting that
+            // parent's path. The root has nothing to snapshot.
+            TaskEventKind::Spawn { .. } | TaskEventKind::Respawn { .. } => {
+                if let Some(p) = parent {
+                    nodes[e.task as usize].at_spawn = nodes[p as usize].path.clone();
                 }
             }
-            TaskEventKind::ExecBegin => {
-                node(&mut nodes, e.task).exec_begin = Some((e.cycle, e.core));
-            }
             TaskEventKind::ExecEnd => {
-                let n = node(&mut nodes, e.task);
-                let (span, span_bd, via) = n.span();
-                n.final_span = Some(span);
-                n.final_bd = span_bd;
-                n.final_via = via;
-                n.exec_end = Some(e.cycle);
-                let (spawn_path, spawn_bd, spawn_via, parent) =
-                    (n.spawn_path, n.spawn_bd, n.spawn_via.clone(), n.parent);
+                let n = &mut nodes[e.task as usize];
+                let span = n.span().clone();
+                let at_spawn = n.at_spawn.clone();
+                n.final_span = Some(span.clone());
                 if let Some(parent) = parent {
-                    let pn = node(&mut nodes, parent);
-                    let chain = spawn_path + span;
-                    if chain > pn.candidate {
-                        pn.candidate = chain;
-                        let mut bd = spawn_bd;
-                        bd += span_bd;
-                        pn.cand_bd = bd;
-                        pn.cand_via = Some(Rc::new(ViaNode { task: e.task, prev: spawn_via }));
+                    let pn = &mut nodes[parent as usize];
+                    if at_spawn.cycles + span.cycles > pn.candidate.cycles {
+                        let mut breakdown = at_spawn.breakdown;
+                        breakdown += span.breakdown;
+                        pn.candidate = Stretch {
+                            cycles: at_spawn.cycles + span.cycles,
+                            breakdown,
+                            via: Some(Rc::new(ViaNode { task: e.task, prev: at_spawn.via })),
+                        };
                     }
                 }
             }
-            TaskEventKind::Respawn { of } => {
-                // A crash-recovery replacement: re-enters the DAG under
-                // the dead task's parent, snapshotting that parent at the
-                // respawn like a fresh spawn.
-                let parent = nodes.get(of as usize).and_then(|n| n.parent);
-                let snapshot = parent.map(|p| {
-                    let pn = node(&mut nodes, p);
-                    (pn.path, pn.path_bd, pn.via.clone())
-                });
-                let n = node(&mut nodes, e.task);
-                n.spawned = true;
-                n.parent = parent;
-                if let Some((path, bd, via)) = snapshot {
-                    n.spawn_path = path;
-                    n.spawn_bd = bd;
-                    n.spawn_via = via;
-                }
-            }
-            TaskEventKind::Duplicate { .. } => {
-                // A multiplicity duplicate enters the replay as a
-                // parentless task: its cycles count as work (the duplicate
-                // execution is real burden) but it folds no span into any
-                // parent — the original carries the join chain.
-                node(&mut nodes, e.task).spawned = true;
-            }
-            TaskEventKind::Discarded => {
-                // Orphans reclaimed from a dead core's deque never ran:
-                // nothing accrues.
-            }
-            TaskEventKind::Stolen { .. } => {
-                node(&mut nodes, e.task).stolen = true;
-            }
             TaskEventKind::Join => {
-                let n = node(&mut nodes, e.task);
-                if n.candidate > n.path {
-                    n.path = n.candidate;
-                    n.path_bd = n.cand_bd;
-                    n.via = n.cand_via.clone();
+                let n = &mut nodes[e.task as usize];
+                if n.candidate.cycles > n.path.cycles {
+                    n.path = n.candidate.clone();
                 }
             }
+            // A multiplicity duplicate is parentless: its cycles count as
+            // work (the duplicate execution is real burden) but it folds no
+            // span into any parent — the original carries the join chain.
+            // An orphan discarded from a dead core's deque never ran.
+            TaskEventKind::Duplicate { .. }
+            | TaskEventKind::Discarded
+            | TaskEventKind::ExecBegin
+            | TaskEventKind::Stolen { .. } => {}
         }
     }
 
@@ -560,49 +380,43 @@ pub fn replay(
     }
 
     let work: u64 = nodes.iter().map(|n| n.accrued).sum();
-    let (span, span_breakdown, chain) = match root {
-        None => (0, TimeBreakdown::new(), Vec::new()),
-        Some(root) => {
-            let rn = &nodes[root as usize];
-            let (span, bd, via) = match rn.final_span {
-                // Normal case: frozen at the root's ExecEnd, before the
-                // wind-down tail accrued.
-                Some(s) => (s, rn.final_bd, rn.final_via.clone()),
-                None => rn.span(),
-            };
-            // Pre-order expansion: each task on the path, then the chains
-            // of the children its path descends through, in path order.
-            let mut chain = Vec::new();
-            let mut stack = vec![(root, via)];
-            while let Some((t, via)) = stack.pop() {
-                let n = &nodes[t as usize];
-                let (begin, core) = n.exec_begin.unwrap_or((0, 0));
-                chain.push(ChainLink {
-                    task: t,
-                    exec_begin: begin,
-                    exec_end: n.exec_end.unwrap_or(begin),
-                    core,
-                    stolen: n.stolen,
-                });
-                if chain.len() > nodes.len() {
-                    return Err("critical-path chain longer than the task count".into());
-                }
-                for c in via_forward(&via).into_iter().rev() {
-                    let cn = &nodes[c as usize];
-                    stack.push((c, cn.final_via.clone()));
-                }
-            }
-            (span, bd, chain)
+    // The root's span: frozen at its ExecEnd, before the wind-down tail
+    // accrued (normally), else wherever its path stands.
+    let root = ledger.root().map(|root| {
+        let rn = &nodes[root as usize];
+        (root, rn.final_span.clone().unwrap_or_else(|| rn.span().clone()))
+    });
+    // Pre-order expansion: each task on the path, then the chains of the
+    // children its path descends through, in path order.
+    let mut chain = Vec::new();
+    let mut stack: Vec<(u32, Via)> = root.iter().map(|(t, s)| (*t, s.via.clone())).collect();
+    while let Some((t, via)) = stack.pop() {
+        let life = &lives[t as usize];
+        let (begin, core) = life.exec_begin.unwrap_or((0, 0));
+        chain.push(ChainLink {
+            task: t,
+            exec_begin: begin,
+            exec_end: life.exec_end.unwrap_or(begin),
+            core,
+            stolen: life.stolen,
+        });
+        if chain.len() > nodes.len() {
+            return Err("critical-path chain longer than the task count".into());
         }
-    };
+        for c in via_forward(&via).into_iter().rev() {
+            let child = &nodes[c as usize].final_span;
+            stack.push((c, child.as_ref().and_then(|s| s.via.clone())));
+        }
+    }
+    let span = root.map(|(_, s)| s).unwrap_or_default();
 
     Ok(CritPath {
         lens,
         work,
-        span,
-        tasks: check.tasks,
-        steals: check.steals,
-        span_breakdown,
+        span: span.cycles,
+        tasks: ledger.tasks,
+        steals: ledger.steals,
+        span_breakdown: span.breakdown,
         chain,
     })
 }

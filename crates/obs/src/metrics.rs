@@ -233,55 +233,30 @@ fn critpath_section(r: &RunMetrics<'_>) -> Json {
     cons_kv.push(("total_core_cycles".into(), Json::u64(cons.total_core_cycles)));
     cons_kv.push(("holds".into(), Json::Bool(cons.holds())));
 
-    let what_if = if crate::critpath::profiled(r.run) { WhatIf::project(r.run).ok() } else { None };
-    let mut kv = vec![
+    // A run that is not profiled — or whose stream does not replay —
+    // emits the all-zero analysis under `profiled: false`.
+    let (profiled, w) = match WhatIf::project(r.run) {
+        Ok(w) => (true, w),
+        Err(_) => (false, WhatIf::unprofiled(&r.run.report)),
+    };
+    let what_if = w
+        .projections()
+        .into_iter()
+        .map(|p| (p.lens.label().to_owned(), projection_object(p)))
+        .collect();
+    Json::Obj(vec![
         ("conservation".into(), Json::Obj(cons_kv)),
-        ("profiled".into(), Json::Bool(what_if.is_some())),
-    ];
-    match &what_if {
-        Some(w) => {
-            kv.push(("work".into(), Json::u64(w.burdened.work)));
-            kv.push(("span".into(), Json::u64(w.burdened.span)));
-            kv.push(("parallelism".into(), Json::f64(w.burdened.parallelism())));
-            kv.push(("measured_tp".into(), Json::u64(w.measured_tp)));
-            kv.push(("workers".into(), Json::u64(w.workers)));
-            kv.push(("span_breakdown".into(), pairs_object(w.burdened.span_breakdown.pairs())));
-            kv.push(("chain_tasks".into(), Json::u64(w.burdened.chain.len() as u64)));
-            kv.push(("chain_steals".into(), Json::u64(w.burdened.chain_steals())));
-            let what_if = w
-                .projections()
-                .into_iter()
-                .map(|p| (p.lens.label().to_owned(), projection_object(p)))
-                .collect();
-            kv.push(("what_if".into(), Json::Obj(what_if)));
-        }
-        None => {
-            let zero = Projection {
-                lens: crate::critpath::CycleLens::Burdened,
-                work: 0,
-                span: 0,
-                greedy_bound: 0,
-                speedup_bound: 0.0,
-            };
-            kv.push(("work".into(), Json::u64(0)));
-            kv.push(("span".into(), Json::u64(0)));
-            kv.push(("parallelism".into(), Json::f64(0.0)));
-            kv.push(("measured_tp".into(), Json::u64(r.run.report.completion_cycles)));
-            kv.push(("workers".into(), Json::u64(r.run.report.core_cycles.len() as u64)));
-            kv.push((
-                "span_breakdown".into(),
-                pairs_object(bigtiny_engine::TimeBreakdown::new().pairs()),
-            ));
-            kv.push(("chain_tasks".into(), Json::u64(0)));
-            kv.push(("chain_steals".into(), Json::u64(0)));
-            let what_if = ["zero_steal", "zero_coherence", "work_only"]
-                .into_iter()
-                .map(|k| (k.to_owned(), projection_object(&zero)))
-                .collect();
-            kv.push(("what_if".into(), Json::Obj(what_if)));
-        }
-    }
-    Json::Obj(kv)
+        ("profiled".into(), Json::Bool(profiled)),
+        ("work".into(), Json::u64(w.burdened.work)),
+        ("span".into(), Json::u64(w.burdened.span)),
+        ("parallelism".into(), Json::f64(w.burdened.parallelism())),
+        ("measured_tp".into(), Json::u64(w.measured_tp)),
+        ("workers".into(), Json::u64(w.workers)),
+        ("span_breakdown".into(), pairs_object(w.burdened.span_breakdown.pairs())),
+        ("chain_tasks".into(), Json::u64(w.burdened.chain.len() as u64)),
+        ("chain_steals".into(), Json::u64(w.burdened.chain_steals())),
+        ("what_if".into(), Json::Obj(what_if)),
+    ])
 }
 
 fn projection_object(p: &Projection) -> Json {

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use bigtiny_core::{TaskEventKind, TaskRun};
+use bigtiny_core::{TaskEventKind, TaskLedger, TaskRun};
 use bigtiny_engine::UliMarkKind;
 
 use crate::json::Json;
@@ -115,18 +115,12 @@ fn emit_core_spans(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
 /// zero-length). The async id embeds the pid so ids stay globally unique
 /// across runs in one document.
 fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
-    // task id -> (first cycle, first core, last cycle, last core); the
-    // event stream is sorted by (cycle, core), so first/last are just the
-    // extremes in stream order.
-    let mut lifetimes: BTreeMap<u32, (u64, usize, u64, usize)> = BTreeMap::new();
+    // The event stream is sorted by (cycle, core), so the ledger's first
+    // and last sighting of a task are its lifetime. Faults are not this
+    // reader's business: whatever was recorded is drawn.
+    let mut ledger = TaskLedger::default();
     for e in &r.run.task_events {
-        lifetimes
-            .entry(e.task)
-            .and_modify(|l| {
-                l.2 = e.cycle;
-                l.3 = e.core;
-            })
-            .or_insert((e.cycle, e.core, e.cycle, e.core));
+        ledger.push(e);
         if let TaskEventKind::Stolen { from } = e.kind {
             events.push(ev([
                 ("name", Json::str("steal")),
@@ -140,27 +134,19 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
             ]));
         }
     }
-    for (task, (t0, c0, t1, c1)) in lifetimes {
-        let id = Json::str(format!("task-{pid}-{task}"));
-        let name = Json::str(format!("task {task}"));
-        events.push(ev([
-            ("name", name.clone()),
-            ("cat", Json::str("task")),
-            ("ph", Json::str("b")),
-            ("id", id.clone()),
-            ("ts", Json::u64(t0)),
-            ("pid", Json::u64(pid)),
-            ("tid", Json::u64(c0 as u64)),
-        ]));
-        events.push(ev([
-            ("name", name),
-            ("cat", Json::str("task")),
-            ("ph", Json::str("e")),
-            ("id", id),
-            ("ts", Json::u64(t1)),
-            ("pid", Json::u64(pid)),
-            ("tid", Json::u64(c1 as u64)),
-        ]));
+    for (task, life) in ledger.lives().iter().enumerate() {
+        let Some((first, last)) = life.seen else { continue };
+        for (ph, (ts, core)) in [("b", first), ("e", last)] {
+            events.push(ev([
+                ("name", Json::str(format!("task {task}"))),
+                ("cat", Json::str("task")),
+                ("ph", Json::str(ph)),
+                ("id", Json::str(format!("task-{pid}-{task}"))),
+                ("ts", Json::u64(ts)),
+                ("pid", Json::u64(pid)),
+                ("tid", Json::u64(core as u64)),
+            ]));
+        }
     }
 }
 

@@ -389,54 +389,124 @@ fn single_edit_mutants_match_their_pins() {
     let cells = corpus();
     let all = mutants(cells);
     assert!(all.len() >= 200, "only {} mutants generated", all.len());
-    let skipped = |i: usize| PARENT_DOES_NOT_TERMINATE.iter().any(|&(m, _)| m == i);
 
     // The validators run on their own thread so that one which never
-    // returns fails this test instead of wedging it.
+    // returns (or panics) fails this test instead of wedging it.
     let (tx, rx) = mpsc::channel();
-    let jobs: Vec<(usize, Vec<TaskEvent>, AuditMode, &'static str)> = all
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !skipped(*i))
-        .map(|(i, m)| (i, m.events.clone(), cells[m.cell].mode, cells[m.cell].kernel))
-        .collect();
-    let expected = jobs.len();
+    let jobs: Vec<(Vec<TaskEvent>, AuditMode, &'static str)> =
+        all.iter().map(|m| (m.events.clone(), cells[m.cell].mode, cells[m.cell].kernel)).collect();
     std::thread::spawn(move || {
-        for (i, events, mode, kernel) in jobs {
-            if tx.send((i, observe_mutant(&events, mode, kernel))).is_err() {
+        for (events, mode, kernel) in jobs {
+            if tx.send(observe_mutant(&events, mode, kernel)).is_err() {
                 return;
             }
         }
     });
-    let mut observed: Vec<Option<MutantPin>> = vec![None; all.len()];
-    for done in 0..expected {
-        match rx.recv_timeout(GUARD) {
-            Ok((i, pin)) => observed[i] = Some(pin),
-            Err(_) => {
-                let next = (0..all.len()).filter(|&i| !skipped(i)).nth(done).unwrap();
-                let m = &all[next];
-                panic!(
-                    "mutant {next} ({:?} on {}) did not terminate (or panicked)",
-                    m.edit, cells[m.cell].label
-                );
-            }
-        }
-    }
+    let observed: Vec<MutantPin> = (0..all.len())
+        .map(|i| {
+            rx.recv_timeout(GUARD).unwrap_or_else(|_| {
+                let m = &all[i];
+                panic!("mutant {i} ({:?} on {}) did not return", m.edit, cells[m.cell].label)
+            })
+        })
+        .collect();
 
-    let pinned = |i: usize| MUTANT_PINS.get(i).copied();
-    let moved: Vec<usize> =
-        (0..all.len()).filter(|&i| !skipped(i) && observed[i] != pinned(i)).collect();
-    if !moved.is_empty() || MUTANT_PINS.len() != all.len() {
-        let mut table = String::new();
-        for (i, m) in all.iter().enumerate() {
-            let label = &cells[m.cell].label;
-            let row = match observed[i] {
-                Some(p) => format!("m({}, {:#018x}, {})", p.dag_ok, p.findings, p.malformed),
-                None => "SKIP".to_owned(),
+    // The pins are the verdicts of the separate state machines. One ledger
+    // answers for all readers now, so a stream the DAG check rejects is a
+    // finding in the audit too: `malformed` may have grown since (to the
+    // digit `MALFORMED_NOW` holds), only on a rejected stream, and nothing
+    // else may have moved. The mutants that did not return when pinned now
+    // do, rejected by both.
+    let pinned = |i: usize| {
+        let never_returned = DID_NOT_RETURN_WHEN_PINNED.iter().any(|&(m, _)| m == i);
+        MUTANT_PINS.get(i).copied().filter(|_| !never_returned)
+    };
+    let now = |i: usize| MALFORMED_NOW.as_bytes().get(i).map(|d| u32::from(d - b'0'));
+    let moved: Vec<usize> = (0..all.len())
+        .filter(|&i| {
+            let o = observed[i];
+            let as_pinned = match pinned(i) {
+                Some(was) => {
+                    (o.dag_ok, o.findings) == (was.dag_ok, was.findings)
+                        && (o.malformed == was.malformed
+                            || (o.malformed > was.malformed && !o.dag_ok))
+                }
+                None => !o.dag_ok && o.malformed > 0,
             };
+            !as_pinned || Some(o.malformed) != now(i)
+        })
+        .collect();
+    for (i, o) in observed.iter().enumerate() {
+        let clean = o.malformed == 0 && o.findings == FNV_OFFSET;
+        assert!(o.dag_ok || !clean, "mutant {i}: rejected by the DAG check, clean in the audit");
+        assert!(
+            !o.dag_ok || o.malformed == 0,
+            "mutant {i}: a well-formed DAG, malformed in the audit"
+        );
+    }
+    if !moved.is_empty() || MUTANT_PINS.len() != all.len() || MALFORMED_NOW.len() != all.len() {
+        let mut table = String::new();
+        for (i, (m, p)) in all.iter().zip(&observed).enumerate() {
+            let label = &cells[m.cell].label;
+            let row = format!("m({}, {:#018x}, {})", p.dag_ok, p.findings, p.malformed);
             table.push_str(&format!("    {row}, // {i}: {:?} on {label}\n", m.edit));
         }
-        panic!("mutants {moved:?} moved; observed table:\n{table}");
+        let digits: String = observed.iter().map(|p| p.malformed.to_string()).collect();
+        panic!("mutants {moved:?} moved; observed table:\n{table}MALFORMED_NOW: {digits}");
+    }
+}
+
+/// The shapes on which the audit and the DAG check used to disagree (or
+/// the audit used to panic or hang): the DAG check rejects each with the
+/// sentence it always did, and the audit reports that sentence as a
+/// `MalformedStream` finding.
+#[test]
+fn a_malformed_stream_gets_one_answer_from_both_validators() {
+    use TaskEventKind::*;
+    let ev = |cycle, core, task, kind| TaskEvent { cycle, core, task, kind };
+    // Root 0 spawns 1, which core 1 steals and runs; then one bad event.
+    let after_clean_run = |bad: TaskEvent| {
+        vec![
+            ev(0, 0, 0, Spawn { parent: None }),
+            ev(1, 0, 0, ExecBegin),
+            ev(2, 0, 1, Spawn { parent: Some(0) }),
+            ev(3, 1, 1, Stolen { from: 0 }),
+            ev(4, 1, 1, ExecBegin),
+            ev(8, 1, 1, ExecEnd),
+            ev(9, 0, 0, Join),
+            ev(10, 0, 0, ExecEnd),
+            bad,
+        ]
+    };
+    let cases = [
+        (
+            ev(11, 2, 2, Spawn { parent: Some(7) }),
+            "task 2 spawned by task 7, which was never spawned",
+        ),
+        (ev(11, 2, 2, Spawn { parent: Some(2) }), "task 2 is its own parent"),
+        (ev(11, 1, 1, ExecBegin), "task 1 began executing twice"),
+        (ev(11, 2, 1, Respawn { of: 0 }), "task 1 spawned twice"),
+        (ev(11, 2, 1, Duplicate { of: 0 }), "task 1 spawned twice"),
+        (ev(11, 2, 5, Stolen { from: 0 }), "task 5 stolen without a Spawn"),
+        (ev(11, 2, 5, Join), "task 5 joined without a Spawn"),
+        (ev(5, 1, 1, Join), "core 1 went back in time: cycle 5 after 8"),
+        (
+            ev(11, 2, 2, Spawn { parent: None }),
+            "expected exactly one parentless root task, found 2",
+        ),
+    ];
+    for (bad, why) in cases {
+        let events = after_clean_run(bad);
+        assert_eq!(check_task_dag(&events).unwrap_err(), why);
+        let mode = AuditMode::Multiplicity { crash_armed: true };
+        let report = audit_task_events_mode(&events, mode, "cilk5-nq");
+        let malformed: Vec<(u32, &str)> = report
+            .violations
+            .iter()
+            .filter(|v| v.kind == AuditViolationKind::MalformedStream)
+            .map(|v| (v.task, v.detail.as_str()))
+            .collect();
+        assert_eq!(malformed, [(bad.task, why)], "{bad:?}:\n{}", report.render());
     }
 }
 
@@ -444,14 +514,15 @@ const fn m(dag_ok: bool, findings: u64, malformed: u32) -> MutantPin {
     MutantPin { dag_ok, findings, malformed }
 }
 
-/// Placeholder row of a mutant listed in [`PARENT_DOES_NOT_TERMINATE`].
+/// Placeholder row of a mutant listed in [`DID_NOT_RETURN_WHEN_PINNED`].
 const SKIP: MutantPin = m(false, 0, 0);
 
-/// Mutants on which the audit, as pinned, does not return: its coverage
-/// walk indexes a parent id the stream never introduced (a panic) or
-/// follows a self-parent link forever (a hang). They are not run; they are
-/// the set whose outcome is expected to change.
-const PARENT_DOES_NOT_TERMINATE: &[(usize, &str)] = &[
+/// Mutants on which the audit did not return when the pins were captured:
+/// its own coverage walk indexed a parent id the stream never introduced
+/// (a panic) or followed a self-parent link forever (a hang). They were not
+/// run then, and have no pin; the ledger's walk is bounded and indexes
+/// nothing unchecked, so they run now.
+const DID_NOT_RETURN_WHEN_PINNED: &[(usize, &str)] = &[
     (70, "hangs"),   // WalkedSelfParent on cilk5-nq @ b.T/MESI / crash-150 (eval)
     (71, "panics"),  // WalkedUnknownParent on cilk5-nq @ b.T/MESI / crash-150 (eval)
     (184, "hangs"),  // WalkedSelfParent on cilk5-mt @ b.T/MESI / crash-150 (eval)
@@ -622,6 +693,15 @@ const STREAM_PINS: &[StreamPin] = &[
     s(0x136eaef6ba3e48a4, [0, 10, 10, 0, 0, 0, 1], [10, 10, 2, 4, 0, 0, 1],
       [(15246, 7497, 0x22b92ccc75a5ac2f), (12966, 7497, 0x22b92ccc75a5ac2f), (14371, 7156, 0x22b92ccc75a5ac2f), (12091, 7156, 0x22b92ccc75a5ac2f)]),
 ];
+
+/// `MutantPin::malformed` of every mutant today, one digit each, in pin
+/// order (see `single_edit_mutants_match_their_pins`).
+const MALFORMED_NOW: &str = "\
+    410161001016020111620500152300016011100202010121200115001001201410151011111121110005010\
+    001214001120011215214101511011161100115110111220010161100006111000651000120001013110101\
+    611110060111010131211011135211000121101012000011550000151010113212011221111121100212021\
+    021211200121201213121121212112121141012021100012111111012000011221111122311112120111201\
+";
 
 #[rustfmt::skip]
 const MUTANT_PINS: &[MutantPin] = &[
