@@ -675,13 +675,14 @@ mod tests {
         assert_eq!(r.count(AuditViolationKind::Unrecovered), 1, "{}", r.render());
     }
 
-    /// Streams the audit used to panic on (an unknown parent indexed out
-    /// of bounds), hang on (a self-parent looped the coverage walk) or
-    /// wave through (a second `ExecBegin`), and the other shapes only the
-    /// DAG check used to reject: each is a `MalformedStream` finding
-    /// against the offending event's task. The audit runs on its own thread
-    /// so that a walk that loops again fails this test instead of wedging
-    /// the suite.
+    /// The three streams on which the audit used to panic (an unknown
+    /// parent indexed out of bounds), hang (a self-parent looped the
+    /// coverage walk) and disagree with the DAG check (a second `ExecBegin`
+    /// audited clean): each is a `MalformedStream` finding against the
+    /// offending event's task. The audit runs on its own thread so that a
+    /// walk that loops again fails this test instead of wedging the suite;
+    /// `tests/tests/ledger_pins.rs` holds the other shapes the two
+    /// validators now answer alike.
     #[test]
     fn structurally_broken_streams_are_findings_not_panics_or_hangs() {
         use TaskEventKind::*;
@@ -695,29 +696,23 @@ mod tests {
                 ev(9, 0, 0, ExecEnd),
             ]
         };
-        let with = |extra: &[TaskEvent]| [clean_stream(), extra.to_vec()].concat();
-        let cases: Vec<(&str, Vec<TaskEvent>, u32)> = vec![
-            ("unknown parent", walked(7), 1),
-            ("self-parent", walked(1), 1),
-            ("second ExecBegin", with(&[ev(11, 1, 1, ExecBegin)]), 1),
-            ("respawn reusing a live id", with(&[ev(11, 2, 1, Respawn { of: 0 })]), 1),
-            ("duplicate reusing a live id", with(&[ev(11, 2, 1, Duplicate { of: 0 })]), 1),
-            ("steal of a task never spawned", with(&[ev(11, 2, 5, Stolen { from: 0 })]), 5),
-            ("join of a task never spawned", with(&[ev(11, 2, 5, Join)]), 5),
-            ("time going backwards on a core", with(&[ev(5, 1, 1, Join)]), 1),
-            ("second root", with(&[ev(11, 2, 2, Spawn { parent: None })]), 2),
+        let mut begun_twice = clean_stream();
+        begun_twice.push(ev(11, 1, 1, ExecBegin));
+        let cases = [
+            ("unknown parent", walked(7)),
+            ("self-parent", walked(1)),
+            ("second ExecBegin", begun_twice),
         ];
         let (tx, rx) = std::sync::mpsc::channel();
         let jobs = cases.clone();
         std::thread::spawn(move || {
-            for (_, events, _) in jobs {
-                let mode = AuditMode::Multiplicity { crash_armed: true };
-                if tx.send(audit_task_events_mode(&events, mode, "cilk5-nq")).is_err() {
+            for (_, events) in jobs {
+                if tx.send(audit_task_events(&events, true, "cilk5-nq")).is_err() {
                     return;
                 }
             }
         });
-        for (what, _, task) in cases {
+        for (what, _) in cases {
             let r = rx
                 .recv_timeout(std::time::Duration::from_secs(3))
                 .unwrap_or_else(|_| panic!("{what}: the audit did not return"));
@@ -727,7 +722,7 @@ mod tests {
                 .filter(|v| v.kind == AuditViolationKind::MalformedStream)
                 .map(|v| v.task)
                 .collect();
-            assert_eq!(malformed, [task], "{what}:\n{}", r.render());
+            assert_eq!(malformed, [1], "{what}:\n{}", r.render());
         }
     }
 

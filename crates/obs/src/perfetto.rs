@@ -136,12 +136,14 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
     }
     for (task, life) in ledger.lives().iter().enumerate() {
         let Some((first, last)) = life.seen else { continue };
+        let id = Json::str(format!("task-{pid}-{task}"));
+        let name = Json::str(format!("task {task}"));
         for (ph, (ts, core)) in [("b", first), ("e", last)] {
             events.push(ev([
-                ("name", Json::str(format!("task {task}"))),
+                ("name", name.clone()),
                 ("cat", Json::str("task")),
                 ("ph", Json::str(ph)),
-                ("id", Json::str(format!("task-{pid}-{task}"))),
+                ("id", id.clone()),
                 ("ts", Json::u64(ts)),
                 ("pid", Json::u64(pid)),
                 ("tid", Json::u64(core as u64)),

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, Setup};
-use bigtiny_checker::{audit_task_events_mode, AuditMode, AuditReport, AuditViolationKind};
+use bigtiny_checker::{audit_task_events_mode, AuditMode, AuditViolationKind};
 use bigtiny_core::{DequeKind, Mutation, MutationKind, TaskEvent, TaskEventKind, TaskRun};
 use bigtiny_engine::hash::{fnv1a_continue, fold_u64, FNV_OFFSET};
 use bigtiny_engine::{FaultPlan, Protocol};
@@ -366,7 +366,7 @@ struct MutantPin {
 }
 
 fn observe_mutant(events: &[TaskEvent], mode: AuditMode, kernel: &str) -> MutantPin {
-    let report: AuditReport = audit_task_events_mode(events, mode, kernel);
+    let report = audit_task_events_mode(events, mode, kernel);
     let mut pin =
         MutantPin { dag_ok: check_task_dag(events).is_ok(), findings: FNV_OFFSET, malformed: 0 };
     for v in &report.violations {
