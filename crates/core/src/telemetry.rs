@@ -318,10 +318,12 @@ pub struct TaskLife {
     pub is_duplicate: bool,
     /// A thief claimed the task.
     pub stolen: bool,
-    /// `(cycle, core)` of the first and the last event recorded for the
-    /// task; `None` for an id the stream only ever named as a parent or an
-    /// original, or never named at all (ids are dense, records are not).
-    pub seen: Option<((u64, usize), (u64, usize))>,
+    /// `(cycle, core)` of the first event recorded for the task; `None` for
+    /// an id the stream only ever named as a parent or an original, or
+    /// never named at all (ids are dense, records are not).
+    pub first: Option<(u64, usize)>,
+    /// `(cycle, core)` of the last event recorded for the task.
+    pub last: (u64, usize),
 }
 
 /// The task lifecycle, stated once: a fold over the [`TaskEvent`] stream in
@@ -398,6 +400,7 @@ impl TaskLedger {
         false
     }
 
+    /// The record of `task`, created if the stream has not named it yet.
     fn life(&mut self, task: u32) -> &mut TaskLife {
         let id = task as usize;
         if self.lives.len() <= id {
@@ -414,7 +417,7 @@ impl TaskLedger {
     /// breaks well-formedness, if it does; the event is applied regardless.
     pub fn push(&mut self, e: &TaskEvent) -> Option<TaskFault> {
         use TaskEventKind::*;
-        let id = e.task;
+        let (id, at) = (e.task, (e.cycle, e.core));
         let mut fault = None;
         macro_rules! bad {
             ($($why:tt)*) => {{
@@ -428,13 +431,14 @@ impl TaskLedger {
         if e.cycle < last {
             bad!("core {} went back in time: cycle {} after {last}", e.core, e.cycle);
         }
+        let spawned = self.life(id).spawned;
         let introduces = matches!(e.kind, Spawn { .. } | Respawn { .. } | Duplicate { .. });
         if introduces {
-            if self.is_spawned(id) {
+            if spawned {
                 bad!("task {id} spawned twice");
             }
             self.tasks += 1;
-        } else if !self.is_spawned(id) {
+        } else if !spawned {
             match e.kind {
                 ExecBegin => bad!("task {id} began executing without a Spawn"),
                 Discarded => bad!("task {id} discarded without a Spawn"),
@@ -444,6 +448,8 @@ impl TaskLedger {
                 _ => {}
             }
         }
+        // `life(id)` above made the record: index it from here on.
+        let own = id as usize;
         match e.kind {
             Spawn { parent } => {
                 match parent {
@@ -457,7 +463,7 @@ impl TaskLedger {
                     }
                     None => self.root = Some(id),
                 }
-                self.life(id).parent = parent;
+                self.lives[own].parent = parent;
             }
             Respawn { of } => {
                 if !self.is_spawned(of) {
@@ -469,7 +475,7 @@ impl TaskLedger {
                 // The replacement re-runs the dead task's subtree in its
                 // parent's stead.
                 let parent = original.parent;
-                self.life(id).parent = parent;
+                self.lives[own].parent = parent;
             }
             Duplicate { of } => {
                 if !self.is_spawned(of) {
@@ -478,41 +484,39 @@ impl TaskLedger {
                 self.duplicates += 1;
                 self.life(of).duplicates += 1;
                 // Parentless, but not a root: the original carries the join.
-                self.life(id).is_duplicate = true;
+                self.lives[own].is_duplicate = true;
             }
             ExecBegin => {
-                if self.life(id).exec_begin.replace((e.cycle, e.core)).is_some() {
+                if self.lives[own].exec_begin.replace(at).is_some() {
                     bad!("task {id} began executing twice");
                 }
             }
             ExecEnd => {
                 self.executed += 1;
-                let life = self.life(id);
-                if life.exec_begin.is_none() {
+                if self.lives[own].exec_begin.is_none() {
                     bad!("task {id} ended without beginning");
                 }
-                if life.exec_end.replace(e.cycle).is_some() {
+                if self.lives[own].exec_end.replace(e.cycle).is_some() {
                     fault.get_or_insert(TaskFault::EndedTwice(id));
                 }
             }
             Discarded => {
                 self.discards += 1;
-                let life = self.life(id);
-                life.discarded = true;
-                if life.exec_begin.is_some() {
+                self.lives[own].discarded = true;
+                if self.lives[own].exec_begin.is_some() {
                     fault.get_or_insert(TaskFault::DiscardedMidExec(id));
                 }
             }
             Stolen { .. } => {
                 self.steals += 1;
-                self.life(id).stolen = true;
+                self.lives[own].stolen = true;
             }
             Join => self.joins += 1,
         }
-        let at = (e.cycle, e.core);
-        let life = self.life(id);
+        let life = &mut self.lives[own];
         life.spawned |= introduces;
-        life.seen = Some((life.seen.map_or(at, |(first, _)| first), at));
+        life.first.get_or_insert(at);
+        life.last = at;
         fault
     }
 }
@@ -713,7 +717,7 @@ mod tests {
         assert_eq!((lives[5].parent, lives[5].is_duplicate, lives[4].duplicates), (None, true, 1));
         assert!(lives[1].stolen && !lives[2].stolen);
         assert_eq!((lives[4].exec_begin, lives[4].exec_end), (Some((11, 2)), Some(15)));
-        assert_eq!(lives[3].seen, Some(((6, 1), (9, 2))), "first and last sighting");
+        assert_eq!((lives[3].first, lives[3].last), (Some((6, 1)), (9, 2)));
         assert!(lives[3].discarded && lives[3].exec_begin.is_none());
         // The respawn covers the dead task and everything under it, and
         // nothing else.
@@ -770,10 +774,7 @@ mod tests {
         for (prefix, e, want) in cases {
             let (got, l) = fault(prefix, e);
             assert_eq!(got, want, "{e:?}");
-            assert_eq!(
-                l.lives()[e.task as usize].seen.map(|(_, last)| last),
-                Some((e.cycle, e.core))
-            );
+            assert_eq!(l.lives()[e.task as usize].last, (e.cycle, e.core));
         }
         // Applied anyway: the late `ExecEnd` still ends the task, a second
         // one is the one fault with a kind of its own.

@@ -135,10 +135,10 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
         }
     }
     for (task, life) in ledger.lives().iter().enumerate() {
-        let Some((first, last)) = life.seen else { continue };
+        let Some(first) = life.first else { continue };
         let id = Json::str(format!("task-{pid}-{task}"));
         let name = Json::str(format!("task {task}"));
-        for (ph, (ts, core)) in [("b", first), ("e", last)] {
+        for (ph, (ts, core)) in [("b", first), ("e", life.last)] {
             events.push(ev([
                 ("name", name.clone()),
                 ("cat", Json::str("task")),
