@@ -49,11 +49,9 @@ fn main() {
     // A nested container document (metrics or trace output) parses
     // whole-file; flat records — even a single-line file — fall through to
     // the stricter line parser.
-    let nested = |doc: &Json| match doc {
-        Json::Arr(_) => true,
-        Json::Obj(kv) => kv.iter().any(|(_, v)| matches!(v, Json::Obj(_) | Json::Arr(_))),
-        _ => false,
-    };
+    let container = |v: &Json| matches!(v, Json::Arr(_) | Json::Obj(_) | Json::Rec(..));
+    let nested =
+        |doc: &Json| matches!(doc, Json::Arr(_)) || doc.fields().any(|(_, v)| container(v));
     if let Some(doc) = parse_json(text.trim_end()).ok().filter(nested) {
         if let Some(runs) = doc.get("runs") {
             let n = runs.as_arr().map(<[Json]>::len).unwrap_or(0);

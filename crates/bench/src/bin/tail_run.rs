@@ -55,12 +55,8 @@ fn parse_beat(line: &str) -> Option<Beat> {
     validate_heartbeat_line(line).ok()?;
     let doc = parse_json(line).ok()?;
     let pairs = |key: &str| -> Vec<(String, u64)> {
-        match doc.get(key) {
-            Some(Json::Obj(kv)) => {
-                kv.iter().map(|(k, v)| (k.clone(), v.as_num().unwrap_or(0.0) as u64)).collect()
-            }
-            _ => Vec::new(),
-        }
+        let fields = doc.get(key).into_iter().flat_map(Json::fields);
+        fields.map(|(k, v)| (k.to_owned(), v.as_num().unwrap_or(0.0) as u64)).collect()
     };
     Some(Beat {
         app: doc.get("app").and_then(Json::as_str)?.to_owned(),

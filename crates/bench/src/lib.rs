@@ -324,11 +324,13 @@ pub fn parse_json_line(line: &str) -> Result<Vec<(String, JsonScalar)>, String> 
     fields
         .into_iter()
         .map(|(key, value)| match value {
-            Json::Str(s) => Ok((key, JsonScalar::Str(s))),
+            Json::Str(s) => Ok((key, JsonScalar::Str(s.into_owned()))),
             Json::Num(v) => Ok((key, JsonScalar::Num(v))),
             Json::Null => Ok((key, JsonScalar::Null)),
             Json::Bool(_) => Err(format!("{key:?}: bare word (only null is allowed)")),
-            Json::Arr(_) | Json::Obj(_) => Err(format!("{key:?}: nested containers are not flat")),
+            Json::Arr(_) | Json::Obj(_) | Json::Rec(..) => {
+                Err(format!("{key:?}: nested containers are not flat"))
+            }
         })
         .collect()
 }

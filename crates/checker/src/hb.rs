@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use bigtiny_coherence::Addr;
 use bigtiny_engine::{MemEvent, MemOp, RacyTag, SyncNote};
 
-use crate::{Collector, ViolationKind};
+use crate::{Collector, ViolationKind, WordMap};
 
 /// A vector clock over all cores.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -74,9 +74,9 @@ pub(crate) struct HbPass {
     /// Per-core vector clock.
     vc: Vec<Vc>,
     /// Per-word sync clock (release stores and AMOs publish here).
-    sync: HashMap<u64, Vc>,
+    sync: WordMap<Vc>,
     /// Per-word last-access state for the race check.
-    words: HashMap<u64, WordState>,
+    words: WordMap<WordState>,
     /// Armed by a `DequeRelease` note: the next store to this word by this
     /// core is the release store.
     pending_release: Vec<Option<u64>>,
@@ -95,8 +95,8 @@ impl HbPass {
         HbPass {
             ncores,
             vc,
-            sync: HashMap::new(),
-            words: HashMap::new(),
+            sync: WordMap::default(),
+            words: WordMap::default(),
             pending_release: vec![None; ncores],
             uli: HashMap::new(),
         }

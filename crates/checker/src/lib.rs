@@ -49,8 +49,41 @@ pub use audit::{
     IDEMPOTENT_KERNELS,
 };
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use bigtiny_coherence::{Addr, Protocol};
 use bigtiny_engine::{hash, CheckMode, MemEvent, MemOp, RacyTag, RunReport, SystemConfig};
+
+/// Deterministic single-round multiply-xor hasher for the passes'
+/// word-address maps. Every event probes several of them, and the keys are
+/// `u64` word addresses of the simulated machine, never attacker-chosen,
+/// so SipHash's DoS resistance buys nothing here. No verdict may depend on
+/// a map's order: the happens-before pass only ever looks words up, and
+/// where the staleness pass iterates a map (bulk invalidate/flush) each
+/// word is handled independently of the others.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let x = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+}
+
+/// A map keyed by simulated word address.
+pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
 
 /// What kind of conformance violation a finding reports.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

@@ -41,41 +41,10 @@
 //! (a reused or evicted line hides a stale copy), never invent them, so
 //! a clean verdict is trustworthy modulo that documented slack.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use bigtiny_coherence::{CoreSet, Protocol};
 use bigtiny_engine::{MemEvent, MemOp};
 
-use crate::{Collector, ViolationKind};
-
-/// Deterministic single-round multiply-xor hasher for the pass's
-/// word-address maps. Every event probes several of them, and the keys are
-/// `u64` word addresses of the simulated machine, never attacker-chosen,
-/// so SipHash's DoS resistance buys nothing here. Where a map is iterated
-/// (bulk invalidate/flush) each word is handled independently of the
-/// others, so hash order cannot reach a verdict.
-#[derive(Clone, Copy, Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let x = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = x ^ (x >> 32);
-    }
-}
-
-type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+use crate::{Collector, ViolationKind, WordMap};
 
 /// One core's cached copy of a word.
 #[derive(Clone, Copy)]

@@ -18,37 +18,66 @@
 
 use bigtiny_engine::{DiagnosticBundle, FlightEvent, PoisonReason, RunReport};
 
-use crate::json::Json;
+use crate::json::{schemas, Json};
+use crate::perfetto::{process_name, thread_name, trace_document, INSTANT};
 
 /// Schema tag carried in every black-box document.
 pub const BLACKBOX_SCHEMA: &str = "bigtiny-obs-blackbox-v1";
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+schemas! {
+    DOCUMENT = [
+        "schema", "reason", "config", "backend", "faults", "total_grants", "uli_messages",
+        "uli_nacks", "cores",
+    ];
+    /// A core of a crash-time bundle; `waiting_at` only while it waits.
+    BUNDLE_CORE = [
+        "core", "clock", "instructions", "idle_cycles", "grants", "last_grant", "retired",
+        "flight_total", "flight",
+    ];
+    BUNDLE_CORE_WAITING = [
+        "core", "clock", "instructions", "idle_cycles", "grants", "last_grant", "retired",
+        "waiting_at", "flight_total", "flight",
+    ];
+    REPORT_CORE = ["core", "clock", "instructions", "flight_total", "flight"];
+    FLIGHT = ["t", "ev"];
+    FLIGHT_PEER = ["t", "ev", "peer"];
+    FLIGHT_TASK = ["t", "ev", "task"];
+    FLIGHT_EXTRA = ["t", "ev", "extra"];
 }
 
 fn flight_json(tail: &[FlightEvent]) -> Json {
-    Json::Arr(
-        tail.iter()
-            .map(|e| {
-                let mut fields = vec![("t", Json::u64(e.time)), ("ev", Json::str(e.kind.label()))];
-                if let Some((key, value)) = e.kind.arg() {
-                    fields.push((key, Json::u64(value)));
-                }
-                obj(fields)
-            })
-            .collect(),
-    )
+    let event = |e: &FlightEvent| {
+        let (t, ev) = (Json::u64(e.time), Json::lit(e.kind.label()));
+        let Some((key, value)) = e.kind.arg() else { return Json::row(&FLIGHT, [t, ev]) };
+        let keys = [&FLIGHT_PEER, &FLIGHT_TASK, &FLIGHT_EXTRA]
+            .into_iter()
+            .find(|k| k.names()[2] == key)
+            .unwrap_or_else(|| panic!("flight argument {key:?} has no schema"));
+        Json::row(keys, [t, ev, Json::u64(value)])
+    };
+    Json::Arr(tail.iter().map(event).collect())
 }
 
-fn header(reason: &str, config: &str, backend: &str, faults: &str) -> Vec<(String, Json)> {
-    vec![
-        ("schema".to_owned(), Json::str(BLACKBOX_SCHEMA)),
-        ("reason".to_owned(), Json::str(reason)),
-        ("config".to_owned(), Json::str(config)),
-        ("backend".to_owned(), Json::str(backend)),
-        ("faults".to_owned(), Json::str(faults)),
-    ]
+/// The dump itself: the repro header, the run's totals, one row per core.
+fn document(
+    [reason, config, backend, faults]: [&str; 4],
+    [total_grants, uli_messages, uli_nacks]: [u64; 3],
+    cores: Vec<Json>,
+) -> Json {
+    Json::row(
+        &DOCUMENT,
+        [
+            Json::lit(BLACKBOX_SCHEMA),
+            Json::str(reason),
+            Json::str(config),
+            Json::str(backend),
+            Json::str(faults),
+            Json::u64(total_grants),
+            Json::u64(uli_messages),
+            Json::u64(uli_nacks),
+            Json::Arr(cores),
+        ],
+    )
 }
 
 /// Renders a [`PoisonReason`] as the dump's `reason` string.
@@ -62,38 +91,32 @@ pub fn reason_label(reason: PoisonReason) -> String {
 /// Serializes a crash-time [`DiagnosticBundle`] — the black box proper —
 /// into one structured JSON document.
 pub fn blackbox_from_bundle(bundle: &DiagnosticBundle) -> Json {
-    let mut fields = header(
-        &reason_label(bundle.reason),
-        &bundle.config_name,
-        &bundle.backend,
-        &bundle.fault_spec,
-    );
-    fields.push(("total_grants".to_owned(), Json::u64(bundle.total_grants)));
-    fields.push(("uli_messages".to_owned(), Json::u64(bundle.uli_messages)));
-    fields.push(("uli_nacks".to_owned(), Json::u64(bundle.uli_nacks)));
     let cores = bundle
         .cores
         .iter()
         .map(|c| {
-            let mut cf = vec![
-                ("core", Json::u64(c.core as u64)),
-                ("clock", Json::u64(c.clock)),
-                ("instructions", Json::u64(c.instructions)),
-                ("idle_cycles", Json::u64(c.idle_cycles)),
-                ("grants", Json::u64(c.seq.grants)),
-                ("last_grant", Json::u64(c.seq.last_time)),
-                ("retired", Json::Bool(c.seq.retired)),
+            let head = [
+                Json::u64(c.core as u64),
+                Json::u64(c.clock),
+                Json::u64(c.instructions),
+                Json::u64(c.idle_cycles),
+                Json::u64(c.seq.grants),
+                Json::u64(c.seq.last_time),
+                Json::Bool(c.seq.retired),
             ];
-            if let Some(t) = c.seq.waiting_at {
-                cf.push(("waiting_at", Json::u64(t)));
-            }
-            cf.push(("flight_total", Json::u64(c.flight_total)));
-            cf.push(("flight", flight_json(&c.flight_tail)));
-            obj(cf)
+            let tail = [Json::u64(c.flight_total), flight_json(&c.flight_tail)];
+            let (keys, waiting) = match c.seq.waiting_at {
+                Some(t) => (&BUNDLE_CORE_WAITING, Some(Json::u64(t))),
+                None => (&BUNDLE_CORE, None),
+            };
+            Json::row(keys, head.into_iter().chain(waiting).chain(tail).collect::<Vec<_>>())
         })
         .collect();
-    fields.push(("cores".to_owned(), Json::Arr(cores)));
-    Json::Obj(fields)
+    document(
+        [&reason_label(bundle.reason), &bundle.config_name, &bundle.backend, &bundle.fault_spec],
+        [bundle.total_grants, bundle.uli_messages, bundle.uli_nacks],
+        cores,
+    )
 }
 
 /// Serializes the flight tails of a *completed* run — an explicit or
@@ -106,26 +129,28 @@ pub fn blackbox_from_report(
     fault_spec: &str,
     report: &RunReport,
 ) -> Json {
-    let mut fields = header(reason, &report.config_name, backend, fault_spec);
-    fields.push(("total_grants".to_owned(), Json::u64(report.seq_grants)));
-    fields.push(("uli_messages".to_owned(), Json::u64(report.uli.messages)));
-    fields.push(("uli_nacks".to_owned(), Json::u64(report.uli.nacks)));
     let cores = report
         .flight
         .iter()
         .enumerate()
         .map(|(core, tail)| {
-            obj(vec![
-                ("core", Json::u64(core as u64)),
-                ("clock", Json::u64(report.core_cycles[core])),
-                ("instructions", Json::u64(report.instructions[core])),
-                ("flight_total", Json::u64(report.flight_totals[core])),
-                ("flight", flight_json(tail)),
-            ])
+            Json::row(
+                &REPORT_CORE,
+                [
+                    Json::u64(core as u64),
+                    Json::u64(report.core_cycles[core]),
+                    Json::u64(report.instructions[core]),
+                    Json::u64(report.flight_totals[core]),
+                    flight_json(tail),
+                ],
+            )
         })
         .collect();
-    fields.push(("cores".to_owned(), Json::Arr(cores)));
-    Json::Obj(fields)
+    document(
+        [reason, &report.config_name, backend, fault_spec],
+        [report.seq_grants, report.uli.messages, report.uli.nacks],
+        cores,
+    )
 }
 
 /// Counts from a structurally valid black-box document.
@@ -182,50 +207,28 @@ pub fn blackbox_tail_trace(doc: &Json) -> Result<Json, String> {
     validate_blackbox(doc)?;
     let config = doc.get("config").and_then(Json::as_str).unwrap_or("?");
     let reason = doc.get("reason").and_then(Json::as_str).unwrap_or("?");
-    let mut events: Vec<Json> = vec![obj(vec![
-        ("name", Json::str("process_name")),
-        ("ph", Json::str("M")),
-        ("pid", Json::u64(1)),
-        (
-            "args",
-            Json::Obj(vec![("name".into(), Json::str(format!("black box: {config} ({reason})")))]),
-        ),
-    ])];
+    let mut events = vec![process_name(1, format!("black box: {config} ({reason})"))];
     for c in doc.get("cores").and_then(Json::as_arr).expect("validated") {
         let core = c.get("core").and_then(Json::as_num).expect("validated") as u64;
-        events.push(obj(vec![
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(1)),
-            ("tid", Json::u64(core)),
-            ("args", Json::Obj(vec![("name".into(), Json::str(format!("core {core}")))])),
-        ]));
+        events.push(thread_name(1, core, Json::str(format!("core {core}"))));
         for e in c.get("flight").and_then(Json::as_arr).expect("validated") {
-            let label = e.get("ev").and_then(Json::as_str).expect("validated").to_owned();
+            let label = e.get("ev").and_then(Json::as_str).expect("validated");
             let t = e.get("t").and_then(Json::as_num).expect("validated");
-            events.push(obj(vec![
-                ("name", Json::Str(label)),
-                ("cat", Json::str("flight")),
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("ts", Json::Num(t)),
-                ("pid", Json::u64(1)),
-                ("tid", Json::u64(core)),
-            ]));
+            events.push(Json::row(
+                &INSTANT,
+                [
+                    Json::str(label),
+                    Json::lit("flight"),
+                    Json::lit("i"),
+                    Json::lit("t"),
+                    Json::Num(t),
+                    Json::u64(1),
+                    Json::u64(core),
+                ],
+            ));
         }
     }
-    Ok(Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(events)),
-        ("displayTimeUnit".into(), Json::str("ns")),
-        (
-            "metadata".into(),
-            Json::Obj(vec![
-                ("schema".into(), Json::str(crate::TRACE_SCHEMA)),
-                ("time_unit".into(), Json::str("simulated cycles")),
-                ("source".into(), Json::str(BLACKBOX_SCHEMA)),
-            ]),
-        ),
-    ]))
+    Ok(trace_document(events, Some(BLACKBOX_SCHEMA)))
 }
 
 #[cfg(test)]
@@ -252,6 +255,55 @@ mod tests {
         let ts = validate_chrome_trace(&trace).unwrap();
         assert_eq!(ts.instants, s.events);
         assert_eq!(ts.metadata, 1 + s.cores);
+    }
+
+    /// `flight_json` has a schema for every argument label the engine's
+    /// recorder can produce — it panics on one it has none for, and its
+    /// caller is the crash path. The successor chain makes the walk
+    /// exhaustive: a new `FlightKind` does not compile until it is on it.
+    #[test]
+    fn every_flight_event_has_a_schema() {
+        use bigtiny_engine::FlightKind::{self, *};
+        fn successor(kind: FlightKind) -> Option<FlightKind> {
+            Some(match kind {
+                Grant => UliReqSend { to: 1 },
+                UliReqSend { .. } => UliReqRecv { from: 1 },
+                UliReqRecv { .. } => UliRespSend { to: 1 },
+                UliRespSend { .. } => UliRespRecv { from: 1 },
+                UliRespRecv { .. } => UliNack { to: 1 },
+                UliNack { .. } => UliDead { to: 1 },
+                UliDead { .. } => StealAttempt { victim: 1 },
+                StealAttempt { .. } => StealHit { victim: 1 },
+                StealHit { .. } => TaskSpawn { task: 1 },
+                TaskSpawn { .. } => TaskBegin { task: 1 },
+                TaskBegin { .. } => TaskEnd { task: 1 },
+                TaskEnd { .. } => TaskStolen { task: 1 },
+                TaskStolen { .. } => TaskJoin { task: 1 },
+                TaskJoin { .. } => TaskRespawn { task: 1 },
+                TaskRespawn { .. } => TaskDiscarded { task: 1 },
+                TaskDiscarded { .. } => TaskDuplicate { task: 1 },
+                TaskDuplicate { .. } => DequePush,
+                DequePush => DequePop,
+                DequePop => DequeSteal,
+                DequeSteal => FaultUliDrop,
+                FaultUliDrop => FaultUliNack,
+                FaultUliNack => FaultUliDelay { extra: 1 },
+                FaultUliDelay { .. } => FaultRxDrop,
+                FaultRxDrop => FaultStealMiss,
+                FaultStealMiss => Crash,
+                Crash => Revive,
+                Revive => return None,
+            })
+        }
+        let tail: Vec<FlightEvent> = std::iter::successors(Some(Grant), |k| successor(*k))
+            .map(|kind| FlightEvent { time: 7, kind })
+            .collect();
+        let Json::Arr(events) = flight_json(&tail) else { panic!("a tail is an array") };
+        for (e, written) in tail.iter().zip(&events) {
+            assert_eq!(written.get("ev").and_then(Json::as_str), Some(e.kind.label()));
+            let arg = e.kind.arg().map(|(key, value)| (key, Json::u64(value)));
+            assert_eq!(written.fields().nth(2), arg.as_ref().map(|(key, value)| (*key, value)));
+        }
     }
 
     #[test]

@@ -20,27 +20,30 @@
 
 use bigtiny_engine::HeartbeatSnap;
 
-use crate::json::{parse_json, Json};
+use crate::json::{parse_json, schemas, Json};
 
 /// Schema tag carried by every heartbeat line.
 pub const HEARTBEAT_SCHEMA: &str = "bigtiny-obs-heartbeat-v1";
 
-/// Indices of [`bigtiny_engine::TIME_CATEGORIES`] folded into each
-/// conservation bucket (the same partition as
-/// [`CycleConservation`](crate::CycleConservation)).
-const BUCKETS: [(&str, &[usize]); 6] = [
-    ("compute", &[0, 1, 2]),     // Compute + Load + Store
-    ("amo", &[3]),               // Atomic
-    ("flush", &[4]),             // Flush
-    ("invalidate", &[5]),        // Invalidate
-    ("steal_protocol", &[6, 7]), // Uli + UliWait
-    ("idle", &[8]),              // Idle
-];
+schemas! {
+    /// The conservation buckets (the same partition as
+    /// [`CycleConservation`](crate::CycleConservation)).
+    CONSERVATION = ["compute", "amo", "flush", "invalidate", "steal_protocol", "idle"];
+    /// Fault-counter labels, in [`bigtiny_engine::FaultCounters::pairs`]
+    /// order (the order [`HeartbeatSnap::faults`] uses).
+    FAULTS = ["uli_drops", "uli_nacks", "uli_delays", "uli_rx_drops", "steal_misses", "crashes"];
+}
 
-/// Fault-counter labels, in [`bigtiny_engine::FaultCounters::pairs`]
-/// order (the order [`HeartbeatSnap::faults`] uses).
-const FAULT_LABELS: [&str; 6] =
-    ["uli_drops", "uli_nacks", "uli_delays", "uli_rx_drops", "steal_misses", "crashes"];
+/// Indices of [`bigtiny_engine::TIME_CATEGORIES`] folded into each
+/// [`CONSERVATION`] bucket.
+const BUCKETS: [&[usize]; 6] = [
+    &[0, 1, 2], // Compute + Load + Store
+    &[3],       // Atomic
+    &[4],       // Flush
+    &[5],       // Invalidate
+    &[6, 7],    // Uli + UliWait
+    &[8],       // Idle
+];
 
 /// Renders one heartbeat line (no trailing newline). `app` and `setup`
 /// identify the run inside a multi-run stream; `extra` appends
@@ -52,21 +55,11 @@ pub fn heartbeat_line(
     snap: &HeartbeatSnap,
     extra: Vec<(String, Json)>,
 ) -> String {
-    let conservation = Json::Obj(
-        BUCKETS
-            .iter()
-            .map(|(label, idxs)| {
-                ((*label).to_owned(), Json::u64(idxs.iter().map(|i| snap.breakdown[*i]).sum()))
-            })
-            .collect(),
+    let conservation = Json::row(
+        &CONSERVATION,
+        BUCKETS.map(|idxs| Json::u64(idxs.iter().map(|i| snap.breakdown[*i]).sum())),
     );
-    let faults = Json::Obj(
-        FAULT_LABELS
-            .iter()
-            .zip(snap.faults.iter())
-            .map(|(label, v)| ((*label).to_owned(), Json::u64(*v)))
-            .collect(),
-    );
+    let faults = Json::row(&FAULTS, snap.faults.map(Json::u64));
     // Per-core state strip, one char per core: running `r`, waiting `w`,
     // retired `.` (out-of-band — scheduler state is host-instantaneous).
     let strip: String = snap
@@ -82,8 +75,9 @@ pub fn heartbeat_line(
             }
         })
         .collect();
+    // The line itself keeps owned keys: `extra`'s are the harness's to name.
     let mut fields: Vec<(String, Json)> = vec![
-        ("schema".into(), Json::str(HEARTBEAT_SCHEMA)),
+        ("schema".into(), Json::lit(HEARTBEAT_SCHEMA)),
         ("app".into(), Json::str(app)),
         ("setup".into(), Json::str(setup)),
         ("seq".into(), Json::u64(snap.seq)),
@@ -117,13 +111,13 @@ pub fn validate_heartbeat_line(line: &str) -> Result<(), String> {
         doc.get(key).and_then(Json::as_num).ok_or_else(|| format!("missing number {key:?}"))?;
     }
     let cons = doc.get("conservation").ok_or_else(|| "missing conservation".to_owned())?;
-    for (label, _) in BUCKETS {
+    for label in CONSERVATION.names() {
         cons.get(label)
             .and_then(Json::as_num)
             .ok_or_else(|| format!("conservation missing bucket {label:?}"))?;
     }
     let faults = doc.get("faults").ok_or_else(|| "missing faults".to_owned())?;
-    for label in FAULT_LABELS {
+    for label in FAULTS.names() {
         faults
             .get(label)
             .and_then(Json::as_num)

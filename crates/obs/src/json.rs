@@ -1,19 +1,73 @@
 //! A small nested JSON value type with a strict parser and a compact
 //! serializer, on std only (the workspace is deliberately dependency-free).
 //!
+//! An object comes in two representations that every reader sees as one:
+//! [`Json::Obj`] owns its keys — what the parser returns and what a
+//! producer with data-dependent keys builds — and [`Json::Rec`] is a *row*:
+//! a `&'static` [`Keys`] schema plus one boxed slice of values, one heap
+//! allocation however many fields it has. Producers with a fixed schema
+//! build rows (DESIGN §11, "The document model").
+//!
 //! The serializer never emits an unparseable document: non-finite numbers
 //! become `null` (JSON has no NaN/Infinity literals), strings escape every
-//! control character, and 64-bit hashes are rendered as hex *strings* so a
-//! downstream double-precision JSON reader cannot silently round them.
+//! control character, a schema cannot repeat a key (checked once per
+//! schema by a unit test, not per row), and 64-bit hashes are rendered as
+//! hex *strings* so a downstream double-precision JSON reader cannot
+//! silently round them.
 //! The parser is strict where it matters for CI artifacts: duplicate keys,
 //! bare words, trailing garbage, raw control characters, and non-finite
 //! numbers are all hard errors.
 
-use std::fmt::{self, Write as _};
+use std::borrow::Cow;
+use std::fmt;
+use std::io::Write as _;
+
+/// The schema of a row: its keys in order, and what the serializer writes
+/// in front of each value — `{"first":`, then `,"next":` — rendered once,
+/// by [`keys!`], when the schema is declared. Keys therefore hold no byte
+/// that needs a JSON escape; `every_declared_schema_is_well_formed` checks
+/// that for every schema in the crate.
+#[derive(Debug)]
+pub struct Keys {
+    pub(crate) names: &'static [&'static str],
+    pub(crate) prefixes: &'static [&'static str],
+}
+
+impl Keys {
+    /// The keys, in the order a row's values follow.
+    pub fn names(&self) -> &'static [&'static str] {
+        self.names
+    }
+}
+
+/// A [`Keys`] schema from key literals (at least one).
+macro_rules! keys {
+    ($first:literal $(, $rest:literal)* $(,)?) => {
+        $crate::json::Keys {
+            names: &[$first $(, $rest)*],
+            prefixes: &[concat!("{\"", $first, "\":") $(, concat!(",\"", $rest, "\":"))*],
+        }
+    };
+}
+
+/// Declares a module's row schemas as statics, and lists them in a
+/// test-only `SCHEMAS` so the schema check cannot miss one.
+macro_rules! schemas {
+    ($($(#[$doc:meta])* $vis:vis $name:ident = [$($key:literal),+ $(,)?];)+) => {
+        $($(#[$doc])* $vis static $name: $crate::json::Keys = $crate::json::keys![$($key),+];)+
+        #[cfg(test)]
+        pub(crate) static SCHEMAS: &[&$crate::json::Keys] = &[$(&$name),+];
+    };
+}
+pub(crate) use {keys, schemas};
 
 /// A JSON value. Object keys keep insertion order so serialization is
 /// deterministic and schema diffs stay readable.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// Equality is by content: a row equals the [`Json::Obj`] with the same
+/// keys and values in the same order, so `parse_json(&doc.to_json())`
+/// compares equal to a `doc` built from rows.
+#[derive(Clone, Debug)]
 pub enum Json {
     /// `null` (also how non-finite floats serialize).
     Null,
@@ -21,18 +75,34 @@ pub enum Json {
     Bool(bool),
     /// A finite number.
     Num(f64),
-    /// A string (unescaped).
-    Str(String),
+    /// A string (unescaped); a literal is borrowed, not copied.
+    Str(Cow<'static, str>),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, in insertion order.
+    /// An object with owned keys, in insertion order.
     Obj(Vec<(String, Json)>),
+    /// A row: the object whose keys are the schema's, in its order, and
+    /// whose values are the slice's. Built by [`Json::row`].
+    Rec(&'static Keys, Box<[Json]>),
 }
 
 impl Json {
     /// A string value.
     pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
+        Json::Str(Cow::Owned(s.into()))
+    }
+
+    /// A string value borrowed from a literal: no allocation.
+    pub fn lit(s: &'static str) -> Json {
+        Json::Str(Cow::Borrowed(s))
+    }
+
+    /// A row over `keys`: one allocation (none beyond the `Vec`'s own when
+    /// built from an exactly sized one).
+    pub fn row(keys: &'static Keys, values: impl Into<Box<[Json]>>) -> Json {
+        let values = values.into();
+        assert_eq!(values.len(), keys.names.len(), "row arity for {:?}", keys.names);
+        Json::Rec(keys, values)
     }
 
     /// An unsigned counter. Counters in this workspace are cycle and event
@@ -55,15 +125,32 @@ impl Json {
     /// A 64-bit hash as a `0x`-prefixed hex string, immune to
     /// double-precision rounding in downstream readers.
     pub fn hash(v: u64) -> Json {
-        Json::Str(format!("{v:#018x}"))
+        Json::str(format!("{v:#018x}"))
     }
 
     /// Looks up a key in an object; `None` for missing keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Rec(keys, values) => {
+                keys.names.iter().position(|k| *k == key).and_then(|i| values.get(i))
+            }
             _ => None,
         }
+    }
+
+    fn field(&self, i: usize) -> Option<(&str, &Json)> {
+        match self {
+            Json::Obj(kv) => kv.get(i).map(|(k, v)| (k.as_str(), v)),
+            Json::Rec(keys, values) => Some((*keys.names.get(i)?, values.get(i)?)),
+            _ => None,
+        }
+    }
+
+    /// An object's fields in order, whichever way it is represented (a
+    /// non-object has none).
+    pub fn fields(&self) -> impl Iterator<Item = (&str, &Json)> {
+        (0..).map_while(|i| self.field(i))
     }
 
     /// The value as a finite f64, if it is a number.
@@ -90,54 +177,70 @@ impl Json {
         }
     }
 
-    /// Serializes compactly (no whitespace), deterministically.
+    /// Serializes compactly (no whitespace), deterministically, in one
+    /// pass over the value.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.len_hint());
+        let mut out = Vec::new();
         self.write(&mut out);
-        out
+        String::from_utf8(out).expect("the serializer writes only UTF-8")
     }
 
-    /// A cheap estimate of the serialized length (exact but for numbers and
-    /// escapes), so a multi-megabyte document is written into one
-    /// allocation instead of being copied at every doubling.
-    fn len_hint(&self) -> usize {
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null | Json::Bool(_) => 5,
-            Json::Num(_) => 8,
-            Json::Str(s) => s.len() + 2,
-            Json::Arr(items) => 2 + items.iter().map(|v| v.len_hint() + 1).sum::<usize>(),
-            Json::Obj(kv) => 2 + kv.iter().map(|(k, v)| k.len() + 4 + v.len_hint()).sum::<usize>(),
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
             Json::Num(v) => write_num(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(kv) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in kv.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
+            Json::Rec(keys, values) => {
+                // The first prefix opens the object; a row built around
+                // `Json::row` with no values still has to.
+                if values.is_empty() {
+                    out.push(b'{');
+                }
+                for (prefix, v) in keys.prefixes.iter().zip(&values[..]) {
+                    out.extend_from_slice(prefix.as_bytes());
+                    v.write(out);
+                }
+                out.push(b'}');
+            }
+        }
+    }
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Num(a), Json::Num(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (a @ (Json::Obj(_) | Json::Rec(..)), b @ (Json::Obj(_) | Json::Rec(..))) => {
+                a.fields().eq(b.fields())
+            }
+            _ => false,
         }
     }
 }
@@ -149,44 +252,61 @@ impl fmt::Display for Json {
 }
 
 /// Writes `v` as `{v}` would print it, straight into `out`. Counters —
-/// integers below 2^53, nearly every number of every document — skip the
-/// shortest-round-trip float formatter: `f64`'s `Display` never uses an
-/// exponent, so it prints such a value exactly as the integer prints.
-/// `-0.0` (which prints `-0`), fractions and larger magnitudes keep the
-/// float path.
-fn write_num(v: f64, out: &mut String) {
+/// integers below 2^53, nearly every number of every document — are
+/// written digit by digit: `f64`'s `Display` never uses an exponent, so it
+/// prints such a value exactly as the integer prints. `-0.0` (which prints
+/// `-0`), fractions and larger magnitudes go through `Display` itself.
+fn write_num(v: f64, out: &mut Vec<u8>) {
     const EXACT: f64 = (1u64 << 53) as f64;
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v.fract() == 0.0 && v.abs() < EXACT && !(v == 0.0 && v.is_sign_negative()) {
-        write!(out, "{}", v as i64).expect("writing to a String cannot fail");
+    // The cast saturates and maps NaN to 0; neither survives the
+    // comparison back.
+    let int = v as i64;
+    if int as f64 == v && v.abs() < EXACT && !(int == 0 && v.is_sign_negative()) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = int.unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if int < 0 {
+            at -= 1;
+            digits[at] = b'-';
+        }
+        out.extend_from_slice(&digits[at..]);
+    } else if v.is_finite() {
+        write!(out, "{v}").expect("writing to a Vec cannot fail");
     } else {
-        write!(out, "{v}").expect("writing to a String cannot fail");
+        out.extend_from_slice(b"null");
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    // Copy runs that need no escape whole. Every byte that does is ASCII,
-    // so cutting the string around it stays on character boundaries.
+fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    // Copy runs that need no escape whole.
+    let bytes = s.as_bytes();
     let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
+    for (i, &b) in bytes.iter().enumerate() {
         if !matches!(b, b'"' | b'\\' | 0..0x20) {
             continue;
         }
-        out.push_str(&s[run..i]);
+        out.extend_from_slice(&bytes[run..i]);
         match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a Vec cannot fail"),
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// Byte length of the UTF-8 sequence starting with leading byte `b`, or
@@ -265,7 +385,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'"') => Ok(Json::str(self.string()?)),
             Some(b't') => self.literal(b"true", Json::Bool(true)),
             Some(b'f') => self.literal(b"false", Json::Bool(false)),
             Some(b'n') => self.literal(b"null", Json::Null),
@@ -413,6 +533,136 @@ mod tests {
         assert_eq!(back.get("hash").unwrap().as_str(), Some("0x7a5b548b12b290de"));
     }
 
+    static POINT: Keys = keys!["x", "label", "tags"];
+    static TAG: Keys = keys!["k"];
+
+    /// A row is the object with its schema's keys to every reader: equal
+    /// to it (both ways round), serialized, displayed and navigated alike.
+    #[test]
+    fn a_row_is_the_object_with_its_keys_to_every_reader() {
+        let tags = |tag: fn(Json) -> Json| Json::Arr(vec![tag(Json::u64(1)), tag(Json::Null)]);
+        let row =
+            Json::row(&POINT, [Json::f64(0.5), Json::lit("a\"b"), tags(|v| Json::row(&TAG, [v]))]);
+        let obj = Json::Obj(vec![
+            ("x".into(), Json::f64(0.5)),
+            ("label".into(), Json::str("a\"b")),
+            ("tags".into(), tags(|v| Json::Obj(vec![("k".into(), v)]))),
+        ]);
+        assert_eq!(row, obj, "a row and the object it denotes are equal");
+        assert_eq!(obj, row, "whichever side the row is on");
+        assert_eq!(row.to_json(), r#"{"x":0.5,"label":"a\"b","tags":[{"k":1},{"k":null}]}"#);
+        assert_eq!(row.to_json(), obj.to_json());
+        assert_eq!(format!("{row}"), obj.to_json());
+        assert_eq!(parse_json(&row.to_json()).unwrap(), row);
+        assert_eq!(row.get("label").and_then(Json::as_str), Some("a\"b"));
+        assert_eq!(row.get("x"), obj.get("x"));
+        assert!(row.get("k").is_none() && row.get("").is_none());
+        assert!(row.fields().eq(obj.fields()));
+        assert_eq!(row.fields().map(|(k, _)| k).collect::<Vec<_>>(), POINT.names());
+        assert_eq!(Json::u64(1).fields().count(), 0, "a non-object has no fields");
+
+        // Order, keys, values and arity all count.
+        let unequal = [
+            Json::Obj(vec![
+                ("label".into(), Json::str("a\"b")),
+                ("x".into(), Json::f64(0.5)),
+                ("tags".into(), Json::Arr(vec![])),
+            ]),
+            Json::Obj(vec![("x".into(), Json::f64(0.5)), ("label".into(), Json::str("a\"b"))]),
+            Json::row(&POINT, [Json::f64(0.5), Json::lit("a\"b"), Json::Arr(vec![])]),
+            Json::Arr(vec![]),
+            Json::Null,
+        ];
+        for other in &unequal {
+            assert_ne!(row, *other);
+            assert_ne!(*other, row);
+        }
+        assert_eq!(Json::lit("s"), Json::str("s"), "a borrowed literal is the same string");
+        // Put together around the constructor, a short row is still an object.
+        let short = Json::Rec(&POINT, Box::new([]));
+        assert_eq!((short.to_json().as_str(), &short), ("{}", &Json::Obj(vec![])));
+    }
+
+    /// The serializer streams values through the cache once; a fatter
+    /// value gives the time saved on allocation back to memory traffic
+    /// (DESIGN §11 has the measurement).
+    #[test]
+    fn a_value_stays_within_32_bytes() {
+        assert!(std::mem::size_of::<Json>() <= 32, "{} bytes", std::mem::size_of::<Json>());
+    }
+
+    /// What "the serializer never emits an unparseable document" rests on
+    /// for rows, checked once per schema instead of once per row: keys are
+    /// unique (the strict parser rejects a repeat) and need no escape
+    /// (their prefixes are rendered by `concat!`, not by the escaper).
+    #[test]
+    fn every_declared_schema_is_well_formed() {
+        use crate::{blackbox, heartbeat, metrics, perfetto};
+        let modules = [
+            ("blackbox.rs", blackbox::SCHEMAS),
+            ("heartbeat.rs", heartbeat::SCHEMAS),
+            ("metrics.rs", metrics::SCHEMAS),
+            ("perfetto.rs", perfetto::SCHEMAS),
+        ];
+        for keys in modules.iter().flat_map(|(_, schemas)| schemas.iter()) {
+            let names = keys.names();
+            assert_eq!(keys.prefixes.len(), names.len());
+            for (i, name) in names.iter().enumerate() {
+                assert!(!names[..i].contains(name), "{names:?} repeats {name:?}");
+                let escaped = Json::str(*name).to_json();
+                assert_eq!(escaped, format!("\"{name}\""), "{name:?} needs an escape");
+                let open = if i == 0 { '{' } else { ',' };
+                assert_eq!(keys.prefixes[i], format!("{open}{escaped}:"));
+            }
+        }
+        // No module's schemas escape the walk above.
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut declaring: Vec<String> = std::fs::read_dir(src)
+            .expect("source dir")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| {
+                std::fs::read_to_string(path).expect("source is readable").contains("\nschemas! {")
+            })
+            .map(|path| path.file_name().expect("file").to_string_lossy().into_owned())
+            .collect();
+        declaring.sort();
+        assert_eq!(declaring, modules.map(|(file, _)| file));
+    }
+
+    /// A fixed-key object built through `Json::Obj` pays one `String` per
+    /// key per object. Outside this file, the one producer that may is the
+    /// heartbeat line, whose trailing keys are the calling harness's.
+    #[test]
+    fn only_dynamic_keys_are_owned_keys() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut scanned = 0;
+        for entry in std::fs::read_dir(src).expect("source dir") {
+            let path = entry.expect("directory entry").path();
+            if path.ends_with("json.rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source is readable");
+            let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+            let allowed = usize::from(path.ends_with("heartbeat.rs"));
+            assert_eq!(
+                code.matches("Json::Obj(").count(),
+                allowed,
+                "{} builds an object with owned keys: declare a schema and build a row",
+                path.display()
+            );
+            let squeezed: String = code.split_whitespace().collect();
+            for forbidden in [".to_owned(),Json::", ".to_string(),Json::"] {
+                assert!(
+                    !squeezed.contains(forbidden),
+                    "{} has `{forbidden}`: declare a schema and build a row",
+                    path.display()
+                );
+            }
+            scanned += 1;
+        }
+        assert!(scanned >= 8, "the producers' sources moved: {scanned} files scanned");
+    }
+
     #[test]
     fn non_finite_floats_serialize_as_null() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -448,8 +698,20 @@ mod tests {
             123456.789,
             f64::MIN_POSITIVE,
             f64::MAX,
+            9.0,
+            -9.0,
+            10.0,
+            -10.0,
+            p53 - 0.5,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            f64::EPSILON,
+            1.0 + f64::EPSILON,
         ];
-        for v in values {
+        // The digit loop's carries: every 10^k ± 1 below 2^53, both signs.
+        let powers = (1..16).map(|k| 10f64.powi(k));
+        let carries = powers.flat_map(|p| [p - 1.0, p, p + 1.0, 1.0 - p, -p, -p - 1.0]);
+        for v in values.into_iter().chain(carries) {
             assert_eq!(Json::Num(v).to_json(), format!("{v}"), "{v:e}");
         }
         assert_eq!(Json::Num(-0.0).to_json(), "-0");

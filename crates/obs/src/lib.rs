@@ -53,7 +53,7 @@ pub use heartbeat::{
     heartbeat_line, looks_like_heartbeat_stream, validate_heartbeat_line,
     validate_heartbeat_stream, HEARTBEAT_SCHEMA,
 };
-pub use json::{parse_json, Json};
+pub use json::{parse_json, Json, Keys};
 pub use metrics::{metrics_document, RunMetrics, METRICS_SCHEMA, METRICS_SCHEMAS_ACCEPTED};
 pub use perfetto::{
     export_chrome_trace, validate_chrome_trace, TraceRun, TraceSummary, TRACE_SCHEMA,

@@ -10,9 +10,10 @@
 //! therefore `jq` the same paths across commits.
 
 use bigtiny_core::{Log2Histogram, StealTelemetry, TaskRun};
+use bigtiny_engine::{CoreMemStats, TimeBreakdown};
 
 use crate::attribution::{CycleConservation, Projection, WhatIf};
-use crate::json::Json;
+use crate::json::{schemas, Json, Keys};
 
 /// Schema tag carried in the document's `schema` field. Bump on any
 /// structural change to the document.
@@ -46,65 +47,132 @@ pub struct RunMetrics<'a> {
     pub tiny_cores: &'a [usize],
 }
 
+schemas! {
+    DOCUMENT = ["schema", "runs"];
+    RUN = [
+        "app", "setup", "deque_policy", "cycles", "instructions", "seq_grants", "seq_op_hash",
+        "breakdown", "coherence", "mesh", "uli", "faults", "watchdog", "steals", "critpath",
+    ];
+    BREAKDOWN = ["tiny_total", "per_core"];
+    /// [`bigtiny_engine::TimeBreakdown::pairs`]' labels.
+    TIME_CATEGORIES = [
+        "compute", "load", "store", "atomic", "flush", "invalidate", "uli", "uli_wait", "idle",
+    ];
+    COHERENCE = ["tiny_total", "tiny_l1d_hit_rate", "stale_reads", "per_core"];
+    /// [`bigtiny_engine::CoreMemStats::pairs`]' labels.
+    MEM_STATS = [
+        "loads", "load_hits", "stores", "store_hits", "amos", "invalidate_ops", "flush_ops",
+        "lines_invalidated", "lines_flushed", "words_flushed", "stale_reads",
+    ];
+    MESH = ["classes", "total_data_bytes", "total_data_messages", "hop_cycles"];
+    MESH_CLASS = ["class", "bytes", "messages"];
+    ULI = ["messages", "nacks", "mean_latency", "mean_hops", "bytes", "utilization"];
+    /// [`bigtiny_engine::FaultCounters::pairs`]' labels, then the run's own
+    /// fault and crash-recovery counters (zero on fault-free runs).
+    FAULTS = [
+        "uli_drops", "uli_nacks", "uli_delays", "uli_rx_drops", "steal_misses", "crashes",
+        "mesh_fault_spikes", "uli_timeouts", "fallback_steals", "forced_steal_misses",
+        "orphans_reclaimed", "mailbox_rescues", "reexecutions", "joins_repaired", "quarantines",
+        "revivals",
+    ];
+    WATCHDOG = ["seq_grants", "seq_fast_grants"];
+    STEALS = [
+        "attempts", "hits", "misses", "steal_nacks", "hsc_elisions", "joins", "per_victim",
+        "uli_rtt", "lifecycle",
+    ];
+    VICTIM = ["victim", "attempts", "hits", "misses"];
+    HISTOGRAM = ["count", "sum", "max", "mean", "p50", "p90", "p99", "bucket_lo", "buckets"];
+    LIFECYCLE = [
+        "spawns", "tasks_executed", "steals", "joins", "duplicate_executions",
+        "task_events_recorded",
+    ];
+    CRITPATH = [
+        "conservation", "profiled", "work", "span", "parallelism", "measured_tp", "workers",
+        "span_breakdown", "chain_tasks", "chain_steals", "what_if",
+    ];
+    /// [`CycleConservation::pairs`]' labels, then the total and the verdict.
+    CONSERVATION = [
+        "compute", "steal_protocol", "amo", "invalidate", "flush", "idle", "total_core_cycles",
+        "holds",
+    ];
+    /// The lens labels of [`WhatIf::projections`], in its order.
+    WHAT_IF = ["zero_steal", "zero_coherence", "work_only"];
+    PROJECTION = ["work", "span", "greedy_bound", "speedup_bound"];
+}
+
 /// Builds the complete metrics document for a set of runs.
 pub fn metrics_document(runs: &[RunMetrics<'_>]) -> Json {
-    Json::Obj(vec![
-        ("schema".into(), Json::str(METRICS_SCHEMA)),
-        ("runs".into(), Json::Arr(runs.iter().map(run_object).collect())),
-    ])
+    let runs = runs.iter().map(run_object).collect();
+    Json::row(&DOCUMENT, [Json::lit(METRICS_SCHEMA), Json::Arr(runs)])
 }
 
 fn run_object(r: &RunMetrics<'_>) -> Json {
     let rep = &r.run.report;
-    Json::Obj(vec![
-        ("app".into(), Json::str(r.app)),
-        ("setup".into(), Json::str(r.setup)),
-        ("deque_policy".into(), Json::str(r.deque_policy)),
-        ("cycles".into(), Json::u64(rep.completion_cycles)),
-        ("instructions".into(), Json::u64(rep.total_instructions())),
-        ("seq_grants".into(), Json::u64(rep.seq_grants)),
-        ("seq_op_hash".into(), Json::hash(rep.seq_op_hash)),
-        ("breakdown".into(), breakdown_section(r)),
-        ("coherence".into(), coherence_section(r)),
-        ("mesh".into(), mesh_section(r)),
-        ("uli".into(), uli_section(r)),
-        ("faults".into(), faults_section(r)),
-        ("watchdog".into(), watchdog_section(r)),
-        ("steals".into(), steals_section(r)),
-        ("critpath".into(), critpath_section(r)),
-    ])
+    Json::row(
+        &RUN,
+        [
+            Json::str(r.app),
+            Json::str(r.setup),
+            Json::str(r.deque_policy),
+            Json::u64(rep.completion_cycles),
+            Json::u64(rep.total_instructions()),
+            Json::u64(rep.seq_grants),
+            Json::hash(rep.seq_op_hash),
+            breakdown_section(r),
+            coherence_section(r),
+            mesh_section(r),
+            uli_section(r),
+            faults_section(r),
+            watchdog_section(r),
+            steals_section(r),
+            critpath_section(r),
+        ],
+    )
 }
 
-fn pairs_object(pairs: impl IntoIterator<Item = (&'static str, u64)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), Json::u64(v))).collect())
+/// A row of counters whose labels the measuring crate owns: `keys`
+/// restates them (the document's layout is this module's to freeze),
+/// `pairs` must agree, and `more` fills the keys past them.
+fn counters(
+    keys: &'static Keys,
+    pairs: &[(&'static str, u64)],
+    more: impl IntoIterator<Item = Json>,
+) -> Json {
+    debug_assert!(
+        pairs.iter().map(|p| p.0).eq(keys.names().iter().copied().take(pairs.len())),
+        "{pairs:?} relabelled under {:?}",
+        keys.names()
+    );
+    Json::row(keys, pairs.iter().map(|p| Json::u64(p.1)).chain(more).collect::<Vec<_>>())
 }
 
 /// Per-core and tiny-core-aggregate time breakdowns, every category listed
 /// (zeros included) so the key set never depends on the data.
 fn breakdown_section(r: &RunMetrics<'_>) -> Json {
     let rep = &r.run.report;
-    let tiny = rep.breakdown_over(r.tiny_cores);
-    Json::Obj(vec![
-        ("tiny_total".into(), pairs_object(tiny.pairs())),
-        (
-            "per_core".into(),
-            Json::Arr(rep.breakdowns.iter().map(|b| pairs_object(b.pairs())).collect()),
-        ),
-    ])
+    let row = |b: &TimeBreakdown| counters(&TIME_CATEGORIES, &b.pairs(), []);
+    Json::row(
+        &BREAKDOWN,
+        [
+            row(&rep.breakdown_over(r.tiny_cores)),
+            Json::Arr(rep.breakdowns.iter().map(row).collect()),
+        ],
+    )
 }
 
 fn coherence_section(r: &RunMetrics<'_>) -> Json {
     let rep = &r.run.report;
     let tiny = rep.mem_stats_over(r.tiny_cores);
-    Json::Obj(vec![
-        ("tiny_total".into(), pairs_object(tiny.pairs())),
-        ("tiny_l1d_hit_rate".into(), Json::f64(tiny.l1d_hit_rate())),
-        ("stale_reads".into(), Json::u64(rep.stale_reads)),
-        (
-            "per_core".into(),
-            Json::Arr(rep.mem_stats.iter().map(|m| pairs_object(m.pairs())).collect()),
-        ),
-    ])
+    let row = |m: &CoreMemStats| counters(&MEM_STATS, &m.pairs(), []);
+    Json::row(
+        &COHERENCE,
+        [
+            row(&tiny),
+            Json::f64(tiny.l1d_hit_rate()),
+            Json::u64(rep.stale_reads),
+            Json::Arr(rep.mem_stats.iter().map(row).collect()),
+        ],
+    )
 }
 
 fn mesh_section(r: &RunMetrics<'_>) -> Json {
@@ -113,58 +181,56 @@ fn mesh_section(r: &RunMetrics<'_>) -> Json {
         .by_class()
         .into_iter()
         .map(|(label, bytes, messages)| {
-            Json::Obj(vec![
-                ("class".into(), Json::str(label)),
-                ("bytes".into(), Json::u64(bytes)),
-                ("messages".into(), Json::u64(messages)),
-            ])
+            Json::row(&MESH_CLASS, [Json::lit(label), Json::u64(bytes), Json::u64(messages)])
         })
         .collect();
-    Json::Obj(vec![
-        ("classes".into(), Json::Arr(classes)),
-        ("total_data_bytes".into(), Json::u64(t.total_data_bytes())),
-        ("total_data_messages".into(), Json::u64(t.total_data_messages())),
-        ("hop_cycles".into(), Json::u64(t.hop_cycles())),
-    ])
+    Json::row(
+        &MESH,
+        [
+            Json::Arr(classes),
+            Json::u64(t.total_data_bytes()),
+            Json::u64(t.total_data_messages()),
+            Json::u64(t.hop_cycles()),
+        ],
+    )
 }
 
 fn uli_section(r: &RunMetrics<'_>) -> Json {
     let u = &r.run.report.uli;
-    Json::Obj(vec![
-        ("messages".into(), Json::u64(u.messages)),
-        ("nacks".into(), Json::u64(u.nacks)),
-        ("mean_latency".into(), Json::f64(u.mean_latency)),
-        ("mean_hops".into(), Json::f64(u.mean_hops)),
-        ("bytes".into(), Json::u64(u.bytes)),
-        ("utilization".into(), Json::f64(u.utilization)),
-    ])
+    Json::row(
+        &ULI,
+        [
+            Json::u64(u.messages),
+            Json::u64(u.nacks),
+            Json::f64(u.mean_latency),
+            Json::f64(u.mean_hops),
+            Json::u64(u.bytes),
+            Json::f64(u.utilization),
+        ],
+    )
 }
 
 fn faults_section(r: &RunMetrics<'_>) -> Json {
     let rep = &r.run.report;
     let st = &r.run.stats;
-    let mut kv: Vec<(String, Json)> =
-        rep.fault_counters.pairs().into_iter().map(|(k, v)| (k.to_owned(), Json::u64(v))).collect();
-    kv.push(("mesh_fault_spikes".into(), Json::u64(rep.mesh_fault_spikes)));
-    kv.push(("uli_timeouts".into(), Json::u64(st.uli_timeouts)));
-    kv.push(("fallback_steals".into(), Json::u64(st.fallback_steals)));
-    kv.push(("forced_steal_misses".into(), Json::u64(st.forced_steal_misses)));
-    // Crash-recovery counters (additive; zero on crash-free runs).
-    kv.push(("orphans_reclaimed".into(), Json::u64(st.orphans_reclaimed)));
-    kv.push(("mailbox_rescues".into(), Json::u64(st.mailbox_rescues)));
-    kv.push(("reexecutions".into(), Json::u64(st.reexecutions)));
-    kv.push(("joins_repaired".into(), Json::u64(st.joins_repaired)));
-    kv.push(("quarantines".into(), Json::u64(st.quarantines)));
-    kv.push(("revivals".into(), Json::u64(st.revivals)));
-    Json::Obj(kv)
+    let more = [
+        rep.mesh_fault_spikes,
+        st.uli_timeouts,
+        st.fallback_steals,
+        st.forced_steal_misses,
+        st.orphans_reclaimed,
+        st.mailbox_rescues,
+        st.reexecutions,
+        st.joins_repaired,
+        st.quarantines,
+        st.revivals,
+    ];
+    counters(&FAULTS, &rep.fault_counters.pairs(), more.map(Json::u64))
 }
 
 fn watchdog_section(r: &RunMetrics<'_>) -> Json {
     let rep = &r.run.report;
-    Json::Obj(vec![
-        ("seq_grants".into(), Json::u64(rep.seq_grants)),
-        ("seq_fast_grants".into(), Json::u64(rep.seq_fast_grants)),
-    ])
+    Json::row(&WATCHDOG, [Json::u64(rep.seq_grants), Json::u64(rep.seq_fast_grants)])
 }
 
 /// Steal telemetry: scheduler counters, per-victim outcomes, the ULI
@@ -177,47 +243,41 @@ fn steals_section(r: &RunMetrics<'_>) -> Json {
         .iter()
         .enumerate()
         .map(|(victim, v)| {
-            Json::Obj(vec![
-                ("victim".into(), Json::u64(victim as u64)),
-                ("attempts".into(), Json::u64(v.attempts)),
-                ("hits".into(), Json::u64(v.hits)),
-                ("misses".into(), Json::u64(v.misses)),
-            ])
+            Json::row(&VICTIM, [victim as u64, v.attempts, v.hits, v.misses].map(Json::u64))
         })
         .collect();
-    Json::Obj(vec![
-        ("attempts".into(), Json::u64(tel.total_attempts())),
-        ("hits".into(), Json::u64(tel.total_hits())),
-        ("misses".into(), Json::u64(tel.total_misses())),
-        ("steal_nacks".into(), Json::u64(st.steal_nacks)),
-        ("hsc_elisions".into(), Json::u64(tel.hsc_elisions)),
-        ("joins".into(), Json::u64(tel.joins)),
-        ("per_victim".into(), Json::Arr(per_victim)),
-        ("uli_rtt".into(), histogram_object(&tel.uli_rtt)),
-        ("lifecycle".into(), lifecycle_object(r.run, tel)),
-    ])
+    Json::row(
+        &STEALS,
+        [
+            Json::u64(tel.total_attempts()),
+            Json::u64(tel.total_hits()),
+            Json::u64(tel.total_misses()),
+            Json::u64(st.steal_nacks),
+            Json::u64(tel.hsc_elisions),
+            Json::u64(tel.joins),
+            Json::Arr(per_victim),
+            histogram_object(&tel.uli_rtt),
+            lifecycle_object(r.run, tel),
+        ],
+    )
 }
 
 fn histogram_object(h: &Log2Histogram) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::u64(h.count())),
-        ("sum".into(), Json::u64(h.sum())),
-        ("max".into(), Json::u64(h.max())),
-        ("mean".into(), Json::f64(h.mean())),
-        ("p50".into(), Json::u64(h.p50())),
-        ("p90".into(), Json::u64(h.p90())),
-        ("p99".into(), Json::u64(h.p99())),
-        (
-            "bucket_lo".into(),
-            Json::Arr(
-                (0..Log2Histogram::NUM_BUCKETS)
-                    .map(Log2Histogram::bucket_lo)
-                    .map(Json::u64)
-                    .collect(),
-            ),
-        ),
-        ("buckets".into(), Json::Arr(h.buckets().iter().map(|&c| Json::u64(c)).collect())),
-    ])
+    let bucket_lo = (0..Log2Histogram::NUM_BUCKETS).map(Log2Histogram::bucket_lo);
+    Json::row(
+        &HISTOGRAM,
+        [
+            Json::u64(h.count()),
+            Json::u64(h.sum()),
+            Json::u64(h.max()),
+            Json::f64(h.mean()),
+            Json::u64(h.p50()),
+            Json::u64(h.p90()),
+            Json::u64(h.p99()),
+            Json::Arr(bucket_lo.map(Json::u64).collect()),
+            Json::Arr(h.buckets().iter().map(|&c| Json::u64(c)).collect()),
+        ],
+    )
 }
 
 /// Critical-path profile (schema v2). The cycle-conservation table is
@@ -228,10 +288,11 @@ fn histogram_object(h: &Log2Histogram) -> Json {
 /// depends on the data.
 fn critpath_section(r: &RunMetrics<'_>) -> Json {
     let cons = CycleConservation::from_report(&r.run.report);
-    let mut cons_kv: Vec<(String, Json)> =
-        cons.pairs().into_iter().map(|(k, v)| (k.to_owned(), Json::u64(v))).collect();
-    cons_kv.push(("total_core_cycles".into(), Json::u64(cons.total_core_cycles)));
-    cons_kv.push(("holds".into(), Json::Bool(cons.holds())));
+    let conservation = counters(
+        &CONSERVATION,
+        &cons.pairs(),
+        [Json::u64(cons.total_core_cycles), Json::Bool(cons.holds())],
+    );
 
     // A run that is not profiled — or whose stream does not replay —
     // emits the all-zero analysis under `profiled: false`.
@@ -239,47 +300,51 @@ fn critpath_section(r: &RunMetrics<'_>) -> Json {
         Ok(w) => (true, w),
         Err(_) => (false, WhatIf::unprofiled(&r.run.report)),
     };
-    let what_if = w
-        .projections()
-        .into_iter()
-        .map(|p| (p.lens.label().to_owned(), projection_object(p)))
-        .collect();
-    Json::Obj(vec![
-        ("conservation".into(), Json::Obj(cons_kv)),
-        ("profiled".into(), Json::Bool(profiled)),
-        ("work".into(), Json::u64(w.burdened.work)),
-        ("span".into(), Json::u64(w.burdened.span)),
-        ("parallelism".into(), Json::f64(w.burdened.parallelism())),
-        ("measured_tp".into(), Json::u64(w.measured_tp)),
-        ("workers".into(), Json::u64(w.workers)),
-        ("span_breakdown".into(), pairs_object(w.burdened.span_breakdown.pairs())),
-        ("chain_tasks".into(), Json::u64(w.burdened.chain.len() as u64)),
-        ("chain_steals".into(), Json::u64(w.burdened.chain_steals())),
-        ("what_if".into(), Json::Obj(what_if)),
-    ])
+    let projections = w.projections();
+    debug_assert!(projections.iter().map(|p| p.lens.label()).eq(WHAT_IF.names().iter().copied()));
+    Json::row(
+        &CRITPATH,
+        [
+            conservation,
+            Json::Bool(profiled),
+            Json::u64(w.burdened.work),
+            Json::u64(w.burdened.span),
+            Json::f64(w.burdened.parallelism()),
+            Json::u64(w.measured_tp),
+            Json::u64(w.workers),
+            counters(&TIME_CATEGORIES, &w.burdened.span_breakdown.pairs(), []),
+            Json::u64(w.burdened.chain.len() as u64),
+            Json::u64(w.burdened.chain_steals()),
+            Json::row(&WHAT_IF, projections.map(projection_object)),
+        ],
+    )
 }
 
 fn projection_object(p: &Projection) -> Json {
-    Json::Obj(vec![
-        ("work".into(), Json::u64(p.work)),
-        ("span".into(), Json::u64(p.span)),
-        ("greedy_bound".into(), Json::u64(p.greedy_bound)),
-        ("speedup_bound".into(), Json::f64(p.speedup_bound)),
-    ])
+    Json::row(
+        &PROJECTION,
+        [
+            Json::u64(p.work),
+            Json::u64(p.span),
+            Json::u64(p.greedy_bound),
+            Json::f64(p.speedup_bound),
+        ],
+    )
 }
 
 /// Task lifecycle counts. Spawn/exec counts come from the always-on
 /// scheduler counters; join/elision counts from the telemetry, so the
 /// section is populated even when per-event recording is off.
 fn lifecycle_object(run: &TaskRun, tel: &StealTelemetry) -> Json {
-    Json::Obj(vec![
-        ("spawns".into(), Json::u64(run.stats.spawns)),
-        ("tasks_executed".into(), Json::u64(run.stats.tasks_executed)),
-        ("steals".into(), Json::u64(run.stats.steals)),
-        ("joins".into(), Json::u64(tel.joins)),
-        ("duplicate_executions".into(), Json::u64(run.stats.duplicate_executions)),
-        ("task_events_recorded".into(), Json::u64(run.task_events.len() as u64)),
-    ])
+    let counts = [
+        run.stats.spawns,
+        run.stats.tasks_executed,
+        run.stats.steals,
+        tel.joins,
+        run.stats.duplicate_executions,
+        run.task_events.len() as u64,
+    ];
+    Json::row(&LIFECYCLE, counts.map(Json::u64))
 }
 
 #[cfg(test)]

@@ -18,11 +18,12 @@
 //! exporter without a browser.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use bigtiny_core::{TaskEventKind, TaskLedger, TaskRun};
 use bigtiny_engine::UliMarkKind;
 
-use crate::json::Json;
+use crate::json::{schemas, Json};
 
 /// Schema tag carried in the document's `metadata.schema` field.
 pub const TRACE_SCHEMA: &str = "bigtiny-obs-trace-v1";
@@ -38,10 +39,50 @@ pub struct TraceRun<'a> {
     pub run: &'a TaskRun,
 }
 
-/// One trace event. The fields arrive as an array, so the object's vector
-/// is allocated once, at its final size.
-fn ev<const N: usize>(fields: [(&str, Json); N]) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+schemas! {
+    DOCUMENT = ["traceEvents", "displayTimeUnit", "metadata"];
+    DOCUMENT_META = ["schema", "time_unit"];
+    DERIVED_META = ["schema", "time_unit", "source"];
+    PROCESS_NAME = ["name", "ph", "pid", "args"];
+    THREAD_NAME = ["name", "ph", "pid", "tid", "args"];
+    NAME_ARG = ["name"];
+    /// An `"X"` span of one core: nearly every event of a document.
+    CORE_SPAN = ["name", "cat", "ph", "ts", "dur", "pid", "tid"];
+    /// A thread-scoped `"i"` instant (`"s":"t"`).
+    pub(crate) INSTANT = ["name", "cat", "ph", "s", "ts", "pid", "tid"];
+    STEAL_INSTANT = ["name", "cat", "ph", "s", "ts", "pid", "tid", "args"];
+    STEAL_ARGS = ["from"];
+    /// An async `"b"` / `"e"` edge or a flow start `"s"`.
+    PAIRED = ["name", "cat", "ph", "id", "ts", "pid", "tid"];
+    FLOW_FINISH = ["name", "cat", "ph", "bp", "id", "ts", "pid", "tid"];
+    CRITPATH_SPAN = ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"];
+    CRITPATH_ARGS = ["core", "stolen"];
+}
+
+/// The document around `events`. One rendered from another document (the
+/// black box's tail trace) names that document's schema as its `source`.
+pub(crate) fn trace_document(events: Vec<Json>, source: Option<&'static str>) -> Json {
+    let (schema, unit) = (Json::lit(TRACE_SCHEMA), Json::lit("simulated cycles"));
+    let metadata = match source {
+        None => Json::row(&DOCUMENT_META, [schema, unit]),
+        Some(source) => Json::row(&DERIVED_META, [schema, unit, Json::lit(source)]),
+    };
+    Json::row(&DOCUMENT, [Json::Arr(events), Json::lit("ns"), metadata])
+}
+
+/// The `"M"` event that names process `pid` in the Perfetto UI.
+pub(crate) fn process_name(pid: u64, name: String) -> Json {
+    let args = Json::row(&NAME_ARG, [Json::str(name)]);
+    Json::row(&PROCESS_NAME, [Json::lit("process_name"), Json::lit("M"), Json::u64(pid), args])
+}
+
+/// The `"M"` event that names thread `tid` of process `pid`.
+pub(crate) fn thread_name(pid: u64, tid: u64, name: Json) -> Json {
+    let args = Json::row(&NAME_ARG, [name]);
+    Json::row(
+        &THREAD_NAME,
+        [Json::lit("thread_name"), Json::lit("M"), Json::u64(pid), Json::u64(tid), args],
+    )
 }
 
 /// Exports one Chrome trace-event document covering every run.
@@ -56,35 +97,14 @@ pub fn export_chrome_trace(runs: &[TraceRun<'_>]) -> Json {
         emit_uli_flows(&mut events, pid, r, &mut flow_id);
         emit_critpath_track(&mut events, pid, r);
     }
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(events)),
-        ("displayTimeUnit".into(), Json::str("ns")),
-        (
-            "metadata".into(),
-            Json::Obj(vec![
-                ("schema".into(), Json::str(TRACE_SCHEMA)),
-                ("time_unit".into(), Json::str("simulated cycles")),
-            ]),
-        ),
-    ])
+    trace_document(events, None)
 }
 
 /// Process/thread naming so the Perfetto UI shows run and core labels.
 fn emit_metadata(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
-    events.push(ev([
-        ("name", Json::str("process_name")),
-        ("ph", Json::str("M")),
-        ("pid", Json::u64(pid)),
-        ("args", Json::Obj(vec![("name".into(), Json::str(format!("{} @ {}", r.app, r.setup)))])),
-    ]));
+    events.push(process_name(pid, format!("{} @ {}", r.app, r.setup)));
     for core in 0..r.run.report.traces.len() {
-        events.push(ev([
-            ("name", Json::str("thread_name")),
-            ("ph", Json::str("M")),
-            ("pid", Json::u64(pid)),
-            ("tid", Json::u64(core as u64)),
-            ("args", Json::Obj(vec![("name".into(), Json::str(format!("core {core}")))])),
-        ]));
+        events.push(thread_name(pid, core as u64, Json::str(format!("core {core}"))));
     }
 }
 
@@ -94,15 +114,18 @@ fn emit_core_spans(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
     events.reserve(r.run.report.traces.iter().map(Vec::len).sum());
     for (core, trace) in r.run.report.traces.iter().enumerate() {
         for t in trace {
-            events.push(ev([
-                ("name", Json::str(t.category.label())),
-                ("cat", Json::str("core")),
-                ("ph", Json::str("X")),
-                ("ts", Json::u64(t.start)),
-                ("dur", Json::u64(t.cycles)),
-                ("pid", Json::u64(pid)),
-                ("tid", Json::u64(core as u64)),
-            ]));
+            events.push(Json::row(
+                &CORE_SPAN,
+                [
+                    Json::lit(t.category.label()),
+                    Json::lit("core"),
+                    Json::lit("X"),
+                    Json::u64(t.start),
+                    Json::u64(t.cycles),
+                    Json::u64(pid),
+                    Json::u64(core as u64),
+                ],
+            ));
         }
     }
 }
@@ -122,16 +145,19 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
     for e in &r.run.task_events {
         ledger.push(e);
         if let TaskEventKind::Stolen { from } = e.kind {
-            events.push(ev([
-                ("name", Json::str("steal")),
-                ("cat", Json::str("steal")),
-                ("ph", Json::str("i")),
-                ("s", Json::str("t")),
-                ("ts", Json::u64(e.cycle)),
-                ("pid", Json::u64(pid)),
-                ("tid", Json::u64(e.core as u64)),
-                ("args", Json::Obj(vec![("from".into(), Json::u64(from as u64))])),
-            ]));
+            events.push(Json::row(
+                &STEAL_INSTANT,
+                [
+                    Json::lit("steal"),
+                    Json::lit("steal"),
+                    Json::lit("i"),
+                    Json::lit("t"),
+                    Json::u64(e.cycle),
+                    Json::u64(pid),
+                    Json::u64(e.core as u64),
+                    Json::row(&STEAL_ARGS, [Json::u64(from as u64)]),
+                ],
+            ));
         }
     }
     for (task, life) in ledger.lives().iter().enumerate() {
@@ -139,15 +165,18 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
         let id = Json::str(format!("task-{pid}-{task}"));
         let name = Json::str(format!("task {task}"));
         for (ph, (ts, core)) in [("b", first), ("e", life.last)] {
-            events.push(ev([
-                ("name", name.clone()),
-                ("cat", Json::str("task")),
-                ("ph", Json::str(ph)),
-                ("id", id.clone()),
-                ("ts", Json::u64(ts)),
-                ("pid", Json::u64(pid)),
-                ("tid", Json::u64(core as u64)),
-            ]));
+            events.push(Json::row(
+                &PAIRED,
+                [
+                    name.clone(),
+                    Json::lit("task"),
+                    Json::lit(ph),
+                    id.clone(),
+                    Json::u64(ts),
+                    Json::u64(pid),
+                    Json::u64(core as u64),
+                ],
+            ));
         }
     }
 }
@@ -169,30 +198,21 @@ fn emit_critpath_track(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
         return;
     };
     let tid = r.run.report.core_cycles.len() as u64;
-    events.push(ev([
-        ("name", Json::str("thread_name")),
-        ("ph", Json::str("M")),
-        ("pid", Json::u64(pid)),
-        ("tid", Json::u64(tid)),
-        ("args", Json::Obj(vec![("name".into(), Json::str("critical path"))])),
-    ]));
+    events.push(thread_name(pid, tid, Json::lit("critical path")));
     for link in &cp.chain {
-        events.push(ev([
-            ("name", Json::str(format!("task {}", link.task))),
-            ("cat", Json::str("critpath")),
-            ("ph", Json::str("X")),
-            ("ts", Json::u64(link.exec_begin)),
-            ("dur", Json::u64(link.exec_end.saturating_sub(link.exec_begin))),
-            ("pid", Json::u64(pid)),
-            ("tid", Json::u64(tid)),
-            (
-                "args",
-                Json::Obj(vec![
-                    ("core".into(), Json::u64(link.core as u64)),
-                    ("stolen".into(), Json::Bool(link.stolen)),
-                ]),
-            ),
-        ]));
+        events.push(Json::row(
+            &CRITPATH_SPAN,
+            [
+                Json::str(format!("task {}", link.task)),
+                Json::lit("critpath"),
+                Json::lit("X"),
+                Json::u64(link.exec_begin),
+                Json::u64(link.exec_end.saturating_sub(link.exec_begin)),
+                Json::u64(pid),
+                Json::u64(tid),
+                Json::row(&CRITPATH_ARGS, [Json::u64(link.core as u64), Json::Bool(link.stolen)]),
+            ],
+        ));
     }
 }
 
@@ -229,25 +249,31 @@ fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &
         for (s_cycle, r_cycle) in sends.iter().zip(recvs.iter()) {
             let id = Json::u64(*flow_id);
             *flow_id += 1;
-            events.push(ev([
-                ("name", Json::str(name)),
-                ("cat", Json::str("uli")),
-                ("ph", Json::str("s")),
-                ("id", id.clone()),
-                ("ts", Json::u64(*s_cycle)),
-                ("pid", Json::u64(pid)),
-                ("tid", Json::u64(sender as u64)),
-            ]));
-            events.push(ev([
-                ("name", Json::str(name)),
-                ("cat", Json::str("uli")),
-                ("ph", Json::str("f")),
-                ("bp", Json::str("e")),
-                ("id", id),
-                ("ts", Json::u64((*r_cycle).max(*s_cycle))),
-                ("pid", Json::u64(pid)),
-                ("tid", Json::u64(receiver as u64)),
-            ]));
+            events.push(Json::row(
+                &PAIRED,
+                [
+                    Json::lit(name),
+                    Json::lit("uli"),
+                    Json::lit("s"),
+                    id.clone(),
+                    Json::u64(*s_cycle),
+                    Json::u64(pid),
+                    Json::u64(sender as u64),
+                ],
+            ));
+            events.push(Json::row(
+                &FLOW_FINISH,
+                [
+                    Json::lit(name),
+                    Json::lit("uli"),
+                    Json::lit("f"),
+                    Json::lit("e"),
+                    id,
+                    Json::u64((*r_cycle).max(*s_cycle)),
+                    Json::u64(pid),
+                    Json::u64(receiver as u64),
+                ],
+            ));
         }
     }
 }
@@ -271,11 +297,56 @@ fn num_field(e: &Json, key: &str) -> Result<f64, String> {
     e.get(key).and_then(Json::as_num).ok_or_else(|| format!("event missing numeric {key:?}: {e}"))
 }
 
-fn id_key(e: &Json) -> Result<String, String> {
-    match e.get("id") {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        Some(Json::Num(n)) => Ok(format!("#{n}")),
-        _ => Err(format!("event missing id: {e}")),
+/// The `id` of a paired event, typed: the string `"#7"` and the number `7`
+/// are different ids. A number is keyed by its bits (ids are never NaN —
+/// the parser admits no such number — so equal bits is equal value, bar
+/// `0` and `-0`, which print differently too).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Id<'a> {
+    Str(&'a str),
+    Num(u64),
+}
+
+impl<'a> Id<'a> {
+    fn of(e: &'a Json) -> Result<Self, String> {
+        match e.get("id") {
+            Some(Json::Str(s)) => Ok(Id::Str(s)),
+            Some(Json::Num(n)) => Ok(Id::Num(n.to_bits())),
+            _ => Err(format!("event missing id: {e}")),
+        }
+    }
+}
+
+impl fmt::Display for Id<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Id::Str(s) => f.write_str(s),
+            Id::Num(bits) => write!(f, "#{}", f64::from_bits(*bits)),
+        }
+    }
+}
+
+/// Both ends of one async span or flow arrow: how many opening and closing
+/// events carried its id, and when the first of each happened.
+#[derive(Default)]
+struct Pairing {
+    opens: usize,
+    closes: usize,
+    opened: f64,
+    closed: f64,
+}
+
+impl Pairing {
+    fn record(&mut self, opening: bool, ts: f64) {
+        let (count, first) = if opening {
+            (&mut self.opens, &mut self.opened)
+        } else {
+            (&mut self.closes, &mut self.closed)
+        };
+        if *count == 0 {
+            *first = ts;
+        }
+        *count += 1;
     }
 }
 
@@ -290,18 +361,15 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<TraceSummary, String> {
     let events =
         doc.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents array")?;
     let mut summary = TraceSummary::default();
-    // (cat, id) -> (begin cycles, end cycles) for async; id -> same for flows.
-    let mut asyncs: BTreeMap<(String, String), (Vec<f64>, Vec<f64>)> = BTreeMap::new();
-    let mut flows: BTreeMap<String, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+    let mut asyncs: BTreeMap<(&str, Id<'_>), Pairing> = BTreeMap::new();
+    let mut flows: BTreeMap<Id<'_>, Pairing> = BTreeMap::new();
     for e in events {
         let ph =
             e.get("ph").and_then(Json::as_str).ok_or_else(|| format!("event missing ph: {e}"))?;
         num_field(e, "pid")?;
-        if ph != "M" {
-            let ts = num_field(e, "ts")?;
-            if ts < 0.0 {
-                return Err(format!("negative ts: {e}"));
-            }
+        let ts = if ph == "M" { 0.0 } else { num_field(e, "ts")? };
+        if ts < 0.0 {
+            return Err(format!("negative ts: {e}"));
         }
         match ph {
             "M" => {
@@ -319,53 +387,34 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<TraceSummary, String> {
                     .get("cat")
                     .and_then(Json::as_str)
                     .ok_or_else(|| format!("async event missing cat: {e}"))?;
-                let slot = asyncs.entry((cat.to_owned(), id_key(e)?)).or_default();
-                let ts = num_field(e, "ts")?;
-                if ph == "b" {
-                    slot.0.push(ts);
-                } else {
-                    slot.1.push(ts);
-                }
+                asyncs.entry((cat, Id::of(e)?)).or_default().record(ph == "b", ts);
             }
-            "s" | "f" => {
-                let slot = flows.entry(id_key(e)?).or_default();
-                let ts = num_field(e, "ts")?;
-                if ph == "s" {
-                    slot.0.push(ts);
-                } else {
-                    slot.1.push(ts);
-                }
-            }
+            "s" | "f" => flows.entry(Id::of(e)?).or_default().record(ph == "s", ts),
             "i" => summary.instants += 1,
             other => return Err(format!("unknown event phase {other:?}: {e}")),
         }
     }
-    for ((cat, id), (begins, ends)) in &asyncs {
-        if begins.len() != 1 || ends.len() != 1 {
+    for ((cat, id), p) in &asyncs {
+        if p.opens != 1 || p.closes != 1 {
             return Err(format!(
                 "async {cat}/{id}: {} begins, {} ends (want 1:1)",
-                begins.len(),
-                ends.len()
+                p.opens, p.closes
             ));
         }
-        if begins[0] > ends[0] {
-            return Err(format!("async {cat}/{id}: begin {} after end {}", begins[0], ends[0]));
+        if p.opened > p.closed {
+            return Err(format!("async {cat}/{id}: begin {} after end {}", p.opened, p.closed));
         }
-        summary.async_pairs += 1;
     }
-    for (id, (starts, finishes)) in &flows {
-        if starts.len() != 1 || finishes.len() != 1 {
-            return Err(format!(
-                "flow {id}: {} starts, {} finishes (want 1:1)",
-                starts.len(),
-                finishes.len()
-            ));
+    for (id, p) in &flows {
+        if p.opens != 1 || p.closes != 1 {
+            return Err(format!("flow {id}: {} starts, {} finishes (want 1:1)", p.opens, p.closes));
         }
-        if starts[0] > finishes[0] {
-            return Err(format!("flow {id}: start {} after finish {}", starts[0], finishes[0]));
+        if p.opened > p.closed {
+            return Err(format!("flow {id}: start {} after finish {}", p.opened, p.closed));
         }
-        summary.flows += 1;
     }
+    summary.async_pairs = asyncs.len();
+    summary.flows = flows.len();
     Ok(summary)
 }
 
@@ -442,6 +491,82 @@ mod tests {
         assert!(bad(r#"[{"ph":"X","pid":1,"ts":0,"dur":-1}]"#).contains("negative dur"));
         assert!(bad(r#"[{"ph":"??","pid":1,"ts":0}]"#).contains("unknown event phase"));
         assert!(validate_chrome_trace(&parse_json(r#"{"traceEvents":[]}"#).unwrap()).is_ok());
+    }
+
+    /// Ids are typed: the string `"#7"` and the number `7` name two flows
+    /// (and two async spans), however a number used to be spelled as a key.
+    #[test]
+    fn validator_keeps_string_and_numeric_ids_apart() {
+        let flow = |ph: &str, id: &str, ts: u32| {
+            format!(r#"{{"name":"u","cat":"uli","ph":"{ph}","id":{id},"ts":{ts},"pid":1,"tid":0}}"#)
+        };
+        let span = |ph: &str, id: &str, ts: u32| flow(ph, id, ts).replace("uli", "task");
+        let events = [
+            flow("s", "7", 1),
+            flow("s", "\"#7\"", 2),
+            flow("f", "7", 3),
+            flow("f", "\"#7\"", 4),
+            span("b", "7", 1),
+            span("b", "\"#7\"", 2),
+            span("e", "\"#7\"", 3),
+            span("e", "7", 4),
+        ];
+        let doc = parse_json(&format!("{{\"traceEvents\":[{}]}}", events.join(","))).unwrap();
+        let s = validate_chrome_trace(&doc).expect("four distinct ids, each paired 1:1");
+        assert_eq!((s.flows, s.async_pairs), (2, 2));
+        // The same number spelled twice is still one id.
+        let twice = [flow("s", "7", 1), flow("s", "7.0", 2), flow("f", "7", 3)].join(",");
+        let doc = parse_json(&format!("{{\"traceEvents\":[{twice}]}}")).unwrap();
+        assert!(validate_chrome_trace(&doc).unwrap_err().contains("flow #7: 2 starts, 1 finishes"));
+    }
+
+    /// Heap allocations a value owns, from its representation: a row or a
+    /// non-empty array is one block, an owned string one, a borrowed
+    /// literal none, and an `Obj` one block plus one per key.
+    fn allocations(j: &Json) -> usize {
+        use std::borrow::Cow;
+        match j {
+            Json::Null | Json::Bool(_) | Json::Num(_) | Json::Str(Cow::Borrowed(_)) => 0,
+            Json::Str(Cow::Owned(s)) => usize::from(s.capacity() > 0),
+            Json::Arr(items) => {
+                usize::from(items.capacity() > 0) + items.iter().map(allocations).sum::<usize>()
+            }
+            Json::Obj(kv) => {
+                1 + kv
+                    .iter()
+                    .map(|(k, v)| usize::from(k.capacity() > 0) + allocations(v))
+                    .sum::<usize>()
+            }
+            Json::Rec(_, values) => 1 + values.iter().map(allocations).sum::<usize>(),
+        }
+    }
+
+    /// The event that is nearly all of every document — a core's `"X"`
+    /// span — is one heap block: its keys are the schema's and its three
+    /// labels are borrowed. (As an `Obj` with owned strings it was eleven.)
+    #[test]
+    fn a_core_span_is_one_allocation() {
+        let run = small_run_n(RuntimeKind::Dts, 11, true, true);
+        let doc = export_chrome_trace(&[TraceRun { app: "fib", setup: "dts", run: &run }]);
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let spans: Vec<&Json> =
+            events.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("X")).collect();
+        assert!(spans.len() > 1000, "{} spans", spans.len());
+        for e in &spans {
+            assert_eq!(allocations(e), 1, "{e}");
+        }
+        // Flow arrows likewise, and nothing in the document owns a key.
+        let flows = events.iter().filter(|e| e.get("cat").and_then(Json::as_str) == Some("uli"));
+        assert!(flows.map(allocations).all(|n| n == 1));
+        fn owns_a_key(j: &Json) -> bool {
+            matches!(j, Json::Obj(_))
+                || j.as_arr().is_some_and(|a| a.iter().any(owns_a_key))
+                || j.fields().any(|(_, v)| owns_a_key(v))
+        }
+        assert!(!owns_a_key(&doc));
+        // Parsed back, the same event owns its keys and its strings.
+        let parsed = parse_json(&spans[0].to_json()).unwrap();
+        assert_eq!((allocations(&parsed), &parsed), (11, spans[0]));
     }
 
     #[test]
