@@ -170,8 +170,8 @@ pub fn run_app(setup: &Setup, app: &AppSpec, size: AppSize, grain: usize) -> App
 
 /// A machine-readable summary of one run, for downstream analysis
 /// (`BIGTINY_JSON=<path>` makes [`live::Harness::run_matrix`] append one
-/// JSON object per line). Serialized by [`ResultRecord::to_json_line`] — the workspace is
-/// dependency-free, and the record is flat, so the JSON is hand-rolled.
+/// JSON object per line). Serialized by [`ResultRecord::to_json_line`]
+/// through the workspace's one JSON writer, [`Json`].
 #[derive(Clone, Debug)]
 pub struct ResultRecord {
     /// Kernel name.
@@ -266,34 +266,6 @@ impl From<&AppResult> for ResultRecord {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders an `f64` as a JSON value. JSON has no NaN/Infinity literals, so
-/// non-finite values (e.g. a hit rate from a run with zero accesses) become
-/// `null` instead of producing an unparseable line.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// A value in a flat JSON-lines record.
 #[derive(Clone, PartialEq, Debug)]
 pub enum JsonScalar {
@@ -336,47 +308,40 @@ pub fn parse_json_line(line: &str) -> Result<Vec<(String, JsonScalar)>, String> 
 }
 
 impl ResultRecord {
-    /// Renders the record as a single-line JSON object.
+    /// Renders the record as a single-line JSON object. A non-finite hit
+    /// rate (a run with zero tiny-core accesses) becomes `null`.
     pub fn to_json_line(&self) -> String {
-        format!(
-            concat!(
-                "{{\"app\":\"{}\",\"setup\":\"{}\",\"cycles\":{},\"instructions\":{},",
-                "\"l1d_hit_rate\":{},\"lines_invalidated\":{},\"lines_flushed\":{},",
-                "\"amos\":{},\"traffic_bytes\":{},\"uli_messages\":{},\"steals\":{},",
-                "\"work\":{},\"span\":{},\"tasks\":{},\"faults_injected\":{},",
-                "\"mesh_fault_spikes\":{},\"uli_timeouts\":{},\"fallback_steals\":{},",
-                "\"forced_steal_misses\":{},\"crashes\":{},\"orphans_reclaimed\":{},",
-                "\"mailbox_rescues\":{},\"reexecutions\":{},\"joins_repaired\":{},",
-                "\"quarantines\":{},\"revivals\":{},\"seq_grants\":{}}}"
-            ),
-            json_escape(&self.app),
-            json_escape(&self.setup),
-            self.cycles,
-            self.instructions,
-            json_f64(self.l1d_hit_rate),
-            self.lines_invalidated,
-            self.lines_flushed,
-            self.amos,
-            self.traffic_bytes,
-            self.uli_messages,
-            self.steals,
-            self.work,
-            self.span,
-            self.tasks,
-            self.faults_injected,
-            self.mesh_fault_spikes,
-            self.uli_timeouts,
-            self.fallback_steals,
-            self.forced_steal_misses,
-            self.crashes,
-            self.orphans_reclaimed,
-            self.mailbox_rescues,
-            self.reexecutions,
-            self.joins_repaired,
-            self.quarantines,
-            self.revivals,
-            self.seq_grants,
-        )
+        let fields = [
+            ("app", Json::str(self.app.as_str())),
+            ("setup", Json::str(self.setup.as_str())),
+            ("cycles", Json::u64(self.cycles)),
+            ("instructions", Json::u64(self.instructions)),
+            ("l1d_hit_rate", Json::f64(self.l1d_hit_rate)),
+            ("lines_invalidated", Json::u64(self.lines_invalidated)),
+            ("lines_flushed", Json::u64(self.lines_flushed)),
+            ("amos", Json::u64(self.amos)),
+            ("traffic_bytes", Json::u64(self.traffic_bytes)),
+            ("uli_messages", Json::u64(self.uli_messages)),
+            ("steals", Json::u64(self.steals)),
+            ("work", Json::u64(self.work)),
+            ("span", Json::u64(self.span)),
+            ("tasks", Json::u64(self.tasks)),
+            ("faults_injected", Json::u64(self.faults_injected)),
+            ("mesh_fault_spikes", Json::u64(self.mesh_fault_spikes)),
+            ("uli_timeouts", Json::u64(self.uli_timeouts)),
+            ("fallback_steals", Json::u64(self.fallback_steals)),
+            ("forced_steal_misses", Json::u64(self.forced_steal_misses)),
+            ("crashes", Json::u64(self.crashes)),
+            ("orphans_reclaimed", Json::u64(self.orphans_reclaimed)),
+            ("mailbox_rescues", Json::u64(self.mailbox_rescues)),
+            ("reexecutions", Json::u64(self.reexecutions)),
+            ("joins_repaired", Json::u64(self.joins_repaired)),
+            ("quarantines", Json::u64(self.quarantines)),
+            ("revivals", Json::u64(self.revivals)),
+            ("seq_grants", Json::u64(self.seq_grants)),
+        ];
+        Json::Obj(fields.into_iter().map(|(key, value)| (key.to_owned(), value)).collect())
+            .to_json()
     }
 }
 
@@ -540,12 +505,29 @@ mod json_tests {
         assert!(span <= work);
     }
 
+    /// The exact bytes of a record line — a quote, a newline and a control
+    /// character escaped, a NaN hit rate as `null`, a hit rate of 1.0 as
+    /// `1` — so every `BIGTINY_JSON` line keeps its bytes.
     #[test]
     fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let line = |app: &str, hit_rate: &str| {
+            format!(
+                concat!(
+                    r#"{{"app":"{}","setup":"b.T/HCC-gwb","cycles":123,"instructions":456,"#,
+                    r#""l1d_hit_rate":{},"lines_invalidated":1,"lines_flushed":2,"amos":3,"#,
+                    r#""traffic_bytes":4,"uli_messages":5,"steals":6,"work":7,"span":7,"#,
+                    r#""tasks":8,"faults_injected":0,"mesh_fault_spikes":0,"uli_timeouts":0,"#,
+                    r#""fallback_steals":0,"forced_steal_misses":0,"crashes":0,"#,
+                    r#""orphans_reclaimed":0,"mailbox_rescues":0,"reexecutions":0,"#,
+                    r#""joins_repaired":0,"quarantines":0,"revivals":0,"seq_grants":9}}"#,
+                ),
+                app, hit_rate
+            )
+        };
+        let mut odd = synthetic_record(f64::NAN);
+        odd.app.push('\u{1}');
+        assert_eq!(odd.to_json_line(), line(r#"synthetic \"app\"\n\u0001"#, "null"));
+        assert_eq!(synthetic_record(1.0).to_json_line(), line(r#"synthetic \"app\"\n"#, "1"));
     }
 
     fn synthetic_record(hit_rate: f64) -> ResultRecord {

@@ -289,9 +289,8 @@ impl Collector {
 /// Checks an event stream recorded by an armed run.
 ///
 /// `protocols` gives the per-core L1 protocol, in core-id order (the
-/// stream's `core` fields index into it). `mode` selects the passes:
-/// [`CheckMode::Hb`] runs only the race detector, [`CheckMode::Full`] all
-/// three; [`CheckMode::Off`] returns an empty, clean report.
+/// stream's `core` fields index into it). [`CheckMode::Full`] runs all
+/// three passes; [`CheckMode::Off`] returns an empty, clean report.
 ///
 /// # Panics
 ///
@@ -301,18 +300,16 @@ pub fn check_events(protocols: &[Protocol], mode: CheckMode, events: &[MemEvent]
     let mut racy = [0u64; RacyTag::ALL.len()];
     if mode.armed() {
         let mut hb = hb::HbPass::new(protocols.len());
-        let mut full = (mode == CheckMode::Full)
-            .then(|| (stale::StalePass::new(protocols), lint::LintPass::new(protocols)));
+        let mut stale = stale::StalePass::new(protocols);
+        let mut lint = lint::LintPass::new(protocols);
         for ev in events {
             assert!(ev.core < protocols.len(), "event core {} out of range", ev.core);
             if let MemOp::Load { racy: Some(tag), .. } = ev.op {
                 racy[RacyTag::ALL.iter().position(|t| *t == tag).expect("tag in whitelist")] += 1;
             }
             hb.step(ev, &mut col);
-            if let Some((stale, lint)) = full.as_mut() {
-                stale.step(ev, &mut col);
-                lint.step(ev, &mut col);
-            }
+            stale.step(ev, &mut col);
+            lint.step(ev, &mut col);
         }
     }
     let mut violations = col.violations;
@@ -378,8 +375,9 @@ mod tests {
     #[test]
     fn unsynchronized_read_write_is_a_race() {
         let events = [ev(0, 0, store(64)), ev(5, 1, load(64))];
-        let r = check_events(&MESI2, CheckMode::Hb, &events);
+        let r = check_events(&MESI2, CheckMode::Full, &events);
         assert_eq!(r.count(ViolationKind::HbRace), 1);
+        assert_eq!(r.violations.len(), 1, "MESI: staleness and lint add nothing");
         let v = r.first().unwrap();
         assert_eq!((v.core, v.cycle, v.addr), (1, 5, Some(Addr(64))));
     }
@@ -390,7 +388,7 @@ mod tests {
         // via AMO on the same flag, then reads the data: no race.
         let events =
             [ev(0, 0, store(64)), ev(1, 0, amo(128)), ev(5, 1, amo(128)), ev(6, 1, load(64))];
-        let r = check_events(&MESI2, CheckMode::Hb, &events);
+        let r = check_events(&MESI2, CheckMode::Full, &events);
         assert!(r.is_clean(), "{}", r.render());
     }
 
@@ -438,12 +436,13 @@ mod tests {
             ev(1, 1, racy_store(64, RacyTag::LigraDedupFlag)),
             ev(2, 1, racy_load(64, RacyTag::LigraDedupFlag)),
         ];
-        let r = check_events(&MESI2, CheckMode::Hb, &events);
+        let r = check_events(&MESI2, CheckMode::Full, &events);
         assert!(r.is_clean(), "{}", r.render());
         // An unordered *plain* access still races with the audited store.
         let events = [ev(0, 0, racy_store(64, RacyTag::LigraDedupFlag)), ev(5, 1, store(64))];
-        let r = check_events(&MESI2, CheckMode::Hb, &events);
+        let r = check_events(&MESI2, CheckMode::Full, &events);
         assert_eq!(r.count(ViolationKind::HbRace), 1, "{}", r.render());
+        assert_eq!(r.violations.len(), 1, "{}", r.render());
     }
 
     #[test]
@@ -587,8 +586,9 @@ mod tests {
     #[test]
     fn malformed_uli_stream_is_a_stream_error() {
         let events = [ev(4, 0, MemOp::Sync(SyncNote::HandlerEnter { from: 1 }))];
-        let r = check_events(&MESI2, CheckMode::Hb, &events);
+        let r = check_events(&MESI2, CheckMode::Full, &events);
         assert_eq!(r.count(ViolationKind::ProtocolStream), 1);
+        assert_eq!(r.violations.len(), 1, "{}", r.render());
     }
 
     #[test]
@@ -598,9 +598,10 @@ mod tests {
             ev(5, 1, load(64)),
             ev(6, 1, load(64)), // same race again: deduplicated
         ];
-        let a = check_events(&MESI2, CheckMode::Hb, &events);
-        let b = check_events(&MESI2, CheckMode::Hb, &events);
+        let a = check_events(&MESI2, CheckMode::Full, &events);
+        let b = check_events(&MESI2, CheckMode::Full, &events);
         assert_eq!(a.count(ViolationKind::HbRace), 1);
+        assert_eq!(a.violations.len(), 1, "{}", a.render());
         assert_eq!(a.suppressed, 1);
         assert_eq!(a.verdict_hash(), b.verdict_hash());
         let clean = check_events(&MESI2, CheckMode::Off, &events);

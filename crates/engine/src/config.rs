@@ -15,8 +15,7 @@ use crate::flight::{Heartbeat, DEFAULT_FLIGHT_CAPACITY};
 pub enum ExecBackend {
     /// Pick automatically: [`ExecBackend::Fibers`] where supported (x86_64
     /// Linux), else [`ExecBackend::Threads`]. Where fibers are supported,
-    /// `BIGTINY_BACKEND=threads` / `BIGTINY_BACKEND=sharded` select
-    /// [`ExecBackend::Threads`] / [`ExecBackend::ShardedFibers`] instead;
+    /// `BIGTINY_BACKEND=threads` selects [`ExecBackend::Threads`] instead;
     /// any other value is ignored with a warning on stderr.
     #[default]
     Auto,
@@ -25,17 +24,13 @@ pub enum ExecBackend {
     /// without fiber support.
     Threads,
     /// Every core as a stackful fiber on the thread that calls
-    /// `run_system`: a token handoff is a user-space stack switch. This is
-    /// the fiber backend with a single island holding every core. Panics
+    /// `run_system`: a token handoff is a user-space stack switch. Panics
     /// at run start where unsupported (non-x86_64-Linux).
     Fibers,
-    /// The fiber backend with one island per mesh quadrant, each island's
-    /// fibers driven by its own OS thread: token handoffs inside an island
-    /// are user-space stack switches, and only cross-island handoffs pay a
-    /// futex wake. Kept as the N-island configuration of
-    /// [`ExecBackend::Fibers`]; on the measured two-core host it does not
-    /// beat the one-island default (DESIGN.md §3.1.2). Panics at run start
-    /// where unsupported (non-x86_64-Linux).
+    /// An alias of [`ExecBackend::Fibers`] (same run, same `backend_label`
+    /// `fibers`). The N-island fiber backend it named never beat one island
+    /// and is gone (DESIGN.md §3.1.2); the alias stays only while the
+    /// frozen `benchmark/` crate names it (ROADMAP item 1(a) deletes both).
     ShardedFibers,
 }
 

@@ -25,8 +25,6 @@ pub enum CheckMode {
     /// No event collection, no checking. The only mode timed runs may use.
     #[default]
     Off,
-    /// Collect events; run the happens-before race pass only.
-    Hb,
     /// Collect events; run all three passes (happens-before races,
     /// protocol staleness oracle, Figure-3 sync-discipline lint).
     Full,

@@ -5,18 +5,16 @@
 //! kernel context switch — about 1.4 µs of system time per sequenced op on
 //! a busy host, which dominates engine wall clock (measured ~2/3 of the
 //! whole perf suite). This module runs every simulated core as a *fiber*: a
-//! heap stack plus a saved stack pointer, the fibers of one island all
-//! multiplexed on that island's host thread. A token handoff inside an
-//! island becomes a user-space stack switch (tens of nanoseconds) and the
-//! kernel is never involved.
+//! heap stack plus a saved stack pointer, all multiplexed on one host
+//! thread. A token handoff becomes a user-space stack switch (tens of
+//! nanoseconds) and the kernel is never involved.
 //!
 //! Only the switching primitive lives here; scheduling policy stays in the
 //! [`Sequencer`](crate::sequencer::Sequencer), which drives fibers through
-//! [`FiberRt`] — one runtime per island (a single island holding every core
-//! on the `fibers` backend, one per mesh quadrant on `sharded-fibers`), each
-//! driven by exactly one OS thread: its island's launcher. The
-//! implementation is x86_64-Linux-only (the module is compiled out
-//! elsewhere and the engine falls back to the thread backend):
+//! one [`FiberRt`], driven by exactly one OS thread: the launcher, the
+//! thread that calls `run_system`. The implementation is x86_64-Linux-only
+//! (the module is compiled out elsewhere and the engine falls back to the
+//! thread backend):
 //!
 //! - Stacks come from anonymous `mmap` with a `PROT_NONE` guard page at the
 //!   low end, so stack overflow faults like it does on a real thread stack
@@ -30,7 +28,7 @@
 //!
 //! Safety rules the callers uphold:
 //! - All fibers of one `FiberRt` are switched only from the one OS thread
-//!   that drives that runtime (its island's launcher thread).
+//!   that drives that runtime (the launcher thread).
 //! - An entry closure never returns: it must exit by switching away for
 //!   good (the trampoline aborts the process if one does return).
 //! - No lock guard is held across a switch (the target fiber may take the
@@ -224,24 +222,23 @@ impl Drop for Fiber {
 }
 
 /// Identifies a switch endpoint: a core fiber or the launcher (the real OS
-/// thread driving the island, which starts fibers and drains poison).
+/// thread driving the fibers, which starts them and drains poison).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FiberId {
     Core(usize),
     Launcher,
 }
 
-/// The saved contexts of one island of a fiber-backed run. Lives inside the
+/// The saved contexts of a fiber-backed run. Lives inside the
 /// [`Sequencer`](crate::sequencer::Sequencer) so token handoffs can switch
 /// directly between core fibers.
 ///
 /// All cells of a given runtime are only ever touched from the one OS
-/// thread that drives it: the owning island's launcher thread (and the
-/// fibers it runs). The `Send`/`Sync` impls exist because the sequencer
-/// sits in an `Arc` shared across threads — core threads on the thread
-/// backend, island threads and the watchdog monitor on the fiber one — and
-/// rustc cannot see that each runtime's cells stay thread-local by
-/// construction.
+/// thread that drives it: the launcher thread (and the fibers it runs).
+/// The `Send`/`Sync` impls exist because the sequencer sits in an `Arc`
+/// shared across threads — core threads on the thread backend, the
+/// watchdog monitor on the fiber one — and rustc cannot see that the
+/// runtime's cells stay thread-local by construction.
 #[derive(Debug)]
 pub(crate) struct FiberRt {
     /// Saved stack pointer of each suspended core fiber (or its initial
@@ -254,8 +251,8 @@ pub(crate) struct FiberRt {
     done: Vec<Cell<bool>>,
 }
 
-// SAFETY: see the struct docs — every runtime's cells are used from a
-// single driving thread by construction.
+// SAFETY: see the struct docs — the runtime's cells are used from a single
+// driving thread by construction.
 unsafe impl Send for FiberRt {}
 unsafe impl Sync for FiberRt {}
 

@@ -390,7 +390,7 @@ pub struct CoreBeat {
 /// Deterministic fields (identical across reruns and backends for the same
 /// config): `seq`, `time`, `total_grants`, `max_clock`, `breakdown`,
 /// `faults`. Out-of-band fields (host-timing artifacts): `fast_grants`,
-/// `cores`, `islands`. Wall-clock rates are added by the sink, never here.
+/// `cores`. Wall-clock rates are added by the sink, never here.
 #[derive(Debug, Clone)]
 pub struct HeartbeatSnap {
     /// Snapshot index (1-based; `total_grants / every`).
@@ -413,8 +413,8 @@ pub struct HeartbeatSnap {
     pub faults: [u64; 6],
     /// Per-core scheduler strip (out-of-band).
     pub cores: Vec<CoreBeat>,
-    /// Per-island maximum granted time under ShardedFibers (empty on the
-    /// other backends); island lag is `max(islands) - islands[i]`.
+    /// Always empty; kept so the `bigtiny-obs-heartbeat-v1` schema keeps
+    /// its `islands` key (DESIGN §3.1.2).
     pub islands: Vec<u64>,
 }
 
@@ -426,7 +426,6 @@ impl HeartbeatSnap {
         fast_grants: u64,
         live: Option<&LiveCounters>,
         cores: Vec<CoreBeat>,
-        islands: Vec<u64>,
     ) -> Self {
         HeartbeatSnap {
             seq,
@@ -437,7 +436,7 @@ impl HeartbeatSnap {
             breakdown: live.map_or([0; 9], |l| l.breakdown_sums()),
             faults: live.map_or([0; 6], |l| l.fault_sums()),
             cores,
-            islands,
+            islands: Vec::new(),
         }
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Each simulated core keeps a real call stack, so arbitrarily nested task
 //! execution just works: a stackful fiber on the fiber backend (every core
-//! of an *island* multiplexed on one host thread — one island for
-//! `fibers`, one per mesh quadrant for `sharded-fibers`), or an OS thread
-//! of its own on the portable thread backend. Either way **at most one
+//! multiplexed on the one host thread that calls `run_system`), or an OS
+//! thread of its own on the portable thread backend. Either way **at most one
 //! core executes at a time**: before any operation that touches shared
 //! simulated state, a core enters the sequencer with its local clock and is
 //! granted the token only when it holds the globally minimum
@@ -286,9 +285,9 @@ struct Inner<S> {
     poisoned: bool,
     reason: Option<PoisonReason>,
     cores: Vec<CoreState>,
-    /// Host thread driving each core — its own on the thread backend, its
-    /// island's launcher on the fiber backend — registered on the core's
-    /// first blocking `enter`. A hand-off to another host thread uses
+    /// Host thread driving each core — its own on the thread backend, the
+    /// launcher on the fiber backend — registered on the core's first
+    /// blocking `enter`. A hand-off to another host thread uses
     /// `Thread::unpark` *after* the sequencer lock is released: waking a
     /// core through a condvar while still holding the lock made the woken
     /// thread contend on it (an extra futex round trip and context switch
@@ -348,17 +347,15 @@ pub struct Sequencer<S> {
     /// local operations (which never take the sequencer lock) can still
     /// observe the poison and unwind.
     poison_flag: AtomicBool,
-    /// Fiber-backend contexts: when set, cores are stackful fibers
-    /// partitioned into islands, each island driven by one host thread
-    /// (see [`ShardedRt`]), and a blocked `enter` *switches stacks* instead
-    /// of parking. Same-island handoffs are user-space switches — no
-    /// futex, no kernel context switch; cross-island handoffs unpark the
-    /// target island's launcher thread. `None` is the thread backend.
-    /// Grant selection is the single global `(time, core)` minimum either
-    /// way, so every backend produces the identical sequenced-op stream
-    /// (pinned by the golden hashes).
+    /// Fiber-backend contexts: when set, every core is a stackful fiber on
+    /// the launcher's host thread, and a blocked `enter` *switches stacks*
+    /// instead of parking — a hand-off is a user-space switch, no futex, no
+    /// kernel context switch. `None` is the thread backend. Grant selection
+    /// is the single global `(time, core)` minimum either way, so both
+    /// backends produce the identical sequenced-op stream (pinned by the
+    /// golden hashes).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    sharded: Option<ShardedRt>,
+    fibers: Option<FiberRt>,
     /// Heartbeat hook: every `heartbeat.every` grants the granting core
     /// emits a [`HeartbeatSnap`] with the sequencer lock released (the sink
     /// may do I/O). `None` is zero-cost: one never-taken branch in
@@ -372,65 +369,6 @@ pub struct Sequencer<S> {
 struct HeartbeatHook {
     config: Heartbeat,
     live: Arc<LiveCounters>,
-}
-
-/// Runtime state of the fiber backend: the island partition and one
-/// [`FiberRt`] per island. One island holding every core is the
-/// single-thread `fibers` backend; mesh-quadrant islands are
-/// `sharded-fibers`.
-///
-/// Each island's `FiberRt` is touched only by that island's host thread
-/// (its launcher and its own fibers); the sequencer lock serializes
-/// everything else. The conservative cross-island lookahead derived from
-/// mesh hop latency is carried along as the bound a relaxed (non-bit-exact)
-/// mode could exploit — see DESIGN.md.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-#[derive(Debug)]
-pub(crate) struct ShardedRt {
-    /// Island index of each core.
-    island_of: Vec<usize>,
-    /// Per-island fiber runtimes. Each is sized for *global* core ids so
-    /// no id translation happens on the switch path; only the island's own
-    /// slots are ever used.
-    rts: Vec<FiberRt>,
-    /// Minimum cross-island mesh latency in cycles: no interaction between
-    /// islands can land earlier than this after it was initiated (0 with a
-    /// single island: there is no cross-island pair).
-    lookahead: u64,
-}
-
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-impl ShardedRt {
-    /// Builds the runtime for `islands` (a partition of `0..num_cores`).
-    pub(crate) fn new(islands: &[Vec<usize>], num_cores: usize, lookahead: u64) -> Self {
-        let mut island_of = vec![usize::MAX; num_cores];
-        for (idx, isl) in islands.iter().enumerate() {
-            for &c in isl {
-                island_of[c] = idx;
-            }
-        }
-        assert!(island_of.iter().all(|&i| i != usize::MAX), "islands must partition the cores");
-        ShardedRt {
-            island_of,
-            rts: (0..islands.len()).map(|_| FiberRt::new(num_cores)).collect(),
-            lookahead,
-        }
-    }
-
-    /// Island index of `core`.
-    pub(crate) fn island_of(&self, core: usize) -> usize {
-        self.island_of[core]
-    }
-
-    /// The fiber runtime of `island`.
-    pub(crate) fn rt(&self, island: usize) -> &FiberRt {
-        &self.rts[island]
-    }
-
-    /// Number of islands.
-    pub(crate) fn num_islands(&self) -> usize {
-        self.rts.len()
-    }
 }
 
 /// A sequenced section: the token, held. Derefs to the sequenced state;
@@ -489,7 +427,7 @@ impl<S: PollState> Sequencer<S> {
             activity: AtomicU64::new(0),
             poison_flag: AtomicBool::new(false),
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            sharded: None,
+            fibers: None,
             heartbeat: None,
         }
     }
@@ -531,33 +469,17 @@ impl<S: PollState> Sequencer<S> {
         self.watchdog = Some(config);
     }
 
-    /// Switches this sequencer to the fiber backend over the island
-    /// partition in `rt`. Must be called before the run starts.
+    /// Switches this sequencer to the fiber backend, whose contexts `rt`
+    /// holds. Must be called before the run starts.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn set_sharded_backend(&mut self, rt: ShardedRt) {
-        self.sharded = Some(rt);
+    pub(crate) fn set_fiber_backend(&mut self, rt: FiberRt) {
+        self.fibers = Some(rt);
     }
 
     /// The fiber-backend runtime, if this sequencer uses fibers.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn sharded_rt(&self) -> Option<&ShardedRt> {
-        self.sharded.as_ref()
-    }
-
-    /// The core picked for the token and not yet resumed, if it belongs to
-    /// `island`. Island launchers poll this after an unpark to learn
-    /// whether a cross-island handoff dispatched one of their fibers. Sound
-    /// to act on: a picked core of this island can only be *suspended*
-    /// while its launcher executes (fibers of an island never run
-    /// concurrently with their launcher).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn granted_core_on_island(&self, island: usize) -> Option<usize> {
-        let g = self.inner.lock();
-        let sh = self.sharded.as_ref()?;
-        match g.current {
-            Some(c) if sh.island_of[c] == island => Some(c),
-            _ => None,
-        }
+    pub(crate) fn fiber_rt(&self) -> Option<&FiberRt> {
+        self.fibers.as_ref()
     }
 
     /// The watchdog's wall-clock fallback: the body of the monitor thread
@@ -602,9 +524,8 @@ impl<S: PollState> Sequencer<S> {
     }
 
     /// Grants the token to a minimum-*time* waiter, if any. This is the
-    /// single grant-selection rule shared by every execution backend, so
-    /// threads, fibers, and sharded fibers produce the identical op
-    /// stream. Under [`SchedulePolicy::MinCore`] a time tie goes to the
+    /// single grant-selection rule shared by both execution backends, so
+    /// threads and fibers produce the identical op stream. Under [`SchedulePolicy::MinCore`] a time tie goes to the
     /// lowest core id; under [`SchedulePolicy::Scripted`] the script picks
     /// among the tied cores and the tie is recorded as a [`ChoicePoint`].
     fn pick_next(inner: &mut Inner<S>) -> Option<usize> {
@@ -769,7 +690,6 @@ impl<S: PollState> Sequencer<S> {
             .collect();
         drop(g);
         let total = self.total_grants.load(Ordering::Relaxed);
-        let islands = self.island_times(&cores);
         let snap = HeartbeatSnap::new(
             total / hb.config.every,
             time,
@@ -777,35 +697,14 @@ impl<S: PollState> Sequencer<S> {
             self.fast_grants.load(Ordering::Relaxed),
             Some(hb.live.as_ref()),
             cores,
-            islands,
         );
         (hb.config.sink)(&snap);
         self.inner.lock()
     }
 
-    /// Per-island maximum granted time of a multi-island fiber run (empty
-    /// elsewhere: one island has no peer to lead or lag).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fn island_times(&self, cores: &[CoreBeat]) -> Vec<u64> {
-        let Some(sh) = self.sharded.as_ref().filter(|sh| sh.num_islands() > 1) else {
-            return Vec::new();
-        };
-        let mut out = vec![0u64; sh.num_islands()];
-        for (core, beat) in cores.iter().enumerate() {
-            let isl = sh.island_of(core);
-            out[isl] = out[isl].max(beat.last_time);
-        }
-        out
-    }
-
-    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    fn island_times(&self, _cores: &[CoreBeat]) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// Marks the simulation failed for `reason` (the first reason sticks)
-    /// and wakes every host thread so parked cores and launchers observe
-    /// the poison and unwind.
+    /// and wakes every host thread so parked cores observe the poison and
+    /// unwind.
     fn poison_locked(&self, g: &mut Inner<S>, reason: PoisonReason) {
         g.poisoned = true;
         g.reason.get_or_insert(reason);
@@ -821,28 +720,17 @@ impl<S: PollState> Sequencer<S> {
         panic!("{WATCHDOG_MSG} (tripped on core {core} at cycle {time})");
     }
 
-    /// Whether cores `a` and `b` are fibers of one island, multiplexed on
-    /// the same host thread (never, on the thread backend).
-    #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(unused_variables))]
-    fn same_island(&self, a: usize, b: usize) -> bool {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if let Some(sh) = &self.sharded {
-            return sh.island_of[a] == sh.island_of[b];
-        }
-        false
-    }
-
     /// First half of a token hand-off, and the one step of `enter` and
     /// `retire` that knows the backend: releases the sequencer lock and
-    /// makes the dispatched core `next` runnable. A core on another host
-    /// thread (every core, on the thread backend; another island's fiber)
-    /// is unparked — strictly after the lock release, so the woken thread
-    /// never contends on it. A fiber of `core`'s own island cannot be
-    /// woken, only switched to: it is returned for the caller's yield.
+    /// makes the dispatched core `next` runnable. On the thread backend its
+    /// thread is unparked — strictly after the lock release, so the woken
+    /// thread never contends on it. A fiber cannot be woken, only switched
+    /// to: it is returned for the caller's yield.
     #[must_use]
-    fn wake(&self, g: MutexGuard<'_, Inner<S>>, core: usize, next: Option<usize>) -> Option<usize> {
+    fn wake(&self, g: MutexGuard<'_, Inner<S>>, next: Option<usize>) -> Option<usize> {
         let next = next?;
-        if self.same_island(core, next) {
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if self.fibers.is_some() {
             return Some(next);
         }
         let t = g.threads[next].clone().expect("waiting core has registered its host thread");
@@ -853,20 +741,20 @@ impl<S: PollState> Sequencer<S> {
 
     /// Second half of a hand-off: gives up the host thread until someone
     /// hands the token to `core`. A thread parks; a fiber switches stacks,
-    /// to the same-island fiber [`Sequencer::wake`] returned or else to its
-    /// island launcher (which starts the remaining fibers during start-up
-    /// and afterwards sleeps until a cross-island hand-off unparks it).
+    /// to the fiber [`Sequencer::wake`] returned or else to the launcher
+    /// (which starts the remaining fibers during start-up and drains them
+    /// under poison).
     #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(unused_variables))]
     fn yield_host(&self, core: usize, local: Option<usize>) {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if let Some(sh) = &self.sharded {
+        if let Some(rt) = &self.fibers {
             let to = local.map_or(FiberId::Launcher, FiberId::Core);
             // SAFETY: `core` is the fiber executing on this host thread and
-            // the caller holds no lock guard. A same-island `local` is a
-            // live suspended waiter (it sits in the waiting set), and the
-            // island's launcher is suspended whenever one of its fibers
-            // runs; both share this thread's `FiberRt`.
-            unsafe { sh.rts[sh.island_of[core]].switch(FiberId::Core(core), to) };
+            // the caller holds no lock guard. `local` is a live suspended
+            // waiter (it sits in the waiting set), and the launcher is
+            // suspended whenever a fiber runs; all share this thread's
+            // `FiberRt`.
+            unsafe { rt.switch(FiberId::Core(core), to) };
             return;
         }
         debug_assert!(local.is_none(), "the thread backend never switches stacks");
@@ -897,7 +785,7 @@ impl<S: PollState> Sequencer<S> {
     ) -> MutexGuard<'a, Inner<S>> {
         while g.current != Some(core) && !g.poisoned {
             // `running > 0` means another core still executes or, on the
-            // fiber backend, is yet to be started by a launcher.
+            // fiber backend, is yet to be started by the launcher.
             let next = if g.running == 0 && g.current.is_none() {
                 self.dispatch(&mut g, runner.take())
             } else {
@@ -906,7 +794,7 @@ impl<S: PollState> Sequencer<S> {
             if next == Some(core) {
                 break; // re-granted ourselves
             }
-            let local = self.wake(g, core, next);
+            let local = self.wake(g, next);
             self.yield_host(core, local);
             g = self.inner.lock();
         }
@@ -1022,9 +910,8 @@ impl<S: PollState> Sequencer<S> {
     }
 
     /// Fiber-backend retirement: [`Sequencer::retire`], plus where the
-    /// finished fiber must switch next — the dispatched minimum waiter if
-    /// it shares the island, else the island launcher (a cross-island
-    /// grantee was woken through its own launcher; or none exists: run
+    /// finished fiber must switch next — the dispatched minimum waiter,
+    /// else the launcher (none exists: start-up still in progress, run
     /// over, or poison drain in progress). The caller performs the switch
     /// after storing its report, because nothing else runs on its host
     /// thread until it yields.
@@ -1044,7 +931,7 @@ impl<S: PollState> Sequencer<S> {
         g.running -= 1;
         let next =
             if g.running == 0 && g.current.is_none() { self.dispatch(&mut g, None) } else { None };
-        self.wake(g, core, next)
+        self.wake(g, next)
     }
 
     /// Resets the watchdog's no-progress counter. Called by the runtime
@@ -1070,17 +957,6 @@ impl<S: PollState> Sequencer<S> {
     /// Grants served in place to parked polls ([`Sequencer::park_poll`]).
     pub fn in_place_grants(&self) -> u64 {
         self.inner.lock().in_place_grants
-    }
-
-    /// Conservative cross-island lookahead of a multi-island fiber run in
-    /// cycles, or 0 elsewhere (one island, the thread backend, hosts
-    /// without fiber support).
-    pub fn sharded_lookahead(&self) -> u64 {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if let Some(sh) = &self.sharded {
-            return sh.lookahead;
-        }
-        0
     }
 
     /// Order-sensitive hash of the `(time, core)` grant stream so far.

@@ -83,7 +83,6 @@ fn run_core<T>(
 enum Backend {
     Threads,
     Fibers,
-    Sharded,
 }
 
 impl Backend {
@@ -92,13 +91,12 @@ impl Backend {
         match self {
             Backend::Threads => "threads",
             Backend::Fibers => "fibers",
-            Backend::Sharded => "sharded-fibers",
         }
     }
 }
 
 /// The stable lower-case name of the backend a run of `config` resolves to
-/// (`threads`, `fibers`, `sharded-fibers`) — the same string
+/// (`threads` or `fibers`) — the same string
 /// [`DiagnosticBundle::backend`](crate::DiagnosticBundle) carries, for
 /// harnesses labelling black-box dumps of runs that completed without a
 /// bundle. `Auto` resolution consults `BIGTINY_BACKEND`, so call it in the
@@ -110,13 +108,13 @@ pub fn backend_label(config: &SystemConfig) -> &'static str {
 /// Decides which backend this run executes cores on (see [`ExecBackend`]).
 fn resolve_backend(config: &SystemConfig) -> Backend {
     let env = std::env::var("BIGTINY_BACKEND").ok();
-    let typo = env.as_deref().filter(|v| !matches!(*v, "threads" | "sharded"));
+    let typo = env.as_deref().filter(|v| *v != "threads");
     if let (ExecBackend::Auto, Some(value)) = (config.backend, typo) {
         static WARNED: std::sync::Once = std::sync::Once::new();
         WARNED.call_once(|| {
             eprintln!(
-                "warning: ignoring BIGTINY_BACKEND={value:?}: the accepted values are \
-                 `threads` and `sharded` (unset picks fibers where supported)"
+                "warning: ignoring BIGTINY_BACKEND={value:?}: the accepted value is \
+                 `threads` (unset picks fibers where supported)"
             );
         });
     }
@@ -126,25 +124,18 @@ fn resolve_backend(config: &SystemConfig) -> Backend {
 
 /// The backend decision as a pure function of the configured
 /// [`ExecBackend`], the value of `BIGTINY_BACKEND` (consulted only under
-/// `Auto`; anything but `threads` / `sharded` counts as unset) and whether
-/// the host supports fibers (x86_64 Linux).
+/// `Auto`; anything but `threads` counts as unset) and whether the host
+/// supports fibers (x86_64 Linux).
 fn select_backend(requested: ExecBackend, env: Option<&str>, supported: bool) -> Backend {
     match requested {
         ExecBackend::Threads => Backend::Threads,
-        ExecBackend::Fibers => {
-            assert!(supported, "ExecBackend::Fibers requires x86_64 Linux");
+        ExecBackend::Fibers | ExecBackend::ShardedFibers => {
+            assert!(supported, "ExecBackend::{requested:?} requires x86_64 Linux");
             Backend::Fibers
         }
-        ExecBackend::ShardedFibers => {
-            assert!(supported, "ExecBackend::ShardedFibers requires x86_64 Linux");
-            Backend::Sharded
-        }
         ExecBackend::Auto if !supported => Backend::Threads,
-        ExecBackend::Auto => match env {
-            Some("threads") => Backend::Threads,
-            Some("sharded") => Backend::Sharded,
-            _ => Backend::Fibers,
-        },
+        ExecBackend::Auto if env == Some("threads") => Backend::Threads,
+        ExecBackend::Auto => Backend::Fibers,
     }
 }
 
@@ -178,54 +169,17 @@ fn run_cores_on_threads(
     }
 }
 
-/// Runs cores as stackful fibers over the island partition installed in
-/// the sequencer, one host thread per island. Fibers of the same island
-/// hand the token to each other with pure user-space stack switches; only
-/// a cross-island handoff pays a futex (unparking the target island's
-/// launcher thread). [`Backend::Fibers`] is the one-island case, driven
-/// inline on the calling thread: no handoff ever leaves user space.
-/// Grant selection is the sequencer's single global `(time, core)` minimum,
-/// so the sequenced-op stream is bit-for-bit identical to the thread
-/// backend's whatever the partition.
+/// Runs every core as a stackful fiber on the calling thread, which
+/// becomes the launcher: it builds the fibers and starts them in core
+/// order. From then on the token passes from fiber to fiber by pure
+/// user-space stack switches — no hand-off ever leaves user space. Grant
+/// selection is the sequencer's single global `(time, core)` minimum, so
+/// the sequenced-op stream is bit-for-bit identical to the thread
+/// backend's.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_cores_on_islands(
+fn run_cores_on_fibers(
     config: &SystemConfig,
-    backend: Backend,
     workers: Vec<Worker>,
-    shared: &Arc<Shared>,
-    reports: &PortReports,
-    panics: &Panics,
-) {
-    let sh = shared.seq.sharded_rt().expect("fiber backend installed");
-    let mut members: Vec<Vec<(usize, Worker)>> =
-        (0..sh.num_islands()).map(|_| Vec::new()).collect();
-    for (core, worker) in workers.into_iter().enumerate() {
-        members[sh.island_of(core)].push((core, worker));
-    }
-    if backend == Backend::Fibers {
-        let own = members.pop().expect("the fibers backend installs exactly one island");
-        return drive_island(config, 0, own, shared, reports, panics);
-    }
-    std::thread::scope(|scope| {
-        for (island, own) in members.into_iter().enumerate() {
-            std::thread::Builder::new()
-                .name(format!("sim-island-{island}"))
-                .spawn_scoped(scope, move || {
-                    drive_island(config, island, own, shared, reports, panics);
-                })
-                .expect("spawn island launcher thread");
-        }
-    });
-}
-
-/// One island's launcher: builds the island's fibers, starts them in core
-/// order, then keeps resuming whichever of its fibers holds (or is being
-/// handed) the token until all of them are done.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn drive_island(
-    config: &SystemConfig,
-    island: usize,
-    own: Vec<(usize, Worker)>,
     shared: &Arc<Shared>,
     reports: &PortReports,
     panics: &Panics,
@@ -233,14 +187,13 @@ fn drive_island(
     use crate::fiber::{Fiber, FiberId, FiberRt};
 
     let stack_bytes = config.core_stack_bytes();
-    let rt = shared.seq.sharded_rt().expect("fiber backend installed").rt(island);
+    let rt = shared.seq.fiber_rt().expect("fiber backend installed");
     // The runtime outlives every fiber switch: it lives inside `Shared`,
     // which the caller keeps alive until after all fibers are done.
     let rt_ptr: *const FiberRt = rt;
-    let own_cores: Vec<usize> = own.iter().map(|(c, _)| *c).collect();
 
-    let mut fibers = Vec::with_capacity(own.len());
-    for (core, worker) in own {
+    let mut fibers = Vec::with_capacity(workers.len());
+    for (core, worker) in workers.into_iter().enumerate() {
         let shared = Arc::clone(shared);
         let reports = Arc::clone(reports);
         let panics = Arc::clone(panics);
@@ -257,7 +210,7 @@ fn drive_island(
             drop(panics);
             // SAFETY: `rt_ptr` stays valid (see above); this fiber is
             // marked done and never resumed, and `next` is either a live
-            // same-island waiter or this island's suspended launcher.
+            // waiter or the suspended launcher.
             unsafe {
                 (*rt_ptr).mark_done(core);
                 (*rt_ptr).switch(FiberId::Core(core), next);
@@ -269,50 +222,27 @@ fn drive_island(
         fibers.push(fiber);
     }
 
-    // Start every own fiber in core order (the threaded backend's spawn
-    // order); each runs until its first sequencer suspension. No token can
-    // be granted anywhere before every core in the system has entered the
-    // sequencer once (`running` only reaches 0 then), so the startup wave
-    // runs concurrently across islands yet cannot reorder sequenced ops.
-    for &core in &own_cores {
+    // Start every fiber in core order (the thread backend's spawn order);
+    // each runs until its first sequencer suspension. No token can be
+    // granted before every core has entered the sequencer once (`running`
+    // only reaches 0 then), so the last one started takes over.
+    for core in 0..fibers.len() {
         // SAFETY: the fiber is unstarted, and only this thread ever
-        // switches fibers of this island's runtime.
+        // switches fibers of this runtime.
         unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
     }
 
-    // After the startup wave control only comes back here when the island
-    // has nothing to run: every fiber done, a handoff left for another
-    // island, or — under poison — a retiring/panicking fiber had nobody to
-    // hand the token to.
-    loop {
-        if own_cores.iter().all(|&c| rt.is_done(c)) {
-            break;
-        }
-        if shared.seq.check_poison() {
-            // Poison drain: resume any live fiber; its sequencer re-entry
-            // observes the poison and unwinds it to done.
-            let c = own_cores.iter().copied().find(|&c| !rt.is_done(c)).unwrap();
-            // SAFETY: live suspended fiber of this island.
-            unsafe { rt.switch(FiberId::Launcher, FiberId::Core(c)) };
-            continue;
-        }
-        if let Some(c) = shared.seq.granted_core_on_island(island) {
-            // A granted core of this island is always a live, suspended
-            // waiter (it cannot retire while still holding a pending
-            // grant); the `is_done` guard is pure defensive depth.
-            if !rt.is_done(c) {
-                // SAFETY: as above.
-                unsafe { rt.switch(FiberId::Launcher, FiberId::Core(c)) };
-            }
-            continue;
-        }
-        // Sleep until a cross-island handoff (or poison, which the
-        // watchdog monitor delivers too) unparks us. The unpark token is
-        // sticky, so a wake delivered between the checks above and the
-        // park is never lost.
-        std::thread::park();
+    // Control comes back here only when no fiber can take the token: every
+    // one is done, or — under poison — a retiring or panicking fiber had
+    // nobody to hand it to. Poison drain: resume each live fiber; its
+    // sequencer re-entry observes the poison and unwinds it to done.
+    while let Some(core) = (0..fibers.len()).find(|&c| !rt.is_done(c)) {
+        debug_assert!(shared.seq.check_poison(), "the launcher resumes fibers only under poison");
+        // SAFETY: a live suspended fiber of this runtime, switched to from
+        // its driving thread.
+        unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
     }
-    // Dropping `fibers` unmaps the island's stacks; all are done here.
+    // Dropping `fibers` unmaps the stacks; all are done here.
 }
 
 /// Stops the watchdog monitor thread when dropped — on unwind too, so a
@@ -390,13 +320,6 @@ pub struct RunReport {
     /// on a ULI response, and zero with a heartbeat armed: every grant then
     /// publishes the grantee's live counters, so every grant wakes it.
     pub seq_in_place_grants: u64,
-    /// Conservative cross-island lookahead of the sharded backend in
-    /// cycles (0 on the other backends): the bound below which no
-    /// cross-island interaction can land, derived from the minimum
-    /// cross-island mesh hop latency. A host-level diagnostic; the
-    /// bit-exact backends never let islands run ahead, so it has no
-    /// simulated-time meaning.
-    pub seq_lookahead: u64,
     /// Order-sensitive hash of the sequenced-op stream (every `(time,
     /// core)` token grant, in grant order). Identical runs produce
     /// identical hashes; golden-trace tests pin this value to prove engine
@@ -496,28 +419,14 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         done: false,
         done_time: 0,
     };
-    #[allow(unused_mut)]
     let mut seq = Sequencer::new(num_cores, state);
     seq.set_policy(config.schedule.clone());
     if let Some(budget) = config.watchdog_budget {
         seq.set_watchdog(WatchdogConfig { budget, wall_ms: config.watchdog_wall_ms });
     }
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    if backend != Backend::Threads {
-        // The fiber backend's one parameter: which cores share a host
-        // thread. `fibers` is the one-island partition.
-        let islands = match backend {
-            Backend::Fibers => vec![(0..num_cores).collect()],
-            _ => config.topology().quadrant_islands(num_cores),
-        };
-        // Minimum cross-island mesh latency: one cycle per hop each way
-        // plus the receiving unit's cycle — the same formula the ULI
-        // network charges for a `hops`-hop message.
-        let lookahead = match config.topology().min_cross_island_hops(&islands) {
-            0 => 0,
-            hops => u64::from(hops) * 2 + 1,
-        };
-        seq.set_sharded_backend(crate::sequencer::ShardedRt::new(&islands, num_cores, lookahead));
+    if backend == Backend::Fibers {
+        seq.set_fiber_backend(crate::fiber::FiberRt::new(num_cores));
     }
     // Heartbeat arming: the live counters the ports publish into and the
     // sequencer hook that snapshots them every K grants. `None` keeps both
@@ -545,13 +454,9 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         });
         match backend {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Backend::Fibers | Backend::Sharded => {
-                run_cores_on_islands(config, backend, workers, &shared, &reports, &panics)
-            }
+            Backend::Fibers => run_cores_on_fibers(config, workers, &shared, &reports, &panics),
             #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-            Backend::Fibers | Backend::Sharded => {
-                unreachable!("select_backend rejects fibers off-platform")
-            }
+            Backend::Fibers => unreachable!("select_backend rejects fibers off-platform"),
             Backend::Threads => run_cores_on_threads(config, workers, &shared, &reports, &panics),
         }
     });
@@ -663,7 +568,6 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         seq_grants,
         seq_fast_grants,
         seq_in_place_grants,
-        seq_lookahead: seq.sharded_lookahead(),
         seq_op_hash,
         mem_events,
         choice_points,
@@ -770,14 +674,15 @@ mod tests {
     /// cell of the backend decision.
     #[test]
     fn select_backend_covers_every_cell() {
-        use Backend::{Fibers, Sharded, Threads};
+        use Backend::{Fibers, Threads};
         // (env value, what `Auto` resolves to on a fiber-capable host)
         let envs = [
             (None, Fibers),
             (Some("threads"), Threads),
-            (Some("sharded"), Sharded),
             // Unrecognised values (typos, wrong case, the label of the
-            // default) count as unset; `resolve_backend` warns about them.
+            // default, the retired `sharded`) count as unset;
+            // `resolve_backend` warns about them.
+            (Some("sharded"), Fibers),
             (Some("shard"), Fibers),
             (Some("Threads"), Fibers),
             (Some("fibres"), Fibers),
@@ -792,7 +697,7 @@ mod tests {
                 assert_eq!(select_backend(ExecBackend::Threads, env, supported), Threads);
             }
             assert_eq!(select_backend(ExecBackend::Fibers, env, true), Fibers);
-            assert_eq!(select_backend(ExecBackend::ShardedFibers, env, true), Sharded);
+            assert_eq!(select_backend(ExecBackend::ShardedFibers, env, true), Fibers);
             for pinned in [ExecBackend::Fibers, ExecBackend::ShardedFibers] {
                 let r = std::panic::catch_unwind(|| select_backend(pinned, env, false));
                 assert!(r.is_err(), "{pinned:?} must be rejected on a host without fibers");
@@ -820,57 +725,25 @@ mod tests {
         assert_eq!(a.traffic, b.traffic);
     }
 
-    /// The sharded backend must be invisible to simulated results: on a
-    /// 2x2 mesh every core is its own island, so every handoff crosses an
-    /// island boundary, making this the densest cross-island stress the
-    /// small configuration can express.
+    /// The fiber backend must be invisible to simulated results. Four cores
+    /// summing in lockstep hand the token on at nearly every op, so on the
+    /// thread backend this is the densest exercise of `wake`'s unpark arm
+    /// the small configuration can express.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
-    fn sharded_backend_matches_threads_bit_for_bit() {
+    fn fibers_backend_matches_threads_bit_for_bit() {
         let run = |backend: ExecBackend| {
             let mut config = small_config(Protocol::GpuWb);
             config.backend = backend;
             parallel_sum_on(config)
         };
         let a = run(ExecBackend::Threads);
-        let b = run(ExecBackend::ShardedFibers);
+        let b = run(ExecBackend::Fibers);
         assert_eq!(a.seq_op_hash, b.seq_op_hash, "sequenced-op streams must be identical");
         assert_eq!(a.completion_cycles, b.completion_cycles);
         assert_eq!(a.core_cycles, b.core_cycles);
         assert_eq!(a.instructions, b.instructions);
         assert_eq!(a.traffic, b.traffic);
-        // 2x2 quadrants are adjacent tiles: 1 hop -> 1*2+1 cycles.
-        assert_eq!(b.seq_lookahead, 3);
-        assert_eq!(a.seq_lookahead, 0, "thread backend reports no lookahead");
-    }
-
-    /// A worker panic under the sharded backend must drain every island
-    /// and re-raise the original panic, exactly like the other backends.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    #[test]
-    fn sharded_worker_panic_propagates() {
-        let mut config = small_config(Protocol::Mesi);
-        config.backend = ExecBackend::ShardedFibers;
-        let mut workers: Vec<Worker> = Vec::new();
-        for core in 0..4usize {
-            workers.push(Box::new(move |port| {
-                for t in 0..1000 {
-                    port.idle(10);
-                    if core == 2 && t == 5 {
-                        panic!("sharded worker exploded");
-                    }
-                }
-            }));
-        }
-        let r =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_system(&config, workers)));
-        let err = r.expect_err("panic must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("sharded worker exploded"), "got: {msg}");
     }
 
     #[test]
@@ -910,7 +783,7 @@ mod tests {
     #[test]
     fn panic_inside_a_sequenced_section_propagates() {
         let backends: &[ExecBackend] = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-            &[ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers]
+            &[ExecBackend::Threads, ExecBackend::Fibers]
         } else {
             &[ExecBackend::Threads]
         };

@@ -113,7 +113,7 @@ pub struct DiagnosticBundle {
     /// Name of the [`SystemConfig`](crate::SystemConfig) that ran.
     pub config_name: String,
     /// Host execution backend the run actually used (after `Auto`
-    /// resolution), e.g. `threads` or `sharded-fibers`.
+    /// resolution): `threads` or `fibers`.
     pub backend: String,
     /// The run's fault plan as a [`FaultPlan::to_spec`](crate::FaultPlan)
     /// string (`"none"` when no faults were armed). Together with

@@ -142,7 +142,7 @@ fn uli_poll_response_after_victim_death() {
 // core — final clock, time breakdown, retired instructions — against
 // constants captured while the wait was still spelled as one sequencer
 // round trip per poll (`uli_poll_response`, `uli_poll`, `is_done`,
-// `wait_cycles(8)`), and requires all three backends to agree on them.
+// `wait_cycles(8)`), and requires both backends to agree on them.
 
 mod response_wait {
     use std::sync::Arc;
@@ -173,7 +173,7 @@ mod response_wait {
     /// per-core [`Local`]s.
     fn run_everywhere(workers: impl Fn() -> Vec<Worker>) -> Vec<Local> {
         let backends: &[ExecBackend] = if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-            &[ExecBackend::Fibers, ExecBackend::Threads, ExecBackend::ShardedFibers]
+            &[ExecBackend::Fibers, ExecBackend::Threads]
         } else {
             &[ExecBackend::Threads]
         };

@@ -8,14 +8,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bigtiny_engine::{run_system, ExecBackend, SystemConfig, TimeCategory, Worker, WATCHDOG_MSG};
 
-/// The backends of this host: threads everywhere, the fiber backend in its
-/// one-island and quadrant-island configurations on x86_64 Linux. (`o3(2)`
-/// fits one mesh quadrant, so `ShardedFibers` here is one island on a
-/// spawned launcher thread; `Fibers` is the same island driven inline.)
+/// The backends of this host: threads everywhere, fibers on x86_64 Linux.
 fn backends() -> Vec<ExecBackend> {
     let mut all = vec![ExecBackend::Threads];
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-        all.extend([ExecBackend::Fibers, ExecBackend::ShardedFibers]);
+        all.push(ExecBackend::Fibers);
     }
     all
 }

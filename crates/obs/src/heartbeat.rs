@@ -10,9 +10,10 @@
 //!   `max_core_clock`, the `conservation` buckets, and `faults` (all
 //!   published only while a core holds the sequencer token).
 //! * **Out-of-band** — host-timing artifacts for humans and dashboards,
-//!   never for pins: `fast_grants`, the per-core `strip`, `islands` lag,
-//!   and everything the emitting harness appends (wall milliseconds,
-//!   grants/s, live runtime stats).
+//!   never for pins: `fast_grants`, the per-core `strip`, `islands` (an
+//!   empty array since the engine has one island), and everything the
+//!   emitting harness appends (wall milliseconds, grants/s, live runtime
+//!   stats).
 //!
 //! [`heartbeat_line`] renders the deterministic core plus the snapshot's
 //! out-of-band strip; harnesses append their own out-of-band pairs via

@@ -5,7 +5,7 @@
 //! serializes it into a valid `bigtiny-obs-blackbox-v1` document with
 //! non-empty, time-ordered per-core tails, and the whole artifact is
 //! deterministic — the same hang reruns to the same dump, and (the
-//! `backend` string aside) to the same dump on the threaded and both fiber
+//! `backend` string aside) to the same dump on the thread and fiber
 //! backends. Heartbeat lines inherit the same split the engine makes: every
 //! in-band field is a function of the grant stream and replays bit-for-bit,
 //! while wall-clock extras ride out-of-band.
@@ -84,8 +84,7 @@ fn backend_name(backend: ExecBackend) -> &'static str {
     match backend {
         ExecBackend::Threads => "threads",
         ExecBackend::Fibers => "fibers",
-        ExecBackend::ShardedFibers => "sharded-fibers",
-        ExecBackend::Auto => unreachable!("tests pin a concrete backend"),
+        other => unreachable!("tests pin Threads or Fibers, not {other:?}"),
     }
 }
 
@@ -111,22 +110,19 @@ fn watchdog_trip_dumps_stable_blackbox_on_threads() {
     stable_dump(ExecBackend::Threads);
 }
 
-/// Fiber backend, one island inline (`Fibers`) and quadrant islands on
-/// their own threads (`ShardedFibers`): same contract, and the same dump —
-/// the trip deposits a bundle that differs from the threaded one only in
-/// the `backend` string, however the cores multiplex onto host threads.
+/// Fiber backend: same contract, and the same dump — the trip deposits a
+/// bundle that differs from the threaded one only in the `backend` string,
+/// however the cores multiplex onto host threads.
 #[test]
 #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), ignore)]
-fn watchdog_trip_dumps_stable_blackbox_on_sharded_fibers() {
+fn watchdog_trip_dumps_stable_blackbox_on_fibers() {
     let threads = stable_dump(ExecBackend::Threads);
-    for backend in [ExecBackend::Fibers, ExecBackend::ShardedFibers] {
-        assert_eq!(stable_dump(backend), threads, "{backend:?} dump differs from Threads");
-    }
+    assert_eq!(stable_dump(ExecBackend::Fibers), threads, "Fibers dump differs from Threads");
 }
 
-/// The in-band fields of one beat: everything except `fast_grants`, the
-/// core strip, and the island vector (those depend on host thread
-/// interleaving and are documented out-of-band).
+/// The in-band fields of one beat: everything except `fast_grants` and the
+/// core strip (those depend on host thread interleaving and are documented
+/// out-of-band).
 type InBandBeat = (u64, u64, u64, u64, [u64; 9], [u64; 6]);
 
 /// Runs cilk5-nq with a heartbeat armed and collects every beat's in-band

@@ -8,7 +8,7 @@
 //!
 //! 1. making the default policy *explicit* (and running under an empty
 //!    script) is bit-for-bit invisible — the golden `cilk5-nq` pin from
-//!    `golden_trace.rs` must replay exactly, on all three backends;
+//!    `golden_trace.rs` must replay exactly, on both backends;
 //! 2. a clean kernel stays clean under *any* scripted permutation of its
 //!    tie-breaks (kernel `verify()`, the full checker battery, and cycle
 //!    conservation all hold);
@@ -42,7 +42,7 @@ const NQ_PIN: (u64, u64) = (7808, 0x7cc8_52c9_2c4f_0918);
 fn explicit_min_core_policy_replays_the_golden_pin_on_every_backend() {
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
     let app = app_by_name("cilk5-nq").unwrap();
-    for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+    for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
         if backend != ExecBackend::Threads && !fibers_supported {
             continue;
         }

@@ -68,12 +68,11 @@ fn sequenced_op_stream_matches_golden_hashes() {
     );
 }
 
-/// All three execution backends (one OS thread per core, stackful fibers
-/// on one thread, island-sharded fibers on one thread per mesh quadrant)
-/// must replay the exact same grant stream: they share the sequencer's
-/// grant-selection rule and differ only in how a blocked core yields the
-/// host CPU. Pinning all of them against the same table proves the fiber
-/// and sharding fast paths cannot change a single simulated cycle — with
+/// Both execution backends (one OS thread per core, stackful fibers on one
+/// thread) must replay the exact same grant stream: they share the
+/// sequencer's grant-selection rule and differ only in how a blocked core
+/// yields the host CPU. Pinning both against the same table proves the
+/// fiber fast path cannot change a single simulated cycle — with
 /// the watchdog disarmed, and again with it armed and its wall-clock
 /// monitor thread alive beside the cores (the watchdog only observes).
 #[test]
@@ -86,7 +85,7 @@ fn both_backends_produce_identical_op_streams() {
     {
         let app = app_by_name(app_name).unwrap();
         let mut cells = Vec::new();
-        for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+        for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
             if backend == ExecBackend::Threads || fibers_supported {
                 cells.extend([(backend, None), (backend, Some(2_000_000))]);
             }
@@ -237,7 +236,7 @@ fn flight_ring_and_heartbeat_change_no_golden_pin() {
         GOLDEN.iter().filter(|g| g.0 == "cilk5-nq")
     {
         let app = app_by_name(app_name).unwrap();
-        for backend in [ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::ShardedFibers] {
+        for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
             if backend != ExecBackend::Threads && !fibers_supported {
                 continue;
             }
@@ -347,8 +346,6 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
         let c = run_once(ExecBackend::Fibers);
         assert_eq!(a, c, "fiber backend agrees bit-for-bit under a crash storm");
-        let d = run_once(ExecBackend::ShardedFibers);
-        assert_eq!(a, d, "sharded backend agrees bit-for-bit under a crash storm");
     }
 }
 

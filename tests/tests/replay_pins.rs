@@ -6,7 +6,7 @@
 //! `TraceEvent`, the retired-instruction count, the flight ring's `Grant`
 //! record, the ULI marks, the attribution spans. These pins fold exactly
 //! that, per core, for the DTS steal protocol under no faults, ULI storms
-//! and crash storms, on all three backends — captured before the thief's
+//! and crash storms, on both backends — captured before the thief's
 //! response-wait loop stopped being one sequencer round trip per poll, so a
 //! match proves whoever performs a poll's bookkeeping performs all of it.
 //!
@@ -20,9 +20,8 @@ use bigtiny_engine::{ExecBackend, FaultPlan, Protocol, RunReport, TimeBreakdown,
 
 /// `(kernel, fault plan, local fold, stream fold, seq_grants,
 /// seq_fast_grants)` on `b.T/HCC-DTS-gwb` at `AppSize::Test`. The grant
-/// counts are pinned on the one-island Fibers backend only: how many grants
-/// take the inline re-grant path depends on the start-up wave of a
-/// multi-thread backend.
+/// counts are pinned on the Fibers backend only: how many grants take the
+/// inline re-grant path depends on the start-up wave of the thread backend.
 const PINS: &[(&str, &str, u64, u64, u64, u64)] = &[
     ("cilk5-nq", "none", 0x2ca6_3833_6859_7f84, 0xe26f_b9c7_04a7_64ff, 37863, 10311),
     ("cilk5-nq", "hostile", 0xdb82_80cc_635e_ca1f, 0x3b03_c71d_8ada_b7ba, 215737, 66551),
@@ -111,7 +110,7 @@ fn per_core_local_history_matches_pins_on_every_backend() {
     for &(app_name, plan, want_local, want_stream, want_grants, want_fast) in PINS {
         let app = app_by_name(app_name).unwrap();
         let (mut observed, seen) = (None, failures.len());
-        for backend in [ExecBackend::Fibers, ExecBackend::Threads, ExecBackend::ShardedFibers] {
+        for backend in [ExecBackend::Fibers, ExecBackend::Threads] {
             if backend != ExecBackend::Threads && !fibers_supported {
                 continue;
             }
