@@ -35,6 +35,7 @@ use bigtiny_bench::live::Harness;
 use bigtiny_bench::{cli, render_table, run_app, Setup};
 use bigtiny_checker::{check_run, CheckReport, ViolationKind};
 use bigtiny_engine::{CheckMode, RacyTag};
+use bigtiny_obs::Json;
 
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
@@ -48,23 +49,30 @@ const CLI: cli::Spec = cli::Spec::new(
     ],
 );
 
-fn json_line(app: &str, setup: &str, report: &CheckReport, wall_ms: u128) -> String {
-    let mut s = String::from("{");
-    s.push_str(&format!("\"app\":\"{app}\",\"setup\":\"{setup}\""));
-    s.push_str(&format!(",\"wall_ms\":{wall_ms}"));
-    s.push_str(&format!(",\"events\":{}", report.events));
-    s.push_str(&format!(",\"clean\":{}", u8::from(report.is_clean())));
-    s.push_str(&format!(",\"violations\":{}", report.violations.len()));
-    s.push_str(&format!(",\"suppressed\":{}", report.suppressed));
-    for kind in ViolationKind::ALL {
-        s.push_str(&format!(",\"{}\":{}", kind.label(), report.count(kind)));
-    }
-    for (tag, n) in RacyTag::ALL.iter().zip(report.racy_loads) {
-        s.push_str(&format!(",\"racy-{}\":{n}", tag.label()));
-    }
-    s.push_str(&format!(",\"verdict_hash\":\"{:#018x}\"", report.verdict_hash()));
-    s.push('}');
-    s
+/// One verdict line: a flat object through the workspace's one JSON writer.
+fn json_line(app: &str, setup: &str, report: &CheckReport, wall_ms: u64) -> String {
+    let counts = [
+        ("wall_ms", wall_ms),
+        ("events", report.events),
+        ("clean", u64::from(report.is_clean())),
+        ("violations", report.violations.len() as u64),
+        ("suppressed", report.suppressed),
+    ];
+    let mut fields =
+        vec![("app".to_owned(), Json::str(app)), ("setup".to_owned(), Json::str(setup))];
+    fields.extend(counts.map(|(key, n)| (key.to_owned(), Json::u64(n))));
+    fields.extend(
+        ViolationKind::ALL
+            .map(|kind| (kind.label().to_owned(), Json::u64(report.count(kind) as u64))),
+    );
+    fields.extend(
+        RacyTag::ALL
+            .iter()
+            .zip(report.racy_loads)
+            .map(|(tag, n)| (format!("racy-{}", tag.label()), Json::u64(n))),
+    );
+    fields.push(("verdict_hash".to_owned(), Json::hash(report.verdict_hash())));
+    Json::Obj(fields).to_json()
 }
 
 fn main() {
@@ -94,7 +102,7 @@ fn main() {
             let t0 = std::time::Instant::now();
             let r = run_app(setup, app, size, 0);
             let report = check_run(&setup.sys, &r.run.report);
-            let wall_ms = t0.elapsed().as_millis();
+            let wall_ms = t0.elapsed().as_millis() as u64;
             eprintln!(
                 "[check_all] {:<12} {:<16} {:>9} events  {}",
                 r.app,
@@ -143,4 +151,43 @@ fn main() {
         std::process::exit(1);
     }
     println!("all {} runs clean", rows.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bigtiny_checker::Violation;
+    use bigtiny_coherence::Addr;
+
+    /// The exact bytes of one verdict line, key order and hash format
+    /// included: `CHECK_verdicts.json` readers depend on both.
+    #[test]
+    fn a_verdict_line_has_pinned_bytes() {
+        let mut racy_loads = [0; RacyTag::ALL.len()];
+        (racy_loads[0], racy_loads[8]) = (5, 1);
+        let report = CheckReport {
+            mode: CheckMode::Full,
+            events: 1234,
+            violations: vec![Violation {
+                kind: ViolationKind::StaleMissingFlush,
+                core: 3,
+                cycle: 77,
+                addr: Some(Addr(0x40)),
+                detail: String::new(),
+            }],
+            suppressed: 2,
+            racy_loads,
+        };
+        let want = concat!(
+            r#"{"app":"cilk5-nq","setup":"b.T/HCC-gwb","wall_ms":9,"events":1234,"clean":0,"#,
+            r#""violations":1,"suppressed":2,"hb-race":0,"stale-missing-invalidate":0,"#,
+            r#""stale-missing-flush":1,"lint-acquire-no-invalidate":0,"lint-release-no-flush":0,"#,
+            r#""lint-hsc-elide-after-steal":0,"protocol-stream":0,"racy-RcWaitLoop":5,"#,
+            r#""racy-LigraDedupFlag":0,"racy-LigraCondProbe":0,"racy-LigraClaimedLevel":0,"#,
+            r#""racy-LigraMonotoneSrc":0,"racy-DequeOwnerPeek":0,"racy-DequeThiefPeek":0,"#,
+            r#""racy-DequeOwnerCommit":0,"racy-DequeTailPublish":1,"#,
+            r#""verdict_hash":"0xf64eb300366086ce"}"#,
+        );
+        assert_eq!(json_line("cilk5-nq", "b.T/HCC-gwb", &report, 9), want);
+    }
 }

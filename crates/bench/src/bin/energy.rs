@@ -4,7 +4,7 @@
 
 use bigtiny_bench::live::Harness;
 use bigtiny_bench::{cli, find_result, geomean, render_table, Setup};
-use bigtiny_engine::{EnergyModel, SystemConfig};
+use bigtiny_engine::{EnergyReport, SystemConfig};
 
 const CLI: cli::Spec =
     cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE, &cli::APPS, &cli::JSON]);
@@ -15,7 +15,6 @@ fn main() {
     let mut setups = vec![Setup::o3(8)];
     setups.extend(Setup::big_tiny_matrix());
     let results = harness.run_matrix(&setups);
-    let model = EnergyModel::default();
 
     let config_of = |label: &str| -> SystemConfig {
         setups.iter().find(|s| s.label == label).expect("known setup").sys.clone()
@@ -28,12 +27,12 @@ fn main() {
     for app in apps {
         let mesi_e = {
             let r = find_result(&results, app.name, "b.T/MESI");
-            model.estimate(&config_of("b.T/MESI"), &r.run.report).total()
+            EnergyReport::estimate(&config_of("b.T/MESI"), &r.run.report).total()
         };
         let mut row = vec![app.name.to_owned()];
         for (i, setup) in setups.iter().enumerate() {
             let r = find_result(&results, app.name, &setup.label);
-            let e = model.estimate(&setup.sys, &r.run.report).total();
+            let e = EnergyReport::estimate(&setup.sys, &r.run.report).total();
             let norm = e / mesi_e;
             geo[i].push(norm);
             row.push(format!("{norm:.2}"));

@@ -14,7 +14,7 @@
 //! * what-if projections: completion bounds with zero-cost steals, zero
 //!   coherence overhead, and pure compute.
 //!
-//! `--out` writes the v2 metrics document for the profiled runs;
+//! `--metrics-out` writes the v2 metrics document for the profiled runs;
 //! `--trace-out` additionally arms per-core tracing and writes a Chrome
 //! trace with the critical path as its own highlighted track.
 
@@ -27,7 +27,7 @@ const CLI: cli::Spec = cli::Spec::new(
     &[
         &cli::APP,
         &cli::DTS_ONLY,
-        &cli::OUT,
+        &cli::METRICS_OUT,
         &cli::TRACE_OUT,
         &cli::HEARTBEAT_OUT,
         &cli::SIZE,
@@ -133,7 +133,7 @@ fn main() {
         println!("{:>10}: {:>12}\n", "span", cp.span);
     }
 
-    if let Some(path) = args.text(&cli::OUT) {
+    if let Some(path) = args.text(&cli::METRICS_OUT) {
         write_doc(path, &metrics_doc(&results));
         println!("[profile_run] metrics document ({} runs) -> {path}", results.len());
     }

@@ -1,8 +1,10 @@
 //! Table II: simulated-system configuration, printed from the live
-//! `SystemConfig`/`MemConfig` values.
+//! `SystemConfig`/`MemConfig` geometry and the machine's timing constants.
 
 use bigtiny_bench::cli;
+use bigtiny_coherence::{DRAM_ACCESS_CYCLES, DRAM_LINE_CYCLES};
 use bigtiny_engine::{CoreKind, SystemConfig};
+use bigtiny_mesh::{CHANNEL_CYCLES, FLIT_BYTES, ROUTER_CYCLES};
 
 const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[]);
 
@@ -16,14 +18,15 @@ fn main() {
 
     println!("Table II: Simulator Configuration ({})\n", cfg.name);
     println!(
-        "Tiny Core     single-issue in-order, 1 IPC non-memory; L1D: {} KB, {}-way, 1-cycle hit",
+        "Tiny Core     single-issue in-order, {} IPC non-memory; L1D: {} KB, {}-way, 1-cycle hit",
+        CoreKind::Tiny.issue_width(),
         tiny.mem.l1_bytes / 1024,
         tiny.mem.l1_ways
     );
     println!(
         "Big Core      {}-wide out-of-order (memory stall / {}); L1D: {} KB, {}-way, 1-cycle hit",
-        cfg.big_issue_width,
-        cfg.big_overlap_div,
+        CoreKind::Big.issue_width(),
+        CoreKind::Big.overlap_div(),
         big.mem.l1_bytes / 1024,
         big.mem.l1_ways
     );
@@ -34,22 +37,22 @@ fn main() {
         mem.l2_bank_bytes / 1024
     );
     println!(
-        "OCN           {}x{} mesh, XY routing, 16 B flits, 1-cycle channel + 1-cycle router",
+        "OCN           {}x{} mesh, XY routing, {FLIT_BYTES} B flits, {CHANNEL_CYCLES}-cycle channel + \
+         {ROUTER_CYCLES}-cycle router",
         topo.rows(),
         topo.cols()
     );
     println!(
-        "Main Memory   {} DRAM controllers (one per column), {}-cycle access, {} cycles/line occupancy",
+        "Main Memory   {} DRAM controllers (one per column), {DRAM_ACCESS_CYCLES}-cycle access, \
+         {DRAM_LINE_CYCLES} cycles/line occupancy",
         topo.num_banks(),
-        mem.dram_latency,
-        mem.dram_cycles_per_line
     );
     println!(
         "Cores         {} total: {} big + {} tiny; ULI interrupt cost {} (tiny) / {} (big) cycles",
         cfg.num_cores(),
         cfg.num_big(),
         cfg.tiny_cores().len(),
-        cfg.uli_cost_tiny,
-        cfg.uli_cost_big
+        CoreKind::Tiny.uli_cost(),
+        CoreKind::Big.uli_cost()
     );
 }

@@ -86,7 +86,7 @@ macro_rules! options {
         $(#[doc = concat!("`", $name, "`: ", $help, ".")]
         pub const $id: Opt =
             Opt { name: $name, metavar: $metavar, kind: $kind, default: $default, help: $help };)*
-        /// The whole table: the 20 flags, then the 9 environment variables.
+        /// The whole table: the 19 flags, then the 9 environment variables.
         pub const ALL: &[&Opt] = &[$(&$id),*];
     };
 }
@@ -118,8 +118,6 @@ options! {
     FAIL_FAST: "--fail-fast" "", Kind::Switch, None, "stop at the first dirty cell";
     APP: "--app" "NAME", Kind::Kernel, None, "run one kernel instead of the BIGTINY_APPS list";
     DTS_ONLY: "--dts-only" "", Kind::Switch, None, "only the three DTS configurations";
-    OUT: "--out" "PATH", Kind::OutPath, None,
-        "write the metrics document (critpath section populated) to PATH";
     ONCE: "--once" "", Kind::Switch, None, "render the current tail once and exit";
     INTERVAL_MS: "--interval-ms" "N", Kind::PositiveU64, Some("500"),
         "refresh cadence in follow mode";
@@ -446,7 +444,7 @@ mod tests {
                 validate(opt, default).unwrap_or_else(|e| panic!("bad default: {e}"));
             }
         }
-        assert_eq!(ALL.iter().filter(|o| o.is_flag()).count(), 20);
+        assert_eq!(ALL.iter().filter(|o| o.is_flag()).count(), 19);
         assert_eq!(ALL.iter().filter(|o| !o.is_flag()).count(), 9);
         for name in FaultPlan::NAMES {
             assert!(FAULT_PLAN.help.contains(name), "--fault-plan help omits {name}");

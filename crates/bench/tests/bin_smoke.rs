@@ -238,7 +238,7 @@ fn profile_run_reports_and_writes_valid_v2_metrics() {
     let out = run_bin(
         env!("CARGO_BIN_EXE_profile_run"),
         &[("BIGTINY_SIZE", "test")],
-        &["--app", "cilk5-nq", "--dts-only", "--out", metrics.to_str().unwrap()],
+        &["--app", "cilk5-nq", "--dts-only", "--metrics-out", metrics.to_str().unwrap()],
     );
     assert!(out.contains("[profile_run] OK"), "missing OK marker:\n{out}");
     assert_renders_table(&out, "profile_run", "Critical-path profile");
@@ -540,7 +540,7 @@ const BINS: [Bin; 27] = [
     bin!("json_check", [], ["results.jsonl"]),
     bin!("metrics_diff", [THRESHOLD, ALLOW_MISSING], ["base.json", "new.json"]),
     bin!("model_check", [MC_OUT, MC_SCHEDULES, MC_DEPTH, MC_APPS]),
-    bin!("profile_run", [APP, DTS_ONLY, OUT, TRACE_OUT, HEARTBEAT_OUT, SIZE, APPS]),
+    bin!("profile_run", [APP, DTS_ONLY, METRICS_OUT, TRACE_OUT, HEARTBEAT_OUT, SIZE, APPS]),
     bin!("table1", []),
     bin!("table2", []),
     bin!("table3", [SIZE, APPS, JSON]),

@@ -22,6 +22,20 @@
 
 use crate::addr::{div_rem, LineAddr};
 
+/// Cycles from the start of an L2 bank access to its result (the paper's
+/// 6-cycle access latency class).
+const L2_ACCESS_CYCLES: u64 = 6;
+/// Cycles an L2 bank stays busy per access: a request arriving sooner
+/// queues behind it.
+const L2_BANK_BUSY_CYCLES: u64 = 2;
+/// DRAM access latency in cycles (Table II).
+pub const DRAM_ACCESS_CYCLES: u64 = 60;
+/// Occupancy of one 64-byte line transfer at one DRAM controller: the
+/// paper's 16 GB/s over 8 controllers at 1 GHz is 2 B/cycle/controller,
+/// i.e. 32 cycles per line. A machine with more mesh columns has more
+/// controllers, hence more aggregate bandwidth (Table V's 4×).
+pub const DRAM_LINE_CYCLES: u64 = 32;
+
 /// A set of core ids, used for the precise MESI sharer list.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CoreSet {
@@ -114,8 +128,6 @@ pub struct L2Cache {
     sharers: Vec<[u64; 4]>,
     bank_busy_until: Vec<u64>,
     lru_clock: u64,
-    access_latency: u64,
-    occupancy: u64,
 }
 
 // The sentinel-coded owner must hold every core id the sharer list can.
@@ -123,8 +135,7 @@ const _: () = assert!(CoreSet::CAPACITY < u16::MAX as usize);
 
 impl L2Cache {
     /// Creates an L2 with `banks` banks of `bank_bytes` each, `ways`-way
-    /// associative, 64-byte lines. Defaults to the paper's 6-cycle access
-    /// latency class and 2-cycle bank occupancy.
+    /// associative, 64-byte lines.
     pub fn new(banks: usize, bank_bytes: usize, ways: usize) -> Self {
         assert!(banks > 0 && ways > 0);
         let lines_per_bank = bank_bytes / crate::addr::LINE_BYTES as usize;
@@ -141,8 +152,6 @@ impl L2Cache {
             sharers: vec![[0; 4]; slots],
             bank_busy_until: vec![0; banks],
             lru_clock: 0,
-            access_latency: 6,
-            occupancy: 2,
         }
     }
 
@@ -155,8 +164,8 @@ impl L2Cache {
     /// which the bank has produced its result, accounting for queueing.
     pub fn access(&mut self, bank: usize, arrival: u64) -> u64 {
         let start = arrival.max(self.bank_busy_until[bank]);
-        self.bank_busy_until[bank] = start + self.occupancy;
-        start + self.access_latency
+        self.bank_busy_until[bank] = start + L2_BANK_BUSY_CYCLES;
+        start + L2_ACCESS_CYCLES
     }
 
     fn set_base(&self, line: LineAddr) -> usize {
@@ -249,32 +258,27 @@ impl L2Cache {
     }
 }
 
-/// The DRAM controllers: fixed access latency plus a bandwidth model in
-/// which each controller transfers a bounded number of bytes per cycle
-/// (Table II: 16 GB/s aggregate across the chip's controllers).
+/// The DRAM controllers: a fixed [`DRAM_ACCESS_CYCLES`] latency plus a
+/// bandwidth model in which each controller is busy [`DRAM_LINE_CYCLES`]
+/// per line (Table II: 16 GB/s aggregate across the chip's controllers).
 #[derive(Clone, Debug)]
 pub struct Dram {
     ctrl_busy_until: Vec<u64>,
-    access_latency: u64,
-    cycles_per_line: u64,
 }
 
 impl Dram {
-    /// Creates `controllers` DRAM controllers. `cycles_per_line` is the
-    /// occupancy of a 64-byte transfer at one controller (the paper's
-    /// 16 GB/s over 8 controllers at 1 GHz gives 2 B/cycle/controller, i.e.
-    /// 32 cycles per line).
-    pub fn new(controllers: usize, access_latency: u64, cycles_per_line: u64) -> Self {
+    /// Creates `controllers` DRAM controllers.
+    pub fn new(controllers: usize) -> Self {
         assert!(controllers > 0);
-        Dram { ctrl_busy_until: vec![0; controllers], access_latency, cycles_per_line }
+        Dram { ctrl_busy_until: vec![0; controllers] }
     }
 
     /// Charges a line transfer at controller `ctrl` arriving at `arrival`;
     /// returns the completion cycle.
     pub fn access(&mut self, ctrl: usize, arrival: u64) -> u64 {
         let start = arrival.max(self.ctrl_busy_until[ctrl]);
-        self.ctrl_busy_until[ctrl] = start + self.cycles_per_line;
-        start + self.access_latency + self.cycles_per_line
+        self.ctrl_busy_until[ctrl] = start + DRAM_LINE_CYCLES;
+        start + DRAM_ACCESS_CYCLES + DRAM_LINE_CYCLES
     }
 }
 
@@ -387,11 +391,11 @@ mod tests {
 
     #[test]
     fn dram_bandwidth_queues_transfers() {
-        let mut d = Dram::new(2, 60, 32);
+        let mut d = Dram::new(2);
         let t1 = d.access(0, 0);
         let t2 = d.access(0, 0);
-        assert_eq!(t1, 92);
+        assert_eq!(t1, 60 + 32);
         assert_eq!(t2, 60 + 64, "second transfer waits for the first's occupancy");
-        assert_eq!(d.access(1, 0), 92, "other controller independent");
+        assert_eq!(d.access(1, 0), 60 + 32, "other controller independent");
     }
 }

@@ -50,7 +50,7 @@ mod system;
 mod versions;
 
 pub use addr::{Addr, LINE_BYTES};
-pub use l2::CoreSet;
+pub use l2::{CoreSet, DRAM_ACCESS_CYCLES, DRAM_LINE_CYCLES};
 pub use protocol::{
     DirtyPropagation, Protocol, ProtocolTraits, StaleInvalidation, WriteGranularity,
 };

@@ -7,6 +7,9 @@
 //! serializes cores by simulated time) and returns a latency in cycles:
 //! network legs from the mesh model, bank service with queueing from the L2
 //! model, DRAM latency/bandwidth from the DRAM model. L1 hits cost 1 cycle.
+//! Every latency is a Table II constant beside the model that charges it
+//! (the L2 and DRAM cycles in `l2.rs`, the mesh's in `bigtiny_mesh`); only
+//! the geometry in [`MemConfig`] is configurable.
 //!
 //! # Functional data and the staleness checker
 //!
@@ -71,24 +74,13 @@ pub struct MemConfig {
     pub l2_bank_bytes: usize,
     /// L2 associativity (Table II: 8-way).
     pub l2_ways: usize,
-    /// DRAM access latency in cycles.
-    pub dram_latency: u64,
-    /// DRAM occupancy of one 64-byte line transfer per controller.
-    pub dram_cycles_per_line: u64,
 }
 
 impl MemConfig {
     /// A memory system shaped like the paper's 64-core system for the given
     /// per-core configs.
     pub fn paper(mesh: MeshConfig, cores: Vec<CoreMemConfig>) -> Self {
-        MemConfig {
-            mesh,
-            cores,
-            l2_bank_bytes: 512 * 1024,
-            l2_ways: 8,
-            dram_latency: 60,
-            dram_cycles_per_line: 32,
-        }
+        MemConfig { mesh, cores, l2_bank_bytes: 512 * 1024, l2_ways: 8 }
     }
 }
 
@@ -126,7 +118,7 @@ impl MemorySystem {
             protocols: config.cores.iter().map(|c| c.protocol).collect(),
             l1s: config.cores.iter().map(|c| L1Cache::new(c.l1_bytes, c.l1_ways)).collect(),
             l2: L2Cache::new(topo.num_banks(), config.l2_bank_bytes, config.l2_ways),
-            dram: Dram::new(topo.num_banks(), config.dram_latency, config.dram_cycles_per_line),
+            dram: Dram::new(topo.num_banks()),
             mesh: Mesh::new(config.mesh),
             stats: vec![CoreMemStats::default(); num_cores],
             versions: VersionTable::default(),

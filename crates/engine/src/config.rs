@@ -66,6 +66,35 @@ pub enum CoreKind {
     Tiny,
 }
 
+impl CoreKind {
+    /// Non-memory instructions retired per cycle (Table II).
+    pub const fn issue_width(self) -> u64 {
+        match self {
+            CoreKind::Big => 4,
+            CoreKind::Tiny => 1,
+        }
+    }
+
+    /// What a memory stall is divided by as the core sees it: a big core's
+    /// out-of-order window overlaps part of every miss with independent
+    /// work; a tiny core stalls for all of it.
+    pub const fn overlap_div(self) -> u64 {
+        match self {
+            CoreKind::Big => 2,
+            CoreKind::Tiny => 1,
+        }
+    }
+
+    /// Cycles to interrupt the core for a ULI: "a few" on a tiny core,
+    /// 10-50 on a big one, which drains its out-of-order pipeline.
+    pub const fn uli_cost(self) -> u64 {
+        match self {
+            CoreKind::Big => 30,
+            CoreKind::Tiny => 5,
+        }
+    }
+}
+
 /// Configuration of one simulated core.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CoreConfig {
@@ -94,18 +123,9 @@ pub struct SystemConfig {
     pub name: String,
     /// Data-OCN configuration (fixes topology and bank count).
     pub mesh: MeshConfig,
-    /// Cores, in core-id order. Core 0 runs the program's main thread.
+    /// Cores, in core-id order. Core 0 runs the program's main thread. A
+    /// core's timing is its [`CoreKind`]'s.
     pub cores: Vec<CoreConfig>,
-    /// Issue width of big cores (compute IPC).
-    pub big_issue_width: u64,
-    /// Divisor applied to big-core memory stall latency, modelling the
-    /// out-of-order window overlapping misses with execution.
-    pub big_overlap_div: u64,
-    /// Cycles to interrupt a tiny core for a ULI (paper: "a few cycles").
-    pub uli_cost_tiny: u64,
-    /// Cycles to interrupt a big core (paper: 10-50 cycles to drain the
-    /// out-of-order pipeline).
-    pub uli_cost_big: u64,
     /// Global seed for deterministic pseudo-randomness.
     pub seed: u64,
     /// Record per-core execution traces (see [`crate::render_timeline`]).
@@ -159,10 +179,6 @@ impl SystemConfig {
             name: name.to_owned(),
             mesh,
             cores,
-            big_issue_width: 4,
-            big_overlap_div: 2,
-            uli_cost_tiny: 5,
-            uli_cost_big: 30,
             seed: 0x5eed,
             trace: false,
             attr: false,

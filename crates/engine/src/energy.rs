@@ -12,48 +12,27 @@ use crate::config::{CoreKind, SystemConfig};
 use crate::system::RunReport;
 use bigtiny_mesh::TrafficClass;
 
-/// Per-event energy costs (arbitrary units).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct EnergyModel {
-    /// Per retired instruction on a tiny in-order core.
-    pub tiny_inst: f64,
-    /// Per retired instruction on a big out-of-order core (speculation,
-    /// renaming, wide issue).
-    pub big_inst: f64,
-    /// Static/idle energy per cycle, tiny core.
-    pub tiny_idle_cycle: f64,
-    /// Static/idle energy per cycle, big core.
-    pub big_idle_cycle: f64,
-    /// Per L1 access (hit or miss lookup), scaled by capacity below.
-    pub l1_access_4kb: f64,
-    /// Big-core 64 KB L1 access.
-    pub l1_access_64kb: f64,
-    /// Per L2 bank access (any request serviced).
-    pub l2_access: f64,
-    /// Per DRAM access (line transfer).
-    pub dram_access: f64,
-    /// Per 16-byte flit crossing one mesh link.
-    pub flit_hop: f64,
-    /// Per ULI message.
-    pub uli_message: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            tiny_inst: 1.0,
-            big_inst: 4.0,
-            tiny_idle_cycle: 0.1,
-            big_idle_cycle: 0.8,
-            l1_access_4kb: 0.5,
-            l1_access_64kb: 2.0,
-            l2_access: 5.0,
-            dram_access: 60.0,
-            flit_hop: 0.5,
-            uli_message: 0.5,
-        }
-    }
-}
+/// Per retired instruction on a tiny in-order core.
+const TINY_INST: f64 = 1.0;
+/// Per retired instruction on a big out-of-order core (speculation,
+/// renaming, wide issue).
+const BIG_INST: f64 = 4.0;
+/// Static/idle energy per cycle, tiny core.
+const TINY_IDLE_CYCLE: f64 = 0.1;
+/// Static/idle energy per cycle, big core.
+const BIG_IDLE_CYCLE: f64 = 0.8;
+/// Per access (hit or miss lookup) to a tiny core's 4 KB L1.
+const L1_ACCESS_4KB: f64 = 0.5;
+/// Per access to a big core's 64 KB L1.
+const L1_ACCESS_64KB: f64 = 2.0;
+/// Per L2 bank access (any request serviced).
+const L2_ACCESS: f64 = 5.0;
+/// Per DRAM access (line transfer).
+const DRAM_ACCESS: f64 = 60.0;
+/// Per flit crossing one mesh link.
+const FLIT_HOP: f64 = 0.5;
+/// Per ULI message.
+const ULI_MESSAGE: f64 = 0.5;
 
 /// Energy attributed per subsystem (arbitrary units).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -85,23 +64,21 @@ impl EnergyReport {
             + self.network
             + self.uli
     }
-}
 
-impl EnergyModel {
     /// Estimates the energy of a run on `config` from its report.
     ///
     /// # Panics
     ///
     /// Panics if the report does not match the configuration's core count.
-    pub fn estimate(&self, config: &SystemConfig, report: &RunReport) -> EnergyReport {
+    pub fn estimate(config: &SystemConfig, report: &RunReport) -> EnergyReport {
         assert_eq!(config.num_cores(), report.instructions.len(), "report/config mismatch");
         let mut e = EnergyReport::default();
 
         for (core, cc) in config.cores.iter().enumerate() {
             let insts = report.instructions[core] as f64;
             let (inst_e, idle_e, l1_e) = match cc.kind {
-                CoreKind::Big => (self.big_inst, self.big_idle_cycle, self.l1_access_64kb),
-                CoreKind::Tiny => (self.tiny_inst, self.tiny_idle_cycle, self.l1_access_4kb),
+                CoreKind::Big => (BIG_INST, BIG_IDLE_CYCLE, L1_ACCESS_64KB),
+                CoreKind::Tiny => (TINY_INST, TINY_IDLE_CYCLE, L1_ACCESS_4KB),
             };
             e.core_dynamic += insts * inst_e;
             // Every core burns static power until the program completes.
@@ -116,13 +93,13 @@ impl EnergyModel {
             + t.messages(TrafficClass::WbReq)
             + t.messages(TrafficClass::SyncReq)
             + t.messages(TrafficClass::CohResp);
-        e.l2 += l2_requests as f64 * self.l2_access;
-        e.dram += t.messages(TrafficClass::DramReq) as f64 * self.dram_access;
+        e.l2 += l2_requests as f64 * L2_ACCESS;
+        e.dram += t.messages(TrafficClass::DramReq) as f64 * DRAM_ACCESS;
 
         // Flit-hops across all data classes.
         let data_hops = t.hop_cycles();
-        e.network += data_hops as f64 * self.flit_hop;
-        e.uli += report.uli.messages as f64 * self.uli_message;
+        e.network += data_hops as f64 * FLIT_HOP;
+        e.uli += report.uli.messages as f64 * ULI_MESSAGE;
         e
     }
 }
@@ -165,7 +142,7 @@ mod tests {
     #[test]
     fn energy_is_positive_and_decomposes() {
         let (config, report) = run(Protocol::GpuWb);
-        let e = EnergyModel::default().estimate(&config, &report);
+        let e = EnergyReport::estimate(&config, &report);
         assert!(e.core_dynamic > 0.0);
         assert!(e.core_static > 0.0);
         assert!(e.l1 > 0.0);
@@ -179,9 +156,8 @@ mod tests {
     fn more_traffic_means_more_network_energy() {
         let (ca, ra) = run(Protocol::GpuWt); // write-through: heavy traffic
         let (cb, rb) = run(Protocol::Mesi);
-        let m = EnergyModel::default();
-        let ea = m.estimate(&ca, &ra);
-        let eb = m.estimate(&cb, &rb);
+        let ea = EnergyReport::estimate(&ca, &ra);
+        let eb = EnergyReport::estimate(&cb, &rb);
         assert!(
             ea.network + ea.l2 > eb.network + eb.l2,
             "WT uncore energy {} vs MESI {}",
@@ -193,10 +169,8 @@ mod tests {
     #[test]
     fn longer_runs_burn_more_static_energy() {
         let (config, report) = run(Protocol::Mesi);
-        let m = EnergyModel::default();
-        let e = m.estimate(&config, &report);
-        let expected =
-            report.completion_cycles as f64 * (m.big_idle_cycle + 3.0 * m.tiny_idle_cycle);
+        let e = EnergyReport::estimate(&config, &report);
+        let expected = report.completion_cycles as f64 * (BIG_IDLE_CYCLE + 3.0 * TINY_IDLE_CYCLE);
         assert!((e.core_static - expected).abs() < 1e-6);
     }
 }

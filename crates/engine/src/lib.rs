@@ -62,7 +62,7 @@ mod watchdog;
 
 pub use breakdown::{TimeBreakdown, TimeCategory, TIME_CATEGORIES};
 pub use config::{CoreConfig, CoreKind, ExecBackend, SchedulePolicy, SystemConfig};
-pub use energy::{EnergyModel, EnergyReport};
+pub use energy::EnergyReport;
 pub use event::{CheckMode, MemEvent, MemOp, RacyTag, SyncNote};
 pub use fault::{FaultCounters, FaultPlan};
 pub use flight::{

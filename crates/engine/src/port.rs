@@ -153,9 +153,6 @@ pub struct CorePort {
     shared: Arc<Shared>,
     handler: Option<UliHandler>,
     in_handler: bool,
-    issue_width: u64,
-    overlap_div: u64,
-    uli_cost: u64,
     num_cores: usize,
 }
 
@@ -208,12 +205,6 @@ impl CorePort {
             shared: Arc::clone(shared),
             handler: None,
             in_handler: false,
-            issue_width: config.big_issue_width,
-            overlap_div: config.big_overlap_div,
-            uli_cost: match kind {
-                CoreKind::Big => config.uli_cost_big,
-                CoreKind::Tiny => config.uli_cost_tiny,
-            },
             num_cores: config.num_cores(),
         }
     }
@@ -342,8 +333,9 @@ impl CorePort {
     fn dispatch_uli(&mut self, msg: UliMessage) {
         // Architectural interrupt cost: drain in-flight instructions and
         // vector to the user-level handler.
-        self.breakdown.add(TimeCategory::Uli, self.uli_cost);
-        self.clock += self.uli_cost;
+        let cost = self.kind.uli_cost();
+        self.breakdown.add(TimeCategory::Uli, cost);
+        self.clock += cost;
         self.mark_uli(self.clock, UliMarkKind::ReqRecv { from: msg.from });
         self.flight.record(self.clock, FlightKind::UliReqRecv { from: msg.from });
         self.emit(MemOp::Sync(SyncNote::HandlerEnter { from: msg.from }));
@@ -355,10 +347,11 @@ impl CorePort {
     }
 
     /// Memory-stall latency as seen by this core: big out-of-order cores
-    /// overlap part of every miss with independent work.
+    /// overlap part of every miss with independent work (but stall at
+    /// least a cycle); tiny cores see the raw latency, even a zero one.
     fn mem_latency(&self, raw: u64) -> u64 {
         match self.kind {
-            CoreKind::Big => (raw / self.overlap_div).max(1),
+            CoreKind::Big => (raw / CoreKind::Big.overlap_div()).max(1),
             CoreKind::Tiny => raw,
         }
     }
@@ -504,11 +497,11 @@ impl CorePort {
     // ------------------------------------------------------------------
 
     /// Executes `insts` non-memory instructions (purely local: no
-    /// sequencing). Big cores retire `issue_width` per cycle.
+    /// sequencing) at the core's [`CoreKind::issue_width`].
     pub fn advance(&mut self, insts: u64) {
         self.instructions += insts;
         let cycles = match self.kind {
-            CoreKind::Big => insts.div_ceil(self.issue_width),
+            CoreKind::Big => insts.div_ceil(CoreKind::Big.issue_width()),
             CoreKind::Tiny => insts,
         };
         // Coalesce consecutive pure-compute advances into one deferred

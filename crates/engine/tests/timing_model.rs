@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use bigtiny_engine::{run_system, AddrSpace, Protocol, ShVec, SystemConfig, TimeCategory, Worker};
+use bigtiny_engine::{
+    run_system, AddrSpace, CoreKind, Protocol, ShVec, SystemConfig, TimeCategory, Worker,
+};
 use bigtiny_mesh::{MeshConfig, Topology};
 
 fn two_core_sys() -> SystemConfig {
@@ -25,12 +27,14 @@ fn issue_width_scales_compute() {
     let workers: Vec<Worker> = vec![
         Box::new(move |port| {
             port.advance(insts);
-            assert_eq!(port.breakdown().get(TimeCategory::Compute), insts.div_ceil(4));
+            let width = CoreKind::Big.issue_width();
+            assert_eq!(port.breakdown().get(TimeCategory::Compute), insts.div_ceil(width));
             port.set_done();
         }),
         Box::new(move |port| {
             port.advance(insts);
-            assert_eq!(port.breakdown().get(TimeCategory::Compute), insts);
+            let width = CoreKind::Tiny.issue_width();
+            assert_eq!(port.breakdown().get(TimeCategory::Compute), insts.div_ceil(width));
         }),
     ];
     run_system(&config, workers);
@@ -121,9 +125,11 @@ fn uli_interrupt_costs_by_core_kind() {
         2,
         Protocol::GpuWb,
     );
-    let uli_big = config.uli_cost_big;
-    let uli_tiny = config.uli_cost_tiny;
-    assert!(uli_big > uli_tiny, "paper: big-core interrupts drain a deep pipeline");
+    let uli_big = CoreKind::Big.uli_cost();
+    assert!(
+        uli_big > CoreKind::Tiny.uli_cost(),
+        "paper: big-core interrupts drain a deep pipeline"
+    );
 
     let workers: Vec<Worker> = vec![
         Box::new(move |port| {

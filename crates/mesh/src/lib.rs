@@ -41,7 +41,10 @@ mod topology;
 mod traffic;
 
 pub use coreset::CoreSet;
-pub use network::{Mesh, MeshConfig, MeshFaults, UliCoreState, UliMessage, UliNetwork, UliOutcome};
+pub use network::{
+    Mesh, MeshConfig, MeshFaults, UliCoreState, UliMessage, UliNetwork, UliOutcome, CHANNEL_CYCLES,
+    FLIT_BYTES, HEADER_BYTES, ROUTER_CYCLES,
+};
 pub use rng::XorShift64;
 pub use topology::{Tile, Topology};
 pub use traffic::{TrafficClass, TrafficStats, TRAFFIC_CLASSES};

@@ -7,44 +7,47 @@ use crate::rng::XorShift64;
 use crate::topology::{Tile, Topology};
 use crate::traffic::{TrafficClass, TrafficStats};
 
-/// Parameters of the data on-chip network.
-///
-/// Defaults mirror Table II of the paper: XY routing, 16-byte flits, 1-cycle
-/// channel latency, 1-cycle router latency, 8-byte message headers.
+/// Cycles a message spends in each router on its path (Table II).
+pub const ROUTER_CYCLES: u64 = 1;
+/// Cycles a message spends on each channel on its path (Table II).
+pub const CHANNEL_CYCLES: u64 = 1;
+/// Flit width in bytes, the serialization granularity (Table II).
+pub const FLIT_BYTES: u64 = 16;
+/// Header/control bytes the data OCN adds to every message's payload.
+pub const HEADER_BYTES: u64 = 8;
+
+/// Cycles for a message of `total_bytes` to cross `hops` links: every hop
+/// pays a router and a channel, every flit after the first one more
+/// channel cycle, plus one cycle to eject. Both networks time messages with
+/// this one formula.
+fn message_latency(hops: u32, total_bytes: u64) -> u64 {
+    let flits = total_bytes.div_ceil(FLIT_BYTES).max(1);
+    hops as u64 * (ROUTER_CYCLES + CHANNEL_CYCLES) + (flits - 1) * CHANNEL_CYCLES + 1
+}
+
+/// Shape of the data on-chip network. Its timing is Table II's, fixed:
+/// XY routing, [`FLIT_BYTES`]-byte flits, [`ROUTER_CYCLES`] +
+/// [`CHANNEL_CYCLES`] per hop, [`HEADER_BYTES`]-byte message headers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MeshConfig {
     /// Physical layout of the mesh.
     pub topology: Topology,
-    /// Cycles spent in each router on the path.
-    pub router_cycles: u64,
-    /// Cycles spent on each channel on the path.
-    pub channel_cycles: u64,
-    /// Flit width in bytes (serialization granularity).
-    pub flit_bytes: u64,
-    /// Per-message header/control overhead in bytes.
-    pub header_bytes: u64,
 }
 
 impl MeshConfig {
     /// The 64-core system of Table II: an 8×8 mesh.
     pub fn paper_64_core() -> Self {
-        MeshConfig {
-            topology: Topology::new(8, 8),
-            router_cycles: 1,
-            channel_cycles: 1,
-            flit_bytes: 16,
-            header_bytes: 8,
-        }
+        Self::with_topology(Topology::new(8, 8))
     }
 
     /// The 256-core system of Table V: an 8-row, 32-column mesh.
     pub fn paper_256_core() -> Self {
-        MeshConfig { topology: Topology::new(8, 32), ..Self::paper_64_core() }
+        Self::with_topology(Topology::new(8, 32))
     }
 
-    /// A custom mesh with default timing parameters.
+    /// A custom mesh.
     pub fn with_topology(topology: Topology) -> Self {
-        MeshConfig { topology, ..Self::paper_64_core() }
+        MeshConfig { topology }
     }
 }
 
@@ -60,15 +63,15 @@ impl Default for MeshConfig {
 /// message from `a` to `b` carrying `p` payload bytes takes
 ///
 /// ```text
-/// hops(a,b) * (router + channel) + (flits - 1) * channel + 1
+/// hops(a,b) * (ROUTER_CYCLES + CHANNEL_CYCLES) + (flits - 1) * CHANNEL_CYCLES + 1
 /// ```
 ///
-/// cycles, where `flits = ceil((p + header) / flit_bytes)`. Contention is
-/// modelled downstream by the L2 bank and DRAM queueing in
+/// cycles, where `flits = ceil((p + HEADER_BYTES) / FLIT_BYTES)`. Contention
+/// is modelled downstream by the L2 bank and DRAM queueing in
 /// `bigtiny-coherence`, which is where the paper's workloads actually queue.
 #[derive(Clone, Debug)]
 pub struct Mesh {
-    config: MeshConfig,
+    topology: Topology,
     stats: TrafficStats,
     faults: Option<SpikeState>,
 }
@@ -100,7 +103,7 @@ struct SpikeState {
 impl Mesh {
     /// Creates a mesh network with the given configuration.
     pub fn new(config: MeshConfig) -> Self {
-        Mesh { config, stats: TrafficStats::new(), faults: None }
+        Mesh { topology: config.topology, stats: TrafficStats::new(), faults: None }
     }
 
     /// Arms (or, with `None`, disarms) deterministic latency-spike
@@ -122,29 +125,20 @@ impl Mesh {
 
     /// The configured topology.
     pub fn topology(&self) -> Topology {
-        self.config.topology
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.config
+        self.topology
     }
 
     /// Latency in cycles for a message of `total_bytes` from `from` to `to`,
     /// without recording it.
     pub fn latency(&self, from: Tile, to: Tile, total_bytes: u64) -> u64 {
-        let hops = from.hops_to(to) as u64;
-        let flits = total_bytes.div_ceil(self.config.flit_bytes).max(1);
-        hops * (self.config.router_cycles + self.config.channel_cycles)
-            + (flits - 1) * self.config.channel_cycles
-            + 1
+        message_latency(from.hops_to(to), total_bytes)
     }
 
     /// Sends a message: records its bytes under `class` and returns its
     /// latency in cycles. `payload_bytes` excludes the header, which is added
     /// automatically.
     pub fn send(&mut self, from: Tile, to: Tile, class: TrafficClass, payload_bytes: u64) -> u64 {
-        let total = payload_bytes + self.config.header_bytes;
+        let total = payload_bytes + HEADER_BYTES;
         let hops = from.hops_to(to);
         self.stats.record(class, total, hops);
         let mut lat = self.latency(from, to, total);
@@ -241,7 +235,6 @@ pub struct UliCoreState {
 #[derive(Clone, Debug)]
 pub struct UliNetwork {
     topology: Topology,
-    per_hop_cycles: u64,
     units: Vec<UliUnit>,
     stats: TrafficStats,
     total_latency: u64,
@@ -261,7 +254,6 @@ impl UliNetwork {
         assert!(num_cores <= topology.num_tiles(), "more cores than tiles");
         UliNetwork {
             topology,
-            per_hop_cycles: 2, // 1-cycle router + 1-cycle channel, as Table II
             units: vec![UliUnit::default(); num_cores],
             stats: TrafficStats::new(),
             total_latency: 0,
@@ -272,7 +264,7 @@ impl UliNetwork {
 
     fn latency(&self, from: usize, to: usize) -> (u64, u32) {
         let hops = self.topology.core_tile(from).hops_to(self.topology.core_tile(to));
-        ((hops as u64) * self.per_hop_cycles + 1, hops)
+        (message_latency(hops, ULI_MESSAGE_BYTES), hops)
     }
 
     fn record(&mut self, from: usize, to: usize) -> u64 {
@@ -517,6 +509,25 @@ mod tests {
         assert_eq!(m.latency(a, b, 16), 7);
         // 72 bytes = 5 flits -> 4 extra serialization cycles
         assert_eq!(m.latency(a, b, 72), 11);
+    }
+
+    /// The ULI mesh and the data OCN time a one-flit message alike, between
+    /// every pair of tiles of both paper machines.
+    #[test]
+    fn uli_and_data_networks_agree_on_one_flit_latency() {
+        for config in [MeshConfig::paper_64_core(), MeshConfig::paper_256_core()] {
+            let topo = config.topology;
+            let (mesh, n) = (Mesh::new(config), topo.num_tiles());
+            let mut uli = UliNetwork::new(topo, n);
+            for from in 0..n {
+                for to in 0..n {
+                    uli.send_response(from, to, 0, 0);
+                    let arrival = uli.take_response(to, u64::MAX).expect("queued").arrives_at;
+                    let data = mesh.latency(topo.core_tile(from), topo.core_tile(to), FLIT_BYTES);
+                    assert_eq!(arrival, data, "{from} -> {to} on {topo:?}");
+                }
+            }
+        }
     }
 
     #[test]

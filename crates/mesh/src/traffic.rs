@@ -3,6 +3,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
+use crate::network::FLIT_BYTES;
+
 /// The message categories of the paper's Figure 8 network-traffic breakdown.
 ///
 /// * `CpuReq` — requests from an L1 to the L2 (loads, stores, upgrades).
@@ -111,7 +113,7 @@ impl TrafficStats {
         let i = class.index();
         self.bytes[i] += bytes;
         self.messages[i] += 1;
-        self.hop_cycles += bytes.div_ceil(16).max(1) * hops as u64;
+        self.hop_cycles += bytes.div_ceil(FLIT_BYTES).max(1) * hops as u64;
     }
 
     /// Total bytes recorded for `class`.

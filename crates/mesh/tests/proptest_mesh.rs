@@ -6,7 +6,8 @@
 //! dependencies and every CI run explores exactly the same cases.
 
 use bigtiny_mesh::{
-    Mesh, MeshConfig, Tile, Topology, TrafficClass, UliNetwork, UliOutcome, XorShift64,
+    Mesh, MeshConfig, Tile, Topology, TrafficClass, UliNetwork, UliOutcome, XorShift64, FLIT_BYTES,
+    HEADER_BYTES,
 };
 
 fn random_tile(rng: &mut XorShift64) -> Tile {
@@ -35,7 +36,7 @@ fn latency_monotone() {
         let (a, b) = (random_tile(&mut rng), random_tile(&mut rng));
         let bytes = rng.next_below(512);
         let l1 = mesh.latency(a, b, bytes);
-        let l2 = mesh.latency(a, b, bytes + 16);
+        let l2 = mesh.latency(a, b, bytes + FLIT_BYTES);
         assert!(l2 >= l1, "serialization adds latency");
         let origin = Tile::new(0, 0);
         let near = Tile::new(1, 0);
@@ -58,8 +59,7 @@ fn traffic_accounting_exact() {
         for _ in 0..n {
             mesh.send(a, b, TrafficClass::WbReq, payload);
         }
-        let header = mesh.config().header_bytes;
-        assert_eq!(mesh.stats().bytes(TrafficClass::WbReq), n * (payload + header));
+        assert_eq!(mesh.stats().bytes(TrafficClass::WbReq), n * (payload + HEADER_BYTES));
         assert_eq!(mesh.stats().messages(TrafficClass::WbReq), n);
     }
 }
