@@ -62,7 +62,7 @@ use bigtiny_core::{
     RuntimeKind, TaskCx,
 };
 use bigtiny_engine::{AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig};
-use bigtiny_obs::CycleConservation;
+use bigtiny_obs::{CycleConservation, Json};
 
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
@@ -237,30 +237,50 @@ fn run_scripted(setup: &Setup, app: &str, script: &[u32]) -> ScheduleOutcome {
     }
 }
 
-fn json_row(app: &str, cell: &Cell, r: &ExploreReport) -> String {
-    let mut s = String::from("{");
-    s.push_str(&format!("\"app\":\"{app}\",\"setup\":\"{}\"", cell.setup.label));
-    s.push_str(&format!(",\"policy\":\"{}\"", cell.setup.rt.deque_kind.label()));
-    s.push_str(&format!(",\"dup_injected\":{}", u8::from(cell.dup_injected)));
-    s.push_str(&format!(",\"explored\":{}", r.schedules_explored));
-    s.push_str(&format!(",\"pruned\":{}", r.schedules_pruned));
-    s.push_str(&format!(",\"max_depth\":{}", r.max_depth));
-    s.push_str(&format!(",\"truncated\":{}", u8::from(r.truncated)));
-    s.push_str(&format!(",\"clean\":{}", u8::from(r.is_clean())));
-    s.push_str(&format!(",\"failures\":{}", r.failures.len()));
+/// One cell's verdict row, through the workspace's one JSON writer.
+fn json_row(app: &str, cell: &Cell, r: &ExploreReport) -> Json {
+    let flag = |b: bool| Json::u64(u64::from(b));
     let script = r.failures.first().map_or(String::new(), |f| {
         f.script.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
     });
-    s.push_str(&format!(",\"first_fail_script\":\"{script}\""));
-    s.push_str(&format!(",\"fingerprint_invariant\":{}", u8::from(r.fingerprint_invariant)));
-    let tags_ok = r.tags.iter().all(|t| t.schedule_invariant);
-    s.push_str(&format!(",\"tags_schedule_invariant\":{}", u8::from(tags_ok)));
-    s.push_str(&format!(
-        ",\"tags_fired\":{}",
-        r.tags.iter().filter(|t| t.schedules_fired > 0).count()
-    ));
-    s.push('}');
-    s
+    let fields = [
+        ("app", Json::str(app)),
+        ("setup", Json::str(&cell.setup.label)),
+        ("policy", Json::lit(cell.setup.rt.deque_kind.label())),
+        ("dup_injected", flag(cell.dup_injected)),
+        ("explored", Json::u64(r.schedules_explored)),
+        ("pruned", Json::u64(r.schedules_pruned)),
+        ("max_depth", Json::u64(r.max_depth as u64)),
+        ("truncated", flag(r.truncated)),
+        ("clean", flag(r.is_clean())),
+        ("failures", Json::u64(r.failures.len() as u64)),
+        ("first_fail_script", Json::str(script)),
+        ("fingerprint_invariant", flag(r.fingerprint_invariant)),
+        ("tags_schedule_invariant", flag(r.tags.iter().all(|t| t.schedule_invariant))),
+        ("tags_fired", Json::u64(r.tags.iter().filter(|t| t.schedules_fired > 0).count() as u64)),
+    ];
+    Json::Obj(fields.into_iter().map(|(key, v)| (key.to_owned(), v)).collect())
+}
+
+/// The verdict document: the envelope and every row through the same
+/// writer, laid out one row per line so that a diff names the cell.
+fn verdict_doc(budget: &ExploreBudget, rows: &[Json]) -> String {
+    let count = |n: usize| Json::u64(n as u64);
+    let envelope = Json::Obj(vec![
+        ("schema".to_owned(), Json::lit("bigtiny-model-check-v2")),
+        (
+            "budget".to_owned(),
+            Json::Obj(vec![
+                ("max_schedules".to_owned(), count(budget.max_schedules)),
+                ("max_choice_points".to_owned(), count(budget.max_choice_points)),
+            ]),
+        ),
+        ("runs".to_owned(), Json::Arr(Vec::new())),
+    ])
+    .to_json();
+    let head = envelope.strip_suffix("]}").expect("the envelope ends with its empty run list");
+    let rows: Vec<String> = rows.iter().map(Json::to_json).collect();
+    format!("{head}\n{}\n]}}\n", rows.join(",\n"))
 }
 
 fn main() {
@@ -329,12 +349,7 @@ fn main() {
     );
     println!("{}", render_table(&header, &rows));
 
-    let doc = format!(
-        "{{\"schema\":\"bigtiny-model-check-v2\",\"budget\":{{\"max_schedules\":{},\"max_choice_points\":{}}},\"runs\":[\n{}\n]}}\n",
-        budget.max_schedules,
-        budget.max_choice_points,
-        json_rows.join(",\n"),
-    );
+    let doc = verdict_doc(&budget, &json_rows);
     let out_path = args.text(&cli::MC_OUT).expect("has a default");
     std::fs::write(out_path, doc).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("[model_check] wrote {out_path}");
@@ -344,4 +359,43 @@ fn main() {
         std::process::exit(1);
     }
     println!("all {} cells schedule-independent within budget", rows.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bigtiny_checker::explore::ExploreFailure;
+
+    /// The exact bytes of a verdict document with one row, key order and
+    /// layout included: `MODEL_CHECK_verdicts.json` readers depend on both.
+    #[test]
+    fn a_verdict_row_has_pinned_bytes() {
+        let cell = mc_cells().swap_remove(3);
+        let report = ExploreReport {
+            schedules_explored: 24,
+            schedules_pruned: 7,
+            max_depth: 5,
+            truncated: true,
+            failures: vec![ExploreFailure { script: vec![0, 1, 1], what: String::new() }],
+            fingerprint_invariant: true,
+            divergent_fingerprint: None,
+            tags: Vec::new(),
+        };
+        let row = json_row("fib", &cell, &report);
+        let want = concat!(
+            r#"{"app":"fib","setup":"tiny2/MESI-ff+dup","policy":"fence-free","dup_injected":1,"#,
+            r#""explored":24,"pruned":7,"max_depth":5,"truncated":1,"clean":0,"failures":1,"#,
+            r#""first_fail_script":"0,1,1","fingerprint_invariant":1,"#,
+            r#""tags_schedule_invariant":1,"tags_fired":0}"#,
+        );
+        assert_eq!(row.to_json(), want);
+        let budget = ExploreBudget { max_choice_points: 5, max_schedules: 24 };
+        assert_eq!(
+            verdict_doc(&budget, &[row.clone(), row]),
+            format!(
+                "{{\"schema\":\"bigtiny-model-check-v2\",\"budget\":{{\"max_schedules\":24,\
+                 \"max_choice_points\":5}},\"runs\":[\n{want},\n{want}\n]}}\n"
+            )
+        );
+    }
 }

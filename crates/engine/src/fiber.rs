@@ -1,20 +1,20 @@
-//! Minimal stackful fibers for the fiber execution backend.
+//! Minimal stackful fibers, and the fiber host built on them.
 //!
 //! The sequencer serializes the simulation to one core at a time, so with
 //! one OS thread per core almost every token handoff is a futex wake plus a
 //! kernel context switch — about 1.4 µs of system time per sequenced op on
 //! a busy host, which dominates engine wall clock (measured ~2/3 of the
-//! whole perf suite). This module runs every simulated core as a *fiber*: a
-//! heap stack plus a saved stack pointer, all multiplexed on one host
-//! thread. A token handoff becomes a user-space stack switch (tens of
+//! whole perf suite). The fiber host runs every simulated core as a
+//! *fiber*: a heap stack plus a saved stack pointer, all multiplexed on one
+//! host thread. A token handoff becomes a user-space stack switch (tens of
 //! nanoseconds) and the kernel is never involved.
 //!
-//! Only the switching primitive lives here; scheduling policy stays in the
-//! [`Sequencer`](crate::sequencer::Sequencer), which drives fibers through
-//! one [`FiberRt`], driven by exactly one OS thread: the launcher, the
-//! thread that calls `run_system`. The implementation is x86_64-Linux-only
-//! (the module is compiled out elsewhere and the engine falls back to the
-//! thread backend):
+//! This module holds the switching primitive and [`FiberHost`], the
+//! [`Host`](crate::host::Host) arm built on it; which core runs next stays
+//! the [`Sequencer`](crate::sequencer::Sequencer)'s decision. One OS thread
+//! drives all fibers of a host: the launcher, the thread that calls
+//! `run_system`. The implementation is x86_64-Linux-only (the module is
+//! compiled out elsewhere and the engine falls back to the thread host):
 //!
 //! - Stacks come from anonymous `mmap` with a `PROT_NONE` guard page at the
 //!   low end, so stack overflow faults like it does on a real thread stack
@@ -25,17 +25,22 @@
 //!   fresh fiber's "saved context" is a hand-built frame whose return
 //!   address is a trampoline that calls the entry closure, making first
 //!   start and resume the same operation.
+//! - An entry closure *returns* the context to switch to when the fiber is
+//!   finished. The trampoline's Rust half drops the closure first and then
+//!   makes that last switch, so nothing a fiber owns outlives it.
 //!
 //! Safety rules the callers uphold:
-//! - All fibers of one `FiberRt` are switched only from the one OS thread
-//!   that drives that runtime (the launcher thread).
-//! - An entry closure never returns: it must exit by switching away for
-//!   good (the trampoline aborts the process if one does return).
+//! - All fibers of one host are switched only from the one OS thread that
+//!   drives it (the launcher thread).
+//! - A finished fiber is never switched to again.
 //! - No lock guard is held across a switch (the target fiber may take the
 //!   same lock; everything is on one thread, so that would self-deadlock).
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::ffi::c_void;
+use std::marker::PhantomData;
+
+use crate::host::Body;
 
 extern "C" {
     fn mmap(
@@ -153,31 +158,47 @@ unsafe extern "sysv64" fn fiber_trampoline() {
     )
 }
 
-extern "sysv64" fn fiber_main(entry: *mut u8) {
+/// What an entry closure returns: the saved-context slot of whatever runs
+/// once the fiber is finished.
+type Exit = *const *mut u8;
+
+/// A fiber's entry closure.
+type Entry<'a> = Box<dyn FnOnce() -> Exit + 'a>;
+
+extern "sysv64" fn fiber_main(entry: *mut u8) -> ! {
     // SAFETY: `entry` is the Box::into_raw'd closure from Fiber::new,
-    // reachable exactly once (the trampoline runs once per fiber).
-    let f: Box<Box<dyn FnOnce()>> = unsafe { Box::from_raw(entry.cast()) };
-    f();
-    // An entry closure must exit by switching away permanently; returning
-    // would `ret` into the hand-built frame below the stack top.
+    // reachable exactly once (the trampoline runs once per fiber), and the
+    // `Fiber` it came from keeps what the closure borrows alive.
+    let f: Box<Entry<'_>> = unsafe { Box::from_raw(entry.cast()) };
+    // The call consumes both boxes: everything the entry owned is dropped
+    // before the fiber's last switch.
+    let next = f();
+    let mut dead = std::ptr::null_mut();
+    // SAFETY: `next` is a suspended context of this fiber's host (the
+    // entry's contract). This fiber is never resumed, so its own context
+    // goes to a local nobody reads.
+    unsafe { switch_stack(&mut dead, next) };
     std::process::abort();
 }
 
-/// One simulated core's execution context: a stack and, while suspended,
-/// the saved stack pointer (held in [`FiberRt`], not here, so the sequencer
-/// can switch without borrowing the fiber list).
-pub(crate) struct Fiber {
+/// One simulated core's execution context: a stack and, until it first
+/// runs, its entry closure. Its saved stack pointer lives in the
+/// [`FiberHost`], so a hand-off can switch without borrowing the fiber.
+struct Fiber<'a> {
     #[allow(dead_code)] // held for Drop (munmap) only
     stack: FiberStack,
     /// The entry closure, reclaimed on drop if the fiber never started.
     unstarted_entry: Cell<*mut u8>,
     initial_ctx: *mut u8,
+    /// The entry closure may borrow for `'a`.
+    entry: PhantomData<Entry<'a>>,
 }
 
-impl Fiber {
-    /// Creates a fiber that will run `entry` (which must never return) on a
-    /// fresh `stack_bytes` stack when first switched to.
-    pub(crate) fn new(stack_bytes: usize, entry: Box<dyn FnOnce()>) -> Fiber {
+impl<'a> Fiber<'a> {
+    /// Creates a fiber that, when first switched to, runs `entry` on a
+    /// fresh `stack_bytes` stack and then switches to the context `entry`
+    /// returned.
+    fn new(stack_bytes: usize, entry: Entry<'a>) -> Fiber<'a> {
         let stack = FiberStack::new(stack_bytes);
         let data: *mut u8 = Box::into_raw(Box::new(entry)).cast();
         // Hand-build the frame switch_stack pops: (ascending addresses)
@@ -200,150 +221,167 @@ impl Fiber {
             sp = sp.sub(1);
             *sp = 0; // r15
         }
-        Fiber { stack, unstarted_entry: Cell::new(data), initial_ctx: sp.cast() }
+        Fiber {
+            stack,
+            unstarted_entry: Cell::new(data),
+            initial_ctx: sp.cast(),
+            entry: PhantomData,
+        }
     }
 
     /// The context to switch to for the fiber's first start.
-    pub(crate) fn initial_ctx(&self) -> *mut u8 {
+    fn initial_ctx(&self) -> *mut u8 {
         self.unstarted_entry.set(std::ptr::null_mut()); // trampoline owns it now
         self.initial_ctx
     }
 }
 
-impl Drop for Fiber {
+impl Drop for Fiber<'_> {
     fn drop(&mut self) {
         let entry = self.unstarted_entry.get();
         if !entry.is_null() {
             // Never started: the trampoline will not reclaim the closure.
             // SAFETY: still the untouched Box::into_raw pointer.
-            drop(unsafe { Box::from_raw(entry.cast::<Box<dyn FnOnce()>>()) });
+            drop(unsafe { Box::from_raw(entry.cast::<Entry<'_>>()) });
         }
     }
 }
 
-/// Identifies a switch endpoint: a core fiber or the launcher (the real OS
-/// thread driving the fibers, which starts them and drains poison).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum FiberId {
-    Core(usize),
-    Launcher,
-}
-
-/// The saved contexts of a fiber-backed run. Lives inside the
-/// [`Sequencer`](crate::sequencer::Sequencer) so token handoffs can switch
-/// directly between core fibers.
+/// The fiber host: the saved contexts of one run's fibers. It lives inside
+/// the sequencer's [`Host`](crate::host::Host), so a hand-off switches
+/// straight from one core's fiber to the next.
 ///
-/// All cells of a given runtime are only ever touched from the one OS
-/// thread that drives it: the launcher thread (and the fibers it runs).
-/// The `Send`/`Sync` impls exist because the sequencer sits in an `Arc`
-/// shared across threads — core threads on the thread backend, the
-/// watchdog monitor on the fiber one — and rustc cannot see that the
-/// runtime's cells stay thread-local by construction.
+/// All cells are only ever touched from the launcher thread (and the
+/// fibers it runs). The `Send`/`Sync` impls exist because the sequencer
+/// holding the host is shared across threads — the thread host's core
+/// threads, the watchdog monitor — and rustc cannot see that these cells
+/// stay on one thread by construction.
 #[derive(Debug)]
-pub(crate) struct FiberRt {
+pub(crate) struct FiberHost {
     /// Saved stack pointer of each suspended core fiber (or its initial
     /// frame before first start).
-    ctxs: Vec<UnsafeCell<*mut u8>>,
+    ctxs: Vec<Cell<*mut u8>>,
     /// Saved context of the launcher while a fiber runs.
-    launcher: UnsafeCell<*mut u8>,
-    /// Set once a fiber's entry closure has finished; it must never be
-    /// switched to again.
+    launcher: Cell<*mut u8>,
+    /// Set once a fiber's body has returned; it must never be switched to
+    /// again.
     done: Vec<Cell<bool>>,
+    /// The core a retiring fiber picked to run after it (the launcher if
+    /// none), read when its body returns.
+    exit_to: Cell<Option<usize>>,
 }
 
-// SAFETY: see the struct docs — the runtime's cells are used from a single
+// SAFETY: see the struct docs — the host's cells are used from a single
 // driving thread by construction.
-unsafe impl Send for FiberRt {}
-unsafe impl Sync for FiberRt {}
+unsafe impl Send for FiberHost {}
+unsafe impl Sync for FiberHost {}
 
-impl FiberRt {
-    pub(crate) fn new(num_cores: usize) -> FiberRt {
-        FiberRt {
-            ctxs: (0..num_cores).map(|_| UnsafeCell::new(std::ptr::null_mut())).collect(),
-            launcher: UnsafeCell::new(std::ptr::null_mut()),
+impl FiberHost {
+    pub(crate) fn new(num_cores: usize) -> FiberHost {
+        FiberHost {
+            ctxs: (0..num_cores).map(|_| Cell::new(std::ptr::null_mut())).collect(),
+            launcher: Cell::new(std::ptr::null_mut()),
             done: vec![Cell::new(false); num_cores],
+            exit_to: Cell::new(None),
         }
     }
 
-    fn slot(&self, id: FiberId) -> *mut *mut u8 {
-        match id {
-            FiberId::Core(c) => self.ctxs[c].get(),
-            FiberId::Launcher => self.launcher.get(),
-        }
+    /// The saved-context slot of `core`'s fiber, or the launcher's.
+    fn slot(&self, core: Option<usize>) -> *mut *mut u8 {
+        core.map_or(self.launcher.as_ptr(), |c| self.ctxs[c].as_ptr())
     }
 
-    /// Registers a fiber's initial context before the run starts.
-    pub(crate) fn set_initial(&self, core: usize, ctx: *mut u8) {
-        // SAFETY: run not started; no aliasing access exists yet.
-        unsafe { *self.ctxs[core].get() = ctx };
-    }
-
-    /// Suspends the current context into `from`'s slot and resumes `to`.
-    /// Returns when something later switches back to `from`.
+    /// Runs `bodies[c]` as core `c`'s fiber on the calling thread, which
+    /// becomes the launcher, and returns once every body has returned.
     ///
-    /// # Safety
-    ///
-    /// Must be called on the thread that drives this runtime, with `from`
-    /// actually being the currently executing context and `to` a live
-    /// suspended one; no lock guard may be held across the call.
-    pub(crate) unsafe fn switch(&self, from: FiberId, to: FiberId) {
-        debug_assert_ne!(from, to, "cannot switch a context to itself");
-        if let FiberId::Core(c) = to {
-            debug_assert!(!self.done[c].get(), "switching to a finished fiber");
+    /// Control is on the launcher whenever no fiber can take the token: at
+    /// start-up, before the last fiber has first entered the sequencer
+    /// (nothing can be granted until every core has); at the end; and under
+    /// poison, when a fiber had nobody to hand it to. One loop serves all
+    /// three: resume the next live fiber after the one resumed last, in
+    /// core order. That starts every fiber in core order (the thread
+    /// host's spawn order), each running until it first suspends, and then
+    /// drains the live ones, whose sequencer re-entry observes the poison
+    /// and unwinds them.
+    pub(crate) fn launch(&self, stack_bytes: usize, bodies: Vec<Body<'_>>) {
+        let fibers: Vec<Fiber<'_>> = (bodies.into_iter().enumerate())
+            .map(|(core, body)| {
+                let entry = move || -> Exit {
+                    body();
+                    self.done[core].set(true);
+                    self.slot(self.exit_to.take())
+                };
+                Fiber::new(stack_bytes, Box::new(entry))
+            })
+            .collect();
+        for (ctx, fiber) in self.ctxs.iter().zip(&fibers) {
+            ctx.set(fiber.initial_ctx());
         }
-        // SAFETY: per the contract above; slots are distinct.
-        unsafe { switch_stack(self.slot(from), self.slot(to)) };
+        let mut after = 0;
+        while let Some(core) = (after..fibers.len()).chain(0..after).find(|&c| !self.done[c].get())
+        {
+            after = core + 1;
+            // SAFETY: the launcher is the running context, and `core` is a
+            // live suspended fiber of this host: unstarted, or waiting.
+            unsafe { switch_stack(self.slot(None), self.slot(Some(core))) };
+        }
+        // Dropping `fibers` unmaps the stacks; all are done here.
     }
 
-    /// Marks `core`'s fiber as finished (its entry closure completed).
-    pub(crate) fn mark_done(&self, core: usize) {
-        self.done[core].set(true);
+    /// Suspends `core`'s fiber and resumes `next`'s, or the launcher's when
+    /// nothing is picked: one stack switch.
+    #[inline]
+    pub(crate) fn hand_off(&self, core: usize, next: Option<usize>) {
+        debug_assert!(next.is_none_or(|n| n != core && !self.done[n].get()));
+        // SAFETY: the sequencer calls this on `core`'s own fiber with no
+        // lock held. `next` waits in the sequencer, so its fiber is live
+        // and suspended, and the launcher is suspended while a fiber runs.
+        unsafe { switch_stack(self.slot(Some(core)), self.slot(next)) };
     }
 
-    /// Whether `core`'s fiber has finished.
-    pub(crate) fn is_done(&self, core: usize) -> bool {
-        self.done[core].get()
+    /// A retiring fiber switches to `next` (or the launcher) once its body
+    /// has returned.
+    pub(crate) fn wake_after_retire(&self, next: Option<usize>) {
+        self.exit_to.set(next);
     }
+
+    /// Nothing to wake: a fiber never blocks the host thread, and the
+    /// launcher drains the live ones once control comes back to it.
+    pub(crate) fn wake_all(&self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::rc::Rc;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
 
-    /// A fiber and the main thread bounce control back and forth through
-    /// raw switches, interleaving their counters deterministically.
+    /// Two fibers bounce control back and forth through hand-offs; the
+    /// first to finish picks the other, still live, as its successor, and
+    /// the launcher takes over when the last one returns.
     #[test]
     fn ping_pong_switches() {
-        let rt = Rc::new(FiberRt::new(1));
-        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let (rt2, log2) = (Rc::clone(&rt), Rc::clone(&log));
-        let fiber = Fiber::new(
-            64 * 1024,
-            Box::new(move || {
-                for i in 0..3 {
-                    log2.borrow_mut().push(format!("fiber {i}"));
-                    // SAFETY: single-threaded test; launcher context is live.
-                    unsafe { rt2.switch(FiberId::Core(0), FiberId::Launcher) };
-                }
-                rt2.mark_done(0);
-                // SAFETY: as above; never returns to this closure.
-                unsafe { rt2.switch(FiberId::Core(0), FiberId::Launcher) };
-                unreachable!("finished fiber must never be resumed");
-            }),
-        );
-        rt.set_initial(0, fiber.initial_ctx());
-        let mut round = 0;
-        while !rt.is_done(0) {
-            log.borrow_mut().push(format!("main {round}"));
-            round += 1;
-            // SAFETY: single-threaded test; fiber context is live.
-            unsafe { rt.switch(FiberId::Launcher, FiberId::Core(0)) };
-        }
-        assert_eq!(
-            *log.borrow(),
-            ["main 0", "fiber 0", "main 1", "fiber 1", "main 2", "fiber 2", "main 3"]
-        );
+        let host = FiberHost::new(2);
+        let log = Mutex::new(Vec::new());
+        let (host_ref, log) = (&host, &log);
+        let bodies: Vec<Body<'_>> = (0..2usize)
+            .map(|core| {
+                Box::new(move || {
+                    for i in 0..3 {
+                        log.lock().unwrap().push(format!("core {core} step {i}"));
+                        host_ref.hand_off(core, Some(1 - core));
+                    }
+                    if core == 0 {
+                        host_ref.wake_after_retire(Some(1)); // still live
+                    }
+                }) as Body<'_>
+            })
+            .collect();
+        host.launch(64 * 1024, bodies);
+        let want: Vec<String> =
+            (0..3).flat_map(|i| (0..2).map(move |c| format!("core {c} step {i}"))).collect();
+        assert_eq!(*log.lock().unwrap(), want);
     }
 
     fn run_recursion(stack_bytes: usize, depth: u64) {
@@ -355,26 +393,12 @@ mod tests {
                 deep(n - 1) + std::hint::black_box(pad)[1]
             }
         }
-        let rt = Rc::new(FiberRt::new(1));
-        let rt2 = Rc::clone(&rt);
-        let out = Rc::new(Cell::new(0u64));
-        let out2 = Rc::clone(&out);
-        let fiber = Fiber::new(
-            stack_bytes,
-            Box::new(move || {
-                out2.set(deep(depth));
-                rt2.mark_done(0);
-                // SAFETY: single-threaded test.
-                unsafe { rt2.switch(FiberId::Core(0), FiberId::Launcher) };
-                unreachable!();
-            }),
-        );
-        rt.set_initial(0, fiber.initial_ctx());
-        // SAFETY: single-threaded test.
-        unsafe { rt.switch(FiberId::Launcher, FiberId::Core(0)) };
-        assert!(rt.is_done(0));
+        let out = AtomicU64::new(0);
+        let out_ref = &out;
+        let body: Body<'_> = Box::new(move || out_ref.store(deep(depth), Ordering::Relaxed));
+        FiberHost::new(1).launch(stack_bytes, vec![body]);
         // deep(n) = n + deep(n-1), deep(0) = 0.
-        assert_eq!(out.get(), (1..=depth).sum::<u64>());
+        assert_eq!(out.into_inner(), (1..=depth).sum::<u64>());
     }
 
     /// Deep recursion on the fiber stack works (the frames live on the
@@ -396,17 +420,20 @@ mod tests {
         run_recursion(64 * 1024, 50); // a deliberately tiny explicit size
     }
 
+    /// Sets its flag when dropped.
+    struct SetOnDrop<F: Fn()>(F);
+    impl<F: Fn()> Drop for SetOnDrop<F> {
+        fn drop(&mut self) {
+            (self.0)();
+        }
+    }
+
     /// An unstarted fiber reclaims its entry closure on drop.
     #[test]
     fn unstarted_fiber_does_not_leak() {
         let flag = Rc::new(Cell::new(false));
-        struct SetOnDrop(Rc<Cell<bool>>);
-        impl Drop for SetOnDrop {
-            fn drop(&mut self) {
-                self.0.set(true);
-            }
-        }
-        let guard = SetOnDrop(Rc::clone(&flag));
+        let flag2 = Rc::clone(&flag);
+        let guard = SetOnDrop(move || flag2.set(true));
         let fiber = Fiber::new(
             64 * 1024,
             Box::new(move || {
@@ -416,5 +443,29 @@ mod tests {
         );
         drop(fiber);
         assert!(flag.get(), "entry closure dropped with the fiber");
+    }
+
+    /// What a fiber's entry owns is dropped when the fiber finishes, before
+    /// its last switch: the fiber it hands over to already sees it gone.
+    #[test]
+    fn a_finished_fiber_drops_its_entry() {
+        let dropped = Arc::new(AtomicBool::new(false));
+        let host = FiberHost::new(2);
+        let host_ref = &host;
+        let seen = AtomicBool::new(false);
+        let seen_ref = &seen;
+        let flag = Arc::clone(&dropped);
+        let guard = SetOnDrop(move || flag.store(true, Ordering::Relaxed));
+        let observer = Arc::clone(&dropped);
+        let bodies: Vec<Body<'_>> = vec![
+            Box::new(move || {
+                let _hold = &guard; // captured, never moved out
+                host_ref.wake_after_retire(Some(1));
+            }),
+            Box::new(move || seen_ref.store(observer.load(Ordering::Relaxed), Ordering::Relaxed)),
+        ];
+        host.launch(64 * 1024, bodies);
+        assert!(seen.into_inner(), "core 1 ran after core 0's entry was dropped");
+        assert_eq!(Arc::strong_count(&dropped), 1, "both entries were dropped");
     }
 }

@@ -10,7 +10,7 @@
 //! simulation already computed and never sequences, charges cycles, or
 //! touches shared simulated state — so armed and unarmed runs are
 //! bit-for-bit identical (pinned by the `armed_observability` golden-trace
-//! test on all three backends). When a run dies — watchdog trip, poison,
+//! test on both backends). When a run dies — watchdog trip, poison,
 //! crash-audit failure — each core's ring tail is serialized into the
 //! [`DiagnosticBundle`](crate::DiagnosticBundle) as a black box: the last
 //! few thousand cycles of history instead of bare counters.
@@ -33,6 +33,7 @@ use std::sync::Arc;
 
 use crate::breakdown::{TimeBreakdown, TIME_CATEGORIES};
 use crate::fault::FaultCounters;
+use crate::watchdog::SeqCoreDiag;
 
 /// Default per-core flight-ring capacity (events). Large enough to span
 /// several steal protocols' worth of history, small enough that a 256-core
@@ -370,21 +371,6 @@ impl LiveCounters {
     }
 }
 
-/// One core's line in the heartbeat strip. All fields except `grants` and
-/// `last_time` of the *currently granted* core reflect host-instantaneous
-/// scheduler state and are out-of-band (not rerun-stable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoreBeat {
-    /// Token grants to this core so far.
-    pub grants: u64,
-    /// Simulated time of this core's most recent grant.
-    pub last_time: u64,
-    /// Whether the core's worker has returned.
-    pub retired: bool,
-    /// `Some(t)` if the core is currently parked in `enter` at time `t`.
-    pub waiting_at: Option<u64>,
-}
-
 /// One heartbeat snapshot, taken every K grants.
 ///
 /// Deterministic fields (identical across reruns and backends for the same
@@ -411,8 +397,10 @@ pub struct HeartbeatSnap {
     /// Live fault-injection counter sums across cores, in
     /// [`FaultCounters::pairs`] order.
     pub faults: [u64; 6],
-    /// Per-core scheduler strip (out-of-band).
-    pub cores: Vec<CoreBeat>,
+    /// Per-core scheduler strip (out-of-band): every field except `grants`
+    /// and `last_time` of the granting core reflects host-instantaneous
+    /// scheduler state and is not rerun-stable.
+    pub cores: Vec<SeqCoreDiag>,
     /// Always empty; kept so the `bigtiny-obs-heartbeat-v1` schema keeps
     /// its `islands` key (DESIGN §3.1.2).
     pub islands: Vec<u64>,
@@ -425,7 +413,7 @@ impl HeartbeatSnap {
         total_grants: u64,
         fast_grants: u64,
         live: Option<&LiveCounters>,
-        cores: Vec<CoreBeat>,
+        cores: Vec<SeqCoreDiag>,
     ) -> Self {
         HeartbeatSnap {
             seq,

@@ -52,6 +52,7 @@ mod fault;
 mod fiber;
 mod flight;
 pub mod hash;
+mod host;
 mod port;
 mod sequencer;
 mod space;
@@ -66,15 +67,15 @@ pub use energy::EnergyReport;
 pub use event::{CheckMode, MemEvent, MemOp, RacyTag, SyncNote};
 pub use fault::{FaultCounters, FaultPlan};
 pub use flight::{
-    CoreBeat, FlightEvent, FlightKind, FlightRing, Heartbeat, HeartbeatSnap,
-    DEFAULT_FLIGHT_CAPACITY,
+    FlightEvent, FlightKind, FlightRing, Heartbeat, HeartbeatSnap, DEFAULT_FLIGHT_CAPACITY,
 };
+pub use host::backend_label;
 pub use port::{AttrSpan, CorePort, UliHandler, UliWait};
 pub use sequencer::{
     ChoicePoint, PollOp, PollPlan, PollState, PollWake, Section, Sequencer, POLL_SPIN_CYCLES,
 };
 pub use space::{AddrSpace, ShScalar, ShVec};
-pub use system::{backend_label, run_system, RunReport, UliReport, Worker};
+pub use system::{run_system, RunReport, UliReport, Worker};
 pub use trace::{render_timeline, TraceEvent, UliMark, UliMarkKind};
 pub use watchdog::{
     last_bundle, last_bundle_for, CoreDiag, DiagnosticBundle, PoisonReason, SeqCoreDiag,

@@ -10,9 +10,8 @@
 //! `(time, core_id)`. This makes the whole simulation a single logical
 //! thread of execution in simulated-time order — bit-for-bit deterministic
 //! and free of data races by construction. The backends share every line
-//! of grant selection and bookkeeping; they differ only in how a blocked
-//! core wakes its successor and yields the host thread
-//! ([`Sequencer::wake`], [`Sequencer::yield_host`]).
+//! of grant selection and bookkeeping; how a blocked core hands the CPU to
+//! its successor is the [`Host`](crate::host::Host)'s business.
 //!
 //! **The token is the lock.** The sequencer owns the sequenced state `S`
 //! behind the same mutex as its own bookkeeping, and [`Sequencer::enter`]
@@ -43,12 +42,12 @@
 //! [`PoisonReason::Watchdog`] and every core unwinds.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-use crate::fiber::{FiberId, FiberRt};
-use crate::flight::{CoreBeat, Heartbeat, HeartbeatSnap, LiveCounters};
+use crate::flight::{Heartbeat, HeartbeatSnap, LiveCounters};
+use crate::host::Host;
 use crate::sync::Mutex;
 use crate::watchdog::{PoisonReason, SeqCoreDiag, WatchdogConfig, WATCHDOG_MSG};
 
@@ -285,14 +284,6 @@ struct Inner<S> {
     poisoned: bool,
     reason: Option<PoisonReason>,
     cores: Vec<CoreState>,
-    /// Host thread driving each core — its own on the thread backend, the
-    /// launcher on the fiber backend — registered on the core's first
-    /// blocking `enter`. A hand-off to another host thread uses
-    /// `Thread::unpark` *after* the sequencer lock is released: waking a
-    /// core through a condvar while still holding the lock made the woken
-    /// thread contend on it (an extra futex round trip and context switch
-    /// per handoff on a loaded host).
-    threads: Vec<Option<std::thread::Thread>>,
     /// Order-sensitive FNV-1a fold of every `(time, core)` grant: the
     /// fingerprint of the sequenced-op stream. Golden-trace tests pin this
     /// to prove engine optimizations never reorder or change a single
@@ -347,15 +338,11 @@ pub struct Sequencer<S> {
     /// local operations (which never take the sequencer lock) can still
     /// observe the poison and unwind.
     poison_flag: AtomicBool,
-    /// Fiber-backend contexts: when set, every core is a stackful fiber on
-    /// the launcher's host thread, and a blocked `enter` *switches stacks*
-    /// instead of parking — a hand-off is a user-space switch, no futex, no
-    /// kernel context switch. `None` is the thread backend. Grant selection
-    /// is the single global `(time, core)` minimum either way, so both
-    /// backends produce the identical sequenced-op stream (pinned by the
-    /// golden hashes).
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    fibers: Option<FiberRt>,
+    /// How a core gets the CPU: one OS thread per core, or every core a
+    /// fiber on one thread. Grant selection is the single global
+    /// `(time, core)` minimum either way, so both produce the identical
+    /// sequenced-op stream (pinned by the golden hashes).
+    host: Host,
     /// Heartbeat hook: every `heartbeat.every` grants the granting core
     /// emits a [`HeartbeatSnap`] with the sequencer lock released (the sink
     /// may do I/O). `None` is zero-cost: one never-taken branch in
@@ -401,9 +388,9 @@ fn bump(counter: &AtomicU64) -> u64 {
 }
 
 impl<S: PollState> Sequencer<S> {
-    /// Creates a sequencer for `num_cores` cores, all initially running,
-    /// that owns the sequenced `state`.
-    pub fn new(num_cores: usize, state: S) -> Self {
+    /// Creates a sequencer for `num_cores` cores, all initially running on
+    /// `host`, that owns the sequenced `state`.
+    pub(crate) fn new(num_cores: usize, host: Host, state: S) -> Self {
         assert!(num_cores > 0);
         Sequencer {
             inner: Mutex::new(Inner {
@@ -416,7 +403,6 @@ impl<S: PollState> Sequencer<S> {
                 poisoned: false,
                 reason: None,
                 cores: vec![CoreState::default(); num_cores],
-                threads: (0..num_cores).map(|_| None).collect(),
                 op_hash: FNV_OFFSET,
                 script: None,
             }),
@@ -426,8 +412,7 @@ impl<S: PollState> Sequencer<S> {
             fast_grants: AtomicU64::new(0),
             activity: AtomicU64::new(0),
             poison_flag: AtomicBool::new(false),
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            fibers: None,
+            host,
             heartbeat: None,
         }
     }
@@ -469,23 +454,15 @@ impl<S: PollState> Sequencer<S> {
         self.watchdog = Some(config);
     }
 
-    /// Switches this sequencer to the fiber backend, whose contexts `rt`
-    /// holds. Must be called before the run starts.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn set_fiber_backend(&mut self, rt: FiberRt) {
-        self.fibers = Some(rt);
-    }
-
-    /// The fiber-backend runtime, if this sequencer uses fibers.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn fiber_rt(&self) -> Option<&FiberRt> {
-        self.fibers.as_ref()
+    /// The host the cores run on.
+    pub(crate) fn host(&self) -> &Host {
+        &self.host
     }
 
     /// The watchdog's wall-clock fallback: the body of the monitor thread
-    /// `run_system` starts when a watchdog is armed. Until `stop` is set
-    /// (the owner then unparks this thread), it compares the liveness
-    /// counters across one `wall_ms` window at a time; a window in which
+    /// `run_system` starts when a watchdog is armed. Until `stop` fires
+    /// (its sender is dropped), it compares the liveness counters across
+    /// one `wall_ms` window at a time; a window in which
     /// nothing was granted anywhere AND no core did any productive local
     /// work, while some core waits for the token, means the run is stuck,
     /// not slow. The trip poisons without panicking: the woken cores' own
@@ -494,16 +471,17 @@ impl<S: PollState> Sequencer<S> {
     /// bundle, so the same monitor serves every backend — including a
     /// single-thread fiber run, which has no second core thread to observe
     /// the stall from.
-    pub(crate) fn watch_wall_clock(&self, stop: &AtomicBool) {
+    pub(crate) fn watch_wall_clock(&self, stop: Receiver<()>) {
         let Some(wd) = self.watchdog else { return };
         let window = Duration::from_millis(wd.wall_ms);
         let liveness =
             || (self.total_grants.load(Ordering::Relaxed), self.activity.load(Ordering::Relaxed));
-        while !stop.load(Ordering::Acquire) {
+        loop {
             let before = liveness();
-            let t0 = Instant::now();
-            std::thread::park_timeout(window);
-            if t0.elapsed() < window || liveness() != before {
+            if stop.recv_timeout(window) != Err(RecvTimeoutError::Timeout) {
+                return;
+            }
+            if liveness() != before {
                 continue;
             }
             let mut g = self.inner.lock();
@@ -680,14 +658,7 @@ impl<S: PollState> Sequencer<S> {
         time: u64,
     ) -> MutexGuard<'a, Inner<S>> {
         let Some(hb) = &self.heartbeat else { return g };
-        let cores: Vec<CoreBeat> = (g.cores.iter().enumerate())
-            .map(|(core, s)| CoreBeat {
-                grants: s.grants,
-                last_time: s.last_time,
-                retired: s.retired,
-                waiting_at: g.waiting.waiting_at(core),
-            })
-            .collect();
+        let cores = Self::strip(&g);
         drop(g);
         let total = self.total_grants.load(Ordering::Relaxed);
         let snap = HeartbeatSnap::new(
@@ -703,62 +674,18 @@ impl<S: PollState> Sequencer<S> {
     }
 
     /// Marks the simulation failed for `reason` (the first reason sticks)
-    /// and wakes every host thread so parked cores observe the poison and
-    /// unwind.
+    /// and wakes every core so waiting cores observe the poison and unwind.
     fn poison_locked(&self, g: &mut Inner<S>, reason: PoisonReason) {
         g.poisoned = true;
         g.reason.get_or_insert(reason);
         self.poison_flag.store(true, Ordering::Relaxed);
-        for t in g.threads.iter().flatten() {
-            t.unpark();
-        }
+        self.host.wake_all();
     }
 
     /// Poisons with a watchdog reason and panics on the calling thread.
     fn trip(&self, g: &mut Inner<S>, core: usize, time: u64) -> ! {
         self.poison_locked(g, PoisonReason::Watchdog { core, time });
         panic!("{WATCHDOG_MSG} (tripped on core {core} at cycle {time})");
-    }
-
-    /// First half of a token hand-off, and the one step of `enter` and
-    /// `retire` that knows the backend: releases the sequencer lock and
-    /// makes the dispatched core `next` runnable. On the thread backend its
-    /// thread is unparked — strictly after the lock release, so the woken
-    /// thread never contends on it. A fiber cannot be woken, only switched
-    /// to: it is returned for the caller's yield.
-    #[must_use]
-    fn wake(&self, g: MutexGuard<'_, Inner<S>>, next: Option<usize>) -> Option<usize> {
-        let next = next?;
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if self.fibers.is_some() {
-            return Some(next);
-        }
-        let t = g.threads[next].clone().expect("waiting core has registered its host thread");
-        drop(g);
-        t.unpark();
-        None
-    }
-
-    /// Second half of a hand-off: gives up the host thread until someone
-    /// hands the token to `core`. A thread parks; a fiber switches stacks,
-    /// to the fiber [`Sequencer::wake`] returned or else to the launcher
-    /// (which starts the remaining fibers during start-up and drains them
-    /// under poison).
-    #[cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(unused_variables))]
-    fn yield_host(&self, core: usize, local: Option<usize>) {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if let Some(rt) = &self.fibers {
-            let to = local.map_or(FiberId::Launcher, FiberId::Core);
-            // SAFETY: `core` is the fiber executing on this host thread and
-            // the caller holds no lock guard. `local` is a live suspended
-            // waiter (it sits in the waiting set), and the launcher is
-            // suspended whenever a fiber runs; all share this thread's
-            // `FiberRt`.
-            unsafe { rt.switch(FiberId::Core(core), to) };
-            return;
-        }
-        debug_assert!(local.is_none(), "the thread backend never switches stacks");
-        std::thread::park();
     }
 
     /// The checks every entry starts with, before anything is touched: the
@@ -775,7 +702,7 @@ impl<S: PollState> Sequencer<S> {
 
     /// Waits until `core` — which has just stopped running — is the picked
     /// core or the run is poisoned: hands the token on whenever nothing runs
-    /// and nothing is picked, and yields the host thread in between.
+    /// and nothing is picked, and hands the CPU to the host in between.
     /// `runner` is passed on to the first `dispatch`.
     fn await_pick<'a>(
         &'a self,
@@ -794,8 +721,8 @@ impl<S: PollState> Sequencer<S> {
             if next == Some(core) {
                 break; // re-granted ourselves
             }
-            let local = self.wake(g, next);
-            self.yield_host(core, local);
+            drop(g);
+            self.host.hand_off(core, next);
             g = self.inner.lock();
         }
         g
@@ -823,7 +750,7 @@ impl<S: PollState> Sequencer<S> {
         // Fast re-grant: this core is the only one running, no picked core
         // is yet to resume, and every parked core waits at a later
         // `(time, core)` — dispatch would pick this core right back. Grant
-        // inline and skip the waiting-set churn and park/unpark round trip
+        // inline and skip the waiting-set churn and the host hand-off
         // entirely (the lock is simply kept for the section). This is the
         // steady state of steal-free inner loops.
         if g.running == 1 && g.current.is_none() && Self::regrant_ok(&g, core, time) {
@@ -831,10 +758,7 @@ impl<S: PollState> Sequencer<S> {
         } else {
             // Slow path: join the waiting set, and until the token comes
             // back hand it to the minimum waiter (when this core was the
-            // last one running) and yield the host thread.
-            if g.threads[core].is_none() {
-                g.threads[core] = Some(std::thread::current());
-            }
+            // last one running) and give the CPU to the host.
             g.waiting.set(core, time);
             g.running -= 1;
             g = self.await_pick(g, core, None);
@@ -871,9 +795,6 @@ impl<S: PollState> Sequencer<S> {
         op: PollOp,
     ) -> Result<PollWake<'_, S>, u64> {
         let mut g = self.lock_to_enter(core, time);
-        if g.threads[core].is_none() {
-            g.threads[core] = Some(std::thread::current());
-        }
         g.parked[core] = Some(Parked { plan, op, time, served: 0 });
         // The first poll is stepped by `dispatch` like every later one: as
         // the sole runner's fast re-grant where `enter` would take one, out
@@ -906,32 +827,16 @@ impl<S: PollState> Sequencer<S> {
     /// Removes `core` from the simulation (its worker returned), handing
     /// the token to the minimum waiter if the run was waiting on this core.
     pub fn retire(&self, core: usize) {
-        let _ = self.retire_and_wake(core);
-    }
-
-    /// Fiber-backend retirement: [`Sequencer::retire`], plus where the
-    /// finished fiber must switch next — the dispatched minimum waiter,
-    /// else the launcher (none exists: start-up still in progress, run
-    /// over, or poison drain in progress). The caller performs the switch
-    /// after storing its report, because nothing else runs on its host
-    /// thread until it yields.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub(crate) fn retire_fiber_target(&self, core: usize) -> FiberId {
-        self.retire_and_wake(core).map_or(FiberId::Launcher, FiberId::Core)
-    }
-
-    /// Retirement bookkeeping shared by every backend; returns what
-    /// [`Sequencer::wake`] returns.
-    fn retire_and_wake(&self, core: usize) -> Option<usize> {
         let mut g = self.inner.lock();
         g.cores[core].retired = true;
         if g.poisoned {
-            return None;
+            return;
         }
         g.running -= 1;
         let next =
             if g.running == 0 && g.current.is_none() { self.dispatch(&mut g, None) } else { None };
-        self.wake(g, next)
+        drop(g);
+        self.host.wake_after_retire(next);
     }
 
     /// Resets the watchdog's no-progress counter. Called by the runtime
@@ -1003,15 +908,18 @@ impl<S: PollState> Sequencer<S> {
 
     /// Per-core sequencer diagnostics (for the crash bundle).
     pub fn core_diag(&self) -> Vec<SeqCoreDiag> {
-        let g = self.inner.lock();
-        g.cores
-            .iter()
-            .enumerate()
+        Self::strip(&self.inner.lock())
+    }
+
+    /// Every core's sequencer-level state: the crash bundle's per-core
+    /// diagnostics and the heartbeat's strip.
+    fn strip(g: &Inner<S>) -> Vec<SeqCoreDiag> {
+        (g.cores.iter().enumerate())
             .map(|(core, s)| SeqCoreDiag {
-                waiting_at: g.waiting.waiting_at(core),
                 grants: s.grants,
                 last_time: s.last_time,
                 retired: s.retired,
+                waiting_at: g.waiting.waiting_at(core),
             })
             .collect()
     }
@@ -1020,19 +928,33 @@ impl<S: PollState> Sequencer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecBackend;
     use std::sync::atomic::AtomicUsize;
+
+    /// A sequencer whose cores run on the threads that [`adopt`] them.
+    fn on_threads<S: PollState>(num_cores: usize, state: S) -> Sequencer<S> {
+        Sequencer::new(num_cores, Host::new(ExecBackend::Threads, num_cores), state)
+    }
+
+    /// Registers the calling thread as `core`'s, as the thread host's
+    /// launcher does before a core's body runs.
+    fn adopt<S: PollState>(seq: &Sequencer<S>, core: usize) {
+        let Host::Threads(threads) = seq.host() else { unreachable!("tests run on threads") };
+        threads.adopt(core);
+    }
 
     /// Three cores perform interleaved sequenced ops; the observed global
     /// order must be exactly ascending (time, core).
     #[test]
     fn grants_follow_time_order() {
-        let seq = Arc::new(Sequencer::new(3, ()));
+        let seq = Arc::new(on_threads(3, ()));
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for core in 0..3usize {
             let seq = Arc::clone(&seq);
             let log = Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
+                adopt(&seq, core);
                 let mut t = core as u64; // staggered start times
                 for _ in 0..50 {
                     let section = seq.enter(core, t);
@@ -1055,7 +977,7 @@ mod tests {
 
     #[test]
     fn single_core_never_blocks() {
-        let seq = Sequencer::new(1, ());
+        let seq = on_threads(1, ());
         for t in 0..10 {
             drop(seq.enter(0, t));
         }
@@ -1064,11 +986,12 @@ mod tests {
 
     #[test]
     fn retire_unblocks_waiters() {
-        let seq = Arc::new(Sequencer::new(2, ()));
+        let seq = Arc::new(on_threads(2, ()));
         let seq2 = Arc::clone(&seq);
         let done = Arc::new(AtomicUsize::new(0));
         let done2 = Arc::clone(&done);
         let h = std::thread::spawn(move || {
+            adopt(&seq2, 1);
             // Core 1 waits at a later time than core 0 will ever reach; it
             // can only be granted after core 0 retires.
             let section = seq2.enter(1, 1_000_000);
@@ -1085,9 +1008,10 @@ mod tests {
 
     #[test]
     fn poison_unblocks_with_panic() {
-        let seq = Arc::new(Sequencer::new(2, ()));
+        let seq = Arc::new(on_threads(2, ()));
         let seq2 = Arc::clone(&seq);
         let h = std::thread::spawn(move || {
+            adopt(&seq2, 1);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 drop(seq2.enter(1, 42));
             }));
@@ -1102,13 +1026,14 @@ mod tests {
 
     #[test]
     fn ties_break_by_core_id() {
-        let seq = Arc::new(Sequencer::new(2, ()));
+        let seq = Arc::new(on_threads(2, ()));
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for core in [1usize, 0usize] {
             let seq = Arc::clone(&seq);
             let log = Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
+                adopt(&seq, core);
                 let section = seq.enter(core, 5);
                 log.lock().push(core);
                 drop(section);
@@ -1124,7 +1049,7 @@ mod tests {
     /// Runs two cores that tie at time 5 under `policy` and returns the
     /// observed grant order plus the recorded choice points.
     fn tied_pair(policy: SchedulePolicy) -> (Vec<usize>, Vec<ChoicePoint>) {
-        let seq = Arc::new(Sequencer::new(2, ()));
+        let seq = Arc::new(on_threads(2, ()));
         seq.set_policy(policy);
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
@@ -1132,6 +1057,7 @@ mod tests {
             let seq = Arc::clone(&seq);
             let log = Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
+                adopt(&seq, core);
                 let section = seq.enter(core, 5);
                 log.lock().push(core);
                 drop(section);
@@ -1178,7 +1104,7 @@ mod tests {
         // (the fast re-grant path is gated differently but grants the
         // same stream).
         let run = |policy: SchedulePolicy| {
-            let seq = Sequencer::new(1, ());
+            let seq = on_threads(1, ());
             seq.set_policy(policy);
             for t in 0..10 {
                 drop(seq.enter(0, t));
@@ -1191,7 +1117,7 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_grant_budget() {
-        let mut seq = Sequencer::new(1, ());
+        let mut seq = on_threads(1, ());
         seq.set_watchdog(WatchdogConfig { budget: 10, wall_ms: 60_000 });
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for t in 0..100 {
@@ -1206,7 +1132,7 @@ mod tests {
 
     #[test]
     fn progress_marks_keep_watchdog_quiet() {
-        let mut seq = Sequencer::new(1, ());
+        let mut seq = on_threads(1, ());
         seq.set_watchdog(WatchdogConfig { budget: 10, wall_ms: 60_000 });
         for t in 0..100 {
             drop(seq.enter(0, t));
@@ -1225,11 +1151,12 @@ mod tests {
     /// into a poison panic.
     #[test]
     fn wall_clock_fallback_trips_when_nothing_is_granted() {
-        let mut seq = Sequencer::new(2, ());
+        let mut seq = on_threads(2, ());
         seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 30 });
-        let stop = AtomicBool::new(false);
+        let (_running, stop) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
-            let monitor = scope.spawn(|| seq.watch_wall_clock(&stop));
+            let seq = &seq;
+            let monitor = scope.spawn(move || seq.watch_wall_clock(stop));
             // Several windows with an empty waiting set: a run that is
             // starting up (or busy in host code) is not stuck.
             std::thread::sleep(Duration::from_millis(100));
@@ -1237,6 +1164,7 @@ mod tests {
             // Core 1 parks; core 0 never enters or retires (simulating a
             // core stuck in host-level code while holding the logical
             // token).
+            adopt(seq, 1);
             let r =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(seq.enter(1, 7))));
             assert!(r.is_err(), "stalled run must trip the wall-clock fallback");
@@ -1248,13 +1176,13 @@ mod tests {
     /// The owner's stop request ends the monitor promptly, mid-window.
     #[test]
     fn wall_clock_monitor_stops_on_request() {
-        let mut seq = Sequencer::new(1, ());
+        let mut seq = on_threads(1, ());
         seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 60_000 });
-        let stop = AtomicBool::new(false);
+        let (running, stop) = std::sync::mpsc::channel::<()>();
         std::thread::scope(|scope| {
-            let monitor = scope.spawn(|| seq.watch_wall_clock(&stop));
-            stop.store(true, Ordering::Release);
-            monitor.thread().unpark();
+            let seq = &seq;
+            scope.spawn(move || seq.watch_wall_clock(stop));
+            drop(running);
         });
         assert!(!seq.is_poisoned());
     }
@@ -1307,7 +1235,7 @@ mod tests {
     /// refused before the waiting set (or anything else) is touched.
     #[test]
     fn enter_at_u64_max_is_rejected_up_front() {
-        let seq = Sequencer::new(2, ());
+        let seq = on_threads(2, ());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             drop(seq.enter(0, u64::MAX));
         }));
@@ -1328,7 +1256,7 @@ mod tests {
     #[test]
     fn padding_leaves_never_win() {
         for n in [1usize, 3, 65, 1000] {
-            let seq = Sequencer::new(n, ());
+            let seq = on_threads(n, ());
             let mut g = seq.inner.lock();
             assert_eq!(g.waiting.first(), None, "{n} cores");
             g.waiting.set(n - 1, u64::MAX - 1);
@@ -1341,7 +1269,7 @@ mod tests {
 
     #[test]
     fn core_diag_reflects_state() {
-        let seq = Sequencer::new(2, ());
+        let seq = on_threads(2, ());
         // Core 1 retires first so core 0's enter can be granted.
         seq.retire(1);
         drop(seq.enter(0, 7));
@@ -1421,11 +1349,12 @@ mod tests {
     /// response arrive part-way through. Returns everything the grant stream
     /// leaves behind.
     fn poller_among_enterers(how: Polling) -> (Vec<(u64, usize)>, u64, u64, Vec<u64>, u64) {
-        let seq = Arc::new(Sequencer::new(4, Flags::default()));
+        let seq = Arc::new(on_threads(4, Flags::default()));
         let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             let (seq, log) = (&seq, &log);
             scope.spawn(move || {
+                adopt(seq, 0);
                 let plan = PollPlan { requests: true, deadline: None };
                 let stopped = poll_until_stopped(seq, how, 0, plan, (PollOp::Response, 5), log);
                 assert_eq!(stopped.0, PollOp::Response, "only a response ends this wait");
@@ -1433,6 +1362,7 @@ mod tests {
             });
             for core in 1..4usize {
                 scope.spawn(move || {
+                    adopt(seq, core);
                     // Strides of 7 against the poller's rounds of 10: every
                     // phase, including exact time ties with the poller.
                     for i in 0..40u64 {
@@ -1493,18 +1423,20 @@ mod tests {
         how: Polling,
         script: Vec<u32>,
     ) -> (Vec<(u64, usize)>, Vec<ChoicePoint>, u64) {
-        let seq = Arc::new(Sequencer::new(2, ()));
+        let seq = Arc::new(on_threads(2, ()));
         seq.set_policy(SchedulePolicy::Scripted(script));
         let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             let (seq, log) = (&seq, &log);
             scope.spawn(move || {
+                adopt(seq, 0);
                 let plan = PollPlan { requests: true, deadline: Some(7) };
                 let stopped = poll_until_stopped(seq, how, 0, plan, (PollOp::Response, 5), log);
                 assert_eq!(stopped, (PollOp::Done, 6));
                 seq.retire(0);
             });
             scope.spawn(move || {
+                adopt(seq, 1);
                 for time in [5, 6] {
                     let section = seq.enter(1, time);
                     log.lock().push((time, 1));
@@ -1547,7 +1479,7 @@ mod tests {
     #[test]
     fn grant_budget_trips_on_the_parked_core_with_the_same_text() {
         let trip = |how: Polling| {
-            let mut seq = Sequencer::new(2, ());
+            let mut seq = on_threads(2, ());
             seq.set_watchdog(WatchdogConfig { budget: 25, wall_ms: 60_000 });
             seq.retire(1);
             let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
@@ -1573,11 +1505,15 @@ mod tests {
     /// polls served before it, so the core can still account for them.
     #[test]
     fn poison_while_parked_returns_the_served_polls() {
-        let seq = Arc::new(Sequencer::new(2, ()));
+        let seq = Arc::new(on_threads(2, ()));
         let plan = PollPlan { requests: false, deadline: None };
         let (served, in_place, waiting_at) = std::thread::scope(|scope| {
             let seq = &seq;
-            let poller = scope.spawn(move || seq.park_poll(1, 42, plan, PollOp::Response).err());
+            let poller = scope.spawn(move || {
+                adopt(seq, 1);
+                seq.park_poll(1, 42, plan, PollOp::Response).err()
+            });
+            adopt(seq, 0);
             // Whoever of the two stops running last runs the pick loop: it
             // serves core 1's polls at 42, 43, 52, 53, ..., 92, 93 — every
             // one before (100, 0) — and then grants core 0.

@@ -6,10 +6,11 @@ use bigtiny_coherence::{CoreMemStats, MemorySystem};
 use bigtiny_mesh::{TrafficStats, UliNetwork};
 
 use crate::breakdown::TimeBreakdown;
-use crate::config::{ExecBackend, SchedulePolicy, SystemConfig};
+use crate::config::{SchedulePolicy, SystemConfig};
 use crate::event::{CheckMode, MemEvent};
 use crate::fault::FaultCounters;
 use crate::flight::{FlightEvent, LiveCounters};
+use crate::host::{self, Body, Host};
 use crate::port::{CorePort, PortReport};
 use crate::sequencer::{ChoicePoint, PollOp, PollState, Sequencer, POISON_MSG};
 use crate::sync::Mutex;
@@ -48,216 +49,31 @@ pub(crate) struct Shared {
 /// A worker body: the code one simulated core runs.
 pub type Worker = Box<dyn FnOnce(&mut CorePort) + Send + 'static>;
 
-type PortReports = Arc<Mutex<Vec<Option<PortReport>>>>;
-type Panics = Arc<Mutex<Vec<Box<dyn std::any::Any + Send>>>>;
+type PortReports = Mutex<Vec<Option<PortReport>>>;
+type Panics = Mutex<Vec<Box<dyn std::any::Any + Send>>>;
 
 /// The whole life of one core inside its own execution context (thread or
-/// fiber): run the worker, then retire the core — `retire` is how the
-/// backend does that — or, if the worker panicked, poison the run. The
-/// report is stored either way: a crash diagnostic is assembled from the
-/// partial ones after every core has unwound. `None` after a panic.
-fn run_core<T>(
+/// fiber): run the worker, then retire the core or, if the worker
+/// panicked, poison the run. The report is stored either way: a crash
+/// diagnostic is assembled from the partial ones after every core has
+/// unwound.
+fn run_core(
     mut port: CorePort,
     worker: Worker,
     shared: &Shared,
     reports: &PortReports,
     panics: &Panics,
-    retire: impl FnOnce() -> T,
-) -> Option<T> {
+) {
     let core = port.core();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(&mut port)));
-    let retired = match result {
-        Ok(()) => Some(retire()),
+    match result {
+        Ok(()) => shared.seq.retire(core),
         Err(payload) => {
             panics.lock().push(payload);
             shared.seq.poison();
-            None
         }
-    };
+    }
     reports.lock()[core] = Some(port.into_report());
-    retired
-}
-
-/// The concrete execution backend a run resolved to (see [`ExecBackend`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Backend {
-    Threads,
-    Fibers,
-}
-
-impl Backend {
-    /// Stable lower-case name used in black-box dump headers.
-    fn label(self) -> &'static str {
-        match self {
-            Backend::Threads => "threads",
-            Backend::Fibers => "fibers",
-        }
-    }
-}
-
-/// The stable lower-case name of the backend a run of `config` resolves to
-/// (`threads` or `fibers`) — the same string
-/// [`DiagnosticBundle::backend`](crate::DiagnosticBundle) carries, for
-/// harnesses labelling black-box dumps of runs that completed without a
-/// bundle. `Auto` resolution consults `BIGTINY_BACKEND`, so call it in the
-/// same environment as the run.
-pub fn backend_label(config: &SystemConfig) -> &'static str {
-    resolve_backend(config).label()
-}
-
-/// Decides which backend this run executes cores on (see [`ExecBackend`]).
-fn resolve_backend(config: &SystemConfig) -> Backend {
-    let env = std::env::var("BIGTINY_BACKEND").ok();
-    let typo = env.as_deref().filter(|v| *v != "threads");
-    if let (ExecBackend::Auto, Some(value)) = (config.backend, typo) {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "warning: ignoring BIGTINY_BACKEND={value:?}: the accepted value is \
-                 `threads` (unset picks fibers where supported)"
-            );
-        });
-    }
-    let supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    select_backend(config.backend, env.as_deref(), supported)
-}
-
-/// The backend decision as a pure function of the configured
-/// [`ExecBackend`], the value of `BIGTINY_BACKEND` (consulted only under
-/// `Auto`; anything but `threads` counts as unset) and whether the host
-/// supports fibers (x86_64 Linux).
-fn select_backend(requested: ExecBackend, env: Option<&str>, supported: bool) -> Backend {
-    match requested {
-        ExecBackend::Threads => Backend::Threads,
-        ExecBackend::Fibers | ExecBackend::ShardedFibers => {
-            assert!(supported, "ExecBackend::{requested:?} requires x86_64 Linux");
-            Backend::Fibers
-        }
-        ExecBackend::Auto if !supported => Backend::Threads,
-        ExecBackend::Auto if env == Some("threads") => Backend::Threads,
-        ExecBackend::Auto => Backend::Fibers,
-    }
-}
-
-/// Runs every core on its own OS thread: the portable backend, for hosts
-/// without fiber support. A token handoff is a futex wake plus a kernel
-/// context switch.
-fn run_cores_on_threads(
-    config: &SystemConfig,
-    workers: Vec<Worker>,
-    shared: &Arc<Shared>,
-    reports: &PortReports,
-    panics: &Panics,
-) {
-    let mut handles = Vec::with_capacity(workers.len());
-    for (core, worker) in workers.into_iter().enumerate() {
-        let shared = Arc::clone(shared);
-        let reports = Arc::clone(reports);
-        let panics = Arc::clone(panics);
-        let port = CorePort::new(core, config, &shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("sim-core-{core}"))
-            .stack_size(config.core_stack_bytes())
-            .spawn(move || {
-                run_core(port, worker, &shared, &reports, &panics, || shared.seq.retire(core));
-            })
-            .expect("spawn simulated core thread");
-        handles.push(handle);
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-}
-
-/// Runs every core as a stackful fiber on the calling thread, which
-/// becomes the launcher: it builds the fibers and starts them in core
-/// order. From then on the token passes from fiber to fiber by pure
-/// user-space stack switches — no hand-off ever leaves user space. Grant
-/// selection is the sequencer's single global `(time, core)` minimum, so
-/// the sequenced-op stream is bit-for-bit identical to the thread
-/// backend's.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_cores_on_fibers(
-    config: &SystemConfig,
-    workers: Vec<Worker>,
-    shared: &Arc<Shared>,
-    reports: &PortReports,
-    panics: &Panics,
-) {
-    use crate::fiber::{Fiber, FiberId, FiberRt};
-
-    let stack_bytes = config.core_stack_bytes();
-    let rt = shared.seq.fiber_rt().expect("fiber backend installed");
-    // The runtime outlives every fiber switch: it lives inside `Shared`,
-    // which the caller keeps alive until after all fibers are done.
-    let rt_ptr: *const FiberRt = rt;
-
-    let mut fibers = Vec::with_capacity(workers.len());
-    for (core, worker) in workers.into_iter().enumerate() {
-        let shared = Arc::clone(shared);
-        let reports = Arc::clone(reports);
-        let panics = Arc::clone(panics);
-        let port = CorePort::new(core, config, &shared);
-        let entry = Box::new(move || {
-            let retire = || shared.seq.retire_fiber_target(core);
-            let next = run_core(port, worker, &shared, &reports, &panics, retire)
-                .unwrap_or(FiberId::Launcher);
-            // Control never returns to this closure, so its captured state
-            // would otherwise leak: drop every owned handle before the final
-            // switch. Nothing else runs on this host thread meanwhile.
-            drop(shared);
-            drop(reports);
-            drop(panics);
-            // SAFETY: `rt_ptr` stays valid (see above); this fiber is
-            // marked done and never resumed, and `next` is either a live
-            // waiter or the suspended launcher.
-            unsafe {
-                (*rt_ptr).mark_done(core);
-                (*rt_ptr).switch(FiberId::Core(core), next);
-            }
-            unreachable!("a finished fiber must never be resumed");
-        });
-        let fiber = Fiber::new(stack_bytes, entry);
-        rt.set_initial(core, fiber.initial_ctx());
-        fibers.push(fiber);
-    }
-
-    // Start every fiber in core order (the thread backend's spawn order);
-    // each runs until its first sequencer suspension. No token can be
-    // granted before every core has entered the sequencer once (`running`
-    // only reaches 0 then), so the last one started takes over.
-    for core in 0..fibers.len() {
-        // SAFETY: the fiber is unstarted, and only this thread ever
-        // switches fibers of this runtime.
-        unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
-    }
-
-    // Control comes back here only when no fiber can take the token: every
-    // one is done, or — under poison — a retiring or panicking fiber had
-    // nobody to hand it to. Poison drain: resume each live fiber; its
-    // sequencer re-entry observes the poison and unwinds it to done.
-    while let Some(core) = (0..fibers.len()).find(|&c| !rt.is_done(c)) {
-        debug_assert!(shared.seq.check_poison(), "the launcher resumes fibers only under poison");
-        // SAFETY: a live suspended fiber of this runtime, switched to from
-        // its driving thread.
-        unsafe { rt.switch(FiberId::Launcher, FiberId::Core(core)) };
-    }
-    // Dropping `fibers` unmaps the stacks; all are done here.
-}
-
-/// Stops the watchdog monitor thread when dropped — on unwind too, so a
-/// failed core launch can never leave `run_system`'s scope joining a
-/// monitor nobody will stop.
-struct StopMonitor<'a> {
-    stop: &'a std::sync::atomic::AtomicBool,
-    monitor: std::thread::Thread,
-}
-
-impl Drop for StopMonitor<'_> {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Release);
-        self.monitor.unpark();
-    }
 }
 
 /// Summary of the ULI network's activity during a run.
@@ -410,7 +226,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         "DRF checking cannot be combined with fault injection"
     );
     let num_cores = config.num_cores();
-    let backend = resolve_backend(config);
+    let backend = host::resolve_backend(config);
     let mut mem = MemorySystem::new(&config.mem_config());
     mem.set_mesh_faults(config.faults.mesh_faults());
     let state = GlobalState {
@@ -419,14 +235,10 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         done: false,
         done_time: 0,
     };
-    let mut seq = Sequencer::new(num_cores, state);
+    let mut seq = Sequencer::new(num_cores, Host::new(backend, num_cores), state);
     seq.set_policy(config.schedule.clone());
     if let Some(budget) = config.watchdog_budget {
         seq.set_watchdog(WatchdogConfig { budget, wall_ms: config.watchdog_wall_ms });
-    }
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    if backend == Backend::Fibers {
-        seq.set_fiber_backend(crate::fiber::FiberRt::new(num_cores));
     }
     // Heartbeat arming: the live counters the ports publish into and the
     // sequencer hook that snapshots them every K grants. `None` keeps both
@@ -438,27 +250,27 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     });
     let shared = Arc::new(Shared { seq, live });
 
-    let reports: PortReports = Arc::new(Mutex::new((0..num_cores).map(|_| None).collect()));
-    let panics: Panics = Arc::new(Mutex::new(Vec::new()));
+    let reports: PortReports = Mutex::new((0..num_cores).map(|_| None).collect());
+    let panics: Panics = Mutex::new(Vec::new());
+    let bodies: Vec<Body<'_>> = (workers.into_iter().enumerate())
+        .map(|(core, worker)| {
+            let port = CorePort::new(core, config, &shared);
+            let (shared, reports, panics) = (&*shared, &reports, &panics);
+            Box::new(move || run_core(port, worker, shared, reports, panics)) as Body<'_>
+        })
+        .collect();
 
     // The watchdog's wall-clock fallback: one monitor thread, whatever the
-    // backend, alive exactly as long as the cores run.
-    let stop = std::sync::atomic::AtomicBool::new(false);
+    // host, alive exactly as long as the cores run. Dropping `running`
+    // stops it, on unwind too.
+    let (running, stop) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|scope| {
-        let _monitor = config.watchdog_budget.map(|_| {
-            let handle = std::thread::Builder::new()
-                .name("sim-watchdog".to_owned())
-                .spawn_scoped(scope, || shared.seq.watch_wall_clock(&stop))
-                .expect("spawn watchdog monitor thread");
-            StopMonitor { stop: &stop, monitor: handle.thread().clone() }
-        });
-        match backend {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Backend::Fibers => run_cores_on_fibers(config, workers, &shared, &reports, &panics),
-            #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-            Backend::Fibers => unreachable!("select_backend rejects fibers off-platform"),
-            Backend::Threads => run_cores_on_threads(config, workers, &shared, &reports, &panics),
+        if config.watchdog_budget.is_some() {
+            let seq = &shared.seq;
+            scope.spawn(move || seq.watch_wall_clock(stop));
         }
+        let _running = running;
+        shared.seq.host().launch(config.core_stack_bytes(), bodies);
     });
 
     let mut panics = std::mem::take(&mut *panics.lock());
@@ -469,7 +281,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         // payload is a rendered string, and harnesses that catch it
         // retrieve the structured bundle via `last_bundle_for` to write a
         // loadable black-box dump.
-        let bundle = build_bundle(config, backend, &shared, &reports.lock());
+        let bundle = build_bundle(config, host::label(backend), &shared, &reports.lock());
         let watchdog = matches!(bundle.reason, PoisonReason::Watchdog { .. });
         record_bundle(bundle.clone());
         if watchdog {
@@ -580,7 +392,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
 /// have joined.
 fn build_bundle(
     config: &SystemConfig,
-    backend: Backend,
+    backend: &str,
     shared: &Shared,
     reports: &[Option<PortReport>],
 ) -> DiagnosticBundle {
@@ -600,7 +412,7 @@ fn build_bundle(
     DiagnosticBundle {
         reason,
         config_name: config.name.clone(),
-        backend: backend.label().to_owned(),
+        backend: backend.to_owned(),
         fault_spec: config.faults.to_spec(),
         cores,
         uli_messages: st.uli.message_count(),
@@ -612,6 +424,7 @@ fn build_bundle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecBackend;
     use crate::space::{AddrSpace, ShScalar, ShVec};
     use bigtiny_coherence::Protocol;
     use bigtiny_mesh::UliOutcome;
@@ -670,41 +483,6 @@ mod tests {
         report
     }
 
-    /// Every (requested variant × `BIGTINY_BACKEND` value × host support)
-    /// cell of the backend decision.
-    #[test]
-    fn select_backend_covers_every_cell() {
-        use Backend::{Fibers, Threads};
-        // (env value, what `Auto` resolves to on a fiber-capable host)
-        let envs = [
-            (None, Fibers),
-            (Some("threads"), Threads),
-            // Unrecognised values (typos, wrong case, the label of the
-            // default, the retired `sharded`) count as unset;
-            // `resolve_backend` warns about them.
-            (Some("sharded"), Fibers),
-            (Some("shard"), Fibers),
-            (Some("Threads"), Fibers),
-            (Some("fibres"), Fibers),
-            (Some("fibers"), Fibers),
-            (Some(""), Fibers),
-        ];
-        for (env, auto_supported) in envs {
-            assert_eq!(select_backend(ExecBackend::Auto, env, true), auto_supported, "{env:?}");
-            assert_eq!(select_backend(ExecBackend::Auto, env, false), Threads, "{env:?}");
-            for supported in [true, false] {
-                // A pinned backend never consults the environment.
-                assert_eq!(select_backend(ExecBackend::Threads, env, supported), Threads);
-            }
-            assert_eq!(select_backend(ExecBackend::Fibers, env, true), Fibers);
-            assert_eq!(select_backend(ExecBackend::ShardedFibers, env, true), Fibers);
-            for pinned in [ExecBackend::Fibers, ExecBackend::ShardedFibers] {
-                let r = std::panic::catch_unwind(|| select_backend(pinned, env, false));
-                assert!(r.is_err(), "{pinned:?} must be rejected on a host without fibers");
-            }
-        }
-    }
-
     #[test]
     fn parallel_sum_runs_on_all_protocols() {
         for proto in [Protocol::Mesi, Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb] {
@@ -727,8 +505,8 @@ mod tests {
 
     /// The fiber backend must be invisible to simulated results. Four cores
     /// summing in lockstep hand the token on at nearly every op, so on the
-    /// thread backend this is the densest exercise of `wake`'s unpark arm
-    /// the small configuration can express.
+    /// thread host this is the densest exercise of its unpark hand-off the
+    /// small configuration can express.
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn fibers_backend_matches_threads_bit_for_bit() {

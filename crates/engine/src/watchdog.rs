@@ -66,18 +66,19 @@ pub struct WatchdogConfig {
     pub wall_ms: u64,
 }
 
-/// One core's sequencer-level state at the moment of a trip.
+/// One core's sequencer-level state: a line of the crash bundle, taken at
+/// the trip, and of the heartbeat strip, taken at a heartbeat grant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SeqCoreDiag {
-    /// Simulated time at which the core is parked waiting for the token
-    /// (`None` if it is running or retired).
-    pub waiting_at: Option<u64>,
     /// Total token grants to this core.
     pub grants: u64,
     /// Simulated time of the core's last grant.
     pub last_time: u64,
     /// Whether the core's worker returned.
     pub retired: bool,
+    /// Simulated time at which the core is parked waiting for the token
+    /// (`None` if it is running or retired).
+    pub waiting_at: Option<u64>,
 }
 
 /// One core's slice of the crash diagnostic.

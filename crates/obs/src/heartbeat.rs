@@ -178,7 +178,7 @@ pub fn looks_like_heartbeat_stream(text: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bigtiny_engine::CoreBeat;
+    use bigtiny_engine::SeqCoreDiag;
 
     fn snap() -> HeartbeatSnap {
         HeartbeatSnap {
@@ -190,9 +190,14 @@ mod tests {
             breakdown: [100, 20, 10, 5, 2, 3, 7, 9, 44],
             faults: [1, 2, 3, 4, 5, 6],
             cores: vec![
-                CoreBeat { grants: 800, last_time: 3000, retired: false, waiting_at: None },
-                CoreBeat { grants: 700, last_time: 2990, retired: false, waiting_at: Some(3001) },
-                CoreBeat { grants: 0, last_time: 100, retired: true, waiting_at: None },
+                SeqCoreDiag { grants: 800, last_time: 3000, retired: false, waiting_at: None },
+                SeqCoreDiag {
+                    grants: 700,
+                    last_time: 2990,
+                    retired: false,
+                    waiting_at: Some(3001),
+                },
+                SeqCoreDiag { grants: 0, last_time: 100, retired: true, waiting_at: None },
             ],
             islands: vec![3000, 2990],
         }

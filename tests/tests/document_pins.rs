@@ -18,7 +18,7 @@ use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, AppResult, Setup};
 use bigtiny_engine::hash::fnv1a;
 use bigtiny_engine::{
-    last_bundle_for, run_system, CoreBeat, FaultPlan, HeartbeatSnap, Protocol, SystemConfig,
+    last_bundle_for, run_system, FaultPlan, HeartbeatSnap, Protocol, SeqCoreDiag, SystemConfig,
     TimeCategory, Worker,
 };
 use bigtiny_obs::{
@@ -125,9 +125,9 @@ fn heartbeat_snap() -> HeartbeatSnap {
         breakdown: [100, 20, 10, 5, 2, 3, 7, 9, 44],
         faults: [1, 2, 3, 4, 5, 6],
         cores: vec![
-            CoreBeat { grants: 800, last_time: 3000, retired: false, waiting_at: None },
-            CoreBeat { grants: 700, last_time: 2990, retired: false, waiting_at: Some(3001) },
-            CoreBeat { grants: 0, last_time: 100, retired: true, waiting_at: None },
+            SeqCoreDiag { grants: 800, last_time: 3000, retired: false, waiting_at: None },
+            SeqCoreDiag { grants: 700, last_time: 2990, retired: false, waiting_at: Some(3001) },
+            SeqCoreDiag { grants: 0, last_time: 100, retired: true, waiting_at: None },
         ],
         islands: vec![3000, 2990],
     }
