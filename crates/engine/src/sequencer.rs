@@ -92,6 +92,12 @@ struct ScriptState {
 /// at it: [`Sequencer::enter`] rejects it before touching the tree.
 const NOT_WAITING: u64 = u64::MAX;
 
+/// `Inner::current` while the start-up wave is open: a pick yet to resume
+/// that no core is, so no core can take the sole runner's fast re-grant
+/// before every core has arrived. Whichever core arrives last — a host
+/// race on threads — the first grant then comes from `dispatch`.
+const START_WAVE: usize = usize::MAX;
+
 /// One poll of a busy-wait loop the sequencer can serve in place (see
 /// [`PollPlan`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -279,7 +285,8 @@ struct Inner<S> {
     running: usize,
     /// Core picked for the token but not yet resumed: set by `pick_next`,
     /// cleared by the picked core when it wakes up in `enter`. From then on
-    /// `running > 0` is what keeps a second pick from happening.
+    /// `running > 0` is what keeps a second pick from happening. Starts as
+    /// [`START_WAVE`].
     current: Option<usize>,
     poisoned: bool,
     reason: Option<PoisonReason>,
@@ -399,7 +406,7 @@ impl<S: PollState> Sequencer<S> {
                 parked: vec![None; num_cores],
                 in_place_grants: 0,
                 running: num_cores,
-                current: None,
+                current: Some(START_WAVE),
                 poisoned: false,
                 reason: None,
                 cores: vec![CoreState::default(); num_cores],
@@ -551,6 +558,15 @@ impl<S: PollState> Sequencer<S> {
                 time < min.0
             }
         })
+    }
+
+    /// Whether the pick loop is due: no core runs and none is picked. The
+    /// last core to stop running closes the start-up wave.
+    fn pick_due(g: &mut Inner<S>) -> bool {
+        if g.running == 0 && g.current == Some(START_WAVE) {
+            g.current = None;
+        }
+        g.running == 0 && g.current.is_none()
     }
 
     /// The one pick loop, run by `enter`, `park_poll` and `retire` whenever
@@ -713,11 +729,7 @@ impl<S: PollState> Sequencer<S> {
         while g.current != Some(core) && !g.poisoned {
             // `running > 0` means another core still executes or, on the
             // fiber backend, is yet to be started by the launcher.
-            let next = if g.running == 0 && g.current.is_none() {
-                self.dispatch(&mut g, runner.take())
-            } else {
-                None
-            };
+            let next = if Self::pick_due(&mut g) { self.dispatch(&mut g, runner.take()) } else { None };
             if next == Some(core) {
                 break; // re-granted ourselves
             }
@@ -833,8 +845,7 @@ impl<S: PollState> Sequencer<S> {
             return;
         }
         g.running -= 1;
-        let next =
-            if g.running == 0 && g.current.is_none() { self.dispatch(&mut g, None) } else { None };
+        let next = if Self::pick_due(&mut g) { self.dispatch(&mut g, None) } else { None };
         drop(g);
         self.host.wake_after_retire(next);
     }
@@ -1278,6 +1289,41 @@ mod tests {
         assert_eq!(d[0].last_time, 7);
         assert!(!d[0].retired);
         assert!(d[1].retired);
+    }
+
+    /// Two cores on their own threads, `late` entering only once the other
+    /// waits: core 0 at cycle 0, core 1 at cycle 5, one op each. Returns
+    /// what the start-up wave leaves behind.
+    fn start_wave_with_late(late: usize) -> (u64, u64, u64, Vec<SeqCoreDiag>) {
+        let seq = on_threads(2, ());
+        std::thread::scope(|scope| {
+            for core in 0..2usize {
+                let seq = &seq;
+                scope.spawn(move || {
+                    adopt(seq, core);
+                    let time = 5 * core as u64;
+                    if core == late {
+                        let early = 1 - core;
+                        while seq.core_diag()[early].waiting_at != Some(5 * early as u64) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    drop(seq.enter(core, time));
+                    seq.retire(core);
+                });
+            }
+        });
+        (seq.fast_grants(), seq.total_grants(), seq.in_place_grants(), seq.core_diag())
+    }
+
+    /// The first grant of a run is core 0's, and it is a hand-off whichever
+    /// core arrives last: arrival order on threads is a host race, and no
+    /// counter may follow it.
+    #[test]
+    fn arrival_order_does_not_classify_the_first_grant() {
+        let early = start_wave_with_late(1);
+        assert_eq!(early.0, 0, "core 1 arriving last dispatches core 0's grant");
+        assert_eq!(start_wave_with_late(0), early, "core 0 arriving last");
     }
 
     // ------------------------------------------------------------------
