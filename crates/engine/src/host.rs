@@ -296,17 +296,25 @@ mod tests {
         ];
         let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
         let mut named = Vec::new();
-        for entry in std::fs::read_dir(src).expect("source directory") {
-            let path = entry.expect("directory entry").path();
-            let file = path.file_name().expect("file name").to_string_lossy().into_owned();
-            if file == "host.rs" || file == "fiber.rs" {
-                continue;
-            }
-            let text = std::fs::read_to_string(&path).expect("source is readable");
-            let code = text.split("#[cfg(test)]\nmod tests").next().unwrap_or_default();
-            for line in code.lines().map(str::trim).filter(|l| !l.starts_with("//")) {
-                if HOST_NAMES.iter().any(|name| line.contains(name)) {
-                    named.push(format!("{file}: {line}"));
+        let mut dirs = vec![src.clone()];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(dir).expect("source directory") {
+                let path = entry.expect("directory entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                    continue;
+                }
+                let file =
+                    path.strip_prefix(&src).expect("under src").to_string_lossy().into_owned();
+                if file == "host.rs" || file == "fiber.rs" {
+                    continue;
+                }
+                let text = std::fs::read_to_string(&path).expect("source is readable");
+                let code = text.split("#[cfg(test)]\nmod tests").next().unwrap_or_default();
+                for line in code.lines().map(str::trim).filter(|l| !l.starts_with("//")) {
+                    if HOST_NAMES.iter().any(|name| line.contains(name)) {
+                        named.push(format!("{file}: {line}"));
+                    }
                 }
             }
         }

@@ -92,10 +92,8 @@ struct ScriptState {
 /// at it: [`Sequencer::enter`] rejects it before touching the tree.
 const NOT_WAITING: u64 = u64::MAX;
 
-/// `Inner::current` while the start-up wave is open: a pick yet to resume
-/// that no core is, so no core can take the sole runner's fast re-grant
-/// before every core has arrived. Whichever core arrives last — a host
-/// race on threads — the first grant then comes from `dispatch`.
+/// `Inner::current` until every core has arrived: a pick no core is, so no
+/// first grant is a fast re-grant, whichever core arrives last.
 const START_WAVE: usize = usize::MAX;
 
 /// One poll of a busy-wait loop the sequencer can serve in place (see
@@ -560,8 +558,7 @@ impl<S: PollState> Sequencer<S> {
         })
     }
 
-    /// Whether the pick loop is due: no core runs and none is picked. The
-    /// last core to stop running closes the start-up wave.
+    /// Whether no core runs and none is picked; closes the start-up wave.
     fn pick_due(g: &mut Inner<S>) -> bool {
         if g.running == 0 && g.current == Some(START_WAVE) {
             g.current = None;
@@ -729,7 +726,8 @@ impl<S: PollState> Sequencer<S> {
         while g.current != Some(core) && !g.poisoned {
             // `running > 0` means another core still executes or, on the
             // fiber backend, is yet to be started by the launcher.
-            let next = if Self::pick_due(&mut g) { self.dispatch(&mut g, runner.take()) } else { None };
+            let next =
+                if Self::pick_due(&mut g) { self.dispatch(&mut g, runner.take()) } else { None };
             if next == Some(core) {
                 break; // re-granted ourselves
             }

@@ -1,5 +1,6 @@
 //! System assembly and the simulation driver.
 
+use std::mem::take;
 use std::sync::Arc;
 
 use bigtiny_coherence::{CoreMemStats, MemorySystem};
@@ -299,29 +300,13 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         std::panic::resume_unwind(panics.swap_remove(idx));
     }
 
-    let reports = std::mem::take(&mut *reports.lock());
-    let mut core_cycles = Vec::with_capacity(num_cores);
-    let mut breakdowns = Vec::with_capacity(num_cores);
-    let mut instructions = Vec::with_capacity(num_cores);
-    let mut traces = Vec::with_capacity(num_cores);
-    let mut uli_marks = Vec::with_capacity(num_cores);
-    let mut attr_spans = Vec::with_capacity(num_cores);
-    let mut flight = Vec::with_capacity(num_cores);
-    let mut flight_totals = Vec::with_capacity(num_cores);
+    let mut reports: Vec<PortReport> =
+        take(&mut *reports.lock()).into_iter().map(|r| r.expect("every worker reported")).collect();
     let mut fault_counters = FaultCounters::default();
     let mut stamped_events: Vec<(u64, MemEvent)> = Vec::new();
-    for r in reports {
-        let r = r.expect("every worker reported");
-        core_cycles.push(r.clock);
-        breakdowns.push(r.breakdown);
-        instructions.push(r.instructions);
-        traces.push(r.trace);
-        uli_marks.push(r.uli_marks);
-        attr_spans.push(r.attr_spans);
-        flight.push(r.flight);
-        flight_totals.push(r.flight_total);
+    for r in &mut reports {
         fault_counters += r.faults;
-        stamped_events.extend(r.events);
+        stamped_events.append(&mut r.recording.events);
     }
     // Reconstruct sequenced order from the per-core buffers. Under
     // MinCore, per-core clocks are nondecreasing and the sequencer grants
@@ -347,7 +332,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     let completion = if st.done_time > 0 {
         st.done_time
     } else {
-        core_cycles.iter().copied().max().unwrap_or(0)
+        reports.iter().map(|r| r.clock).max().unwrap_or(0)
     };
     let uli_links = {
         let r = config.topology().rows() as u64;
@@ -365,16 +350,16 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     RunReport {
         config_name: config.name.clone(),
         completion_cycles: completion,
-        core_cycles,
-        breakdowns,
-        instructions,
+        core_cycles: reports.iter().map(|r| r.clock).collect(),
+        breakdowns: reports.iter().map(|r| r.breakdown).collect(),
+        instructions: reports.iter().map(|r| r.instructions).collect(),
         mem_stats: st.mem.all_stats().to_vec(),
         traffic: *st.mem.traffic(),
         uli,
         stale_reads: st.mem.total_stale_reads(),
-        traces,
-        uli_marks,
-        attr_spans,
+        traces: reports.iter_mut().map(|r| take(&mut r.recording.trace)).collect(),
+        uli_marks: reports.iter_mut().map(|r| take(&mut r.recording.uli_marks)).collect(),
+        attr_spans: reports.iter_mut().map(|r| take(&mut r.recording.attr_spans)).collect(),
         fault_counters,
         mesh_fault_spikes: st.mem.mesh_fault_spikes(),
         seq_grants,
@@ -383,8 +368,8 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         seq_op_hash,
         mem_events,
         choice_points,
-        flight,
-        flight_totals,
+        flight: reports.iter_mut().map(|r| take(&mut r.recording.flight)).collect(),
+        flight_totals: reports.iter().map(|r| r.recording.flight_total).collect(),
     }
 }
 

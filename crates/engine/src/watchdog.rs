@@ -141,6 +141,7 @@ impl DiagnosticBundle {
         seq: SeqCoreDiag,
         uli: UliCoreState,
     ) -> CoreDiag {
+        let rec = &report.recording;
         CoreDiag {
             core,
             clock: report.clock,
@@ -149,9 +150,9 @@ impl DiagnosticBundle {
                 + report.breakdown.get(TimeCategory::UliWait),
             seq,
             uli,
-            last_events: report.trace.iter().rev().take(DIAG_LAST_EVENTS).rev().copied().collect(),
-            flight_tail: report.flight.clone(),
-            flight_total: report.flight_total,
+            last_events: rec.trace.iter().rev().take(DIAG_LAST_EVENTS).rev().copied().collect(),
+            flight_tail: rec.flight.clone(),
+            flight_total: rec.flight_total,
         }
     }
 }
