@@ -4,7 +4,6 @@ use bigtiny_mesh::CoreSet;
 
 use super::CorePort;
 use crate::breakdown::TimeCategory;
-use crate::fault::FaultCounters;
 use crate::flight::FlightKind;
 
 impl CorePort {
@@ -72,10 +71,5 @@ impl CorePort {
         let m = self.seq(None, |st, _, _| st.uli.dead_mask(), |_| None);
         self.charge(TimeCategory::Idle, 1);
         m
-    }
-
-    /// Faults injected on this core so far.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.faults.counters
     }
 }

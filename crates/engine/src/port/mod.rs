@@ -162,7 +162,10 @@ impl CorePort {
     pub fn set_done(&mut self) {
         self.seq(
             None,
-            |st, now, _| (st.done, st.done_time) = (true, st.done_time.max(now)),
+            |st, now, _| {
+                st.done = true;
+                st.done_time = st.done_time.max(now);
+            },
             |_| None,
         );
         self.mark_progress();
