@@ -135,6 +135,7 @@ impl Recorder {
         let flight = match kind {
             UliMarkKind::ReqSend { to } => FlightKind::UliReqSend { to },
             UliMarkKind::ReqRecv { from } => FlightKind::UliReqRecv { from },
+            UliMarkKind::ReqLost { .. } => FlightKind::FaultRxDrop,
             UliMarkKind::RespSend { to } => FlightKind::UliRespSend { to },
             UliMarkKind::RespRecv { from } => FlightKind::UliRespRecv { from },
         };
@@ -145,7 +146,8 @@ impl Recorder {
     }
 
     /// A steal request for `to` granted at `send_cycle`, with the fault
-    /// injected into it and the network's answer.
+    /// injected into it and the network's answer. Every send the network
+    /// accepts is marked, a delayed one too: its victim will receive it.
     pub(super) fn req_sent(
         &mut self,
         send_cycle: u64,
@@ -161,7 +163,12 @@ impl Recorder {
             UliSendFault::None => {}
             UliSendFault::Drop => self.note(clock, FlightKind::FaultUliDrop),
             UliSendFault::Nack => self.note(clock, FlightKind::FaultUliNack),
-            UliSendFault::Delay(extra) => self.note(clock, FlightKind::FaultUliDelay { extra }),
+            UliSendFault::Delay(extra) => {
+                if let (Some(m), UliOutcome::Sent) = (self.uli_marks.as_mut(), out) {
+                    m.push(UliMark { cycle: send_cycle, kind: UliMarkKind::ReqSend { to } });
+                }
+                self.note(clock, FlightKind::FaultUliDelay { extra });
+            }
         }
         match out {
             UliOutcome::Nack { .. } => self.note(clock, FlightKind::UliNack { to }),

@@ -39,8 +39,10 @@ impl CorePort {
     /// Delivers a request a sequenced operation took — unless fault
     /// injection loses it before the handler sees it (a dropped interrupt).
     pub(super) fn deliver_uli(&mut self, msg: UliMessage) {
+        let from = msg.from;
         if self.faults.on_uli_receive() {
-            self.rec.note(self.clock.cycle, FlightKind::FaultRxDrop);
+            let at = self.clock.cycle;
+            self.rec.uli(at, at, UliMarkKind::ReqLost { from });
             return;
         }
         // Architectural interrupt cost: drain in-flight instructions and
@@ -49,7 +51,7 @@ impl CorePort {
         self.clock.breakdown.add(TimeCategory::Uli, cost);
         self.clock.cycle += cost;
         let at = self.clock.cycle;
-        self.rec.uli(at, at, UliMarkKind::ReqRecv { from: msg.from });
+        self.rec.uli(at, at, UliMarkKind::ReqRecv { from });
         let mut h = self.handler.take().expect("handler present when dispatching");
         self.in_handler = true;
         h(self, msg);

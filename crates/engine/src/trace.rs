@@ -20,10 +20,9 @@ pub struct TraceEvent {
 }
 
 /// A timestamped ULI protocol point on one core, recorded only while
-/// tracing is enabled. The observability layer pairs sends with receives
-/// (FIFO per directed core pair, which is the ULI network's delivery
-/// order) to draw request/response flow arrows between cores in exported
-/// Perfetto traces.
+/// tracing. The observability layer pairs each send with its receive or
+/// loss (FIFO per directed core pair, the ULI network's delivery order)
+/// to draw flow arrows between cores in exported Perfetto traces.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UliMark {
     /// Cycle at which the mark was recorded on its core.
@@ -35,14 +34,21 @@ pub struct UliMark {
 /// The ULI protocol points recorded as [`UliMark`]s.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum UliMarkKind {
-    /// A steal request left this core for `to` (recorded only when the
-    /// network accepted it — NACKs and fault-dropped sends leave no mark).
+    /// A steal request the network accepted, a fault-delayed one too, left
+    /// for `to`. A NACKed send and one the network fault-drops leave no
+    /// mark; one lost at the receiver is marked, and answered by `ReqLost`.
     ReqSend {
         /// Destination (victim) core.
         to: usize,
     },
     /// A steal request from `from` was delivered to this core's handler.
     ReqRecv {
+        /// Originating (thief) core.
+        from: usize,
+    },
+    /// A steal request from `from` reached this core and was lost before
+    /// its handler ran (a receive-side fault): it answers a send, no arrow.
+    ReqLost {
         /// Originating (thief) core.
         from: usize,
     },

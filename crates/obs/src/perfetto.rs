@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bigtiny_core::{TaskEventKind, TaskLedger, TaskRun};
-use bigtiny_engine::UliMarkKind;
+use bigtiny_engine::{UliMark, UliMarkKind};
 
 use crate::json::{schemas, Json};
 
@@ -216,65 +216,85 @@ fn emit_critpath_track(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
     }
 }
 
-/// ULI request/response pairs as flow arrows.
-///
-/// Marks are FIFO-paired per directed `(sender, receiver)` pair — the ULI
-/// network delivers in order per pair, so the k-th send matches the k-th
-/// receive. Under fault injection a send may have been dropped in flight;
-/// unmatched marks are skipped (a flow arrow needs both ends).
-fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &mut u64) {
-    // (sender, receiver, is_response) -> (send cycles, recv cycles)
-    type PairKey = (usize, usize, bool);
-    let mut pairs: BTreeMap<PairKey, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
-    for (core, marks) in r.run.report.uli_marks.iter().enumerate() {
+/// One ULI message drawn as a flow arrow: it left `sender` at `sent` and
+/// reached `receiver` at `received`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct UliFlow {
+    sender: usize,
+    receiver: usize,
+    response: bool,
+    sent: u64,
+    received: u64,
+}
+
+/// Pairs per-core ULI marks into flows, FIFO per directed `(sender,
+/// receiver)` pair and kind — the ULI network delivers in order per pair,
+/// so the k-th send is the k-th receive or loss. A request lost at the
+/// receiver (`ReqLost`) uses up its send and draws no arrow; a send still
+/// in flight when the run ends pairs with nothing.
+fn pair_uli_marks(marks: &[Vec<UliMark>]) -> Vec<UliFlow> {
+    // (sender, receiver, is_response) -> (send cycles, receive cycles;
+    // `None` for a loss)
+    type Sides = (Vec<u64>, Vec<Option<u64>>);
+    let mut pairs: BTreeMap<(usize, usize, bool), Sides> = BTreeMap::new();
+    for (core, marks) in marks.iter().enumerate() {
         for m in marks {
-            match m.kind {
-                UliMarkKind::ReqSend { to } => {
-                    pairs.entry((core, to, false)).or_default().0.push(m.cycle)
-                }
-                UliMarkKind::ReqRecv { from } => {
-                    pairs.entry((from, core, false)).or_default().1.push(m.cycle)
-                }
-                UliMarkKind::RespSend { to } => {
-                    pairs.entry((core, to, true)).or_default().0.push(m.cycle)
-                }
-                UliMarkKind::RespRecv { from } => {
-                    pairs.entry((from, core, true)).or_default().1.push(m.cycle)
-                }
+            let (key, received) = match m.kind {
+                UliMarkKind::ReqSend { to } => ((core, to, false), None),
+                UliMarkKind::RespSend { to } => ((core, to, true), None),
+                UliMarkKind::ReqRecv { from } => ((from, core, false), Some(Some(m.cycle))),
+                UliMarkKind::ReqLost { from } => ((from, core, false), Some(None)),
+                UliMarkKind::RespRecv { from } => ((from, core, true), Some(Some(m.cycle))),
+            };
+            let sides = pairs.entry(key).or_default();
+            match received {
+                None => sides.0.push(m.cycle),
+                Some(r) => sides.1.push(r),
             }
         }
     }
-    for ((sender, receiver, is_resp), (sends, recvs)) in pairs {
-        let name = if is_resp { "uli_resp" } else { "uli_req" };
-        for (s_cycle, r_cycle) in sends.iter().zip(recvs.iter()) {
-            let id = Json::u64(*flow_id);
-            *flow_id += 1;
-            events.push(Json::row(
-                &PAIRED,
-                [
-                    Json::lit(name),
-                    Json::lit("uli"),
-                    Json::lit("s"),
-                    id.clone(),
-                    Json::u64(*s_cycle),
-                    Json::u64(pid),
-                    Json::u64(sender as u64),
-                ],
-            ));
-            events.push(Json::row(
-                &FLOW_FINISH,
-                [
-                    Json::lit(name),
-                    Json::lit("uli"),
-                    Json::lit("f"),
-                    Json::lit("e"),
-                    id,
-                    Json::u64((*r_cycle).max(*s_cycle)),
-                    Json::u64(pid),
-                    Json::u64(receiver as u64),
-                ],
-            ));
+    let mut flows = Vec::new();
+    for ((sender, receiver, response), (sends, recvs)) in pairs {
+        for (&sent, received) in sends.iter().zip(recvs) {
+            if let Some(received) = received {
+                flows.push(UliFlow { sender, receiver, response, sent, received });
+            }
         }
+    }
+    flows
+}
+
+/// ULI request/response pairs ([`pair_uli_marks`]) as flow arrows.
+fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &mut u64) {
+    for f in pair_uli_marks(&r.run.report.uli_marks) {
+        let name = if f.response { "uli_resp" } else { "uli_req" };
+        let id = Json::u64(*flow_id);
+        *flow_id += 1;
+        events.push(Json::row(
+            &PAIRED,
+            [
+                Json::lit(name),
+                Json::lit("uli"),
+                Json::lit("s"),
+                id.clone(),
+                Json::u64(f.sent),
+                Json::u64(pid),
+                Json::u64(f.sender as u64),
+            ],
+        ));
+        events.push(Json::row(
+            &FLOW_FINISH,
+            [
+                Json::lit(name),
+                Json::lit("uli"),
+                Json::lit("f"),
+                Json::lit("e"),
+                id,
+                Json::u64(f.received),
+                Json::u64(pid),
+                Json::u64(f.receiver as u64),
+            ],
+        ));
     }
 }
 
@@ -476,6 +496,39 @@ mod tests {
         validate_chrome_trace(&doc).expect("cross-run ids stay unique");
     }
 
+    /// A loss uses up the send it answers, so the next receive pairs with
+    /// the next send and no arrow points back in time; a send still in
+    /// flight at the end pairs with nothing.
+    #[test]
+    fn uli_marks_pair_fifo_with_losses_consuming_sends() {
+        let mark = |cycle, kind| UliMark { cycle, kind };
+        let marks = vec![
+            vec![
+                mark(10, UliMarkKind::ReqSend { to: 1 }),
+                mark(20, UliMarkKind::ReqSend { to: 1 }),
+                mark(30, UliMarkKind::ReqSend { to: 1 }),
+                mark(40, UliMarkKind::RespRecv { from: 1 }),
+            ],
+            vec![
+                mark(12, UliMarkKind::ReqLost { from: 0 }),
+                mark(25, UliMarkKind::ReqRecv { from: 0 }),
+                mark(26, UliMarkKind::RespSend { to: 0 }),
+            ],
+        ];
+        let flow = |sender, receiver, response, sent, received| UliFlow {
+            sender,
+            receiver,
+            response,
+            sent,
+            received,
+        };
+        assert_eq!(
+            pair_uli_marks(&marks),
+            [flow(0, 1, false, 20, 25), flow(1, 0, true, 26, 40)],
+            "the loss at 12 answers the send at 10; the send at 30 is in flight"
+        );
+    }
+
     #[test]
     fn validator_rejects_unbalanced_documents() {
         let bad = |events: &str| -> String {
@@ -488,6 +541,8 @@ mod tests {
         assert!(bad(&format!("[{b},{e_early}]")).contains("after end"));
         let s = r#"{"name":"u","cat":"uli","ph":"s","id":7,"ts":5,"pid":1,"tid":0}"#;
         assert!(bad(&format!("[{s}]")).contains("1 starts, 0 finishes"));
+        let f_early = r#"{"name":"u","cat":"uli","ph":"f","bp":"e","id":7,"ts":4,"pid":1,"tid":1}"#;
+        assert!(bad(&format!("[{s},{f_early}]")).contains("start 5 after finish 4"));
         assert!(bad(r#"[{"ph":"X","pid":1,"ts":0,"dur":-1}]"#).contains("negative dur"));
         assert!(bad(r#"[{"ph":"??","pid":1,"ts":0}]"#).contains("unknown event phase"));
         assert!(validate_chrome_trace(&parse_json(r#"{"traceEvents":[]}"#).unwrap()).is_ok());

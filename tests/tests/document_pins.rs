@@ -38,9 +38,9 @@ const TRACES: &[(&str, usize, u64, [usize; 5])] = &[
     ("ligra-bfs @ b.T/MESI", 1199792, 0xdf05ba1f14b9c8e1, [16077, 9, 0, 1, 66]),
     (
         "cilk5-nq @ b.T/HCC-DTS-gwb, hostile",
-        16924510,
-        0x83c074fa06be0716,
-        [221374, 63, 563, 11, 66],
+        16930336,
+        0x237aacc41b160a53,
+        [221374, 63, 599, 11, 66],
     ),
     ("two runs", 4573396, 0xfe4918fae0a05a14, [58640, 72, 1070, 18, 132]),
 ];

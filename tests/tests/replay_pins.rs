@@ -24,10 +24,10 @@ use bigtiny_engine::{ExecBackend, FaultPlan, Protocol, RunReport, TimeBreakdown,
 /// which thread arrives last classifies no grant.
 const PINS: &[(&str, &str, u64, u64, u64, u64)] = &[
     ("cilk5-nq", "none", 0x2ca6_3833_6859_7f84, 0xe26f_b9c7_04a7_64ff, 37863, 10311),
-    ("cilk5-nq", "hostile", 0xdb82_80cc_635e_ca1f, 0x3b03_c71d_8ada_b7ba, 215737, 66551),
+    ("cilk5-nq", "hostile", 0xdb82_80cc_635e_ca1f, 0xa333_09fb_b1a8_01e3, 215737, 66551),
     ("cilk5-nq", "crash-storm", 0x8be8_6c6a_ea7d_5695, 0xa8b7_9fda_15cd_e2cb, 74181, 19483),
     ("ligra-bfs", "none", 0xfc7a_f083_3d73_9acc, 0x5f9c_141f_69ab_462b, 118106, 34951),
-    ("ligra-bfs", "hostile", 0xacd1_82f4_cec0_58b7, 0x811f_7ecd_a690_874f, 182794, 56534),
+    ("ligra-bfs", "hostile", 0xacd1_82f4_cec0_58b7, 0x61cc_a0c8_3218_f6c2, 182794, 56534),
     ("ligra-bfs", "crash-storm", 0xdd41_b194_8851_fc60, 0xea7a_4553_d13e_1153, 97530, 26005),
 ];
 
@@ -79,6 +79,7 @@ fn stream_fold(r: &RunReport) -> u64 {
                 UliMarkKind::ReqRecv { from } => (1, from),
                 UliMarkKind::RespSend { to } => (2, to),
                 UliMarkKind::RespRecv { from } => (3, from),
+                UliMarkKind::ReqLost { from } => (4, from),
             };
             h = fold_u64(fold_u64(fold_u64(h, m.cycle), tag), peer as u64);
         }
