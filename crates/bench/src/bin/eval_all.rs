@@ -1,6 +1,5 @@
 //! Runs the 13-kernel × 7-configuration big.TINY matrix once and emits the
-//! data for Figures 5, 6, 7, 8 and Table IV in one pass (the standalone
-//! binaries re-run the matrix; this one is for full reproduction runs).
+//! data for Figures 5, 6, 7, 8 and Table IV in one pass.
 //!
 //! `--blackbox-out` leaves flight-recorder forensics behind: a crash-time
 //! bundle on a watchdog trip or poison, the first dirty run on a failed
@@ -67,9 +66,9 @@ fn main() {
     println!("== Figure 6: tiny-core L1D hit rate ({size:?}) ==\n");
     println!("{}", figures::fig6(&results));
     println!("== Figure 7: tiny-core time breakdown, normalized to b.T/MESI ({size:?}) ==\n");
-    println!("{}", figures::fig7(&results, "Total"));
+    println!("{}", figures::fig7(&results));
     println!("== Figure 8: OCN traffic by category, normalized to b.T/MESI ({size:?}) ==\n");
-    println!("{}", figures::fig8(&results, "total"));
+    println!("{}", figures::fig8(&results));
 
     // Table IV and the ULI summary compare every HCC protocol against its
     // DTS pairing, which only the 64-core matrix runs in full.

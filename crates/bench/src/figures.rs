@@ -1,10 +1,8 @@
 //! The figure and table renderers of the evaluation, each written once.
 //!
 //! Figures 5–8 and Table IV are "the same runs as Table III" read five
-//! ways, so each is a function over the result matrix that `eval_all` (the
-//! one-pass reference run) and the standalone `fig5`–`fig8`/`table4`
-//! binaries both call: a figure cannot differ between the two. Titles and
-//! "expected shape" footers stay with the caller.
+//! ways, so each is a function over the result matrix that `eval_all`
+//! runs once.
 //!
 //! The matrix is the `Vec` [`Harness::run_matrix`](crate::live::Harness::run_matrix)
 //! returns: kernel-major, every kernel run on the same setups, the
@@ -94,8 +92,8 @@ fn normalized(
 
 /// Figure 7: tiny-core execution-time breakdown (the paper's six groups)
 /// per kernel and configuration, normalized to the baseline.
-pub fn fig7(results: &[AppResult], total: &str) -> String {
-    normalized(results, total, |r| {
+pub fn fig7(results: &[AppResult]) -> String {
+    normalized(results, "Total", |r| {
         let b = r.tiny_breakdown();
         (b.paper_groups().to_vec(), b.total())
     })
@@ -103,8 +101,8 @@ pub fn fig7(results: &[AppResult], total: &str) -> String {
 
 /// Figure 8: data-OCN bytes by message category (the paper's legend order)
 /// per kernel and configuration, normalized to the baseline.
-pub fn fig8(results: &[AppResult], total: &str) -> String {
-    normalized(results, total, |r| {
+pub fn fig8(results: &[AppResult]) -> String {
+    normalized(results, "total", |r| {
         let classes = TRAFFIC_CLASSES.iter().filter(|c| **c != TrafficClass::Uli);
         let bytes = classes.map(|c| (c.label(), r.run.report.traffic.bytes(*c)));
         (bytes.collect(), r.traffic_bytes())

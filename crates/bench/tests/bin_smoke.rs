@@ -1,9 +1,8 @@
 //! Tier-1 smoke tests for every figure/table binary: each one runs on a
 //! tiny input and must exit cleanly with a rendered table, and every
 //! machine-readable artifact it writes must survive the strict parsers.
-//! Before this suite, the `fig4`–`fig8`/`table1`–`table5` bins wrote
-//! result files no tool validated, so bin rot only surfaced when someone
-//! tried to regenerate a paper figure.
+//! `eval_all` is the one entry point for Figures 5–8 and Table IV, so its
+//! test checks every one of those sections.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -124,52 +123,9 @@ fn fig4_renders_granularity_sweep() {
 }
 
 #[test]
-fn fig5_renders_speedups_and_valid_json() {
-    let json = scratch("fig5.jsonl");
-    let mut env = TINY.to_vec();
-    let json_s = json.to_str().unwrap().to_owned();
-    env.push(("BIGTINY_JSON", &json_s));
-    let out = run_bin(env!("CARGO_BIN_EXE_fig5"), &env, &[]);
-    assert_renders_table(&out, "fig5", "Figure 5");
-    assert!(out.contains("geomean"), "missing geomean row:\n{out}");
-    assert_json_lines_valid(&json, "fig5");
-}
-
-#[test]
-fn fig6_renders_hit_rates() {
-    let out = run_bin(env!("CARGO_BIN_EXE_fig6"), TINY, &[]);
-    assert_renders_table(&out, "fig6", "Figure 6");
-    assert!(out.contains('%'), "hit rates should be percentages:\n{out}");
-}
-
-#[test]
-fn fig7_renders_time_breakdowns() {
-    let out = run_bin(env!("CARGO_BIN_EXE_fig7"), TINY, &[]);
-    assert_renders_table(&out, "fig7", "Figure 7");
-    assert!(out.contains("Flush"), "missing breakdown category:\n{out}");
-}
-
-#[test]
-fn fig8_renders_traffic_and_valid_json() {
-    let json = scratch("fig8.jsonl");
-    let mut env = TINY.to_vec();
-    let json_s = json.to_str().unwrap().to_owned();
-    env.push(("BIGTINY_JSON", &json_s));
-    let out = run_bin(env!("CARGO_BIN_EXE_fig8"), &env, &[]);
-    assert_renders_table(&out, "fig8", "Figure 8");
-    assert_json_lines_valid(&json, "fig8");
-}
-
-#[test]
 fn table3_renders_serial_and_o3_comparison() {
     let out = run_bin(env!("CARGO_BIN_EXE_table3"), TINY, &[]);
     assert_renders_table(&out, "table3", "Table III");
-}
-
-#[test]
-fn table4_renders_dts_reductions() {
-    let out = run_bin(env!("CARGO_BIN_EXE_table4"), TINY, &[]);
-    assert_renders_table(&out, "table4", "Table IV");
 }
 
 #[test]
@@ -180,54 +136,74 @@ fn table5_renders_256_core_results() {
     assert_renders_table(&out, "table5", "Table V");
 }
 
+/// The part of `eval_all`'s stdout under its `== {title}` heading, up to
+/// the next heading.
+fn section<'a>(out: &'a str, title: &str) -> &'a str {
+    let start = out.find(&format!("== {title}")).unwrap_or_else(|| panic!("no {title}:\n{out}"));
+    let body = &out[start..];
+    &body[..body[1..].find("\n== ").map_or(body.len(), |end| end + 1)]
+}
+
 #[test]
 fn eval_all_emits_valid_metrics_and_trace_documents() {
     let metrics = scratch("eval-metrics.json");
     let trace = scratch("eval-trace.json");
+    let json = scratch("eval.jsonl");
+    let json_s = json.to_str().unwrap().to_owned();
     let out = run_bin(
         env!("CARGO_BIN_EXE_eval_all"),
-        TINY,
+        &[TINY, &[("BIGTINY_JSON", &json_s)]].concat(),
         &["--metrics-out", metrics.to_str().unwrap(), "--trace-out", trace.to_str().unwrap()],
     );
-    assert!(out.contains("Figure 5") && out.contains("Table IV"), "missing sections:\n{out}");
+    for title in ["Figure 5", "Figure 6", "Figure 7", "Figure 8", "Table IV"] {
+        assert_renders_table(section(&out, title), "eval_all", title);
+    }
+    let fig5 = section(&out, "Figure 5");
+    assert!(fig5.contains("geomean"), "missing geomean row:\n{fig5}");
+    let fig6 = section(&out, "Figure 6");
+    assert!(fig6.contains('%'), "hit rates should be percentages:\n{fig6}");
+    let fig7 = section(&out, "Figure 7");
+    assert!(fig7.contains("Flush"), "missing breakdown category:\n{fig7}");
+    assert_json_lines_valid(&json, "eval_all");
 
+    // `--trace-out` arms the observability trio on every run, so each
+    // run's metrics carry a live critical-path profile.
     let mdoc = parse_json(std::fs::read_to_string(&metrics).unwrap().trim_end())
         .expect("metrics document parses strictly");
     assert_eq!(mdoc.get("schema").and_then(|s| s.as_str()), Some(METRICS_SCHEMA));
     let runs = mdoc.get("runs").and_then(|r| r.as_arr()).expect("runs array");
     assert_eq!(runs.len(), 7, "one run per (app, setup): 1 app x 7 setups");
     for r in runs {
-        for section in ["breakdown", "coherence", "mesh", "uli", "faults", "watchdog", "steals"] {
-            assert!(
-                r.get(section).is_some(),
-                "run {}/{} missing section {section}",
-                r.get("app").and_then(|v| v.as_str()).unwrap_or("?"),
-                r.get("setup").and_then(|v| v.as_str()).unwrap_or("?"),
-            );
+        let setup = r.get("setup").and_then(|v| v.as_str()).unwrap_or("?");
+        let sections =
+            ["breakdown", "coherence", "mesh", "uli", "faults", "watchdog", "steals", "critpath"];
+        for name in sections {
+            assert!(r.get(name).is_some(), "run {setup} missing section {name}");
         }
+        if setup.contains("DTS") {
+            let attempts = r.get("steals").unwrap().get("attempts").unwrap().as_num().unwrap();
+            assert!(attempts > 0.0, "DTS run {setup} recorded no steal attempts");
+        }
+        let cp = r.get("critpath").unwrap();
+        assert_eq!(cp.get("profiled").map(|p| p.to_json()), Some("true".into()), "{setup}");
+        assert!(cp.get("span").unwrap().as_num().unwrap() > 0.0, "{setup}: zero span");
+        assert_eq!(
+            cp.get("conservation").unwrap().get("holds").map(|h| h.to_json()),
+            Some("true".into()),
+            "{setup}: cycle-conservation invariant violated"
+        );
     }
 
+    // The summary `eval_all` printed from the document it wrote is the
+    // summary of the document read back.
     let tdoc = parse_json(std::fs::read_to_string(&trace).unwrap().trim_end())
         .expect("trace document parses strictly");
     let s = validate_chrome_trace(&tdoc).expect("trace validates structurally");
     assert!(s.complete > 0 && s.async_pairs > 0 && s.flows > 0, "trace is empty: {s:?}");
+    let printed =
+        format!("({} spans, {} task lifetimes, {} flows)", s.complete, s.async_pairs, s.flows);
+    assert!(out.contains(&printed), "trace changed on its way to disk: {s:?}\n{out}");
 
-    let _ = std::fs::remove_file(&metrics);
-    let _ = std::fs::remove_file(&trace);
-}
-
-#[test]
-fn trace_smoke_passes_and_writes_artifacts() {
-    let metrics = scratch("smoke-metrics.json");
-    let trace = scratch("smoke-trace.json");
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_trace_smoke"),
-        &[],
-        &["--metrics-out", metrics.to_str().unwrap(), "--trace-out", trace.to_str().unwrap()],
-    );
-    assert!(out.contains("[trace_smoke] OK"), "missing OK marker:\n{out}");
-    assert!(out.contains("zero-overhead pin holds"), "missing pin line:\n{out}");
-    assert!(metrics.exists() && trace.exists(), "artifacts not written");
     let _ = std::fs::remove_file(&metrics);
     let _ = std::fs::remove_file(&trace);
 }
@@ -479,7 +455,7 @@ fn json_check_accepts_nested_documents_and_rejects_garbage() {
 }
 
 // ---------------------------------------------------------------------
-// The CLI contract, one table over all 27 binaries.
+// The CLI contract, one table over all 21 binaries.
 // ---------------------------------------------------------------------
 
 /// What one binary accepts: the flags it takes and the environment
@@ -505,7 +481,7 @@ macro_rules! bin {
     };
 }
 
-const BINS: [Bin; 27] = [
+const BINS: [Bin; 21] = [
     bin!("ablate_deque", [METRICS_OUT, SIZE]),
     bin!("ablate_dts", [SIZE]),
     bin!("ablate_faults", [SIZE, APPS, JSON, FAULT_SEED_ENV]),
@@ -533,10 +509,6 @@ const BINS: [Bin; 27] = [
         ]
     ),
     bin!("fig4", [SIZE]),
-    bin!("fig5", [SIZE, APPS, JSON]),
-    bin!("fig6", [SIZE, APPS, JSON]),
-    bin!("fig7", [SIZE, APPS, JSON]),
-    bin!("fig8", [SIZE, APPS, JSON]),
     bin!("json_check", [], ["results.jsonl"]),
     bin!("metrics_diff", [THRESHOLD, ALLOW_MISSING], ["base.json", "new.json"]),
     bin!("model_check", [MC_OUT, MC_SCHEDULES, MC_DEPTH, MC_APPS]),
@@ -544,10 +516,8 @@ const BINS: [Bin; 27] = [
     bin!("table1", []),
     bin!("table2", []),
     bin!("table3", [SIZE, APPS, JSON]),
-    bin!("table4", [SIZE, APPS, JSON]),
     bin!("table5", [SIZE]),
     bin!("tail_run", [ONCE, INTERVAL_MS, IDLE_EXIT], ["heartbeat.jsonl"]),
-    bin!("trace_smoke", [METRICS_OUT, TRACE_OUT]),
     bin!("unsafe_audit", [], ["."]),
 ];
 
@@ -570,9 +540,9 @@ fn usage_lists(usage: &str, opt: &cli::Opt) -> bool {
 }
 
 #[test]
-fn the_contract_counts_29_flags_and_9_variables() {
+fn the_contract_counts_27_flags_and_9_variables() {
     let flags: usize = BINS.iter().map(|b| b.flags().count()).sum();
-    assert_eq!(flags, 29, "a binary gained or lost a flag");
+    assert_eq!(flags, 27, "a binary gained or lost a flag");
     let mut vars: Vec<&str> =
         BINS.iter().flat_map(|b| b.opts.iter()).filter(|o| !o.is_flag()).map(|o| o.name).collect();
     vars.sort_unstable();
@@ -666,7 +636,8 @@ fn every_binary_rejects_unknown_flags_and_malformed_values_identically() {
 /// that can meet them: `BIGTINY_SIZE=tset` ran Large inputs in `table5`
 /// and panicked elsewhere, an uncreatable `--heartbeat-out`/`BIGTINY_JSON`
 /// panicked with exit 101, `chaos_fuzz --budget 0` passed vacuously,
-/// `tail_run --interval-ms 0` spun, `fig5 --help` ran the sweep.)
+/// `tail_run --interval-ms 0` spun, a figure binary's `--help` ran the
+/// sweep.)
 #[test]
 fn nothing_silently_runs_something_else() {
     let lists_kernels = |stderr: &str| {
@@ -676,7 +647,7 @@ fn nothing_silently_runs_something_else() {
     };
     // Ran one kernel of the two asked for.
     let env = [("BIGTINY_SIZE", "test"), ("BIGTINY_APPS", "cilk5-nq,cilk5-typo")];
-    let stderr = usage_error(env!("CARGO_BIN_EXE_fig6"), &env, &[]);
+    let stderr = usage_error(env!("CARGO_BIN_EXE_eval_all"), &env, &[]);
     assert!(stderr.contains("BIGTINY_APPS: unknown kernel `cilk5-typo`"), "{stderr}");
     lists_kernels(&stderr);
     // Panicked deep in `prepare`, after exploring the first kernel.

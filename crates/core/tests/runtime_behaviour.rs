@@ -158,7 +158,7 @@ fn dts_reduces_invalidations_and_flushes() {
     // Counting *operations*: DTS structurally eliminates the per-deque-
     // access invalidate/flush pairs, so its op counts must collapse. (The
     // paper's Table IV line-count reductions emerge at full scale and are
-    // checked by the table4 harness.)
+    // printed by `eval_all`.)
     let tiny: Vec<usize> = (1..8).collect();
     let hcc = run_pf(RuntimeKind::Hcc);
     let dts = run_pf(RuntimeKind::Dts);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Captures the harness surface: runs ~80 commands of the `bigtiny-bench`
+# Captures the harness surface: runs ~70 commands of the `bigtiny-bench`
 # binaries at test size (every binary's `--help`, and the `json_check`
 # pass over every artifact, count one command each) and keeps every
 # command's stdout (NAME.out), stderr (NAME.err) and exit status (NAME.rc),
@@ -83,8 +83,8 @@ run eval_all.256 $nq "$bin/eval_all" --setups-256 --fault-plan crash-storm --fau
     --metrics-out m256_metrics.json
 run eval_all.usage "$bin/eval_all" --fault-seed 0x9
 
-# Every table and figure binary.
-for b in table1 table2 table3 table4 table5 fig4 fig5 fig6 fig7 fig8; do
+# Every other table and figure binary.
+for b in table1 table2 table3 table5 fig4; do
     run "$b" "$bin/$b"
 done
 run energy "$bin/energy"
@@ -97,20 +97,18 @@ run ablate_faults $nq BIGTINY_FAULT_SEED=9 "$bin/ablate_faults"
 run ablate_grain "$bin/ablate_grain"
 run ablate_sparse "$bin/ablate_sparse"
 
-# Profiler, oracles, fuzzer, observability smoke.
+# Profiler, oracles, fuzzer, heartbeat reader.
 run profile_run "$bin/profile_run" --app cilk5-nq --metrics-out profile_metrics.json \
     --trace-out profile_trace.json
 run check_all BIGTINY_CHECK_OUT=check_verdicts.json "$bin/check_all"
 run model_check BIGTINY_MC_OUT=mc_verdicts.json "$bin/model_check"
 run chaos_fuzz "$bin/chaos_fuzz" --budget 5 --seed 1
-run trace_smoke "$bin/trace_smoke" --metrics-out smoke_metrics.json --trace-out smoke_trace.json
 run tail_run "$bin/tail_run" --once heartbeat.jsonl
 
 # Every artifact through the strict parser.
 for doc in eval_all.jsonl eval_metrics.json eval_trace.json hostile.jsonl crash.jsonl \
     crash_metrics.json heartbeat.jsonl threads_metrics.json m256_metrics.json deque_metrics.json \
-    profile_metrics.json profile_trace.json check_verdicts.json mc_verdicts.json \
-    smoke_metrics.json smoke_trace.json; do
+    profile_metrics.json profile_trace.json check_verdicts.json mc_verdicts.json; do
     run "json_check.$doc" "$bin/json_check" "$doc"
 done
 
@@ -125,8 +123,8 @@ run unsafe_audit "$bin/unsafe_audit" "$root"
 
 # Every binary's generated usage text.
 for b in ablate_deque ablate_dts ablate_faults ablate_grain ablate_sparse chaos_fuzz check_all \
-    collab energy eval_all fig4 fig5 fig6 fig7 fig8 json_check metrics_diff model_check \
-    profile_run table1 table2 table3 table4 table5 tail_run trace_smoke unsafe_audit; do
+    collab energy eval_all fig4 json_check metrics_diff model_check profile_run table1 table2 \
+    table3 table5 tail_run unsafe_audit; do
     run "help.$b" "$bin/$b" --help
 done
 
