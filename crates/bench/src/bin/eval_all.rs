@@ -1,5 +1,11 @@
-//! Runs the 13-kernel × 7-configuration big.TINY matrix once and emits the
-//! data for Figures 5, 6, 7, 8 and Table IV in one pass.
+//! Runs every machine of the 64-core evaluation once per kernel and
+//! prints Table III, Figures 5–8, Table IV, the energy table and the
+//! collaborative-execution table from those runs.
+//!
+//! Each kernel runs on serial-IO, `O3x{1,4,8}` and the 60 tiny cores
+//! alone, then on the seven big.TINY configurations; the figures, Table
+//! IV and the metrics and trace documents read only the big.TINY runs.
+//! `--fault-plan` and `--setups-256` run only the big.TINY machines.
 //!
 //! `--blackbox-out` leaves flight-recorder forensics behind: a crash-time
 //! bundle on a watchdog trip or poison, the first dirty run on a failed
@@ -41,11 +47,19 @@ fn main() {
             Setup::bt_256(Protocol::GpuWb, RuntimeKind::Hcc),
             Setup::bt_256(Protocol::GpuWb, RuntimeKind::Dts),
         ]
-    } else {
+    } else if harness.faults().is_some() {
         Setup::big_tiny_matrix()
+    } else {
+        let mut setups = vec![Setup::serial_io(), Setup::o3(1), Setup::o3(4), Setup::o3(8)];
+        setups.push(Setup::tiny_only(60));
+        setups.extend(Setup::big_tiny_matrix());
+        setups
     };
     harness.announce();
-    let results = harness.run_matrix(&setups);
+    // `partition` keeps run order: `results` is the kernel-major big.TINY
+    // matrix the figures and documents read, `base` the other machines.
+    let (results, base): (Vec<_>, Vec<_>) =
+        harness.run_matrix(&setups).into_iter().partition(|r| r.setup.starts_with("b.T"));
 
     if let Some(path) = args.text(&cli::METRICS_OUT) {
         write_doc(path, &metrics_doc(&results));
@@ -79,6 +93,25 @@ fn main() {
         println!("{}", figures::table4(&results));
         println!("== ULI network summary (DTS configurations) ==\n");
         print!("{}", figures::uli_summary(&results));
+    }
+
+    // A crash plan leaves no survivor on the 1-core serial-IO machine, and
+    // the 64-core baselines do not pair with the 256-core machines.
+    if base.is_empty() {
+        println!(
+            "(Table III, energy and collaborative execution need the fault-free 64-core \
+             baselines; skipped)"
+        );
+    } else {
+        println!("== Table III: simulated application kernels ({size:?}) ==\n");
+        println!(
+            "Speedups: O3x* and b.T/MESI over serial-IO; protocol columns relative to b.T/MESI.\n"
+        );
+        println!("{}", figures::table3(&base, &results));
+        println!("== Energy (total, arbitrary units) normalized to b.T/MESI ({size:?}) ==\n");
+        println!("{}", figures::energy(&base, &results, &setups));
+        println!("== Collaborative execution on big.TINY/MESI: cycles ({size:?}) ==\n");
+        println!("{}", figures::collab(&base, &results));
     }
 
     if harness.faults().is_some() {

@@ -1,5 +1,5 @@
 //! Critical-path profiler harness: answers "why doesn't my kernel
-//! scale?" for one app on the big.TINY configurations.
+//! scale?" for the `BIGTINY_APPS` kernels on the big.TINY configurations.
 //!
 //! Arms task-event recording and per-task cycle attribution (both
 //! bit-for-bit invisible to simulated results), replays the task DAG, and
@@ -24,15 +24,7 @@ use bigtiny_obs::{replay_run, verify_attr_spans, CycleConservation, CycleLens, W
 
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
-    &[
-        &cli::APP,
-        &cli::DTS_ONLY,
-        &cli::METRICS_OUT,
-        &cli::TRACE_OUT,
-        &cli::HEARTBEAT_OUT,
-        &cli::SIZE,
-        &cli::APPS,
-    ],
+    &[&cli::METRICS_OUT, &cli::TRACE_OUT, &cli::HEARTBEAT_OUT, &cli::SIZE, &cli::APPS],
 );
 
 fn main() {
@@ -40,9 +32,6 @@ fn main() {
     let harness = Harness::new(&args);
     let size = harness.size;
     let mut setups = Setup::big_tiny_matrix();
-    if args.given(&cli::DTS_ONLY) {
-        setups.retain(|s| s.label.contains("DTS"));
-    }
     // The profile needs attribution and task events on every run;
     // `--trace-out` adds per-core tracing through the harness.
     setups.iter_mut().for_each(|s| observe(s, false));
@@ -118,15 +107,9 @@ fn main() {
     println!("== Cycle conservation (buckets sum exactly to core-cycles) ==\n");
     println!("{}", render_table(&cons_header, &conservation_rows));
 
-    // The burdened span decomposed by category, for the slowest DTS run
-    // (or the last run when DTS was filtered out): the direct answer to
-    // "what is on my critical path?".
-    if let Some(r) = results
-        .iter()
-        .filter(|r| r.setup.contains("DTS"))
-        .max_by_key(|r| r.cycles)
-        .or_else(|| results.last())
-    {
+    // The burdened span decomposed by category, for the slowest DTS run:
+    // the direct answer to "what is on my critical path?".
+    if let Some(r) = results.iter().filter(|r| r.setup.contains("DTS")).max_by_key(|r| r.cycles) {
         let cp = replay_run(&r.run, CycleLens::Burdened).expect("profiled above");
         println!("== Burden on the critical path: {} @ {} ==\n", r.app, r.setup);
         print!("{}", cp.span_breakdown);

@@ -33,8 +33,6 @@ pub enum Kind {
     FaultPlan,
     /// A file this run will write: it must be creatable now.
     OutPath,
-    /// One registered kernel name.
-    Kernel,
     /// Comma-separated kernel names: the registry's plus the ones listed.
     Kernels(&'static [&'static str]),
     /// An input scale: `test`, `eval` or `large`.
@@ -51,7 +49,6 @@ impl Kind {
             Kind::Percent => "a finite number >= 0",
             Kind::FaultPlan => "a named fault plan or key=value spec",
             Kind::OutPath => "a creatable file path",
-            Kind::Kernel => "a registered kernel",
             Kind::Kernels(_) => "comma-separated kernel names",
             Kind::Size => "one of test|eval|large",
         }
@@ -86,7 +83,7 @@ macro_rules! options {
         $(#[doc = concat!("`", $name, "`: ", $help, ".")]
         pub const $id: Opt =
             Opt { name: $name, metavar: $metavar, kind: $kind, default: $default, help: $help };)*
-        /// The whole table: the 19 flags, then the 9 environment variables.
+        /// The whole table: the 17 flags, then the 9 environment variables.
         pub const ALL: &[&Opt] = &[$(&$id),*];
     };
 }
@@ -116,8 +113,6 @@ options! {
     BUDGET: "--budget" "N", Kind::PositiveU64, Some("25"), "number of fault plans to sample";
     SEED: "--seed" "S", Kind::U64, Some("1"), "seed of the plan-sampling stream";
     FAIL_FAST: "--fail-fast" "", Kind::Switch, None, "stop at the first dirty cell";
-    APP: "--app" "NAME", Kind::Kernel, None, "run one kernel instead of the BIGTINY_APPS list";
-    DTS_ONLY: "--dts-only" "", Kind::Switch, None, "only the three DTS configurations";
     ONCE: "--once" "", Kind::Switch, None, "render the current tail once and exit";
     INTERVAL_MS: "--interval-ms" "N", Kind::PositiveU64, Some("500"),
         "refresh cadence in follow mode";
@@ -190,7 +185,6 @@ fn validate(opt: &Opt, raw: &str) -> Result<(), String> {
         Kind::PositiveU64 => is(raw.parse::<u64>().is_ok_and(|n| n > 0)),
         Kind::Percent => is(raw.parse::<f64>().is_ok_and(|v| v.is_finite() && v >= 0.0)),
         Kind::Size => is(size_named(raw).is_some()),
-        Kind::Kernel => kernels(vec![raw], &[]),
         Kind::Kernels(also) => kernels(raw.split(',').map(str::trim).collect(), also),
         Kind::OutPath => {
             probe_creatable(raw).map_err(|e| format!("{name}: cannot create `{raw}`: {e}"))
@@ -387,12 +381,11 @@ impl Args {
         self.text(&SIZE).and_then(size_named).expect("validated, and the table has a default")
     }
 
-    /// The kernels to run: the one `--app` names, else those
-    /// `BIGTINY_APPS` names (in registry order), else all of them.
+    /// The kernels to run: those `BIGTINY_APPS` names (in registry order),
+    /// else all of them.
     pub fn apps(&self) -> Vec<AppSpec> {
         let mut apps = all_apps();
-        let one = self.text(&APP).map(|app| vec![app]);
-        if let Some(names) = one.or_else(|| self.names(&APPS)) {
+        if let Some(names) = self.names(&APPS) {
             apps.retain(|a| names.contains(&a.name));
         }
         apps
@@ -444,7 +437,7 @@ mod tests {
                 validate(opt, default).unwrap_or_else(|e| panic!("bad default: {e}"));
             }
         }
-        assert_eq!(ALL.iter().filter(|o| o.is_flag()).count(), 19);
+        assert_eq!(ALL.iter().filter(|o| o.is_flag()).count(), 17);
         assert_eq!(ALL.iter().filter(|o| !o.is_flag()).count(), 9);
         for name in FaultPlan::NAMES {
             assert!(FAULT_PLAN.help.contains(name), "--fault-plan help omits {name}");
@@ -604,15 +597,6 @@ mod tests {
         }
         let e = usage_error(&ENVS, &[], &[("BIGTINY_MC_APPS", "fib,fob")]);
         assert!(e.starts_with("BIGTINY_MC_APPS: unknown kernel `fob`") && e.contains("fib, "));
-        const PROFILE: Spec = Spec::new("profile", &[&APP, &APPS]);
-        for bad in ["cilk5-typo", "cilk5-nq,ligra-tc", ""] {
-            let e = usage_error(&PROFILE, &["--app", bad], &[]);
-            assert!(e.starts_with(&format!("--app: unknown kernel `{bad}`")), "{e}");
-        }
-        let args =
-            parse(&PROFILE, &["--app", "ligra-tc"], &[("BIGTINY_APPS", "cilk5-nq")]).unwrap();
-        let picked: Vec<&str> = args.apps().iter().map(|a| a.name).collect();
-        assert_eq!(picked, ["ligra-tc"], "--app overrides the list");
     }
 
     #[cfg(unix)]
@@ -669,7 +653,7 @@ mod tests {
             files
         };
         let bins = rust_files(&src.join("bin"));
-        assert_eq!(bins.len(), 21, "a binary was added or removed: update the CLI contract");
+        assert_eq!(bins.len(), 18, "a binary was added or removed: update the CLI contract");
         for path in bins.iter().chain(&rust_files(&src)) {
             let text = read(path);
             if !path.ends_with("cli.rs") {

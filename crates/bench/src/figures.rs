@@ -1,18 +1,22 @@
 //! The figure and table renderers of the evaluation, each written once.
 //!
-//! Figures 5–8 and Table IV are "the same runs as Table III" read five
+//! Table III, Figures 5–8, Table IV, the energy table and the
+//! collaborative-execution table are one set of 64-core runs read eight
 //! ways, so each is a function over the result matrix that `eval_all`
 //! runs once.
 //!
 //! The matrix is the `Vec` [`Harness::run_matrix`](crate::live::Harness::run_matrix)
 //! returns: kernel-major, every kernel run on the same setups, the
-//! hardware-coherent baseline (`b.T/MESI` or `b.T-256/MESI`) first.
+//! hardware-coherent baseline (`b.T/MESI` or `b.T-256/MESI`) first. The
+//! renderers that also read the machines outside big.TINY (serial-IO, the
+//! O3 multicores, the tiny-only half) take those runs as a second matrix,
+//! `base`, looked up by kernel and label.
 
 use bigtiny_checker::audit_task_events;
-use bigtiny_engine::Protocol;
+use bigtiny_engine::{EnergyReport, Protocol};
 use bigtiny_mesh::{TrafficClass, TRAFFIC_CLASSES};
 
-use crate::{find_result, geomean, render_table, AppResult};
+use crate::{find_result, geomean, render_table, AppResult, Setup};
 
 const HCC_PROTOCOLS: [Protocol; 3] = [Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb];
 
@@ -31,26 +35,105 @@ fn header(cols: &[&str]) -> Vec<String> {
     cols.iter().map(|c| (*c).to_owned()).collect()
 }
 
+/// Per kernel, the baseline's cycles over each other run's.
+fn speedups(results: &[AppResult]) -> Vec<Vec<f64>> {
+    per_app(results)
+        .map(|runs| runs[1..].iter().map(|r| runs[0].cycles as f64 / r.cycles as f64).collect())
+        .collect()
+}
+
+/// One row per kernel, its `ratios` to two decimals behind its `leads`,
+/// then a `geomean` row of every ratio column.
+fn ratio_rows(leads: Vec<Vec<String>>, ratios: &[Vec<f64>]) -> Vec<Vec<String>> {
+    let cols = ratios.first().map_or(0, Vec::len);
+    let geo: Vec<f64> = (0..cols).map(|c| geomean(ratios.iter().map(|row| row[c]))).collect();
+    let mut geo_lead = vec![String::new(); leads.first().map_or(1, Vec::len)];
+    geo_lead[0] = "geomean".to_owned();
+    let rows = leads.into_iter().chain([geo_lead]).zip(ratios.iter().chain([&geo]));
+    rows.map(|(lead, r)| lead.into_iter().chain(r.iter().map(|v| format!("{v:.2}"))).collect())
+        .collect()
+}
+
 /// Figure 5: speedup of every other configuration over the baseline, per
 /// kernel, with a geomean row.
 pub fn fig5(results: &[AppResult]) -> String {
-    let labels = setups(results);
-    let mut rows = Vec::new();
-    let mut geo: Vec<Vec<f64>> = vec![Vec::new(); labels.len().saturating_sub(1)];
-    for runs in per_app(results) {
-        let mesi = runs[0].cycles as f64;
-        let mut row = vec![runs[0].app.to_owned()];
-        for (g, r) in geo.iter_mut().zip(&runs[1..]) {
-            let v = mesi / r.cycles as f64;
-            g.push(v);
-            row.push(format!("{v:.2}"));
-        }
-        rows.push(row);
+    let leads = per_app(results).map(|runs| vec![runs[0].app.to_owned()]).collect();
+    let rows = ratio_rows(leads, &speedups(results));
+    render_table(&header(&[&["Name"], &setups(results)[1..]].concat()), &rows)
+}
+
+/// Table III: per kernel, the work/span profile of its b.T/MESI run, the
+/// speedup of `O3x{1,4,8}` and b.T/MESI over serial-IO, and Figure 5's
+/// speedups of the six HCC configurations over b.T/MESI.
+pub fn table3(base: &[AppResult], bt: &[AppResult]) -> String {
+    let cols = [
+        "Name", "DInst", "Work", "Span", "Para", "IPT", // Cilkview-style columns
+        "O3x1", "O3x4", "O3x8", "b.T/MESI", // speedup over serial IO
+        "dnv", "gwt", "gwb", // HCC vs b.T/MESI
+        "DTS-dnv", "DTS-gwt", "DTS-gwb", // HCC+DTS vs b.T/MESI
+    ];
+    let (mut leads, mut ratios) = (Vec::new(), Vec::new());
+    for (runs, protocol) in per_app(bt).zip(speedups(bt)) {
+        let mesi = &runs[0];
+        let serial = find_result(base, mesi.app, "serial-io").cycles as f64;
+        let o3 = ["O3x1", "O3x4", "O3x8"].map(|label| find_result(base, mesi.app, label));
+        let over_serial = o3.into_iter().chain([mesi]).map(|r| serial / r.cycles as f64);
+        ratios.push(over_serial.chain(protocol).collect());
+        let ws = mesi.run.stats.workspan;
+        leads.push(vec![
+            mesi.app.to_owned(),
+            format!("{:.2}M", mesi.run.report.total_instructions() as f64 / 1e6),
+            format!("{:.2}M", ws.work as f64 / 1e6),
+            format!("{:.1}K", ws.span as f64 / 1e3),
+            format!("{:.1}", ws.parallelism()),
+            format!("{:.0}", ws.instructions_per_task()),
+        ]);
     }
-    let mut geo_row = vec!["geomean".to_owned()];
-    geo_row.extend(geo.iter().map(|g| format!("{:.2}", geomean(g.iter().copied()))));
-    rows.push(geo_row);
-    render_table(&header(&[&["Name"], &labels[1..]].concat()), &rows)
+    render_table(&header(&cols), &ratio_rows(leads, &ratios))
+}
+
+/// Energy: each kernel's first-order energy estimate on `O3x8` and on
+/// every big.TINY configuration, normalized to b.T/MESI. `machines` holds
+/// the setup each run's label names.
+pub fn energy(base: &[AppResult], bt: &[AppResult], machines: &[Setup]) -> String {
+    let energy_of = |r: &AppResult| {
+        let setup = machines.iter().find(|s| s.label == r.setup).expect("ran on a setup");
+        EnergyReport::estimate(&setup.sys, &r.run.report).total()
+    };
+    let mut cols = vec!["Name".to_owned(), "E O3x8".to_owned()];
+    cols.extend(setups(bt).iter().map(|label| format!("E {label}")));
+    let (mut leads, mut ratios) = (Vec::new(), Vec::new());
+    for runs in per_app(bt) {
+        let (mesi, o3x8) = (energy_of(&runs[0]), find_result(base, runs[0].app, "O3x8"));
+        ratios.push([o3x8].into_iter().chain(runs).map(|r| energy_of(r) / mesi).collect());
+        leads.push(vec![runs[0].app.to_owned()]);
+    }
+    render_table(&cols, &ratio_rows(leads, &ratios))
+}
+
+/// Collaborative execution: each kernel's cycles on the 4 big cores alone
+/// (`O3x4`), the 60 tiny cores alone (`tiny60/MESI`) and both together
+/// (b.T/MESI), and the combined machine's gain over its faster half.
+pub fn collab(base: &[AppResult], bt: &[AppResult]) -> String {
+    let cols = ["Name", "4 big only", "60 tiny only", "4 big + 60 tiny", "combined / best half"];
+    let mut rows = Vec::new();
+    let mut gains = Vec::new();
+    for runs in per_app(bt) {
+        let app = runs[0].app;
+        let (b, t, c) = (
+            find_result(base, app, "O3x4").cycles,
+            find_result(base, app, "tiny60/MESI").cycles,
+            runs[0].cycles,
+        );
+        let gain = b.min(t) as f64 / c as f64;
+        gains.push(gain);
+        let gain = format!("{gain:.2}x");
+        rows.push(vec![app.to_owned(), b.to_string(), t.to_string(), c.to_string(), gain]);
+    }
+    let blank = String::new;
+    let geo = format!("{:.2}x", geomean(gains));
+    rows.push(vec!["geomean".to_owned(), blank(), blank(), blank(), geo]);
+    render_table(&header(&cols), &rows)
 }
 
 /// Figure 6: aggregate tiny-core L1D hit rate per kernel and configuration.

@@ -12,7 +12,8 @@
 //! The binaries share three things, each decided in one module: what a
 //! command line and the `BIGTINY_*` environment may say ([`cli`]), how
 //! that arms runs and where their artifacts go ([`live`]), and how a
-//! result matrix reads as Figures 5–8 and Table IV ([`figures`]).
+//! result matrix reads as the paper's 64-core tables and figures
+//! ([`figures`]).
 
 use bigtiny_apps::{AppSize, AppSpec};
 use bigtiny_core::{run_task_parallel, RuntimeConfig, RuntimeKind, TaskRun};
@@ -48,6 +49,12 @@ impl Setup {
     /// `O3x{n}`: a traditional multicore of `n` big cores.
     pub fn o3(n: usize) -> Self {
         Self::new(&format!("O3x{n}"), SystemConfig::o3(n), RuntimeKind::Baseline)
+    }
+
+    /// `tiny{n}/MESI`: big.TINY's `n` tiny cores alone, hardware-coherent.
+    pub fn tiny_only(n: usize) -> Self {
+        let label = format!("tiny{n}/MESI");
+        Self::new(&label, SystemConfig::tiny_only(n, Protocol::Mesi), RuntimeKind::Baseline)
     }
 
     /// `big.TINY/MESI`: full-system hardware coherence.

@@ -122,7 +122,7 @@ pub fn observe(setup: &mut Setup, trace: bool) {
 pub struct Harness {
     /// Input scale (`BIGTINY_SIZE`).
     pub size: AppSize,
-    /// The kernels to run (`--app`, else `BIGTINY_APPS`, else all).
+    /// The kernels to run (`BIGTINY_APPS`, else all).
     pub apps: Vec<AppSpec>,
     /// `--fault-plan` as given, `--fault-seed`, and the plan they name.
     faults: Option<(String, u64, FaultPlan)>,

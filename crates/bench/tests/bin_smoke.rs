@@ -1,14 +1,17 @@
 //! Tier-1 smoke tests for every figure/table binary: each one runs on a
 //! tiny input and must exit cleanly with a rendered table, and every
 //! machine-readable artifact it writes must survive the strict parsers.
-//! `eval_all` is the one entry point for Figures 5–8 and Table IV, so its
-//! test checks every one of those sections.
+//! `eval_all` is the one entry point for Table III, Figures 5–8, Table IV,
+//! the energy table and the collaborative-execution table, so its test
+//! checks every one of those sections.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use bigtiny_bench::cli::{self, Kind};
-use bigtiny_bench::parse_json_line;
+use bigtiny_bench::{parse_json_line, JsonScalar, Setup};
+use bigtiny_core::RuntimeKind;
+use bigtiny_engine::Protocol;
 use bigtiny_obs::{parse_json, validate_chrome_trace, METRICS_SCHEMA};
 
 /// Runs a binary with the given env, asserting success; returns stdout.
@@ -123,12 +126,6 @@ fn fig4_renders_granularity_sweep() {
 }
 
 #[test]
-fn table3_renders_serial_and_o3_comparison() {
-    let out = run_bin(env!("CARGO_BIN_EXE_table3"), TINY, &[]);
-    assert_renders_table(&out, "table3", "Table III");
-}
-
-#[test]
 fn table5_renders_256_core_results() {
     // table5 runs a fixed 5-kernel list on the 256-core setups; Test size
     // keeps it to a couple of seconds.
@@ -155,11 +152,27 @@ fn eval_all_emits_valid_metrics_and_trace_documents() {
         &[TINY, &[("BIGTINY_JSON", &json_s)]].concat(),
         &["--metrics-out", metrics.to_str().unwrap(), "--trace-out", trace.to_str().unwrap()],
     );
-    for title in ["Figure 5", "Figure 6", "Figure 7", "Figure 8", "Table IV"] {
+    for title in [
+        "Figure 5",
+        "Figure 6",
+        "Figure 7",
+        "Figure 8",
+        "Table IV",
+        "Table III",
+        "Energy",
+        "Collaborative execution",
+    ] {
         assert_renders_table(section(&out, title), "eval_all", title);
     }
-    let fig5 = section(&out, "Figure 5");
-    assert!(fig5.contains("geomean"), "missing geomean row:\n{fig5}");
+    for title in ["Figure 5", "Table III", "Energy", "Collaborative execution"] {
+        let body = section(&out, title);
+        let geomean = body.lines().any(|l| l.trim_start().starts_with("geomean "));
+        assert!(geomean, "{title}: missing geomean row:\n{body}");
+    }
+    let table3 = section(&out, "Table III");
+    for column in ["O3x1", "serial-IO"] {
+        assert!(table3.contains(column), "Table III: missing {column}:\n{table3}");
+    }
     let fig6 = section(&out, "Figure 6");
     assert!(fig6.contains('%'), "hit rates should be percentages:\n{fig6}");
     let fig7 = section(&out, "Figure 7");
@@ -208,13 +221,51 @@ fn eval_all_emits_valid_metrics_and_trace_documents() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// Under a fault plan and on the 256-core machines, `eval_all` runs the
+/// big.TINY setups alone: one `BIGTINY_JSON` record per (kernel, setup),
+/// and one line saying why the sections that need the other machines are
+/// missing.
+#[test]
+fn eval_all_runs_only_big_tiny_machines_under_faults_and_256_cores() {
+    let json = scratch("big-tiny-only.jsonl");
+    let json_s = json.to_str().unwrap().to_owned();
+    let env = [TINY, &[("BIGTINY_JSON", &json_s)]].concat();
+    for (args, setups) in [
+        (&["--fault-plan", "hostile"][..], Setup::big_tiny_matrix()),
+        (
+            &["--setups-256"],
+            vec![
+                Setup::bt_256(Protocol::Mesi, RuntimeKind::Baseline),
+                Setup::bt_256(Protocol::GpuWb, RuntimeKind::Hcc),
+                Setup::bt_256(Protocol::GpuWb, RuntimeKind::Dts),
+            ],
+        ),
+    ] {
+        let out = run_bin(env!("CARGO_BIN_EXE_eval_all"), &env, args);
+        let skipped = out.lines().filter(|l| l.contains("Table III, energy and collaborative"));
+        assert_eq!(skipped.count(), 1, "{args:?}: one skip line:\n{out}");
+        assert!(!out.contains("== Table III"), "{args:?}: Table III printed:\n{out}");
+        let text = std::fs::read_to_string(&json).expect("records written");
+        let runs: Vec<JsonScalar> = text
+            .lines()
+            .map(|line| {
+                let kv = parse_json_line(line).expect("strict record");
+                kv.into_iter().find(|(k, _)| k == "setup").expect("setup field").1
+            })
+            .collect();
+        let want: Vec<JsonScalar> = setups.into_iter().map(|s| JsonScalar::Str(s.label)).collect();
+        assert_eq!(runs, want, "{args:?}: one record per big.TINY setup, nothing else");
+        let _ = std::fs::remove_file(&json);
+    }
+}
+
 #[test]
 fn profile_run_reports_and_writes_valid_v2_metrics() {
     let metrics = scratch("profile-metrics.json");
     let out = run_bin(
         env!("CARGO_BIN_EXE_profile_run"),
-        &[("BIGTINY_SIZE", "test")],
-        &["--app", "cilk5-nq", "--dts-only", "--metrics-out", metrics.to_str().unwrap()],
+        TINY,
+        &["--metrics-out", metrics.to_str().unwrap()],
     );
     assert!(out.contains("[profile_run] OK"), "missing OK marker:\n{out}");
     assert_renders_table(&out, "profile_run", "Critical-path profile");
@@ -455,7 +506,7 @@ fn json_check_accepts_nested_documents_and_rejects_garbage() {
 }
 
 // ---------------------------------------------------------------------
-// The CLI contract, one table over all 21 binaries.
+// The CLI contract, one table over all 18 binaries.
 // ---------------------------------------------------------------------
 
 /// What one binary accepts: the flags it takes and the environment
@@ -481,7 +532,7 @@ macro_rules! bin {
     };
 }
 
-const BINS: [Bin; 21] = [
+const BINS: [Bin; 18] = [
     bin!("ablate_deque", [METRICS_OUT, SIZE]),
     bin!("ablate_dts", [SIZE]),
     bin!("ablate_faults", [SIZE, APPS, JSON, FAULT_SEED_ENV]),
@@ -489,8 +540,6 @@ const BINS: [Bin; 21] = [
     bin!("ablate_sparse", []),
     bin!("chaos_fuzz", [BUDGET, SEED, HEARTBEAT_OUT, BLACKBOX_OUT, SIZE, APPS]),
     bin!("check_all", [FAIL_FAST, HEARTBEAT_OUT, BLACKBOX_OUT, SIZE, APPS, CHECK_OUT]),
-    bin!("collab", [SIZE, APPS]),
-    bin!("energy", [SIZE, APPS, JSON]),
     bin!(
         "eval_all",
         [
@@ -512,10 +561,9 @@ const BINS: [Bin; 21] = [
     bin!("json_check", [], ["results.jsonl"]),
     bin!("metrics_diff", [THRESHOLD, ALLOW_MISSING], ["base.json", "new.json"]),
     bin!("model_check", [MC_OUT, MC_SCHEDULES, MC_DEPTH, MC_APPS]),
-    bin!("profile_run", [APP, DTS_ONLY, METRICS_OUT, TRACE_OUT, HEARTBEAT_OUT, SIZE, APPS]),
+    bin!("profile_run", [METRICS_OUT, TRACE_OUT, HEARTBEAT_OUT, SIZE, APPS]),
     bin!("table1", []),
     bin!("table2", []),
-    bin!("table3", [SIZE, APPS, JSON]),
     bin!("table5", [SIZE]),
     bin!("tail_run", [ONCE, INTERVAL_MS, IDLE_EXIT], ["heartbeat.jsonl"]),
     bin!("unsafe_audit", [], ["."]),
@@ -540,9 +588,9 @@ fn usage_lists(usage: &str, opt: &cli::Opt) -> bool {
 }
 
 #[test]
-fn the_contract_counts_27_flags_and_9_variables() {
+fn the_contract_counts_25_flags_and_9_variables() {
     let flags: usize = BINS.iter().map(|b| b.flags().count()).sum();
-    assert_eq!(flags, 27, "a binary gained or lost a flag");
+    assert_eq!(flags, 25, "a binary gained or lost a flag");
     let mut vars: Vec<&str> =
         BINS.iter().flat_map(|b| b.opts.iter()).filter(|o| !o.is_flag()).map(|o| o.name).collect();
     vars.sort_unstable();
@@ -665,7 +713,8 @@ fn nothing_silently_runs_something_else() {
         assert!(stderr.contains("`0x9` is not a u64"), "{stderr}");
     }
     // Ignored a flag that is real elsewhere and started the full sweep.
-    let stderr = usage_error(env!("CARGO_BIN_EXE_table3"), TINY, &["--fault-plan", "hostile"]);
+    let stderr =
+        usage_error(env!("CARGO_BIN_EXE_ablate_grain"), TINY, &["--fault-plan", "hostile"]);
     assert!(stderr.contains("`--fault-plan`"), "{stderr}");
 }
 
@@ -683,7 +732,7 @@ fn a_refused_run_leaves_no_artifact_behind() {
     assert!(!metrics.exists(), "the probe of --metrics-out left a file behind");
 }
 
-/// The five binaries whose outputs EXPERIMENTS.md cites but that neither
+/// The three binaries whose outputs EXPERIMENTS.md cites but that neither
 /// CI nor any other test runs.
 #[test]
 fn the_remaining_experiment_binaries_run_at_test_size() {
@@ -692,8 +741,6 @@ fn the_remaining_experiment_binaries_run_at_test_size() {
         (env!("CARGO_BIN_EXE_ablate_dts"), "ablate_dts", size, "Ablation 5: baseline deque"),
         (env!("CARGO_BIN_EXE_ablate_grain"), "ablate_grain", TINY, "Granularity sensitivity"),
         (env!("CARGO_BIN_EXE_ablate_sparse"), "ablate_sparse", &[], "Dense vs hybrid sparse/dense"),
-        (env!("CARGO_BIN_EXE_collab"), "collab", TINY, "Collaborative execution"),
-        (env!("CARGO_BIN_EXE_energy"), "energy", TINY, "Energy (total, arbitrary units)"),
     ] {
         assert_renders_table(&run_bin(exe, env, &[]), bin, marker);
     }

@@ -67,7 +67,8 @@ nq=BIGTINY_APPS=cilk5-nq
 # The baselines the regression gates below compare against.
 cp "$root"/results/metrics_{baseline,crash,deque}_test.json .
 
-# Figures 5-8 and Table IV: the full matrix, then flag sets on one kernel.
+# Table III, Figures 5-8, Table IV, energy and collaborative execution: the
+# full matrix, then flag sets on one kernel.
 run eval_all BIGTINY_JSON=eval_all.jsonl "$bin/eval_all"
 run eval_all.obs $nq "$bin/eval_all" --metrics-out eval_metrics.json --trace-out eval_trace.json
 run eval_all.hostile $nq BIGTINY_JSON=hostile.jsonl "$bin/eval_all" \
@@ -84,11 +85,9 @@ run eval_all.256 $nq "$bin/eval_all" --setups-256 --fault-plan crash-storm --fau
 run eval_all.usage "$bin/eval_all" --fault-seed 0x9
 
 # Every other table and figure binary.
-for b in table1 table2 table3 table5 fig4; do
+for b in table1 table2 table5 fig4; do
     run "$b" "$bin/$b"
 done
-run energy "$bin/energy"
-run collab "$bin/collab"
 
 # Ablations.
 run ablate_deque "$bin/ablate_deque" --metrics-out deque_metrics.json
@@ -98,7 +97,7 @@ run ablate_grain "$bin/ablate_grain"
 run ablate_sparse "$bin/ablate_sparse"
 
 # Profiler, oracles, fuzzer, heartbeat reader.
-run profile_run "$bin/profile_run" --app cilk5-nq --metrics-out profile_metrics.json \
+run profile_run $nq "$bin/profile_run" --metrics-out profile_metrics.json \
     --trace-out profile_trace.json
 run check_all BIGTINY_CHECK_OUT=check_verdicts.json "$bin/check_all"
 run model_check BIGTINY_MC_OUT=mc_verdicts.json "$bin/model_check"
@@ -123,8 +122,8 @@ run unsafe_audit "$bin/unsafe_audit" "$root"
 
 # Every binary's generated usage text.
 for b in ablate_deque ablate_dts ablate_faults ablate_grain ablate_sparse chaos_fuzz check_all \
-    collab energy eval_all fig4 json_check metrics_diff model_check profile_run table1 table2 \
-    table3 table5 tail_run unsafe_audit; do
+    eval_all fig4 json_check metrics_diff model_check profile_run table1 table2 table5 tail_run \
+    unsafe_audit; do
     run "help.$b" "$bin/$b" --help
 done
 
