@@ -15,13 +15,21 @@
 //!   protocol and leave hardware-coherent MESI clean.
 //! * **Audit pinning** — the `RacyTag` whitelist and the set of audited
 //!   benign-race call sites in the source tree must match exactly.
+//! * **Output pinning** — every rendered finding, dedup count and audit
+//!   count of a 120-cell mutation matrix and of a seeded synthetic stream
+//!   folds into one constant each, so a change to how the passes keep
+//!   their state cannot move a single byte of any report unnoticed.
 
 use bigtiny_apps::{app_by_name, AppSize};
-use bigtiny_checker::{check_run, CheckReport, ViolationKind};
+use bigtiny_checker::{check_events, check_run, CheckReport, ViolationKind};
+use bigtiny_coherence::Addr;
 use bigtiny_core::{
     run_task_parallel, Mutation, MutationKind, RuntimeConfig, RuntimeKind, TaskRun,
 };
-use bigtiny_engine::{AddrSpace, CheckMode, Protocol, RacyTag, SystemConfig};
+use bigtiny_engine::{
+    hash, AddrSpace, CheckMode, MemEvent, MemOp, Protocol, RacyTag, SyncNote, SystemConfig,
+    XorShift64,
+};
 use bigtiny_mesh::{MeshConfig, Topology};
 
 /// 16-core mixed machine with the checker fully armed.
@@ -308,4 +316,143 @@ fn scan_dir(dir: &str, used: &mut std::collections::BTreeMap<String, usize>) {
             }
         }
     }
+}
+
+/// Folds everything a report says into `h`: each finding as rendered
+/// (kind, core, cycle, address, detail), the dedup count, the audited
+/// racy-load counts and the verdict hash.
+fn fold_report(mut h: u64, report: &CheckReport) -> u64 {
+    for v in &report.violations {
+        h = hash::fnv1a_continue(h, v.to_string().as_bytes());
+    }
+    h = hash::fnv1a_continue(h, &report.suppressed.to_le_bytes());
+    for n in report.racy_loads {
+        h = hash::fnv1a_continue(h, &n.to_le_bytes());
+    }
+    hash::fnv1a_continue(h, &report.verdict_hash().to_le_bytes())
+}
+
+/// A runtime-config edit that seeds one variant of the mutation matrix.
+type Tweak = fn(&mut RuntimeConfig);
+
+/// The whole checker output over 120 real runs: three kernels × four
+/// tiny-core protocols × {HCC, DTS} × {unmutated, `skip_coherence_ops`,
+/// one dropped invalidate, one dropped flush, `has_stolen_child` stuck at
+/// false}. About a third of the cells are dirty, with findings of every
+/// kind a runtime bug can produce, so the pin holds the reporting order,
+/// the dedup choice and every detail string, not just the verdicts.
+#[test]
+fn mutation_matrix_output_is_pinned() {
+    const PIN: u64 = 0x2fbf_4364_933e_c70c;
+    let variants: [(&str, Tweak); 5] = [
+        ("none", |_| {}),
+        ("skip_coherence_ops", |rt| rt.skip_coherence_ops = true),
+        ("drop_invalidate", |rt| {
+            rt.mutation = Some(Mutation { kind: MutationKind::DropInvalidate, core: TINY, nth: 0 })
+        }),
+        ("drop_flush", |rt| {
+            rt.mutation = Some(Mutation { kind: MutationKind::DropFlush, core: TINY, nth: 1 })
+        }),
+        ("hsc_stuck_false", |rt| {
+            rt.mutation = Some(Mutation { kind: MutationKind::HscStuckFalse, core: 0, nth: 0 })
+        }),
+    ];
+    let mut h = hash::FNV_OFFSET;
+    let (mut dirty, mut kinds) = (0, std::collections::BTreeMap::new());
+    for name in ["cilk5-nq", "cilk5-mt", "ligra-bfs"] {
+        for proto in [Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb, Protocol::Mesi] {
+            for kind in [RuntimeKind::Hcc, RuntimeKind::Dts] {
+                for (label, tweak) in variants {
+                    let (sys, run) = run_checked(name, proto, kind, tweak);
+                    let report = check_run(&sys, &run.report);
+                    h = hash::fnv1a_continue(
+                        h,
+                        format!("{name} {proto:?} {kind:?} {label}").as_bytes(),
+                    );
+                    h = fold_report(h, &report);
+                    dirty += usize::from(!report.is_clean());
+                    for v in &report.violations {
+                        *kinds.entry(v.kind.label()).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(dirty >= 30 && kinds.len() >= 6 && kinds["hb-race"] > 0, "{dirty} dirty, {kinds:?}");
+    assert_eq!(h, PIN, "checker output moved: {h:#018x} ({dirty} dirty cells, {kinds:?})");
+}
+
+/// A seeded stream over eight mixed-protocol cores that exercises every
+/// op and note the passes read, plus two explicit episodes in which three
+/// unordered cores read a word before a plain store and an AMO to it: the
+/// finding kept must name the lowest such reader and the rest must count
+/// as suppressed, whatever layout the read sets take.
+#[test]
+fn synthetic_stream_output_is_pinned() {
+    use Protocol::{DeNovo, GpuWb, GpuWt, Mesi};
+    const PIN: u64 = 0x7757_69ed_abe2_7b05;
+    const PROTOCOLS: [Protocol; 8] = [Mesi, Mesi, DeNovo, DeNovo, GpuWt, GpuWt, GpuWb, GpuWb];
+    let (hot, cold) = (0x1000u64, 0x10_0000u64);
+    let mut events = Vec::new();
+    let push = |events: &mut Vec<MemEvent>, core: usize, op: MemOp| {
+        events.push(MemEvent { cycle: events.len() as u64, core, op });
+    };
+    for (word, writer) in [
+        (0x40u64, MemOp::Store { addr: Addr(0x40), racy: None }),
+        (0x48, MemOp::Amo { addr: Addr(0x48) }),
+    ] {
+        for reader in [5, 1, 3] {
+            push(&mut events, reader, MemOp::Load { addr: Addr(word), racy: None });
+        }
+        push(&mut events, 6, writer);
+    }
+    let mut rng = XorShift64::new(0x4452_465f_5049_4e53);
+    for _ in 0..60_000 {
+        let core = rng.next_below(PROTOCOLS.len() as u64) as usize;
+        let addr = Addr(if rng.next_below(4) == 0 {
+            cold + rng.next_below(4096) * 8
+        } else {
+            hot + rng.next_below(32) * 8
+        });
+        let tag = RacyTag::ALL[rng.next_below(RacyTag::ALL.len() as u64) as usize];
+        let other = rng.next_below(PROTOCOLS.len() as u64) as usize;
+        let op = match rng.next_below(40) {
+            0..=13 => MemOp::Load { addr, racy: None },
+            14..=16 => MemOp::Load { addr, racy: Some(tag) },
+            17..=23 => MemOp::Store { addr, racy: None },
+            24..=25 => MemOp::Store { addr, racy: Some(tag) },
+            26..=29 => MemOp::Amo { addr },
+            30..=31 => MemOp::InvalidateAll,
+            32..=33 => MemOp::FlushAll,
+            34 => MemOp::Sync(SyncNote::DequeAcquire { lock: addr }),
+            35 => MemOp::Sync(SyncNote::DequeRelease { lock: addr }),
+            36 => MemOp::Sync(if rng.next_below(2) == 0 {
+                SyncNote::HscSet { task: rng.next_below(64) as u32 }
+            } else {
+                SyncNote::HscElide { task: rng.next_below(64) as u32 }
+            }),
+            37 => MemOp::Sync(SyncNote::UliReqSend { to: other }),
+            38 => MemOp::Sync(SyncNote::HandlerEnter { from: other }),
+            _ => MemOp::Sync(if rng.next_below(2) == 0 {
+                SyncNote::UliRespSend { to: other }
+            } else {
+                SyncNote::UliRespRecv { from: other }
+            }),
+        };
+        push(&mut events, core, op);
+    }
+    let report = check_events(&PROTOCOLS, CheckMode::Full, &events);
+    let first: Vec<String> = report.violations.iter().take(2).map(|v| v.to_string()).collect();
+    assert_eq!(
+        first,
+        [
+            "[hb-race] core 6 cycle 3 addr 0x40: plain store races with plain load by core 1 at cycle 1",
+            "[hb-race] core 6 cycle 7 addr 0x48: atomic write races with plain load by core 1 at cycle 5",
+        ]
+    );
+    for kind in ViolationKind::ALL {
+        assert!(report.count(kind) > 0, "no {} finding:\n{}", kind.label(), report.render());
+    }
+    let h = fold_report(hash::FNV_OFFSET, &report);
+    assert_eq!(h, PIN, "checker output moved: {h:#018x}\n{}", report.render());
 }
