@@ -1,9 +1,16 @@
 //! Happens-before race detection over the op stream.
 //!
-//! A FastTrack-flavoured vector-clock pass. The stream is replayed in
-//! merged `(cycle, core)` order — which the engine guarantees equals grant
-//! order — and each core carries a full vector clock. Synchronization
-//! edges come from five sources, all explicit in the stream:
+//! A vector-clock pass. The stream is replayed in merged `(cycle, core)`
+//! order — which the engine guarantees equals grant order — and each core
+//! carries a full vector clock. Per word the pass keeps only what the run
+//! touched: the last write epoch `(core, clock, cycle)`, one such epoch
+//! per core that plain-read the word since that write (sorted by core, so
+//! a write reports its unordered readers lowest core first), and a sync
+//! clock once something releases on the word. FastTrack's single-reader
+//! epoch (Flanagan & Freund, PLDI 2009) is deliberately not used: keeping
+//! fewer readers would change which race a write reports and how many it
+//! suppresses. Synchronization edges come from five sources, all explicit
+//! in the stream:
 //!
 //! * **AMOs** are acquire-release on the accessed word's sync clock
 //!   (every runtime lock, CAS, and join-counter decrement is an AMO).
@@ -28,22 +35,19 @@
 //! Audited benign-race loads ([`MemOp::Load`] with `racy: Some(_)`) are
 //! exempt: they neither race nor record a read epoch.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use bigtiny_coherence::Addr;
 use bigtiny_engine::{MemEvent, MemOp, RacyTag, SyncNote};
 
-use crate::{Collector, ViolationKind, WordMap};
+use crate::{Collector, ViolationKind, WordHasher};
 
-/// A vector clock over all cores.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A vector clock over all cores (empty for a word nothing released on).
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 struct Vc(Vec<u64>);
 
 impl Vc {
-    fn new(n: usize) -> Self {
-        Vc(vec![0; n])
-    }
-
     fn join(&mut self, other: &Vc) {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a = (*a).max(*b);
@@ -56,50 +60,59 @@ impl Vc {
     }
 }
 
+/// One access: which core, at which tick of its own clock, at which
+/// simulated cycle (diagnostics only).
+#[derive(Clone, Copy)]
+struct Epoch {
+    core: usize,
+    clock: u64,
+    cycle: u64,
+}
+
 /// Last-access metadata for one word.
 #[derive(Default)]
 struct WordState {
-    /// Last write epoch: `(core, clock, cycle, atomic)`.
-    write: Option<(usize, u64, u64, bool)>,
-    /// Per-core last plain-read clocks (lazily allocated: most words are
-    /// written before they are ever read by a second core).
-    reads: Option<Box<[u64]>>,
-    /// Cycle of the most recent plain read per core (diagnostics only).
-    read_cycles: Option<Box<[u64]>>,
+    /// Last write epoch, and whether that write was atomic.
+    write: Option<(Epoch, bool)>,
+    /// Each core's latest plain read since the last write, sorted by core.
+    reads: Vec<Epoch>,
+    /// Sync clock: release stores and AMOs publish here.
+    sync: Vc,
 }
 
 /// The happens-before pass.
 pub(crate) struct HbPass {
-    ncores: usize,
     /// Per-core vector clock.
     vc: Vec<Vc>,
-    /// Per-word sync clock (release stores and AMOs publish here).
-    sync: WordMap<Vc>,
-    /// Per-word last-access state for the race check.
-    words: WordMap<WordState>,
+    /// Per-word state, indexed by the dense word id `check_events` assigns.
+    words: Vec<WordState>,
     /// Armed by a `DequeRelease` note: the next store to this word by this
     /// core is the release store.
     pending_release: Vec<Option<u64>>,
     /// In-flight ULI message clocks, keyed `(from, to, kind)` where kind 0
     /// is a request and 1 a response. FIFO per key (mesh delivers ULI
     /// point-to-point in order).
-    uli: HashMap<(usize, usize, u8), Vec<Vc>>,
+    uli: HashMap<(usize, usize, u8), VecDeque<Vc>, BuildHasherDefault<WordHasher>>,
+    /// Clocks of delivered ULI messages, reused by the next sends.
+    spare: Vec<Vc>,
 }
 
 impl HbPass {
-    pub(crate) fn new(ncores: usize) -> Self {
-        let mut vc = vec![Vc::new(ncores); ncores];
-        for (i, c) in vc.iter_mut().enumerate() {
-            c.0[i] = 1;
-        }
+    /// A pass over `ncores` cores, with room for `words` word ids.
+    pub(crate) fn new(ncores: usize, words: usize) -> Self {
+        let vc = (0..ncores).map(|i| Vc((0..ncores).map(|j| u64::from(i == j)).collect()));
         HbPass {
-            ncores,
-            vc,
-            sync: WordMap::default(),
-            words: WordMap::default(),
+            vc: vc.collect(),
+            words: Vec::with_capacity(words),
             pending_release: vec![None; ncores],
-            uli: HashMap::new(),
+            uli: HashMap::default(),
+            spare: Vec::new(),
         }
+    }
+
+    /// Makes room for the next dense word id.
+    pub(crate) fn add_word(&mut self) {
+        self.words.push(WordState::default());
     }
 
     fn bump(&mut self, core: usize) {
@@ -107,147 +120,104 @@ impl HbPass {
     }
 
     /// Acquire: join the word's sync clock into the core's clock.
-    fn acquire(&mut self, core: usize, word: u64) {
-        if let Some(s) = self.sync.get(&word) {
-            self.vc[core].join(s);
-        }
+    fn acquire(&mut self, core: usize, id: usize) {
+        self.vc[core].join(&self.words[id].sync);
     }
 
-    /// Record an atomic write epoch on `word` (no race versus other
-    /// atomics; still races with unordered plain accesses).
-    fn atomic_write(&mut self, core: usize, cycle: u64, word: u64, col: &mut Collector) {
-        let clock = self.vc[core].0[core];
-        let st = self.words.entry(word).or_default();
-        // Versus the previous plain write.
-        if let Some((wc, wk, wcy, atomic)) = st.write {
-            if !atomic && wc != core && !self.vc[core].covers(wc, wk) {
-                col.report(
-                    ViolationKind::HbRace,
-                    core,
-                    cycle,
-                    Some(Addr(word)),
-                    word,
-                    format!("atomic write races with plain store by core {wc} at cycle {wcy}"),
-                );
-            }
+    /// Release: join the core's clock into the word's sync clock in place
+    /// (join, so an interleaved foreign release — impossible under correct
+    /// locking — cannot erase edges), then bump.
+    fn release(&mut self, core: usize, id: usize) {
+        let sync = &mut self.words[id].sync;
+        if sync.0.is_empty() {
+            sync.0.clone_from(&self.vc[core].0);
+        } else {
+            sync.join(&self.vc[core]);
         }
-        // Versus unordered plain reads.
-        if let Some(reads) = &st.reads {
-            for rc in 0..self.ncores {
-                if rc != core && reads[rc] > 0 && !self.vc[core].covers(rc, reads[rc]) {
-                    let rcy = st.read_cycles.as_ref().map_or(0, |c| c[rc]);
-                    col.report(
-                        ViolationKind::HbRace,
-                        core,
-                        cycle,
-                        Some(Addr(word)),
-                        word,
-                        format!("atomic write races with plain load by core {rc} at cycle {rcy}"),
-                    );
-                }
-            }
-        }
-        st.write = Some((core, clock, cycle, true));
-        st.reads = None;
-        st.read_cycles = None;
+        self.bump(core);
     }
 
-    fn plain_read(&mut self, core: usize, cycle: u64, word: u64, col: &mut Collector) {
-        let st = self.words.entry(word).or_default();
-        if let Some((wc, wk, wcy, atomic)) = st.write {
-            if wc != core && !self.vc[core].covers(wc, wk) {
+    /// Records a write epoch after checking it against the last write and
+    /// every unordered plain read since. An atomic write (AMO, release
+    /// store or audited racy store) races only with plain accesses.
+    fn write(&mut self, ev: &MemEvent, addr: Addr, id: usize, atomic: bool, col: &mut Collector) {
+        let (core, vc, st) = (ev.core, &self.vc[ev.core], &mut self.words[id]);
+        let what = if atomic { "atomic write" } else { "plain store" };
+        if let Some((w, w_atomic)) = st.write {
+            if !(atomic && w_atomic) && w.core != core && !vc.covers(w.core, w.clock) {
+                let other = match (atomic, w_atomic) {
+                    (true, _) => "plain store",
+                    (false, true) => "atomic write",
+                    (false, false) => "plain write",
+                };
+                let detail =
+                    format!("{what} races with {other} by core {} at cycle {}", w.core, w.cycle);
+                col.report(ViolationKind::HbRace, core, ev.cycle, Some(addr), addr.0, detail);
+            }
+        }
+        for r in &st.reads {
+            if r.core != core && !vc.covers(r.core, r.clock) {
+                let detail =
+                    format!("{what} races with plain load by core {} at cycle {}", r.core, r.cycle);
+                col.report(ViolationKind::HbRace, core, ev.cycle, Some(addr), addr.0, detail);
+            }
+        }
+        st.write = Some((Epoch { core, clock: vc.0[core], cycle: ev.cycle }, atomic));
+        st.reads.clear();
+    }
+
+    fn plain_read(&mut self, ev: &MemEvent, addr: Addr, id: usize, col: &mut Collector) {
+        let (core, vc, st) = (ev.core, &self.vc[ev.core], &mut self.words[id]);
+        if let Some((w, atomic)) = st.write {
+            if w.core != core && !vc.covers(w.core, w.clock) {
                 let kind = if atomic { "atomic" } else { "plain" };
-                col.report(
-                    ViolationKind::HbRace,
-                    core,
-                    cycle,
-                    Some(Addr(word)),
-                    word,
-                    format!("plain load races with {kind} write by core {wc} at cycle {wcy}"),
+                let detail = format!(
+                    "plain load races with {kind} write by core {} at cycle {}",
+                    w.core, w.cycle
                 );
+                col.report(ViolationKind::HbRace, core, ev.cycle, Some(addr), addr.0, detail);
             }
         }
-        let clock = self.vc[core].0[core];
-        st.reads.get_or_insert_with(|| vec![0; self.ncores].into_boxed_slice())[core] = clock;
-        st.read_cycles.get_or_insert_with(|| vec![0; self.ncores].into_boxed_slice())[core] = cycle;
-    }
-
-    fn plain_write(&mut self, core: usize, cycle: u64, word: u64, col: &mut Collector) {
-        let clock = self.vc[core].0[core];
-        let st = self.words.entry(word).or_default();
-        if let Some((wc, wk, wcy, atomic)) = st.write {
-            if wc != core && !self.vc[core].covers(wc, wk) {
-                let kind = if atomic { "atomic" } else { "plain" };
-                col.report(
-                    ViolationKind::HbRace,
-                    core,
-                    cycle,
-                    Some(Addr(word)),
-                    word,
-                    format!("plain store races with {kind} write by core {wc} at cycle {wcy}"),
-                );
-            }
+        let read = Epoch { core, clock: vc.0[core], cycle: ev.cycle };
+        match st.reads.binary_search_by_key(&core, |r| r.core) {
+            Ok(i) => st.reads[i] = read,
+            Err(i) => st.reads.insert(i, read),
         }
-        if let Some(reads) = &st.reads {
-            for rc in 0..self.ncores {
-                if rc != core && reads[rc] > 0 && !self.vc[core].covers(rc, reads[rc]) {
-                    let rcy = st.read_cycles.as_ref().map_or(0, |c| c[rc]);
-                    col.report(
-                        ViolationKind::HbRace,
-                        core,
-                        cycle,
-                        Some(Addr(word)),
-                        word,
-                        format!("plain store races with plain load by core {rc} at cycle {rcy}"),
-                    );
-                }
-            }
-        }
-        st.write = Some((core, clock, cycle, false));
-        st.reads = None;
-        st.read_cycles = None;
     }
 
     /// ULI send: enqueue a copy of the sender's clock, then bump so the
     /// sender's subsequent work is not retroactively ordered.
     fn uli_send(&mut self, from: usize, to: usize, kind: u8) {
-        let clock = self.vc[from].clone();
-        self.uli.entry((from, to, kind)).or_default().push(clock);
+        let mut clock = self.spare.pop().unwrap_or_default();
+        clock.0.clone_from(&self.vc[from].0);
+        self.uli.entry((from, to, kind)).or_default().push_back(clock);
         self.bump(from);
     }
 
     /// ULI receive: dequeue the matching send clock and join it.
-    fn uli_recv(
-        &mut self,
-        from: usize,
-        to: usize,
-        kind: u8,
-        cycle: u64,
-        col: &mut Collector,
-        what: &str,
-    ) {
-        let q = self.uli.entry((from, to, kind)).or_default();
-        if q.is_empty() {
-            col.report(
-                ViolationKind::ProtocolStream,
-                to,
-                cycle,
-                None,
-                to as u64,
-                format!("{what} from core {from} with no matching send in the stream"),
-            );
-            return;
+    fn uli_recv(&mut self, ev: &MemEvent, from: usize, kind: u8, col: &mut Collector) {
+        let to = ev.core;
+        match self.uli.get_mut(&(from, to, kind)).and_then(VecDeque::pop_front) {
+            Some(clock) => {
+                self.vc[to].join(&clock);
+                self.spare.push(clock);
+            }
+            None => {
+                let what = ["handler entry", "response receipt"][usize::from(kind)];
+                let detail = format!("{what} from core {from} with no matching send in the stream");
+                col.report(ViolationKind::ProtocolStream, to, ev.cycle, None, to as u64, detail);
+            }
         }
-        let clock = q.remove(0);
-        self.vc[to].join(&clock);
     }
 
-    pub(crate) fn step(&mut self, ev: &MemEvent, col: &mut Collector) {
-        let (core, cycle) = (ev.core, ev.cycle);
+    /// Replays one event; `id` is the dense id of the word an addressed op
+    /// touches (unused by the others).
+    pub(crate) fn step(&mut self, ev: &MemEvent, id: usize, col: &mut Collector) {
+        let core = ev.core;
         match ev.op {
             MemOp::Load { addr, racy } => {
                 match racy {
-                    None => self.plain_read(core, cycle, addr.0, col),
+                    None => self.plain_read(ev, addr, id, col),
                     // The join-counter spin read acquires the counter's
                     // sync clock (published by the child's AMO decrement),
                     // and a thief's deque peek acquires the word's clock
@@ -255,9 +225,7 @@ impl HbPass {
                     // store), ordering the stolen task's descriptor reads
                     // after the owner's pre-push writes. Other audited
                     // racy loads are simply exempt.
-                    Some(RacyTag::RcWaitLoop | RacyTag::DequeThiefPeek) => {
-                        self.acquire(core, addr.0);
-                    }
+                    Some(RacyTag::RcWaitLoop | RacyTag::DequeThiefPeek) => self.acquire(core, id),
                     Some(_) => {}
                 }
             }
@@ -266,38 +234,33 @@ impl HbPass {
                     // Lock-free push's release-publish on the `tail` word:
                     // like the deque-lock release store, but keyed by tag
                     // (there is no lock word to hang a note on).
-                    self.atomic_write(core, cycle, addr.0, col);
-                    let vc = self.vc[core].clone();
-                    self.sync.entry(addr.0).or_insert_with(|| Vc::new(self.ncores)).join(&vc);
-                    self.bump(core);
+                    self.write(ev, addr, id, true, col);
+                    self.release(core, id);
                 } else if racy.is_some() {
                     // Audited benign write-write race (same-value
                     // idempotent stores): recorded as an atomic-like write
                     // epoch, so concurrent audited stores and exempt racy
                     // loads never race with it, while an unordered plain
                     // access still does.
-                    self.atomic_write(core, cycle, addr.0, col);
+                    self.write(ev, addr, id, true, col);
                 } else if self.pending_release[core] == Some(addr.0) {
                     // The release store: publish the core's clock on the
-                    // lock word (join, so an interleaved foreign release —
-                    // impossible under correct locking — cannot erase
-                    // edges) and record it as an atomic write.
+                    // lock word and record it as an atomic write.
                     self.pending_release[core] = None;
-                    self.atomic_write(core, cycle, addr.0, col);
-                    let vc = self.vc[core].clone();
-                    self.sync.entry(addr.0).or_insert_with(|| Vc::new(self.ncores)).join(&vc);
-                    self.bump(core);
+                    self.write(ev, addr, id, true, col);
+                    self.release(core, id);
                 } else {
-                    self.plain_write(core, cycle, addr.0, col);
+                    self.write(ev, addr, id, false, col);
                 }
             }
             MemOp::Amo { addr } => {
                 // Acquire-release: join the word's sync clock, record the
-                // atomic write, publish, bump.
-                self.acquire(core, addr.0);
-                self.atomic_write(core, cycle, addr.0, col);
-                self.sync.insert(addr.0, self.vc[core].clone());
-                self.bump(core);
+                // atomic write, publish, bump. After the acquire the core's
+                // clock covers the sync clock, so the release's join leaves
+                // exactly the core's clock there.
+                self.acquire(core, id);
+                self.write(ev, addr, id, true, col);
+                self.release(core, id);
             }
             MemOp::InvalidateAll | MemOp::FlushAll => {}
             MemOp::Sync(note) => match note {
@@ -310,13 +273,9 @@ impl HbPass {
                 }
                 SyncNote::HscSet { .. } | SyncNote::HscElide { .. } => {}
                 SyncNote::UliReqSend { to } => self.uli_send(core, to, 0),
-                SyncNote::HandlerEnter { from } => {
-                    self.uli_recv(from, core, 0, cycle, col, "handler entry")
-                }
+                SyncNote::HandlerEnter { from } => self.uli_recv(ev, from, 0, col),
                 SyncNote::UliRespSend { to } => self.uli_send(core, to, 1),
-                SyncNote::UliRespRecv { from } => {
-                    self.uli_recv(from, core, 1, cycle, col, "response receipt")
-                }
+                SyncNote::UliRespRecv { from } => self.uli_recv(ev, from, 1, col),
             },
         }
     }

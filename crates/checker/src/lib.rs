@@ -55,13 +55,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 use bigtiny_coherence::{Addr, Protocol};
 use bigtiny_engine::{hash, CheckMode, MemEvent, MemOp, RacyTag, RunReport, SystemConfig};
 
-/// Deterministic single-round multiply-xor hasher for the passes'
-/// word-address maps. Every event probes several of them, and the keys are
-/// `u64` word addresses of the simulated machine, never attacker-chosen,
-/// so SipHash's DoS resistance buys nothing here. No verdict may depend on
-/// a map's order: the happens-before pass only ever looks words up, and
-/// where the staleness pass iterates a map (bulk invalidate/flush) each
-/// word is handled independently of the others.
+/// Deterministic single-round multiply-xor hasher for the checker's maps.
+/// Their keys are dense word ids and page numbers of the simulated
+/// machine, never attacker-chosen, so SipHash's DoS resistance buys
+/// nothing here. No verdict may depend on a map's order: where the
+/// staleness pass iterates a map (bulk invalidate/flush) each word is
+/// handled independently of the others.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct WordHasher(u64);
 
@@ -82,8 +81,35 @@ impl Hasher for WordHasher {
     }
 }
 
-/// A map keyed by simulated word address.
+/// A map keyed by dense word id or page number.
 pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
+
+/// Dense word ids in first-touch order, so that the passes keep their
+/// per-word state in plain vectors. The ids live in 64-word pages: a
+/// stream walks neighbouring words together, and the page map stays
+/// small enough to stay in cache, where a map over every word would
+/// cost a cache miss per event.
+#[derive(Default)]
+struct WordIds {
+    pages: WordMap<Box<[Option<u32>; 64]>>,
+    len: u32,
+}
+
+impl WordIds {
+    /// The id of the word at `addr`, and whether it was just assigned.
+    fn get(&mut self, addr: u64) -> (usize, bool) {
+        // A misaligned address gets a page of its own kind.
+        let page = addr >> 9 | (addr & 7) << 61;
+        let slot = &mut self.pages.entry(page).or_insert_with(|| Box::new([None; 64]))
+            [(addr >> 3) as usize % 64];
+        let fresh = slot.is_none();
+        let id = *slot.get_or_insert_with(|| {
+            self.len += 1;
+            self.len - 1
+        });
+        (id as usize, fresh)
+    }
+}
 
 /// What kind of conformance violation a finding reports.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -289,26 +315,44 @@ impl Collector {
 /// Checks an event stream recorded by an armed run.
 ///
 /// `protocols` gives the per-core L1 protocol, in core-id order (the
-/// stream's `core` fields index into it). [`CheckMode::Full`] runs all
-/// three passes; [`CheckMode::Off`] returns an empty, clean report.
-///
-/// # Panics
-///
-/// Panics if the stream names a core outside `protocols`.
+/// stream's `core` fields index into it; an event naming a core outside
+/// it is reported as a [`ViolationKind::ProtocolStream`] finding and
+/// skipped). [`CheckMode::Full`] runs all three passes;
+/// [`CheckMode::Off`] returns an empty, clean report.
 pub fn check_events(protocols: &[Protocol], mode: CheckMode, events: &[MemEvent]) -> CheckReport {
     let mut col = Collector::new();
     let mut racy = [0u64; RacyTag::ALL.len()];
     if mode.armed() {
-        let mut hb = hb::HbPass::new(protocols.len());
-        let mut stale = stale::StalePass::new(protocols);
+        // Real streams touch about one new word per four to fifteen events.
+        let words = events.len() / 4;
+        let mut hb = hb::HbPass::new(protocols.len(), words);
+        let mut stale = stale::StalePass::new(protocols, words);
         let mut lint = lint::LintPass::new(protocols);
+        // One lookup per addressed event; both passes index vectors by id.
+        let mut ids = WordIds::default();
         for ev in events {
-            assert!(ev.core < protocols.len(), "event core {} out of range", ev.core);
+            if ev.core >= protocols.len() {
+                let (c, n) = (ev.core, protocols.len());
+                let detail = format!("event names core {c} of a {n}-core machine");
+                col.report(ViolationKind::ProtocolStream, c, ev.cycle, None, c as u64, detail);
+                continue;
+            }
+            let id = match ev.op {
+                MemOp::Load { addr, .. } | MemOp::Store { addr, .. } | MemOp::Amo { addr } => {
+                    let (id, fresh) = ids.get(addr.0);
+                    if fresh {
+                        hb.add_word();
+                        stale.add_word();
+                    }
+                    id
+                }
+                _ => 0,
+            };
             if let MemOp::Load { racy: Some(tag), .. } = ev.op {
                 racy[RacyTag::ALL.iter().position(|t| *t == tag).expect("tag in whitelist")] += 1;
             }
-            hb.step(ev, &mut col);
-            stale.step(ev, &mut col);
+            hb.step(ev, id, &mut col);
+            stale.step(ev, id, &mut col);
             lint.step(ev, &mut col);
         }
     }
@@ -589,6 +633,19 @@ mod tests {
         let r = check_events(&MESI2, CheckMode::Full, &events);
         assert_eq!(r.count(ViolationKind::ProtocolStream), 1);
         assert_eq!(r.violations.len(), 1, "{}", r.render());
+    }
+
+    #[test]
+    fn an_event_on_an_unknown_core_is_a_stream_error() {
+        let events =
+            [ev(0, 0, store(64)), ev(3, 7, load(64)), ev(4, 7, store(8)), ev(5, 0, load(64))];
+        let r = check_events(&MESI2, CheckMode::Full, &events);
+        assert_eq!(r.count(ViolationKind::ProtocolStream), 1, "{}", r.render());
+        assert_eq!(r.violations.len(), 1, "the skipped events race with nothing: {}", r.render());
+        assert_eq!(r.suppressed, 1);
+        let v = r.first().unwrap();
+        assert_eq!((v.core, v.cycle, v.addr), (7, 3, None));
+        assert_eq!(v.detail, "event names core 7 of a 2-core machine");
     }
 
     #[test]

@@ -53,219 +53,208 @@ struct Copy {
     dirty: bool,
 }
 
+/// Everything the pass knows about one word besides the cores' copies.
+#[derive(Clone, Copy, Default)]
+struct Word {
+    /// Global version (every store/AMO bumps it).
+    latest: u64,
+    /// Version the shared L2 would supply on a miss.
+    committed: u64,
+    /// Last writer `(core, cycle)`, for blame.
+    writer: Option<(usize, u64)>,
+    /// Ownership pin: MESI Modified or DeNovo registration.
+    owner: Option<usize>,
+    /// The MESI cores among `copies` that hold the word — the directory's
+    /// sharer list at word granularity, so that invalidating "every other
+    /// MESI copy" costs the word's real sharers, not a walk over all cores.
+    mesi_holders: CoreSet,
+}
+
 /// The staleness pass.
 pub(crate) struct StalePass {
     protocols: Vec<Protocol>,
-    /// Global version per word (every store/AMO bumps it).
-    latest: WordMap<u64>,
-    /// Version the shared L2 would supply on a miss.
-    committed: WordMap<u64>,
-    /// Last writer `(core, cycle)` of each word, for blame.
-    writer: WordMap<(usize, u64)>,
-    /// Ownership pin: MESI Modified or DeNovo registration.
-    owner: WordMap<usize>,
-    /// Per-core word copies.
+    /// Per-word record, indexed by the dense word id `check_events` assigns.
+    words: Vec<Word>,
+    /// Per-core word copies, keyed by dense word id.
     copies: Vec<WordMap<Copy>>,
-    /// The MESI cores among `copies` that hold each word — the directory's
-    /// sharer list at word granularity, so that invalidating "every other
-    /// MESI copy" costs the word's real sharers, not a walk over all cores.
-    mesi_holders: WordMap<CoreSet>,
 }
 
 impl StalePass {
-    pub(crate) fn new(protocols: &[Protocol]) -> Self {
+    /// A pass over cores with these protocols, with room for `words` word ids.
+    pub(crate) fn new(protocols: &[Protocol], words: usize) -> Self {
         StalePass {
             protocols: protocols.to_vec(),
-            latest: WordMap::default(),
-            committed: WordMap::default(),
-            writer: WordMap::default(),
-            owner: WordMap::default(),
+            words: Vec::with_capacity(words),
             copies: vec![WordMap::default(); protocols.len()],
-            mesi_holders: WordMap::default(),
         }
     }
 
-    fn latest_of(&self, w: u64) -> u64 {
-        self.latest.get(&w).copied().unwrap_or(0)
+    /// Makes room for the next dense word id.
+    pub(crate) fn add_word(&mut self) {
+        self.words.push(Word::default());
     }
 
-    fn committed_of(&self, w: u64) -> u64 {
-        self.committed.get(&w).copied().unwrap_or(0)
-    }
-
-    fn blame(&self, w: u64) -> String {
-        match self.writer.get(&w) {
+    fn blame(&self, id: usize) -> String {
+        match self.words[id].writer {
             Some((c, cy)) => format!("core {c} at cycle {cy}"),
             None => "host initialization".to_string(),
         }
     }
 
-    /// Gives `core` a copy of `w`, registering MESI cores as holders.
-    fn install(&mut self, core: usize, w: u64, copy: Copy) {
-        self.copies[core].insert(w, copy);
+    /// Gives `core` a copy of word `id`, registering MESI cores as holders.
+    fn install(&mut self, core: usize, id: usize, copy: Copy) {
+        self.copies[core].insert(id as u64, copy);
         if self.protocols[core] == Protocol::Mesi {
-            self.mesi_holders.entry(w).or_default().insert(core);
+            self.words[id].mesi_holders.insert(core);
         }
     }
 
-    /// Invalidate other MESI cores' copies of `w` (the directory tracks
-    /// MESI sharers only) and clear a MESI ownership pin. MESI copies are
-    /// dropped nowhere else, which is what keeps `mesi_holders` exact.
-    fn drop_other_mesi(&mut self, w: u64, except: usize) {
-        if let Some(holders) = self.mesi_holders.get_mut(&w) {
-            let mut others = *holders;
-            others.remove(except);
-            for d in others.iter() {
-                self.copies[d].remove(&w);
-                holders.remove(d);
-            }
-            if holders.is_empty() {
-                self.mesi_holders.remove(&w);
-            }
+    /// Invalidate other MESI cores' copies of word `id` (the directory
+    /// tracks MESI sharers only) and clear a MESI ownership pin. MESI copies
+    /// are dropped nowhere else, which is what keeps `mesi_holders` exact.
+    fn drop_other_mesi(&mut self, id: usize, except: usize) {
+        let word = &mut self.words[id];
+        for d in word.mesi_holders.iter().filter(|&d| d != except) {
+            self.copies[d].remove(&(id as u64));
         }
-        if self.owner.get(&w).is_some_and(|&o| o != except && self.protocols[o] == Protocol::Mesi) {
-            self.owner.remove(&w);
+        let kept = word.mesi_holders.contains(except);
+        word.mesi_holders = CoreSet::EMPTY;
+        if kept {
+            word.mesi_holders.insert(except);
+        }
+        if word.owner.is_some_and(|o| o != except && self.protocols[o] == Protocol::Mesi) {
+            word.owner = None;
         }
     }
 
     /// Post-commit effects of an L1-coherent write (MESI / DeNovo store,
     /// or an AMO on those protocols).
-    fn own_after_commit(&mut self, core: usize, w: u64, version: u64) {
+    fn own_after_commit(&mut self, core: usize, id: usize) {
+        let version = self.words[id].latest;
         match self.protocols[core] {
             Protocol::Mesi => {
-                self.drop_other_mesi(w, core);
                 // A software-centric owner is unpinned (the directory
                 // recall commits nothing new) but keeps its — now stale —
                 // copy; only its own invalidate can clear it.
-                if self.owner.get(&w).is_some_and(|&o| o != core) {
-                    self.owner.remove(&w);
-                }
-                self.install(core, w, Copy { version, dirty: false });
-                self.owner.insert(w, core);
+                self.drop_other_mesi(id, core);
+                self.words[id].owner = Some(core);
             }
             Protocol::DeNovo => {
                 // Ownership fetch only on the not-yet-owned path.
-                if self.owner.get(&w) != Some(&core) {
-                    self.drop_other_mesi(w, core);
-                    self.owner.insert(w, core);
+                if self.words[id].owner != Some(core) {
+                    self.drop_other_mesi(id, core);
+                    self.words[id].owner = Some(core);
                 }
-                self.install(core, w, Copy { version, dirty: false });
             }
             Protocol::GpuWt | Protocol::GpuWb => unreachable!("L2-coherent protocol"),
         }
+        self.install(core, id, Copy { version, dirty: false });
     }
 
-    pub(crate) fn step(&mut self, ev: &MemEvent, col: &mut Collector) {
+    /// Bumps word `id`'s version for a store or AMO by `ev.core`.
+    fn bump(&mut self, ev: &MemEvent, id: usize) -> u64 {
+        let word = &mut self.words[id];
+        word.latest += 1;
+        word.writer = Some((ev.core, ev.cycle));
+        word.latest
+    }
+
+    /// Replays one event; `id` is the dense id of the word an addressed op
+    /// touches (unused by the others).
+    pub(crate) fn step(&mut self, ev: &MemEvent, id: usize, col: &mut Collector) {
         let (core, cycle) = (ev.core, ev.cycle);
         match ev.op {
             MemOp::Load { addr, racy } => {
-                let w = addr.0;
-                let lat = self.latest_of(w);
-                match self.copies[core].get(&w).copied() {
+                let Word { latest, committed, owner, .. } = self.words[id];
+                match self.copies[core].get(&(id as u64)).copied() {
                     Some(cp) => {
                         // Pinned copies (owned, or dirty under GPU-WB) are
                         // the word's freshest value by construction.
-                        let pinned = self.owner.get(&w) == Some(&core) || cp.dirty;
-                        if racy.is_none() && !pinned && cp.version < lat {
+                        let pinned = owner == Some(core) || cp.dirty;
+                        if racy.is_none() && !pinned && cp.version < latest {
                             col.report(
                                 ViolationKind::StaleMissingInvalidate,
                                 core,
                                 cycle,
                                 Some(addr),
-                                w,
+                                addr.0,
                                 format!(
-                                    "load hit cached version {} but version {} was written by {} \
-                                     with no cache_invalidate on this core since",
+                                    "load hit cached version {} but version {latest} was written \
+                                     by {} with no cache_invalidate on this core since",
                                     cp.version,
-                                    lat,
-                                    self.blame(w)
+                                    self.blame(id)
                                 ),
                             );
                         }
                     }
                     None => {
-                        let com = self.committed_of(w);
-                        if racy.is_none() && com < lat {
+                        if racy.is_none() && committed < latest {
                             col.report(
                                 ViolationKind::StaleMissingFlush,
                                 core,
                                 cycle,
                                 Some(addr),
-                                w,
+                                addr.0,
                                 format!(
-                                    "load missed and the L2 can only supply version {com}, but \
-                                     version {lat} written by {} is still unflushed",
-                                    self.blame(w)
+                                    "load missed and the L2 can only supply version {committed}, \
+                                     but version {latest} written by {} is still unflushed",
+                                    self.blame(id)
                                 ),
                             );
                         }
                         // Fill. A MESI reader revokes a software-centric
                         // owner (directory recall); a software-centric
                         // reader downgrades a MESI owner to Shared.
-                        if let Some(&o) = self.owner.get(&w) {
-                            if o != core
+                        if owner.is_some_and(|o| {
+                            o != core
                                 && (self.protocols[core] == Protocol::Mesi
                                     || self.protocols[o] == Protocol::Mesi)
-                            {
-                                self.owner.remove(&w);
-                            }
+                        }) {
+                            self.words[id].owner = None;
                         }
-                        self.install(core, w, Copy { version: com, dirty: false });
+                        self.install(core, id, Copy { version: committed, dirty: false });
                     }
                 }
             }
-            MemOp::Store { addr, .. } => {
-                let w = addr.0;
-                let lat = {
-                    let e = self.latest.entry(w).or_insert(0);
-                    *e += 1;
-                    *e
-                };
-                self.writer.insert(w, (core, cycle));
+            MemOp::Store { .. } => {
+                let latest = self.bump(ev, id);
                 match self.protocols[core] {
                     Protocol::Mesi | Protocol::DeNovo => {
-                        self.committed.insert(w, lat);
-                        self.own_after_commit(core, w, lat);
+                        self.words[id].committed = latest;
+                        self.own_after_commit(core, id);
                     }
                     Protocol::GpuWt => {
                         // Write-through, no-allocate: commits immediately,
                         // invalidates tracked (MESI) sharers, updates a
                         // resident copy but does not install one.
-                        self.committed.insert(w, lat);
-                        self.drop_other_mesi(w, core);
-                        self.owner.remove(&w);
-                        if let Some(cp) = self.copies[core].get_mut(&w) {
-                            cp.version = lat;
+                        self.words[id].committed = latest;
+                        self.drop_other_mesi(id, core);
+                        self.words[id].owner = None;
+                        if let Some(cp) = self.copies[core].get_mut(&(id as u64)) {
+                            cp.version = latest;
                         }
                     }
                     Protocol::GpuWb => {
                         // Write-back: dirty in L1 only. No commit and no
                         // remote effects until the flush — which is what
                         // makes a dropped flush observable.
-                        self.install(core, w, Copy { version: lat, dirty: true });
+                        self.install(core, id, Copy { version: latest, dirty: true });
                     }
                 }
             }
-            MemOp::Amo { addr } => {
+            MemOp::Amo { .. } => {
                 // AMOs always commit at their point of coherence; the
                 // read side is never staleness-checked (see module docs).
-                let w = addr.0;
-                let lat = {
-                    let e = self.latest.entry(w).or_insert(0);
-                    *e += 1;
-                    *e
-                };
-                self.committed.insert(w, lat);
-                self.writer.insert(w, (core, cycle));
+                self.words[id].committed = self.bump(ev, id);
                 if self.protocols[core].amo_in_l1() {
-                    self.own_after_commit(core, w, lat);
+                    self.own_after_commit(core, id);
                 } else {
                     // Executed at the L2: tracked sharers are invalidated,
                     // any owner recalled, and the issuing core's own copy
                     // is invalidated (the sim drops the word from its L1).
-                    self.drop_other_mesi(w, core);
-                    self.owner.remove(&w);
-                    self.copies[core].remove(&w);
+                    self.drop_other_mesi(id, core);
+                    self.words[id].owner = None;
+                    self.copies[core].remove(&(id as u64));
                 }
             }
             MemOp::InvalidateAll => match self.protocols[core] {
@@ -274,8 +263,8 @@ impl StalePass {
                 // everything, GPU-WB keeps only dirty words.
                 Protocol::Mesi => {}
                 Protocol::DeNovo => {
-                    let owner = &self.owner;
-                    self.copies[core].retain(|w, _| owner.get(w) == Some(&core));
+                    let words = &self.words;
+                    self.copies[core].retain(|&id, _| words[id as usize].owner == Some(core));
                 }
                 Protocol::GpuWt => self.copies[core].clear(),
                 Protocol::GpuWb => self.copies[core].retain(|_, cp| cp.dirty),
@@ -284,20 +273,16 @@ impl StalePass {
                 // Only GPU-WB buffers dirty data in the L1; everything
                 // else already committed at store time.
                 if self.protocols[core] == Protocol::GpuWb {
-                    let dirty: Vec<u64> = self.copies[core]
-                        .iter()
-                        .filter(|(_, cp)| cp.dirty)
-                        .map(|(w, _)| *w)
-                        .collect();
-                    for w in dirty {
-                        let lat = self.latest_of(w);
-                        self.committed.insert(w, lat);
-                        if let Some(cp) = self.copies[core].get_mut(&w) {
-                            cp.dirty = false;
-                        }
+                    let mut dirty = Vec::new();
+                    for (&id, cp) in self.copies[core].iter_mut().filter(|(_, cp)| cp.dirty) {
+                        cp.dirty = false;
+                        dirty.push(id as usize);
+                    }
+                    for id in dirty {
+                        self.words[id].committed = self.words[id].latest;
                         // The write-back recalls/invalidates tracked
                         // sharers so MESI cores refetch the fresh value.
-                        self.drop_other_mesi(w, core);
+                        self.drop_other_mesi(id, core);
                     }
                 }
             }
@@ -321,10 +306,12 @@ mod tests {
         use Protocol::{DeNovo, GpuWb, GpuWt, Mesi};
         let mut rng = XorShift64::new(0x484f_4c44_4552_5331);
         for protocols in [[Mesi; 6], [Mesi, Mesi, DeNovo, GpuWt, GpuWb, GpuWb]] {
-            let mut pass = StalePass::new(&protocols);
+            let mut pass = StalePass::new(&protocols, 24);
+            (0..24).for_each(|_| pass.add_word());
             let mut col = Collector::new();
             for cycle in 0..20_000 {
-                let addr = Addr(0x1000 + rng.next_below(24) * 8);
+                let id = rng.next_below(24) as usize;
+                let addr = Addr(0x1000 + id as u64 * 8);
                 let op = match rng.next_below(10) {
                     0..=3 => MemOp::Load { addr, racy: None },
                     4..=6 => MemOp::Store { addr, racy: None },
@@ -333,17 +320,15 @@ mod tests {
                     _ => MemOp::FlushAll,
                 };
                 let core = rng.next_below(protocols.len() as u64) as usize;
-                pass.step(&MemEvent { cycle, core, op }, &mut col);
-                for w in (0..24).map(|i| 0x1000 + i * 8) {
+                pass.step(&MemEvent { cycle, core, op }, id, &mut col);
+                for (id, word) in pass.words.iter().enumerate() {
                     let mut held = CoreSet::EMPTY;
                     for (d, _) in protocols.iter().enumerate().filter(|(_, p)| **p == Mesi) {
-                        if pass.copies[d].contains_key(&w) {
+                        if pass.copies[d].contains_key(&(id as u64)) {
                             held.insert(d);
                         }
                     }
-                    let tracked = pass.mesi_holders.get(&w).copied().unwrap_or_default();
-                    assert_eq!(tracked, held, "cycle {cycle}, word {w:#x}");
-                    assert!(pass.mesi_holders.get(&w).is_none_or(|s| !s.is_empty()));
+                    assert_eq!(word.mesi_holders, held, "cycle {cycle}, word {id}");
                 }
             }
             assert!(!col.violations.is_empty() || protocols == [Mesi; 6]);
