@@ -9,9 +9,11 @@
 //! (core, cycle, address) and the run exits nonzero.
 //!
 //! Writes one flat JSON object per (kernel × setup) line to
-//! `CHECK_verdicts.json` at the repo root (or `$BIGTINY_CHECK_OUT`) —
-//! validated in CI with the `json_check` bin. `BIGTINY_SIZE` /
-//! `BIGTINY_APPS` restrict the sweep as for the other harness bins.
+//! `CHECK_verdicts.json` at the repo root (or `$BIGTINY_CHECK_OUT`). The
+//! lines hold no host timing, so the file is a pure function of the tree:
+//! CI diffs the test-size sweep against `results/check_verdicts_test.json`.
+//! `BIGTINY_SIZE` / `BIGTINY_APPS` restrict the sweep as for the other
+//! harness bins.
 //!
 //! Usage:
 //!
@@ -50,9 +52,8 @@ const CLI: cli::Spec = cli::Spec::new(
 );
 
 /// One verdict line: a flat object through the workspace's one JSON writer.
-fn json_line(app: &str, setup: &str, report: &CheckReport, wall_ms: u64) -> String {
+fn json_line(app: &str, setup: &str, report: &CheckReport) -> String {
     let counts = [
-        ("wall_ms", wall_ms),
         ("events", report.events),
         ("clean", u64::from(report.is_clean())),
         ("violations", report.violations.len() as u64),
@@ -130,7 +131,7 @@ fn main() {
                     format!("{} violation(s)", report.violations.len())
                 },
             ]);
-            lines.push(json_line(r.app, &setup.label, &report, wall_ms));
+            lines.push(json_line(r.app, &setup.label, &report));
             if dirty > 0 && fail_fast {
                 eprintln!("[check_all] --fail-fast: stopping after first dirty cell");
                 break 'sweep;
@@ -179,7 +180,7 @@ mod tests {
             racy_loads,
         };
         let want = concat!(
-            r#"{"app":"cilk5-nq","setup":"b.T/HCC-gwb","wall_ms":9,"events":1234,"clean":0,"#,
+            r#"{"app":"cilk5-nq","setup":"b.T/HCC-gwb","events":1234,"clean":0,"#,
             r#""violations":1,"suppressed":2,"hb-race":0,"stale-missing-invalidate":0,"#,
             r#""stale-missing-flush":1,"lint-acquire-no-invalidate":0,"lint-release-no-flush":0,"#,
             r#""lint-hsc-elide-after-steal":0,"protocol-stream":0,"racy-RcWaitLoop":5,"#,
@@ -188,6 +189,6 @@ mod tests {
             r#""racy-DequeOwnerCommit":0,"racy-DequeTailPublish":1,"#,
             r#""verdict_hash":"0xf64eb300366086ce"}"#,
         );
-        assert_eq!(json_line("cilk5-nq", "b.T/HCC-gwb", &report, 9), want);
+        assert_eq!(json_line("cilk5-nq", "b.T/HCC-gwb", &report), want);
     }
 }

@@ -21,7 +21,7 @@
 #
 # `--mask` rewrites, in place: the `(N.Ns wall)` of `[bench]` and `table5`
 # lines and `chaos_fuzz`'s per-plan `(N.Ns)`; `wall_ms` and
-# `grants_per_sec` in JSON (check_all verdicts, heartbeat lines);
+# `grants_per_sec` in JSON (heartbeat lines);
 # `tail_run`'s wall, rate and rate sparkline; `check_all`'s `wall ms`
 # column; the thread id of a panic message. Anything else that differs is
 # a change in what the harness does or prints.
