@@ -78,6 +78,11 @@ struct WordState {
     reads: Vec<Epoch>,
     /// Sync clock: release stores and AMOs publish here.
     sync: Vc,
+    /// The core whose clock `sync` is a copy of, if it is one. Every clock
+    /// that has seen a core's tick has seen that core's whole clock at
+    /// the tick (each publish bumps the publisher), so a core whose entry
+    /// for this one is at least the copy's own tick has seen all of it.
+    sync_of: Option<usize>,
 }
 
 /// The happens-before pass.
@@ -119,20 +124,28 @@ impl HbPass {
         self.vc[core].0[core] += 1;
     }
 
-    /// Acquire: join the word's sync clock into the core's clock.
+    /// Acquire: join the word's sync clock into the core's clock, unless
+    /// the core has already seen all of it.
     fn acquire(&mut self, core: usize, id: usize) {
-        self.vc[core].join(&self.words[id].sync);
+        let (vc, st) = (&mut self.vc[core], &self.words[id]);
+        if st.sync_of.is_none_or(|of| vc.0[of] < st.sync.0[of]) {
+            vc.join(&st.sync);
+        }
     }
 
-    /// Release: join the core's clock into the word's sync clock in place
-    /// (join, so an interleaved foreign release — impossible under correct
-    /// locking — cannot erase edges), then bump.
-    fn release(&mut self, core: usize, id: usize) {
-        let sync = &mut self.words[id].sync;
-        if sync.0.is_empty() {
-            sync.0.clone_from(&self.vc[core].0);
+    /// Release: publish the core's clock on the word's sync clock, then
+    /// bump. A sync clock the core has `seen` all of is overwritten in
+    /// place; any other is joined, so that an interleaved foreign release
+    /// — impossible under correct locking — cannot erase edges.
+    fn release(&mut self, core: usize, id: usize, seen: bool) {
+        let (vc, st) = (&self.vc[core], &mut self.words[id]);
+        let of = st.sync_of;
+        if seen || st.sync.0.is_empty() || of.is_some_and(|of| vc.0[of] >= st.sync.0[of]) {
+            st.sync.0.clone_from(&vc.0);
+            st.sync_of = Some(core);
         } else {
-            sync.join(&self.vc[core]);
+            st.sync.join(vc);
+            st.sync_of = None;
         }
         self.bump(core);
     }
@@ -199,7 +212,10 @@ impl HbPass {
         let to = ev.core;
         match self.uli.get_mut(&(from, to, kind)).and_then(VecDeque::pop_front) {
             Some(clock) => {
-                self.vc[to].join(&clock);
+                // The message clock is a copy of the sender's (see `sync_of`).
+                if self.vc[to].0[from] < clock.0[from] {
+                    self.vc[to].join(&clock);
+                }
                 self.spare.push(clock);
             }
             None => {
@@ -235,7 +251,7 @@ impl HbPass {
                     // like the deque-lock release store, but keyed by tag
                     // (there is no lock word to hang a note on).
                     self.write(ev, addr, id, true, col);
-                    self.release(core, id);
+                    self.release(core, id, false);
                 } else if racy.is_some() {
                     // Audited benign write-write race (same-value
                     // idempotent stores): recorded as an atomic-like write
@@ -248,19 +264,18 @@ impl HbPass {
                     // lock word and record it as an atomic write.
                     self.pending_release[core] = None;
                     self.write(ev, addr, id, true, col);
-                    self.release(core, id);
+                    self.release(core, id, false);
                 } else {
                     self.write(ev, addr, id, false, col);
                 }
             }
             MemOp::Amo { addr } => {
                 // Acquire-release: join the word's sync clock, record the
-                // atomic write, publish, bump. After the acquire the core's
-                // clock covers the sync clock, so the release's join leaves
-                // exactly the core's clock there.
+                // atomic write, publish, bump. After the acquire the core
+                // has seen the whole sync clock.
                 self.acquire(core, id);
                 self.write(ev, addr, id, true, col);
-                self.release(core, id);
+                self.release(core, id, true);
             }
             MemOp::InvalidateAll | MemOp::FlushAll => {}
             MemOp::Sync(note) => match note {

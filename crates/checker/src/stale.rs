@@ -77,6 +77,10 @@ pub(crate) struct StalePass {
     words: Vec<Word>,
     /// Per-core word copies, keyed by dense word id.
     copies: Vec<WordMap<Copy>>,
+    /// Per core, every word it dirtied since its last flush (possibly
+    /// twice, or since dropped by an AMO), so that neither a flush nor an
+    /// invalidate has to scan the core's copies for dirty ones.
+    dirtied: Vec<Vec<usize>>,
 }
 
 impl StalePass {
@@ -86,6 +90,7 @@ impl StalePass {
             protocols: protocols.to_vec(),
             words: Vec::with_capacity(words),
             copies: vec![WordMap::default(); protocols.len()],
+            dirtied: vec![Vec::new(); protocols.len()],
         }
     }
 
@@ -103,7 +108,10 @@ impl StalePass {
 
     /// Gives `core` a copy of word `id`, registering MESI cores as holders.
     fn install(&mut self, core: usize, id: usize, copy: Copy) {
-        self.copies[core].insert(id as u64, copy);
+        let old = self.copies[core].insert(id as u64, copy);
+        if copy.dirty && !old.is_some_and(|old| old.dirty) {
+            self.dirtied[core].push(id);
+        }
         if self.protocols[core] == Protocol::Mesi {
             self.words[id].mesi_holders.insert(core);
         }
@@ -267,24 +275,26 @@ impl StalePass {
                     self.copies[core].retain(|&id, _| words[id as usize].owner == Some(core));
                 }
                 Protocol::GpuWt => self.copies[core].clear(),
+                Protocol::GpuWb if self.dirtied[core].is_empty() => self.copies[core].clear(),
                 Protocol::GpuWb => self.copies[core].retain(|_, cp| cp.dirty),
             },
             MemOp::FlushAll => {
-                // Only GPU-WB buffers dirty data in the L1; everything
-                // else already committed at store time.
-                if self.protocols[core] == Protocol::GpuWb {
-                    let mut dirty = Vec::new();
-                    for (&id, cp) in self.copies[core].iter_mut().filter(|(_, cp)| cp.dirty) {
-                        cp.dirty = false;
-                        dirty.push(id as usize);
+                // Only GPU-WB buffers dirty data in the L1 (everything
+                // else already committed at store time), and only it
+                // records the words it dirtied.
+                let mut dirtied = std::mem::take(&mut self.dirtied[core]);
+                for &id in &dirtied {
+                    match self.copies[core].get_mut(&(id as u64)) {
+                        Some(cp) if cp.dirty => cp.dirty = false,
+                        _ => continue,
                     }
-                    for id in dirty {
-                        self.words[id].committed = self.words[id].latest;
-                        // The write-back recalls/invalidates tracked
-                        // sharers so MESI cores refetch the fresh value.
-                        self.drop_other_mesi(id, core);
-                    }
+                    self.words[id].committed = self.words[id].latest;
+                    // The write-back recalls/invalidates tracked sharers
+                    // so MESI cores refetch the fresh value.
+                    self.drop_other_mesi(id, core);
                 }
+                dirtied.clear();
+                self.dirtied[core] = dirtied;
             }
             MemOp::Sync(_) => {}
         }
@@ -300,7 +310,8 @@ mod tests {
     /// `drop_other_mesi` trusts `mesi_holders` instead of walking every
     /// core, so the set must equal the MESI cores holding a copy after
     /// every event of any stream — on every protocol mix, including the
-    /// all-MESI machine where every copy is tracked.
+    /// all-MESI machine where every copy is tracked. The same holds for
+    /// `dirtied` and the dirty copies.
     #[test]
     fn mesi_holders_mirror_the_copies_after_every_event() {
         use Protocol::{DeNovo, GpuWb, GpuWt, Mesi};
@@ -329,6 +340,13 @@ mod tests {
                         }
                     }
                     assert_eq!(word.mesi_holders, held, "cycle {cycle}, word {id}");
+                }
+                // A flush or invalidate trusts `dirtied` instead of
+                // scanning the copies: it must name every dirty one.
+                for (d, copies) in pass.copies.iter().enumerate() {
+                    for (&id, _) in copies.iter().filter(|(_, cp)| cp.dirty) {
+                        assert!(pass.dirtied[d].contains(&(id as usize)), "cycle {cycle}, {id}");
+                    }
                 }
             }
             assert!(!col.violations.is_empty() || protocols == [Mesi; 6]);
