@@ -6,7 +6,11 @@
 //! `latest` version (bumped by every store/AMO), a `committed` version
 //! (what the shared L2 would supply on a miss), a last `writer` for blame,
 //! and an optional ownership pin (MESI Modified / DeNovo registration);
-//! each core holds a set of word copies `{version, dirty}`. Protocol
+//! each core holds a set of word copies `{version, dirty}`. A MESI copy is
+//! always the committed version — every commit drops the other MESI
+//! copies, and a MESI fill revokes a DeNovo owner, whose later stores
+//! would commit without a drop — so MESI copies are kept only as the
+//! word's set of MESI holders. Protocol
 //! effects mirror the memory model (`coherence`'s `ops.rs` for the L1 side,
 //! `directory.rs` for the L2 side) but are restated here per protocol rather
 //! than through its Table-I axis predicates: an independent reference must
@@ -64,9 +68,8 @@ struct Word {
     writer: Option<(usize, u64)>,
     /// Ownership pin: MESI Modified or DeNovo registration.
     owner: Option<usize>,
-    /// The MESI cores among `copies` that hold the word — the directory's
-    /// sharer list at word granularity, so that invalidating "every other
-    /// MESI copy" costs the word's real sharers, not a walk over all cores.
+    /// The MESI cores holding a copy of the word (the directory's sharer
+    /// list at word granularity), which is all there is of their copies.
     mesi_holders: CoreSet,
 }
 
@@ -75,7 +78,7 @@ pub(crate) struct StalePass {
     protocols: Vec<Protocol>,
     /// Per-word record, indexed by the dense word id `check_events` assigns.
     words: Vec<Word>,
-    /// Per-core word copies, keyed by dense word id.
+    /// Per-core word copies, keyed by dense word id (empty for MESI cores).
     copies: Vec<WordMap<Copy>>,
     /// Per core, every word it dirtied since its last flush (possibly
     /// twice, or since dropped by an AMO), so that neither a flush nor an
@@ -106,25 +109,34 @@ impl StalePass {
         }
     }
 
-    /// Gives `core` a copy of word `id`, registering MESI cores as holders.
-    fn install(&mut self, core: usize, id: usize, copy: Copy) {
-        let old = self.copies[core].insert(id as u64, copy);
-        if copy.dirty && !old.is_some_and(|old| old.dirty) {
-            self.dirtied[core].push(id);
-        }
+    /// `core`'s copy of word `id`, if it holds one.
+    fn copy(&self, core: usize, id: usize) -> Option<Copy> {
+        let word = &self.words[id];
         if self.protocols[core] == Protocol::Mesi {
+            let copy = Copy { version: word.committed, dirty: false };
+            word.mesi_holders.contains(core).then_some(copy)
+        } else {
+            self.copies[core].get(&(id as u64)).copied()
+        }
+    }
+
+    /// Gives `core` a copy of word `id`.
+    fn install(&mut self, core: usize, id: usize, copy: Copy) {
+        if self.protocols[core] == Protocol::Mesi {
+            debug_assert!(copy.version == self.words[id].committed && !copy.dirty);
             self.words[id].mesi_holders.insert(core);
+        } else {
+            let old = self.copies[core].insert(id as u64, copy);
+            if copy.dirty && old.is_none_or(|old| !old.dirty) {
+                self.dirtied[core].push(id);
+            }
         }
     }
 
     /// Invalidate other MESI cores' copies of word `id` (the directory
-    /// tracks MESI sharers only) and clear a MESI ownership pin. MESI copies
-    /// are dropped nowhere else, which is what keeps `mesi_holders` exact.
+    /// tracks MESI sharers only) and clear a MESI ownership pin.
     fn drop_other_mesi(&mut self, id: usize, except: usize) {
         let word = &mut self.words[id];
-        for d in word.mesi_holders.iter().filter(|&d| d != except) {
-            self.copies[d].remove(&(id as u64));
-        }
         let kept = word.mesi_holders.contains(except);
         word.mesi_holders = CoreSet::EMPTY;
         if kept {
@@ -174,7 +186,7 @@ impl StalePass {
         match ev.op {
             MemOp::Load { addr, racy } => {
                 let Word { latest, committed, owner, .. } = self.words[id];
-                match self.copies[core].get(&(id as u64)).copied() {
+                match self.copy(core, id) {
                     Some(cp) => {
                         // Pinned copies (owned, or dirty under GPU-WB) are
                         // the word's freshest value by construction.
@@ -307,11 +319,14 @@ mod tests {
     use bigtiny_coherence::Addr;
     use bigtiny_engine::XorShift64;
 
-    /// `drop_other_mesi` trusts `mesi_holders` instead of walking every
-    /// core, so the set must equal the MESI cores holding a copy after
-    /// every event of any stream — on every protocol mix, including the
-    /// all-MESI machine where every copy is tracked. The same holds for
-    /// `dirtied` and the dirty copies.
+    /// MESI copies are kept only as each word's `mesi_holders`, read back
+    /// as the committed version, and `drop_other_mesi` trusts that set
+    /// instead of walking every core. So after every event of any stream
+    /// — on every protocol mix, including the all-MESI machine — a commit
+    /// must leave no MESI holder but the committer, a DeNovo owner must
+    /// have no MESI holders (its stores commit without a drop) and a MESI
+    /// owner must be the only one; and `dirtied` must name every dirty
+    /// copy, since a flush or invalidate trusts it instead of scanning.
     #[test]
     fn mesi_holders_mirror_the_copies_after_every_event() {
         use Protocol::{DeNovo, GpuWb, GpuWt, Mesi};
@@ -331,19 +346,22 @@ mod tests {
                     _ => MemOp::FlushAll,
                 };
                 let core = rng.next_below(protocols.len() as u64) as usize;
+                let before: Vec<u64> = pass.words.iter().map(|w| w.committed).collect();
                 pass.step(&MemEvent { cycle, core, op }, id, &mut col);
                 for (id, word) in pass.words.iter().enumerate() {
-                    let mut held = CoreSet::EMPTY;
-                    for (d, _) in protocols.iter().enumerate().filter(|(_, p)| **p == Mesi) {
-                        if pass.copies[d].contains_key(&(id as u64)) {
-                            held.insert(d);
-                        }
+                    let holders: Vec<usize> = word.mesi_holders.iter().collect();
+                    assert!(holders.iter().all(|&d| protocols[d] == Mesi), "cycle {cycle}");
+                    if word.committed != before[id] {
+                        assert!(holders.iter().all(|&d| d == core), "cycle {cycle}, word {id}");
                     }
-                    assert_eq!(word.mesi_holders, held, "cycle {cycle}, word {id}");
+                    match word.owner.map(|o| (o, protocols[o])) {
+                        Some((_, DeNovo)) => assert!(holders.is_empty(), "cycle {cycle}"),
+                        Some((o, Mesi)) => assert_eq!(holders, [o], "cycle {cycle}, word {id}"),
+                        _ => {}
+                    }
                 }
-                // A flush or invalidate trusts `dirtied` instead of
-                // scanning the copies: it must name every dirty one.
                 for (d, copies) in pass.copies.iter().enumerate() {
+                    assert!(protocols[d] != Mesi || copies.is_empty());
                     for (&id, _) in copies.iter().filter(|(_, cp)| cp.dirty) {
                         assert!(pass.dirtied[d].contains(&(id as usize)), "cycle {cycle}, {id}");
                     }
