@@ -2,15 +2,12 @@
 //!
 //! A vector-clock pass. The stream is replayed in merged `(cycle, core)`
 //! order — which the engine guarantees equals grant order — and each core
-//! carries a full vector clock. Per word the pass keeps only what the run
-//! touched: the last write epoch `(core, clock, cycle)`, one such epoch
-//! per core that plain-read the word since that write (sorted by core, so
-//! a write reports its unordered readers lowest core first), and a sync
-//! clock once something releases on the word. FastTrack's single-reader
-//! epoch (Flanagan & Freund, PLDI 2009) is deliberately not used: keeping
-//! fewer readers would change which race a write reports and how many it
-//! suppresses. Synchronization edges come from five sources, all explicit
-//! in the stream:
+//! carries a full vector clock. Per word it keeps the last write epoch
+//! `(core, clock, cycle)`, one epoch per core that plain-read the word since
+//! (sorted by core: unlike FastTrack's single read epoch, a write then
+//! reports and suppresses exactly the races a full read vector would), and
+//! a sync clock once something releases on the word. Synchronization edges
+//! come from five sources, all explicit in the stream:
 //!
 //! * **AMOs** are acquire-release on the accessed word's sync clock
 //!   (every runtime lock, CAS, and join-counter decrement is an AMO).
@@ -158,10 +155,12 @@ impl HbPass {
         let what = if atomic { "atomic write" } else { "plain store" };
         if let Some((w, w_atomic)) = st.write {
             if !(atomic && w_atomic) && w.core != core && !vc.covers(w.core, w.clock) {
-                let other = match (atomic, w_atomic) {
-                    (true, _) => "plain store",
-                    (false, true) => "atomic write",
-                    (false, false) => "plain write",
+                let other = if w_atomic {
+                    "atomic write"
+                } else if atomic {
+                    "plain store"
+                } else {
+                    "plain write"
                 };
                 let detail =
                     format!("{what} races with {other} by core {} at cycle {}", w.core, w.cycle);
@@ -183,11 +182,9 @@ impl HbPass {
         let (core, vc, st) = (ev.core, &self.vc[ev.core], &mut self.words[id]);
         if let Some((w, atomic)) = st.write {
             if w.core != core && !vc.covers(w.core, w.clock) {
-                let kind = if atomic { "atomic" } else { "plain" };
-                let detail = format!(
-                    "plain load races with {kind} write by core {} at cycle {}",
-                    w.core, w.cycle
-                );
+                let (kind, c, cy) = (if atomic { "atomic" } else { "plain" }, w.core, w.cycle);
+                let detail =
+                    format!("plain load races with {kind} write by core {c} at cycle {cy}");
                 col.report(ViolationKind::HbRace, core, ev.cycle, Some(addr), addr.0, detail);
             }
         }

@@ -84,11 +84,9 @@ impl Hasher for WordHasher {
 /// A map keyed by dense word id or page number.
 pub(crate) type WordMap<V> = HashMap<u64, V, BuildHasherDefault<WordHasher>>;
 
-/// Dense word ids in first-touch order, so that the passes keep their
-/// per-word state in plain vectors. The ids live in 64-word pages: a
-/// stream walks neighbouring words together, and the page map stays
-/// small enough to stay in cache, where a map over every word would
-/// cost a cache miss per event.
+/// Dense word ids in first-touch order, for the passes' per-word vectors.
+/// The ids sit in 64-word pages: neighbouring words share a page, and the
+/// page map stays in cache where a map over every word would not.
 #[derive(Default)]
 struct WordIds {
     pages: WordMap<Box<[Option<u32>; 64]>>,
@@ -100,13 +98,11 @@ impl WordIds {
     fn get(&mut self, addr: u64) -> (usize, bool) {
         // A misaligned address gets a page of its own kind.
         let page = addr >> 9 | (addr & 7) << 61;
-        let slot = &mut self.pages.entry(page).or_insert_with(|| Box::new([None; 64]))
-            [(addr >> 3) as usize % 64];
+        let page = self.pages.entry(page).or_insert_with(|| Box::new([None; 64]));
+        let slot = &mut page[(addr >> 3) as usize % 64];
         let fresh = slot.is_none();
-        let id = *slot.get_or_insert_with(|| {
-            self.len += 1;
-            self.len - 1
-        });
+        let id = *slot.get_or_insert(self.len);
+        self.len += u32::from(fresh);
         (id as usize, fresh)
     }
 }

@@ -102,13 +102,6 @@ impl StalePass {
         self.words.push(Word::default());
     }
 
-    fn blame(&self, id: usize) -> String {
-        match self.words[id].writer {
-            Some((c, cy)) => format!("core {c} at cycle {cy}"),
-            None => "host initialization".to_string(),
-        }
-    }
-
     /// `core`'s copy of word `id`, if it holds one.
     fn copy(&self, core: usize, id: usize) -> Option<Copy> {
         let word = &self.words[id];
@@ -150,24 +143,15 @@ impl StalePass {
     /// Post-commit effects of an L1-coherent write (MESI / DeNovo store,
     /// or an AMO on those protocols).
     fn own_after_commit(&mut self, core: usize, id: usize) {
-        let version = self.words[id].latest;
-        match self.protocols[core] {
-            Protocol::Mesi => {
-                // A software-centric owner is unpinned (the directory
-                // recall commits nothing new) but keeps its — now stale —
-                // copy; only its own invalidate can clear it.
-                self.drop_other_mesi(id, core);
-                self.words[id].owner = Some(core);
-            }
-            Protocol::DeNovo => {
-                // Ownership fetch only on the not-yet-owned path.
-                if self.words[id].owner != Some(core) {
-                    self.drop_other_mesi(id, core);
-                    self.words[id].owner = Some(core);
-                }
-            }
-            Protocol::GpuWt | Protocol::GpuWb => unreachable!("L2-coherent protocol"),
+        // Ownership is fetched only on the not-yet-owned path (a MESI owner
+        // is already the only MESI holder). A software-centric owner is
+        // unpinned (the directory recall commits nothing new) but keeps its
+        // — now stale — copy; only its own invalidate can clear it.
+        if self.words[id].owner != Some(core) {
+            self.drop_other_mesi(id, core);
+            self.words[id].owner = Some(core);
         }
+        let version = self.words[id].latest;
         self.install(core, id, Copy { version, dirty: false });
     }
 
@@ -186,54 +170,44 @@ impl StalePass {
         match ev.op {
             MemOp::Load { addr, racy } => {
                 let Word { latest, committed, owner, .. } = self.words[id];
-                match self.copy(core, id) {
+                // A finding names the word's last writer, for blame.
+                let stale = match self.copy(core, id) {
+                    // Pinned copies (owned, or dirty under GPU-WB) are the
+                    // word's freshest value by construction.
                     Some(cp) => {
-                        // Pinned copies (owned, or dirty under GPU-WB) are
-                        // the word's freshest value by construction.
-                        let pinned = owner == Some(core) || cp.dirty;
-                        if racy.is_none() && !pinned && cp.version < latest {
-                            col.report(
-                                ViolationKind::StaleMissingInvalidate,
-                                core,
-                                cycle,
-                                Some(addr),
-                                addr.0,
-                                format!(
-                                    "load hit cached version {} but version {latest} was written \
-                                     by {} with no cache_invalidate on this core since",
-                                    cp.version,
-                                    self.blame(id)
-                                ),
-                            );
-                        }
+                        (owner != Some(core) && !cp.dirty && cp.version < latest).then(|| {
+                            let v = cp.version;
+                            let head =
+                                format!("load hit cached version {v} but version {latest} was");
+                            let tail = "with no cache_invalidate on this core since";
+                            (ViolationKind::StaleMissingInvalidate, head, tail)
+                        })
                     }
                     None => {
-                        if racy.is_none() && committed < latest {
-                            col.report(
-                                ViolationKind::StaleMissingFlush,
-                                core,
-                                cycle,
-                                Some(addr),
-                                addr.0,
-                                format!(
-                                    "load missed and the L2 can only supply version {committed}, \
-                                     but version {latest} written by {} is still unflushed",
-                                    self.blame(id)
-                                ),
-                            );
-                        }
                         // Fill. A MESI reader revokes a software-centric
                         // owner (directory recall); a software-centric
                         // reader downgrades a MESI owner to Shared.
-                        if owner.is_some_and(|o| {
-                            o != core
-                                && (self.protocols[core] == Protocol::Mesi
-                                    || self.protocols[o] == Protocol::Mesi)
-                        }) {
+                        let mesi = |c: usize| self.protocols[c] == Protocol::Mesi;
+                        if owner.is_some_and(|o| o != core && (mesi(core) || mesi(o))) {
                             self.words[id].owner = None;
                         }
                         self.install(core, id, Copy { version: committed, dirty: false });
+                        (committed < latest).then(|| {
+                            let head = format!(
+                                "load missed and the L2 can only supply version {committed}, but \
+                                 version {latest}"
+                            );
+                            (ViolationKind::StaleMissingFlush, head, "is still unflushed")
+                        })
                     }
+                };
+                if let (None, Some((kind, head, tail))) = (racy, stale) {
+                    let by = match self.words[id].writer {
+                        Some((c, cy)) => format!("core {c} at cycle {cy}"),
+                        None => "host initialization".to_string(),
+                    };
+                    let detail = format!("{head} written by {by} {tail}");
+                    col.report(kind, core, cycle, Some(addr), addr.0, detail);
                 }
             }
             MemOp::Store { .. } => {
