@@ -50,11 +50,6 @@ impl Vc {
             *a = (*a).max(*b);
         }
     }
-
-    /// `true` iff an event at `(core, clock)` happens-before this clock.
-    fn covers(&self, core: usize, clock: u64) -> bool {
-        self.0[core] >= clock
-    }
 }
 
 /// One access: which core, at which tick of its own clock, at which
@@ -66,13 +61,18 @@ struct Epoch {
     cycle: u64,
 }
 
-/// Last-access metadata for one word.
+/// Each core's latest plain read of a word since its last write, sorted by
+/// core: the first in place, as most words have one reader at a time.
+#[derive(Default)]
+struct Reads(Option<Epoch>, Vec<Epoch>);
+
+/// Last-access metadata for one word. An epoch is unordered before a
+/// clock whose entry for the epoch's core is below the epoch's clock.
 #[derive(Default)]
 struct WordState {
     /// Last write epoch, and whether that write was atomic.
     write: Option<(Epoch, bool)>,
-    /// Each core's latest plain read since the last write, sorted by core.
-    reads: Vec<Epoch>,
+    reads: Reads,
     /// Sync clock: release stores and AMOs publish here.
     sync: Vc,
     /// The core whose clock `sync` is a copy of, if it is one. Every clock
@@ -154,7 +154,7 @@ impl HbPass {
         let (core, vc, st) = (ev.core, &self.vc[ev.core], &mut self.words[id]);
         let what = if atomic { "atomic write" } else { "plain store" };
         if let Some((w, w_atomic)) = st.write {
-            if !(atomic && w_atomic) && w.core != core && !vc.covers(w.core, w.clock) {
+            if !(atomic && w_atomic) && w.core != core && vc.0[w.core] < w.clock {
                 let other = if w_atomic {
                     "atomic write"
                 } else if atomic {
@@ -167,21 +167,22 @@ impl HbPass {
                 col.report(ViolationKind::HbRace, core, ev.cycle, Some(addr), addr.0, detail);
             }
         }
-        for r in &st.reads {
-            if r.core != core && !vc.covers(r.core, r.clock) {
+        for r in st.reads.0.iter().chain(&st.reads.1) {
+            if r.core != core && vc.0[r.core] < r.clock {
                 let detail =
                     format!("{what} races with plain load by core {} at cycle {}", r.core, r.cycle);
                 col.report(ViolationKind::HbRace, core, ev.cycle, Some(addr), addr.0, detail);
             }
         }
         st.write = Some((Epoch { core, clock: vc.0[core], cycle: ev.cycle }, atomic));
-        st.reads.clear();
+        st.reads.0 = None;
+        st.reads.1.clear();
     }
 
     fn plain_read(&mut self, ev: &MemEvent, addr: Addr, id: usize, col: &mut Collector) {
         let (core, vc, st) = (ev.core, &self.vc[ev.core], &mut self.words[id]);
         if let Some((w, atomic)) = st.write {
-            if w.core != core && !vc.covers(w.core, w.clock) {
+            if w.core != core && vc.0[w.core] < w.clock {
                 let (kind, c, cy) = (if atomic { "atomic" } else { "plain" }, w.core, w.cycle);
                 let detail =
                     format!("plain load races with {kind} write by core {c} at cycle {cy}");
@@ -189,9 +190,14 @@ impl HbPass {
             }
         }
         let read = Epoch { core, clock: vc.0[core], cycle: ev.cycle };
-        match st.reads.binary_search_by_key(&core, |r| r.core) {
-            Ok(i) => st.reads[i] = read,
-            Err(i) => st.reads.insert(i, read),
+        let Reads(first, rest) = &mut st.reads;
+        match first {
+            Some(f) if f.core < core => match rest.binary_search_by_key(&core, |r| r.core) {
+                Ok(i) => rest[i] = read,
+                Err(i) => rest.insert(i, read),
+            },
+            Some(f) if f.core > core => rest.insert(0, std::mem::replace(f, read)),
+            _ => *first = Some(read),
         }
     }
 
