@@ -95,8 +95,6 @@ pub(crate) struct HbPass {
     /// is a request and 1 a response. FIFO per key (mesh delivers ULI
     /// point-to-point in order).
     uli: HashMap<(usize, usize, u8), VecDeque<Vc>, BuildHasherDefault<WordHasher>>,
-    /// Clocks of delivered ULI messages, reused by the next sends.
-    spare: Vec<Vc>,
 }
 
 impl HbPass {
@@ -108,7 +106,6 @@ impl HbPass {
             words: Vec::with_capacity(words),
             pending_release: vec![None; ncores],
             uli: HashMap::default(),
-            spare: Vec::new(),
         }
     }
 
@@ -204,8 +201,7 @@ impl HbPass {
     /// ULI send: enqueue a copy of the sender's clock, then bump so the
     /// sender's subsequent work is not retroactively ordered.
     fn uli_send(&mut self, from: usize, to: usize, kind: u8) {
-        let mut clock = self.spare.pop().unwrap_or_default();
-        clock.0.clone_from(&self.vc[from].0);
+        let clock = self.vc[from].clone();
         self.uli.entry((from, to, kind)).or_default().push_back(clock);
         self.bump(from);
     }
@@ -214,13 +210,9 @@ impl HbPass {
     fn uli_recv(&mut self, ev: &MemEvent, from: usize, kind: u8, col: &mut Collector) {
         let to = ev.core;
         match self.uli.get_mut(&(from, to, kind)).and_then(VecDeque::pop_front) {
-            Some(clock) => {
-                // The message clock is a copy of the sender's (see `sync_of`).
-                if self.vc[to].0[from] < clock.0[from] {
-                    self.vc[to].join(&clock);
-                }
-                self.spare.push(clock);
-            }
+            // The message clock is a copy of the sender's (see `sync_of`).
+            Some(clock) if self.vc[to].0[from] < clock.0[from] => self.vc[to].join(&clock),
+            Some(_) => {}
             None => {
                 let what = ["handler entry", "response receipt"][usize::from(kind)];
                 let detail = format!("{what} from core {from} with no matching send in the stream");

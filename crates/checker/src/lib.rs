@@ -13,8 +13,8 @@
 //! ([`bigtiny_engine::RunReport::mem_events`]) and replays it through three
 //! cooperating passes:
 //!
-//! 1. **Happens-before** ([`ViolationKind::HbRace`]) — a FastTrack-style
-//!    vector-clock race detector. Sync edges come from AMOs
+//! 1. **Happens-before** ([`ViolationKind::HbRace`]) — a vector-clock
+//!    race detector. Sync edges come from AMOs
 //!    (acquire-release on the word's sync clock), deque release stores
 //!    (marked by [`SyncNote::DequeRelease`]), ULI request/response
 //!    delivery, and the join-counter spin (a [`RacyTag::RcWaitLoop`] load
