@@ -56,9 +56,9 @@ use bigtiny_coherence::{Addr, Protocol};
 use bigtiny_engine::{hash, CheckMode, MemEvent, MemOp, RacyTag, RunReport, SystemConfig};
 
 /// Deterministic single-round multiply-xor hasher for the checker's maps.
-/// Their keys are dense word ids and page numbers of the simulated
-/// machine, never attacker-chosen, so SipHash's DoS resistance buys
-/// nothing here. No verdict may depend on a map's order: where the
+/// Their keys are dense word ids, page numbers and core ids of the
+/// simulated machine, never attacker-chosen, so SipHash's DoS resistance
+/// buys nothing here. No verdict may depend on a map's order: where the
 /// staleness pass iterates a map (bulk invalidate/flush) each word is
 /// handled independently of the others.
 #[derive(Clone, Copy, Default)]
