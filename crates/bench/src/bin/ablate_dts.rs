@@ -3,10 +3,16 @@
 //! * `has_stolen_child` optimization on/off (Section IV-C),
 //! * victim hands out deque head (classic) vs tail (as literally written in
 //!   Figure 3(c) line 48),
-//! * steal back-off sweep.
+//! * steal back-off sweep,
+//! * victim-selection policy,
+//! * the baseline's deque implementation.
+//!
+//! Ablations 1–4 each turn one knob of `b.T/HCC-DTS-gwb`; the cell with
+//! every knob at its default runs once per kernel and stands in all four.
 
 use bigtiny_apps::app_by_name;
-use bigtiny_bench::{cli, render_table, run_app, Setup};
+use bigtiny_bench::{cli, render_table, run_app, AppResult, Setup};
+use bigtiny_core::{RuntimeConfig, VictimPolicy};
 use bigtiny_engine::Protocol;
 
 const CLI: cli::Spec = cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::SIZE]);
@@ -16,6 +22,19 @@ fn main() {
     let names = ["cilk5-cs", "ligra-bfs", "ligra-tc"];
 
     println!("DTS ablations ({size:?} inputs, b.T/HCC-DTS-gwb)\n");
+
+    let dts = || Setup::bt_hcc(Protocol::GpuWb, true);
+    let defaults: [AppResult; 3] =
+        names.map(|name| run_app(&dts(), &app_by_name(name).expect("registered"), size, 0));
+    let default_rt = dts().rt;
+    // Kernel `i` on b.T/HCC-DTS-gwb with one knob turned and `suffix` on
+    // the label.
+    let turned = |i: usize, suffix: &str, turn: &dyn Fn(&mut RuntimeConfig)| {
+        let mut s = dts();
+        turn(&mut s.rt);
+        s.label.push_str(suffix);
+        run_app(&s, &app_by_name(names[i]).expect("registered"), size, 0)
+    };
 
     // 1. has_stolen_child optimization.
     {
@@ -30,16 +49,10 @@ fn main() {
         .map(String::from)
         .to_vec();
         let mut rows = Vec::new();
-        for name in names {
-            let app = app_by_name(name).expect("registered");
-            let on = Setup::bt_hcc(Protocol::GpuWb, true);
-            let mut off = Setup::bt_hcc(Protocol::GpuWb, true);
-            off.rt.dts_has_stolen_child_opt = false;
-            off.label.push_str("-nohsc");
-            let r_on = run_app(&on, &app, size, 0);
-            let r_off = run_app(&off, &app, size, 0);
+        for (i, r_on) in defaults.iter().enumerate() {
+            let r_off = turned(i, "-nohsc", &|rt| rt.dts_has_stolen_child_opt = false);
             rows.push(vec![
-                name.to_owned(),
+                names[i].to_owned(),
                 r_on.cycles.to_string(),
                 r_off.cycles.to_string(),
                 format!("{:.3}", r_off.cycles as f64 / r_on.cycles as f64),
@@ -57,16 +70,10 @@ fn main() {
                 .map(String::from)
                 .to_vec();
         let mut rows = Vec::new();
-        for name in names {
-            let app = app_by_name(name).expect("registered");
-            let head = Setup::bt_hcc(Protocol::GpuWb, true);
-            let mut tail = Setup::bt_hcc(Protocol::GpuWb, true);
-            tail.rt.dts_steal_from_tail = true;
-            tail.label.push_str("-tail");
-            let r_head = run_app(&head, &app, size, 0);
-            let r_tail = run_app(&tail, &app, size, 0);
+        for (i, r_head) in defaults.iter().enumerate() {
+            let r_tail = turned(i, "-tail", &|rt| rt.dts_steal_from_tail = true);
             rows.push(vec![
-                name.to_owned(),
+                names[i].to_owned(),
                 r_head.cycles.to_string(),
                 r_tail.cycles.to_string(),
                 format!("{:.3}", r_tail.cycles as f64 / r_head.cycles as f64),
@@ -85,15 +92,14 @@ fn main() {
         let header: Vec<String> =
             ["App", "backoff", "cycles", "steal attempts", "NACKs"].map(String::from).to_vec();
         let mut rows = Vec::new();
-        for name in names {
-            let app = app_by_name(name).expect("registered");
+        for (i, default) in defaults.iter().enumerate() {
             for backoff in [4u64, 24, 96, 384] {
-                let mut s = Setup::bt_hcc(Protocol::GpuWb, true);
-                s.rt.steal_backoff_cycles = backoff;
-                s.label = format!("{}-bo{backoff}", s.label);
-                let r = run_app(&s, &app, size, 0);
+                let run = (backoff != default_rt.steal_backoff_cycles).then(|| {
+                    turned(i, &format!("-bo{backoff}"), &|rt| rt.steal_backoff_cycles = backoff)
+                });
+                let r = run.as_ref().unwrap_or(default);
                 rows.push(vec![
-                    name.to_owned(),
+                    names[i].to_owned(),
                     backoff.to_string(),
                     r.cycles.to_string(),
                     r.run.stats.steal_attempts.to_string(),
@@ -107,21 +113,18 @@ fn main() {
     // 4. Victim-selection policy (an extension beyond the paper: exploit
     //    the mesh's physical locality when choosing victims).
     {
-        use bigtiny_core::VictimPolicy;
         let header: Vec<String> =
             ["App", "policy", "cycles", "steals", "ULI mean hops"].map(String::from).to_vec();
         let mut rows = Vec::new();
-        for name in names {
-            let app = app_by_name(name).expect("registered");
+        for (i, default) in defaults.iter().enumerate() {
             for policy in
                 [VictimPolicy::Random, VictimPolicy::RoundRobin, VictimPolicy::NearestFirst]
             {
-                let mut s = Setup::bt_hcc(Protocol::GpuWb, true);
-                s.rt.victim_policy = policy;
-                s.label = format!("{}-{policy:?}", s.label);
-                let r = run_app(&s, &app, size, 0);
+                let run = (policy != default_rt.victim_policy)
+                    .then(|| turned(i, &format!("-{policy:?}"), &|rt| rt.victim_policy = policy));
+                let r = run.as_ref().unwrap_or(default);
                 rows.push(vec![
-                    name.to_owned(),
+                    names[i].to_owned(),
                     format!("{policy:?}"),
                     r.cycles.to_string(),
                     r.run.stats.steals.to_string(),
@@ -145,7 +148,7 @@ fn main() {
                 s.rt.deque_kind = kind;
                 s.label = format!("{}-{kind:?}", s.label);
                 let r = run_app(&s, &app, size, 0);
-                let all: Vec<usize> = (0..64).collect();
+                let all: Vec<usize> = (0..s.sys.cores.len()).collect();
                 rows.push(vec![
                     name.to_owned(),
                     format!("{kind:?}"),

@@ -41,7 +41,7 @@ fn main() {
             rt: RuntimeConfig::new(RuntimeKind::Dts),
         })
         .collect();
-    let results = harness.run_matrix(&setups);
+    let (results, _) = harness.run_matrix(&setups);
 
     let header: Vec<String> = [
         "Name",

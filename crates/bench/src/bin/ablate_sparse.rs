@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bigtiny_apps::graph::Graph;
 use bigtiny_apps::ligra::{edge_map, edge_map_auto, VertexSubset};
-use bigtiny_bench::{cli, render_table, Setup};
+use bigtiny_bench::{cli, judge, render_table, Setup};
 use bigtiny_core::run_task_parallel;
 use bigtiny_engine::{AddrSpace, Protocol, RacyTag, ShVec};
 
@@ -51,9 +51,11 @@ fn bfs_run(setup: &Setup, n: usize, ef: usize, auto: bool) -> (u64, u64) {
             nxt.par_clear(cx, 128);
         }
     });
-    assert_eq!(run.report.stale_reads, 0);
     // Sanity: reachable set is nonempty beyond the source.
-    assert!(parent.snapshot().iter().filter(|p| **p != UNVISITED).count() > 1);
+    let reached = parent.snapshot().iter().filter(|p| **p != UNVISITED).count();
+    let verified = (reached > 1).then_some(()).ok_or_else(|| "BFS reached only its source".into());
+    let kernel = if auto { "bfs-auto" } else { "bfs-dense" };
+    judge(setup, kernel, &run, verified).assert_clean(kernel, &setup.label);
     (run.report.completion_cycles, run.report.total_instructions())
 }
 

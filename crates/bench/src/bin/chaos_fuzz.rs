@@ -3,9 +3,10 @@
 //!
 //! Each sampled plan runs the kernel list (restricted by `BIGTINY_APPS`,
 //! sized by `BIGTINY_SIZE`) on the 16-core DTS fault-ablation machine with
-//! the watchdog armed and task events recorded. A plan fails if any run
-//! panics (verification, stale reads, watchdog abort) or its task-event
-//! audit is not clean. On failure the plan is shrunk — whole dimensions
+//! the watchdog armed and task events recorded. A plan fails on the first
+//! dirty verdict of the harness's one judge (`bigtiny_bench::judge`): a
+//! panic (watchdog abort, poison), kernel verification, stale reads,
+//! cycle conservation or the task-event audit. On failure the plan is shrunk — whole dimensions
 //! dropped, crash-core mask bit-shrunk, magnitudes binary-searched — and
 //! the minimal plan prints as an `eval_all --fault-plan <spec>` command.
 //!

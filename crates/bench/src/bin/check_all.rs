@@ -2,11 +2,13 @@
 //! with the DRF conformance checker armed, and emits a JSON verdict table.
 //!
 //! This is the oracle sweep: MESI baseline plus HCC / HCC-DTS on the
-//! three software-centric protocols, each kernel verified against its
-//! host reference *and* its op stream replayed through the checker's
-//! happens-before, staleness, and sync-discipline passes. A healthy tree
-//! produces an all-clean table; any violation prints its first finding
-//! (core, cycle, address) and the run exits nonzero.
+//! three software-centric protocols, each run judged by the harness's one
+//! judge (`bigtiny_bench::judge`) with the checker armed: kernel verify,
+//! zero stale reads, cycle conservation, and the op stream replayed
+//! through the checker's happens-before, staleness, and sync-discipline
+//! passes. A healthy tree produces an all-clean table; any finding is
+//! printed (a DRF violation with its core, cycle and address), a panic
+//! included, and the run exits nonzero.
 //!
 //! Writes one flat JSON object per (kernel × setup) line to
 //! `CHECK_verdicts.json` at the repo root (or `$BIGTINY_CHECK_OUT`). The
@@ -34,8 +36,8 @@
 //! Perfetto tail trace at `PATH.trace.json`.
 
 use bigtiny_bench::live::Harness;
-use bigtiny_bench::{cli, render_table, run_app, Setup};
-use bigtiny_checker::{check_run, CheckReport, ViolationKind};
+use bigtiny_bench::{cli, render_table, try_run_app, Setup};
+use bigtiny_checker::{CheckReport, ViolationKind};
 use bigtiny_engine::{CheckMode, RacyTag};
 use bigtiny_obs::Json;
 
@@ -101,37 +103,41 @@ fn main() {
             harness.arm(&mut armed, app.name);
             let setup = &armed;
             let t0 = std::time::Instant::now();
-            let r = run_app(setup, app, size, 0);
-            let report = check_run(&setup.sys, &r.run.report);
+            let judged = try_run_app(setup, app, size, 0);
             let wall_ms = t0.elapsed().as_millis() as u64;
+            let verdict = &judged.verdict;
+            let events = verdict.drf.as_ref().map_or(0, |report| report.events);
             eprintln!(
                 "[check_all] {:<12} {:<16} {:>9} events  {}",
-                r.app,
+                app.name,
                 setup.label,
-                report.events,
-                if report.is_clean() { "clean" } else { "VIOLATIONS" }
+                events,
+                if verdict.is_clean() { "clean" } else { "VIOLATIONS" }
             );
-            if !report.is_clean() {
+            if !verdict.is_clean() {
                 dirty += 1;
-                eprint!("{}", report.render());
+                eprint!("{}", verdict.render());
                 // First dirty cell: dump its flight tails for forensics.
-                if dirty == 1 {
-                    harness.dump_report("drf_violation", setup, &r);
+                if let (1, Some(r)) = (dirty, &judged.result) {
+                    harness.dump_report("drf_violation", setup, r);
                 }
             }
-            rows.push(vec![
-                r.app.to_owned(),
-                setup.label.clone(),
-                report.events.to_string(),
-                report.racy_total().to_string(),
-                wall_ms.to_string(),
-                if report.is_clean() {
-                    "clean".to_owned()
-                } else {
-                    format!("{} violation(s)", report.violations.len())
-                },
-            ]);
-            lines.push(json_line(r.app, &setup.label, &report));
+            // A run that panicked left no op stream to tabulate.
+            if let Some(report) = &verdict.drf {
+                rows.push(vec![
+                    app.name.to_owned(),
+                    setup.label.clone(),
+                    report.events.to_string(),
+                    report.racy_total().to_string(),
+                    wall_ms.to_string(),
+                    if verdict.is_clean() {
+                        "clean".to_owned()
+                    } else {
+                        format!("{} violation(s)", report.violations.len())
+                    },
+                ]);
+                lines.push(json_line(app.name, &setup.label, report));
+            }
             if dirty > 0 && fail_fast {
                 eprintln!("[check_all] --fail-fast: stopping after first dirty cell");
                 break 'sweep;

@@ -7,14 +7,18 @@
 //! IV and the metrics and trace documents read only the big.TINY runs.
 //! `--fault-plan` and `--setups-256` run only the big.TINY machines.
 //!
+//! Every run is decided by the harness's one judge (`bigtiny_bench::judge`);
+//! a dirty verdict aborts the evaluation. Under a crash plan the judge's
+//! at-least-once task-event audit is also printed as a table.
+//!
 //! `--blackbox-out` leaves flight-recorder forensics behind: a crash-time
-//! bundle on a watchdog trip or poison, the first dirty run on a failed
-//! crash audit, an explicit dump of the last run on clean completion.
+//! bundle on a watchdog trip or poison, the dirty run on a dirty verdict,
+//! an explicit dump of the last run on clean completion.
 
 use bigtiny_bench::live::{metrics_doc, trace_doc, write_doc, Harness};
 use bigtiny_bench::{cli, figures, Setup};
 use bigtiny_core::RuntimeKind;
-use bigtiny_engine::Protocol;
+use bigtiny_engine::{FaultPlan, Protocol};
 
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
@@ -56,10 +60,15 @@ fn main() {
         setups
     };
     harness.announce();
+    let (runs, verdicts) = harness.run_matrix(&setups);
+    let audits = harness
+        .faults()
+        .is_some_and(FaultPlan::crash_armed)
+        .then(|| figures::audit_table(&runs, &verdicts));
     // `partition` keeps run order: `results` is the kernel-major big.TINY
     // matrix the figures and documents read, `base` the other machines.
     let (results, base): (Vec<_>, Vec<_>) =
-        harness.run_matrix(&setups).into_iter().partition(|r| r.setup.starts_with("b.T"));
+        runs.into_iter().partition(|r| r.setup.starts_with("b.T"));
 
     if let Some(path) = args.text(&cli::METRICS_OUT) {
         write_doc(path, &metrics_doc(&results));
@@ -119,19 +128,9 @@ fn main() {
         println!("{}", figures::fault_summary(&results));
     }
 
-    // A dirty crash-recovery audit fails the whole evaluation.
-    if harness.faults().is_some_and(|plan| plan.crash_armed()) {
-        let audit = figures::crash_audit(&results);
+    if let Some(table) = audits {
         println!("== Crash-recovery audit ({size:?}) ==\n");
-        println!("{}", audit.table);
-        if let Some(first) = audit.dirty.first() {
-            // A dirty audit is a forensic event: dump the first offender's
-            // flight tails before failing the evaluation.
-            let setup = setups.iter().find(|s| s.label == first.setup).expect("ran on a setup");
-            harness.dump_report("crash_audit", setup, first);
-            eprintln!("[audit] {} run(s) failed the crash-recovery audit", audit.dirty.len());
-            std::process::exit(1);
-        }
+        println!("{table}");
         println!("all {} crash-armed runs audited clean", results.len());
     }
 

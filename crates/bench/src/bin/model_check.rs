@@ -6,16 +6,12 @@
 //! *schedule space*: for each kernel × setup it walks the sequencer's
 //! tie-break choice tree with `bigtiny_checker::explore` (persistent-set
 //! DFS + partial-order reduction), re-running the system under
-//! `SchedulePolicy::Scripted` and applying the full battery to every
-//! explored schedule:
-//!
-//! - the three checker passes (happens-before races, staleness replay,
-//!   sync-discipline lint),
-//! - kernel `verify()` against the host reference,
-//! - the zero-stale-reads and cycle-conservation invariants,
-//! - the task-event recovery audit,
-//! - final-memory fingerprint invariance (schedule-deterministic kernels
-//!   only), which doubles as the per-`RacyTag` idempotence-safety pass.
+//! `SchedulePolicy::Scripted` with the DRF checker armed, and has the
+//! harness's one judge (`bigtiny_bench::judge`: kernel `verify()`, zero
+//! stale reads, cycle conservation, the task-event audit and the three
+//! checker passes) decide every explored schedule. The explorer adds
+//! final-memory fingerprint invariance (schedule-deterministic kernels
+//! only), which doubles as the per-`RacyTag` idempotence-safety pass.
 //!
 //! Kernels: a local 2-core `fib` micro-kernel (pure spawn/sync + one AMO
 //! accumulator — the smallest interesting steal pattern) plus the six
@@ -26,9 +22,9 @@
 //! audit their task-event streams in the checker's `Multiplicity` mode
 //! (at-most-twice with idempotent side-effects) and run only the
 //! idempotence-whitelisted kernels; each also gets a `+dup` cell with a
-//! seeded [`MutationKind::DupTask`] so the sweep proves the battery,
-//! kernel `verify()`, and fingerprint invariance hold with a duplicate
-//! execution present under every explored tie-break.
+//! seeded `MutationKind::DupTask` so the sweep proves the judge's
+//! checks and fingerprint invariance hold with a duplicate execution
+//! present under every explored tie-break.
 //!
 //! Writes a nested JSON verdict document (schema
 //! `bigtiny-model-check-v2`, which added the per-cell `policy` and
@@ -50,19 +46,11 @@
 //! `SystemConfig::with_schedule(SchedulePolicy::Scripted(script))` to
 //! land on the failing schedule deterministically.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use bigtiny_apps::{app_by_name, AppSize, Prepared, RootFn};
-use bigtiny_bench::{cli, render_table, Setup};
-use bigtiny_checker::explore::{explore, ExploreBudget, ExploreReport, ScheduleOutcome};
-use bigtiny_checker::{audit_task_events_mode, check_run, kernel_is_duplicate_safe, AuditMode};
-use bigtiny_core::{
-    parallel_invoke, run_task_parallel, DequeKind, Mutation, MutationKind, RuntimeConfig,
-    RuntimeKind, TaskCx,
-};
-use bigtiny_engine::{AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig};
-use bigtiny_obs::{CycleConservation, Json};
+use bigtiny_apps::{app_by_name, AppSpec};
+use bigtiny_bench::{cli, render_table, run_scripted, Setup, FIB};
+use bigtiny_checker::explore::{explore, ExploreBudget, ExploreReport};
+use bigtiny_checker::kernel_is_duplicate_safe;
+use bigtiny_obs::Json;
 
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
@@ -73,181 +61,25 @@ const CLI: cli::Spec = cli::Spec::new(
 const MC_APPS: &[&str] =
     &["fib", "cilk5-nq", "cilk5-cs", "cilk5-mt", "ligra-bf", "ligra-cc", "ligra-tc"];
 
-/// Simulated-core count of every explored config.
-const CORES: usize = 2;
-
-fn fib_body(cx: &mut TaskCx<'_>, n: u64, acc: Arc<ShScalar<u64>>) {
-    if n < 2 {
-        cx.port().advance(2);
-        if n == 1 {
-            acc.amo(cx.port(), |c| *c += 1);
-        }
-        return;
-    }
-    let (a, b) = (Arc::clone(&acc), acc);
-    parallel_invoke(cx, move |cx| fib_body(cx, n - 1, a), move |cx| fib_body(cx, n - 2, b));
-}
-
-/// The local micro-kernel: `fib(8)` counted by one-AMO-per-leaf, the
-/// smallest workload that steals, joins, and contends on one word.
-fn fib_prepared(space: &mut AddrSpace) -> Prepared {
-    const N: u64 = 8;
-    const WANT: u64 = 21;
-    let acc = Arc::new(ShScalar::new(space, 0u64));
-    let (a2, a3) = (Arc::clone(&acc), Arc::clone(&acc));
-    let root: RootFn = Box::new(move |cx| fib_body(cx, N, a2));
-    let verify = Box::new(move || {
-        let got = acc.host_read();
-        if got == WANT {
-            Ok(())
-        } else {
-            Err(format!("fib: counted {got}, expected {WANT}"))
-        }
-    });
-    Prepared { root, verify, fingerprint: Some(Box::new(move || a3.host_read())) }
-}
-
-fn prepare(app: &str, space: &mut AddrSpace) -> Prepared {
-    if app == "fib" {
-        fib_prepared(space)
+fn spec(app: &str) -> AppSpec {
+    if app == FIB.name {
+        FIB
     } else {
-        let spec = app_by_name(app).expect("validated by the parser");
-        spec.prepare_default(space, AppSize::Test)
-    }
-}
-
-/// One sweep cell: a setup (whose `rt.deque_kind` is the policy under
-/// test) plus whether a `DupTask` mutation is armed.
-struct Cell {
-    setup: Setup,
-    dup_injected: bool,
-}
-
-fn mc_cells() -> Vec<Cell> {
-    let rt = |kind| {
-        let mut rt = RuntimeConfig::new(kind);
-        rt.record_task_events = true;
-        rt
-    };
-    let baseline = |suffix: &str, deque: DequeKind, dup: bool| {
-        let mut rt = rt(RuntimeKind::Baseline);
-        rt.deque_kind = deque;
-        if dup {
-            // Seed one permitted duplicate: re-execute the task claimed by
-            // core 0's first clean local pop. Core 0 always pops (the root
-            // spawns there), so the duplicate lands on every schedule.
-            rt.mutation = Some(Mutation { kind: MutationKind::DupTask, core: 0, nth: 0 });
-        }
-        Cell {
-            setup: Setup {
-                label: format!("tiny{CORES}/MESI{suffix}"),
-                sys: SystemConfig::tiny_only(CORES, Protocol::Mesi),
-                rt,
-            },
-            dup_injected: dup,
-        }
-    };
-    vec![
-        baseline("", DequeKind::Locked, false),
-        baseline("-cl", DequeKind::ChaseLev, false),
-        baseline("-ff", DequeKind::FenceFree, false),
-        baseline("-ff+dup", DequeKind::FenceFree, true),
-        baseline("-idem", DequeKind::Idempotent, false),
-        baseline("-idem+dup", DequeKind::Idempotent, true),
-        Cell {
-            setup: Setup {
-                label: format!("tiny{CORES}/HCC-dnv"),
-                sys: SystemConfig::tiny_only(CORES, Protocol::DeNovo),
-                rt: rt(RuntimeKind::Hcc),
-            },
-            dup_injected: false,
-        },
-        Cell {
-            setup: Setup {
-                label: format!("tiny{CORES}/HCC-DTS-dnv"),
-                sys: SystemConfig::tiny_only(CORES, Protocol::DeNovo),
-                rt: rt(RuntimeKind::Dts),
-            },
-            dup_injected: false,
-        },
-    ]
-}
-
-/// Executes one scripted schedule of `app` on `setup` and gathers the
-/// full battery's verdicts.
-fn run_scripted(setup: &Setup, app: &str, script: &[u32]) -> ScheduleOutcome {
-    let sys = setup
-        .sys
-        .clone()
-        .with_check(CheckMode::Full)
-        .with_schedule(SchedulePolicy::Scripted(script.to_vec()));
-    let mut space = AddrSpace::new();
-    let prepared = prepare(app, &mut space);
-    let rt = setup.rt.clone();
-    let run =
-        catch_unwind(AssertUnwindSafe(|| run_task_parallel(&sys, &rt, &mut space, prepared.root)));
-    let run = match run {
-        Ok(run) => run,
-        Err(p) => {
-            let what = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "non-string panic".to_owned());
-            return ScheduleOutcome {
-                choices: Vec::new(),
-                events: Vec::new(),
-                report: bigtiny_checker::check_events(&[], CheckMode::Full, &[]),
-                failure: Some(format!("panic: {}", what.lines().next().unwrap_or(""))),
-                fingerprint: None,
-            };
-        }
-    };
-    let report = check_run(&sys, &run.report);
-    let mut failure = (prepared.verify)().err();
-    if failure.is_none() && run.report.stale_reads > 0 {
-        failure = Some(format!("{} stale reads", run.report.stale_reads));
-    }
-    if failure.is_none() {
-        let cons = CycleConservation::from_report(&run.report);
-        if !cons.holds() {
-            failure = Some(format!(
-                "cycle conservation breach: buckets {} != core cycles {}",
-                cons.bucket_sum(),
-                cons.total_core_cycles
-            ));
-        }
-    }
-    if failure.is_none() {
-        // Multiplicity policies relax the audit from exactly-once to
-        // at-most-twice-with-idempotent-side-effects; everything else
-        // keeps the exact contract.
-        let mode = AuditMode::for_run(&setup.rt, false);
-        let audit = audit_task_events_mode(&run.task_events, mode, app);
-        if !audit.is_clean() {
-            failure = audit.violations.first().map(|v| format!("audit: {v}"));
-        }
-    }
-    ScheduleOutcome {
-        choices: run.report.choice_points.clone(),
-        events: run.report.mem_events.clone(),
-        report,
-        failure,
-        fingerprint: prepared.fingerprint.map(|f| f()),
+        app_by_name(app).expect("validated by the parser")
     }
 }
 
 /// One cell's verdict row, through the workspace's one JSON writer.
-fn json_row(app: &str, cell: &Cell, r: &ExploreReport) -> Json {
+fn json_row(app: &str, cell: &Setup, r: &ExploreReport) -> Json {
     let flag = |b: bool| Json::u64(u64::from(b));
     let script = r.failures.first().map_or(String::new(), |f| {
         f.script.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
     });
     let fields = [
         ("app", Json::str(app)),
-        ("setup", Json::str(&cell.setup.label)),
-        ("policy", Json::lit(cell.setup.rt.deque_kind.label())),
-        ("dup_injected", flag(cell.dup_injected)),
+        ("setup", Json::str(&cell.label)),
+        ("policy", Json::lit(cell.rt.deque_kind.label())),
+        ("dup_injected", flag(cell.dup_injected())),
         ("explored", Json::u64(r.schedules_explored)),
         ("pruned", Json::u64(r.schedules_pruned)),
         ("max_depth", Json::u64(r.max_depth as u64)),
@@ -290,7 +122,7 @@ fn main() {
         max_schedules: args.get(&cli::MC_SCHEDULES),
     };
     let apps = args.names(&cli::MC_APPS).unwrap_or_else(|| MC_APPS.to_vec());
-    let cells = mc_cells();
+    let cells = Setup::model_check_cells();
 
     let header: Vec<String> = ["app", "setup", "policy", "explored", "pruned", "depth", "verdict"]
         .map(String::from)
@@ -300,8 +132,8 @@ fn main() {
     let mut dirty = 0usize;
 
     for app in &apps {
-        for cell in &cells {
-            let setup = &cell.setup;
+        let spec = spec(app);
+        for setup in &cells {
             // The multiplicity policies may legitimately re-execute a task;
             // that is only sound for kernels on the *duplicate-safe*
             // whitelist (strictly stronger than respawn idempotence:
@@ -310,7 +142,7 @@ fn main() {
             if setup.rt.deque_kind.multiplicity() && !kernel_is_duplicate_safe(app) {
                 continue;
             }
-            let report = explore(&budget, |script| run_scripted(setup, app, script));
+            let report = explore(&budget, |script| run_scripted(setup, &spec, script));
             eprintln!(
                 "[model_check] {:<10} {:<22} explored {:>4} pruned {:>4}  {}",
                 app,
@@ -336,7 +168,7 @@ fn main() {
                     format!("{} failing schedule(s)", report.failures.len())
                 },
             ]);
-            json_rows.push(json_row(app, cell, &report));
+            json_rows.push(json_row(app, setup, &report));
         }
     }
 
@@ -370,7 +202,7 @@ mod tests {
     /// layout included: `MODEL_CHECK_verdicts.json` readers depend on both.
     #[test]
     fn a_verdict_row_has_pinned_bytes() {
-        let cell = mc_cells().swap_remove(3);
+        let cell = Setup::model_check_cells().swap_remove(3);
         let report = ExploreReport {
             schedules_explored: 24,
             schedules_pruned: 7,

@@ -20,7 +20,7 @@
 
 use bigtiny_bench::live::{metrics_doc, observe, trace_doc, write_doc, Harness};
 use bigtiny_bench::{cli, render_table, Setup};
-use bigtiny_obs::{replay_run, verify_attr_spans, CycleConservation, CycleLens, WhatIf};
+use bigtiny_obs::{replay_run, CycleConservation, CycleLens, WhatIf};
 
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
@@ -33,15 +33,15 @@ fn main() {
     let size = harness.size;
     let mut setups = Setup::big_tiny_matrix();
     // The profile needs attribution and task events on every run;
-    // `--trace-out` adds per-core tracing through the harness.
+    // `--trace-out` adds per-core tracing through the harness. The judge
+    // then holds every run to its attribution spans, its task-event audit
+    // and cycle conservation as well.
     setups.iter_mut().for_each(|s| observe(s, false));
-    let results = harness.run_matrix(&setups);
+    let (results, _) = harness.run_matrix(&setups);
 
     let mut summary_rows = Vec::new();
     let mut conservation_rows = Vec::new();
     for r in &results {
-        verify_attr_spans(&r.run.report)
-            .unwrap_or_else(|e| panic!("{} @ {}: bad attribution spans: {e}", r.app, r.setup));
         let w = WhatIf::project(&r.run)
             .unwrap_or_else(|e| panic!("{} @ {}: profile failed: {e}", r.app, r.setup));
         let cp = &w.burdened;
@@ -60,14 +60,6 @@ fn main() {
         ]);
 
         let cons = CycleConservation::from_report(&r.run.report);
-        assert!(
-            cons.holds(),
-            "{} @ {}: cycle conservation violated: buckets {} != core-cycles {}",
-            r.app,
-            r.setup,
-            cons.bucket_sum(),
-            cons.total_core_cycles
-        );
         let mut row = vec![r.app.to_owned(), r.setup.clone()];
         let total = cons.total_core_cycles.max(1) as f64;
         for (_, v) in cons.pairs() {

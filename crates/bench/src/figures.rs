@@ -12,11 +12,10 @@
 //! O3 multicores, the tiny-only half) take those runs as a second matrix,
 //! `base`, looked up by kernel and label.
 
-use bigtiny_checker::audit_task_events;
 use bigtiny_engine::{EnergyReport, Protocol};
 use bigtiny_mesh::{TrafficClass, TRAFFIC_CLASSES};
 
-use crate::{find_result, geomean, render_table, AppResult, Setup};
+use crate::{find_result, geomean, render_table, AppResult, Setup, Verdict};
 
 const HCC_PROTOCOLS: [Protocol; 3] = [Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb];
 
@@ -309,43 +308,24 @@ pub fn fault_summary(results: &[AppResult]) -> String {
     render_table(&header(&cols), &rows)
 }
 
-/// The crash-recovery audit of a crash-armed matrix.
-pub struct CrashAudit<'a> {
-    /// One row per run: tasks, respawns, discards, recovered, verdict.
-    pub table: String,
-    /// The runs whose task-event stream did not audit clean, in run order.
-    pub dirty: Vec<&'a AppResult>,
-}
-
-/// Audits every run's task-event stream under the crash-armed contract:
-/// at-least-once with full recovery accounting (a mid-execution death is
-/// acceptable only if covered by a respawn; re-execution only for
-/// idempotency-whitelisted kernels). Dirty runs are also rendered to
-/// stderr as they are found.
-pub fn crash_audit(results: &[AppResult]) -> CrashAudit<'_> {
+/// The crash-recovery audit of a crash-armed matrix, one row per run of
+/// `results`: the counts and verdict hash of the at-least-once audit in
+/// the run's verdict (`verdicts` is in run order). Every row reads clean:
+/// [`Harness::run_matrix`](crate::live::Harness::run_matrix) aborts on a
+/// dirty verdict.
+pub fn audit_table(results: &[AppResult], verdicts: &[Verdict]) -> String {
     let cols = ["Name", "Config", "Tasks", "Respawns", "Discards", "Recovered", "Verdict"];
-    let mut rows = Vec::new();
-    let mut dirty = Vec::new();
-    for r in results {
-        let audit = audit_task_events(&r.run.task_events, true, r.app);
-        if !audit.is_clean() {
-            dirty.push(r);
-            eprintln!("[audit] {} on {}:", r.app, r.setup);
-            eprint!("{}", audit.render());
-        }
-        rows.push(vec![
-            r.app.to_owned(),
-            r.setup.clone(),
-            audit.tasks.to_string(),
-            audit.respawns.to_string(),
-            audit.discards.to_string(),
-            audit.recovered.to_string(),
-            if audit.is_clean() {
-                format!("clean {:#018x}", audit.verdict_hash())
-            } else {
-                format!("{} violation(s)", audit.violations.len())
-            },
-        ]);
-    }
-    CrashAudit { table: render_table(&header(&cols), &rows), dirty }
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .zip(verdicts)
+        .map(|(r, v)| {
+            let audit = v.audit.as_ref().expect("a crash-armed run records its task events");
+            let counts = [audit.tasks, audit.respawns, audit.discards, audit.recovered];
+            let mut row = vec![r.app.to_owned(), r.setup.clone()];
+            row.extend(counts.map(|n| n.to_string()));
+            row.push(format!("clean {:#018x}", audit.verdict_hash()));
+            row
+        })
+        .collect();
+    render_table(&header(&cols), &rows)
 }

@@ -5,24 +5,23 @@
 //! dimension independently at realistic magnitudes (crash dimensions
 //! included). The invariant runner executes kernels under the plan on the
 //! 16-core DTS machine of the fault ablation, with the watchdog armed and
-//! task-lifecycle events recorded, and fails the plan if any run panics
-//! (verification, stale reads, watchdog abort) or its task-event audit is
-//! not clean. The shrinker then minimizes a failing plan against any
-//! still-fails oracle: whole dimensions are dropped to a fixpoint, the
-//! crash-core mask is bit-shrunk, and the surviving magnitudes are
-//! binary-searched down. The result prints as a `--fault-plan` spec
-//! (`FaultPlan::to_spec`) that `eval_all` accepts directly.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! task-lifecycle events recorded, and fails the plan on the first dirty
+//! verdict of the harness's one judge ([`judge`](crate::judge)): a panic
+//! (watchdog abort, poison), kernel verification, stale reads, cycle
+//! conservation or the task-event audit. The shrinker then minimizes a
+//! failing plan against any still-fails oracle: whole dimensions are
+//! dropped to a fixpoint, the crash-core mask is bit-shrunk, and the
+//! surviving magnitudes are binary-searched down. The result prints as a
+//! `--fault-plan` spec (`FaultPlan::to_spec`) that `eval_all` accepts
+//! directly.
 
 use bigtiny_apps::{AppSize, AppSpec};
-use bigtiny_checker::audit_task_events;
 use bigtiny_core::{RuntimeConfig, RuntimeKind};
 use bigtiny_engine::{FaultPlan, Protocol, SystemConfig, XorShift64};
 use bigtiny_mesh::{CoreSet, MeshConfig, Topology};
 
 use crate::live::Harness;
-use crate::{run_app, Setup};
+use crate::{try_run_app, Setup};
 
 /// One invariant failure: the kernel that broke and why.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -53,20 +52,10 @@ pub fn fuzz_setup(plan: FaultPlan) -> Setup {
     Setup { label, sys, rt }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 /// Runs one kernel under `plan` and checks every invariant: the run must
-/// complete (no watchdog abort), verify functionally, read nothing stale,
-/// and its task-event stream must audit clean (exactly-once without a crash
-/// dimension, at-least-once with full recovery accounting with one).
+/// complete (no watchdog abort) and its verdict must be clean — the audit
+/// exactly-once without a crash dimension, at-least-once with full
+/// recovery accounting with one.
 pub fn check_app(plan: &FaultPlan, app: &AppSpec, size: AppSize) -> Option<FuzzFailure> {
     probe(plan, app, size, |_| {})
 }
@@ -81,24 +70,9 @@ fn probe(
 ) -> Option<FuzzFailure> {
     let mut setup = fuzz_setup(plan.clone());
     arm(&mut setup);
-    let setup = &setup;
-    let r = match catch_unwind(AssertUnwindSafe(|| run_app(setup, app, size, 0))) {
-        Ok(r) => r,
-        Err(payload) => {
-            return Some(FuzzFailure {
-                app: app.name,
-                message: format!("run panicked: {}", panic_message(payload.as_ref())),
-            })
-        }
-    };
-    let audit = audit_task_events(&r.run.task_events, plan.crash_armed(), app.name);
-    if !audit.is_clean() {
-        return Some(FuzzFailure {
-            app: app.name,
-            message: format!("task audit failed:\n{}", audit.render()),
-        });
-    }
-    None
+    let verdict = try_run_app(&setup, app, size, 0).verdict;
+    (!verdict.is_clean())
+        .then(|| FuzzFailure { app: app.name, message: verdict.render().trim_end().to_owned() })
 }
 
 /// Checks every kernel of the invocation under `plan`, each probe armed by

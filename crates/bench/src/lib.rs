@@ -13,12 +13,23 @@
 //! command line and the `BIGTINY_*` environment may say ([`cli`]), how
 //! that arms runs and where their artifacts go ([`live`]), and how a
 //! result matrix reads as the paper's 64-core tables and figures
-//! ([`figures`]).
+//! ([`figures`]). Whether a run is correct is decided once, here, by
+//! [`judge`].
 
-use bigtiny_apps::{AppSize, AppSpec};
-use bigtiny_core::{run_task_parallel, RuntimeConfig, RuntimeKind, TaskRun};
-use bigtiny_engine::{AddrSpace, Protocol, SystemConfig};
-use bigtiny_obs::{parse_json, Json};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+use bigtiny_apps::{AppSize, AppSpec, Method, Prepared, RootFn};
+use bigtiny_checker::explore::ScheduleOutcome;
+use bigtiny_checker::{
+    audit_task_events_mode, check_events, check_run, AuditMode, AuditReport, CheckReport,
+};
+use bigtiny_core::{
+    parallel_invoke, run_task_parallel, DequeKind, Mutation, MutationKind, RuntimeConfig,
+    RuntimeKind, TaskCx, TaskRun,
+};
+use bigtiny_engine::{AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig};
+use bigtiny_obs::{parse_json, verify_attr_spans, CycleConservation, Json};
 
 pub mod cli;
 pub mod figures;
@@ -37,7 +48,9 @@ pub struct Setup {
 }
 
 impl Setup {
-    fn new(label: &str, sys: SystemConfig, kind: RuntimeKind) -> Self {
+    /// A setup named `label`: machine `sys` under runtime `kind` with its
+    /// default knobs.
+    pub fn new(label: &str, sys: SystemConfig, kind: RuntimeKind) -> Self {
         Setup { label: label.to_owned(), sys, rt: RuntimeConfig::new(kind) }
     }
 
@@ -102,7 +115,128 @@ impl Setup {
         }
         v
     }
+
+    /// This setup scheduling through deque policy `deque`, with its task
+    /// events recorded for the audit and `suffix` on its label. `dup`
+    /// seeds one duplicate execution: the task claimed by core 0's first
+    /// clean local pop runs twice. The root spawns on core 0, so the
+    /// duplicate lands on every schedule.
+    pub fn deque_cell(mut self, suffix: &str, deque: DequeKind, dup: bool) -> Setup {
+        self.label.push_str(suffix);
+        self.rt.deque_kind = deque;
+        self.rt.record_task_events = true;
+        if dup {
+            self.rt.mutation = Some(Mutation { kind: MutationKind::DupTask, core: 0, nth: 0 });
+        }
+        self
+    }
+
+    /// Whether [`Setup::deque_cell`] seeded a duplicate execution.
+    pub fn dup_injected(&self) -> bool {
+        self.rt.mutation.is_some_and(|m| m.kind == MutationKind::DupTask)
+    }
+
+    /// The cells of `model_check`'s schedule-space sweep: 2-core tiny-only
+    /// machines under MESI/Baseline, one cell per deque policy plus a
+    /// forced-duplicate cell per multiplicity policy, then DeNovo under
+    /// HCC and HCC-DTS.
+    pub fn model_check_cells() -> Vec<Setup> {
+        const CORES: usize = 2;
+        let mesi = |suffix, deque, dup| {
+            let sys = SystemConfig::tiny_only(CORES, Protocol::Mesi);
+            Setup::new(&format!("tiny{CORES}/MESI"), sys, RuntimeKind::Baseline)
+                .deque_cell(suffix, deque, dup)
+        };
+        let dnv = |label: &str, kind| {
+            let sys = SystemConfig::tiny_only(CORES, Protocol::DeNovo);
+            Setup::new(&format!("tiny{CORES}/{label}"), sys, kind).deque_cell(
+                "",
+                DequeKind::Locked,
+                false,
+            )
+        };
+        vec![
+            mesi("", DequeKind::Locked, false),
+            mesi("-cl", DequeKind::ChaseLev, false),
+            mesi("-ff", DequeKind::FenceFree, false),
+            mesi("-ff+dup", DequeKind::FenceFree, true),
+            mesi("-idem", DequeKind::Idempotent, false),
+            mesi("-idem+dup", DequeKind::Idempotent, true),
+            dnv("HCC-dnv", RuntimeKind::Hcc),
+            dnv("HCC-DTS-dnv", RuntimeKind::Dts),
+        ]
+    }
+
+    /// The cells of `ablate_deque`: the four deque policies on `b.T/MESI`,
+    /// HCC and HCC-DTS on DeNovo (whose runtimes always schedule through
+    /// the locked deque), then a forced-duplicate cell per multiplicity
+    /// policy.
+    pub fn deque_ablation() -> Vec<Setup> {
+        let mesi = |suffix, deque, dup| Setup::bt_mesi().deque_cell(suffix, deque, dup);
+        let dnv =
+            |dts| Setup::bt_hcc(Protocol::DeNovo, dts).deque_cell("", DequeKind::Locked, false);
+        vec![
+            mesi("", DequeKind::Locked, false),
+            mesi("-cl", DequeKind::ChaseLev, false),
+            mesi("-ff", DequeKind::FenceFree, false),
+            mesi("-idem", DequeKind::Idempotent, false),
+            dnv(false),
+            dnv(true),
+            mesi("-ff-dup", DequeKind::FenceFree, true),
+            mesi("-idem-dup", DequeKind::Idempotent, true),
+        ]
+    }
+
+    /// The duplicate counter's gate on a [`Setup::deque_cell`] run: a
+    /// seeded duplicate must have run, and a policy under the
+    /// exactly-once contract must have run none. Fixture bookkeeping, not
+    /// a correctness check: the [`judge`] has already audited the run.
+    pub fn duplicate_gate(&self, r: &AppResult) -> Option<String> {
+        let dups = r.run.stats.duplicate_executions;
+        if self.dup_injected() && dups == 0 {
+            Some("DupTask armed but no duplicate ran".to_owned())
+        } else if !AuditMode::for_run(&self.rt, false).multiplicity() && dups > 0 {
+            Some(format!("{dups} duplicates under an exactly-once policy"))
+        } else {
+            None
+        }
+    }
 }
+
+fn fib_body(cx: &mut TaskCx<'_>, n: u64, acc: Arc<ShScalar<u64>>) {
+    if n < 2 {
+        cx.port().advance(2);
+        if n == 1 {
+            acc.amo(cx.port(), |c| *c += 1);
+        }
+        return;
+    }
+    let (a, b) = (Arc::clone(&acc), acc);
+    parallel_invoke(cx, move |cx| fib_body(cx, n - 1, a), move |cx| fib_body(cx, n - 2, b));
+}
+
+fn fib_prepare(space: &mut AddrSpace, _: AppSize, _: usize) -> Prepared {
+    const N: u64 = 8;
+    const WANT: u64 = 21;
+    let acc = Arc::new(ShScalar::new(space, 0u64));
+    let (a2, a3) = (Arc::clone(&acc), Arc::clone(&acc));
+    let root: RootFn = Box::new(move |cx| fib_body(cx, N, a2));
+    let verify = Box::new(move || {
+        let got = acc.host_read();
+        if got == WANT {
+            Ok(())
+        } else {
+            Err(format!("fib: counted {got}, expected {WANT}"))
+        }
+    });
+    Prepared { root, verify, fingerprint: Some(Box::new(move || a3.host_read())) }
+}
+
+/// `model_check`'s local micro-kernel, outside the registry: `fib(8)`
+/// counted by one AMO per leaf, the smallest workload that steals, joins,
+/// and contends on one word. It takes no input, so size and grain are
+/// ignored.
+pub const FIB: AppSpec = AppSpec { name: "fib", method: Method::SpawnSync, prepare: fib_prepare };
 
 /// One verified application run with the measurements the figures need.
 #[derive(Debug)]
@@ -150,28 +284,237 @@ impl AppResult {
     }
 }
 
-/// Runs `app` on `setup` at `size` (granularity `grain`, `0` = default),
-/// verifying the functional result and the zero-stale-reads invariant.
+/// Runs `app` on `setup` at `size` (granularity `grain`, `0` = default)
+/// and has the [`judge`] decide whether the run is correct.
 ///
 /// # Panics
 ///
-/// Panics if verification fails or the run would have read stale data on
-/// real hardware — a harness must never report numbers from a broken run.
+/// Panics on a dirty [`Verdict`], naming every finding: a harness must
+/// never report numbers from a broken run.
 pub fn run_app(setup: &Setup, app: &AppSpec, size: AppSize, grain: usize) -> AppResult {
+    run_judged(setup, app, size, grain).0
+}
+
+/// [`run_app`], also handing back the clean verdict, whose DRF and audit
+/// reports the tables print.
+///
+/// # Panics
+///
+/// Panics on a dirty [`Verdict`], as [`run_app`] does.
+pub fn run_judged(
+    setup: &Setup,
+    app: &AppSpec,
+    size: AppSize,
+    grain: usize,
+) -> (AppResult, Verdict) {
+    let (r, verdict, _) = execute(setup, app, size, grain);
+    verdict.assert_clean(app.name, &setup.label);
+    (r, verdict)
+}
+
+/// Reads the fingerprint of a kernel's final output
+/// ([`Prepared::fingerprint`]).
+pub type Fingerprint = Box<dyn Fn() -> u64 + Send>;
+
+/// Runs and judges, leaving what to do with a dirty verdict to the
+/// caller.
+pub(crate) fn execute(
+    setup: &Setup,
+    app: &AppSpec,
+    size: AppSize,
+    grain: usize,
+) -> (AppResult, Verdict, Option<Fingerprint>) {
     let mut space = AddrSpace::new();
     let prepared = (app.prepare)(&mut space, size, grain);
     let run = run_task_parallel(&setup.sys, &setup.rt, &mut space, prepared.root);
-    if let Err(e) = (prepared.verify)() {
-        panic!("{} on {}: verification failed: {e}", app.name, setup.label);
-    }
-    assert_eq!(run.report.stale_reads, 0, "{} on {}: stale reads detected", app.name, setup.label);
-    AppResult {
+    let verdict = judge(setup, app.name, &run, (prepared.verify)());
+    let r = AppResult {
         app: app.name,
         setup: setup.label.clone(),
         cycles: run.report.completion_cycles,
         deque_policy: setup.rt.deque_kind.label(),
         tiny_cores: setup.sys.tiny_cores(),
         run,
+    };
+    (r, verdict, prepared.fingerprint)
+}
+
+/// One run through [`try_run_app`].
+pub struct Judged {
+    /// The run's result; `None` if it panicked.
+    pub result: Option<AppResult>,
+    /// The judge's verdict; a panic is its only finding.
+    pub verdict: Verdict,
+    /// The kernel's output fingerprint, for kernels whose output is
+    /// schedule-deterministic; `None` after a panic.
+    pub fingerprint: Option<Fingerprint>,
+}
+
+/// [`run_app`] for the binaries that report dirty runs: never panics. A
+/// panic in the run (a watchdog trip, a poisoned worker) is caught and
+/// becomes the verdict's finding.
+pub fn try_run_app(setup: &Setup, app: &AppSpec, size: AppSize, grain: usize) -> Judged {
+    match catch_unwind(AssertUnwindSafe(|| execute(setup, app, size, grain))) {
+        Ok((r, verdict, fingerprint)) => Judged { result: Some(r), verdict, fingerprint },
+        Err(payload) => {
+            let what = format!("panic: {}", panic_message(payload.as_ref()));
+            let findings = vec![Finding { check: Check::Panic, what }];
+            Judged {
+                result: None,
+                verdict: Verdict { findings, drf: None, audit: None },
+                fingerprint: None,
+            }
+        }
+    }
+}
+
+/// The text of a caught panic's payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
+}
+
+/// The checks of the [`judge`], in the order its findings come back.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Check {
+    /// The run did not finish. Only [`try_run_app`] reports it, and then
+    /// as the only finding.
+    Panic,
+    /// The kernel's `verify()` against its host reference. Always applies.
+    Verify,
+    /// No read returned stale data. Always applies.
+    Stale,
+    /// The attribution buckets sum exactly to the core-cycles. Always
+    /// applies.
+    Conservation,
+    /// The task-event audit under [`AuditMode::for_run`]: exactly-once,
+    /// at-least-once when the fault plan can crash a core, at-most-twice
+    /// under a multiplicity deque. Applies when the runtime recorded task
+    /// events.
+    Audit,
+    /// The DRF checker's passes over the op stream. Applies when
+    /// `sys.check` is armed.
+    Drf,
+    /// The attribution spans tile each core's timeline. Applies when
+    /// `sys.attr` is set.
+    Spans,
+}
+
+/// One check that failed, and how.
+#[derive(Clone, Debug)]
+pub struct Finding {
+    /// The check.
+    pub check: Check,
+    /// What it found, prefixed with the check's name except for `Verify`,
+    /// whose text is the kernel's own.
+    pub what: String,
+}
+
+/// What the [`judge`] decided about one run.
+#[derive(Clone, Debug)]
+pub struct Verdict {
+    /// The checks that failed, in [`Check`] order. Empty on a correct run.
+    pub findings: Vec<Finding>,
+    /// The DRF checker's report, when `sys.check` was armed.
+    pub drf: Option<CheckReport>,
+    /// The task-event audit's report, when task events were recorded.
+    pub audit: Option<AuditReport>,
+}
+
+impl Verdict {
+    /// No check failed.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty()
+    }
+
+    /// Every finding on its own line, then the full report of a dirty DRF
+    /// check or audit.
+    pub fn render(&self) -> String {
+        let mut out: String = self.findings.iter().map(|f| format!("{}\n", f.what)).collect();
+        if let Some(drf) = self.drf.as_ref().filter(|r| !r.is_clean()) {
+            out.push_str(&drf.render());
+        }
+        if let Some(audit) = self.audit.as_ref().filter(|a| !a.is_clean()) {
+            out.push_str(&audit.render());
+        }
+        out
+    }
+
+    /// Panics, naming the run of `app` on `setup` and every finding,
+    /// unless the verdict is clean.
+    pub fn assert_clean(&self, app: &str, setup: &str) {
+        assert!(self.is_clean(), "{app} on {setup}: dirty verdict:\n{}", self.render());
+    }
+}
+
+/// The one judge of a run: decides whether the run of `kernel` on
+/// `setup` is correct, given what the kernel's `verify()` said.
+///
+/// Which checks apply is read off what the setup had the run record (see
+/// [`Check`]): kernel verify, stale reads and cycle conservation always;
+/// the task-event audit when the runtime recorded task events; the DRF
+/// checker when `sys.check` is armed; the attribution spans when
+/// `sys.attr` is set.
+pub fn judge(setup: &Setup, kernel: &str, run: &TaskRun, verified: Result<(), String>) -> Verdict {
+    let (sys, rt, report) = (&setup.sys, &setup.rt, &run.report);
+    let mut findings = Vec::new();
+    let mut fail = |check, what| findings.push(Finding { check, what });
+    if let Err(e) = verified {
+        fail(Check::Verify, e);
+    }
+    if report.stale_reads > 0 {
+        fail(Check::Stale, format!("{} stale reads", report.stale_reads));
+    }
+    let cons = CycleConservation::from_report(report);
+    if !cons.holds() {
+        let (buckets, cycles) = (cons.bucket_sum(), cons.total_core_cycles);
+        fail(
+            Check::Conservation,
+            format!("cycle conservation breach: buckets {buckets} != core cycles {cycles}"),
+        );
+    }
+    let audit = rt.record_task_events.then(|| {
+        let mode = AuditMode::for_run(rt, sys.faults.crash_armed());
+        audit_task_events_mode(&run.task_events, mode, kernel)
+    });
+    if let Some(v) = audit.as_ref().and_then(|a| a.violations.first()) {
+        fail(Check::Audit, format!("audit: {v}"));
+    }
+    let drf = (sys.check != CheckMode::Off).then(|| check_run(sys, report));
+    if let Some(v) = drf.as_ref().and_then(CheckReport::first) {
+        fail(Check::Drf, format!("drf: {v}"));
+    }
+    if sys.attr {
+        if let Err(e) = verify_attr_spans(report) {
+            fail(Check::Spans, format!("bad attribution spans: {e}"));
+        }
+    }
+    Verdict { findings, drf, audit }
+}
+
+/// Runs `app` on `setup` under one scripted tie-break schedule with the
+/// DRF checker fully armed, and hands the judge's verdict to the schedule
+/// explorer: the DRF report as the outcome's report, the first line of
+/// the first other finding as its failure.
+pub fn run_scripted(setup: &Setup, app: &AppSpec, script: &[u32]) -> ScheduleOutcome {
+    let mut setup = setup.clone();
+    let schedule = SchedulePolicy::Scripted(script.to_vec());
+    setup.sys = setup.sys.with_check(CheckMode::Full).with_schedule(schedule);
+    let Judged { result, verdict, fingerprint } = try_run_app(&setup, app, AppSize::Test, 0);
+    let failure = verdict.findings.iter().find(|f| f.check != Check::Drf);
+    let (choices, events) = result
+        .map_or_else(Default::default, |r| (r.run.report.choice_points, r.run.report.mem_events));
+    ScheduleOutcome {
+        choices,
+        events,
+        failure: failure.map(|f| f.what.lines().next().unwrap_or_default().to_owned()),
+        report: verdict.drf.unwrap_or_else(|| check_events(&[], CheckMode::Full, &[])),
+        fingerprint: fingerprint.map(|f| f()),
     }
 }
 
@@ -472,6 +815,137 @@ mod tests {
             let r = run_app(&setup, &app, AppSize::Test, 8);
             assert!(r.cycles > 0);
         }
+    }
+
+    /// `cilk5-nq` with a `verify()` that always fails.
+    pub(crate) fn wrong_answer(space: &mut AddrSpace, size: AppSize, grain: usize) -> Prepared {
+        let nq = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
+        Prepared {
+            verify: Box::new(|| Err("wrong answer".to_owned())),
+            ..(nq.prepare)(space, size, grain)
+        }
+    }
+
+    /// `cilk5-nq` whose root task panics.
+    fn boom(space: &mut AddrSpace, size: AppSize, grain: usize) -> Prepared {
+        let nq = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
+        Prepared {
+            root: Box::new(|_| panic!("boom in the root task")),
+            ..(nq.prepare)(space, size, grain)
+        }
+    }
+
+    /// Each check of the judge fires exactly when the setup had the run
+    /// record its input, and the findings come back in [`Check`] order.
+    #[test]
+    fn the_judge_applies_each_check_exactly_when_its_input_was_recorded() {
+        use Check::*;
+        let app = |name, prepare| AppSpec { name, method: Method::SpawnSync, prepare };
+        let nq = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
+        // HCC-gwb on eight cores, with the DRF checker, task events and
+        // attribution armed or not.
+        let armed = |check: bool, events: bool, attr: bool| {
+            let mesh = bigtiny_mesh::MeshConfig::with_topology(bigtiny_mesh::Topology::new(3, 3));
+            let sys = SystemConfig::big_tiny("judge", mesh, 1, 7, Protocol::GpuWb);
+            let mut s = Setup::new("judge", sys, RuntimeKind::Hcc);
+            s.sys.check = if check { CheckMode::Full } else { CheckMode::Off };
+            s.rt.record_task_events = events;
+            s.sys.attr = attr;
+            s
+        };
+        let record_all = armed(true, true, true);
+        let good = execute(&record_all, &nq, AppSize::Test, 0).0.run;
+        // Without its invalidates and flushes, HCC reads stale data.
+        let mut no_coherence = record_all.clone();
+        no_coherence.rt.skip_coherence_ops = true;
+        let stale = execute(&no_coherence, &nq, AppSize::Test, 0).0.run;
+        let lost_event = |mut run: TaskRun| {
+            run.task_events.pop();
+            run
+        };
+        let leaky = |mut run: TaskRun| {
+            run.report.breakdowns[0].add(bigtiny_engine::TimeCategory::Compute, 1);
+            run
+        };
+        let unspanned = |mut run: TaskRun| {
+            run.report.attr_spans.iter_mut().for_each(Vec::clear);
+            run
+        };
+        let wrong = || Err("wrong answer".to_owned());
+        let rows = [
+            ("clean, all recorded", armed(true, true, true), good.clone(), Ok(()), vec![]),
+            ("verify fails", armed(false, false, false), good.clone(), wrong(), vec![Verify]),
+            ("stale, checker off", armed(false, false, false), stale.clone(), Ok(()), vec![Stale]),
+            (
+                "stale, checker armed",
+                armed(true, false, false),
+                stale.clone(),
+                Ok(()),
+                vec![Stale, Drf],
+            ),
+            (
+                "lost event, recorded",
+                armed(false, true, false),
+                lost_event(good.clone()),
+                Ok(()),
+                vec![Audit],
+            ),
+            (
+                "lost event, not recorded",
+                armed(false, false, false),
+                lost_event(good.clone()),
+                Ok(()),
+                vec![],
+            ),
+            (
+                "doctored breakdown",
+                armed(false, false, false),
+                leaky(good.clone()),
+                Ok(()),
+                vec![Conservation],
+            ),
+            (
+                "no spans, attribution armed",
+                armed(false, false, true),
+                unspanned(good.clone()),
+                Ok(()),
+                vec![Spans],
+            ),
+            (
+                "no spans, attribution off",
+                armed(false, false, false),
+                unspanned(good.clone()),
+                Ok(()),
+                vec![],
+            ),
+            (
+                "all at once",
+                armed(true, true, true),
+                unspanned(leaky(lost_event(stale))),
+                wrong(),
+                vec![Verify, Stale, Conservation, Audit, Drf, Spans],
+            ),
+        ];
+        for (name, setup, run, verified, want) in rows {
+            let v = judge(&setup, "cilk5-nq", &run, verified);
+            let got: Vec<Check> = v.findings.iter().map(|f| f.check).collect();
+            assert_eq!(got, want, "{name}:\n{}", v.render());
+            assert_eq!(v.drf.is_some(), setup.sys.check != CheckMode::Off, "{name}");
+            assert_eq!(v.audit.is_some(), setup.rt.record_task_events, "{name}");
+        }
+
+        // The non-panicking entry: a kernel's own verdict, then a panic as
+        // the only finding.
+        let j =
+            try_run_app(&armed(false, false, false), &app("nq", wrong_answer), AppSize::Test, 0);
+        assert!(j.result.is_some());
+        assert_eq!(j.verdict.findings.iter().map(|f| f.check).collect::<Vec<_>>(), [Verify]);
+        let j = try_run_app(&armed(true, true, true), &app("nq", boom), AppSize::Test, 0);
+        assert!(j.result.is_none() && j.fingerprint.is_none());
+        let [Finding { check: Panic, what }] = &j.verdict.findings[..] else {
+            panic!("a panic is the only finding: {}", j.verdict.render())
+        };
+        assert!(what.starts_with("panic: ") && what.contains("boom in the root task"), "{what}");
     }
 }
 

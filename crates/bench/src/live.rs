@@ -25,7 +25,7 @@ use bigtiny_obs::{
 };
 
 use crate::cli::{self, Args};
-use crate::{run_app, AppResult, ResultRecord, Setup};
+use crate::{execute, AppResult, ResultRecord, Setup, Verdict};
 
 struct HbShared {
     file: Mutex<File>,
@@ -233,46 +233,56 @@ impl Harness {
     }
 
     /// Runs every kernel of the invocation on every setup, kernel-major,
-    /// each run armed by [`Harness::arm`], with progress on stderr and one
+    /// each run armed by [`Harness::arm`] and decided by the
+    /// [`judge`](crate::judge), with progress on stderr and one
     /// [`ResultRecord`] line per run appended to the `BIGTINY_JSON` file.
-    /// Under `--blackbox-out`, a watchdog trip or worker-panic poison that
+    /// Returns the results and, in the same order, their verdicts, whose
+    /// reports the tables print.
+    ///
+    /// A dirty verdict aborts the matrix, after dumping that run's
+    /// flight-recorder tails under `--blackbox-out` (reason
+    /// `dirty_verdict`). A watchdog trip or worker-panic poison that
     /// unwinds out of the matrix leaves the engine's crash-time bundle
     /// behind as a dump before the panic is re-raised.
-    pub fn run_matrix(&self, setups: &[Setup]) -> Vec<AppResult> {
-        let run_all = || {
-            let mut out = Vec::with_capacity(setups.len() * self.apps.len());
-            for app in &self.apps {
-                for setup in setups {
-                    let mut setup = setup.clone();
-                    self.arm(&mut setup, app.name);
-                    let t0 = Instant::now();
-                    let r = run_app(&setup, app, self.size, 0);
-                    eprintln!(
-                        "[bench] {:<12} {:<18} {:>12} cycles  ({:.1}s wall)",
-                        app.name,
-                        setup.label,
-                        r.cycles,
-                        t0.elapsed().as_secs_f64()
-                    );
-                    if let Some(mut records) = self.records.as_ref() {
-                        writeln!(records, "{}", ResultRecord::from(&r).to_json_line())
-                            .expect("write JSON record");
-                    }
-                    out.push(r);
+    pub fn run_matrix(&self, setups: &[Setup]) -> (Vec<AppResult>, Vec<Verdict>) {
+        let n = setups.len() * self.apps.len();
+        let (mut results, mut verdicts) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for app in &self.apps {
+            for setup in setups {
+                let mut setup = setup.clone();
+                self.arm(&mut setup, app.name);
+                let t0 = Instant::now();
+                let run = || execute(&setup, app, self.size, 0);
+                let (r, verdict, _) = match &self.blackbox {
+                    None => run(),
+                    Some(path) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                        .unwrap_or_else(|panic| {
+                            if !dump_on_panic(path) {
+                                eprintln!("[blackbox] run aborted before any bundle was recorded");
+                            }
+                            std::panic::resume_unwind(panic)
+                        }),
+                };
+                if !verdict.is_clean() {
+                    self.dump_report("dirty_verdict", &setup, &r);
+                    verdict.assert_clean(app.name, &setup.label);
                 }
-            }
-            out
-        };
-        let Some(path) = &self.blackbox else { return run_all() };
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run_all)) {
-            Ok(results) => results,
-            Err(panic) => {
-                if !dump_on_panic(path) {
-                    eprintln!("[blackbox] run aborted before any bundle was recorded");
+                eprintln!(
+                    "[bench] {:<12} {:<18} {:>12} cycles  ({:.1}s wall)",
+                    app.name,
+                    setup.label,
+                    r.cycles,
+                    t0.elapsed().as_secs_f64()
+                );
+                if let Some(mut records) = self.records.as_ref() {
+                    writeln!(records, "{}", ResultRecord::from(&r).to_json_line())
+                        .expect("write JSON record");
                 }
-                std::panic::resume_unwind(panic);
+                results.push(r);
+                verdicts.push(verdict);
             }
         }
+        (results, verdicts)
     }
 
     /// Under `--blackbox-out`, dumps the flight-recorder tails of the
@@ -395,7 +405,7 @@ mod tests {
         let path = path.to_str().unwrap();
         // A tight cadence so even the test-size run emits several beats.
         let h = harness(&["--heartbeat-out", path, "--heartbeat-every", "200"]);
-        let results = h.run_matrix(&[Setup::bt_hcc(Protocol::GpuWb, true)]);
+        let (results, _) = h.run_matrix(&[Setup::bt_hcc(Protocol::GpuWb, true)]);
         assert_eq!(results.len(), 1);
         let text = std::fs::read_to_string(path).unwrap();
         let beats = validate_heartbeat_stream(&text).expect("stream validates");
@@ -409,6 +419,30 @@ mod tests {
         assert!(grants as u64 <= results[0].run.report.seq_grants);
     }
 
+    /// A dirty verdict aborts the matrix, naming the finding, and under
+    /// `--blackbox-out` leaves that run's flight tails behind.
+    #[test]
+    fn a_dirty_verdict_aborts_the_matrix_and_dumps_the_run() {
+        let dir = std::env::temp_dir().join("bigtiny-live-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dirty.json");
+        let path = path.to_str().unwrap();
+        let mut h = harness(&["--blackbox-out", path]);
+        let prepare = crate::tests::wrong_answer;
+        h.apps =
+            vec![AppSpec { name: "nq-wrong", method: bigtiny_apps::Method::SpawnSync, prepare }];
+        let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.run_matrix(&[Setup::bt_hcc(Protocol::GpuWb, true)])
+        }));
+        let msg = crate::panic_message(aborted.expect_err("a dirty run aborts").as_ref());
+        assert!(
+            msg.contains("nq-wrong on b.T/HCC-DTS-gwb") && msg.contains("wrong answer"),
+            "{msg}"
+        );
+        let doc = parse_json(std::fs::read_to_string(path).unwrap().trim()).unwrap();
+        assert_eq!(doc.get("reason").and_then(Json::as_str), Some("dirty_verdict"));
+    }
+
     #[test]
     fn explicit_blackbox_roundtrip() {
         let dir = std::env::temp_dir().join("bigtiny-live-test");
@@ -417,7 +451,7 @@ mod tests {
         let path = path.to_str().unwrap();
         let h = harness(&["--blackbox-out", path]);
         let setup = Setup::bt_hcc(Protocol::GpuWb, true);
-        let r = run_app(&setup, &h.apps[0], h.size, 0);
+        let r = crate::run_app(&setup, &h.apps[0], h.size, 0);
         h.dump_report("explicit", &setup, &r);
         let reread = parse_json(std::fs::read_to_string(path).unwrap().trim()).unwrap();
         let summary = validate_blackbox(&reread).unwrap();

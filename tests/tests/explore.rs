@@ -10,8 +10,8 @@
 //!    script) is bit-for-bit invisible — the golden `cilk5-nq` pin from
 //!    `golden_trace.rs` must replay exactly, on both backends;
 //! 2. a clean kernel stays clean under *any* scripted permutation of its
-//!    tie-breaks (kernel `verify()`, the full checker battery, and cycle
-//!    conservation all hold);
+//!    tie-breaks: the harness's one judge (`bigtiny_bench::judge`) passes
+//!    every run, DRF checker armed;
 //! 3. a seeded schedule-dependent lost-update bug that the default
 //!    schedule masks is found by [`explore`], with a minimal replayable
 //!    script.
@@ -19,16 +19,14 @@
 use std::sync::Arc;
 
 use bigtiny_apps::{app_by_name, AppSize};
-use bigtiny_bench::{run_app, Setup};
+use bigtiny_bench::{run_app, run_scripted, Setup, FIB};
 use bigtiny_checker::check_run;
 use bigtiny_checker::explore::{explore, ExploreBudget, ScheduleOutcome};
-use bigtiny_checker::{audit_task_events_mode, AuditMode};
-use bigtiny_core::{parallel_invoke, run_task_parallel, DequeKind, RuntimeConfig, RuntimeKind};
+use bigtiny_core::RuntimeKind;
 use bigtiny_engine::{
     run_system, AddrSpace, CheckMode, ExecBackend, Protocol, SchedulePolicy, ShScalar,
     SystemConfig, Worker,
 };
-use bigtiny_obs::CycleConservation;
 
 /// The `("cilk5-nq", "b.T/MESI")` golden pin from `golden_trace.rs`:
 /// simulated cycles and sequenced-op-stream hash at `AppSize::Test`,
@@ -90,8 +88,8 @@ fn empty_script_matches_min_core_bit_for_bit_and_records_ties() {
 
 /// Property test: any scripted permutation of a clean kernel's tie-breaks
 /// is still a correct execution. Random scripts (including out-of-range
-/// entries, which clamp) must preserve kernel `verify()`, a clean full
-/// checker battery, zero stale reads, and cycle conservation.
+/// entries, which clamp) must keep the judge's verdict clean, DRF checker
+/// armed.
 #[test]
 fn random_scripts_of_a_clean_run_stay_clean() {
     // XorShift64: deterministic, seed fixed — failures are replayable.
@@ -106,88 +104,29 @@ fn random_scripts_of_a_clean_run_stay_clean() {
     for trial in 0..6 {
         let len = 1 + (next() as usize) % 6;
         let script: Vec<u32> = (0..len).map(|_| (next() % 4) as u32).collect();
+        let label = format!("trial {trial}, script {script:?}");
         let sys = SystemConfig::tiny_only(2, Protocol::Mesi)
             .with_check(CheckMode::Full)
-            .with_schedule(SchedulePolicy::Scripted(script.clone()));
-        let mut space = AddrSpace::new();
-        let prepared = spec.prepare_default(&mut space, AppSize::Test);
-        let rt = RuntimeConfig::new(RuntimeKind::Baseline);
-        let run = run_task_parallel(&sys, &rt, &mut space, prepared.root);
-        let ctx = format!("trial {trial}, script {script:?}");
-        if let Err(e) = (prepared.verify)() {
-            panic!("{ctx}: kernel verify failed under permuted schedule: {e}");
-        }
-        assert_eq!(run.report.stale_reads, 0, "{ctx}: stale reads under permuted schedule");
-        let check = check_run(&sys, &run.report);
-        assert!(
-            check.violations.is_empty(),
-            "{ctx}: checker violations under permuted schedule: {}",
-            check.violations[0]
-        );
-        let cons = CycleConservation::from_report(&run.report);
-        assert!(
-            cons.holds(),
-            "{ctx}: cycle conservation breach: buckets {} != core cycles {}",
-            cons.bucket_sum(),
-            cons.total_core_cycles
-        );
+            .with_schedule(SchedulePolicy::Scripted(script));
+        run_app(&Setup::new(&label, sys, RuntimeKind::Baseline), &spec, AppSize::Test, 0);
     }
 }
 
-/// The Chase-Lev regression cell pinned from the `model_check`
-/// deque-policy sweep: the local `fib` micro-kernel (one AMO per leaf —
-/// the smallest workload that pushes, pops, steals, and joins) on a
-/// 2-core MESI machine with `DequeKind::ChaseLev`. This is the cell
-/// class where a steal CAS that consulted *fresher* deque state than the
-/// thief's peeks was schedule-dependent: with a sequencer tie flipped,
-/// the CAS could claim a task pushed after the thief's acquiring `tail`
-/// peek (breaking the push-publish happens-before edge) or double-claim
-/// the last element against the owner's pop. `cl_steal` now validates
-/// the claim against the peeked `head`/`tail`, and every explored
-/// tie-break must keep the full battery clean: kernel `verify()`, the
-/// checker passes, zero stale reads, an exactly-once task-event audit,
-/// and one fingerprint.
+/// The Chase-Lev regression cell of the `model_check` deque-policy sweep,
+/// `tiny2/MESI-cl` running the local `fib` micro-kernel (one AMO per leaf
+/// — the smallest workload that pushes, pops, steals, and joins). This is
+/// the cell class where a steal CAS that consulted *fresher* deque state
+/// than the thief's peeks was schedule-dependent: with a sequencer tie
+/// flipped, the CAS could claim a task pushed after the thief's acquiring
+/// `tail` peek (breaking the push-publish happens-before edge) or
+/// double-claim the last element against the owner's pop. `cl_steal` now
+/// validates the claim against the peeked `head`/`tail`, and every
+/// explored tie-break must keep the judge's verdict clean and the
+/// fingerprint single.
 fn chase_lev_fib_run(script: &[u32]) -> ScheduleOutcome {
-    let sys = SystemConfig::tiny_only(2, Protocol::Mesi)
-        .with_check(CheckMode::Full)
-        .with_schedule(SchedulePolicy::Scripted(script.to_vec()));
-    let mut rt = RuntimeConfig::new(RuntimeKind::Baseline);
-    rt.deque_kind = DequeKind::ChaseLev;
-    rt.record_task_events = true;
-    let mut space = AddrSpace::new();
-    // fib(8) by one-AMO-per-leaf: leaves of value 1 bump the accumulator.
-    let acc = Arc::new(ShScalar::new(&mut space, 0u64));
-    let a = Arc::clone(&acc);
-    fn fib(cx: &mut bigtiny_core::TaskCx<'_>, n: u64, acc: Arc<ShScalar<u64>>) {
-        if n < 2 {
-            cx.port().advance(2);
-            if n == 1 {
-                acc.amo(cx.port(), |c| *c += 1);
-            }
-            return;
-        }
-        let (x, y) = (Arc::clone(&acc), acc);
-        parallel_invoke(cx, move |cx| fib(cx, n - 1, x), move |cx| fib(cx, n - 2, y));
-    }
-    let run = run_task_parallel(&sys, &rt, &mut space, move |cx| fib(cx, 8, a));
-    let got = acc.host_read();
-    let mut failure = (got != 21).then(|| format!("fib: counted {got}, expected 21"));
-    if failure.is_none() && run.report.stale_reads > 0 {
-        failure = Some(format!("{} stale reads", run.report.stale_reads));
-    }
-    if failure.is_none() {
-        let audit = audit_task_events_mode(&run.task_events, AuditMode::ExactlyOnce, "fib");
-        if !audit.is_clean() {
-            failure = audit.violations.first().map(|v| format!("audit: {v}"));
-        }
-    }
-    ScheduleOutcome {
-        choices: run.report.choice_points.clone(),
-        events: run.report.mem_events.clone(),
-        report: check_run(&sys, &run.report),
-        failure,
-        fingerprint: Some(got),
-    }
+    let cells = Setup::model_check_cells();
+    let cell = cells.iter().find(|s| s.label == "tiny2/MESI-cl").expect("model_check cell");
+    run_scripted(cell, &FIB, script)
 }
 
 /// Regression pin for the Chase-Lev steal-validation fix: the fib cell

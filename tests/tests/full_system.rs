@@ -1,10 +1,14 @@
 //! Cross-crate integration tests: every application kernel on every runtime
-//! variant, end to end through the full simulated machine, with functional
-//! verification and system-level invariants.
+//! variant, end to end through the full simulated machine, each run decided
+//! by the harness's one judge (`bigtiny_bench::judge`: kernel verify, zero
+//! stale reads, cycle conservation, and the task-event audit where task
+//! events are recorded), plus system-level invariants.
 
-use bigtiny_apps::{all_apps, AppSize, AppSpec};
-use bigtiny_core::{run_task_parallel, RuntimeConfig, RuntimeKind, TaskRun};
-use bigtiny_engine::{AddrSpace, Protocol, SystemConfig, TrafficClass};
+use bigtiny_apps::{all_apps, app_by_name, AppSize};
+use bigtiny_bench::{run_app, Setup};
+use bigtiny_checker::kernel_is_duplicate_safe;
+use bigtiny_core::RuntimeKind;
+use bigtiny_engine::{Protocol, SystemConfig, TrafficClass};
 use bigtiny_mesh::{MeshConfig, Topology};
 
 fn small_sys(big: usize, tiny: usize, proto: Protocol) -> SystemConfig {
@@ -15,16 +19,6 @@ fn small_sys(big: usize, tiny: usize, proto: Protocol) -> SystemConfig {
         tiny,
         proto,
     )
-}
-
-fn run(app: &AppSpec, sys: &SystemConfig, kind: RuntimeKind) -> TaskRun {
-    let mut space = AddrSpace::new();
-    let prepared = app.prepare_default(&mut space, AppSize::Test);
-    let run = run_task_parallel(sys, &RuntimeConfig::new(kind), &mut space, prepared.root);
-    if let Err(e) = (prepared.verify)() {
-        panic!("{} on {}/{kind:?}: {e}", app.name, sys.name);
-    }
-    run
 }
 
 /// Every kernel, on every runtime variant, is functionally correct and
@@ -41,10 +35,9 @@ fn all_kernels_all_runtimes() {
             (RuntimeKind::Dts, Protocol::GpuWt),
             (RuntimeKind::Dts, Protocol::GpuWb),
         ] {
-            let sys = small_sys(2, 14, proto);
-            let r = run(&app, &sys, kind);
-            assert_eq!(r.report.stale_reads, 0, "{} {kind:?}/{proto:?}", app.name);
-            assert!(r.report.completion_cycles > 0, "{}", app.name);
+            let setup = Setup::new(&format!("{kind:?}/{proto:?}"), small_sys(2, 14, proto), kind);
+            let r = run_app(&setup, &app, AppSize::Test, 0);
+            assert!(r.cycles > 0, "{}", app.name);
         }
     }
 }
@@ -58,8 +51,8 @@ fn system_invariants_on_full_runs() {
         for (kind, proto) in
             [(RuntimeKind::Hcc, Protocol::GpuWb), (RuntimeKind::Dts, Protocol::GpuWb)]
         {
-            let sys = small_sys(1, 7, proto);
-            let r = run(&app, &sys, kind);
+            let setup = Setup::new("itest", small_sys(1, 7, proto), kind);
+            let r = run_app(&setup, &app, AppSize::Test, 0).run;
             let t = &r.report.traffic;
             assert_eq!(
                 t.messages(TrafficClass::CpuReq),
@@ -93,10 +86,10 @@ fn system_invariants_on_full_runs() {
 #[test]
 fn applications_are_deterministic() {
     for name in ["cilk5-nq", "ligra-cc", "ligra-radii"] {
-        let app = bigtiny_apps::app_by_name(name).unwrap();
-        let sys = small_sys(1, 7, Protocol::GpuWb);
-        let a = run(&app, &sys, RuntimeKind::Dts);
-        let b = run(&app, &sys, RuntimeKind::Dts);
+        let app = app_by_name(name).unwrap();
+        let setup = Setup::new("itest", small_sys(1, 7, Protocol::GpuWb), RuntimeKind::Dts);
+        let a = run_app(&setup, &app, AppSize::Test, 0).run;
+        let b = run_app(&setup, &app, AppSize::Test, 0).run;
         assert_eq!(a.report.completion_cycles, b.report.completion_cycles, "{name}");
         assert_eq!(a.report.core_cycles, b.report.core_cycles, "{name}");
         assert_eq!(a.stats.steals, b.stats.steals, "{name}");
@@ -111,10 +104,9 @@ fn applications_are_deterministic() {
 /// The 256-core machine runs end to end (scaled-down input).
 #[test]
 fn large_machine_smoke() {
-    let app = bigtiny_apps::app_by_name("ligra-bfs").unwrap();
+    let app = app_by_name("ligra-bfs").unwrap();
     let sys = SystemConfig::big_tiny_256(Protocol::GpuWb);
-    let r = run(&app, &sys, RuntimeKind::Dts);
-    assert_eq!(r.report.stale_reads, 0);
+    let r = run_app(&Setup::new("256", sys, RuntimeKind::Dts), &app, AppSize::Test, 0).run;
     // With a test-size input most of the 255 thieves come up empty, but the
     // machine must at least be trying to distribute work.
     assert!(r.stats.steal_attempts > 0, "work stealing active on the big machine");
@@ -123,17 +115,10 @@ fn large_machine_smoke() {
 /// A big out-of-order core beats a tiny in-order core on the same kernel.
 #[test]
 fn big_core_outperforms_tiny_core() {
-    let app = bigtiny_apps::app_by_name("cilk5-mm").unwrap();
-    let tiny = SystemConfig::tiny_only(1, Protocol::Mesi);
-    let big = SystemConfig::o3(1);
-    let rt = run(&app, &tiny, RuntimeKind::Baseline);
-    let rb = run(&app, &big, RuntimeKind::Baseline);
-    assert!(
-        rb.report.completion_cycles * 2 < rt.report.completion_cycles,
-        "big {} vs tiny {}",
-        rb.report.completion_cycles,
-        rt.report.completion_cycles
-    );
+    let app = app_by_name("cilk5-mm").unwrap();
+    let rt = run_app(&Setup::serial_io(), &app, AppSize::Test, 0).cycles;
+    let rb = run_app(&Setup::o3(1), &app, AppSize::Test, 0).cycles;
+    assert!(rb * 2 < rt, "big {rb} vs tiny {rt}");
 }
 
 /// DTS collapses coherence-operation counts relative to the HCC runtime
@@ -143,12 +128,12 @@ fn dts_cuts_coherence_ops_across_suite() {
     let mut total_hcc = 0u64;
     let mut total_dts = 0u64;
     for app in all_apps().into_iter().take(6) {
-        let sys = small_sys(1, 7, Protocol::GpuWb);
-        let tiny: Vec<usize> = (1..8).collect();
-        let h = run(&app, &sys, RuntimeKind::Hcc);
-        let d = run(&app, &sys, RuntimeKind::Dts);
-        total_hcc += h.report.mem_stats_over(&tiny).invalidate_ops;
-        total_dts += d.report.mem_stats_over(&tiny).invalidate_ops;
+        let run = |kind| {
+            let setup = Setup::new("itest", small_sys(1, 7, Protocol::GpuWb), kind);
+            run_app(&setup, &app, AppSize::Test, 0).tiny_mem().invalidate_ops
+        };
+        total_hcc += run(RuntimeKind::Hcc);
+        total_dts += run(RuntimeKind::Dts);
     }
     assert!(
         (total_dts as f64) < 0.5 * total_hcc as f64,
@@ -161,68 +146,28 @@ fn dts_cuts_coherence_ops_across_suite() {
 #[test]
 fn workspan_schedule_invariance_across_apps() {
     for name in ["cilk5-cs", "ligra-bfs", "ligra-mis"] {
-        let app = bigtiny_apps::app_by_name(name).unwrap();
-        let a = run(&app, &small_sys(1, 3, Protocol::GpuWb), RuntimeKind::Dts);
-        let b = run(&app, &small_sys(2, 10, Protocol::GpuWb), RuntimeKind::Hcc);
-        assert_eq!(a.stats.workspan.work, b.stats.workspan.work, "{name} work");
-        assert_eq!(a.stats.workspan.span, b.stats.workspan.span, "{name} span");
+        let app = app_by_name(name).unwrap();
+        let run = |big, tiny, kind| {
+            let setup = Setup::new("itest", small_sys(big, tiny, Protocol::GpuWb), kind);
+            run_app(&setup, &app, AppSize::Test, 0).run.stats.workspan
+        };
+        let (a, b) = (run(1, 3, RuntimeKind::Dts), run(2, 10, RuntimeKind::Hcc));
+        assert_eq!((a.work, a.span), (b.work, b.span), "{name} work and span");
     }
 }
 
-/// In-process smoke of the `ablate_deque` bin's cell structure: one
-/// duplicate-safe kernel through every deque policy plus the two
-/// forced-duplicate cells, with the bin's gates — kernel verify, exact
-/// cycle conservation, the per-policy task-event audit, and the
-/// duplicate-execution counters (at least one duplicate with `DupTask`
-/// armed, exactly zero under the exactly-once policies).
+/// In-process smoke of the `ablate_deque` bin: one duplicate-safe kernel
+/// through the bin's cells, each judged (the per-policy task-event audit
+/// included) and held to the duplicate-execution gate (at least one
+/// duplicate with `DupTask` armed, exactly zero under the exactly-once
+/// policies).
 #[test]
 fn deque_policy_ablation_cells_smoke() {
-    use bigtiny_checker::{audit_task_events_mode, kernel_is_duplicate_safe, AuditMode};
-    use bigtiny_core::{DequeKind, Mutation, MutationKind};
-    use bigtiny_obs::CycleConservation;
-
     let name = "cilk5-cs";
     assert!(kernel_is_duplicate_safe(name), "the smoke kernel must tolerate at-most-twice");
-    let app = bigtiny_apps::app_by_name(name).unwrap();
-    let cells = [
-        (DequeKind::Locked, false),
-        (DequeKind::ChaseLev, false),
-        (DequeKind::FenceFree, false),
-        (DequeKind::Idempotent, false),
-        (DequeKind::FenceFree, true),
-        (DequeKind::Idempotent, true),
-    ];
-    for (deque, dup) in cells {
-        let sys = small_sys(1, 7, Protocol::Mesi);
-        let mut rt = RuntimeConfig::new(RuntimeKind::Baseline);
-        rt.deque_kind = deque;
-        rt.record_task_events = true;
-        if dup {
-            rt.mutation = Some(Mutation { kind: MutationKind::DupTask, core: 0, nth: 0 });
-        }
-        let mut space = AddrSpace::new();
-        let prepared = app.prepare_default(&mut space, AppSize::Test);
-        let r = run_task_parallel(&sys, &rt, &mut space, prepared.root);
-        let ctx = format!("{name}/{deque:?}{}", if dup { "+dup" } else { "" });
-        if let Err(e) = (prepared.verify)() {
-            panic!("{ctx}: {e}");
-        }
-        assert_eq!(r.report.stale_reads, 0, "{ctx}");
-        let cons = CycleConservation::from_report(&r.report);
-        assert!(
-            cons.holds(),
-            "{ctx}: conservation breach: buckets {} != {}",
-            cons.bucket_sum(),
-            cons.total_core_cycles
-        );
-        let audit = audit_task_events_mode(&r.task_events, AuditMode::for_run(&rt, false), name);
-        assert!(audit.is_clean(), "{ctx}: audit:\n{}", audit.render());
-        let dups = r.stats.duplicate_executions;
-        if dup {
-            assert!(dups >= 1, "{ctx}: DupTask armed but no duplicate ran");
-        }
-        if !deque.multiplicity() {
-            assert_eq!(dups, 0, "{ctx}: duplicates under an exactly-once policy");
-        }
+    let app = app_by_name(name).unwrap();
+    for cell in Setup::deque_ablation() {
+        let r = run_app(&cell, &app, AppSize::Test, 0);
+        assert_eq!(cell.duplicate_gate(&r), None, "{name} @ {}", cell.label);
     }
 }

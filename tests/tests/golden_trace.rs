@@ -12,7 +12,7 @@
 //! if it isn't, a mismatch here is a bug.
 
 use bigtiny_apps::{app_by_name, AppSize};
-use bigtiny_bench::{run_app, Setup};
+use bigtiny_bench::{run_app, run_judged, Setup};
 use bigtiny_engine::Protocol;
 
 /// `(kernel, setup label, simulated cycles, sequenced-op-stream hash)` at
@@ -122,10 +122,10 @@ fn both_backends_produce_identical_op_streams() {
 /// Arming the DRF checker must be bit-for-bit invisible to simulation:
 /// event capture observes the op stream but never perturbs timing, so a
 /// fully armed run replays the exact golden cycles and grant hashes while
-/// actually collecting (and passing judgment on) a non-empty event stream.
+/// actually collecting a non-empty event stream, which the judge then
+/// passes.
 #[test]
 fn armed_checker_changes_no_golden_pin() {
-    use bigtiny_checker::check_run;
     use bigtiny_engine::CheckMode;
     let mut failures = Vec::new();
     for &(app_name, setup_label, want_cycles, want_hash) in
@@ -134,7 +134,7 @@ fn armed_checker_changes_no_golden_pin() {
         let app = app_by_name(app_name).unwrap();
         let mut setup = setup_by_label(setup_label);
         setup.sys = setup.sys.clone().with_check(CheckMode::Full);
-        let r = run_app(&setup, &app, AppSize::Test, 0);
+        let (r, verdict) = run_judged(&setup, &app, AppSize::Test, 0);
         if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
             failures.push(format!(
                 "{app_name} on {setup_label} armed: cycles {} (want {want_cycles}), \
@@ -142,9 +142,8 @@ fn armed_checker_changes_no_golden_pin() {
                 r.cycles, r.run.report.seq_op_hash
             ));
         }
-        let report = check_run(&setup.sys, &r.run.report);
-        assert!(report.events > 0, "{app_name} on {setup_label}: armed run captured no events");
-        assert!(report.is_clean(), "{app_name} on {setup_label}:\n{}", report.render());
+        let events = verdict.drf.map_or(0, |report| report.events);
+        assert!(events > 0, "{app_name} on {setup_label}: armed run captured no events");
     }
     assert!(
         failures.is_empty(),
@@ -306,7 +305,6 @@ fn flight_ring_and_heartbeat_change_no_golden_pin() {
 /// work like any other; nothing about it may depend on host timing.
 #[test]
 fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
-    use bigtiny_checker::audit_task_events;
     use bigtiny_engine::{ExecBackend, FaultPlan};
     use bigtiny_obs::{metrics_document, RunMetrics};
 
@@ -322,9 +320,8 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
             .with_backend(backend)
             .with_watchdog(2_000_000);
         setup.rt.record_task_events = true;
-        let r = run_app(&setup, &app, AppSize::Test, 0);
-        let audit = audit_task_events(&r.run.task_events, true, r.app);
-        assert!(audit.is_clean(), "{backend:?}:\n{}", audit.render());
+        let (r, verdict) = run_judged(&setup, &app, AppSize::Test, 0);
+        let audit = verdict.audit.expect("the run records its task events");
         let doc = metrics_document(&[RunMetrics {
             app: r.app,
             setup: &r.setup,
