@@ -69,26 +69,19 @@ pub fn prepare(space: &mut AddrSpace, size: AppSize, grain: usize) -> Prepared {
     let verify = Box::new(move || {
         let adj = g.host_adjacency();
         let got = ids.snapshot();
-        let want = host_components(&adj);
-        // Same partition: labels equal iff reference roots equal; and each
-        // label must be the minimum vertex id of its component.
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..n {
-            for u in 0..n {
-                if (got[v] == got[u]) != (want[v] == want[u]) {
-                    return Err(format!("ligra-cc: partition differs at ({v}, {u})"));
-                }
-            }
-            if got[v] != want[v] as u64 {
-                return Err(format!(
-                    "ligra-cc: label of {v} is {} expected min-id {}",
-                    got[v], want[v]
-                ));
-            }
-        }
-        Ok(())
+        check_labels(&got, &host_components(&adj))
     });
     Prepared { root, verify, fingerprint: Some(Box::new(move || fingerprint_words(i3.snapshot()))) }
+}
+
+/// Each label must be the minimum vertex id of its component. That alone
+/// fixes the partition too: two vertices share a label exactly when they
+/// share a component's minimum.
+fn check_labels(got: &[u64], want: &[usize]) -> Result<(), String> {
+    match got.iter().zip(want).position(|(&g, &w)| g != w as u64) {
+        None => Ok(()),
+        Some(v) => Err(format!("ligra-cc: label of {v} is {} expected min-id {}", got[v], want[v])),
+    }
 }
 
 /// Serial reference: min vertex id per component via union-find.
@@ -137,5 +130,19 @@ mod tests {
             (prepared.verify)().unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             assert_eq!(run.report.stale_reads, 0, "{kind:?}");
         }
+    }
+
+    /// Components {0, 2} and {1, 3}: the labels of 2 and 3 swapped split
+    /// the partition differently, and the check still rejects them.
+    #[test]
+    fn swapped_labels_are_rejected() {
+        let want = [0, 1, 0, 1];
+        assert_eq!(check_labels(&[0, 1, 0, 1], &want), Ok(()));
+        assert_eq!(
+            check_labels(&[0, 1, 1, 0], &want),
+            Err("ligra-cc: label of 2 is 1 expected min-id 0".to_owned())
+        );
+        // Same partition, but not labelled by each component's minimum.
+        assert!(check_labels(&[2, 3, 2, 3], &want).is_err());
     }
 }

@@ -1,5 +1,7 @@
 //! System assembly and the simulation driver.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::mem::take;
 use std::sync::Arc;
 
@@ -149,13 +151,13 @@ pub struct RunReport {
     pub attr_spans: Vec<Vec<crate::port::AttrSpan>>,
     /// The DRF checker's event stream, in sequenced (grant) order. Empty
     /// unless [`SystemConfig::check`] is armed: collection buffers events
-    /// per core and merges them here. Under the default
-    /// [`SchedulePolicy::MinCore`] the merge sorts by `(cycle, core,
-    /// per-core index)`, which reproduces grant order because per-core
-    /// clocks are nondecreasing and the sequencer breaks time ties by core
-    /// id; under [`SchedulePolicy::Scripted`] ties may be broken against
-    /// core order, so the merge instead sorts by the grant stamp each
-    /// event carries in its per-core buffer.
+    /// per core and merges the buffers here, each already in order, in one
+    /// pass. Under the default [`SchedulePolicy::MinCore`] the merged
+    /// order is `(cycle, core, per-core index)`, which reproduces grant
+    /// order because per-core clocks are nondecreasing and the sequencer
+    /// breaks time ties by core id; under [`SchedulePolicy::Scripted`]
+    /// ties may be broken against core order, so the merge instead orders
+    /// by the grant stamp each event carries in its per-core buffer.
     pub mem_events: Vec<MemEvent>,
     /// Every tie-break choice point the sequencer recorded, in grant
     /// order. Always empty under [`SchedulePolicy::MinCore`]; under
@@ -303,25 +305,12 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     let mut reports: Vec<PortReport> =
         take(&mut *reports.lock()).into_iter().map(|r| r.expect("every worker reported")).collect();
     let mut fault_counters = FaultCounters::default();
-    let mut stamped_events: Vec<(u64, MemEvent)> = Vec::new();
+    let mut buffers = Vec::with_capacity(reports.len());
     for r in &mut reports {
         fault_counters += r.faults;
-        stamped_events.append(&mut r.recording.events);
+        buffers.push(take(&mut r.recording.events));
     }
-    // Reconstruct sequenced order from the per-core buffers. Under
-    // MinCore, per-core clocks are nondecreasing and the sequencer grants
-    // the minimum `(time, core)`, so a stable `(cycle, core)` sort (which
-    // preserves each core's emission order for equal keys) replays grant
-    // order exactly. Under a Scripted policy ties may be granted against
-    // core order, so `(cycle, core)` no longer reconstructs grant order;
-    // sort by the grant stamp instead (unique per sequenced op, with a
-    // core's annotation events sharing its op's stamp and kept in
-    // emission order by sort stability).
-    match config.schedule {
-        SchedulePolicy::MinCore => stamped_events.sort_by_key(|(_, e)| (e.cycle, e.core)),
-        SchedulePolicy::Scripted(_) => stamped_events.sort_by_key(|&(stamp, _)| stamp),
-    }
-    let mem_events: Vec<MemEvent> = stamped_events.into_iter().map(|(_, e)| e).collect();
+    let mem_events = merge_events(&config.schedule, buffers);
 
     // Sequencer totals first: `state()` holds the lock they all take.
     let seq = &shared.seq;
@@ -371,6 +360,43 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         flight: reports.iter_mut().map(|r| take(&mut r.recording.flight)).collect(),
         flight_totals: reports.iter().map(|r| r.recording.flight_total).collect(),
     }
+}
+
+/// Reconstructs sequenced order from the per-core checker buffers. Under
+/// MinCore, per-core clocks are nondecreasing and the sequencer grants the
+/// minimum `(time, core)`, so ordering by `(cycle, core)` — each core's
+/// events kept in emission order — replays grant order exactly. Under a
+/// Scripted policy ties may be granted against core order, so `(cycle,
+/// core)` no longer reconstructs grant order; the grant stamp does (unique
+/// per sequenced op, with a core's annotation events sharing its op's
+/// stamp and kept in emission order).
+///
+/// Each buffer is already in key order, so one k-way merge over the
+/// buffers' heads gives that order without sorting; ties go to the lower
+/// core, then to the earlier event, exactly as a stable sort of the
+/// buffers' concatenation would place them.
+fn merge_events(schedule: &SchedulePolicy, buffers: Vec<Vec<(u64, MemEvent)>>) -> Vec<MemEvent> {
+    let key = |&(stamp, e): &(u64, MemEvent)| match schedule {
+        SchedulePolicy::MinCore => (e.cycle, e.core as u64),
+        SchedulePolicy::Scripted(_) => (stamp, 0),
+    };
+    debug_assert!(buffers.iter().all(|b| b.is_sorted_by_key(key)), "a core's events out of order");
+    let mut merged = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
+    let mut buffers: Vec<_> = buffers.into_iter().map(|b| b.into_iter().peekable()).collect();
+    let mut heads: BinaryHeap<Reverse<((u64, u64), usize)>> = (buffers.iter_mut().enumerate())
+        .filter_map(|(core, b)| Some(Reverse((key(b.peek()?), core))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let core = head.0 .1;
+        let (_, event) = buffers[core].next().expect("a queued head has an event");
+        merged.push(event);
+        match buffers[core].peek() {
+            // The replaced head sinks into place when `head` drops.
+            Some(next) => head.0 .0 = key(next),
+            None => drop(PeekMut::pop(head)),
+        }
+    }
+    merged
 }
 
 /// Assembles the crash-consistent diagnostic bundle after all core threads
@@ -466,6 +492,46 @@ mod tests {
         let total: u64 = out.snapshot().iter().sum();
         assert_eq!(total, (0..n as u64).sum::<u64>(), "functional result correct");
         report
+    }
+
+    /// The merge orders events as the stable sort of the buffers'
+    /// concatenation it replaces did, under both policies: random per-core
+    /// streams, with clocks and stamps that repeat within and across cores.
+    #[test]
+    fn merged_events_are_the_stable_sort_of_the_buffers() {
+        use crate::event::MemOp;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        for round in 0..200 {
+            let cores = 1 + next(9) as usize;
+            let mut id = 0;
+            let buffers: Vec<Vec<(u64, MemEvent)>> = (0..cores)
+                .map(|core| {
+                    let (mut cycle, mut stamp) = (next(4), next(4));
+                    (0..next(if round % 10 == 0 { 2 } else { 40 }))
+                        .map(|_| {
+                            cycle += next(3);
+                            stamp += next(3);
+                            id += 1;
+                            let op = MemOp::Amo { addr: bigtiny_coherence::Addr(id) };
+                            (stamp, MemEvent { cycle, core, op })
+                        })
+                        .collect()
+                })
+                .collect();
+            for schedule in [SchedulePolicy::MinCore, SchedulePolicy::Scripted(vec![])] {
+                let mut sorted: Vec<(u64, MemEvent)> = buffers.concat();
+                match schedule {
+                    SchedulePolicy::MinCore => sorted.sort_by_key(|(_, e)| (e.cycle, e.core)),
+                    SchedulePolicy::Scripted(_) => sorted.sort_by_key(|&(stamp, _)| stamp),
+                }
+                let want: Vec<MemEvent> = sorted.into_iter().map(|(_, e)| e).collect();
+                assert_eq!(merge_events(&schedule, buffers.clone()), want, "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! An object comes in two representations that every reader sees as one:
 //! [`Json::Obj`] owns its keys — what the parser returns and what a
 //! producer with data-dependent keys builds — and [`Json::Rec`] is a *row*:
-//! a `&'static` [`Keys`] schema plus one boxed slice of values, one heap
-//! allocation however many fields it has. Producers with a fixed schema
-//! build rows (DESIGN §11, "The document model").
+//! a `&'static` [`Keys`] schema plus one boxed slice of the values that
+//! vary from row to row, one heap allocation however many fields it has;
+//! the schema holds the values of its leading fixed keys. Producers with a
+//! fixed schema build rows (DESIGN §11, "The document model").
 //!
 //! The serializer never emits an unparseable document: non-finite numbers
 //! become `null` (JSON has no NaN/Infinity literals), strings escape every
@@ -22,39 +23,62 @@ use std::borrow::Cow;
 use std::fmt;
 use std::io::Write as _;
 
-/// The schema of a row: its keys in order, and what the serializer writes
-/// in front of each value — `{"first":`, then `,"next":` — rendered once,
-/// by [`keys!`], when the schema is declared. Keys therefore hold no byte
-/// that needs a JSON escape; `every_declared_schema_is_well_formed` checks
-/// that for every schema in the crate.
+/// The schema of a row: its keys in order, the values of its leading
+/// *fixed* keys (the same borrowed literals for every row of the schema),
+/// and what the serializer writes in front of each varying value — `{`
+/// plus every fixed `"key":value` plus `"first":`, then `,"next":` —
+/// rendered once, by [`keys!`], when the schema is declared. A row's boxed
+/// slice holds only the varying values. Keys and fixed values therefore
+/// hold no byte that needs a JSON escape; `every_declared_schema_is_well_formed`
+/// checks that for every schema in the crate.
 #[derive(Debug)]
 pub struct Keys {
     pub(crate) names: &'static [&'static str],
+    pub(crate) fixed: &'static [Json],
     pub(crate) prefixes: &'static [&'static str],
 }
 
 impl Keys {
-    /// The keys, in the order a row's values follow.
+    /// The keys, in the order a row's fields follow (fixed keys first).
     pub fn names(&self) -> &'static [&'static str] {
         self.names
     }
+
+    /// Field `i` of a row over this schema whose varying values are `values`.
+    fn value<'a>(&'a self, values: &'a [Json], i: usize) -> Option<&'a Json> {
+        match i.checked_sub(self.fixed.len()) {
+            None => self.fixed.get(i),
+            Some(j) => values.get(j),
+        }
+    }
 }
 
-/// A [`Keys`] schema from key literals (at least one).
+/// A [`Keys`] schema from key literals (at least one that varies), led by
+/// any number of `"key" = "value"` pairs whose string value is fixed.
 macro_rules! keys {
-    ($first:literal $(, $rest:literal)* $(,)?) => {
+    (@fixed [$($key:literal = $value:literal),*] $k:literal = $v:literal, $($rest:tt)+) => {
+        $crate::json::keys!(@fixed [$($key = $value,)* $k = $v] $($rest)+)
+    };
+    (@fixed [$($key:literal = $value:literal),*] $first:literal $(, $rest:literal)* $(,)?) => {
         $crate::json::Keys {
-            names: &[$first $(, $rest)*],
-            prefixes: &[concat!("{\"", $first, "\":") $(, concat!(",\"", $rest, "\":"))*],
+            names: &[$($key,)* $first $(, $rest)*],
+            fixed: &[$($crate::json::Json::lit($value)),*],
+            prefixes: &[
+                concat!("{" $(, "\"", $key, "\":\"", $value, "\",")*, "\"", $first, "\":")
+                $(, concat!(",\"", $rest, "\":"))*
+            ],
         }
+    };
+    ($($spec:tt)+) => {
+        $crate::json::keys!(@fixed [] $($spec)+)
     };
 }
 
 /// Declares a module's row schemas as statics, and lists them in a
 /// test-only `SCHEMAS` so the schema check cannot miss one.
 macro_rules! schemas {
-    ($($(#[$doc:meta])* $vis:vis $name:ident = [$($key:literal),+ $(,)?];)+) => {
-        $($(#[$doc])* $vis static $name: $crate::json::Keys = $crate::json::keys![$($key),+];)+
+    ($($(#[$doc:meta])* $vis:vis $name:ident = [$($spec:tt)+];)+) => {
+        $($(#[$doc])* $vis static $name: $crate::json::Keys = $crate::json::keys![$($spec)+];)+
         #[cfg(test)]
         pub(crate) static SCHEMAS: &[&$crate::json::Keys] = &[$(&$name),+];
     };
@@ -82,7 +106,8 @@ pub enum Json {
     /// An object with owned keys, in insertion order.
     Obj(Vec<(String, Json)>),
     /// A row: the object whose keys are the schema's, in its order, and
-    /// whose values are the slice's. Built by [`Json::row`].
+    /// whose values are the schema's fixed ones followed by the slice's.
+    /// Built by [`Json::row`].
     Rec(&'static Keys, Box<[Json]>),
 }
 
@@ -93,15 +118,17 @@ impl Json {
     }
 
     /// A string value borrowed from a literal: no allocation.
-    pub fn lit(s: &'static str) -> Json {
+    pub const fn lit(s: &'static str) -> Json {
         Json::Str(Cow::Borrowed(s))
     }
 
-    /// A row over `keys`: one allocation (none beyond the `Vec`'s own when
-    /// built from an exactly sized one).
+    /// A row over `keys` from its varying values (the schema supplies the
+    /// fixed ones): one allocation (none beyond the `Vec`'s own when built
+    /// from an exactly sized one).
     pub fn row(keys: &'static Keys, values: impl Into<Box<[Json]>>) -> Json {
         let values = values.into();
-        assert_eq!(values.len(), keys.names.len(), "row arity for {:?}", keys.names);
+        let arity = keys.names.len() - keys.fixed.len();
+        assert_eq!(values.len(), arity, "row arity for {:?}", keys.names);
         Json::Rec(keys, values)
     }
 
@@ -133,7 +160,7 @@ impl Json {
         match self {
             Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             Json::Rec(keys, values) => {
-                keys.names.iter().position(|k| *k == key).and_then(|i| values.get(i))
+                keys.names.iter().position(|k| *k == key).and_then(|i| keys.value(values, i))
             }
             _ => None,
         }
@@ -142,7 +169,7 @@ impl Json {
     fn field(&self, i: usize) -> Option<(&str, &Json)> {
         match self {
             Json::Obj(kv) => kv.get(i).map(|(k, v)| (k.as_str(), v)),
-            Json::Rec(keys, values) => Some((*keys.names.get(i)?, values.get(i)?)),
+            Json::Rec(keys, values) => Some((*keys.names.get(i)?, keys.value(values, i)?)),
             _ => None,
         }
     }
@@ -535,6 +562,7 @@ mod tests {
 
     static POINT: Keys = keys!["x", "label", "tags"];
     static TAG: Keys = keys!["k"];
+    static LABELLED: Keys = keys!["kind" = "point", "unit" = "cm", "x", "y"];
 
     /// A row is the object with its schema's keys to every reader: equal
     /// to it (both ways round), serialized, displayed and navigated alike.
@@ -578,6 +606,16 @@ mod tests {
             assert_ne!(*other, row);
         }
         assert_eq!(Json::lit("s"), Json::str("s"), "a borrowed literal is the same string");
+        // Fixed leading keys are the schema's: the row boxes only what varies.
+        let labelled = Json::row(&LABELLED, [Json::u64(3), Json::Null]);
+        let text = r#"{"kind":"point","unit":"cm","x":3,"y":null}"#;
+        assert_eq!((labelled.to_json().as_str(), &labelled), (text, &parse_json(text).unwrap()));
+        assert_eq!(labelled.get("unit").and_then(Json::as_str), Some("cm"));
+        assert_eq!(labelled.get("y"), Some(&Json::Null));
+        assert_eq!(labelled.fields().map(|(k, _)| k).collect::<Vec<_>>(), LABELLED.names());
+        assert!(matches!(&labelled, Json::Rec(_, values) if values.len() == 2));
+        let arity = std::panic::catch_unwind(|| Json::row(&LABELLED, [0, 1, 2, 3].map(Json::u64)));
+        assert!(arity.is_err(), "a row takes only the varying values");
         // Put together around the constructor, a short row is still an object.
         let short = Json::Rec(&POINT, Box::new([]));
         assert_eq!((short.to_json().as_str(), &short), ("{}", &Json::Obj(vec![])));
@@ -591,27 +629,43 @@ mod tests {
         assert!(std::mem::size_of::<Json>() <= 32, "{} bytes", std::mem::size_of::<Json>());
     }
 
-    /// What "the serializer never emits an unparseable document" rests on
-    /// for rows, checked once per schema instead of once per row: keys are
-    /// unique (the strict parser rejects a repeat) and need no escape
-    /// (their prefixes are rendered by `concat!`, not by the escaper).
-    #[test]
-    fn every_declared_schema_is_well_formed() {
+    /// Every schema the crate declares, with the file that declares it.
+    fn declared_schemas() -> [(&'static str, &'static [&'static Keys]); 4] {
         use crate::{blackbox, heartbeat, metrics, perfetto};
-        let modules = [
+        [
             ("blackbox.rs", blackbox::SCHEMAS),
             ("heartbeat.rs", heartbeat::SCHEMAS),
             ("metrics.rs", metrics::SCHEMAS),
             ("perfetto.rs", perfetto::SCHEMAS),
-        ];
+        ]
+    }
+
+    /// What "the serializer never emits an unparseable document" rests on
+    /// for rows, checked once per schema instead of once per row: keys are
+    /// unique (the strict parser rejects a repeat), and keys and fixed
+    /// values need no escape (the prefixes are rendered by `concat!`, not
+    /// by the escaper).
+    #[test]
+    fn every_declared_schema_is_well_formed() {
+        let modules = declared_schemas();
         for keys in modules.iter().flat_map(|(_, schemas)| schemas.iter()) {
             let names = keys.names();
-            assert_eq!(keys.prefixes.len(), names.len());
+            let fixed = keys.fixed.len();
+            assert!(fixed < names.len(), "{names:?}: a row has at least one varying value");
+            assert_eq!(keys.prefixes.len(), names.len() - fixed);
+            let mut head = String::from("{");
             for (i, name) in names.iter().enumerate() {
                 assert!(!names[..i].contains(name), "{names:?} repeats {name:?}");
                 let escaped = Json::str(*name).to_json();
                 assert_eq!(escaped, format!("\"{name}\""), "{name:?} needs an escape");
-                let open = if i == 0 { '{' } else { ',' };
+                let Some(i) = i.checked_sub(fixed) else {
+                    let value = keys.fixed[i].as_str().expect("a fixed value is a string");
+                    let rendered = Json::str(value).to_json();
+                    assert_eq!(rendered, format!("\"{value}\""), "{value:?} needs an escape");
+                    head += &format!("{escaped}:{rendered},");
+                    continue;
+                };
+                let open = if i == 0 { std::mem::take(&mut head) } else { ",".to_owned() };
                 assert_eq!(keys.prefixes[i], format!("{open}{escaped}:"));
             }
         }
@@ -627,6 +681,21 @@ mod tests {
             .collect();
         declaring.sort();
         assert_eq!(declaring, modules.map(|(file, _)| file));
+    }
+
+    /// However much of a schema is fixed, its row serializes byte for byte
+    /// like the owned-key object of its fields.
+    #[test]
+    fn every_row_serializes_like_the_object_of_its_fields() {
+        for keys in declared_schemas().iter().flat_map(|(_, schemas)| schemas.iter()) {
+            let arity = keys.names().len() - keys.fixed.len();
+            let values: Vec<Json> = (0..arity as u64).map(Json::u64).collect();
+            let row = Json::row(keys, values);
+            let obj = Json::Obj(row.fields().map(|(k, v)| (k.to_owned(), v.clone())).collect());
+            assert_eq!(row.fields().count(), keys.names().len());
+            assert_eq!(row.to_json(), obj.to_json(), "{:?}", keys.names());
+            assert_eq!(parse_json(&row.to_json()).unwrap(), row);
+        }
     }
 
     /// A fixed-key object built through `Json::Obj` pays one `String` per

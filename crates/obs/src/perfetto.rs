@@ -21,9 +21,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bigtiny_core::{TaskEventKind, TaskLedger, TaskRun};
-use bigtiny_engine::{UliMark, UliMarkKind};
+use bigtiny_engine::{UliMark, UliMarkKind, TIME_CATEGORIES};
 
-use crate::json::{schemas, Json};
+use crate::json::{schemas, Json, Keys};
 
 /// Schema tag carried in the document's `metadata.schema` field.
 pub const TRACE_SCHEMA: &str = "bigtiny-obs-trace-v1";
@@ -43,21 +43,53 @@ schemas! {
     DOCUMENT = ["traceEvents", "displayTimeUnit", "metadata"];
     DOCUMENT_META = ["schema", "time_unit"];
     DERIVED_META = ["schema", "time_unit", "source"];
-    PROCESS_NAME = ["name", "ph", "pid", "args"];
-    THREAD_NAME = ["name", "ph", "pid", "tid", "args"];
+    PROCESS_NAME = ["name" = "process_name", "ph" = "M", "pid", "args"];
+    THREAD_NAME = ["name" = "thread_name", "ph" = "M", "pid", "tid", "args"];
     NAME_ARG = ["name"];
-    /// An `"X"` span of one core: nearly every event of a document.
-    CORE_SPAN = ["name", "cat", "ph", "ts", "dur", "pid", "tid"];
+    /// The `"X"` spans of one core, one schema per time category
+    /// ([`CORE_SPANS`]): nearly every event of a document.
+    SPAN_COMPUTE = ["name" = "compute", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_LOAD = ["name" = "load", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_STORE = ["name" = "store", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_ATOMIC = ["name" = "atomic", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_FLUSH = ["name" = "flush", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_INVALIDATE =
+        ["name" = "invalidate", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_ULI = ["name" = "uli", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_ULI_WAIT = ["name" = "uli_wait", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
+    SPAN_IDLE = ["name" = "idle", "cat" = "core", "ph" = "X", "ts", "dur", "pid", "tid"];
     /// A thread-scoped `"i"` instant (`"s":"t"`).
     pub(crate) INSTANT = ["name", "cat", "ph", "s", "ts", "pid", "tid"];
-    STEAL_INSTANT = ["name", "cat", "ph", "s", "ts", "pid", "tid", "args"];
+    STEAL_INSTANT =
+        ["name" = "steal", "cat" = "steal", "ph" = "i", "s" = "t", "ts", "pid", "tid", "args"];
     STEAL_ARGS = ["from"];
-    /// An async `"b"` / `"e"` edge or a flow start `"s"`.
+    /// An async `"b"` / `"e"` edge of a task's lifetime.
     PAIRED = ["name", "cat", "ph", "id", "ts", "pid", "tid"];
-    FLOW_FINISH = ["name", "cat", "ph", "bp", "id", "ts", "pid", "tid"];
+    /// The start `"s"` and finish `"f"` of a ULI request's or response's
+    /// flow arrow.
+    ULI_REQ_START = ["name" = "uli_req", "cat" = "uli", "ph" = "s", "id", "ts", "pid", "tid"];
+    ULI_RESP_START = ["name" = "uli_resp", "cat" = "uli", "ph" = "s", "id", "ts", "pid", "tid"];
+    ULI_REQ_FINISH =
+        ["name" = "uli_req", "cat" = "uli", "ph" = "f", "bp" = "e", "id", "ts", "pid", "tid"];
+    ULI_RESP_FINISH =
+        ["name" = "uli_resp", "cat" = "uli", "ph" = "f", "bp" = "e", "id", "ts", "pid", "tid"];
     CRITPATH_SPAN = ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"];
     CRITPATH_ARGS = ["core", "stolen"];
 }
+
+/// The span schema of each [`TimeCategory`](bigtiny_engine::TimeCategory),
+/// in [`TIME_CATEGORIES`] order (indexed by `category as usize`).
+static CORE_SPANS: [&Keys; TIME_CATEGORIES.len()] = [
+    &SPAN_COMPUTE,
+    &SPAN_LOAD,
+    &SPAN_STORE,
+    &SPAN_ATOMIC,
+    &SPAN_FLUSH,
+    &SPAN_INVALIDATE,
+    &SPAN_ULI,
+    &SPAN_ULI_WAIT,
+    &SPAN_IDLE,
+];
 
 /// The document around `events`. One rendered from another document (the
 /// black box's tail trace) names that document's schema as its `source`.
@@ -73,16 +105,13 @@ pub(crate) fn trace_document(events: Vec<Json>, source: Option<&'static str>) ->
 /// The `"M"` event that names process `pid` in the Perfetto UI.
 pub(crate) fn process_name(pid: u64, name: String) -> Json {
     let args = Json::row(&NAME_ARG, [Json::str(name)]);
-    Json::row(&PROCESS_NAME, [Json::lit("process_name"), Json::lit("M"), Json::u64(pid), args])
+    Json::row(&PROCESS_NAME, [Json::u64(pid), args])
 }
 
 /// The `"M"` event that names thread `tid` of process `pid`.
 pub(crate) fn thread_name(pid: u64, tid: u64, name: Json) -> Json {
     let args = Json::row(&NAME_ARG, [name]);
-    Json::row(
-        &THREAD_NAME,
-        [Json::lit("thread_name"), Json::lit("M"), Json::u64(pid), Json::u64(tid), args],
-    )
+    Json::row(&THREAD_NAME, [Json::u64(pid), Json::u64(tid), args])
 }
 
 /// Exports one Chrome trace-event document covering every run.
@@ -114,18 +143,9 @@ fn emit_core_spans(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
     events.reserve(r.run.report.traces.iter().map(Vec::len).sum());
     for (core, trace) in r.run.report.traces.iter().enumerate() {
         for t in trace {
-            events.push(Json::row(
-                &CORE_SPAN,
-                [
-                    Json::lit(t.category.label()),
-                    Json::lit("core"),
-                    Json::lit("X"),
-                    Json::u64(t.start),
-                    Json::u64(t.cycles),
-                    Json::u64(pid),
-                    Json::u64(core as u64),
-                ],
-            ));
+            let keys = CORE_SPANS[t.category as usize];
+            let values = [t.start, t.cycles, pid, core as u64].map(Json::u64);
+            events.push(Json::row(keys, values));
         }
     }
 }
@@ -148,10 +168,6 @@ fn emit_task_lifetimes(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>) {
             events.push(Json::row(
                 &STEAL_INSTANT,
                 [
-                    Json::lit("steal"),
-                    Json::lit("steal"),
-                    Json::lit("i"),
-                    Json::lit("t"),
                     Json::u64(e.cycle),
                     Json::u64(pid),
                     Json::u64(e.core as u64),
@@ -267,34 +283,17 @@ fn pair_uli_marks(marks: &[Vec<UliMark>]) -> Vec<UliFlow> {
 /// ULI request/response pairs ([`pair_uli_marks`]) as flow arrows.
 fn emit_uli_flows(events: &mut Vec<Json>, pid: u64, r: &TraceRun<'_>, flow_id: &mut u64) {
     for f in pair_uli_marks(&r.run.report.uli_marks) {
-        let name = if f.response { "uli_resp" } else { "uli_req" };
-        let id = Json::u64(*flow_id);
+        let (start, finish) = if f.response {
+            (&ULI_RESP_START, &ULI_RESP_FINISH)
+        } else {
+            (&ULI_REQ_START, &ULI_REQ_FINISH)
+        };
+        let id = *flow_id;
         *flow_id += 1;
-        events.push(Json::row(
-            &PAIRED,
-            [
-                Json::lit(name),
-                Json::lit("uli"),
-                Json::lit("s"),
-                id.clone(),
-                Json::u64(f.sent),
-                Json::u64(pid),
-                Json::u64(f.sender as u64),
-            ],
-        ));
-        events.push(Json::row(
-            &FLOW_FINISH,
-            [
-                Json::lit(name),
-                Json::lit("uli"),
-                Json::lit("f"),
-                Json::lit("e"),
-                id,
-                Json::u64(f.received),
-                Json::u64(pid),
-                Json::u64(f.receiver as u64),
-            ],
-        ));
+        let start_values = [id, f.sent, pid, f.sender as u64];
+        events.push(Json::row(start, start_values.map(Json::u64)));
+        let finish_values = [id, f.received, pid, f.receiver as u64];
+        events.push(Json::row(finish, finish_values.map(Json::u64)));
     }
 }
 
@@ -597,8 +596,9 @@ mod tests {
     }
 
     /// The event that is nearly all of every document — a core's `"X"`
-    /// span — is one heap block: its keys are the schema's and its three
-    /// labels are borrowed. (As an `Obj` with owned strings it was eleven.)
+    /// span — is one heap block of four values: its keys and its three
+    /// labels are the schema's. (As an `Obj` with owned strings it was
+    /// eleven blocks; as a row boxing its labels, one of seven values.)
     #[test]
     fn a_core_span_is_one_allocation() {
         let run = small_run_n(RuntimeKind::Dts, 11, true, true);
@@ -609,6 +609,7 @@ mod tests {
         assert!(spans.len() > 1000, "{} spans", spans.len());
         for e in &spans {
             assert_eq!(allocations(e), 1, "{e}");
+            assert!(matches!(e, Json::Rec(_, values) if values.len() == 4), "{e}");
         }
         // Flow arrows likewise, and nothing in the document owns a key.
         let flows = events.iter().filter(|e| e.get("cat").and_then(Json::as_str) == Some("uli"));
@@ -622,6 +623,18 @@ mod tests {
         // Parsed back, the same event owns its keys and its strings.
         let parsed = parse_json(&spans[0].to_json()).unwrap();
         assert_eq!((allocations(&parsed), &parsed), (11, spans[0]));
+    }
+
+    /// Each time category's spans carry its label as their fixed name.
+    #[test]
+    fn the_span_schemas_cover_every_time_category_in_order() {
+        for (i, category) in TIME_CATEGORIES.into_iter().enumerate() {
+            assert_eq!(category as usize, i, "{category:?} indexes its own schema");
+            let keys = CORE_SPANS[i];
+            let fixed = [category.label(), "core", "X"].map(Json::lit);
+            assert_eq!((keys.names(), keys.fixed), (CORE_SPANS[0].names(), &fixed[..]));
+        }
+        assert_eq!(CORE_SPANS[0].names(), ["name", "cat", "ph", "ts", "dur", "pid", "tid"]);
     }
 
     #[test]
