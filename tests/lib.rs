@@ -1,2 +1,312 @@
 #![forbid(unsafe_code)]
 //! Workspace-level integration tests for the big.TINY reproduction.
+//!
+//! The library holds what the test files share: [`pins`], the one store
+//! and comparator of every identity pin.
+
+/// Identity pins as data.
+///
+/// A pin family is one plain-text file, `tests/pins/<family>.txt`: a `#`
+/// header naming the columns (the first names the key), then one
+/// `key<TAB>value<TAB>...` line per pinned cell. One test owns each
+/// family: it computes the whole table and hands it to [`check`], which
+/// fails on any difference and prints every moved line as `old → new`,
+/// one summary line (lines moved out of total, and the spread of every
+/// `cycles` column in %), and the `cp` command that accepts the observed
+/// table. Re-pinning is that copy; `git diff tests/pins/` is its review.
+/// Tests never write into the tree: the observed table goes to Cargo's
+/// temporary directory.
+pub mod pins {
+    use std::path::PathBuf;
+
+    /// One family's table: column names, then rows in the order the test
+    /// computed them.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Table {
+        columns: Vec<String>,
+        rows: Vec<(String, Vec<String>)>,
+    }
+
+    impl Table {
+        /// An empty table; `columns[0]` names the key.
+        pub fn new(columns: &[&str]) -> Table {
+            assert!(columns.len() >= 2, "a pin table needs a key and at least one value column");
+            Table { columns: columns.iter().map(|c| c.to_string()).collect(), rows: Vec::new() }
+        }
+
+        /// Appends one cell.
+        ///
+        /// # Panics
+        ///
+        /// Panics when the key is already in the table or the number of
+        /// values does not match the columns: both are bugs in the test.
+        pub fn row(&mut self, key: impl Into<String>, values: impl IntoIterator<Item = String>) {
+            let key = key.into();
+            let values: Vec<String> = values.into_iter().collect();
+            assert_eq!(values.len() + 1, self.columns.len(), "{key}: wrong number of values");
+            assert!(self.get(&key).is_none(), "{key}: computed twice");
+            self.rows.push((key, values));
+        }
+
+        /// The values pinned for `key`.
+        pub fn get(&self, key: &str) -> Option<&[String]> {
+            self.rows.iter().find(|(k, _)| k == key).map(|(_, v)| &v[..])
+        }
+
+        /// The table in its file format.
+        pub fn render(&self) -> String {
+            let mut out = format!("# {}\n", self.columns.join("\t"));
+            for (key, values) in &self.rows {
+                out.push_str(key);
+                for v in values {
+                    out.push('\t');
+                    out.push_str(v);
+                }
+                out.push('\n');
+            }
+            out
+        }
+
+        /// Parses a family's file; every error names the family and,
+        /// where there is one, the key.
+        pub fn parse(family: &str, text: &str) -> Result<Table, String> {
+            let mut lines = text.lines().enumerate();
+            let header = match lines.next() {
+                Some((_, line)) if line.starts_with("# ") => &line[2..],
+                Some(_) => return Err(format!("pins {family}: line 1 is not a `# ` header")),
+                None => return Err(format!("pins {family}: empty file, no `# ` header")),
+            };
+            let columns: Vec<&str> = header.split('\t').collect();
+            if columns.len() < 2 || columns.iter().any(|c| c.is_empty()) {
+                return Err(format!("pins {family}: the header names no value column"));
+            }
+            let mut table = Table::new(&columns);
+            for (i, line) in lines {
+                let fields: Vec<&str> = line.split('\t').collect();
+                let key = fields[0];
+                if fields.len() != columns.len() || fields.iter().any(|f| f.is_empty()) {
+                    return Err(format!(
+                        "pins {family}: line {} ({key:?}) does not parse: {} fields, want {}",
+                        i + 1,
+                        fields.len(),
+                        columns.len()
+                    ));
+                }
+                if table.get(key).is_some() {
+                    return Err(format!("pins {family}: key {key:?} appears twice"));
+                }
+                table
+                    .rows
+                    .push((key.to_owned(), fields[1..].iter().map(|f| f.to_string()).collect()));
+            }
+            Ok(table)
+        }
+    }
+
+    /// `v` as the pins write a hash: `0x` and 16 hex digits.
+    pub fn hex(v: u64) -> String {
+        format!("{v:#018x}")
+    }
+
+    fn pin_path(family: &str) -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("pins").join(format!("{family}.txt"))
+    }
+
+    /// Cargo's `CARGO_TARGET_TMPDIR`: a test binary runs from
+    /// `<target>/<profile>/deps`, and the temporary directory is
+    /// `<target>/tmp`.
+    fn observed_path(family: &str) -> PathBuf {
+        let exe = std::env::current_exe().expect("the test binary has a path");
+        let target =
+            exe.ancestors().nth(3).expect("the test binary runs from <target>/<profile>/deps");
+        target.join("tmp").join("pins").join(format!("{family}.txt"))
+    }
+
+    /// The committed table of `family`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the file is missing or does not parse.
+    pub fn pinned(family: &str) -> Table {
+        let path = pin_path(family);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("pins {family}: reading {}: {e}", path.display()));
+        Table::parse(family, &text).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Compares the observed table with the pinned file's text: `Ok` when
+    /// they are the same cells with the same values, else the report
+    /// [`check`] fails with.
+    pub fn compare(family: &str, pinned_text: &str, observed: &Table) -> Result<(), String> {
+        let pinned = Table::parse(family, pinned_text)?;
+        let mut moved = Vec::new();
+        if pinned.columns != observed.columns {
+            moved.push(format!(
+                "header: {} → {}",
+                pinned.columns.join(" "),
+                observed.columns.join(" ")
+            ));
+        }
+        let mut deltas = Vec::new();
+        for (key, new) in &observed.rows {
+            match pinned.get(key) {
+                Some(old) if old == &new[..] => {}
+                Some(old) => {
+                    moved.push(format!("{key}: {} → {}", old.join(" "), new.join(" ")));
+                    for (i, column) in observed.columns[1..].iter().enumerate() {
+                        if column != "cycles" && !column.ends_with("_cycles") {
+                            continue;
+                        }
+                        if let (Some(Ok(a)), Ok(b)) =
+                            (old.get(i).map(|v| v.parse::<f64>()), new[i].parse::<f64>())
+                        {
+                            if a != 0.0 {
+                                deltas.push((b - a) / a * 100.0);
+                            }
+                        }
+                    }
+                }
+                None => moved.push(format!("{key}: (not pinned) → {}", new.join(" "))),
+            }
+        }
+        for (key, old) in &pinned.rows {
+            if observed.get(key).is_none() {
+                moved.push(format!("{key}: {} → (not computed)", old.join(" ")));
+            }
+        }
+        if moved.is_empty() {
+            return Ok(());
+        }
+        let total = observed.rows.len()
+            + pinned.rows.iter().filter(|(k, _)| observed.get(k).is_none()).count();
+        let lines = moved.iter().filter(|m| !m.starts_with("header: ")).count();
+        let mut report =
+            format!("pins {family}: {lines} of {total} lines moved; {}", spread(&mut deltas));
+        for m in &moved {
+            report.push_str("\n  ");
+            report.push_str(m);
+        }
+        Err(report)
+    }
+
+    /// `cycles Δ% min … median … max …` over the moved `cycles` cells.
+    fn spread(deltas: &mut [f64]) -> String {
+        if deltas.is_empty() {
+            return "no cycles column moved".to_owned();
+        }
+        deltas.sort_by(f64::total_cmp);
+        let (min, median, max) = (deltas[0], deltas[deltas.len() / 2], deltas[deltas.len() - 1]);
+        format!("cycles Δ% min {min:+.2} median {median:+.2} max {max:+.2}")
+    }
+
+    /// Holds `observed` to `tests/pins/<family>.txt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any difference, after writing the observed table to
+    /// Cargo's temporary directory; the message ends with the `cp` that
+    /// accepts it.
+    pub fn check(family: &str, observed: &Table) {
+        let path = pin_path(family);
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        if let Err(report) = compare(family, &text, observed) {
+            let out = observed_path(family);
+            let written = std::fs::create_dir_all(out.parent().expect("a file has a parent"))
+                .and_then(|()| std::fs::write(&out, observed.render()));
+            match written {
+                Ok(()) => panic!(
+                    "{report}\naccept the observed table with:\n  cp {} {}",
+                    out.display(),
+                    path.display()
+                ),
+                Err(e) => panic!("{report}\n(writing {} failed: {e})", out.display()),
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        const PINNED: &str = "# cell\tcycles\thash\n\
+            a @ x\t100\t0x0000000000000001\n\
+            b @ x\t200\t0x0000000000000002\n\
+            c @ x\t300\t0x0000000000000003\n";
+
+        fn observed() -> Table {
+            let mut t = Table::new(&["cell", "cycles", "hash"]);
+            for (i, key) in ["a @ x", "b @ x", "c @ x"].into_iter().enumerate() {
+                t.row(key, [(100 * (i as u64 + 1)).to_string(), hex(i as u64 + 1)]);
+            }
+            t
+        }
+
+        fn fails_naming(text: &str, what: &[&str]) {
+            let err = compare("fam", text, &observed()).expect_err("the comparator passed");
+            assert!(err.starts_with("pins fam: "), "the report names no family: {err}");
+            for w in what {
+                assert!(err.contains(w), "the report does not name {w:?}: {err}");
+            }
+        }
+
+        #[test]
+        fn the_table_round_trips_through_its_file() {
+            assert_eq!(observed().render(), PINNED);
+            assert_eq!(Table::parse("fam", PINNED), Ok(observed()));
+            assert_eq!(compare("fam", PINNED, &observed()), Ok(()));
+        }
+
+        #[test]
+        fn one_changed_digit_in_any_line_fails_naming_its_key() {
+            for (line, old, new) in [
+                (1, "100", "101"),
+                (2, "0x0000000000000002", "0x0000000000000012"),
+                (3, "300", "310"),
+            ] {
+                let text: Vec<String> = PINNED
+                    .lines()
+                    .enumerate()
+                    .map(|(i, l)| if i == line { l.replacen(old, new, 1) } else { l.to_owned() })
+                    .collect();
+                let key = ["a @ x", "b @ x", "c @ x"][line - 1];
+                fails_naming(&(text.join("\n") + "\n"), &[key, "1 of 3 lines moved", "→"]);
+            }
+            let report =
+                compare("fam", &PINNED.replace("\t200\t", "\t250\t"), &observed()).unwrap_err();
+            assert!(report.contains("cycles Δ% min -20.00 median -20.00 max -20.00"), "{report}");
+        }
+
+        #[test]
+        fn a_missing_or_an_extra_key_fails_naming_it() {
+            fails_naming(
+                &PINNED.replace("b @ x\t200\t0x0000000000000002\n", ""),
+                &["b @ x", "(not pinned)"],
+            );
+            fails_naming(
+                &format!("{PINNED}d @ x\t400\t0x0000000000000004\n"),
+                &["d @ x", "(not computed)"],
+            );
+        }
+
+        #[test]
+        fn a_duplicate_key_fails_naming_it() {
+            fails_naming(&format!("{PINNED}a @ x\t100\t0x0000000000000001\n"), &["a @ x", "twice"]);
+        }
+
+        #[test]
+        fn an_unparseable_line_fails_naming_its_key() {
+            fails_naming(
+                &PINNED.replace("\t0x0000000000000003", " 0x0000000000000003"),
+                &["c @ x", "does not parse"],
+            );
+            fails_naming(&PINNED.replace("c @ x\t", "c @ x\t\t"), &["c @ x", "does not parse"]);
+            fails_naming(&format!("{PINNED}\n"), &["line 5", "does not parse"]);
+            fails_naming(&PINNED.replacen("# ", "", 1), &["header"]);
+        }
+
+        #[test]
+        fn an_empty_file_fails() {
+            fails_naming("", &["empty file"]);
+        }
+    }
+}

@@ -17,8 +17,9 @@
 //!   benign-race call sites in the source tree must match exactly.
 //! * **Output pinning** — every rendered finding, dedup count and audit
 //!   count of a 120-cell mutation matrix and of a seeded synthetic stream
-//!   folds into one constant each, so a change to how the passes keep
-//!   their state cannot move a single byte of any report unnoticed.
+//!   folds into one hash each (`tests/pins/checker-matrix.txt` and
+//!   `checker-synthetic.txt`), so a change to how the passes keep their
+//!   state cannot move a single byte of any report unnoticed.
 
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_judged, Setup};
@@ -32,6 +33,7 @@ use bigtiny_engine::{
     XorShift64,
 };
 use bigtiny_mesh::{MeshConfig, Topology};
+use bigtiny_tests::pins;
 
 /// 16-core mixed machine with the checker fully armed.
 fn checked_sys(proto: Protocol) -> SystemConfig {
@@ -344,7 +346,6 @@ type Tweak = fn(&mut RuntimeConfig);
 /// the dedup choice and every detail string, not just the verdicts.
 #[test]
 fn mutation_matrix_output_is_pinned() {
-    const PIN: u64 = 0x2fbf_4364_933e_c70c;
     let variants: [(&str, Tweak); 5] = [
         ("none", |_| {}),
         ("skip_coherence_ops", |rt| rt.skip_coherence_ops = true),
@@ -380,7 +381,9 @@ fn mutation_matrix_output_is_pinned() {
         }
     }
     assert!(dirty >= 30 && kinds.len() >= 6 && kinds["hb-race"] > 0, "{dirty} dirty, {kinds:?}");
-    assert_eq!(h, PIN, "checker output moved: {h:#018x} ({dirty} dirty cells, {kinds:?})");
+    let mut observed = pins::Table::new(&["output", "hash"]);
+    observed.row("mutation matrix", [pins::hex(h)]);
+    pins::check("checker-matrix", &observed);
 }
 
 /// A seeded stream over eight mixed-protocol cores that exercises every
@@ -391,7 +394,6 @@ fn mutation_matrix_output_is_pinned() {
 #[test]
 fn synthetic_stream_output_is_pinned() {
     use Protocol::{DeNovo, GpuWb, GpuWt, Mesi};
-    const PIN: u64 = 0x7757_69ed_abe2_7b05;
     const PROTOCOLS: [Protocol; 8] = [Mesi, Mesi, DeNovo, DeNovo, GpuWt, GpuWt, GpuWb, GpuWb];
     let (hot, cold) = (0x1000u64, 0x10_0000u64);
     let mut events = Vec::new();
@@ -455,5 +457,7 @@ fn synthetic_stream_output_is_pinned() {
         assert!(report.count(kind) > 0, "no {} finding:\n{}", kind.label(), report.render());
     }
     let h = fold_report(hash::FNV_OFFSET, &report);
-    assert_eq!(h, PIN, "checker output moved: {h:#018x}\n{}", report.render());
+    let mut observed = pins::Table::new(&["output", "hash"]);
+    observed.row("synthetic stream", [pins::hex(h)]);
+    pins::check("checker-synthetic", &observed);
 }

@@ -8,9 +8,8 @@
 //! of representation moved no byte. Every document must also survive its
 //! own strict parser *as the same value*: `parse_json(text) == doc`.
 //!
-//! A moved pin means an artifact changed shape for every downstream reader:
-//! find out why before re-pinning (the failing assertion prints the
-//! observed row).
+//! A moved pin (`tests/pins/document.txt`) means an artifact changed shape
+//! for every downstream reader: find out why before re-pinning.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -26,34 +25,10 @@ use bigtiny_obs::{
     heartbeat_line, metrics_document, parse_json, validate_chrome_trace, Json, RunMetrics,
     TraceRun, TraceSummary,
 };
+use bigtiny_tests::pins;
 
 /// Seed of the machine and of the seeded fault plan.
 const SEED: u64 = 11;
-
-/// `(document, bytes, FNV-1a of the bytes, [complete, async_pairs, flows,
-/// instants, metadata])` for every Perfetto document.
-const TRACES: &[(&str, usize, u64, [usize; 5])] = &[
-    ("cilk5-nq @ b.T/HCC-DTS-gwb", 3373720, 0x307680b89ee06224, [42563, 63, 1070, 17, 66]),
-    ("cilk5-mt @ b.T/HCC-DTS-gwb", 3688527, 0x5f3e41dde2b58966, [46845, 31, 1060, 13, 66]),
-    ("ligra-bfs @ b.T/MESI", 1199792, 0xdf05ba1f14b9c8e1, [16077, 9, 0, 1, 66]),
-    (
-        "cilk5-nq @ b.T/HCC-DTS-gwb, hostile",
-        16930336,
-        0x237aacc41b160a53,
-        [221374, 63, 599, 11, 66],
-    ),
-    ("two runs", 4573396, 0xfe4918fae0a05a14, [58640, 72, 1070, 18, 132]),
-];
-
-/// `(document, bytes, FNV-1a of the bytes)` for every other document.
-const DOCS: &[(&str, usize, u64)] = &[
-    ("metrics: nq + hostile nq + bfs", 73293, 0x5c237262cc64f7b9),
-    ("black box: report", 415666, 0x639b5ab0ff2e5f79),
-    ("black box: report, tail trace", 1255999, 0x88d4f0abd155f736),
-    ("black box: watchdog bundle", 26427, 0x8fb8d2ab51dc396d),
-    ("black box: watchdog bundle, tail trace", 78387, 0x73a32855c2568810),
-    ("heartbeat line", 451, 0xcb5c54c4259ead07),
-];
 
 /// One fully armed run at test size: per-core trace, attribution spans and
 /// task events, so the export carries spans, flows, steal instants, task
@@ -149,15 +124,23 @@ fn every_document_is_byte_for_byte_what_was_pinned() {
         ("cilk5-nq @ b.T/HCC-DTS-gwb, hostile", export_chrome_trace(&[trace_run(&hostile)])),
         ("two runs", export_chrome_trace(&[trace_run(&nq), trace_run(&bfs)])),
     ];
-    let mut failures = Vec::new();
-    for (i, (name, doc)) in traces.iter().enumerate() {
+    let mut observed = pins::Table::new(&[
+        "document",
+        "bytes",
+        "fnv",
+        "complete",
+        "async_pairs",
+        "flows",
+        "instants",
+        "metadata",
+    ]);
+    for (name, doc) in &traces {
         let s: TraceSummary =
             validate_chrome_trace(doc).unwrap_or_else(|e| panic!("{name}: invalid trace: {e}"));
         let (bytes, fnv) = observe(name, doc);
-        let row = (*name, bytes, fnv, [s.complete, s.async_pairs, s.flows, s.instants, s.metadata]);
-        if TRACES.get(i) != Some(&row) {
-            failures.push(format!("({:?}, {}, {:#018x}, {:?}),", row.0, row.1, row.2, row.3));
-        }
+        let counts = [s.complete, s.async_pairs, s.flows, s.instants, s.metadata];
+        let values = [bytes.to_string(), pins::hex(fnv)].into_iter();
+        observed.row(*name, values.chain(counts.map(|c| c.to_string())));
     }
 
     let report_dump = blackbox_from_report("explicit", "fibers", "none", &nq.run.report);
@@ -183,24 +166,18 @@ fn every_document_is_byte_for_byte_what_was_pinned() {
         ("black box: watchdog bundle, tail trace", blackbox_tail_trace(&bundle_dump).unwrap()),
         ("heartbeat line", parse_json(&beat).expect("a heartbeat line parses")),
     ];
-    for (i, (name, doc)) in docs.iter().enumerate() {
-        let row = if *name == "heartbeat line" {
+    for (name, doc) in &docs {
+        let (bytes, fnv) = if *name == "heartbeat line" {
             // The line is its own serialization; the parsed copy must
             // write the same bytes back.
             assert_eq!(doc.to_json(), beat, "heartbeat line does not re-serialize to itself");
-            (*name, beat.len(), fnv1a(beat.as_bytes()))
+            (beat.len(), fnv1a(beat.as_bytes()))
         } else {
-            let (bytes, fnv) = observe(name, doc);
-            (*name, bytes, fnv)
+            observe(name, doc)
         };
-        if DOCS.get(i) != Some(&row) {
-            failures.push(format!("({:?}, {}, {:#018x}),", row.0, row.1, row.2));
-        }
+        // Only a trace has the structural counts.
+        let values = [bytes.to_string(), pins::hex(fnv)].into_iter();
+        observed.row(*name, values.chain(["-"; 5].map(String::from)));
     }
-    assert!(
-        failures.is_empty(),
-        "a document's bytes diverged from its pin; observed rows:\n    {}",
-        failures.join("\n    ")
-    );
-    assert_eq!((traces.len(), docs.len()), (TRACES.len(), DOCS.len()), "a pin without a document");
+    pins::check("document", &observed);
 }

@@ -27,11 +27,18 @@ use bigtiny_engine::{
     run_system, AddrSpace, CheckMode, ExecBackend, Protocol, SchedulePolicy, ShScalar,
     SystemConfig, Worker,
 };
+use bigtiny_tests::pins;
 
-/// The `("cilk5-nq", "b.T/MESI")` golden pin from `golden_trace.rs`:
+/// The `cilk5-nq @ b.T/MESI` golden cell of `tests/pins/golden.txt`:
 /// simulated cycles and sequenced-op-stream hash at `AppSize::Test`,
 /// default seed, default grain.
-const NQ_PIN: (u64, u64) = (7808, 0x7cc8_52c9_2c4f_0918);
+fn nq_pin() -> Vec<String> {
+    pins::pinned("golden").get("cilk5-nq @ b.T/MESI").expect("the golden cell is pinned").to_vec()
+}
+
+fn observed(r: &bigtiny_bench::AppResult) -> Vec<String> {
+    vec![r.cycles.to_string(), pins::hex(r.run.report.seq_op_hash)]
+}
 
 /// Spelling out `SchedulePolicy::MinCore` (the default) must replay the
 /// golden op stream exactly, on every execution backend: the policy
@@ -48,8 +55,8 @@ fn explicit_min_core_policy_replays_the_golden_pin_on_every_backend() {
         setup.sys = setup.sys.clone().with_backend(backend).with_schedule(SchedulePolicy::MinCore);
         let r = run_app(&setup, &app, AppSize::Test, 0);
         assert_eq!(
-            (r.cycles, r.run.report.seq_op_hash),
-            NQ_PIN,
+            observed(&r),
+            nq_pin(),
             "explicit MinCore diverged from the golden pin on {backend:?}"
         );
         assert!(
@@ -68,11 +75,7 @@ fn empty_script_matches_min_core_bit_for_bit_and_records_ties() {
     let mut scripted = Setup::bt_mesi();
     scripted.sys = scripted.sys.clone().with_schedule(SchedulePolicy::Scripted(Vec::new()));
     let r = run_app(&scripted, &app, AppSize::Test, 0);
-    assert_eq!(
-        (r.cycles, r.run.report.seq_op_hash),
-        NQ_PIN,
-        "empty script diverged from the MinCore golden pin"
-    );
+    assert_eq!(observed(&r), nq_pin(), "empty script diverged from the MinCore golden pin");
     let cps = &r.run.report.choice_points;
     assert!(!cps.is_empty(), "an 8-core nqueens run must hit at least one sequencer tie");
     for cp in cps {

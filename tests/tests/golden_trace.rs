@@ -1,39 +1,38 @@
 //! Golden determinism pins for the engine.
 //!
-//! Each entry hashes the full sequenced-op stream — every `(time, core)`
-//! token grant the `Sequencer` issues, in grant order — for one protocol ×
-//! representative kernel at the fixed default seed, plus the end-to-end
-//! simulated cycle count. The hashes below were captured before the engine
-//! fast paths (sequencer re-grant, compute coalescing) landed, so a match
-//! proves those wall-clock optimizations are bit-for-bit invisible to
-//! simulated results. Future engine PRs inherit the guard: if a change is
-//! *meant* to alter simulated timing, update the table (the failing
-//! assertion prints the observed `(cycles, hash)`) with a note in the PR;
-//! if it isn't, a mismatch here is a bug.
+//! Each cell of `tests/pins/golden.txt` hashes the full sequenced-op
+//! stream — every `(time, core)` token grant the `Sequencer` issues, in
+//! grant order — for one protocol × representative kernel at the fixed
+//! default seed, plus the end-to-end simulated cycle count. The hashes were
+//! captured before the engine fast paths (sequencer re-grant, compute
+//! coalescing) landed, so a match proves those wall-clock optimizations are
+//! bit-for-bit invisible to simulated results. A change *meant* to alter
+//! simulated timing re-pins by copying the observed table the failing test
+//! writes (see `bigtiny_tests::pins`); otherwise a mismatch here is a bug.
 
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, run_judged, Setup};
 use bigtiny_engine::Protocol;
+use bigtiny_tests::pins;
 
-/// `(kernel, setup label, simulated cycles, sequenced-op-stream hash)` at
-/// `AppSize::Test`, default seed, default grain.
-const GOLDEN: &[(&str, &str, u64, u64)] = &[
-    // cilk5-nq pins re-captured after the kernel moved to crash-tolerant
-    // slot-keyed result placement (idempotent re-execution discipline),
-    // which changes its memory access pattern and thus simulated timing.
-    ("cilk5-nq", "b.T/MESI", 7808, 0x7cc8_52c9_2c4f_0918),
-    ("cilk5-nq", "b.T/HCC-DTS-dnv", 7605, 0x2915_0624_3f55_68bb),
-    ("cilk5-nq", "b.T/HCC-DTS-gwt", 8096, 0x3e56_d2df_ec25_e841),
-    ("cilk5-nq", "b.T/HCC-DTS-gwb", 6350, 0x1509_ceed_9a81_bda9),
-    ("cilk5-mm", "b.T/MESI", 17000, 0x63c9_0ddb_29fb_7035),
-    ("cilk5-mm", "b.T/HCC-DTS-dnv", 16781, 0x91b5_3ab6_61df_c838),
-    ("cilk5-mm", "b.T/HCC-DTS-gwt", 17531, 0x5311_8468_369a_19db),
-    ("cilk5-mm", "b.T/HCC-DTS-gwb", 19227, 0xadf2_ba2b_2ec5_a127),
-    ("ligra-bfs", "b.T/MESI", 19945, 0xf532_cb4f_96b3_9f7c),
-    ("ligra-bfs", "b.T/HCC-DTS-dnv", 23200, 0x6860_8335_6e60_d76a),
-    ("ligra-bfs", "b.T/HCC-DTS-gwt", 22096, 0x4814_806a_746e_12f9),
-    ("ligra-bfs", "b.T/HCC-DTS-gwb", 22190, 0x32b3_7afd_1f96_2a4b),
-];
+/// The golden cells, at `AppSize::Test`, default seed, default grain.
+const KERNELS: [&str; 3] = ["cilk5-nq", "cilk5-mm", "ligra-bfs"];
+const SETUPS: [&str; 4] = ["b.T/MESI", "b.T/HCC-DTS-dnv", "b.T/HCC-DTS-gwt", "b.T/HCC-DTS-gwb"];
+
+/// `(kernel, setup, cycles, op hash)` of every golden cell, as pinned.
+fn golden() -> Vec<(&'static str, &'static str, u64, u64)> {
+    let pinned = pins::pinned("golden");
+    let mut cells = Vec::new();
+    for kernel in KERNELS {
+        for setup in SETUPS {
+            let v =
+                pinned.get(&format!("{kernel} @ {setup}")).expect("every golden cell is pinned");
+            let hash = u64::from_str_radix(v[1].trim_start_matches("0x"), 16).expect("a hex hash");
+            cells.push((kernel, setup, v[0].parse().expect("a cycle count"), hash));
+        }
+    }
+    cells
+}
 
 fn setup_by_label(label: &str) -> Setup {
     match label {
@@ -47,25 +46,16 @@ fn setup_by_label(label: &str) -> Setup {
 
 #[test]
 fn sequenced_op_stream_matches_golden_hashes() {
-    let mut failures = Vec::new();
-    for &(app_name, setup_label, want_cycles, want_hash) in GOLDEN {
-        let app = app_by_name(app_name).unwrap();
-        let setup = setup_by_label(setup_label);
-        let r = run_app(&setup, &app, AppSize::Test, 0);
-        let got_hash = r.run.report.seq_op_hash;
-        if r.cycles != want_cycles || got_hash != want_hash {
-            failures.push(format!(
-                "{app_name} on {setup_label}: cycles {} (want {want_cycles}), \
-                 op hash {got_hash:#018x} (want {want_hash:#018x})",
-                r.cycles
-            ));
+    let mut observed = pins::Table::new(&["cell", "cycles", "op_hash"]);
+    for kernel in KERNELS {
+        let app = app_by_name(kernel).unwrap();
+        for setup in SETUPS {
+            let r = run_app(&setup_by_label(setup), &app, AppSize::Test, 0);
+            let values = [r.cycles.to_string(), pins::hex(r.run.report.seq_op_hash)];
+            observed.row(format!("{kernel} @ {setup}"), values);
         }
     }
-    assert!(
-        failures.is_empty(),
-        "sequenced-op stream diverged from golden pins:\n  {}",
-        failures.join("\n  ")
-    );
+    pins::check("golden", &observed);
 }
 
 /// Both execution backends (one OS thread per core, stackful fibers on one
@@ -80,8 +70,8 @@ fn both_backends_produce_identical_op_streams() {
     use bigtiny_engine::{backend_label, ExecBackend};
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
     let mut failures = Vec::new();
-    for &(app_name, setup_label, want_cycles, want_hash) in
-        GOLDEN.iter().filter(|g| g.0 == "cilk5-nq")
+    for (app_name, setup_label, want_cycles, want_hash) in
+        golden().into_iter().filter(|g| g.0 == "cilk5-nq")
     {
         let app = app_by_name(app_name).unwrap();
         let mut cells = Vec::new();
@@ -128,8 +118,8 @@ fn both_backends_produce_identical_op_streams() {
 fn armed_checker_changes_no_golden_pin() {
     use bigtiny_engine::CheckMode;
     let mut failures = Vec::new();
-    for &(app_name, setup_label, want_cycles, want_hash) in
-        GOLDEN.iter().filter(|g| g.0 == "cilk5-nq" || g.0 == "ligra-bfs")
+    for (app_name, setup_label, want_cycles, want_hash) in
+        golden().into_iter().filter(|g| g.0 == "cilk5-nq" || g.0 == "ligra-bfs")
     {
         let app = app_by_name(app_name).unwrap();
         let mut setup = setup_by_label(setup_label);
@@ -161,8 +151,8 @@ fn armed_checker_changes_no_golden_pin() {
 #[test]
 fn armed_observability_changes_no_golden_pin() {
     let mut failures = Vec::new();
-    for &(app_name, setup_label, want_cycles, want_hash) in
-        GOLDEN.iter().filter(|g| g.0 == "cilk5-nq" || g.0 == "ligra-bfs")
+    for (app_name, setup_label, want_cycles, want_hash) in
+        golden().into_iter().filter(|g| g.0 == "cilk5-nq" || g.0 == "ligra-bfs")
     {
         let app = app_by_name(app_name).unwrap();
         let mut setup = setup_by_label(setup_label);
@@ -231,8 +221,8 @@ fn flight_ring_and_heartbeat_change_no_golden_pin() {
 
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
     let mut failures = Vec::new();
-    for &(app_name, setup_label, want_cycles, want_hash) in
-        GOLDEN.iter().filter(|g| g.0 == "cilk5-nq")
+    for (app_name, setup_label, want_cycles, want_hash) in
+        golden().into_iter().filter(|g| g.0 == "cilk5-nq")
     {
         let app = app_by_name(app_name).unwrap();
         for backend in [ExecBackend::Threads, ExecBackend::Fibers] {

@@ -12,9 +12,9 @@
 //! OCN traffic matrix are folded with FNV-1a; `check_invariants()` must
 //! hold after every single operation.
 //!
-//! The pins were captured on the `HashMap`/`Vec<Option<_>>` model (the
-//! commit that added this file changed nothing else) and any later layout
-//! must reproduce them bit for bit. Disciplined streams (invalidate →
+//! The pins (`tests/pins/layout-*.txt`) were captured on the
+//! `HashMap`/`Vec<Option<_>>` model (the commit that added them changed
+//! nothing else) and any later layout must reproduce them bit for bit. Disciplined streams (invalidate →
 //! accesses → flush, one core at a time) must report zero stale reads;
 //! undisciplined ones must report some on every software-centric protocol,
 //! so the oracle is pinned in both regimes.
@@ -22,7 +22,9 @@
 //! [`CoreMemStats`]: bigtiny_coherence::CoreMemStats
 
 use bigtiny_coherence::{Addr, CoreMemConfig, MemConfig, MemorySystem, Protocol};
+use bigtiny_engine::hash::{fnv1a_continue, FNV_OFFSET};
 use bigtiny_mesh::{MeshConfig, Topology, XorShift64};
+use bigtiny_tests::pins;
 
 const OPS: usize = 24_000;
 const CORES: u64 = 4;
@@ -34,28 +36,6 @@ const STREAM_WORDS: u64 = 8 * 1024;
 
 const PROTOCOLS: [Protocol; 4] =
     [Protocol::Mesi, Protocol::DeNovo, Protocol::GpuWt, Protocol::GpuWb];
-
-/// One hash per tiny-core protocol, in [`PROTOCOLS`] order.
-const UNDISCIPLINED: [u64; 4] =
-    [0x9296_cb0b_daa4_f925, 0x6124_8c4b_cc5b_08b1, 0x3180_3f7a_cd7c_edd7, 0x462d_bdb9_9496_06d8];
-const DISCIPLINED: [u64; 4] =
-    [0xc1d4_ee84_f653_b68d, 0x7def_fd6c_95ff_98a5, 0xa488_d662_214c_6631, 0xe2ad_c5c2_fb82_6f98];
-const ODD_GEOMETRY: [u64; 4] =
-    [0x5786_d2ff_c3f8_acfa, 0x42f2_1ae5_dcf0_59b3, 0xe43e_4176_065e_32ab, 0x4759_e38d_2c29_c76e];
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn fold(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// The paper's L1 shapes over a 2-bank, 8-way, 128-line L2.
 fn small_l2(tiny: Protocol) -> MemorySystem {
@@ -93,7 +73,8 @@ fn odd_geometry(tiny: Protocol) -> MemorySystem {
 struct Stream {
     m: MemorySystem,
     rng: XorShift64,
-    hash: Fnv,
+    /// FNV-1a over the little-endian bytes of every folded word.
+    hash: u64,
     now: u64,
     cursor: u64,
     ops: usize,
@@ -101,7 +82,7 @@ struct Stream {
 
 impl Stream {
     fn new(m: MemorySystem, seed: u64) -> Self {
-        Stream { m, rng: XorShift64::new(seed), hash: Fnv::new(), now: 0, cursor: 0, ops: 0 }
+        Stream { m, rng: XorShift64::new(seed), hash: FNV_OFFSET, now: 0, cursor: 0, ops: 0 }
     }
 
     fn core(&mut self) -> usize {
@@ -121,9 +102,13 @@ impl Stream {
         }
     }
 
+    fn fold(&mut self, v: u64) {
+        self.hash = fnv1a_continue(self.hash, &v.to_le_bytes());
+    }
+
     fn retire(&mut self, results: [u64; 2]) {
         for r in results {
-            self.hash.fold(r);
+            self.fold(r);
         }
         self.ops += 1;
         self.now += 1 + self.rng.next_below(20);
@@ -157,15 +142,15 @@ impl Stream {
     fn finish(mut self) -> (u64, u64) {
         for core in 0..CORES as usize {
             for (_, v) in self.m.core_stats(core).pairs() {
-                self.hash.fold(v);
+                self.fold(v);
             }
         }
         for (_, msgs, bytes) in self.m.traffic().by_class() {
-            self.hash.fold(msgs);
-            self.hash.fold(bytes);
+            self.fold(msgs);
+            self.fold(bytes);
         }
-        self.hash.fold(self.m.traffic().hop_cycles());
-        (self.hash.0, self.m.total_stale_reads())
+        self.fold(self.m.traffic().hop_cycles());
+        (self.hash, self.m.total_stale_reads())
     }
 }
 
@@ -200,22 +185,16 @@ fn disciplined(m: MemorySystem, seed: u64) -> (u64, u64) {
     s.finish()
 }
 
-/// Runs `run` once per tiny-core protocol and compares against `pins`,
-/// reporting the whole row on a mismatch so a deliberate re-pin is one
-/// paste.
-fn check_row(
-    name: &str,
-    pins: [u64; 4],
-    stale: impl Fn(Protocol, u64),
-    run: impl Fn(Protocol) -> (u64, u64),
-) {
-    let mut got = [0u64; 4];
-    for (slot, proto) in got.iter_mut().zip(PROTOCOLS) {
+/// Runs `run` once per tiny-core protocol and holds the hashes to the pin
+/// family `family`.
+fn check_row(family: &str, stale: impl Fn(Protocol, u64), run: impl Fn(Protocol) -> (u64, u64)) {
+    let mut observed = pins::Table::new(&["protocol", "hash"]);
+    for proto in PROTOCOLS {
         let (hash, stale_reads) = run(proto);
         stale(proto, stale_reads);
-        *slot = hash;
+        observed.row(format!("{proto:?}"), [pins::hex(hash)]);
     }
-    assert_eq!(got, pins, "{name}: model behaviour moved; measured row = {:#018x?}", got);
+    pins::check(family, &observed);
 }
 
 fn expect_some_stale(proto: Protocol, stale_reads: u64) {
@@ -228,7 +207,7 @@ fn expect_some_stale(proto: Protocol, stale_reads: u64) {
 
 #[test]
 fn undisciplined_streams_are_pinned() {
-    check_row("undisciplined", UNDISCIPLINED, expect_some_stale, |p| {
+    check_row("layout-undisciplined", expect_some_stale, |p| {
         undisciplined(small_l2(p), 0x4c41_594f_5554_0001)
     });
 }
@@ -236,8 +215,7 @@ fn undisciplined_streams_are_pinned() {
 #[test]
 fn disciplined_streams_are_pinned_and_never_stale() {
     check_row(
-        "disciplined",
-        DISCIPLINED,
+        "layout-disciplined",
         |proto, stale_reads| assert_eq!(stale_reads, 0, "{proto:?}: disciplined use is fresh"),
         |p| disciplined(small_l2(p), 0x4c41_594f_5554_0002),
     );
@@ -245,7 +223,7 @@ fn disciplined_streams_are_pinned_and_never_stale() {
 
 #[test]
 fn odd_geometry_streams_are_pinned() {
-    check_row("odd geometry", ODD_GEOMETRY, expect_some_stale, |p| {
+    check_row("layout-odd-geometry", expect_some_stale, |p| {
         undisciplined(odd_geometry(p), 0x4c41_594f_5554_0003)
     });
 }

@@ -10,26 +10,20 @@
 //! response-wait loop stopped being one sequencer round trip per poll, so a
 //! match proves whoever performs a poll's bookkeeping performs all of it.
 //!
-//! A moved pin means a core's local history moved: find out why before
-//! re-pinning (the failing assertion prints the observed row).
+//! A moved pin (`tests/pins/replay.txt`) means a core's local history
+//! moved: find out why before re-pinning.
 
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, Setup};
 use bigtiny_engine::hash::{fnv1a_continue, fold_u64, FNV_OFFSET};
 use bigtiny_engine::{ExecBackend, FaultPlan, Protocol, RunReport, TimeBreakdown, UliMarkKind};
+use bigtiny_tests::pins;
 
-/// `(kernel, fault plan, local fold, stream fold, seq_grants,
-/// seq_fast_grants)` on `b.T/HCC-DTS-gwb` at `AppSize::Test`, on both
+/// The cells, on `b.T/HCC-DTS-gwb` at `AppSize::Test`, each run on both
 /// backends: the start-up wave always ends in the sequencer's pick loop, so
 /// which thread arrives last classifies no grant.
-const PINS: &[(&str, &str, u64, u64, u64, u64)] = &[
-    ("cilk5-nq", "none", 0x2ca6_3833_6859_7f84, 0xe26f_b9c7_04a7_64ff, 37863, 10311),
-    ("cilk5-nq", "hostile", 0xdb82_80cc_635e_ca1f, 0xa333_09fb_b1a8_01e3, 215737, 66551),
-    ("cilk5-nq", "crash-storm", 0x8be8_6c6a_ea7d_5695, 0xa8b7_9fda_15cd_e2cb, 74181, 19483),
-    ("ligra-bfs", "none", 0xfc7a_f083_3d73_9acc, 0x5f9c_141f_69ab_462b, 118106, 34951),
-    ("ligra-bfs", "hostile", 0xacd1_82f4_cec0_58b7, 0x61cc_a0c8_3218_f6c2, 182794, 56534),
-    ("ligra-bfs", "crash-storm", 0xdd41_b194_8851_fc60, 0xea7a_4553_d13e_1153, 97530, 26005),
-];
+const APPS: [&str; 2] = ["cilk5-nq", "ligra-bfs"];
+const PLANS: [&str; 3] = ["none", "hostile", "crash-storm"];
 
 /// Seed of the seeded fault plans (the clean plan ignores it).
 const FAULT_SEED: u64 = 11;
@@ -107,57 +101,59 @@ fn setup_for(plan: &str, backend: ExecBackend, armed: bool) -> Setup {
 #[test]
 fn per_core_local_history_matches_pins_on_every_backend() {
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    let mut failures = Vec::new();
-    for &(app_name, plan, want_local, want_stream, want_grants, want_fast) in PINS {
+    let columns = ["cell", "local_fold", "stream_fold", "seq_grants", "seq_fast_grants"];
+    let mut observed = pins::Table::new(&columns);
+    let mut diverged = Vec::new();
+    for app_name in APPS {
         let app = app_by_name(app_name).unwrap();
-        let (mut observed, seen) = (None, failures.len());
-        for backend in [ExecBackend::Fibers, ExecBackend::Threads] {
-            if backend != ExecBackend::Threads && !fibers_supported {
-                continue;
-            }
-            // Arming only adds streams (`armed_observability` pins that), so
-            // the unarmed run is checked once, on the default backend.
-            for armed in [false, true] {
-                if !armed && backend != ExecBackend::Fibers {
+        for plan in PLANS {
+            // The row is the armed run on the first backend; every other run
+            // must agree with it. Arming only adds streams
+            // (`armed_observability` pins that), so the unarmed run is
+            // checked once, on the default backend, without its stream.
+            let mut row: Option<[String; 4]> = None;
+            for backend in [ExecBackend::Fibers, ExecBackend::Threads] {
+                if backend != ExecBackend::Threads && !fibers_supported {
                     continue;
                 }
-                let r = run_app(&setup_for(plan, backend, armed), &app, AppSize::Test, 0);
-                let rep = &r.run.report;
-                let ctx = format!("{app_name} under {plan} on {backend:?}, armed {armed}");
-                let local = local_fold(rep);
-                if local != want_local {
-                    failures.push(format!("{ctx}: local fold {local:#018x}"));
-                }
-                if armed {
-                    let stream = stream_fold(rep);
-                    assert!(rep.traces.iter().any(|t| !t.is_empty()), "{ctx}: no trace");
-                    assert!(rep.uli_marks.iter().any(|m| !m.is_empty()), "{ctx}: no ULI marks");
-                    if stream != want_stream {
-                        failures.push(format!("{ctx}: stream fold {stream:#018x}"));
+                for armed in [true, false] {
+                    if !armed && backend != ExecBackend::Fibers {
+                        continue;
                     }
-                    if backend == ExecBackend::Fibers {
-                        observed = Some((local, stream, rep.seq_grants, rep.seq_fast_grants));
+                    let r = run_app(&setup_for(plan, backend, armed), &app, AppSize::Test, 0);
+                    let rep = &r.run.report;
+                    let ctx = format!("{app_name} under {plan} on {backend:?}, armed {armed}");
+                    let mut got = [
+                        pins::hex(local_fold(rep)),
+                        pins::hex(stream_fold(rep)),
+                        rep.seq_grants.to_string(),
+                        rep.seq_fast_grants.to_string(),
+                    ];
+                    if armed {
+                        assert!(rep.traces.iter().any(|t| !t.is_empty()), "{ctx}: no trace");
+                        assert!(rep.uli_marks.iter().any(|m| !m.is_empty()), "{ctx}: no ULI marks");
                     }
-                }
-                if rep.seq_grants != want_grants {
-                    failures.push(format!("{ctx}: seq_grants {}", rep.seq_grants));
-                }
-                if rep.seq_fast_grants != want_fast {
-                    failures.push(format!("{ctx}: seq_fast_grants {}", rep.seq_fast_grants));
+                    let first = row.get_or_insert_with(|| got.clone());
+                    if !armed {
+                        got[1].clone_from(&first[1]);
+                    }
+                    if got != *first {
+                        diverged.push(format!(
+                            "{ctx}: {} (first run: {})",
+                            got.join(" "),
+                            first.join(" ")
+                        ));
+                    }
                 }
             }
-        }
-        if let Some((local, stream, grants, fast)) = observed.filter(|_| failures.len() > seen) {
-            failures.push(format!(
-                "observed row: ({app_name:?}, {plan:?}, {local:#018x}, {stream:#018x}, {grants}, \
-                 {fast}),"
-            ));
+            observed.row(format!("{app_name} / {plan}"), row.expect("at least one backend runs"));
         }
     }
+    pins::check("replay", &observed);
     assert!(
-        failures.is_empty(),
-        "a core's local history diverged from its pin:\n  {}",
-        failures.join("\n  ")
+        diverged.is_empty(),
+        "a core's local history depends on the backend:\n  {}",
+        diverged.join("\n  ")
     );
 }
 
