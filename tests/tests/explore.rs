@@ -1,18 +1,16 @@
-//! Schedule-space exploration: golden pins for the default policy,
-//! schedule-robustness of clean kernels, and a seeded mutation proving
-//! the explorer catches what single-schedule checking cannot.
+//! Schedule-space exploration: schedule-robustness of clean kernels, and a
+//! seeded mutation proving the explorer catches what single-schedule
+//! checking cannot.
 //!
 //! The engine's only schedule freedom is the sequencer tie-break
-//! ([`SchedulePolicy`]), so these tests pin three layers of the new
-//! machinery:
+//! ([`SchedulePolicy`]). That making the default policy *explicit*, or
+//! running under an empty script, is bit-for-bit invisible is a row of
+//! `golden_trace.rs`'s invariance table. These tests pin the rest:
 //!
-//! 1. making the default policy *explicit* (and running under an empty
-//!    script) is bit-for-bit invisible — the golden `cilk5-nq` pin from
-//!    `golden_trace.rs` must replay exactly, on both backends;
-//! 2. a clean kernel stays clean under *any* scripted permutation of its
+//! 1. a clean kernel stays clean under *any* scripted permutation of its
 //!    tie-breaks: the harness's one judge (`bigtiny_bench::judge`) passes
 //!    every run, DRF checker armed;
-//! 3. a seeded schedule-dependent lost-update bug that the default
+//! 2. a seeded schedule-dependent lost-update bug that the default
 //!    schedule masks is found by [`explore`], with a minimal replayable
 //!    script.
 
@@ -24,70 +22,8 @@ use bigtiny_checker::check_run;
 use bigtiny_checker::explore::{explore, ExploreBudget, ScheduleOutcome};
 use bigtiny_core::RuntimeKind;
 use bigtiny_engine::{
-    run_system, AddrSpace, CheckMode, ExecBackend, Protocol, SchedulePolicy, ShScalar,
-    SystemConfig, Worker,
+    run_system, AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig, Worker,
 };
-use bigtiny_tests::pins;
-
-/// The `cilk5-nq @ b.T/MESI` golden cell of `tests/pins/golden.txt`:
-/// simulated cycles and sequenced-op-stream hash at `AppSize::Test`,
-/// default seed, default grain.
-fn nq_pin() -> Vec<String> {
-    pins::pinned("golden").get("cilk5-nq @ b.T/MESI").expect("the golden cell is pinned").to_vec()
-}
-
-fn observed(r: &bigtiny_bench::AppResult) -> Vec<String> {
-    vec![r.cycles.to_string(), pins::hex(r.run.report.seq_op_hash)]
-}
-
-/// Spelling out `SchedulePolicy::MinCore` (the default) must replay the
-/// golden op stream exactly, on every execution backend: the policy
-/// plumbing may not perturb the default path by a single grant.
-#[test]
-fn explicit_min_core_policy_replays_the_golden_pin_on_every_backend() {
-    let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    let app = app_by_name("cilk5-nq").unwrap();
-    for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
-        if backend != ExecBackend::Threads && !fibers_supported {
-            continue;
-        }
-        let mut setup = Setup::bt_mesi();
-        setup.sys = setup.sys.clone().with_backend(backend).with_schedule(SchedulePolicy::MinCore);
-        let r = run_app(&setup, &app, AppSize::Test, 0);
-        assert_eq!(
-            observed(&r),
-            nq_pin(),
-            "explicit MinCore diverged from the golden pin on {backend:?}"
-        );
-        assert!(
-            r.run.report.choice_points.is_empty(),
-            "MinCore must record no choice points ({backend:?})"
-        );
-    }
-}
-
-/// The empty script replays the default tie-breaks bit-for-bit while
-/// recording every tie it took: same cycles, same op hash, non-empty
-/// choice points, each well-formed and resolved to the min-core default.
-#[test]
-fn empty_script_matches_min_core_bit_for_bit_and_records_ties() {
-    let app = app_by_name("cilk5-nq").unwrap();
-    let mut scripted = Setup::bt_mesi();
-    scripted.sys = scripted.sys.clone().with_schedule(SchedulePolicy::Scripted(Vec::new()));
-    let r = run_app(&scripted, &app, AppSize::Test, 0);
-    assert_eq!(observed(&r), nq_pin(), "empty script diverged from the MinCore golden pin");
-    let cps = &r.run.report.choice_points;
-    assert!(!cps.is_empty(), "an 8-core nqueens run must hit at least one sequencer tie");
-    for cp in cps {
-        assert!(cp.candidates.len() >= 2, "a choice point needs at least two tied waiters");
-        assert_eq!(cp.chosen, 0, "an empty script must always take the default choice");
-        assert_eq!(
-            cp.candidates[cp.chosen as usize],
-            *cp.candidates.iter().min().unwrap(),
-            "the default choice must be the min-core candidate"
-        );
-    }
-}
 
 /// Property test: any scripted permutation of a clean kernel's tie-breaks
 /// is still a correct execution. Random scripts (including out-of-range

@@ -10,29 +10,20 @@
 //! simulated timing re-pins by copying the observed table the failing test
 //! writes (see `bigtiny_tests::pins`); otherwise a mismatch here is a bug.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use bigtiny_apps::{app_by_name, AppSize};
-use bigtiny_bench::{run_app, run_judged, Setup};
-use bigtiny_engine::Protocol;
+use bigtiny_bench::{run_app, run_judged, AppResult, Setup, Verdict};
+use bigtiny_engine::{
+    backend_label, CheckMode, ExecBackend, Heartbeat, HeartbeatSnap, Protocol, SchedulePolicy,
+    DEFAULT_FLIGHT_CAPACITY,
+};
 use bigtiny_tests::pins;
 
 /// The golden cells, at `AppSize::Test`, default seed, default grain.
 const KERNELS: [&str; 3] = ["cilk5-nq", "cilk5-mm", "ligra-bfs"];
 const SETUPS: [&str; 4] = ["b.T/MESI", "b.T/HCC-DTS-dnv", "b.T/HCC-DTS-gwt", "b.T/HCC-DTS-gwb"];
-
-/// `(kernel, setup, cycles, op hash)` of every golden cell, as pinned.
-fn golden() -> Vec<(&'static str, &'static str, u64, u64)> {
-    let pinned = pins::pinned("golden");
-    let mut cells = Vec::new();
-    for kernel in KERNELS {
-        for setup in SETUPS {
-            let v =
-                pinned.get(&format!("{kernel} @ {setup}")).expect("every golden cell is pinned");
-            let hash = u64::from_str_radix(v[1].trim_start_matches("0x"), 16).expect("a hex hash");
-            cells.push((kernel, setup, v[0].parse().expect("a cycle count"), hash));
-        }
-    }
-    cells
-}
 
 fn setup_by_label(label: &str) -> Setup {
     match label {
@@ -58,234 +49,227 @@ fn sequenced_op_stream_matches_golden_hashes() {
     pins::check("golden", &observed);
 }
 
-/// Both execution backends (one OS thread per core, stackful fibers on one
-/// thread) must replay the exact same grant stream: they share the
-/// sequencer's grant-selection rule and differ only in how a blocked core
-/// yields the host CPU. Pinning both against the same table proves the
-/// fiber fast path cannot change a single simulated cycle — with
-/// the watchdog disarmed, and again with it armed and its wall-clock
-/// monitor thread alive beside the cores (the watchdog only observes).
-#[test]
-fn both_backends_produce_identical_op_streams() {
-    use bigtiny_engine::{backend_label, ExecBackend};
-    let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    let mut failures = Vec::new();
-    for (app_name, setup_label, want_cycles, want_hash) in
-        golden().into_iter().filter(|g| g.0 == "cilk5-nq")
-    {
-        let app = app_by_name(app_name).unwrap();
-        let mut cells = Vec::new();
-        for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
-            if backend == ExecBackend::Threads || fibers_supported {
-                cells.extend([(backend, None), (backend, Some(2_000_000))]);
-            }
-        }
-        // `Auto` resolves to fibers whether or not a watchdog is armed.
-        cells.push((ExecBackend::Auto, Some(2_000_000)));
-        for (backend, watchdog) in cells {
-            let mut setup = setup_by_label(setup_label);
-            setup.sys = setup.sys.clone().with_backend(backend);
-            setup.sys.watchdog_budget = watchdog;
-            if backend == ExecBackend::Auto
-                && fibers_supported
-                && std::env::var_os("BIGTINY_BACKEND").is_none()
-            {
-                assert_eq!(backend_label(&setup.sys), "fibers", "Auto + watchdog stays on fibers");
-            }
-            let r = run_app(&setup, &app, AppSize::Test, 0);
-            if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
-                failures.push(format!(
-                    "{app_name} on {setup_label} with {backend:?}, watchdog {watchdog:?}: cycles \
-                     {} (want {want_cycles}), op hash {:#018x} (want {want_hash:#018x})",
-                    r.cycles, r.run.report.seq_op_hash
-                ));
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "backends diverged from golden pins:\n  {}",
-        failures.join("\n  ")
-    );
+/// One way of running golden cells that must replay their pins exactly.
+struct Variant {
+    name: &'static str,
+    /// The backends it runs on; `Auto` is the default the golden table
+    /// itself runs on.
+    backends: &'static [ExecBackend],
+    /// The golden cells it replays.
+    kernels: &'static [&'static str],
+    setups: &'static [&'static str],
+    arm: fn(&mut Setup),
+    /// What the run must visibly have done, so that replaying the pin
+    /// proves the variant invisible rather than absent.
+    did: fn(&str, &AppResult, &Verdict),
 }
 
-/// Arming the DRF checker must be bit-for-bit invisible to simulation:
-/// event capture observes the op stream but never perturbs timing, so a
-/// fully armed run replays the exact golden cycles and grant hashes while
-/// actually collecting a non-empty event stream, which the judge then
-/// passes.
-#[test]
-fn armed_checker_changes_no_golden_pin() {
-    use bigtiny_engine::CheckMode;
-    let mut failures = Vec::new();
-    for (app_name, setup_label, want_cycles, want_hash) in
-        golden().into_iter().filter(|g| g.0 == "cilk5-nq" || g.0 == "ligra-bfs")
-    {
-        let app = app_by_name(app_name).unwrap();
-        let mut setup = setup_by_label(setup_label);
-        setup.sys = setup.sys.clone().with_check(CheckMode::Full);
-        let (r, verdict) = run_judged(&setup, &app, AppSize::Test, 0);
-        if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
-            failures.push(format!(
-                "{app_name} on {setup_label} armed: cycles {} (want {want_cycles}), \
-                 op hash {:#018x} (want {want_hash:#018x})",
-                r.cycles, r.run.report.seq_op_hash
-            ));
-        }
-        let events = verdict.drf.map_or(0, |report| report.events);
-        assert!(events > 0, "{app_name} on {setup_label}: armed run captured no events");
-    }
-    assert!(
-        failures.is_empty(),
-        "arming the checker perturbed simulated results:\n  {}",
-        failures.join("\n  ")
-    );
-}
+const BOTH: &[ExecBackend] = &[ExecBackend::Threads, ExecBackend::Fibers];
+const DEFAULT: &[ExecBackend] = &[ExecBackend::Auto];
+const NQ: &[&str] = &["cilk5-nq"];
+const NQ_BFS: &[&str] = &["cilk5-nq", "ligra-bfs"];
+const MESI: &[&str] = &["b.T/MESI"];
 
-/// Arming the full observability stack — per-core tracing, ULI protocol
-/// marks, task-event recording, and per-task cycle attribution — must
-/// likewise be bit-for-bit invisible: telemetry only ever reads the
-/// simulated clock and writes host-side buffers. An armed run replays the
-/// exact golden cycles and grant hashes while actually collecting a
-/// non-empty trace, ULI marks, task events, and attribution spans.
-#[test]
-fn armed_observability_changes_no_golden_pin() {
-    let mut failures = Vec::new();
-    for (app_name, setup_label, want_cycles, want_hash) in
-        golden().into_iter().filter(|g| g.0 == "cilk5-nq" || g.0 == "ligra-bfs")
-    {
-        let app = app_by_name(app_name).unwrap();
-        let mut setup = setup_by_label(setup_label);
-        setup.sys.trace = true;
-        setup.sys.attr = true;
-        setup.rt.record_task_events = true;
-        let r = run_app(&setup, &app, AppSize::Test, 0);
-        if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
-            failures.push(format!(
-                "{app_name} on {setup_label} armed: cycles {} (want {want_cycles}), \
-                 op hash {:#018x} (want {want_hash:#018x})",
-                r.cycles, r.run.report.seq_op_hash
-            ));
-        }
-        let spans: usize = r.run.report.traces.iter().map(Vec::len).sum();
-        assert!(spans > 0, "{app_name} on {setup_label}: armed run captured no trace spans");
-        assert!(
-            !r.run.task_events.is_empty(),
-            "{app_name} on {setup_label}: armed run recorded no task events"
-        );
-        assert!(
-            r.run.report.attr_spans.iter().any(|s| !s.is_empty()),
-            "{app_name} on {setup_label}: armed run recorded no attribution spans"
-        );
-        if setup_label != "b.T/MESI" {
-            let marks: usize = r.run.report.uli_marks.iter().map(Vec::len).sum();
-            assert!(marks > 0, "{app_name} on {setup_label}: DTS run recorded no ULI marks");
-        }
-        // The flight recorder is always-on (default ring capacity): the
-        // same armed run must also have retained per-core tails, each in
-        // non-decreasing time order — the black box is usable as-is.
-        assert!(
-            r.run.report.flight.iter().any(|t| !t.is_empty()),
-            "{app_name} on {setup_label}: default-armed run retained no flight events"
-        );
-        for (core, tail) in r.run.report.flight.iter().enumerate() {
+/// Heartbeats the `heartbeat` variant's sink has seen since its last run.
+static BEATS: AtomicU64 = AtomicU64::new(0);
+
+/// Every variant. The backends share the sequencer's grant-selection rule
+/// and differ only in how a blocked core yields the host CPU; the watchdog
+/// only observes, from a wall-clock monitor thread beside the cores; the
+/// checker's event capture, the trace, ULI marks, task events and
+/// attribution only read the simulated clock and write host-side buffers;
+/// the flight ring only reads computed core clocks and the heartbeat only
+/// observes grant boundaries; `MinCore` spelled out is the default policy,
+/// and an empty script takes the default at every tie. None of them
+/// sequences an op or charges a cycle.
+const VARIANTS: &[Variant] = &[
+    Variant {
+        name: "plain",
+        backends: BOTH,
+        kernels: NQ,
+        setups: &SETUPS,
+        arm: |_| {},
+        did: |_, _, _| {},
+    },
+    Variant {
+        name: "watchdog",
+        backends: &[ExecBackend::Threads, ExecBackend::Fibers, ExecBackend::Auto],
+        kernels: NQ,
+        setups: &SETUPS,
+        arm: |s| s.sys.watchdog_budget = Some(2_000_000),
+        did: |_, _, _| {},
+    },
+    Variant {
+        name: "checker",
+        backends: DEFAULT,
+        kernels: NQ_BFS,
+        setups: &SETUPS,
+        arm: |s| s.sys = s.sys.clone().with_check(CheckMode::Full),
+        did: |ctx, _, verdict| {
+            let events = verdict.drf.as_ref().map_or(0, |report| report.events);
+            assert!(events > 0, "{ctx}: armed run captured no events");
+        },
+    },
+    Variant {
+        name: "observability",
+        backends: DEFAULT,
+        kernels: NQ_BFS,
+        setups: &SETUPS,
+        arm: |s| {
+            s.sys.trace = true;
+            s.sys.attr = true;
+            s.rt.record_task_events = true;
+        },
+        did: |ctx, r, _| {
+            let rep = &r.run.report;
+            let spans: usize = rep.traces.iter().map(Vec::len).sum();
+            assert!(spans > 0, "{ctx}: armed run captured no trace spans");
+            assert!(!r.run.task_events.is_empty(), "{ctx}: armed run recorded no task events");
             assert!(
-                tail.windows(2).all(|w| w[0].time <= w[1].time),
-                "{app_name} on {setup_label}: core {core} flight tail out of time order"
+                rep.attr_spans.iter().any(|s| !s.is_empty()),
+                "{ctx}: armed run recorded no attribution spans"
             );
+            if r.setup != "b.T/MESI" {
+                let marks: usize = rep.uli_marks.iter().map(Vec::len).sum();
+                assert!(marks > 0, "{ctx}: DTS run recorded no ULI marks");
+            }
+            // The flight recorder is always on (default ring capacity): the
+            // same run must also have retained per-core tails, each in
+            // non-decreasing time order, so the black box is usable as is.
+            assert!(rep.flight.iter().any(|t| !t.is_empty()), "{ctx}: no flight events");
+            for (core, tail) in rep.flight.iter().enumerate() {
+                assert!(
+                    tail.windows(2).all(|w| w[0].time <= w[1].time),
+                    "{ctx}: core {core} flight tail out of time order"
+                );
+                assert!(
+                    rep.flight_totals[core] >= tail.len() as u64,
+                    "{ctx}: core {core} total below retained tail"
+                );
+            }
+        },
+    },
+    Variant {
+        name: "ring-off",
+        backends: BOTH,
+        kernels: NQ,
+        setups: &SETUPS,
+        arm: |s| s.sys = s.sys.clone().with_flight_ring(0),
+        did: |ctx, r, _| {
+            let rep = &r.run.report;
             assert!(
-                r.run.report.flight_totals[core] >= tail.len() as u64,
-                "{app_name} on {setup_label}: core {core} total below retained tail"
+                rep.flight.iter().all(Vec::is_empty) && rep.flight_totals.iter().all(|&t| t == 0),
+                "{ctx}: capacity-0 ring recorded events"
             );
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "arming observability perturbed simulated results:\n  {}",
-        failures.join("\n  ")
-    );
-}
+        },
+    },
+    Variant {
+        name: "ring-4x",
+        backends: BOTH,
+        kernels: NQ,
+        setups: &SETUPS,
+        arm: |s| s.sys = s.sys.clone().with_flight_ring(4 * DEFAULT_FLIGHT_CAPACITY),
+        did: |ctx, r, _| {
+            let retained = r.run.report.flight.iter().any(|t| !t.is_empty());
+            assert!(retained, "{ctx}: armed ring retained nothing");
+        },
+    },
+    Variant {
+        name: "heartbeat",
+        backends: BOTH,
+        kernels: NQ,
+        setups: &SETUPS,
+        arm: |s| {
+            let sink = Arc::new(|_: &HeartbeatSnap| {
+                BEATS.fetch_add(1, Ordering::Relaxed);
+            });
+            s.sys = s.sys.clone().with_heartbeat(Heartbeat::new(100, sink));
+        },
+        did: |ctx, r, _| {
+            assert!(BEATS.swap(0, Ordering::Relaxed) > 0, "{ctx}: heartbeat sink never fired");
+            let retained = r.run.report.flight.iter().any(|t| !t.is_empty());
+            assert!(retained, "{ctx}: armed ring retained nothing");
+        },
+    },
+    Variant {
+        name: "explicit min-core",
+        backends: BOTH,
+        kernels: NQ,
+        setups: MESI,
+        arm: |s| s.sys = s.sys.clone().with_schedule(SchedulePolicy::MinCore),
+        did: |ctx, r, _| {
+            let cps = &r.run.report.choice_points;
+            assert!(cps.is_empty(), "{ctx}: MinCore must record no choice points");
+        },
+    },
+    Variant {
+        name: "empty script",
+        backends: DEFAULT,
+        kernels: NQ,
+        setups: MESI,
+        arm: |s| s.sys = s.sys.clone().with_schedule(SchedulePolicy::Scripted(Vec::new())),
+        did: |ctx, r, _| {
+            // It records every tie it took, each well-formed and resolved
+            // to the min-core default.
+            let cps = &r.run.report.choice_points;
+            assert!(!cps.is_empty(), "{ctx}: an 8-core nqueens run must hit a sequencer tie");
+            for cp in cps {
+                assert!(cp.candidates.len() >= 2, "{ctx}: a choice point needs two tied waiters");
+                assert_eq!(cp.chosen, 0, "{ctx}: an empty script must take the default choice");
+                assert_eq!(
+                    cp.candidates[cp.chosen as usize],
+                    *cp.candidates.iter().min().unwrap(),
+                    "{ctx}: the default choice must be the min-core candidate"
+                );
+            }
+        },
+    },
+];
 
-/// The live-telemetry layer must be bit-for-bit invisible too, on every
-/// backend: turning the flight ring off, growing it past its default, or
-/// arming a heartbeat sink all replay the exact golden cycles and grant
-/// hashes. The ring only reads already-computed core clocks and the
-/// heartbeat only observes grant boundaries — neither sequences an op nor
-/// charges a cycle.
+/// Every `(variant, backend)` row replays the golden cycles and grant
+/// hashes of its cells, on the backend it names, and visibly did what it
+/// arms.
 #[test]
-fn flight_ring_and_heartbeat_change_no_golden_pin() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    use bigtiny_engine::{ExecBackend, Heartbeat, DEFAULT_FLIGHT_CAPACITY};
-
+fn every_variant_replays_the_golden_pins() {
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    let mut failures = Vec::new();
-    for (app_name, setup_label, want_cycles, want_hash) in
-        golden().into_iter().filter(|g| g.0 == "cilk5-nq")
-    {
-        let app = app_by_name(app_name).unwrap();
-        for backend in [ExecBackend::Threads, ExecBackend::Fibers] {
-            if backend != ExecBackend::Threads && !fibers_supported {
+    let auto = match std::env::var_os("BIGTINY_BACKEND") {
+        None if fibers_supported => Some("fibers"),
+        _ => None,
+    };
+    let golden = pins::pinned("golden");
+    let mut moved = Vec::new();
+    for v in VARIANTS {
+        for &backend in v.backends {
+            if backend == ExecBackend::Fibers && !fibers_supported {
                 continue;
             }
-            let beats = Arc::new(AtomicU64::new(0));
-            let sink_beats = Arc::clone(&beats);
-            let variants: [(&str, Setup); 3] = [
-                ("ring-off", {
-                    let mut s = setup_by_label(setup_label);
-                    s.sys = s.sys.clone().with_flight_ring(0);
-                    s
-                }),
-                ("ring-4x", {
-                    let mut s = setup_by_label(setup_label);
-                    s.sys = s.sys.clone().with_flight_ring(4 * DEFAULT_FLIGHT_CAPACITY);
-                    s
-                }),
-                ("heartbeat", {
-                    let mut s = setup_by_label(setup_label);
-                    s.sys = s.sys.clone().with_heartbeat(Heartbeat::new(
-                        100,
-                        Arc::new(move |_snap| {
-                            sink_beats.fetch_add(1, Ordering::Relaxed);
-                        }),
-                    ));
-                    s
-                }),
-            ];
-            for (variant, mut setup) in variants {
-                setup.sys = setup.sys.clone().with_backend(backend);
-                let r = run_app(&setup, &app, AppSize::Test, 0);
-                if r.cycles != want_cycles || r.run.report.seq_op_hash != want_hash {
-                    failures.push(format!(
-                        "{app_name} on {setup_label} [{variant}, {backend:?}]: cycles {} (want \
-                         {want_cycles}), op hash {:#018x} (want {want_hash:#018x})",
-                        r.cycles, r.run.report.seq_op_hash
-                    ));
-                }
-                match variant {
-                    "ring-off" => assert!(
-                        r.run.report.flight.iter().all(Vec::is_empty)
-                            && r.run.report.flight_totals.iter().all(|&t| t == 0),
-                        "{setup_label} [{backend:?}]: capacity-0 ring recorded events"
-                    ),
-                    _ => assert!(
-                        r.run.report.flight.iter().any(|t| !t.is_empty()),
-                        "{setup_label} [{variant}, {backend:?}]: armed ring retained nothing"
-                    ),
+            for kernel in v.kernels {
+                let app = app_by_name(kernel).unwrap();
+                for setup_label in v.setups {
+                    let ctx = format!("{kernel} @ {setup_label} [{}, {backend:?}]", v.name);
+                    let mut setup = setup_by_label(setup_label);
+                    setup.sys = setup.sys.clone().with_backend(backend);
+                    (v.arm)(&mut setup);
+                    let label = match backend {
+                        ExecBackend::Auto => auto,
+                        ExecBackend::Threads => Some("threads"),
+                        _ => Some("fibers"),
+                    };
+                    if let Some(label) = label {
+                        assert_eq!(backend_label(&setup.sys), label, "{ctx}: runs on {label}");
+                    }
+                    let (r, verdict) = run_judged(&setup, &app, AppSize::Test, 0);
+                    (v.did)(&ctx, &r, &verdict);
+                    let got = [r.cycles.to_string(), pins::hex(r.run.report.seq_op_hash)];
+                    let pinned = golden.get(&format!("{kernel} @ {setup_label}"));
+                    if pinned != Some(&got[..]) {
+                        moved.push(format!("{ctx}: {pinned:?} → {got:?}"));
+                    }
                 }
             }
-            assert!(
-                beats.load(Ordering::Relaxed) > 0,
-                "{setup_label} [{backend:?}]: heartbeat sink never fired"
-            );
         }
     }
-    assert!(
-        failures.is_empty(),
-        "live telemetry perturbed simulated results:\n  {}",
-        failures.join("\n  ")
-    );
+    assert!(moved.is_empty(), "a variant moved a golden pin:\n  {}", moved.join("\n  "));
 }
 
 /// Crash-armed runs inherit the full determinism contract: the same fault
@@ -295,7 +279,7 @@ fn flight_ring_and_heartbeat_change_no_golden_pin() {
 /// work like any other; nothing about it may depend on host timing.
 #[test]
 fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
-    use bigtiny_engine::{ExecBackend, FaultPlan};
+    use bigtiny_engine::FaultPlan;
     use bigtiny_obs::{metrics_document, RunMetrics};
 
     let app = app_by_name("cilk5-nq").unwrap();
