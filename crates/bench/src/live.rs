@@ -10,7 +10,7 @@
 //! watchdog/poison panic into one from the engine's crash-time bundle.
 
 use std::fs::File;
-use std::io::Write;
+use std::io::{BufWriter, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -295,14 +295,21 @@ impl Harness {
     }
 }
 
-/// Writes `doc` plus a trailing newline to the output path `path`.
+/// Writes `doc` plus a trailing newline to the output path `path`,
+/// streaming it through a buffer rather than holding its text.
 ///
 /// # Panics
 ///
 /// Panics on an I/O error: the path was creatable when the options were
 /// parsed, and silently losing an artifact is worse than aborting.
 pub fn write_doc(path: &str, doc: &Json) {
-    std::fs::write(path, doc.to_json() + "\n").unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    let written = File::create(path).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        doc.write_to(&mut out)?;
+        out.write_all(b"\n")?;
+        out.flush()
+    });
+    written.unwrap_or_else(|e| panic!("writing {path}: {e}"));
 }
 
 /// The `bigtiny-obs` metrics document over `results`, one object per run.

@@ -21,7 +21,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::io::Write as _;
+use std::io;
 
 /// The schema of a row: its keys in order, the values of its leading
 /// *fixed* keys (the same borrowed literals for every row of the schema),
@@ -208,49 +208,52 @@ impl Json {
     /// pass over the value.
     pub fn to_json(&self) -> String {
         let mut out = Vec::new();
-        self.write(&mut out);
+        self.write_to(&mut out).expect("writing to a Vec cannot fail");
         String::from_utf8(out).expect("the serializer writes only UTF-8")
     }
 
-    fn write(&self, out: &mut Vec<u8>) {
+    /// Writes exactly the bytes of [`Json::to_json`] to `out` as they are
+    /// produced, so a document is never held as text. `out` sees many small
+    /// writes: hand it a buffered writer.
+    pub fn write_to<W: io::Write>(&self, out: &mut W) -> io::Result<()> {
         match self {
-            Json::Null => out.extend_from_slice(b"null"),
-            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::Null => out.write_all(b"null"),
+            Json::Bool(b) => out.write_all(if *b { b"true" } else { b"false" }),
             Json::Num(v) => write_num(*v, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push(b'[');
+                out.write_all(b"[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(b',');
+                        out.write_all(b",")?;
                     }
-                    item.write(out);
+                    item.write_to(out)?;
                 }
-                out.push(b']');
+                out.write_all(b"]")
             }
             Json::Obj(kv) => {
-                out.push(b'{');
+                out.write_all(b"{")?;
                 for (i, (k, v)) in kv.iter().enumerate() {
                     if i > 0 {
-                        out.push(b',');
+                        out.write_all(b",")?;
                     }
-                    write_escaped(k, out);
-                    out.push(b':');
-                    v.write(out);
+                    write_escaped(k, out)?;
+                    out.write_all(b":")?;
+                    v.write_to(out)?;
                 }
-                out.push(b'}');
+                out.write_all(b"}")
             }
             Json::Rec(keys, values) => {
                 // The first prefix opens the object; a row built around
                 // `Json::row` with no values still has to.
                 if values.is_empty() {
-                    out.push(b'{');
+                    out.write_all(b"{")?;
                 }
                 for (prefix, v) in keys.prefixes.iter().zip(&values[..]) {
-                    out.extend_from_slice(prefix.as_bytes());
-                    v.write(out);
+                    out.write_all(prefix.as_bytes())?;
+                    v.write_to(out)?;
                 }
-                out.push(b'}');
+                out.write_all(b"}")
             }
         }
     }
@@ -283,7 +286,7 @@ impl fmt::Display for Json {
 /// written digit by digit: `f64`'s `Display` never uses an exponent, so it
 /// prints such a value exactly as the integer prints. `-0.0` (which prints
 /// `-0`), fractions and larger magnitudes go through `Display` itself.
-fn write_num(v: f64, out: &mut Vec<u8>) {
+fn write_num<W: io::Write>(v: f64, out: &mut W) -> io::Result<()> {
     const EXACT: f64 = (1u64 << 53) as f64;
     // The cast saturates and maps NaN to 0; neither survives the
     // comparison back.
@@ -304,16 +307,16 @@ fn write_num(v: f64, out: &mut Vec<u8>) {
             at -= 1;
             digits[at] = b'-';
         }
-        out.extend_from_slice(&digits[at..]);
+        out.write_all(&digits[at..])
     } else if v.is_finite() {
-        write!(out, "{v}").expect("writing to a Vec cannot fail");
+        write!(out, "{v}")
     } else {
-        out.extend_from_slice(b"null");
+        out.write_all(b"null")
     }
 }
 
-fn write_escaped(s: &str, out: &mut Vec<u8>) {
-    out.push(b'"');
+fn write_escaped<W: io::Write>(s: &str, out: &mut W) -> io::Result<()> {
+    out.write_all(b"\"")?;
     // Copy runs that need no escape whole.
     let bytes = s.as_bytes();
     let mut run = 0;
@@ -321,19 +324,19 @@ fn write_escaped(s: &str, out: &mut Vec<u8>) {
         if !matches!(b, b'"' | b'\\' | 0..0x20) {
             continue;
         }
-        out.extend_from_slice(&bytes[run..i]);
+        out.write_all(&bytes[run..i])?;
         match b {
-            b'"' => out.extend_from_slice(b"\\\""),
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b'\t' => out.extend_from_slice(b"\\t"),
-            _ => write!(out, "\\u{b:04x}").expect("writing to a Vec cannot fail"),
+            b'"' => out.write_all(b"\\\"")?,
+            b'\\' => out.write_all(b"\\\\")?,
+            b'\n' => out.write_all(b"\\n")?,
+            b'\r' => out.write_all(b"\\r")?,
+            b'\t' => out.write_all(b"\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
         run = i + 1;
     }
-    out.extend_from_slice(&bytes[run..]);
-    out.push(b'"');
+    out.write_all(&bytes[run..])?;
+    out.write_all(b"\"")
 }
 
 /// Byte length of the UTF-8 sequence starting with leading byte `b`, or
@@ -558,6 +561,35 @@ mod tests {
         let back = parse_json(&text).expect("round trip");
         assert_eq!(back, doc);
         assert_eq!(back.get("hash").unwrap().as_str(), Some("0x7a5b548b12b290de"));
+    }
+
+    /// A streamed document is byte for byte the serialized one, and a
+    /// writer's error reaches the caller.
+    #[test]
+    fn write_to_streams_the_bytes_of_to_json() {
+        let row = Json::row(&LABELLED, vec![Json::f64(1.5), Json::f64(-0.0)]);
+        let doc = Json::Arr(vec![row, Json::str("a\"b\\\n\u{1}"), Json::Null, Json::u64(7)]);
+        let mut out = Vec::new();
+        doc.write_to(&mut out).expect("a Vec takes every byte");
+        assert_eq!(out, doc.to_json().into_bytes());
+
+        /// Takes `.0` more bytes, then refuses.
+        struct Full(usize);
+        impl io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(io::Error::other("full"));
+                }
+                let n = buf.len().min(self.0);
+                self.0 -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = doc.write_to(&mut Full(10)).expect_err("the writer fills up");
+        assert_eq!(err.to_string(), "full");
     }
 
     static POINT: Keys = keys!["x", "label", "tags"];
