@@ -1,98 +1,58 @@
 #![forbid(unsafe_code)]
-//! Workspace-level integration tests for the big.TINY reproduction.
-//!
-//! The library holds what the test files share: [`pins`], the one store
-//! and comparator of every identity pin.
+//! Workspace-level integration tests for the big.TINY reproduction, and
+//! [`pins`], the one store and comparator of every identity pin.
 
-/// Identity pins as data.
-///
-/// A pin family is one plain-text file, `tests/pins/<family>.txt`: a `#`
-/// header naming the columns (the first names the key), then one
-/// `key<TAB>value<TAB>...` line per pinned cell. One test owns each
-/// family: it computes the whole table and hands it to [`check`], which
-/// fails on any difference and prints every moved line as `old → new`,
-/// one summary line (lines moved out of total, and the spread of every
-/// `cycles` column in %), and the `cp` command that accepts the observed
-/// table. Re-pinning is that copy; `git diff tests/pins/` is its review.
-/// Tests never write into the tree: the observed table goes to Cargo's
-/// temporary directory.
+/// Identity pins as data. A family is one file, `tests/pins/<family>.txt`,
+/// owned by one test: a `# ` header naming the columns (the first names
+/// the key), then one `key<TAB>value<TAB>...` line per pinned cell. The
+/// test computes the whole table and hands it to [`check`]. Tests never
+/// write into the tree: re-pinning is the `cp` a failure prints.
 pub mod pins {
     use std::path::PathBuf;
 
-    /// One family's table: column names, then rows in the order the test
-    /// computed them.
-    #[derive(Clone, Debug, PartialEq, Eq)]
+    /// A family's columns, then its rows in the order they were computed.
+    #[derive(Debug, PartialEq, Eq)]
     pub struct Table {
         columns: Vec<String>,
         rows: Vec<(String, Vec<String>)>,
     }
 
     impl Table {
-        /// An empty table; `columns[0]` names the key.
-        pub fn new(columns: &[&str]) -> Table {
-            assert!(columns.len() >= 2, "a pin table needs a key and at least one value column");
-            Table { columns: columns.iter().map(|c| c.to_string()).collect(), rows: Vec::new() }
+        /// An empty table over whitespace-separated column names.
+        pub fn new(columns: &str) -> Table {
+            Table { columns: columns.split_whitespace().map(String::from).collect(), rows: vec![] }
         }
 
-        /// Appends one cell.
-        ///
-        /// # Panics
-        ///
-        /// Panics when the key is already in the table or the number of
-        /// values does not match the columns: both are bugs in the test.
+        /// Appends one cell. A repeated key or a wrong number of values is
+        /// a bug in the test, so it panics.
         pub fn row(&mut self, key: impl Into<String>, values: impl IntoIterator<Item = String>) {
-            let key = key.into();
-            let values: Vec<String> = values.into_iter().collect();
-            assert_eq!(values.len() + 1, self.columns.len(), "{key}: wrong number of values");
-            assert!(self.get(&key).is_none(), "{key}: computed twice");
+            let (key, values): (String, Vec<String>) = (key.into(), values.into_iter().collect());
+            let fits = values.len() + 1 == self.columns.len() && self.get(&key).is_none();
+            assert!(fits, "pins: row {key:?} repeats a key or does not fit {:?}", self.columns);
             self.rows.push((key, values));
         }
 
-        /// The values pinned for `key`.
+        /// The values of `key`.
         pub fn get(&self, key: &str) -> Option<&[String]> {
             self.rows.iter().find(|(k, _)| k == key).map(|(_, v)| &v[..])
         }
 
-        /// The table in its file format.
-        pub fn render(&self) -> String {
-            let mut out = format!("# {}\n", self.columns.join("\t"));
-            for (key, values) in &self.rows {
-                out.push_str(key);
-                for v in values {
-                    out.push('\t');
-                    out.push_str(v);
-                }
-                out.push('\n');
-            }
-            out
+        fn render(&self) -> String {
+            let rows =
+                self.rows.iter().map(|(key, values)| format!("{key}\t{}\n", values.join("\t")));
+            format!("# {}\n", self.columns.join("\t")) + &rows.collect::<String>()
         }
 
-        /// Parses a family's file; every error names the family and,
-        /// where there is one, the key.
-        pub fn parse(family: &str, text: &str) -> Result<Table, String> {
-            let mut lines = text.lines().enumerate();
-            let header = match lines.next() {
-                Some((_, line)) if line.starts_with("# ") => &line[2..],
-                Some(_) => return Err(format!("pins {family}: line 1 is not a `# ` header")),
-                None => return Err(format!("pins {family}: empty file, no `# ` header")),
-            };
-            let columns: Vec<&str> = header.split('\t').collect();
-            if columns.len() < 2 || columns.iter().any(|c| c.is_empty()) {
-                return Err(format!("pins {family}: the header names no value column"));
-            }
-            let mut table = Table::new(&columns);
-            for (i, line) in lines {
+        fn parse(family: &str, text: &str) -> Result<Table, String> {
+            let mut lines = text.lines();
+            let header = lines.next().and_then(|line| line.strip_prefix("# "));
+            let mut table = Table::new(header.ok_or(format!("pins {family}: no `# ` header"))?);
+            for line in lines {
                 let fields: Vec<&str> = line.split('\t').collect();
-                let key = fields[0];
-                if fields.len() != columns.len() || fields.iter().any(|f| f.is_empty()) {
-                    return Err(format!(
-                        "pins {family}: line {} ({key:?}) does not parse: {} fields, want {}",
-                        i + 1,
-                        fields.len(),
-                        columns.len()
-                    ));
-                }
-                if table.get(key).is_some() {
+                let (key, width) = (fields[0], table.columns.len());
+                if fields.len() != width || fields.contains(&"") {
+                    return Err(format!("pins {family}: line {key:?} does not parse"));
+                } else if table.get(key).is_some() {
                     return Err(format!("pins {family}: key {key:?} appears twice"));
                 }
                 table
@@ -109,118 +69,81 @@ pub mod pins {
     }
 
     fn pin_path(family: &str) -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("pins").join(format!("{family}.txt"))
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("pins/{family}.txt"))
     }
 
-    /// Cargo's `CARGO_TARGET_TMPDIR`: a test binary runs from
-    /// `<target>/<profile>/deps`, and the temporary directory is
-    /// `<target>/tmp`.
-    fn observed_path(family: &str) -> PathBuf {
-        let exe = std::env::current_exe().expect("the test binary has a path");
-        let target =
-            exe.ancestors().nth(3).expect("the test binary runs from <target>/<profile>/deps");
-        target.join("tmp").join("pins").join(format!("{family}.txt"))
-    }
-
-    /// The committed table of `family`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the file is missing or does not parse.
+    /// The committed table of `family`; panics if it is missing or does
+    /// not parse.
     pub fn pinned(family: &str) -> Table {
-        let path = pin_path(family);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("pins {family}: reading {}: {e}", path.display()));
+        let text = std::fs::read_to_string(pin_path(family)).unwrap_or_default();
         Table::parse(family, &text).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Compares the observed table with the pinned file's text: `Ok` when
-    /// they are the same cells with the same values, else the report
-    /// [`check`] fails with.
-    pub fn compare(family: &str, pinned_text: &str, observed: &Table) -> Result<(), String> {
-        let pinned = Table::parse(family, pinned_text)?;
-        let mut moved = Vec::new();
-        if pinned.columns != observed.columns {
-            moved.push(format!(
-                "header: {} → {}",
-                pinned.columns.join(" "),
-                observed.columns.join(" ")
-            ));
-        }
-        let mut deltas = Vec::new();
+    /// `Ok` when `observed` is the table `pinned` holds, else a report: the
+    /// family, lines moved out of total, the min / median / max Δ% of every
+    /// `cycles` column, then every moved line as `old → new`.
+    pub fn compare(family: &str, pinned: &str, observed: &Table) -> Result<(), String> {
+        let pinned = Table::parse(family, pinned)?;
+        let (mut moved, mut deltas) = (vec![], vec![]);
         for (key, new) in &observed.rows {
-            match pinned.get(key) {
-                Some(old) if old == &new[..] => {}
-                Some(old) => {
-                    moved.push(format!("{key}: {} → {}", old.join(" "), new.join(" ")));
-                    for (i, column) in observed.columns[1..].iter().enumerate() {
-                        if column != "cycles" && !column.ends_with("_cycles") {
-                            continue;
-                        }
-                        if let (Some(Ok(a)), Ok(b)) =
-                            (old.get(i).map(|v| v.parse::<f64>()), new[i].parse::<f64>())
-                        {
-                            if a != 0.0 {
-                                deltas.push((b - a) / a * 100.0);
-                            }
-                        }
+            let old = pinned.get(key);
+            if old != Some(new) {
+                let was = old.map_or("(not pinned)".to_owned(), |old| old.join(" "));
+                moved.push(format!("{key}: {was} → {}", new.join(" ")));
+                let cycles =
+                    observed.columns[1..].iter().enumerate().filter(|(_, c)| c.ends_with("cycles"));
+                for (i, _) in cycles {
+                    let was = old.and_then(|old| old.get(i)?.parse::<f64>().ok());
+                    if let (Some(a), Ok(b)) = (was, new[i].parse::<f64>()) {
+                        deltas.extend(Some((b - a) / a * 100.0).filter(|d| d.is_finite()));
                     }
                 }
-                None => moved.push(format!("{key}: (not pinned) → {}", new.join(" "))),
             }
         }
-        for (key, old) in &pinned.rows {
-            if observed.get(key).is_none() {
-                moved.push(format!("{key}: {} → (not computed)", old.join(" ")));
-            }
+        let missing: Vec<_> =
+            pinned.rows.iter().filter(|(key, _)| observed.get(key).is_none()).collect();
+        for (key, old) in &missing {
+            moved.push(format!("{key}: {} → (not computed)", old.join(" ")));
+        }
+        let (lines, total) = (moved.len(), observed.rows.len() + missing.len());
+        let [was, now] = [&pinned, observed].map(|t| t.columns.join(" "));
+        if was != now {
+            moved.push(format!("header: {was} → {now}"));
         }
         if moved.is_empty() {
             return Ok(());
         }
-        let total = observed.rows.len()
-            + pinned.rows.iter().filter(|(k, _)| observed.get(k).is_none()).count();
-        let lines = moved.iter().filter(|m| !m.starts_with("header: ")).count();
-        let mut report =
-            format!("pins {family}: {lines} of {total} lines moved; {}", spread(&mut deltas));
-        for m in &moved {
-            report.push_str("\n  ");
-            report.push_str(m);
-        }
-        Err(report)
-    }
-
-    /// `cycles Δ% min … median … max …` over the moved `cycles` cells.
-    fn spread(deltas: &mut [f64]) -> String {
-        if deltas.is_empty() {
-            return "no cycles column moved".to_owned();
-        }
         deltas.sort_by(f64::total_cmp);
-        let (min, median, max) = (deltas[0], deltas[deltas.len() / 2], deltas[deltas.len() - 1]);
-        format!("cycles Δ% min {min:+.2} median {median:+.2} max {max:+.2}")
+        let spread = match (deltas.first(), deltas.get(deltas.len() / 2), deltas.last()) {
+            (Some(min), Some(mid), Some(max)) => {
+                format!("cycles Δ% min {min:+.2} median {mid:+.2} max {max:+.2}")
+            }
+            _ => "no cycles column moved".to_owned(),
+        };
+        Err(format!(
+            "pins {family}: {lines} of {total} lines moved; {spread}\n  {}",
+            moved.join("\n  ")
+        ))
     }
 
-    /// Holds `observed` to `tests/pins/<family>.txt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any difference, after writing the observed table to
-    /// Cargo's temporary directory; the message ends with the `cp` that
-    /// accepts it.
+    /// Holds `observed` to `tests/pins/<family>.txt`. On a difference it
+    /// writes `observed` to Cargo's `CARGO_TARGET_TMPDIR` (`<target>/tmp`; a
+    /// test binary runs in `<target>/<profile>/deps`) and panics with the
+    /// report and the `cp` that accepts it.
     pub fn check(family: &str, observed: &Table) {
         let path = pin_path(family);
-        let text = std::fs::read_to_string(&path).unwrap_or_default();
-        if let Err(report) = compare(family, &text, observed) {
-            let out = observed_path(family);
-            let written = std::fs::create_dir_all(out.parent().expect("a file has a parent"))
-                .and_then(|()| std::fs::write(&out, observed.render()));
-            match written {
-                Ok(()) => panic!(
-                    "{report}\naccept the observed table with:\n  cp {} {}",
-                    out.display(),
-                    path.display()
-                ),
-                Err(e) => panic!("{report}\n(writing {} failed: {e})", out.display()),
-            }
+        let Err(report) =
+            compare(family, &std::fs::read_to_string(&path).unwrap_or_default(), observed)
+        else {
+            return;
+        };
+        let exe = std::env::current_exe().expect("a test binary has a path");
+        let out = exe.ancestors().nth(3).expect("<target>/<profile>/deps").join("tmp/pins");
+        let file = out.join(format!("{family}.txt"));
+        match std::fs::create_dir_all(&out).and_then(|()| std::fs::write(&file, observed.render()))
+        {
+            Ok(()) => panic!("{report}\naccept with:\n  cp {} {}", file.display(), path.display()),
+            Err(e) => panic!("{report}\n(writing {} failed: {e})", file.display()),
         }
     }
 
@@ -234,7 +157,7 @@ pub mod pins {
             c @ x\t300\t0x0000000000000003\n";
 
         fn observed() -> Table {
-            let mut t = Table::new(&["cell", "cycles", "hash"]);
+            let mut t = Table::new("cell cycles hash");
             for (i, key) in ["a @ x", "b @ x", "c @ x"].into_iter().enumerate() {
                 t.row(key, [(100 * (i as u64 + 1)).to_string(), hex(i as u64 + 1)]);
             }
@@ -258,34 +181,25 @@ pub mod pins {
 
         #[test]
         fn one_changed_digit_in_any_line_fails_naming_its_key() {
-            for (line, old, new) in [
-                (1, "100", "101"),
-                (2, "0x0000000000000002", "0x0000000000000012"),
-                (3, "300", "310"),
+            for (key, old, new) in [
+                ("a @ x", "100", "101"),
+                ("b @ x", "0x0000000000000002", "0x0000000000000012"),
+                ("c @ x", "300", "310"),
             ] {
-                let text: Vec<String> = PINNED
-                    .lines()
-                    .enumerate()
-                    .map(|(i, l)| if i == line { l.replacen(old, new, 1) } else { l.to_owned() })
-                    .collect();
-                let key = ["a @ x", "b @ x", "c @ x"][line - 1];
-                fails_naming(&(text.join("\n") + "\n"), &[key, "1 of 3 lines moved", "→"]);
+                let line = PINNED.lines().find(|l| l.starts_with(key)).unwrap();
+                let text = PINNED.replace(line, &line.replace(old, new));
+                fails_naming(&text, &[&format!("{key}: "), "1 of 3 lines moved", " → "]);
             }
-            let report =
-                compare("fam", &PINNED.replace("\t200\t", "\t250\t"), &observed()).unwrap_err();
-            assert!(report.contains("cycles Δ% min -20.00 median -20.00 max -20.00"), "{report}");
+            let report = compare("fam", &PINNED.replace("\t200\t", "\t250\t"), &observed());
+            assert!(report.unwrap_err().contains("cycles Δ% min -20.00 median -20.00 max -20.00"));
         }
 
         #[test]
         fn a_missing_or_an_extra_key_fails_naming_it() {
-            fails_naming(
-                &PINNED.replace("b @ x\t200\t0x0000000000000002\n", ""),
-                &["b @ x", "(not pinned)"],
-            );
-            fails_naming(
-                &format!("{PINNED}d @ x\t400\t0x0000000000000004\n"),
-                &["d @ x", "(not computed)"],
-            );
+            let missing = PINNED.replace("b @ x\t200\t0x0000000000000002\n", "");
+            fails_naming(&missing, &["b @ x: (not pinned)", "1 of 3 lines moved"]);
+            let extra = format!("{PINNED}d @ x\t400\t0x0000000000000004\n");
+            fails_naming(&extra, &["d @ x: 400 0x0000000000000004 → (not computed)", "1 of 4"]);
         }
 
         #[test]
@@ -295,18 +209,16 @@ pub mod pins {
 
         #[test]
         fn an_unparseable_line_fails_naming_its_key() {
-            fails_naming(
-                &PINNED.replace("\t0x0000000000000003", " 0x0000000000000003"),
-                &["c @ x", "does not parse"],
-            );
-            fails_naming(&PINNED.replace("c @ x\t", "c @ x\t\t"), &["c @ x", "does not parse"]);
-            fails_naming(&format!("{PINNED}\n"), &["line 5", "does not parse"]);
-            fails_naming(&PINNED.replacen("# ", "", 1), &["header"]);
+            let joined = PINNED.replace("\t0x0000000000000003", " 0x0000000000000003");
+            fails_naming(&joined, &["\"c @ x\" does not parse"]);
+            fails_naming(&PINNED.replace("c @ x\t", "c @ x\t\t"), &["\"c @ x\" does not parse"]);
+            fails_naming(&format!("{PINNED}\n"), &["\"\" does not parse"]);
+            fails_naming(&PINNED.replacen("# ", "", 1), &["no `# ` header"]);
         }
 
         #[test]
         fn an_empty_file_fails() {
-            fails_naming("", &["empty file"]);
+            fails_naming("", &["no `# ` header"]);
         }
     }
 }

@@ -381,7 +381,7 @@ fn mutation_matrix_output_is_pinned() {
         }
     }
     assert!(dirty >= 30 && kinds.len() >= 6 && kinds["hb-race"] > 0, "{dirty} dirty, {kinds:?}");
-    let mut observed = pins::Table::new(&["output", "hash"]);
+    let mut observed = pins::Table::new("output hash");
     observed.row("mutation matrix", [pins::hex(h)]);
     pins::check("checker-matrix", &observed);
 }
@@ -457,7 +457,7 @@ fn synthetic_stream_output_is_pinned() {
         assert!(report.count(kind) > 0, "no {} finding:\n{}", kind.label(), report.render());
     }
     let h = fold_report(hash::FNV_OFFSET, &report);
-    let mut observed = pins::Table::new(&["output", "hash"]);
+    let mut observed = pins::Table::new("output hash");
     observed.row("synthetic stream", [pins::hex(h)]);
     pins::check("checker-synthetic", &observed);
 }

@@ -124,16 +124,8 @@ fn every_document_is_byte_for_byte_what_was_pinned() {
         ("cilk5-nq @ b.T/HCC-DTS-gwb, hostile", export_chrome_trace(&[trace_run(&hostile)])),
         ("two runs", export_chrome_trace(&[trace_run(&nq), trace_run(&bfs)])),
     ];
-    let mut observed = pins::Table::new(&[
-        "document",
-        "bytes",
-        "fnv",
-        "complete",
-        "async_pairs",
-        "flows",
-        "instants",
-        "metadata",
-    ]);
+    let columns = "document bytes fnv complete async_pairs flows instants metadata";
+    let mut observed = pins::Table::new(columns);
     for (name, doc) in &traces {
         let s: TraceSummary =
             validate_chrome_trace(doc).unwrap_or_else(|e| panic!("{name}: invalid trace: {e}"));

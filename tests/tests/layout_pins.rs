@@ -188,7 +188,7 @@ fn disciplined(m: MemorySystem, seed: u64) -> (u64, u64) {
 /// Runs `run` once per tiny-core protocol and holds the hashes to the pin
 /// family `family`.
 fn check_row(family: &str, stale: impl Fn(Protocol, u64), run: impl Fn(Protocol) -> (u64, u64)) {
-    let mut observed = pins::Table::new(&["protocol", "hash"]);
+    let mut observed = pins::Table::new("protocol hash");
     for proto in PROTOCOLS {
         let (hash, stale_reads) = run(proto);
         stale(proto, stale_reads);

@@ -123,100 +123,55 @@ fn corpus() -> &'static [Cell] {
 // Real streams
 // ---------------------------------------------------------------------
 
-/// What the readers conclude about one real stream.
-struct StreamPin {
-    /// `AuditReport::verdict_hash`.
-    verdict: u64,
-    /// The counts the verdict hash folds: crash_armed, tasks, completed,
-    /// respawns, discards, recovered, duplicates.
-    audit: [u64; 7],
-    /// `DagCheck`: tasks, executed, steals, joins, respawns, discards,
-    /// duplicates.
-    dag: [u64; 7],
-    /// Per lens (in `LENSES` order): work, span, fold of the chain.
-    critpath: [(u64, u64, u64); 4],
-}
+/// The columns of a real stream's pin: the audit's verdict hash and the
+/// counts it folds, the `DagCheck` counts, then per lens (in `LENSES`
+/// order) work, span and a fold of the chain.
+const STREAM_COLUMNS: &str = "stream verdict crash_armed tasks completed respawns discards \
+    recovered duplicates dag_tasks dag_executed dag_steals dag_joins dag_respawns dag_discards \
+    dag_duplicates burdened_work_cycles burdened_span_cycles burdened_chain \
+    zero_steal_work_cycles zero_steal_span_cycles zero_steal_chain zero_coherence_work_cycles \
+    zero_coherence_span_cycles zero_coherence_chain work_only_work_cycles work_only_span_cycles \
+    work_only_chain";
 
-impl StreamPin {
-    /// The pin file's columns, after the stream's label.
-    const COLUMNS: [&'static str; 27] = [
-        "verdict",
-        "crash_armed",
-        "tasks",
-        "completed",
-        "respawns",
-        "discards",
-        "recovered",
-        "duplicates",
-        "dag_tasks",
-        "dag_executed",
-        "dag_steals",
-        "dag_joins",
-        "dag_respawns",
-        "dag_discards",
-        "dag_duplicates",
-        "burdened_work_cycles",
-        "burdened_span_cycles",
-        "burdened_chain",
-        "zero_steal_work_cycles",
-        "zero_steal_span_cycles",
-        "zero_steal_chain",
-        "zero_coherence_work_cycles",
-        "zero_coherence_span_cycles",
-        "zero_coherence_chain",
-        "work_only_work_cycles",
-        "work_only_span_cycles",
-        "work_only_chain",
-    ];
-
-    fn values(&self) -> Vec<String> {
-        let counts = self.audit.iter().chain(&self.dag).map(u64::to_string);
-        let lenses = self.critpath.iter().flat_map(|&(work, span, chain)| {
-            [work.to_string(), span.to_string(), pins::hex(chain)]
-        });
-        [pins::hex(self.verdict)].into_iter().chain(counts).chain(lenses).collect()
-    }
-}
-
-fn observe_stream(c: &Cell) -> StreamPin {
+/// The audit's counts and the pinned values of one real stream.
+fn observe_stream(c: &Cell) -> ([u64; 7], Vec<String>) {
     let a = audit_task_events_mode(&c.run.task_events, c.mode, c.kernel);
     assert!(a.is_clean(), "{}: the corpus holds clean runs only:\n{}", c.label, a.render());
     let d = check_task_dag(&c.run.task_events)
         .unwrap_or_else(|e| panic!("{}: the corpus holds well-formed streams only: {e}", c.label));
-    let critpath = LENSES.map(|lens| {
+    let audit = [
+        u64::from(a.crash_armed),
+        a.tasks,
+        a.completed,
+        a.respawns,
+        a.discards,
+        a.recovered,
+        a.duplicates,
+    ];
+    let dag = [d.tasks, d.executed, d.steals, d.joins, d.respawns, d.discards, d.duplicates];
+    let mut values = vec![pins::hex(a.verdict_hash())];
+    values.extend(audit.iter().chain(&dag).map(u64::to_string));
+    for lens in LENSES {
         let cp = replay_run(&c.run, lens).unwrap_or_else(|e| panic!("{}: {lens:?}: {e}", c.label));
         let chain = cp.chain.iter().fold(FNV_OFFSET, |h, l| {
             let h = fold_u64(fold_u64(h, u64::from(l.task)), l.exec_begin);
             fold_u64(fold_u64(fold_u64(h, l.exec_end), l.core as u64), u64::from(l.stolen))
         });
-        (cp.work, cp.span, chain)
-    });
-    StreamPin {
-        verdict: a.verdict_hash(),
-        audit: [
-            u64::from(a.crash_armed),
-            a.tasks,
-            a.completed,
-            a.respawns,
-            a.discards,
-            a.recovered,
-            a.duplicates,
-        ],
-        dag: [d.tasks, d.executed, d.steals, d.joins, d.respawns, d.discards, d.duplicates],
-        critpath,
+        values.extend([cp.work.to_string(), cp.span.to_string(), pins::hex(chain)]);
     }
+    (audit, values)
 }
 
 #[test]
 fn readers_of_real_streams_match_their_pins() {
     let cells = corpus();
-    let observed: Vec<StreamPin> = cells.iter().map(observe_stream).collect();
+    let observed: Vec<_> = cells.iter().map(observe_stream).collect();
     // The corpus must exercise what it claims to: respawns, discards and
     // frozen descendants (more recovered than respawned) under the mass
     // crash, duplicates where one is forced.
     let (mut respawning, mut discarding, mut descendants) = (0, 0, 0);
-    for (c, o) in cells.iter().zip(&observed) {
-        let [_, _, _, respawns, discards, recovered, duplicates] = o.audit;
+    for (c, (audit, _)) in cells.iter().zip(&observed) {
+        let [_, _, _, respawns, discards, recovered, duplicates] = *audit;
         respawning += usize::from(respawns > 0);
         discarding += usize::from(discards > 0);
         descendants += usize::from(recovered > respawns);
@@ -228,9 +183,9 @@ fn readers_of_real_streams_match_their_pins() {
         respawning >= 6 && discarding >= 3 && descendants >= 5,
         "recovery barely exercised: {respawning} / {discarding} / {descendants} cells"
     );
-    let mut table = pins::Table::new(&[&["stream"][..], &StreamPin::COLUMNS].concat());
-    for (c, o) in cells.iter().zip(&observed) {
-        table.row(c.label.as_str(), o.values());
+    let mut table = pins::Table::new(STREAM_COLUMNS);
+    for (c, (_, values)) in cells.iter().zip(observed) {
+        table.row(c.label.as_str(), values);
     }
     pins::check("ledger-streams", &table);
 }
@@ -458,8 +413,7 @@ fn single_edit_mutants_match_their_pins() {
     // observed table carries a pinned row's history forward wherever the
     // observation is consistent with it.
     let pinned = pins::pinned("ledger-mutants");
-    let mut table =
-        pins::Table::new(&["mutant", "dag_ok", "findings", "malformed_when_pinned", "malformed"]);
+    let mut table = pins::Table::new("mutant dag_ok findings malformed_when_pinned malformed");
     for (i, (m, o)) in all.iter().zip(&observed).enumerate() {
         let key = format!("{i}: {:?} on {}", m.edit, cells[m.cell].label);
         let mut row = vec![o.dag_ok.to_string(), pins::hex(o.findings), o.malformed.to_string()];

@@ -100,53 +100,42 @@ fn setup_for(plan: &str, backend: ExecBackend, armed: bool) -> Setup {
 
 #[test]
 fn per_core_local_history_matches_pins_on_every_backend() {
+    use ExecBackend::{Fibers, Threads};
     let fibers_supported = cfg!(all(target_os = "linux", target_arch = "x86_64"));
-    let columns = ["cell", "local_fold", "stream_fold", "seq_grants", "seq_fast_grants"];
-    let mut observed = pins::Table::new(&columns);
+    let mut observed = pins::Table::new("cell local_fold stream_fold seq_grants seq_fast_grants");
     let mut diverged = Vec::new();
+    let runs = [(Fibers, true), (Fibers, false), (Threads, true)];
     for app_name in APPS {
         let app = app_by_name(app_name).unwrap();
         for plan in PLANS {
-            // The row is the armed run on the first backend; every other run
-            // must agree with it. Arming only adds streams
-            // (`armed_observability` pins that), so the unarmed run is
-            // checked once, on the default backend, without its stream.
-            let mut row: Option<[String; 4]> = None;
-            for backend in [ExecBackend::Fibers, ExecBackend::Threads] {
-                if backend != ExecBackend::Threads && !fibers_supported {
-                    continue;
+            // The row is the first run's, armed; every other run must agree
+            // with it. Arming only adds streams (the golden `observability`
+            // variant pins that), so the unarmed run, on the default backend
+            // only, is held to everything but the stream.
+            let mut row: Vec<String> = Vec::new();
+            for &(backend, armed) in runs.iter().filter(|r| fibers_supported || r.0 == Threads) {
+                let r = run_app(&setup_for(plan, backend, armed), &app, AppSize::Test, 0);
+                let rep = &r.run.report;
+                let ctx = format!("{app_name} under {plan} on {backend:?}, armed {armed}");
+                let mut got = vec![
+                    pins::hex(local_fold(rep)),
+                    pins::hex(stream_fold(rep)),
+                    rep.seq_grants.to_string(),
+                    rep.seq_fast_grants.to_string(),
+                ];
+                if armed {
+                    assert!(rep.traces.iter().any(|t| !t.is_empty()), "{ctx}: no trace");
+                    assert!(rep.uli_marks.iter().any(|m| !m.is_empty()), "{ctx}: no ULI marks");
+                } else {
+                    got[1].clone_from(&row[1]);
                 }
-                for armed in [true, false] {
-                    if !armed && backend != ExecBackend::Fibers {
-                        continue;
-                    }
-                    let r = run_app(&setup_for(plan, backend, armed), &app, AppSize::Test, 0);
-                    let rep = &r.run.report;
-                    let ctx = format!("{app_name} under {plan} on {backend:?}, armed {armed}");
-                    let mut got = [
-                        pins::hex(local_fold(rep)),
-                        pins::hex(stream_fold(rep)),
-                        rep.seq_grants.to_string(),
-                        rep.seq_fast_grants.to_string(),
-                    ];
-                    if armed {
-                        assert!(rep.traces.iter().any(|t| !t.is_empty()), "{ctx}: no trace");
-                        assert!(rep.uli_marks.iter().any(|m| !m.is_empty()), "{ctx}: no ULI marks");
-                    }
-                    let first = row.get_or_insert_with(|| got.clone());
-                    if !armed {
-                        got[1].clone_from(&first[1]);
-                    }
-                    if got != *first {
-                        diverged.push(format!(
-                            "{ctx}: {} (first run: {})",
-                            got.join(" "),
-                            first.join(" ")
-                        ));
-                    }
+                if row.is_empty() {
+                    row = got;
+                } else if got != row {
+                    diverged.push(format!("{ctx}: {got:?}, first run {row:?}"));
                 }
             }
-            observed.row(format!("{app_name} / {plan}"), row.expect("at least one backend runs"));
+            observed.row(format!("{app_name} / {plan}"), row);
         }
     }
     pins::check("replay", &observed);
