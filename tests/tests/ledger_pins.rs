@@ -166,6 +166,11 @@ fn observe_stream(c: &Cell) -> ([u64; 7], Vec<String>) {
 fn readers_of_real_streams_match_their_pins() {
     let cells = corpus();
     let observed: Vec<_> = cells.iter().map(observe_stream).collect();
+    let mut table = pins::Table::new(STREAM_COLUMNS);
+    for (c, (_, values)) in cells.iter().zip(&observed) {
+        table.row(c.label.as_str(), values.clone());
+    }
+    pins::check("ledger-streams", &table);
     // The corpus must exercise what it claims to: respawns, discards and
     // frozen descendants (more recovered than respawned) under the mass
     // crash, duplicates where one is forced.
@@ -183,11 +188,6 @@ fn readers_of_real_streams_match_their_pins() {
         respawning >= 6 && discarding >= 3 && descendants >= 5,
         "recovery barely exercised: {respawning} / {discarding} / {descendants} cells"
     );
-    let mut table = pins::Table::new(STREAM_COLUMNS);
-    for (c, (_, values)) in cells.iter().zip(observed) {
-        table.row(c.label.as_str(), values);
-    }
-    pins::check("ledger-streams", &table);
 }
 
 // ---------------------------------------------------------------------
@@ -303,9 +303,11 @@ fn mutate(events: &[TaskEvent], edit: Edit, rng: &mut XorShift64) -> Option<Vec<
     Some(out)
 }
 
-/// One mutant: the cell it was cut from, the edit, and the stream.
+/// One mutant: the cell it was cut from, which of the cell's edits it is,
+/// the edit, and the stream.
 struct Mutant {
     cell: usize,
+    nth: usize,
     edit: Edit,
     events: Vec<TaskEvent>,
 }
@@ -323,9 +325,9 @@ fn mutants(cells: &[Cell]) -> Vec<Mutant> {
         if c.mode.crash_armed() {
             edits.extend([Edit::WalkedSelfParent, Edit::WalkedUnknownParent]);
         }
-        for edit in edits {
+        for (nth, edit) in edits.into_iter().enumerate() {
             if let Some(events) = mutate(&c.run.task_events, edit, &mut rng) {
-                out.push(Mutant { cell: ci, edit, events });
+                out.push(Mutant { cell: ci, nth, edit, events });
             }
         }
     }
@@ -414,8 +416,8 @@ fn single_edit_mutants_match_their_pins() {
     // observation is consistent with it.
     let pinned = pins::pinned("ledger-mutants");
     let mut table = pins::Table::new("mutant dag_ok findings malformed_when_pinned malformed");
-    for (i, (m, o)) in all.iter().zip(&observed).enumerate() {
-        let key = format!("{i}: {:?} on {}", m.edit, cells[m.cell].label);
+    for (m, o) in all.iter().zip(&observed) {
+        let key = format!("{}: {} {:?}", cells[m.cell].label, m.nth, m.edit);
         let mut row = vec![o.dag_ok.to_string(), pins::hex(o.findings), o.malformed.to_string()];
         match pinned.get(&key) {
             Some(was @ [dag_ok, ..]) if dag_ok == "-" && !o.dag_ok && o.malformed > 0 => {
