@@ -9,8 +9,8 @@
 //! *observation only*: every hook reads clocks and identifiers the
 //! simulation already computed and never sequences, charges cycles, or
 //! touches shared simulated state — so armed and unarmed runs are
-//! bit-for-bit identical (pinned by the `armed_observability` golden-trace
-//! test on both backends). When a run dies — watchdog trip, poison,
+//! bit-for-bit identical (pinned by the golden-trace invariance table's
+//! `observability`, `ring-off` and `ring-4x` rows). When a run dies — watchdog trip, poison,
 //! crash-audit failure — each core's ring tail is serialized into the
 //! [`DiagnosticBundle`](crate::DiagnosticBundle) as a black box: the last
 //! few thousand cycles of history instead of bare counters.

@@ -82,7 +82,7 @@ pub mod pins {
     /// `Ok` when `observed` is the table `pinned` holds, else a report: the
     /// family, lines moved out of total, the min / median / max Δ% of every
     /// `cycles` column, then every moved line as `old → new`.
-    pub fn compare(family: &str, pinned: &str, observed: &Table) -> Result<(), String> {
+    fn compare(family: &str, pinned: &str, observed: &Table) -> Result<(), String> {
         let pinned = Table::parse(family, pinned)?;
         let (mut moved, mut deltas) = (vec![], vec![]);
         for (key, new) in &observed.rows {
