@@ -23,11 +23,14 @@ pub mod pins {
             Table { columns: columns.split_whitespace().map(String::from).collect(), rows: vec![] }
         }
 
-        /// Appends one cell. A repeated key or a wrong number of values is
-        /// a bug in the test, so it panics.
+        /// Appends one cell. A repeated key, a wrong number of values or a
+        /// field the file format cannot hold is a bug in the test, so it
+        /// panics.
         pub fn row(&mut self, key: impl Into<String>, values: impl IntoIterator<Item = String>) {
             let (key, values): (String, Vec<String>) = (key.into(), values.into_iter().collect());
-            let fits = values.len() + 1 == self.columns.len() && self.get(&key).is_none();
+            let fits = values.len() + 1 == self.columns.len()
+                && values.iter().chain([&key]).all(|f| !f.is_empty() && !f.contains(['\t', '\n']))
+                && self.get(&key).is_none();
             assert!(fits, "pins: row {key:?} repeats a key or does not fit {:?}", self.columns);
             self.rows.push((key, values));
         }
