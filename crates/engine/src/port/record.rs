@@ -2,8 +2,8 @@
 //! Each protocol point is one call that writes every armed channel. A hook
 //! stores clocks and ids the simulation already computed, never sequences
 //! or charges, and a disarmed channel is one never-taken branch: arming is
-//! invisible to simulated timing (golden-pinned by the `observability` row
-//! of `every_variant_replays_the_golden_pins`).
+//! invisible to simulated timing (golden-pinned by
+//! `armed_observability_changes_no_golden_pin`).
 
 use std::sync::Arc;
 

@@ -1,18 +1,23 @@
-//! Schedule-space exploration: schedule-robustness of clean kernels, and a
-//! seeded mutation proving the explorer catches what single-schedule
-//! checking cannot.
+//! Schedule-space exploration: golden pins for the default policy,
+//! schedule-robustness of clean kernels, and a seeded mutation proving
+//! the explorer catches what single-schedule checking cannot.
 //!
 //! The engine's only schedule freedom is the sequencer tie-break
-//! ([`SchedulePolicy`]). That making the default policy *explicit*, or
-//! running under an empty script, is bit-for-bit invisible is a row of
-//! `golden_trace.rs`'s invariance table. These tests pin the rest:
+//! ([`SchedulePolicy`]), so these tests pin three layers of the new
+//! machinery:
 //!
-//! 1. a clean kernel stays clean under *any* scripted permutation of its
+//! 1. making the default policy *explicit* (and running under an empty
+//!    script) is bit-for-bit invisible — the `explicit min-core` and
+//!    `empty script` rows of the golden invariance table (`golden/mod.rs`)
+//!    must replay the golden `cilk5-nq` pin exactly;
+//! 2. a clean kernel stays clean under *any* scripted permutation of its
 //!    tie-breaks: the harness's one judge (`bigtiny_bench::judge`) passes
 //!    every run, DRF checker armed;
-//! 2. a seeded schedule-dependent lost-update bug that the default
+//! 3. a seeded schedule-dependent lost-update bug that the default
 //!    schedule masks is found by [`explore`], with a minimal replayable
 //!    script.
+
+mod golden;
 
 use std::sync::Arc;
 
@@ -24,6 +29,23 @@ use bigtiny_core::RuntimeKind;
 use bigtiny_engine::{
     run_system, AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig, Worker,
 };
+
+/// Spelling out `SchedulePolicy::MinCore` (the default) must replay the
+/// golden op stream exactly, on every execution backend, and record no
+/// choice points: the policy plumbing may not perturb the default path by
+/// a single grant.
+#[test]
+fn explicit_min_core_policy_replays_the_golden_pin_on_every_backend() {
+    golden::replay(&["explicit min-core"]);
+}
+
+/// The empty script replays the default tie-breaks bit-for-bit while
+/// recording every tie it took, each well-formed and resolved to the
+/// min-core default.
+#[test]
+fn empty_script_matches_min_core_bit_for_bit_and_records_ties() {
+    golden::replay(&["empty script"]);
+}
 
 /// Property test: any scripted permutation of a clean kernel's tie-breaks
 /// is still a correct execution. Random scripts (including out-of-range
