@@ -4,7 +4,7 @@
 //! shared-memory fallback steals).
 //!
 //! `BIGTINY_SIZE` / `BIGTINY_APPS` / `BIGTINY_JSON` work as in `eval_all`;
-//! `BIGTINY_FAULT_SEED` overrides the plan seed (default 1).
+//! `--fault-seed` seeds every plan (default 1).
 
 use bigtiny_bench::live::Harness;
 use bigtiny_bench::{cli, find_result, render_table, Setup};
@@ -15,16 +15,14 @@ use bigtiny_mesh::{MeshConfig, Topology};
 const PLANS: [&str; 5] =
     ["none", "uli-drop-storm", "steal-miss-storm", "mesh-latency-spikes", "hostile"];
 
-const CLI: cli::Spec = cli::Spec::new(
-    env!("CARGO_BIN_NAME"),
-    &[&cli::SIZE, &cli::APPS, &cli::JSON, &cli::FAULT_SEED_ENV],
-);
+const CLI: cli::Spec =
+    cli::Spec::new(env!("CARGO_BIN_NAME"), &[&cli::FAULT_SEED, &cli::SIZE, &cli::APPS, &cli::JSON]);
 
 fn main() {
     let args = CLI.parse();
     let harness = Harness::new(&args);
     let (size, apps) = (harness.size, &harness.apps);
-    let seed = args.get(&cli::FAULT_SEED_ENV);
+    let seed = args.get(&cli::FAULT_SEED);
 
     let base = SystemConfig::big_tiny(
         "ablate-faults",

@@ -83,14 +83,14 @@ macro_rules! options {
         $(#[doc = concat!("`", $name, "`: ", $help, ".")]
         pub const $id: Opt =
             Opt { name: $name, metavar: $metavar, kind: $kind, default: $default, help: $help };)*
-        /// The whole table: the 17 flags, then the 9 environment variables.
+        /// The whole table: the 17 flags, then the 8 environment variables.
         pub const ALL: &[&Opt] = &[$(&$id),*];
     };
 }
 
 options! {
     FAULT_SEED: "--fault-seed" "N", Kind::U64, Some("1"),
-        "seed of the fault plan; arms nothing without --fault-plan";
+        "seed of every fault plan run; a seed alone arms no plan";
     FAULT_PLAN: "--fault-plan" "PLAN", Kind::FaultPlan, None,
         "arm fault injection: a named plan (none, uli-drop-storm,\n\
          steal-miss-storm, mesh-latency-spikes, hostile, crash-one, crash-storm,\n\
@@ -127,8 +127,6 @@ options! {
         "comma-separated kernel names restricting the run (default: all)";
     JSON: "BIGTINY_JSON" "PATH", Kind::OutPath, None,
         "append one flat JSON record per run to PATH";
-    FAULT_SEED_ENV: "BIGTINY_FAULT_SEED" "N", Kind::U64, Some("1"),
-        "seed of every fault plan of the sweep";
     CHECK_OUT: "BIGTINY_CHECK_OUT" "PATH", Kind::OutPath, Some("CHECK_verdicts.json"),
         "where the JSON verdict lines go";
     MC_OUT: "BIGTINY_MC_OUT" "PATH", Kind::OutPath, Some("MODEL_CHECK_verdicts.json"),
@@ -189,12 +187,14 @@ fn validate(opt: &Opt, raw: &str) -> Result<(), String> {
         Kind::OutPath => {
             probe_creatable(raw).map_err(|e| format!("{name}: cannot create `{raw}`: {e}"))
         }
-        Kind::FaultPlan if FaultPlan::parse(raw, 1).is_some() => Ok(()),
-        Kind::FaultPlan => Err(format!(
-            "{name}: unknown plan `{raw}`\n  named plans: {}\n  or a `key=value,...` spec \
-             (FaultPlan::to_spec form), e.g. crash_cores=0x20,crash_at=1500",
-            FaultPlan::NAMES.join(", ")
-        )),
+        Kind::FaultPlan => FaultPlan::resolve(raw, 1).map(drop).map_err(|why| {
+            format!(
+                "{name}: {why}\n  named plans: {}\n  or a `key=value,...` spec \
+                 (FaultPlan::to_spec form), e.g. {}",
+                FaultPlan::NAMES.join(", "),
+                FaultPlan::by_name("crash-one", 0).expect("a named plan").to_spec()
+            )
+        }),
     }
 }
 
@@ -262,7 +262,7 @@ impl Spec {
             raw.into_string()
                 .map_err(|raw| Stop::Usage(format!("{what} is not valid UTF-8: {raw:?}")))
         };
-        let mut args = Args { values: Vec::new(), positionals: Vec::new() };
+        let mut args = Args { opts: self.opts, values: Vec::new(), positionals: Vec::new() };
         let mut argv = argv.into_iter();
         while let Some(raw) = argv.next() {
             let arg = utf8(raw, "argument")?;
@@ -333,6 +333,8 @@ impl Spec {
 /// The checked options of one invocation.
 #[derive(Clone, Debug)]
 pub struct Args {
+    /// The options the binary's [`Spec`] lists.
+    opts: &'static [&'static Opt],
     /// `(option name, validated text, given rather than defaulted)`.
     values: Vec<(&'static str, String, bool)>,
     positionals: Vec<String>,
@@ -344,6 +346,11 @@ impl Args {
         self.values.retain(|(name, ..)| *name != opt.name);
         self.values.push((opt.name, raw, given));
         Ok(())
+    }
+
+    /// Whether the binary's [`Spec`] lists `opt`.
+    pub fn takes(&self, opt: &Opt) -> bool {
+        self.opts.iter().any(|o| o.name == opt.name)
     }
 
     /// Whether `opt` was given on the command line or in the environment
@@ -406,7 +413,7 @@ mod tests {
         &[&FAULT_SEED, &FAULT_PLAN, &WATCHDOG_BUDGET, &METRICS_OUT, &SETUPS_256, &THRESHOLD],
     )
     .positionals(&["BASE", "NEW"], &["EXTRA"]);
-    const ENVS: Spec = Spec::new("envs", &[&SIZE, &APPS, &FAULT_SEED_ENV, &MC_APPS, &MC_DEPTH]);
+    const ENVS: Spec = Spec::new("envs", &[&SIZE, &APPS, &MC_SCHEDULES, &MC_APPS, &MC_DEPTH]);
 
     fn parse(spec: &Spec, argv: &[&str], env: &[(&str, &str)]) -> Result<Args, Stop> {
         spec.parse_from(argv.iter().map(OsString::from), |name| {
@@ -438,7 +445,7 @@ mod tests {
             }
         }
         assert_eq!(ALL.iter().filter(|o| o.is_flag()).count(), 17);
-        assert_eq!(ALL.iter().filter(|o| !o.is_flag()).count(), 9);
+        assert_eq!(ALL.iter().filter(|o| !o.is_flag()).count(), 8);
         for name in FaultPlan::NAMES {
             assert!(FAULT_PLAN.help.contains(name), "--fault-plan help omits {name}");
         }
@@ -558,13 +565,13 @@ mod tests {
         let args = parse(&ENVS, &[], &[]).unwrap();
         assert_eq!(args.size(), AppSize::Eval);
         assert_eq!(args.apps().len(), all_apps().len());
-        assert_eq!((args.get::<u64>(&FAULT_SEED_ENV), args.get::<usize>(&MC_DEPTH)), (1, 5));
+        assert_eq!((args.get::<u64>(&MC_SCHEDULES), args.get::<usize>(&MC_DEPTH)), (24, 5));
         assert_eq!(args.names(&MC_APPS), None);
 
         let env = [
             ("BIGTINY_SIZE", "test"),
             ("BIGTINY_APPS", "ligra-bfs, cilk5-nq"),
-            ("BIGTINY_FAULT_SEED", "9"),
+            ("BIGTINY_MC_SCHEDULES", "9"),
             ("BIGTINY_MC_APPS", "fib,cilk5-nq"),
             ("BIGTINY_JSON", "/no/such/dir/ignored: this spec does not list it"),
         ];
@@ -572,14 +579,14 @@ mod tests {
         assert_eq!(args.size(), AppSize::Test);
         let picked: Vec<&str> = args.apps().iter().map(|a| a.name).collect();
         assert_eq!(picked, ["cilk5-nq", "ligra-bfs"], "registry order, not list order");
-        assert_eq!(args.get::<u64>(&FAULT_SEED_ENV), 9);
+        assert_eq!(args.get::<u64>(&MC_SCHEDULES), 9);
         assert_eq!(args.names(&MC_APPS).unwrap(), ["fib", "cilk5-nq"]);
         assert!(args.given(&SIZE) && !args.given(&MC_DEPTH));
 
         for (var, bad, want) in [
             ("BIGTINY_SIZE", "tset", "BIGTINY_SIZE: `tset` is not one of test|eval|large"),
             ("BIGTINY_SIZE", "", "BIGTINY_SIZE: `` is not one of test|eval|large"),
-            ("BIGTINY_FAULT_SEED", "0x9", "BIGTINY_FAULT_SEED: `0x9` is not a u64"),
+            ("BIGTINY_MC_SCHEDULES", "0x9", "BIGTINY_MC_SCHEDULES: `0x9` is not a u64"),
             ("BIGTINY_MC_DEPTH", "deep", "BIGTINY_MC_DEPTH: `deep` is not a u64"),
         ] {
             assert_eq!(usage_error(&ENVS, &[], &[(var, bad)]), want);
@@ -631,7 +638,7 @@ mod tests {
         assert!(text.contains("(default eval)") && text.contains("\n  BIGTINY_MC_APPS=LIST "));
         // Each option entry starts its own line, two spaces in: the README
         // check and the CLI contract test find options by that shape.
-        for opt in [&SIZE, &APPS, &FAULT_SEED_ENV, &MC_APPS, &MC_DEPTH] {
+        for opt in [&SIZE, &APPS, &MC_SCHEDULES, &MC_APPS, &MC_DEPTH] {
             assert!(text.contains(&format!("\n  {}=", opt.name)), "{}:\n{text}", opt.name);
         }
     }

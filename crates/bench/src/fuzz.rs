@@ -17,8 +17,8 @@
 
 use bigtiny_apps::{AppSize, AppSpec};
 use bigtiny_core::{RuntimeConfig, RuntimeKind};
-use bigtiny_engine::{FaultPlan, Protocol, SystemConfig, XorShift64};
-use bigtiny_mesh::{CoreSet, MeshConfig, Topology};
+use bigtiny_engine::{FaultPlan, Knob, Protocol, Role, SystemConfig, XorShift64};
+use bigtiny_mesh::{MeshConfig, Topology};
 
 use crate::live::Harness;
 use crate::{try_run_app, Setup};
@@ -128,55 +128,35 @@ pub fn sample_plan(rng: &mut XorShift64) -> FaultPlan {
     p
 }
 
-/// Number of independently-armable fault dimensions (the unit the shrinker
-/// drops whole). Magnitude knobs (`*_cycles`, `crash_at`) belong to their
-/// parent dimension and are not counted.
-pub const DIMENSIONS: usize = 9;
-
-fn dimension_armed(p: &FaultPlan, dim: usize) -> bool {
-    match dim {
-        0 => p.uli_drop_per_mille > 0,
-        1 => p.uli_nack_per_mille > 0,
-        2 => p.uli_delay_per_mille > 0,
-        3 => p.uli_rx_drop_per_mille > 0,
-        4 => p.steal_miss_per_mille > 0,
-        5 => p.mesh_spike_per_mille > 0,
-        6 => p.crash_per_mille > 0,
-        7 => !p.crash_cores.is_empty(),
-        8 => p.revive_after_cycles > 0,
-        _ => false,
-    }
+/// The knobs the shrinker drops whole, in table order: each arms a
+/// dimension of its own. A knob that scales a dimension, the crash cycle
+/// and the seed go with the plan they belong to.
+fn dimensions() -> impl Iterator<Item = &'static Knob> {
+    FaultPlan::KNOBS
+        .iter()
+        .filter(|k| matches!(k.role, Role::Transient | Role::Crash | Role::Revive))
 }
 
-fn clear_dimension(p: &mut FaultPlan, dim: usize) {
-    match dim {
-        0 => p.uli_drop_per_mille = 0,
-        1 => p.uli_nack_per_mille = 0,
-        2 => {
-            p.uli_delay_per_mille = 0;
-            p.uli_delay_cycles = 0;
+/// Drops dimension `dim` and the knobs that scale it.
+fn clear_dimension(p: &mut FaultPlan, dim: &Knob) {
+    for knob in &FaultPlan::KNOBS {
+        if knob.key == dim.key || knob.role == Role::Scales(dim.key) {
+            knob.clear(p);
         }
-        3 => p.uli_rx_drop_per_mille = 0,
-        4 => p.steal_miss_per_mille = 0,
-        5 => {
-            p.mesh_spike_per_mille = 0;
-            p.mesh_spike_cycles = 0;
-        }
-        6 => p.crash_per_mille = 0,
-        7 => p.crash_cores = CoreSet::new(),
-        8 => p.revive_after_cycles = 0,
-        _ => {}
     }
     // A plan with no crash dimension has no use for the crash schedule.
     if !p.crash_armed() {
-        p.crash_at_cycle = 0;
-        p.revive_after_cycles = 0;
+        for knob in
+            FaultPlan::KNOBS.iter().filter(|k| matches!(k.role, Role::CrashAt | Role::Revive))
+        {
+            knob.clear(p);
+        }
     }
 }
 
 /// Count of armed dimensions — the shrinker's minimality measure.
 pub fn plan_dimensions(p: &FaultPlan) -> usize {
-    (0..DIMENSIONS).filter(|&d| dimension_armed(p, d)).count()
+    dimensions().filter(|k| k.is_armed(p)).count()
 }
 
 /// Binary-searches one magnitude down to the smallest value for which
@@ -220,12 +200,12 @@ pub fn shrink_plan(start: &FaultPlan, fails: &mut dyn FnMut(&FaultPlan) -> bool)
     // Phase 1: drop whole dimensions until no single removal still fails.
     loop {
         let mut changed = false;
-        for d in 0..DIMENSIONS {
-            if !dimension_armed(&cur, d) {
+        for dim in dimensions() {
+            if !dim.is_armed(&cur) {
                 continue;
             }
             let mut cand = cur.clone();
-            clear_dimension(&mut cand, d);
+            clear_dimension(&mut cand, dim);
             if fails(&cand) {
                 cur = cand;
                 changed = true;
@@ -245,22 +225,12 @@ pub fn shrink_plan(start: &FaultPlan, fails: &mut dyn FnMut(&FaultPlan) -> bool)
             }
         }
     }
-    // Phase 3: binary-search the surviving magnitudes down.
-    type Knob = (fn(&FaultPlan) -> u64, fn(&mut FaultPlan, u64));
-    const KNOBS: [Knob; 10] = [
-        (|p| p.uli_drop_per_mille as u64, |p, v| p.uli_drop_per_mille = v as u32),
-        (|p| p.uli_nack_per_mille as u64, |p, v| p.uli_nack_per_mille = v as u32),
-        (|p| p.uli_delay_per_mille as u64, |p, v| p.uli_delay_per_mille = v as u32),
-        (|p| p.uli_delay_cycles, |p, v| p.uli_delay_cycles = v),
-        (|p| p.uli_rx_drop_per_mille as u64, |p, v| p.uli_rx_drop_per_mille = v as u32),
-        (|p| p.steal_miss_per_mille as u64, |p, v| p.steal_miss_per_mille = v as u32),
-        (|p| p.mesh_spike_per_mille as u64, |p, v| p.mesh_spike_per_mille = v as u32),
-        (|p| p.mesh_spike_cycles, |p, v| p.mesh_spike_cycles = v),
-        (|p| p.crash_per_mille as u64, |p, v| p.crash_per_mille = v as u32),
-        (|p| p.revive_after_cycles, |p, v| p.revive_after_cycles = v),
-    ];
-    for (read, write) in KNOBS {
-        binary_shrink(&mut cur, read, write, fails);
+    // Phase 3: binary-search the surviving magnitudes down (a crash cycle
+    // is a time, not a magnitude; a seed is neither).
+    for knob in FaultPlan::KNOBS.iter().filter(|k| !matches!(k.role, Role::CrashAt | Role::Seed)) {
+        if let Some((read, write)) = knob.scalar() {
+            binary_shrink(&mut cur, read, write, fails);
+        }
     }
     cur
 }
@@ -268,6 +238,7 @@ pub fn shrink_plan(start: &FaultPlan, fails: &mut dyn FnMut(&FaultPlan) -> bool)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigtiny_mesh::CoreSet;
 
     /// The idempotence whitelist names real registry kernels, both
     /// directions: every entry resolves, and every registered kernel is
@@ -300,7 +271,7 @@ mod tests {
     #[test]
     fn shrinker_reduces_a_seeded_known_bad_mutation_to_two_dimensions() {
         let mut fails = |p: &FaultPlan| p.crash_cores.contains(9) && p.steal_miss_per_mille >= 200;
-        let mut seeded = FaultPlan::hostile(7);
+        let mut seeded = FaultPlan::by_name("hostile", 7).unwrap();
         seeded.steal_miss_per_mille = 600;
         seeded.crash_cores = CoreSet::from_mask((1 << 5) | (1 << 9) | (1 << 13));
         seeded.crash_at_cycle = 1500;
@@ -326,7 +297,7 @@ mod tests {
     #[test]
     fn shrinker_handles_single_dimension_failures() {
         let mut fails = |p: &FaultPlan| p.uli_drop_per_mille >= 37;
-        let seeded = FaultPlan::hostile(3);
+        let seeded = FaultPlan::by_name("hostile", 3).unwrap();
         assert!(fails(&seeded));
         let min = shrink_plan(&seeded, &mut fails);
         assert_eq!(plan_dimensions(&min), 1);
@@ -359,7 +330,7 @@ mod tests {
     #[test]
     fn invariant_runner_accepts_a_surviving_crash_plan() {
         let app = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
-        let plan = FaultPlan::crash_one(11);
+        let plan = FaultPlan::by_name("crash-one", 11).unwrap();
         assert_eq!(check_app(&plan, &app, AppSize::Test), None);
     }
 }

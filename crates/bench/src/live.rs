@@ -148,7 +148,7 @@ impl Harness {
             let plan = FaultPlan::parse(spec, seed).expect("validated by the parser");
             (spec.to_owned(), seed, plan)
         });
-        if faults.is_none() && args.given(&cli::FAULT_SEED) {
+        if faults.is_none() && args.given(&cli::FAULT_SEED) && args.takes(&cli::FAULT_PLAN) {
             eprintln!(
                 "[faults] --fault-seed given without --fault-plan: running fault-free \
                  (pass --fault-plan to arm injection)"

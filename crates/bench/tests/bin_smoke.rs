@@ -411,6 +411,22 @@ fn eval_all_rejects_unknown_fault_plans_listing_every_name() {
     assert!(stderr.contains("key=value"), "error does not mention spec form:\n{stderr}");
 }
 
+/// A spec value above its knob's maximum (the network model would add it
+/// to a simulated time and overflow) or a repeated key is refused before
+/// any simulation, naming the key.
+#[test]
+fn eval_all_refuses_over_range_and_repeated_fault_spec_keys() {
+    let huge = u64::MAX;
+    for (spec, why) in [
+        (format!("uli_delay=1000,uli_delay_cycles={huge}"), format!("`uli_delay_cycles={huge}`")),
+        (format!("mesh_spike=50,mesh_spike_cycles={huge}"), format!("`mesh_spike_cycles={huge}`")),
+        ("uli_drop=5,uli_drop=900".to_owned(), "`uli_drop` given twice".to_owned()),
+    ] {
+        let stderr = usage_error(env!("CARGO_BIN_EXE_eval_all"), TINY, &["--fault-plan", &spec]);
+        assert!(stderr.contains(&format!("--fault-plan: bad spec `{spec}`: {why}")), "{stderr}");
+    }
+}
+
 /// A watchdog budget the engine would reject (0 trips an assertion in
 /// `set_watchdog`) or cannot parse is a usage error, never a raw panic.
 #[test]
@@ -535,7 +551,7 @@ macro_rules! bin {
 const BINS: [Bin; 18] = [
     bin!("ablate_deque", [METRICS_OUT, SIZE]),
     bin!("ablate_dts", [SIZE]),
-    bin!("ablate_faults", [SIZE, APPS, JSON, FAULT_SEED_ENV]),
+    bin!("ablate_faults", [FAULT_SEED, SIZE, APPS, JSON]),
     bin!("ablate_grain", [SIZE, APPS]),
     bin!("ablate_sparse", []),
     bin!("chaos_fuzz", [BUDGET, SEED, HEARTBEAT_OUT, BLACKBOX_OUT, SIZE, APPS]),
@@ -588,14 +604,14 @@ fn usage_lists(usage: &str, opt: &cli::Opt) -> bool {
 }
 
 #[test]
-fn the_contract_counts_25_flags_and_9_variables() {
+fn the_contract_counts_26_flags_and_8_variables() {
     let flags: usize = BINS.iter().map(|b| b.flags().count()).sum();
-    assert_eq!(flags, 25, "a binary gained or lost a flag");
+    assert_eq!(flags, 26, "a binary gained or lost a flag");
     let mut vars: Vec<&str> =
         BINS.iter().flat_map(|b| b.opts.iter()).filter(|o| !o.is_flag()).map(|o| o.name).collect();
     vars.sort_unstable();
     vars.dedup();
-    assert_eq!(vars.len(), 9, "the harness gained or lost an environment variable: {vars:?}");
+    assert_eq!(vars.len(), 8, "the harness gained or lost an environment variable: {vars:?}");
     for opt in cli::ALL {
         assert!(BINS.iter().any(|b| b.takes(opt)), "{} is in the table but no binary takes it", {
             opt.name
@@ -704,14 +720,9 @@ fn nothing_silently_runs_something_else() {
     assert!(stderr.contains("BIGTINY_MC_APPS: unknown kernel `cilk5-typo`"), "{stderr}");
     assert!(stderr.contains("fib, "), "the local kernel is valid here:\n{stderr}");
     lists_kernels(&stderr);
-    // Ran seed 1, byte-identical to the default. One rule with --fault-seed.
-    for (exe, env, args) in [
-        (env!("CARGO_BIN_EXE_ablate_faults"), &[("BIGTINY_FAULT_SEED", "0x9")][..], &[][..]),
-        (env!("CARGO_BIN_EXE_eval_all"), &[], &["--fault-seed", "0x9"]),
-    ] {
-        let stderr = usage_error(exe, &[env, TINY].concat(), args);
-        assert!(stderr.contains("`0x9` is not a u64"), "{stderr}");
-    }
+    // Ran seed 1, byte-identical to the default.
+    let stderr = usage_error(env!("CARGO_BIN_EXE_ablate_faults"), TINY, &["--fault-seed", "0x9"]);
+    assert!(stderr.contains("`0x9` is not a u64"), "{stderr}");
     // Ignored a flag that is real elsewhere and started the full sweep.
     let stderr =
         usage_error(env!("CARGO_BIN_EXE_ablate_grain"), TINY, &["--fault-plan", "hostile"]);

@@ -13,6 +13,11 @@ use bigtiny_core::{
 use bigtiny_engine::{AddrSpace, FaultPlan, Protocol, ShVec, SystemConfig};
 use bigtiny_mesh::{MeshConfig, Topology};
 
+/// A named fault plan ([`FaultPlan::by_name`]).
+fn named(name: &str, seed: u64) -> FaultPlan {
+    FaultPlan::by_name(name, seed).expect("a named plan")
+}
+
 fn sys(proto: Protocol, plan: FaultPlan) -> SystemConfig {
     SystemConfig::big_tiny("crash", MeshConfig::with_topology(Topology::new(4, 4)), 1, 15, proto)
         .with_faults(plan)
@@ -63,7 +68,7 @@ fn single_crash_survived_on_all_runtimes() {
         (RuntimeKind::Dts, Protocol::GpuWb),
     ];
     for (kind, proto) in cases {
-        let cfg = sys(proto, FaultPlan::crash_one(7));
+        let cfg = sys(proto, named("crash-one", 7));
         let rt = RuntimeConfig::new(kind);
         let (got, run) = run_fib(&cfg, &rt, 14);
         assert_eq!(got, serial_fib(14), "{kind:?}: correct despite the crash");
@@ -80,7 +85,7 @@ fn single_crash_survived_on_all_runtimes() {
 /// loudly instead of hanging.)
 #[test]
 fn quarantined_dead_core_never_trips_wall_clock_fallback() {
-    let mut cfg = sys(Protocol::GpuWb, FaultPlan::crash_one(7));
+    let mut cfg = sys(Protocol::GpuWb, named("crash-one", 7));
     cfg.watchdog_wall_ms = 60;
     let rt = RuntimeConfig::new(RuntimeKind::Dts);
     let (got, run) = run_fib(&cfg, &rt, 15);
@@ -94,7 +99,7 @@ fn quarantined_dead_core_never_trips_wall_clock_fallback() {
 /// a task that died mid-execution was re-spawned with its join repaired.
 #[test]
 fn crash_storm_recovers_in_flight_work() {
-    let cfg = sys(Protocol::GpuWb, FaultPlan::crash_storm(3));
+    let cfg = sys(Protocol::GpuWb, named("crash-storm", 3));
     let rt = RuntimeConfig::new(RuntimeKind::Dts);
     let (got, run) = run_fib(&cfg, &rt, 15);
     assert_eq!(got, serial_fib(15));
@@ -111,7 +116,7 @@ fn crash_storm_recovers_in_flight_work() {
 /// the run still completes correctly.
 #[test]
 fn revived_cores_rejoin() {
-    let cfg = sys(Protocol::GpuWb, FaultPlan::crash_revive(9));
+    let cfg = sys(Protocol::GpuWb, named("crash-revive", 9));
     let rt = RuntimeConfig::new(RuntimeKind::Dts);
     let (got, run) = run_fib(&cfg, &rt, 15);
     assert_eq!(got, serial_fib(15));
@@ -125,9 +130,8 @@ fn revived_cores_rejoin() {
 #[test]
 fn crash_runs_are_deterministic() {
     let rt = RuntimeConfig::new(RuntimeKind::Dts);
-    let runs: Vec<(u64, TaskRun)> = (0..2)
-        .map(|_| run_fib(&sys(Protocol::GpuWb, FaultPlan::crash_storm(11)), &rt, 14))
-        .collect();
+    let runs: Vec<(u64, TaskRun)> =
+        (0..2).map(|_| run_fib(&sys(Protocol::GpuWb, named("crash-storm", 11)), &rt, 14)).collect();
     assert_eq!(runs[0].0, runs[1].0);
     assert_eq!(runs[0].1.report.core_cycles, runs[1].1.report.core_cycles);
     assert_eq!(runs[0].1.report.seq_op_hash, runs[1].1.report.seq_op_hash);
@@ -164,7 +168,7 @@ fn tiny_deques_survive_hostile_and_crash_plans() {
 /// none of the crash paths: no crashes, no recovery counters.
 #[test]
 fn transient_plans_never_crash() {
-    let cfg = sys(Protocol::GpuWb, FaultPlan::hostile(5));
+    let cfg = sys(Protocol::GpuWb, named("hostile", 5));
     let rt = RuntimeConfig::new(RuntimeKind::Dts);
     let (got, run) = run_fib(&cfg, &rt, 12);
     assert_eq!(got, serial_fib(12));

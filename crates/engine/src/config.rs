@@ -30,7 +30,7 @@ pub enum ExecBackend {
     /// An alias of [`ExecBackend::Fibers`] (same run, same `backend_label`
     /// `fibers`). The N-island fiber backend it named never beat one island
     /// and is gone (DESIGN.md §3.1.2); the alias stays only while the
-    /// frozen `benchmark/` crate names it (ROADMAP item 1(a) deletes both).
+    /// frozen `benchmark/` crate names it (ROADMAP item 3(a) deletes both).
     ShardedFibers,
 }
 

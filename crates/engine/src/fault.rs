@@ -40,7 +40,8 @@ use bigtiny_mesh::{CoreSet, MeshFaults, XorShift64};
 /// A deterministic fault-injection plan (see the module docs).
 ///
 /// All probabilities are in thousandths: `0` disables that fault, `1000`
-/// fires on every opportunity.
+/// fires on every opportunity. Each field is one row of
+/// [`FaultPlan::KNOBS`], which is how a plan is parsed, printed and shrunk.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultPlan {
     /// Probability a ULI request is silently dropped in the network.
@@ -81,6 +82,147 @@ pub struct FaultPlan {
     pub seed: u64,
 }
 
+/// The largest value of a per-mille rate: the fault fires on every
+/// opportunity.
+const MAX_MILLE: u64 = 1000;
+
+/// The largest value of a cycle-valued knob: far past the end of any run,
+/// and far enough below `u64::MAX` that adding it to a simulated time
+/// cannot overflow.
+const MAX_CYCLES: u64 = 1_000_000_000;
+
+/// The largest core a plan's crash set may name.
+const MAX_CORE: u64 = 4095;
+
+/// What a knob does to its plan. [`FaultPlan::is_active`],
+/// [`FaultPlan::crash_armed`] and the chaos fuzzer's shrinker read this
+/// instead of naming fields.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Role {
+    /// A per-mille rate arming one transient fault.
+    Transient,
+    /// Arms fail-stop crashes.
+    Crash,
+    /// Scales the dimension armed by the knob with this key.
+    Scales(&'static str),
+    /// When doomed cores die: part of the crash schedule, meaningless
+    /// without a crash.
+    CrashAt,
+    /// How long a crashed core stays dead: part of the crash schedule,
+    /// meaningless without a crash, and a dimension of its own.
+    Revive,
+    /// Seeds every decision stream.
+    Seed,
+}
+
+/// One knob of a [`FaultPlan`]: a row of [`FaultPlan::KNOBS`].
+#[derive(Clone, Copy, Debug)]
+pub struct Knob {
+    /// The knob's key in a spec ([`FaultPlan::to_spec`]).
+    pub key: &'static str,
+    /// What the knob does.
+    pub role: Role,
+    /// The largest value [`FaultPlan::resolve`] accepts; for the crash
+    /// set, the largest core.
+    pub max: u64,
+    value: Value,
+}
+
+/// The get/set pair of a knob that holds a number.
+pub type Scalar = (fn(&FaultPlan) -> u64, fn(&mut FaultPlan, u64));
+
+/// Where a knob's value lives in the plan: its get/set pair.
+#[derive(Clone, Copy, Debug)]
+enum Value {
+    /// A number (a rate's field is a `u32`, which its maximum fits).
+    Number(Scalar),
+    /// The crash-core set.
+    Cores(fn(&FaultPlan) -> &CoreSet, fn(&mut FaultPlan) -> &mut CoreSet),
+}
+
+/// A knob whose value is the number in `$field`.
+macro_rules! scalar {
+    ($key:literal, $field:ident, $role:expr, $max:expr) => {
+        Knob {
+            key: $key,
+            role: $role,
+            max: $max,
+            value: Value::Number((|p| p.$field as u64, |p, v| p.$field = v as _)),
+        }
+    };
+}
+
+/// The hostile transient storm, shared by two named plans.
+macro_rules! hostile {
+    () => {
+        "uli_drop=200,uli_nack=150,uli_delay=150,uli_delay_cycles=300,uli_rx_drop=80,\
+         steal_miss=300,mesh_spike=30,mesh_spike_cycles=400"
+    };
+}
+
+impl Knob {
+    /// The knob's get/set pair, if it holds a number (every knob but the
+    /// crash set does).
+    pub fn scalar(&self) -> Option<Scalar> {
+        match self.value {
+            Value::Number(pair) => Some(pair),
+            Value::Cores(..) => None,
+        }
+    }
+
+    /// Whether the knob differs from its [`FaultPlan::none`] value.
+    pub fn is_armed(&self, p: &FaultPlan) -> bool {
+        match self.value {
+            Value::Number((get, _)) => get(p) != 0,
+            Value::Cores(get, _) => !get(p).is_empty(),
+        }
+    }
+
+    /// Puts the knob back to its [`FaultPlan::none`] value.
+    pub fn clear(&self, p: &mut FaultPlan) {
+        match self.value {
+            Value::Number((_, set)) => set(p, 0),
+            Value::Cores(_, set) => *set(p) = CoreSet::new(),
+        }
+    }
+
+    /// The knob's value as a spec prints it.
+    fn text(&self, p: &FaultPlan) -> String {
+        match self.value {
+            Value::Number((get, _)) => get(p).to_string(),
+            Value::Cores(get, _) => get(p).to_hex(),
+        }
+    }
+
+    /// Sets the knob from a spec value: a decimal or `0x` hex number, or
+    /// for the crash set an arbitrary-width mask, at most [`Knob::max`].
+    fn write(&self, p: &mut FaultPlan, raw: &str) -> Result<(), String> {
+        let (key, max) = (self.key, self.max);
+        match self.value {
+            Value::Number((_, set)) => {
+                let v = match raw.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
+                    None => raw.parse().ok(),
+                };
+                let v = v.ok_or_else(|| format!("`{key}={raw}`: not a u64"))?;
+                if v > max {
+                    return Err(format!("`{key}={raw}`: above the maximum {max}"));
+                }
+                set(p, v);
+            }
+            Value::Cores(_, set) => {
+                let cores =
+                    CoreSet::parse(raw).ok_or_else(|| format!("`{key}={raw}`: not a core mask"))?;
+                if cores.iter().last().is_some_and(|core| core as u64 > max) {
+                    return Err(format!("`{key}={raw}`: names a core above {max}"));
+                }
+                *set(p) = cores;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl FaultPlan {
     /// No faults: the zero-cost default. With this plan the simulator's
     /// timing and determinism are bit-for-bit unchanged.
@@ -102,104 +244,74 @@ impl FaultPlan {
         }
     }
 
-    /// ULI drop-storm: a quarter of steal requests vanish in the network
-    /// and some arrive but are lost at the receiver.
-    pub fn uli_drop_storm(seed: u64) -> Self {
-        FaultPlan {
-            uli_drop_per_mille: 250,
-            uli_nack_per_mille: 150,
-            uli_rx_drop_per_mille: 100,
-            ..Self::none_seeded(seed)
+    /// Every field of the plan, once, in spec order. Parsing, printing,
+    /// [`FaultPlan::is_active`], [`FaultPlan::crash_armed`] and the chaos
+    /// fuzzer's shrinker walk this table.
+    pub const KNOBS: [Knob; 13] = [
+        scalar!("uli_drop", uli_drop_per_mille, Role::Transient, MAX_MILLE),
+        scalar!("uli_nack", uli_nack_per_mille, Role::Transient, MAX_MILLE),
+        scalar!("uli_delay", uli_delay_per_mille, Role::Transient, MAX_MILLE),
+        scalar!("uli_delay_cycles", uli_delay_cycles, Role::Scales("uli_delay"), MAX_CYCLES),
+        scalar!("uli_rx_drop", uli_rx_drop_per_mille, Role::Transient, MAX_MILLE),
+        scalar!("steal_miss", steal_miss_per_mille, Role::Transient, MAX_MILLE),
+        scalar!("mesh_spike", mesh_spike_per_mille, Role::Transient, MAX_MILLE),
+        scalar!("mesh_spike_cycles", mesh_spike_cycles, Role::Scales("mesh_spike"), MAX_CYCLES),
+        Knob {
+            key: "crash_cores",
+            role: Role::Crash,
+            max: MAX_CORE,
+            value: Value::Cores(|p| &p.crash_cores, |p| &mut p.crash_cores),
+        },
+        scalar!("crash", crash_per_mille, Role::Crash, MAX_MILLE),
+        scalar!("crash_at", crash_at_cycle, Role::CrashAt, MAX_CYCLES),
+        scalar!("revive_after", revive_after_cycles, Role::Revive, MAX_CYCLES),
+        scalar!("seed", seed, Role::Seed, u64::MAX),
+    ];
+
+    /// The named plans: `(name, spec)`, each spec taking its seed from
+    /// [`FaultPlan::by_name`]'s caller.
+    pub const NAMED: [(&'static str, &'static str); 9] = [
+        ("none", "none"),
+        // A quarter of steal requests vanish in the network and some
+        // arrive but are lost at the receiver.
+        ("uli-drop-storm", "uli_drop=250,uli_nack=150,uli_rx_drop=100"),
+        // Most victim lookups are forced empty, with extra ULI delivery
+        // delay widening the retry windows.
+        ("steal-miss-storm", "uli_delay=200,uli_delay_cycles=400,steal_miss=600"),
+        // 5% of data-OCN messages take an extra 500 cycles.
+        ("mesh-latency-spikes", "mesh_spike=50,mesh_spike_cycles=500"),
+        // Every transient fault at once: the chaos integration tests' plan.
+        ("hostile", hostile!()),
+        // Tiny core 5 dies mid-run and stays dead.
+        ("crash-one", "crash_cores=0x20,crash_at=1500"),
+        // Tiny cores 5, 9 and 13 (tiny in both the 64-core paper machine
+        // and the 16-core ablation machine) die mid-run and never return.
+        ("crash-storm", "crash_cores=0x2220,crash_at=1500"),
+        // Cores 5 and 9 die mid-run and revive 4000 cycles later: the
+        // quarantine re-probe and graceful-rejoin paths.
+        ("crash-revive", "crash_cores=0x220,crash_at=1500,revive_after=4000"),
+        // A core crash on top of the hostile storm: the worst plan the
+        // integration tests run directly.
+        ("crash-hostile", concat!(hostile!(), ",crash_cores=0x20,crash_at=1500")),
+    ];
+
+    /// The names of [`FaultPlan::NAMED`], in order. CLI error messages
+    /// enumerate them so a typo shows the valid spellings.
+    pub const NAMES: [&'static str; 9] = {
+        let mut names = [""; 9];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = Self::NAMED[i].0;
+            i += 1;
         }
-    }
-
-    /// Steal-miss storm: most victim lookups are forced empty, with extra
-    /// ULI delivery delay widening the retry windows.
-    pub fn steal_miss_storm(seed: u64) -> Self {
-        FaultPlan {
-            steal_miss_per_mille: 600,
-            uli_delay_per_mille: 200,
-            uli_delay_cycles: 400,
-            ..Self::none_seeded(seed)
-        }
-    }
-
-    /// Mesh latency spikes: 5% of data-OCN messages take an extra 500
-    /// cycles.
-    pub fn mesh_latency_spikes(seed: u64) -> Self {
-        FaultPlan { mesh_spike_per_mille: 50, mesh_spike_cycles: 500, ..Self::none_seeded(seed) }
-    }
-
-    /// Everything at once: the hostile plan used by the chaos integration
-    /// tests.
-    pub fn hostile(seed: u64) -> Self {
-        FaultPlan {
-            uli_drop_per_mille: 200,
-            uli_nack_per_mille: 150,
-            uli_delay_per_mille: 150,
-            uli_delay_cycles: 300,
-            uli_rx_drop_per_mille: 80,
-            steal_miss_per_mille: 300,
-            mesh_spike_per_mille: 30,
-            mesh_spike_cycles: 400,
-            ..Self::none_seeded(seed)
-        }
-    }
-
-    /// A single mid-run fail-stop: tiny core 5 dies and stays dead.
-    pub fn crash_one(seed: u64) -> Self {
-        FaultPlan {
-            crash_cores: CoreSet::from_mask(1 << 5),
-            crash_at_cycle: 1500,
-            ..Self::none_seeded(seed)
-        }
-    }
-
-    /// The acceptance-criteria crash storm: three tiny cores (5, 9, 13 —
-    /// tiny in both the 64-core paper machine and the 16-core ablation
-    /// machine) all die mid-run and never return.
-    pub fn crash_storm(seed: u64) -> Self {
-        FaultPlan {
-            crash_cores: CoreSet::from_mask((1 << 5) | (1 << 9) | (1 << 13)),
-            crash_at_cycle: 1500,
-            ..Self::none_seeded(seed)
-        }
-    }
-
-    /// Two tiny cores die mid-run and revive 4000 cycles later, exercising
-    /// the quarantine re-probe and graceful-rejoin paths.
-    pub fn crash_revive(seed: u64) -> Self {
-        FaultPlan {
-            crash_cores: CoreSet::from_mask((1 << 5) | (1 << 9)),
-            crash_at_cycle: 1500,
-            revive_after_cycles: 4000,
-            ..Self::none_seeded(seed)
-        }
-    }
-
-    /// Crash × transient mix: a core crash on top of the hostile transient
-    /// storm — the worst chaos plan the integration tests run directly.
-    pub fn crash_hostile(seed: u64) -> Self {
-        FaultPlan {
-            crash_cores: CoreSet::from_mask(1 << 5),
-            crash_at_cycle: 1500,
-            ..Self::hostile(seed)
-        }
-    }
-
-    fn none_seeded(seed: u64) -> Self {
-        FaultPlan { seed, ..Self::none() }
-    }
+        names
+    };
 
     /// Whether any fault is armed. `false` guarantees the golden path.
     pub fn is_active(&self) -> bool {
-        self.uli_drop_per_mille > 0
-            || self.uli_nack_per_mille > 0
-            || self.uli_delay_per_mille > 0
-            || self.uli_rx_drop_per_mille > 0
-            || self.steal_miss_per_mille > 0
-            || self.mesh_spike_per_mille > 0
-            || self.crash_armed()
+        Self::KNOBS
+            .iter()
+            .any(|k| matches!(k.role, Role::Transient | Role::Crash) && k.is_armed(self))
     }
 
     /// Whether fail-stop crashes are armed. Runtimes gate their recovery
@@ -207,7 +319,7 @@ impl FaultPlan {
     /// polling) on this, the same way [`FaultPlan::is_active`] gates the
     /// transient-hardening paths.
     pub fn crash_armed(&self) -> bool {
-        self.crash_per_mille > 0 || !self.crash_cores.is_empty()
+        Self::KNOBS.iter().any(|k| k.role == Role::Crash && k.is_armed(self))
     }
 
     /// The plan's data-OCN spike component, if armed.
@@ -219,84 +331,49 @@ impl FaultPlan {
         })
     }
 
-    /// Every named plan [`FaultPlan::by_name`] resolves, in its match
-    /// order. CLI error messages enumerate this list so a typo shows the
-    /// valid spellings.
-    pub const NAMES: [&'static str; 9] = [
-        "none",
-        "uli-drop-storm",
-        "steal-miss-storm",
-        "mesh-latency-spikes",
-        "hostile",
-        "crash-one",
-        "crash-storm",
-        "crash-revive",
-        "crash-hostile",
-    ];
-
     /// Looks up a named plan (one of [`FaultPlan::NAMES`]) for CLI use.
     pub fn by_name(name: &str, seed: u64) -> Option<Self> {
-        match name {
-            "none" => Some(Self::none()),
-            "uli-drop-storm" => Some(Self::uli_drop_storm(seed)),
-            "steal-miss-storm" => Some(Self::steal_miss_storm(seed)),
-            "mesh-latency-spikes" => Some(Self::mesh_latency_spikes(seed)),
-            "hostile" => Some(Self::hostile(seed)),
-            "crash-one" => Some(Self::crash_one(seed)),
-            "crash-storm" => Some(Self::crash_storm(seed)),
-            "crash-revive" => Some(Self::crash_revive(seed)),
-            "crash-hostile" => Some(Self::crash_hostile(seed)),
-            _ => None,
-        }
+        Self::NAMES
+            .contains(&name)
+            .then(|| Self::resolve(name, seed).expect("every named plan's spec parses"))
     }
 
-    /// Resolves a named plan or, failing that, parses a
-    /// [`FaultPlan::from_spec`] `key=value` spec — the form the chaos
-    /// fuzzer prints for minimal reproducers.
+    /// [`FaultPlan::resolve`] without the reason for a refusal.
     pub fn parse(s: &str, seed: u64) -> Option<Self> {
-        Self::by_name(s, seed).or_else(|| {
-            Self::from_spec(s).map(|mut p| {
-                if p.seed == 0 {
-                    p.seed = seed;
-                }
-                p
-            })
-        })
+        Self::resolve(s, seed).ok()
+    }
+
+    /// Resolves a `--fault-plan` value: a named plan or a `key=value`
+    /// spec, the form the chaos fuzzer prints for minimal reproducers. A
+    /// plan that sets no seed takes `seed`, except `none`, which is
+    /// [`FaultPlan::none()`] whatever the seed. The error says why `s`
+    /// does not resolve, naming the offending key.
+    pub fn resolve(s: &str, seed: u64) -> Result<Self, String> {
+        let spec = Self::NAMED.iter().find(|(name, _)| *name == s).map_or(s, |(_, spec)| spec);
+        let mut p = Self::read_spec(spec).map_err(|why| {
+            if s.contains('=') {
+                format!("bad spec `{s}`: {why}")
+            } else {
+                format!("unknown plan `{s}`")
+            }
+        })?;
+        if p.seed == 0 && spec != "none" {
+            p.seed = seed;
+        }
+        Ok(p)
     }
 
     /// Renders the plan as a comma-separated `key=value` spec listing only
-    /// its non-default dimensions (`"none"` for the empty plan). The
-    /// output round-trips through [`FaultPlan::from_spec`]; the chaos
-    /// fuzzer prints it as the `--fault-plan` argument of a minimal
-    /// reproducer.
+    /// its non-default knobs, in [`FaultPlan::KNOBS`] order (`"none"` for
+    /// the empty plan). The output round-trips through
+    /// [`FaultPlan::from_spec`]; the chaos fuzzer prints it as the
+    /// `--fault-plan` argument of a minimal reproducer.
     pub fn to_spec(&self) -> String {
-        let mut parts: Vec<String> = [
-            ("uli_drop", self.uli_drop_per_mille as u64),
-            ("uli_nack", self.uli_nack_per_mille as u64),
-            ("uli_delay", self.uli_delay_per_mille as u64),
-            ("uli_delay_cycles", self.uli_delay_cycles),
-            ("uli_rx_drop", self.uli_rx_drop_per_mille as u64),
-            ("steal_miss", self.steal_miss_per_mille as u64),
-            ("mesh_spike", self.mesh_spike_per_mille as u64),
-            ("mesh_spike_cycles", self.mesh_spike_cycles),
-        ]
-        .iter()
-        .filter(|(_, v)| *v != 0)
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-        if !self.crash_cores.is_empty() {
-            parts.push(format!("crash_cores={}", self.crash_cores.to_hex()));
-        }
-        for (k, v) in [
-            ("crash", self.crash_per_mille as u64),
-            ("crash_at", self.crash_at_cycle),
-            ("revive_after", self.revive_after_cycles),
-            ("seed", self.seed),
-        ] {
-            if v != 0 {
-                parts.push(format!("{k}={v}"));
-            }
-        }
+        let parts: Vec<String> = Self::KNOBS
+            .iter()
+            .filter(|k| k.is_armed(self))
+            .map(|k| format!("{}={}", k.key, k.text(self)))
+            .collect();
         if parts.is_empty() {
             "none".to_owned()
         } else {
@@ -305,48 +382,34 @@ impl FaultPlan {
     }
 
     /// Parses a comma-separated `key=value` spec produced by
-    /// [`FaultPlan::to_spec`] (`crash_cores` also accepts `0x` hex).
-    /// Returns `None` on any unknown key or malformed value.
+    /// [`FaultPlan::to_spec`] (numbers also in `0x` hex, `crash_cores` also
+    /// as a decimal mask). Returns `None` on an unknown or repeated key, a
+    /// malformed value, or a value above its knob's maximum.
     pub fn from_spec(spec: &str) -> Option<Self> {
-        if spec == "none" {
-            return Some(Self::none());
-        }
+        Self::read_spec(spec).ok()
+    }
+
+    /// [`FaultPlan::from_spec`], saying why a spec does not parse.
+    fn read_spec(spec: &str) -> Result<Self, String> {
         let mut p = Self::none();
-        for part in spec.split(',') {
-            let (k, raw) = part.split_once('=')?;
-            let raw = raw.trim();
-            // `crash_cores` is a set of arbitrary width (hex or decimal
-            // mask); every other value is a plain u64 (with `0x` accepted).
-            if k.trim() == "crash_cores" {
-                p.crash_cores = CoreSet::parse(raw)?;
-                continue;
-            }
-            let parse = |v: &str| -> Option<u64> {
-                if let Some(hex) = v.strip_prefix("0x") {
-                    u64::from_str_radix(hex, 16).ok()
-                } else {
-                    v.parse().ok()
-                }
-            };
-            let v = parse(raw)?;
-            let mille = |v: u64| -> Option<u32> { (v <= 1000).then_some(v as u32) };
-            match k.trim() {
-                "uli_drop" => p.uli_drop_per_mille = mille(v)?,
-                "uli_nack" => p.uli_nack_per_mille = mille(v)?,
-                "uli_delay" => p.uli_delay_per_mille = mille(v)?,
-                "uli_delay_cycles" => p.uli_delay_cycles = v,
-                "uli_rx_drop" => p.uli_rx_drop_per_mille = mille(v)?,
-                "steal_miss" => p.steal_miss_per_mille = mille(v)?,
-                "mesh_spike" => p.mesh_spike_per_mille = mille(v)?,
-                "mesh_spike_cycles" => p.mesh_spike_cycles = v,
-                "crash" => p.crash_per_mille = mille(v)?,
-                "crash_at" => p.crash_at_cycle = v,
-                "revive_after" => p.revive_after_cycles = v,
-                "seed" => p.seed = v,
-                _ => return None,
-            }
+        if spec == "none" {
+            return Ok(p);
         }
-        Some(p)
+        let mut seen = [false; Self::KNOBS.len()];
+        for part in spec.split(',') {
+            let (key, raw) =
+                part.split_once('=').ok_or_else(|| format!("`{part}` is not key=value"))?;
+            let key = key.trim();
+            let Some(i) = Self::KNOBS.iter().position(|k| k.key == key) else {
+                let keys: Vec<&str> = Self::KNOBS.iter().map(|k| k.key).collect();
+                return Err(format!("unknown key `{key}` (keys: {})", keys.join(", ")));
+            };
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("`{key}` given twice"));
+            }
+            Self::KNOBS[i].write(&mut p, raw.trim())?;
+        }
+        Ok(p)
     }
 }
 
@@ -542,6 +605,10 @@ pub(crate) enum UliSendFault {
 mod tests {
     use super::*;
 
+    fn named(name: &str, seed: u64) -> FaultPlan {
+        FaultPlan::by_name(name, seed).expect("a named plan")
+    }
+
     #[test]
     fn none_is_inactive_and_rolls_nothing() {
         let mut s = FaultState::new(FaultPlan::none(), 3, true);
@@ -556,7 +623,7 @@ mod tests {
     #[test]
     fn decision_streams_are_deterministic_per_core() {
         let decisions = |core| {
-            let mut s = FaultState::new(FaultPlan::hostile(42), core, true);
+            let mut s = FaultState::new(named("hostile", 42), core, true);
             (0..200).map(|_| s.on_uli_send()).collect::<Vec<_>>()
         };
         assert_eq!(decisions(1), decisions(1), "same core, same stream");
@@ -565,7 +632,7 @@ mod tests {
 
     #[test]
     fn storm_plans_fire_at_roughly_configured_rates() {
-        let mut s = FaultState::new(FaultPlan::uli_drop_storm(7), 0, false);
+        let mut s = FaultState::new(named("uli-drop-storm", 7), 0, false);
         for _ in 0..1000 {
             let _ = s.on_uli_send();
         }
@@ -606,7 +673,7 @@ mod tests {
     fn crash_schedule_is_decided_once_and_deterministic() {
         // Forced mask: exactly the named cores are doomed, at the plan's
         // cycle, regardless of how much transient stream is consumed.
-        let plan = FaultPlan::crash_storm(7);
+        let plan = named("crash-storm", 7);
         for core in 0..16 {
             let mut s = FaultState::new(plan.clone(), core, core != 0);
             let doomed = core == 5 || core == 9 || core == 13;
@@ -631,7 +698,7 @@ mod tests {
             (1..64usize)
                 .filter(|&c| {
                     FaultState::new(
-                        FaultPlan { crash_per_mille: 300, ..FaultPlan::none_seeded(seed) },
+                        FaultPlan { crash_per_mille: 300, seed, ..FaultPlan::none() },
                         c,
                         true,
                     )
@@ -684,7 +751,7 @@ mod tests {
         assert!(FaultPlan::from_spec("uli_drop=1001").is_none(), "per-mille out of range");
         assert!(FaultPlan::from_spec("uli_drop").is_none(), "missing value");
         // `parse` accepts both forms and threads the CLI seed through.
-        assert_eq!(FaultPlan::parse("hostile", 5), Some(FaultPlan::hostile(5)));
+        assert_eq!(FaultPlan::parse("hostile", 5), Some(named("hostile", 5)));
         assert_eq!(FaultPlan::parse("crash_cores=0x20", 5).unwrap().seed, 5);
         assert!(FaultPlan::parse("nope", 5).is_none());
     }
@@ -692,8 +759,109 @@ mod tests {
     #[test]
     fn mesh_component_extracted_only_when_armed() {
         assert!(FaultPlan::none().mesh_faults().is_none());
-        let f = FaultPlan::mesh_latency_spikes(9).mesh_faults().unwrap();
+        let f = named("mesh-latency-spikes", 9).mesh_faults().unwrap();
         assert_eq!(f.spike_per_mille, 50);
         assert_eq!(f.seed, 9);
+    }
+
+    /// Every row set through the table to a distinct value gives a plan
+    /// with every field set: a field added without a row fails here (the
+    /// literal has no `..`) or in the comparison.
+    #[test]
+    fn the_knob_table_is_the_whole_plan() {
+        let mut p = FaultPlan::none();
+        for (i, knob) in FaultPlan::KNOBS.iter().enumerate() {
+            knob.write(&mut p, &(i + 1).to_string()).unwrap();
+        }
+        let every_field = FaultPlan {
+            uli_drop_per_mille: 1,
+            uli_nack_per_mille: 2,
+            uli_delay_per_mille: 3,
+            uli_delay_cycles: 4,
+            uli_rx_drop_per_mille: 5,
+            steal_miss_per_mille: 6,
+            mesh_spike_per_mille: 7,
+            mesh_spike_cycles: 8,
+            crash_cores: CoreSet::from_mask(9),
+            crash_per_mille: 10,
+            crash_at_cycle: 11,
+            revive_after_cycles: 12,
+            seed: 13,
+        };
+        assert_eq!(p, every_field);
+        assert_eq!(FaultPlan::from_spec(&p.to_spec()), Some(p.clone()));
+        for (i, knob) in FaultPlan::KNOBS.iter().enumerate() {
+            assert!(knob.is_armed(&p), "{}", knob.key);
+            assert!(FaultPlan::KNOBS[..i].iter().all(|k| k.key != knob.key), "{}", knob.key);
+            if let Role::Scales(dim) = knob.role {
+                let scaled = FaultPlan::KNOBS.iter().find(|k| k.key == dim);
+                assert_eq!(scaled.map(|k| k.role), Some(Role::Transient), "{}", knob.key);
+            }
+            knob.clear(&mut p);
+            assert!(!knob.is_armed(&p), "{}", knob.key);
+        }
+        assert_eq!(p, FaultPlan::none());
+    }
+
+    #[test]
+    fn named_plans_and_the_maximal_plan_round_trip() {
+        for (name, spec) in FaultPlan::NAMED {
+            assert_eq!(named(name, 0).to_spec(), spec, "{name} is written as it prints");
+            for seed in [0, 1, 7, u64::MAX] {
+                let p = named(name, seed);
+                assert_eq!(FaultPlan::parse(&p.to_spec(), seed), Some(p.clone()), "{name}");
+                assert_eq!(FaultPlan::from_spec(&p.to_spec()), Some(p), "{name}");
+            }
+        }
+        assert_eq!(named("none", 9), FaultPlan::none(), "`none` takes no seed");
+        let mut max = FaultPlan::none();
+        for knob in FaultPlan::KNOBS {
+            let text = match knob.scalar() {
+                Some(_) => knob.max.to_string(),
+                None => {
+                    let mut cores = CoreSet::new();
+                    cores.insert(knob.max as usize);
+                    cores.to_hex()
+                }
+            };
+            knob.write(&mut max, &text).unwrap();
+        }
+        assert!(max.crash_cores.contains(MAX_CORE as usize));
+        assert_eq!(max.uli_delay_cycles, MAX_CYCLES);
+        assert_eq!(FaultPlan::from_spec(&max.to_spec()), Some(max.clone()), "{}", max.to_spec());
+    }
+
+    #[test]
+    fn specs_refuse_values_above_their_maximum_and_repeated_keys() {
+        let refusal = |spec: &str| FaultPlan::resolve(spec, 1).unwrap_err();
+        // Either sum overflows `u64` in the network model.
+        for key in ["uli_delay_cycles", "mesh_spike_cycles"] {
+            let e = refusal(&format!("uli_delay=1000,{key}=18446744073709551615"));
+            assert!(e.contains(&format!("`{key}=18446744073709551615`: above the maximum")), "{e}");
+        }
+        for knob in FaultPlan::KNOBS.iter().filter(|k| k.max < u64::MAX) {
+            let over = match knob.scalar() {
+                Some(_) => (knob.max + 1).to_string(),
+                None => format!("0x1{}", "0".repeat((knob.max as usize + 1) / 4)),
+            };
+            let e = refusal(&format!("{}={over}", knob.key));
+            assert!(
+                e.starts_with(&format!("bad spec `{}={over}`: `{}=", knob.key, knob.key)),
+                "{e}"
+            );
+            let mut at_max = FaultPlan::none();
+            assert!(knob.write(&mut at_max, &over).is_err(), "{}", knob.key);
+        }
+        assert_eq!(FaultPlan::from_spec("seed=18446744073709551615").unwrap().seed, u64::MAX);
+        assert_eq!(
+            refusal("uli_drop=5,uli_drop=900"),
+            "bad spec `uli_drop=5,uli_drop=900`: `uli_drop` given twice"
+        );
+        assert!(FaultPlan::from_spec("crash_cores=0x20,crash_at=9,crash_cores=0x40").is_none());
+        assert!(
+            refusal("uli_drop=5,bogus_key=1").contains("unknown key `bogus_key` (keys: uli_drop, ")
+        );
+        assert_eq!(refusal("bogus"), "unknown plan `bogus`");
+        assert_eq!(refusal("uli_drop=x"), "bad spec `uli_drop=x`: `uli_drop=x`: not a u64");
     }
 }

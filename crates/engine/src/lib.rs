@@ -65,7 +65,7 @@ pub use breakdown::{TimeBreakdown, TimeCategory, TIME_CATEGORIES};
 pub use config::{CoreConfig, CoreKind, ExecBackend, SchedulePolicy, SystemConfig};
 pub use energy::EnergyReport;
 pub use event::{CheckMode, MemEvent, MemOp, RacyTag, SyncNote};
-pub use fault::{FaultCounters, FaultPlan};
+pub use fault::{FaultCounters, FaultPlan, Knob, Role};
 pub use flight::{
     FlightEvent, FlightKind, FlightRing, Heartbeat, HeartbeatSnap, DEFAULT_FLIGHT_CAPACITY,
 };

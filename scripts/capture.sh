@@ -49,8 +49,8 @@ mkdir "$out" || exit 2
 cd "$out" || exit 2
 
 # Every knob the binaries read, cleared; each command sets its own.
-unset BIGTINY_APPS BIGTINY_JSON BIGTINY_BACKEND BIGTINY_FAULT_SEED BIGTINY_CHECK_OUT \
-    BIGTINY_MC_OUT BIGTINY_MC_SCHEDULES BIGTINY_MC_DEPTH BIGTINY_MC_APPS
+unset BIGTINY_APPS BIGTINY_JSON BIGTINY_BACKEND BIGTINY_CHECK_OUT BIGTINY_MC_OUT \
+    BIGTINY_MC_SCHEDULES BIGTINY_MC_DEPTH BIGTINY_MC_APPS
 export BIGTINY_SIZE=test
 # A backtrace would name this tree's source paths.
 export RUST_BACKTRACE=0
@@ -83,6 +83,9 @@ run eval_all.threads $nq BIGTINY_BACKEND=threads "$bin/eval_all" --metrics-out t
 run eval_all.256 $nq "$bin/eval_all" --setups-256 --fault-plan crash-storm --fault-seed 1 \
     --metrics-out m256_metrics.json
 run eval_all.usage "$bin/eval_all" --fault-seed 0x9
+run eval_all.spec_range $nq "$bin/eval_all" \
+    --fault-plan uli_delay=1000,uli_delay_cycles=18446744073709551615
+run eval_all.spec_repeat $nq "$bin/eval_all" --fault-plan uli_drop=5,uli_drop=900
 
 # Every other table and figure binary.
 for b in table1 table2 table5 fig4; do
@@ -92,7 +95,7 @@ done
 # Ablations.
 run ablate_deque "$bin/ablate_deque" --metrics-out deque_metrics.json
 run ablate_dts "$bin/ablate_dts"
-run ablate_faults $nq BIGTINY_FAULT_SEED=9 "$bin/ablate_faults"
+run ablate_faults $nq "$bin/ablate_faults" --fault-seed 9
 run ablate_grain "$bin/ablate_grain"
 run ablate_sparse "$bin/ablate_sparse"
 

@@ -21,6 +21,11 @@ use bigtiny_core::{run_task_parallel, DequeKind, RuntimeConfig, RuntimeKind, Tas
 use bigtiny_engine::{AddrSpace, FaultPlan, Protocol, SystemConfig, TimeCategory, WATCHDOG_MSG};
 use bigtiny_mesh::{MeshConfig, Topology, UliNetwork, UliOutcome};
 
+/// A named fault plan ([`FaultPlan::by_name`]).
+fn named(name: &str, seed: u64) -> FaultPlan {
+    FaultPlan::by_name(name, seed).expect("a named plan")
+}
+
 fn sys(big: usize, tiny: usize, proto: Protocol) -> SystemConfig {
     SystemConfig::big_tiny(
         "chaos",
@@ -76,10 +81,10 @@ fn fault_plan_none_is_bit_for_bit_free() {
 #[test]
 fn seeded_fault_plans_keep_every_runtime_correct() {
     let plans = [
-        ("uli-drop-storm", FaultPlan::uli_drop_storm(0xC0FF_EE01)),
-        ("steal-miss-storm", FaultPlan::steal_miss_storm(7)),
-        ("mesh-latency-spikes", FaultPlan::mesh_latency_spikes(99)),
-        ("hostile", FaultPlan::hostile(0x0BAD_5EED)),
+        ("uli-drop-storm", named("uli-drop-storm", 0xC0FF_EE01)),
+        ("steal-miss-storm", named("steal-miss-storm", 7)),
+        ("mesh-latency-spikes", named("mesh-latency-spikes", 99)),
+        ("hostile", named("hostile", 0x0BAD_5EED)),
     ];
     let app = app_by_name("cilk5-nq").unwrap();
     for (label, plan) in plans {
@@ -102,7 +107,7 @@ fn seeded_fault_plans_keep_every_runtime_correct() {
 fn fault_injection_is_deterministic_in_its_seed() {
     let app = app_by_name("cilk5-cs").unwrap();
     let go = |seed: u64| {
-        let cfg = sys(1, 7, Protocol::GpuWb).with_faults(FaultPlan::hostile(seed));
+        let cfg = sys(1, 7, Protocol::GpuWb).with_faults(named("hostile", seed));
         let r = run_app(&Setup::new("hostile", cfg, RuntimeKind::Dts), &app, AppSize::Test, 0).run;
         (fingerprint(&r), r.report.fault_counters.total(), r.report.mesh_fault_spikes)
     };
@@ -127,7 +132,7 @@ fn cilksort_survives_hostile_faults_on_all_protocols() {
         (RuntimeKind::Dts, Protocol::GpuWt),
         (RuntimeKind::Dts, Protocol::GpuWb),
     ] {
-        let cfg = sys(1, 7, proto).with_faults(FaultPlan::hostile(0x5EED));
+        let cfg = sys(1, 7, proto).with_faults(named("hostile", 0x5EED));
         let r = run_app(&Setup::new("hostile", cfg, kind), &app, AppSize::Test, 0).run;
         if kind == RuntimeKind::Dts {
             assert!(
@@ -148,8 +153,8 @@ fn cilksort_survives_hostile_faults_on_all_protocols() {
 #[test]
 fn telemetry_survives_fault_injection_with_consistent_accounting() {
     let plans = [
-        ("uli-drop-storm", FaultPlan::uli_drop_storm(0xC0FF_EE01)),
-        ("hostile", FaultPlan::hostile(0x0BAD_5EED)),
+        ("uli-drop-storm", named("uli-drop-storm", 0xC0FF_EE01)),
+        ("hostile", named("hostile", 0x0BAD_5EED)),
     ];
     let app = app_by_name("cilk5-nq").unwrap();
     for (label, plan) in plans {
@@ -212,7 +217,7 @@ fn telemetry_survives_fault_injection_with_consistent_accounting() {
 fn steal_backoff_cap_saturates_on_overflowing_config() {
     let app = app_by_name("cilk5-nq").unwrap();
     let go = || {
-        let cfg = sys(1, 7, Protocol::Mesi).with_faults(FaultPlan::steal_miss_storm(7));
+        let cfg = sys(1, 7, Protocol::Mesi).with_faults(named("steal-miss-storm", 7));
         let mut setup = Setup::new("saturated back-off", cfg, RuntimeKind::Baseline);
         setup.rt.steal_backoff_cycles = 2;
         setup.rt.steal_backoff_max_factor = u64::MAX; // 2 * MAX overflows u64
@@ -236,7 +241,7 @@ fn steal_backoff_cap_saturates_on_overflowing_config() {
 fn fault_plans_never_inflate_duplicate_execution_counters() {
     let app = app_by_name("cilk5-nq").unwrap();
     let plans =
-        [("hostile", FaultPlan::hostile(0x0BAD_5EED)), ("crash-storm", FaultPlan::crash_storm(3))];
+        [("hostile", named("hostile", 0x0BAD_5EED)), ("crash-storm", named("crash-storm", 3))];
     for (label, plan) in plans {
         for (kind, deque, proto) in [
             (RuntimeKind::Baseline, DequeKind::Locked, Protocol::Mesi),
@@ -273,7 +278,7 @@ fn steal_accounting_bounds_hold_on_every_deque_policy() {
     let name = "cilk5-nq";
     assert!(kernel_is_duplicate_safe(name), "the kernel must tolerate at-most-twice");
     let app = app_by_name(name).unwrap();
-    let plans = [("none", FaultPlan::none()), ("steal-miss-storm", FaultPlan::steal_miss_storm(7))];
+    let plans = [("none", FaultPlan::none()), ("steal-miss-storm", named("steal-miss-storm", 7))];
     for (label, plan) in plans {
         for deque in
             [DequeKind::Locked, DequeKind::ChaseLev, DequeKind::FenceFree, DequeKind::Idempotent]

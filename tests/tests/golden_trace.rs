@@ -79,7 +79,7 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
         setup.sys = setup
             .sys
             .clone()
-            .with_faults(FaultPlan::crash_storm(11))
+            .with_faults(FaultPlan::by_name("crash-storm", 11).unwrap())
             .with_backend(backend)
             .with_watchdog(2_000_000);
         setup.rt.record_task_events = true;
