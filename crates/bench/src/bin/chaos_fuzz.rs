@@ -21,12 +21,12 @@
 
 use bigtiny_bench::cli;
 use bigtiny_bench::fuzz::{check_app, check_plan, plan_dimensions, sample_plan, shrink_plan};
-use bigtiny_bench::live::{dump_on_panic, Harness};
+use bigtiny_bench::live::Harness;
 use bigtiny_engine::{FaultPlan, XorShift64};
 
 /// `--heartbeat-out` streams from every probe run; `--blackbox-out` gets
-/// the crash-time bundle of a failing plan whose probe aborted (watchdog
-/// trip or poison).
+/// the crash-time bundle of a failing plan whose probe run failed (a
+/// watchdog trip, a worker panic).
 const CLI: cli::Spec = cli::Spec::new(
     env!("CARGO_BIN_NAME"),
     &[&cli::BUDGET, &cli::SEED, &cli::HEARTBEAT_OUT, &cli::BLACKBOX_OUT, &cli::SIZE, &cli::APPS],
@@ -60,13 +60,9 @@ fn main() {
             Some(failure) => {
                 println!("[chaos] {i:>3}/{budget} FAIL  {}", plan.to_spec());
                 println!("[chaos] {}: {}", failure.app, failure.message);
-                // A panicking probe (watchdog trip / poison) left the
-                // engine a crash-time bundle; audit-only failures did not.
-                if let Some(path) = harness.blackbox() {
-                    if !dump_on_panic(path) {
-                        eprintln!("[blackbox] failure recorded no bundle (audit-only)");
-                    }
-                }
+                // A failed probe run (watchdog trip, worker panic) handed
+                // back a crash-time bundle; audit-only failures did not.
+                harness.dump_bundle(failure.bundle.as_ref());
                 let app = bigtiny_apps::app_by_name(failure.app).expect("failing app exists");
                 println!("[chaos] shrinking against {}...", failure.app);
                 let mut fails = |p: &FaultPlan| quiet(|| check_app(p, &app, size)).is_some();

@@ -92,10 +92,8 @@ options! {
     FAULT_SEED: "--fault-seed" "N", Kind::U64, Some("1"),
         "seed of every fault plan run; a seed alone arms no plan";
     FAULT_PLAN: "--fault-plan" "PLAN", Kind::FaultPlan, None,
-        "arm fault injection: a named plan (none, uli-drop-storm,\n\
-         steal-miss-storm, mesh-latency-spikes, hostile, crash-one, crash-storm,\n\
-         crash-revive, crash-hostile) or a key=value spec as chaos_fuzz prints;\n\
-         a crash-armed plan gates the run on a clean crash-recovery audit";
+        "arm fault injection: a named plan (FaultPlan::NAMES) or a key=value spec as \
+         chaos_fuzz prints;\na crash-armed plan gates the run on a clean crash-recovery audit";
     WATCHDOG_BUDGET: "--watchdog-budget" "N", Kind::PositiveU64, None,
         "abort with diagnostics after N sequenced grants without progress";
     METRICS_OUT: "--metrics-out" "PATH", Kind::OutPath, None,
@@ -141,6 +139,8 @@ options! {
 
 // Each phrase lives here once, so `grep` finds one parser in the crate.
 const NEEDS_VALUE: &str = "needs a value";
+/// Columns of a usage line's help text, which starts at column 26.
+const HELP_WIDTH: usize = 73;
 const UNKNOWN_ARGUMENT: &str = "unknown argument";
 
 fn size_named(raw: &str) -> Option<AppSize> {
@@ -322,12 +322,26 @@ impl Spec {
             for o in opts {
                 let left = [o.name, o.metavar].join(sep);
                 let default = o.default.map(|d| format!(" (default {d})")).unwrap_or_default();
-                let help = format!("{}{default}", o.help).replace('\n', &format!("\n{:26}", ""));
+                let help = o.help.replace("FaultPlan::NAMES", &FaultPlan::NAMES.join(", "));
+                let help = wrap(&format!("{help}{default}")).replace('\n', &format!("\n{:26}", ""));
                 out.push_str(&format!("\n  {:<23} {help}", left.trim_end_matches(sep)));
             }
         }
         out
     }
+}
+
+/// `text` with each of its lines broken at spaces into lines of at most
+/// [`HELP_WIDTH`] columns.
+fn wrap(text: &str) -> String {
+    text.split(' ').fold(String::new(), |mut out, word| {
+        let column = out.len() - out.rfind('\n').map_or(0, |i| i + 1);
+        let head = word.split('\n').next().unwrap_or_default();
+        if !out.is_empty() {
+            out.push(if column + 1 + head.len() > HELP_WIDTH { '\n' } else { ' ' });
+        }
+        out + word
+    })
 }
 
 /// The checked options of one invocation.
@@ -446,9 +460,11 @@ mod tests {
         }
         assert_eq!(ALL.iter().filter(|o| o.is_flag()).count(), 17);
         assert_eq!(ALL.iter().filter(|o| !o.is_flag()).count(), 8);
+        let usage = Spec::new("t", &[&FAULT_PLAN]).usage();
         for name in FaultPlan::NAMES {
-            assert!(FAULT_PLAN.help.contains(name), "--fault-plan help omits {name}");
+            assert!(usage.contains(name), "--fault-plan help omits {name}");
         }
+        assert!(usage.lines().all(|l| l.len() <= 26 + HELP_WIDTH), "{usage}");
     }
 
     #[test]

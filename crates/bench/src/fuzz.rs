@@ -17,19 +17,22 @@
 
 use bigtiny_apps::{AppSize, AppSpec};
 use bigtiny_core::{RuntimeConfig, RuntimeKind};
-use bigtiny_engine::{FaultPlan, Knob, Protocol, Role, SystemConfig, XorShift64};
+use bigtiny_engine::{DiagnosticBundle, FaultPlan, Knob, Protocol, Role, SystemConfig, XorShift64};
 use bigtiny_mesh::{MeshConfig, Topology};
 
 use crate::live::Harness;
-use crate::{try_run_app, Setup};
+use crate::{try_run_app, Judged, Setup};
 
 /// One invariant failure: the kernel that broke and why.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Debug)]
 pub struct FuzzFailure {
     /// Name of the kernel whose run violated an invariant.
     pub app: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
+    /// The crash-time bundle, when the run itself failed (a watchdog trip,
+    /// a worker panic) rather than only its verdict.
+    pub bundle: Option<DiagnosticBundle>,
 }
 
 /// The machine the fuzzer drives: the 16-core (1 big + 15 tiny) DTS/gwb
@@ -70,9 +73,9 @@ fn probe(
 ) -> Option<FuzzFailure> {
     let mut setup = fuzz_setup(plan.clone());
     arm(&mut setup);
-    let verdict = try_run_app(&setup, app, size, 0).verdict;
-    (!verdict.is_clean())
-        .then(|| FuzzFailure { app: app.name, message: verdict.render().trim_end().to_owned() })
+    let Judged { verdict, bundle, .. } = try_run_app(&setup, app, size, 0);
+    let message = verdict.render().trim_end().to_owned();
+    (!verdict.is_clean()).then_some(FuzzFailure { app: app.name, message, bundle })
 }
 
 /// Checks every kernel of the invocation under `plan`, each probe armed by
@@ -331,6 +334,7 @@ mod tests {
     fn invariant_runner_accepts_a_surviving_crash_plan() {
         let app = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
         let plan = FaultPlan::by_name("crash-one", 11).unwrap();
-        assert_eq!(check_app(&plan, &app, AppSize::Test), None);
+        let failure = check_app(&plan, &app, AppSize::Test);
+        assert!(failure.is_none(), "{failure:?}");
     }
 }

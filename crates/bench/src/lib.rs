@@ -25,10 +25,13 @@ use bigtiny_checker::{
     audit_task_events_mode, check_events, check_run, AuditMode, AuditReport, CheckReport,
 };
 use bigtiny_core::{
-    parallel_invoke, run_task_parallel, DequeKind, Mutation, MutationKind, RuntimeConfig,
+    parallel_invoke, try_run_task_parallel, DequeKind, Mutation, MutationKind, RuntimeConfig,
     RuntimeKind, TaskCx, TaskRun,
 };
-use bigtiny_engine::{AddrSpace, CheckMode, Protocol, SchedulePolicy, ShScalar, SystemConfig};
+use bigtiny_engine::{
+    panic_message, AddrSpace, CheckMode, DiagnosticBundle, Protocol, RunFailure, SchedulePolicy,
+    ShScalar, SystemConfig,
+};
 use bigtiny_obs::{parse_json, verify_attr_spans, CycleConservation, Json};
 
 pub mod cli;
@@ -300,14 +303,15 @@ pub fn run_app(setup: &Setup, app: &AppSpec, size: AppSize, grain: usize) -> App
 ///
 /// # Panics
 ///
-/// Panics on a dirty [`Verdict`], as [`run_app`] does.
+/// Panics on a dirty [`Verdict`], as [`run_app`] does, and raises a failed
+/// run's [`RunFailure`].
 pub fn run_judged(
     setup: &Setup,
     app: &AppSpec,
     size: AppSize,
     grain: usize,
 ) -> (AppResult, Verdict) {
-    let (r, verdict, _) = execute(setup, app, size, grain);
+    let (r, verdict, _) = execute(setup, app, size, grain).unwrap_or_else(|f| f.raise());
     verdict.assert_clean(app.name, &setup.label);
     (r, verdict)
 }
@@ -316,17 +320,17 @@ pub fn run_judged(
 /// ([`Prepared::fingerprint`]).
 pub type Fingerprint = Box<dyn Fn() -> u64 + Send>;
 
-/// Runs and judges, leaving what to do with a dirty verdict to the
-/// caller.
+/// Runs and judges, leaving what to do with a failed run or a dirty
+/// verdict to the caller.
 pub(crate) fn execute(
     setup: &Setup,
     app: &AppSpec,
     size: AppSize,
     grain: usize,
-) -> (AppResult, Verdict, Option<Fingerprint>) {
+) -> Result<(AppResult, Verdict, Option<Fingerprint>), RunFailure> {
     let mut space = AddrSpace::new();
     let prepared = (app.prepare)(&mut space, size, grain);
-    let run = run_task_parallel(&setup.sys, &setup.rt, &mut space, prepared.root);
+    let run = try_run_task_parallel(&setup.sys, &setup.rt, &mut space, prepared.root)?;
     let verdict = judge(setup, app.name, &run, (prepared.verify)());
     let r = AppResult {
         app: app.name,
@@ -336,7 +340,7 @@ pub(crate) fn execute(
         tiny_cores: setup.sys.tiny_cores(),
         run,
     };
-    (r, verdict, prepared.fingerprint)
+    Ok((r, verdict, prepared.fingerprint))
 }
 
 /// One run through [`try_run_app`].
@@ -348,35 +352,27 @@ pub struct Judged {
     /// The kernel's output fingerprint, for kernels whose output is
     /// schedule-deterministic; `None` after a panic.
     pub fingerprint: Option<Fingerprint>,
+    /// The crash-time bundle of a run that failed (a watchdog trip, a
+    /// worker panic); `None` for a run that finished or a panic outside the
+    /// run.
+    pub bundle: Option<DiagnosticBundle>,
 }
 
 /// [`run_app`] for the binaries that report dirty runs: never panics. A
-/// panic in the run (a watchdog trip, a poisoned worker) is caught and
-/// becomes the verdict's finding.
+/// failed run (a watchdog trip, a worker panic) or a panic around it (a
+/// kernel's `prepare`) becomes the verdict's finding.
 pub fn try_run_app(setup: &Setup, app: &AppSpec, size: AppSize, grain: usize) -> Judged {
-    match catch_unwind(AssertUnwindSafe(|| execute(setup, app, size, grain))) {
-        Ok((r, verdict, fingerprint)) => Judged { result: Some(r), verdict, fingerprint },
-        Err(payload) => {
-            let what = format!("panic: {}", panic_message(payload.as_ref()));
-            let findings = vec![Finding { check: Check::Panic, what }];
-            Judged {
-                result: None,
-                verdict: Verdict { findings, drf: None, audit: None },
-                fingerprint: None,
-            }
+    let run = catch_unwind(AssertUnwindSafe(|| execute(setup, app, size, grain)));
+    let (what, bundle) = match run {
+        Ok(Ok((r, verdict, fingerprint))) => {
+            return Judged { result: Some(r), verdict, fingerprint, bundle: None };
         }
-    }
-}
-
-/// The text of a caught panic's payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
+        Ok(Err(failure)) => (failure.to_string(), Some(*failure.bundle)),
+        Err(payload) => (panic_message(payload.as_ref()), None),
+    };
+    let findings = vec![Finding { check: Check::Panic, what: format!("panic: {what}") }];
+    let verdict = Verdict { findings, drf: None, audit: None };
+    Judged { result: None, verdict, fingerprint: None, bundle }
 }
 
 /// The checks of the [`judge`], in the order its findings come back.
@@ -505,7 +501,7 @@ pub fn run_scripted(setup: &Setup, app: &AppSpec, script: &[u32]) -> ScheduleOut
     let mut setup = setup.clone();
     let schedule = SchedulePolicy::Scripted(script.to_vec());
     setup.sys = setup.sys.with_check(CheckMode::Full).with_schedule(schedule);
-    let Judged { result, verdict, fingerprint } = try_run_app(&setup, app, AppSize::Test, 0);
+    let Judged { result, verdict, fingerprint, .. } = try_run_app(&setup, app, AppSize::Test, 0);
     let failure = verdict.findings.iter().find(|f| f.check != Check::Drf);
     let (choices, events) = result
         .map_or_else(Default::default, |r| (r.run.report.choice_points, r.run.report.mem_events));
@@ -826,6 +822,29 @@ mod tests {
         }
     }
 
+    /// `cilk5-nq` whose root waits on a child that spins forever: it trips
+    /// an armed watchdog.
+    pub(crate) fn deadlock(space: &mut AddrSpace, size: AppSize, grain: usize) -> Prepared {
+        let nq = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
+        Prepared {
+            root: Box::new(|cx| {
+                cx.set_pending(1);
+                cx.spawn(|cx| {
+                    while !cx.port().is_done() {
+                        cx.port().wait_cycles(16, bigtiny_engine::TimeCategory::Idle);
+                    }
+                });
+                cx.wait();
+            }),
+            ..(nq.prepare)(space, size, grain)
+        }
+    }
+
+    /// A kernel whose `prepare` panics, before any run starts.
+    pub(crate) fn unprepared(_: &mut AddrSpace, _: AppSize, _: usize) -> Prepared {
+        panic!("prepare exploded")
+    }
+
     /// `cilk5-nq` whose root task panics.
     fn boom(space: &mut AddrSpace, size: AppSize, grain: usize) -> Prepared {
         let nq = bigtiny_apps::app_by_name("cilk5-nq").unwrap();
@@ -854,11 +873,11 @@ mod tests {
             s
         };
         let record_all = armed(true, true, true);
-        let good = execute(&record_all, &nq, AppSize::Test, 0).0.run;
+        let good = execute(&record_all, &nq, AppSize::Test, 0).unwrap().0.run;
         // Without its invalidates and flushes, HCC reads stale data.
         let mut no_coherence = record_all.clone();
         no_coherence.rt.skip_coherence_ops = true;
-        let stale = execute(&no_coherence, &nq, AppSize::Test, 0).0.run;
+        let stale = execute(&no_coherence, &nq, AppSize::Test, 0).unwrap().0.run;
         let lost_event = |mut run: TaskRun| {
             run.task_events.pop();
             run

@@ -6,8 +6,8 @@
 //! runs a kernel × setup matrix under them. [`metrics_doc`] and
 //! [`trace_doc`] are the only places a metrics or Perfetto document is
 //! built; [`write_blackbox`] writes a validated black-box document plus its
-//! Perfetto tail-trace sibling, and [`dump_on_panic`] turns a caught
-//! watchdog/poison panic into one from the engine's crash-time bundle.
+//! Perfetto tail-trace sibling, and [`Harness::dump_bundle`] writes one
+//! from the crash-time bundle a failed run hands back.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -17,7 +17,7 @@ use std::time::Instant;
 use bigtiny_apps::{AppSize, AppSpec};
 use bigtiny_core::RuntimeStats;
 use bigtiny_engine::sync::RwLock;
-use bigtiny_engine::{backend_label, last_bundle, FaultPlan, Heartbeat, HeartbeatSnap};
+use bigtiny_engine::{backend_label, DiagnosticBundle, FaultPlan, Heartbeat, HeartbeatSnap};
 use bigtiny_obs::{
     blackbox_from_bundle, blackbox_from_report, blackbox_tail_trace, export_chrome_trace,
     heartbeat_line, metrics_document, validate_blackbox, validate_chrome_trace, Json, RunMetrics,
@@ -183,11 +183,6 @@ impl Harness {
         self.faults.as_ref().map(|(.., plan)| plan)
     }
 
-    /// The `--blackbox-out` path, if given.
-    pub fn blackbox(&self) -> Option<&str> {
-        self.blackbox.as_deref()
-    }
-
     /// Says on stdout what is armed on every run, one line per mechanism.
     pub fn announce(&self) {
         if let Some((spec, seed, plan)) = &self.faults {
@@ -241,9 +236,8 @@ impl Harness {
     ///
     /// A dirty verdict aborts the matrix, after dumping that run's
     /// flight-recorder tails under `--blackbox-out` (reason
-    /// `dirty_verdict`). A watchdog trip or worker-panic poison that
-    /// unwinds out of the matrix leaves the engine's crash-time bundle
-    /// behind as a dump before the panic is re-raised.
+    /// `dirty_verdict`). So does a failed run (a watchdog trip, a worker
+    /// panic), after dumping the crash-time bundle it handed back.
     pub fn run_matrix(&self, setups: &[Setup]) -> (Vec<AppResult>, Vec<Verdict>) {
         let n = setups.len() * self.apps.len();
         let (mut results, mut verdicts) = (Vec::with_capacity(n), Vec::with_capacity(n));
@@ -252,17 +246,10 @@ impl Harness {
                 let mut setup = setup.clone();
                 self.arm(&mut setup, app.name);
                 let t0 = Instant::now();
-                let run = || execute(&setup, app, self.size, 0);
-                let (r, verdict, _) = match &self.blackbox {
-                    None => run(),
-                    Some(path) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-                        .unwrap_or_else(|panic| {
-                            if !dump_on_panic(path) {
-                                eprintln!("[blackbox] run aborted before any bundle was recorded");
-                            }
-                            std::panic::resume_unwind(panic)
-                        }),
-                };
+                let (r, verdict, _) = execute(&setup, app, self.size, 0).unwrap_or_else(|f| {
+                    self.dump_bundle(Some(&f.bundle));
+                    f.raise()
+                });
                 if !verdict.is_clean() {
                     self.dump_report("dirty_verdict", &setup, &r);
                     verdict.assert_clean(app.name, &setup.label);
@@ -292,6 +279,16 @@ impl Harness {
         let faults = self.faults().unwrap_or(&setup.sys.faults).to_spec();
         let backend = backend_label(&setup.sys);
         write_blackbox(path, &blackbox_from_report(reason, backend, &faults, &r.run.report));
+    }
+
+    /// Under `--blackbox-out`, dumps the crash-time bundle of a failed run,
+    /// or says that the failure left none (it failed only its verdict).
+    pub fn dump_bundle(&self, bundle: Option<&DiagnosticBundle>) {
+        match (&self.blackbox, bundle) {
+            (Some(path), Some(bundle)) => write_blackbox(path, &blackbox_from_bundle(bundle)),
+            (Some(_), None) => eprintln!("[blackbox] failure recorded no bundle (audit-only)"),
+            (None, _) => {}
+        }
     }
 }
 
@@ -360,21 +357,6 @@ pub fn write_blackbox(path: &str, doc: &Json) {
     );
 }
 
-/// Black-box handling for a panic caught around a run: if the engine
-/// recorded a crash-time [`DiagnosticBundle`](bigtiny_engine::DiagnosticBundle)
-/// (watchdog trip or worker-panic poison), dumps it to `path` and returns
-/// `true`. A panic with no bundle (e.g. a harness assertion) returns
-/// `false` untouched.
-pub fn dump_on_panic(path: &str) -> bool {
-    match last_bundle() {
-        Some(bundle) => {
-            write_blackbox(path, &blackbox_from_bundle(&bundle));
-            true
-        }
-        None => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,6 +373,7 @@ mod tests {
                 &cli::HEARTBEAT_OUT,
                 &cli::HEARTBEAT_EVERY,
                 &cli::BLACKBOX_OUT,
+                &cli::WATCHDOG_BUDGET,
             ],
         );
         let env = |name: &str| match name {
@@ -441,13 +424,45 @@ mod tests {
         let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             h.run_matrix(&[Setup::bt_hcc(Protocol::GpuWb, true)])
         }));
-        let msg = crate::panic_message(aborted.expect_err("a dirty run aborts").as_ref());
+        let msg = bigtiny_engine::panic_message(aborted.expect_err("a dirty run aborts").as_ref());
         assert!(
             msg.contains("nq-wrong on b.T/HCC-DTS-gwb") && msg.contains("wrong answer"),
             "{msg}"
         );
         let doc = parse_json(std::fs::read_to_string(path).unwrap().trim()).unwrap();
         assert_eq!(doc.get("reason").and_then(Json::as_str), Some("dirty_verdict"));
+    }
+
+    /// A failed run's dump is that run's own bundle: after a watchdog trip
+    /// has dumped its bundle, a run that fails without one (its `prepare`
+    /// panics) leaves no dump behind.
+    #[test]
+    fn a_crash_dump_names_its_own_run() {
+        let dir = std::env::temp_dir().join("bigtiny-live-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("crash.json");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let mut h = harness(&["--blackbox-out", path, "--watchdog-budget", "20000"]);
+        let setups = [Setup::bt_hcc(Protocol::GpuWb, true)];
+        let mut fail = |name, prepare| {
+            h.apps = vec![AppSpec { name, method: bigtiny_apps::Method::SpawnSync, prepare }];
+            let failed =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.run_matrix(&setups)));
+            bigtiny_engine::panic_message(failed.expect_err("the run fails").as_ref())
+        };
+
+        let msg = fail("nq-deadlock", crate::tests::deadlock);
+        assert!(msg.starts_with(bigtiny_engine::WATCHDOG_MSG), "{msg}");
+        let doc = parse_json(std::fs::read_to_string(path).unwrap().trim()).unwrap();
+        let reason = doc.get("reason").and_then(Json::as_str).unwrap();
+        assert!(reason.starts_with("watchdog(core="), "{reason}");
+        assert_eq!(doc.get("config").and_then(Json::as_str), Some(setups[0].sys.name.as_str()));
+
+        std::fs::remove_file(path).unwrap();
+        let msg = fail("nq-unprepared", crate::tests::unprepared);
+        assert!(msg.contains("prepare exploded"), "{msg}");
+        assert!(!std::path::Path::new(path).exists(), "dumped a bundle of an earlier run");
     }
 
     #[test]

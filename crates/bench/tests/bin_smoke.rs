@@ -11,7 +11,7 @@ use std::process::{Command, Output};
 use bigtiny_bench::cli::{self, Kind};
 use bigtiny_bench::{parse_json_line, JsonScalar, Setup};
 use bigtiny_core::RuntimeKind;
-use bigtiny_engine::Protocol;
+use bigtiny_engine::{Protocol, WATCHDOG_MSG};
 use bigtiny_obs::{parse_json, validate_chrome_trace, METRICS_SCHEMA};
 
 /// Runs a binary with the given env, asserting success; returns stdout.
@@ -477,6 +477,25 @@ fn eval_all_crash_storm_succeeds_without_panic_noise() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Crash-recovery audit"), "no crash was armed:\n{stdout}");
     assert!(!stderr.contains("panicked"), "fail-stops reached the panic hook:\n{stderr}");
+}
+
+/// A watchdog trip prints its cause once: the run exits 101 with one
+/// panic message — `WATCHDOG_MSG`, the bundle, the runtime state — and
+/// none of the poison cascade the other cores unwind with.
+#[test]
+fn eval_all_watchdog_trip_prints_its_cause_once() {
+    let out = Command::new(env!("CARGO_BIN_EXE_eval_all"))
+        .args(["--fault-plan", "hostile", "--fault-seed", "7", "--watchdog-budget", "500"])
+        .envs(TINY.iter().copied())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(101), "a tripped run exits 101:\n{stderr}");
+    assert!(stderr.contains(WATCHDOG_MSG), "no watchdog message:\n{stderr}");
+    assert!(!stderr.contains("simulation poisoned"), "poison cascade on stderr:\n{stderr}");
+    for once in ["panicked at", "watchdog tripped on core", "runtime state:"] {
+        assert_eq!(stderr.matches(once).count(), 1, "`{once}` not exactly once:\n{stderr}");
+    }
 }
 
 #[test]

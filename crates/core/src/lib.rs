@@ -72,7 +72,7 @@ pub use config::{
 };
 pub use deque::SimDeque;
 pub use patterns::{parallel_for, parallel_invoke, parallel_invoke3};
-pub use runtime::{run_task_parallel, TaskCx, TaskRun};
+pub use runtime::{run_task_parallel, try_run_task_parallel, TaskCx, TaskRun};
 pub use task::{TaskBody, TaskId, TaskProfile, TaskRecord, WorkSpan};
 pub use telemetry::{
     Log2Histogram, StealTelemetry, TaskEvent, TaskEventKind, TaskFault, TaskLedger, TaskLife,

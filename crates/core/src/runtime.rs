@@ -57,7 +57,7 @@ use std::sync::Arc;
 
 use bigtiny_coherence::Addr;
 use bigtiny_engine::{
-    run_system, AddrSpace, CorePort, FlightKind, RunReport, SystemConfig, Worker, WATCHDOG_MSG,
+    try_run_system, AddrSpace, CorePort, FlightKind, RunFailure, RunReport, SystemConfig, Worker,
 };
 
 use self::shared::{Join, Role, RtShared, Transport};
@@ -572,14 +572,26 @@ impl<'a> TaskCx<'a> {
 ///
 /// # Panics
 ///
-/// Re-raises panics from task bodies; panics on internal invariant
-/// violations (reference-count underflow, double execution).
+/// Raises a failed run's [`RunFailure`]: re-raises panics from task bodies
+/// (and so internal invariant violations: reference-count underflow,
+/// double execution), and panics with the diagnostics of a watchdog trip.
 pub fn run_task_parallel(
     sys: &SystemConfig,
     cfg: &RuntimeConfig,
     space: &mut AddrSpace,
     root: impl FnOnce(&mut TaskCx<'_>) + Send + 'static,
 ) -> TaskRun {
+    try_run_task_parallel(sys, cfg, space, root).unwrap_or_else(|failure| failure.raise())
+}
+
+/// [`run_task_parallel`], handing a failed run back as a [`RunFailure`]
+/// whose `state` is the runtime's picture at the failure.
+pub fn try_run_task_parallel(
+    sys: &SystemConfig,
+    cfg: &RuntimeConfig,
+    space: &mut AddrSpace,
+    root: impl FnOnce(&mut TaskCx<'_>) + Send + 'static,
+) -> Result<TaskRun, RunFailure> {
     let n = sys.num_cores();
     assert!(n >= 1);
     let rt = Arc::new(RtShared::new(cfg.clone(), space, n, sys.topology(), &sys.faults));
@@ -638,26 +650,12 @@ pub fn run_task_parallel(
         })
         .collect();
 
-    // If the engine's liveness watchdog aborts the run, enrich its
-    // diagnostic bundle with the runtime-level picture (deque depths and
-    // unclaimed mailbox entries) before re-raising: by far the most common
-    // cause of a hung run is work parked where no live worker looks.
-    let report =
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_system(sys, workers))) {
-            Ok(report) => report,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&'static str>().copied());
-                match msg {
-                    Some(m) if m.contains(WATCHDOG_MSG) => {
-                        std::panic::panic_any(format!("{m}{}", rt.describe_state()))
-                    }
-                    _ => std::panic::resume_unwind(payload),
-                }
-            }
-        };
+    // A failed run carries the runtime-level picture (deque depths and
+    // unclaimed mailbox entries) beside the engine's bundle: by far the
+    // most common cause of a hung run is work parked where no live worker
+    // looks.
+    let report = try_run_system(sys, workers)
+        .map_err(|failure| RunFailure { state: rt.describe_state(), ..failure })?;
     let stats = *rt.counters.read();
     let telemetry = rt.tel.read().clone();
     let task_events = match &rt.task_events {
@@ -673,5 +671,5 @@ pub fn run_task_parallel(
         }
         None => Vec::new(),
     };
-    TaskRun { report, stats, telemetry, task_events }
+    Ok(TaskRun { report, stats, telemetry, task_events })
 }

@@ -75,10 +75,10 @@ pub use sequencer::{
     ChoicePoint, PollOp, PollPlan, PollState, PollWake, Section, Sequencer, POLL_SPIN_CYCLES,
 };
 pub use space::{AddrSpace, ShScalar, ShVec};
-pub use system::{run_system, RunReport, UliReport, Worker};
+pub use system::{run_system, try_run_system, RunReport, UliReport, Worker};
 pub use trace::{render_timeline, TraceEvent, UliMark, UliMarkKind};
 pub use watchdog::{
-    last_bundle, last_bundle_for, CoreDiag, DiagnosticBundle, PoisonReason, SeqCoreDiag,
+    panic_message, CoreDiag, DiagnosticBundle, PoisonReason, RunFailure, SeqCoreDiag,
     WatchdogConfig, WATCHDOG_MSG,
 };
 

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use super::CorePort;
 use crate::breakdown::{TimeBreakdown, TimeCategory};
 use crate::config::CoreKind;
-use crate::sequencer::POISON_MSG;
+use crate::sequencer::unwind_poisoned;
 
 /// Entries in each core's store buffer: stores retire into the buffer and
 /// only stall the core when it is full (or at drain points: AMOs, flushes).
@@ -124,7 +124,7 @@ impl CorePort {
             // never takes the sequencer lock, so it must poll the poison
             // flag here or a poisoned run could not unwind it.
             if self.shared.seq.check_poison() {
-                panic!("{}", POISON_MSG);
+                unwind_poisoned();
             }
             // Productive local cycles are liveness evidence for the
             // watchdog's wall-clock fallback; idle spinning is not (it only

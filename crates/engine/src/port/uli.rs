@@ -9,7 +9,7 @@ use crate::breakdown::TimeCategory;
 use crate::event::{MemOp, SyncNote};
 use crate::fault::UliSendFault;
 use crate::flight::FlightKind;
-use crate::sequencer::{PollOp, PollPlan, Section, POISON_MSG, POLL_SPIN_CYCLES};
+use crate::sequencer::{unwind_poisoned, PollOp, PollPlan, Section, POLL_SPIN_CYCLES};
 use crate::system::GlobalState;
 use crate::trace::UliMarkKind;
 
@@ -198,7 +198,7 @@ impl CorePort {
                 }
                 Err(served) => {
                     self.replay_polls(plan, op, served);
-                    panic!("{}", POISON_MSG);
+                    unwind_poisoned();
                 }
             };
             match op {

@@ -39,7 +39,10 @@
 //! grants pass without a progress mark (or the wall-clock monitor thread
 //! sees a core wait while nothing is granted and no core does productive
 //! local work for a whole window) the sequencer is poisoned with
-//! [`PoisonReason::Watchdog`] and every core unwinds.
+//! [`PoisonReason::Watchdog`]. Every core then unwinds with the private
+//! [`Poisoned`] payload, raised by `resume_unwind` so the panic hook stays
+//! quiet: a cascade carries no news, and `run_system` tells it from the
+//! panic that caused the failure by its type.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -49,9 +52,19 @@ use std::time::Duration;
 use crate::flight::{Heartbeat, HeartbeatSnap, LiveCounters};
 use crate::host::Host;
 use crate::sync::Mutex;
-use crate::watchdog::{PoisonReason, SeqCoreDiag, WatchdogConfig, WATCHDOG_MSG};
+use crate::watchdog::{PoisonReason, SeqCoreDiag, WatchdogConfig};
 
-pub(crate) const POISON_MSG: &str = "simulation poisoned by a panic on another core";
+/// What a core unwinds with when the run is poisoned, whoever poisoned it:
+/// the core that trips the watchdog and every core that then observes the
+/// poison. Private, so no worker panic can carry it.
+pub(crate) struct Poisoned;
+
+/// Unwinds the calling core out of a poisoned run with [`Poisoned`],
+/// bypassing the panic hook.
+#[cold]
+pub(crate) fn unwind_poisoned() -> ! {
+    std::panic::resume_unwind(Box::new(Poisoned))
+}
 
 #[derive(Debug, Default, Clone, Copy)]
 struct CoreState {
@@ -470,12 +483,12 @@ impl<S: PollState> Sequencer<S> {
     /// one `wall_ms` window at a time; a window in which
     /// nothing was granted anywhere AND no core did any productive local
     /// work, while some core waits for the token, means the run is stuck,
-    /// not slow. The trip poisons without panicking: the woken cores' own
-    /// `enter` assertions (and the poison poll of purely local spinners)
-    /// raise the panics `run_system` reports as a watchdog diagnostic
-    /// bundle, so the same monitor serves every backend — including a
-    /// single-thread fiber run, which has no second core thread to observe
-    /// the stall from.
+    /// not slow. The trip poisons without unwinding anything itself: the
+    /// woken cores' own `enter` (and the poison poll of purely local
+    /// spinners) unwind them, and `run_system` reports the run as a
+    /// watchdog failure, so the same monitor serves every backend —
+    /// including a single-thread fiber run, which has no second core thread
+    /// to observe the stall from.
     pub(crate) fn watch_wall_clock(&self, stop: Receiver<()>) {
         let Some(wd) = self.watchdog else { return };
         let window = Duration::from_millis(wd.wall_ms);
@@ -695,10 +708,10 @@ impl<S: PollState> Sequencer<S> {
         self.host.wake_all();
     }
 
-    /// Poisons with a watchdog reason and panics on the calling thread.
+    /// Poisons with a watchdog reason and unwinds the calling core.
     fn trip(&self, g: &mut Inner<S>, core: usize, time: u64) -> ! {
         self.poison_locked(g, PoisonReason::Watchdog { core, time });
-        panic!("{WATCHDOG_MSG} (tripped on core {core} at cycle {time})");
+        unwind_poisoned()
     }
 
     /// The checks every entry starts with, before anything is touched: the
@@ -709,7 +722,9 @@ impl<S: PollState> Sequencer<S> {
             "core {core} entered the sequencer at cycle u64::MAX, which the waiting set reserves"
         );
         let g = self.inner.lock();
-        assert!(!g.poisoned, "{}", POISON_MSG);
+        if g.poisoned {
+            unwind_poisoned();
+        }
         g
     }
 
@@ -752,9 +767,10 @@ impl<S: PollState> Sequencer<S> {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation was poisoned by a panic on another core, if
-    /// the armed watchdog finds the simulation stuck, or if `time` is
-    /// `u64::MAX` (reserved by the waiting set).
+    /// Panics if `time` is `u64::MAX` (reserved by the waiting set).
+    /// Unwinds with the private `Poisoned` payload if the simulation was
+    /// poisoned (by a panic on another core or by the watchdog), or if the
+    /// armed watchdog finds the simulation stuck at this grant.
     pub fn enter(&self, core: usize, time: u64) -> Section<'_, S> {
         let mut g = self.lock_to_enter(core, time);
         // Fast re-grant: this core is the only one running, no picked core
@@ -772,7 +788,9 @@ impl<S: PollState> Sequencer<S> {
             g.waiting.set(core, time);
             g.running -= 1;
             g = self.await_pick(g, core, None);
-            assert!(!g.poisoned, "{}", POISON_MSG);
+            if g.poisoned {
+                unwind_poisoned();
+            }
             Self::resume(&mut g, core);
         }
         if self.record_grant(&mut g, core, time) {
@@ -790,7 +808,7 @@ impl<S: PollState> Sequencer<S> {
     /// the watchdog needs the grantee itself — and how many polls were
     /// served before it. The caller owes those polls their local effects.
     ///
-    /// `Err(served)` instead of a poison panic: the run is poisoned, and the
+    /// `Err(served)` instead of unwinding: the run is poisoned, and the
     /// caller must still replay that many polls before it unwinds, so that
     /// its crash report reads as if it had polled by itself.
     ///
@@ -879,7 +897,7 @@ impl<S: PollState> Sequencer<S> {
     }
 
     /// Marks the simulation as failed (a core panicked) and wakes every
-    /// waiting core so its `enter` panics too, unwinding all threads.
+    /// waiting core so its `enter` unwinds too.
     pub fn poison(&self) {
         self.poison_locked(&mut self.inner.lock(), PoisonReason::WorkerPanic);
     }
@@ -1024,7 +1042,7 @@ mod tests {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 drop(seq2.enter(1, 42));
             }));
-            assert!(r.is_err(), "poisoned enter must panic");
+            assert!(r.expect_err("poisoned enter must unwind").is::<Poisoned>());
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         seq.poison();
@@ -1134,8 +1152,7 @@ mod tests {
             }
         }));
         let err = r.expect_err("budget of 10 must trip within 100 grants");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains(WATCHDOG_MSG), "got: {msg}");
+        assert!(err.is::<Poisoned>(), "the trip unwinds with the poison payload");
         assert!(matches!(seq.poison_reason(), Some(PoisonReason::Watchdog { core: 0, .. })));
     }
 
@@ -1157,7 +1174,7 @@ mod tests {
     /// Drives the monitor function directly, as `run_system`'s monitor
     /// thread does: it must stay quiet while nobody waits, trip once a core
     /// has waited a whole window with nothing granted, and wake that core
-    /// into a poison panic.
+    /// to unwind.
     #[test]
     fn wall_clock_fallback_trips_when_nothing_is_granted() {
         let mut seq = on_threads(2, ());
@@ -1176,7 +1193,8 @@ mod tests {
             adopt(seq, 1);
             let r =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(seq.enter(1, 7))));
-            assert!(r.is_err(), "stalled run must trip the wall-clock fallback");
+            let err = r.expect_err("stalled run must trip the wall-clock fallback");
+            assert!(err.is::<Poisoned>());
             monitor.join().expect("the monitor returns once it has tripped");
         });
         assert_eq!(seq.poison_reason(), Some(PoisonReason::Watchdog { core: 1, time: 7 }));
@@ -1518,10 +1536,10 @@ mod tests {
 
     /// Every live core parked, nothing pending, no deadline: the polls are
     /// served in place until the armed grant budget runs out, and the trip
-    /// is raised by the poller itself with the text its own `enter` would
-    /// have produced.
+    /// is raised by the poller itself, at the grant its own `enter` would
+    /// have tripped on.
     #[test]
-    fn grant_budget_trips_on_the_parked_core_with_the_same_text() {
+    fn grant_budget_trips_on_the_parked_core_at_the_same_grant() {
         let trip = |how: Polling| {
             let mut seq = on_threads(2, ());
             seq.set_watchdog(WatchdogConfig { budget: 25, wall_ms: 60_000 });
@@ -1531,14 +1549,11 @@ mod tests {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 poll_until_stopped(&seq, how, 0, plan, (PollOp::Response, 3), &log)
             }));
-            let msg = *r.expect_err("nothing ever answers").downcast::<String>().unwrap();
-            (msg, seq.poison_reason(), seq.total_grants(), seq.in_place_grants())
+            assert!(r.expect_err("nothing ever answers").is::<Poisoned>(), "{how:?}");
+            (seq.poison_reason(), seq.total_grants(), seq.in_place_grants())
         };
-        let (enter_msg, enter_reason, enter_total, _) = trip(Polling::PerOpEnter);
-        let (park_msg, park_reason, park_total, in_place) = trip(Polling::Parked);
-        assert!(enter_msg.contains(WATCHDOG_MSG), "got: {enter_msg}");
-        assert!(enter_msg.contains("tripped on core 0 at cycle "), "got: {enter_msg}");
-        assert_eq!(park_msg, enter_msg);
+        let (enter_reason, enter_total, _) = trip(Polling::PerOpEnter);
+        let (park_reason, park_total, in_place) = trip(Polling::Parked);
         assert_eq!(park_reason, enter_reason);
         assert!(matches!(park_reason, Some(PoisonReason::Watchdog { core: 0, .. })));
         assert_eq!(park_total, enter_total);

@@ -15,11 +15,9 @@ use crate::fault::FaultCounters;
 use crate::flight::{FlightEvent, LiveCounters};
 use crate::host::{self, Body, Host};
 use crate::port::{CorePort, PortReport};
-use crate::sequencer::{ChoicePoint, PollOp, PollState, Sequencer, POISON_MSG};
+use crate::sequencer::{ChoicePoint, Poisoned, PollOp, PollState, Sequencer};
 use crate::sync::Mutex;
-use crate::watchdog::{
-    record_bundle, DiagnosticBundle, PoisonReason, WatchdogConfig, WATCHDOG_MSG,
-};
+use crate::watchdog::{DiagnosticBundle, PoisonReason, RunFailure, WatchdogConfig};
 
 /// All mutable simulated state, owned by the sequencer and reachable only
 /// through the sequenced section a grant returns.
@@ -53,26 +51,29 @@ pub(crate) struct Shared {
 pub type Worker = Box<dyn FnOnce(&mut CorePort) + Send + 'static>;
 
 type PortReports = Mutex<Vec<Option<PortReport>>>;
-type Panics = Mutex<Vec<Box<dyn std::any::Any + Send>>>;
+type Cause = Mutex<Option<Box<dyn std::any::Any + Send>>>;
 
 /// The whole life of one core inside its own execution context (thread or
 /// fiber): run the worker, then retire the core or, if the worker
-/// panicked, poison the run. The report is stored either way: a crash
-/// diagnostic is assembled from the partial ones after every core has
-/// unwound.
+/// unwound, poison the run, keeping the first payload that is not a
+/// poison cascade as the run's cause. The report is stored either way: a
+/// crash diagnostic is assembled from the partial ones after every core
+/// has unwound.
 fn run_core(
     mut port: CorePort,
     worker: Worker,
     shared: &Shared,
     reports: &PortReports,
-    panics: &Panics,
+    cause: &Cause,
 ) {
     let core = port.core();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(&mut port)));
     match result {
         Ok(()) => shared.seq.retire(core),
         Err(payload) => {
-            panics.lock().push(payload);
+            if !payload.is::<Poisoned>() {
+                cause.lock().get_or_insert(payload);
+            }
             shared.seq.poison();
         }
     }
@@ -213,12 +214,24 @@ impl RunReport {
 ///
 /// # Panics
 ///
-/// Panics if `workers.len() != config.num_cores()`, re-raises the first
-/// panic raised by any worker, or — when the configured liveness watchdog
-/// trips — panics with a message starting with
-/// [`WATCHDOG_MSG`](crate::WATCHDOG_MSG) followed by a rendered
+/// Panics if `workers.len() != config.num_cores()`, and raises a failed
+/// run's [`RunFailure`]: the worker's own panic, or a watchdog trip's
+/// message, [`WATCHDOG_MSG`](crate::WATCHDOG_MSG) followed by the rendered
 /// [`DiagnosticBundle`].
 pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
+    try_run_system(config, workers).unwrap_or_else(|failure| failure.raise())
+}
+
+/// [`run_system`], handing a failed run back as a [`RunFailure`]: a worker
+/// panicked or the watchdog tripped.
+///
+/// # Panics
+///
+/// Panics if `workers.len() != config.num_cores()`.
+pub fn try_run_system(
+    config: &SystemConfig,
+    workers: Vec<Worker>,
+) -> Result<RunReport, RunFailure> {
     assert_eq!(workers.len(), config.num_cores(), "one worker per core required");
     // Fault injection can drop ULI messages after the sender has already
     // recorded the send, which would break the checker's FIFO pairing of
@@ -254,12 +267,12 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
     let shared = Arc::new(Shared { seq, live });
 
     let reports: PortReports = Mutex::new((0..num_cores).map(|_| None).collect());
-    let panics: Panics = Mutex::new(Vec::new());
+    let cause: Cause = Mutex::new(None);
     let bodies: Vec<Body<'_>> = (workers.into_iter().enumerate())
         .map(|(core, worker)| {
             let port = CorePort::new(core, config, &shared);
-            let (shared, reports, panics) = (&*shared, &reports, &panics);
-            Box::new(move || run_core(port, worker, shared, reports, panics)) as Body<'_>
+            let (shared, reports, cause) = (&*shared, &reports, &cause);
+            Box::new(move || run_core(port, worker, shared, reports, cause)) as Body<'_>
         })
         .collect();
 
@@ -276,30 +289,13 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         shared.seq.host().launch(config.core_stack_bytes(), bodies);
     });
 
-    let mut panics = std::mem::take(&mut *panics.lock());
-    if !panics.is_empty() {
-        // Every thread has unwound and stored its partial report, so the
-        // diagnostic bundle is crash-consistent. Record it in the
-        // engine-global black-box ring *before* panicking: the panic
-        // payload is a rendered string, and harnesses that catch it
-        // retrieve the structured bundle via `last_bundle_for` to write a
-        // loadable black-box dump.
-        let bundle = build_bundle(config, host::label(backend), &shared, &reports.lock());
-        let watchdog = matches!(bundle.reason, PoisonReason::Watchdog { .. });
-        record_bundle(bundle.clone());
-        if watchdog {
-            panic!("{WATCHDOG_MSG}\n{bundle}");
-        }
-        // Re-raise the most meaningful panic (prefer original over cascaded
-        // poison panics).
-        let idx = panics
-            .iter()
-            .position(|p| {
-                p.downcast_ref::<&str>().is_none_or(|s| !s.contains(POISON_MSG))
-                    && p.downcast_ref::<String>().is_none_or(|s| !s.contains(POISON_MSG))
-            })
-            .unwrap_or(0);
-        std::panic::resume_unwind(panics.swap_remove(idx));
+    if let Some(reason) = shared.seq.poison_reason() {
+        // Every core has unwound (or retired) and stored its partial
+        // report, so the diagnostic bundle is crash-consistent. A trip is
+        // its own cause; a worker panic's is the payload kept above.
+        let bundle = build_bundle(config, reason, host::label(backend), &shared, &reports.lock());
+        let panic = cause.lock().take().filter(|_| reason == PoisonReason::WorkerPanic);
+        return Err(RunFailure { bundle: Box::new(bundle), panic, state: String::new() });
     }
 
     let mut reports: Vec<PortReport> =
@@ -336,7 +332,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         bytes: st.uli.stats().bytes(bigtiny_mesh::TrafficClass::Uli),
         utilization: st.uli.stats().utilization(completion.max(1), uli_links),
     };
-    RunReport {
+    Ok(RunReport {
         config_name: config.name.clone(),
         completion_cycles: completion,
         core_cycles: reports.iter().map(|r| r.clock).collect(),
@@ -359,7 +355,7 @@ pub fn run_system(config: &SystemConfig, workers: Vec<Worker>) -> RunReport {
         choice_points,
         flight: reports.iter_mut().map(|r| take(&mut r.recording.flight)).collect(),
         flight_totals: reports.iter().map(|r| r.recording.flight_total).collect(),
-    }
+    })
 }
 
 /// Reconstructs sequenced order from the per-core checker buffers. Under
@@ -403,13 +399,13 @@ fn merge_events(schedule: &SchedulePolicy, buffers: Vec<Vec<(u64, MemEvent)>>) -
 /// have joined.
 fn build_bundle(
     config: &SystemConfig,
+    reason: PoisonReason,
     backend: &str,
     shared: &Shared,
     reports: &[Option<PortReport>],
 ) -> DiagnosticBundle {
     // Sequencer diagnostics first: `state()` holds the lock they all take.
     let seq_diag = shared.seq.core_diag();
-    let reason = shared.seq.poison_reason().unwrap_or(PoisonReason::WorkerPanic);
     let st = shared.seq.state();
     let cores = reports
         .iter()
@@ -607,7 +603,7 @@ mod tests {
 
     /// A panic raised *inside* a sequenced closure unwinds through the held
     /// section guard, whose drop must free the token: on every backend the
-    /// run ends (no hang), re-raises the original panic, and still collects
+    /// run ends (no hang), hands back the original panic, and still collects
     /// every core's partial report for the crash bundle.
     #[test]
     fn panic_inside_a_sequenced_section_propagates() {
@@ -619,7 +615,6 @@ mod tests {
         for &backend in backends {
             let mut config = small_config(Protocol::Mesi);
             config.backend = backend;
-            config.name = format!("boom-in-section-{backend:?}");
             let workers: Vec<Worker> = (0..4usize)
                 .map(|core| {
                     Box::new(move |port: &mut CorePort| {
@@ -636,13 +631,9 @@ mod tests {
                     }) as Worker
                 })
                 .collect();
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_system(&config, workers)
-            }));
-            let err = r.expect_err("panic must propagate");
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert!(msg.contains("boom in section"), "{backend:?} got: {msg}");
-            let bundle = crate::last_bundle_for(&config.name).expect("crash bundle recorded");
+            let failure = try_run_system(&config, workers).expect_err("panic must propagate");
+            assert_eq!(failure.to_string(), "boom in section", "{backend:?}");
+            let bundle = failure.bundle;
             assert_eq!(bundle.reason, PoisonReason::WorkerPanic, "{backend:?}");
             assert_eq!(bundle.cores.len(), 4, "{backend:?}: every core reported");
             assert!(bundle.cores[2].seq.grants > 0, "{backend:?}");

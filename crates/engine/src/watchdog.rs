@@ -19,25 +19,27 @@
 //!   non-deterministic and exists only to guarantee termination.
 //!
 //! On a trip the sequencer is poisoned with [`PoisonReason::Watchdog`],
-//! every core thread unwinds, and [`run_system`](crate::run_system)
-//! panics with a rendered [`DiagnosticBundle`]: per-core clocks,
-//! instruction counts, sequencer state, in-flight ULI state, and the last
-//! few trace events per core (when tracing is enabled).
+//! every core unwinds, and [`try_run_system`](crate::try_run_system)
+//! hands its caller a [`RunFailure`] in place of the report. It carries a
+//! [`DiagnosticBundle`]: per-core clocks, instruction counts, sequencer
+//! state, in-flight ULI state, and the last few trace events per core
+//! (when tracing is enabled). [`run_system`](crate::run_system) panics
+//! with the failure rendered.
 //!
 //! The watchdog is **off by default** ([`SystemConfig::watchdog_budget`]
 //! `= None`): golden-path runs are untouched.
+
+use std::any::Any;
 
 use bigtiny_mesh::UliCoreState;
 
 use crate::breakdown::TimeCategory;
 use crate::flight::FlightEvent;
 use crate::port::PortReport;
-use crate::sync::Mutex;
 use crate::trace::TraceEvent;
 
-/// Prefix of the panic message raised when the watchdog trips. Callers
-/// (e.g. the runtime layer) match on this to recognise a watchdog abort
-/// and enrich the diagnostic before re-raising.
+/// First line of a rendered watchdog [`RunFailure`], and so of the panic
+/// message of a trip that nobody catches.
 pub const WATCHDOG_MSG: &str = "watchdog: simulation made no progress within its budget";
 
 /// Why the sequencer was poisoned.
@@ -157,44 +159,48 @@ impl DiagnosticBundle {
     }
 }
 
-/// How many bundles the engine-global black-box ring retains.
-const BUNDLE_RING: usize = 16;
-
-/// Engine-global ring of the most recent [`DiagnosticBundle`]s. A watchdog
-/// trip surfaces as a *panic* out of [`run_system`](crate::run_system), so
-/// the bundle itself would be lost to the caller (the panic payload is a
-/// rendered string); the engine records it here first, and harnesses that
-/// caught the panic retrieve it with [`last_bundle_for`] to write a
-/// black-box dump. Bounded and process-wide; entries are keyed by config
-/// name so concurrent tests do not race each other's retrievals.
-fn bundle_ring() -> &'static Mutex<Vec<DiagnosticBundle>> {
-    static RING: std::sync::OnceLock<Mutex<Vec<DiagnosticBundle>>> = std::sync::OnceLock::new();
-    RING.get_or_init(|| Mutex::new(Vec::new()))
+/// A failed run, handed back to whoever started it in place of its
+/// [`RunReport`](crate::RunReport).
+#[derive(Debug)]
+pub struct RunFailure {
+    /// The crash-consistent snapshot, assembled after every core unwound.
+    /// Its `reason` says whether the watchdog tripped or a worker panicked.
+    pub bundle: Box<DiagnosticBundle>,
+    /// The payload of the worker panic that failed the run; `None` when the
+    /// watchdog tripped.
+    pub panic: Option<Box<dyn Any + Send>>,
+    /// What the layer that drove the workers knew at the failure (the task
+    /// runtime's deques and counters), rendered after the bundle.
+    pub state: String,
 }
 
-/// Records `bundle` in the engine-global black-box ring (called by
-/// `run_system` before it panics with the rendered bundle).
-pub(crate) fn record_bundle(bundle: DiagnosticBundle) {
-    let mut ring = bundle_ring().lock();
-    if ring.len() >= BUNDLE_RING {
-        ring.remove(0);
+impl RunFailure {
+    /// Ends the caller as an uncaught failure would: a worker panic resumes
+    /// with its own payload, a watchdog trip panics with the failure
+    /// rendered.
+    pub fn raise(mut self) -> ! {
+        match self.panic.take() {
+            Some(payload) => std::panic::resume_unwind(payload),
+            None => panic!("{self}"),
+        }
     }
-    ring.push(bundle);
 }
 
-/// The most recently recorded [`DiagnosticBundle`] whose config name is
-/// `config_name`, if any. Non-destructive: repeated calls return the same
-/// bundle, and bundles from other configurations (e.g. parallel tests) are
-/// left untouched.
-pub fn last_bundle_for(config_name: &str) -> Option<DiagnosticBundle> {
-    bundle_ring().lock().iter().rev().find(|b| b.config_name == config_name).cloned()
+/// A worker panic renders as its own message; a watchdog trip as
+/// [`WATCHDOG_MSG`], the bundle, then the runtime state.
+impl std::fmt::Display for RunFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.panic {
+            Some(payload) => f.write_str(&panic_message(payload.as_ref())),
+            None => write!(f, "{WATCHDOG_MSG}\n{}{}", self.bundle, self.state),
+        }
+    }
 }
 
-/// The most recently recorded [`DiagnosticBundle`] from any run in this
-/// process, if any. Prefer [`last_bundle_for`] when the config name is
-/// known (it is immune to interleaving from concurrent runs).
-pub fn last_bundle() -> Option<DiagnosticBundle> {
-    bundle_ring().lock().last().cloned()
+/// The text of a caught panic's payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    text.or(payload.downcast_ref::<&str>().copied()).unwrap_or("non-string panic payload").into()
 }
 
 impl std::fmt::Display for DiagnosticBundle {

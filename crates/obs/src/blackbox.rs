@@ -4,9 +4,9 @@
 //! The engine's always-on per-core flight recorder keeps the last
 //! [`bigtiny_engine::SystemConfig::flight_ring`] events of every core. On
 //! a watchdog trip or worker panic the engine snapshots everything into a
-//! [`DiagnosticBundle`]; harnesses retrieve it with
-//! [`bigtiny_engine::last_bundle_for`] and call [`blackbox_from_bundle`]
-//! to write the dump. A *clean* run that nevertheless needs forensics (a
+//! [`DiagnosticBundle`] and hands it back to the run's caller inside a
+//! [`RunFailure`](bigtiny_engine::RunFailure); harnesses call
+//! [`blackbox_from_bundle`] on it to write the dump. A *clean* run that nevertheless needs forensics (a
 //! dirty crash audit, an explicit `--blackbox-out`) dumps straight from
 //! its [`RunReport`] via [`blackbox_from_report`].
 //!

@@ -79,6 +79,8 @@ run eval_all.spec $nq "$bin/eval_all" --fault-plan crash_cores=0x20,crash_at=150
 run eval_all.heartbeat $nq "$bin/eval_all" --heartbeat-out heartbeat.jsonl --heartbeat-every 500 \
     --blackbox-out blackbox.json
 run eval_all.watchdog $nq "$bin/eval_all" --fault-plan hostile --fault-seed 7 --watchdog-budget 500
+run eval_all.watchdog_blackbox $nq "$bin/eval_all" --fault-plan hostile --fault-seed 7 \
+    --watchdog-budget 500 --blackbox-out wd_blackbox.json
 run eval_all.threads $nq BIGTINY_BACKEND=threads "$bin/eval_all" --metrics-out threads_metrics.json
 run eval_all.256 $nq "$bin/eval_all" --setups-256 --fault-plan crash-storm --fault-seed 1 \
     --metrics-out m256_metrics.json
@@ -110,7 +112,8 @@ run tail_run "$bin/tail_run" --once heartbeat.jsonl
 # Every artifact through the strict parser.
 for doc in eval_all.jsonl eval_metrics.json eval_trace.json hostile.jsonl crash.jsonl \
     crash_metrics.json heartbeat.jsonl threads_metrics.json m256_metrics.json deque_metrics.json \
-    profile_metrics.json profile_trace.json check_verdicts.json mc_verdicts.json; do
+    profile_metrics.json profile_trace.json check_verdicts.json mc_verdicts.json \
+    wd_blackbox.json; do
     run "json_check.$doc" "$bin/json_check" "$doc"
 done
 

@@ -1,7 +1,7 @@
 //! Black-box dump and heartbeat-stream contracts.
 //!
 //! A watchdog-tripped run must leave a usable flight-recorder dump behind:
-//! the engine's bundle ring retains the crash-time state, the obs layer
+//! the failure it hands back carries the crash-time state, the obs layer
 //! serializes it into a valid `bigtiny-obs-blackbox-v1` document with
 //! non-empty, time-ordered per-core tails, and the whole artifact is
 //! deterministic — the same hang reruns to the same dump, and (the
@@ -10,14 +10,13 @@
 //! in-band field is a function of the grant stream and replays bit-for-bit,
 //! while wall-clock extras ride out-of-band.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, Setup};
 use bigtiny_engine::{
-    last_bundle_for, run_system, ExecBackend, Heartbeat, PoisonReason, Protocol, SystemConfig,
-    TimeCategory, Worker,
+    try_run_system, ExecBackend, Heartbeat, PoisonReason, Protocol, SystemConfig, TimeCategory,
+    Worker,
 };
 use bigtiny_obs::{
     blackbox_from_bundle, blackbox_tail_trace, validate_blackbox, validate_chrome_trace,
@@ -44,13 +43,9 @@ fn trip_and_dump(backend: ExecBackend, config_name: &str) -> String {
     let mut config = SystemConfig::o3(4).with_watchdog(5_000).with_backend(backend);
     config.name = config_name.to_owned();
     config.watchdog_wall_ms = 60_000;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_system(&config, idle_spin_workers(4));
-    }));
-    result.expect_err("a progress-free spin must trip the grant-budget watchdog");
-
-    let bundle = last_bundle_for(config_name)
-        .expect("the watchdog abort must deposit a bundle in the engine ring");
+    let bundle = try_run_system(&config, idle_spin_workers(4))
+        .expect_err("a progress-free spin must trip the grant-budget watchdog")
+        .bundle;
     assert!(
         matches!(bundle.reason, PoisonReason::Watchdog { .. }),
         "bundle records the trip reason: {:?}",

@@ -15,10 +15,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use bigtiny_apps::{app_by_name, AppSize};
-use bigtiny_bench::{panic_message, run_app, run_judged, Setup};
+use bigtiny_bench::{run_app, run_judged, Setup};
 use bigtiny_checker::kernel_is_duplicate_safe;
 use bigtiny_core::{run_task_parallel, DequeKind, RuntimeConfig, RuntimeKind, TaskRun};
-use bigtiny_engine::{AddrSpace, FaultPlan, Protocol, SystemConfig, TimeCategory, WATCHDOG_MSG};
+use bigtiny_engine::{
+    panic_message, AddrSpace, FaultPlan, Protocol, SystemConfig, TimeCategory, WATCHDOG_MSG,
+};
 use bigtiny_mesh::{MeshConfig, Topology, UliNetwork, UliOutcome};
 
 /// A named fault plan ([`FaultPlan::by_name`]).

@@ -11,14 +11,12 @@
 //! A moved pin (`tests/pins/document.txt`) means an artifact changed shape
 //! for every downstream reader: find out why before re-pinning.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use bigtiny_apps::{app_by_name, AppSize};
 use bigtiny_bench::{run_app, AppResult, Setup};
 use bigtiny_engine::hash::fnv1a;
 use bigtiny_engine::{
-    last_bundle_for, run_system, FaultPlan, HeartbeatSnap, Protocol, SeqCoreDiag, SystemConfig,
-    TimeCategory, Worker,
+    try_run_system, FaultPlan, HeartbeatSnap, Protocol, SeqCoreDiag, SystemConfig, TimeCategory,
+    Worker,
 };
 use bigtiny_obs::{
     blackbox_from_bundle, blackbox_from_report, blackbox_tail_trace, export_chrome_trace,
@@ -83,11 +81,8 @@ fn tripped_bundle_doc() -> Json {
             })
         })
         .collect();
-    catch_unwind(AssertUnwindSafe(|| {
-        run_system(&config, workers);
-    }))
-    .expect_err("a progress-free spin trips the watchdog");
-    blackbox_from_bundle(&last_bundle_for(name).expect("the trip deposits a bundle"))
+    let failure = try_run_system(&config, workers).expect_err("a progress-free spin trips");
+    blackbox_from_bundle(&failure.bundle)
 }
 
 fn heartbeat_snap() -> HeartbeatSnap {
