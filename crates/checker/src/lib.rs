@@ -16,7 +16,7 @@
 //! 1. **Happens-before** ([`ViolationKind::HbRace`]) — a vector-clock
 //!    race detector. Sync edges come from AMOs
 //!    (acquire-release on the word's sync clock), deque release stores
-//!    (marked by [`SyncNote::DequeRelease`]), ULI request/response
+//!    (marked by [`SyncNote::DequeRelease`](bigtiny_engine::SyncNote::DequeRelease)), ULI request/response
 //!    delivery, and the join-counter spin (a [`RacyTag::RcWaitLoop`] load
 //!    acquires the counter's sync clock — the paper's argument for why the
 //!    plain spin is safe). Audited benign-race loads are race-exempt.

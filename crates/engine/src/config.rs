@@ -131,7 +131,7 @@ pub struct SystemConfig {
     /// Record per-core execution traces (see [`crate::render_timeline`]).
     pub trace: bool,
     /// Record per-task attribution spans (see [`crate::AttrSpan`]): which
-    /// task each core's cycles belong to, with a full [`TimeBreakdown`]
+    /// task each core's cycles belong to, with a full [`TimeBreakdown`](crate::TimeBreakdown)
     /// per span. Off by default; recording only reads already-computed
     /// clocks and is bit-for-bit invisible to simulated timing.
     pub attr: bool,

@@ -388,8 +388,8 @@ pub struct HeartbeatSnap {
     /// Grants taken through the inline fast re-grant path (out-of-band:
     /// fast-path eligibility depends on host thread timing).
     pub fast_grants: u64,
-    /// Maximum core clock published to [`LiveCounters`] (0 when live
-    /// counters are not armed).
+    /// Maximum core clock published to the live counters (0 when they
+    /// are not armed).
     pub max_clock: u64,
     /// Live per-category cycle sums across cores, in
     /// [`TIME_CATEGORIES`] order.

@@ -101,8 +101,9 @@ struct ScriptState {
     choices: Vec<ChoicePoint>,
 }
 
-/// [`WaitTree`]'s in-band "this core is not waiting" time. No core can wait
-/// at it: [`Sequencer::enter`] rejects it before touching the tree.
+/// [`WaitTree`]'s in-band "this core is not waiting" key. No core's key
+/// reaches it: [`Sequencer::enter`] rejects a time past
+/// [`WaitTree::max_time`] before touching the tree.
 const NOT_WAITING: u64 = u64::MAX;
 
 /// `Inner::current` until every core has arrived: a pick no core is, so no
@@ -213,70 +214,93 @@ pub struct PollWake<'a, S> {
     pub served: u64,
 }
 
-/// The cores blocked in `enter`: a fixed, array-backed winner (tournament)
-/// tree. Insert and remove replay one leaf-to-root path (`log2(cores)`
-/// compares), the minimum is the root, and nothing allocates after
-/// construction.
+/// The cores blocked in `enter`, and the runner: a fixed, array-backed
+/// winner (tournament) tree. Setting a key replays one leaf-to-root path
+/// (`log2(cores)` levels of one compare and one select each), the minimum
+/// is the root, and nothing allocates after construction.
 #[derive(Debug)]
 struct WaitTree {
     /// The implicit tree: node 1 is the root, node `i` has children `2i`
     /// and `2i + 1`, and node `node.len() / 2 + c` is core `c`'s leaf. A
-    /// leaf holds `(time, c)` while `c` waits at `time`, `(NOT_WAITING, c)`
+    /// leaf holds `c`'s key `time << bits | c` while `c` waits at `time`
+    /// (or runs on the token it was granted at `time`), [`NOT_WAITING`]
     /// otherwise; an internal node holds the minimum of its children. Keys
     /// order by time, then core id — the lowest-core-id rule of
-    /// [`SchedulePolicy::MinCore`] — so a padding leaf (there to make the
-    /// leaf count a power of two) loses even to an idle real core.
-    node: Vec<(u64, usize)>,
+    /// [`SchedulePolicy::MinCore`] — and a padding leaf (there to make the
+    /// leaf count a power of two) never holds anything but `NOT_WAITING`.
+    node: Vec<u64>,
+    /// The low bits of a key that hold the core: log2 of the leaf count.
+    bits: u32,
 }
 
 impl WaitTree {
     fn new(num_cores: usize) -> Self {
         let leaves = num_cores.next_power_of_two().max(2);
-        let mut node = vec![(NOT_WAITING, 0); 2 * leaves];
-        for core in 0..leaves {
-            node[leaves + core].1 = core;
-        }
-        // Every time ties, so every minimum is the left child.
-        for i in (1..leaves).rev() {
-            node[i] = node[2 * i];
-        }
-        WaitTree { node }
+        WaitTree { node: vec![NOT_WAITING; 2 * leaves], bits: leaves.trailing_zeros() }
     }
 
-    /// Sets `core`'s wait time ([`NOT_WAITING`] removes it) and replays its
-    /// path to the root.
+    /// The latest time a key can hold: every key of a later one would reach
+    /// [`NOT_WAITING`].
+    fn max_time(&self) -> u64 {
+        (NOT_WAITING >> self.bits) - 1
+    }
+
+    fn key(&self, core: usize, time: u64) -> u64 {
+        debug_assert!(time <= self.max_time(), "cycle {time} does not fit a key");
+        time << self.bits | core as u64
+    }
+
+    /// `(time, core)` of a key other than [`NOT_WAITING`].
+    fn unkey(&self, key: u64) -> (u64, usize) {
+        (key >> self.bits, (key & ((1 << self.bits) - 1)) as usize)
+    }
+
+    /// Sets `core`'s key to `time` and replays its path to the root.
     fn set(&mut self, core: usize, time: u64) {
+        self.replay(core, self.key(core, time));
+    }
+
+    /// Sets `core`'s leaf to [`NOT_WAITING`] and replays its path.
+    fn clear(&mut self, core: usize) {
+        self.replay(core, NOT_WAITING);
+    }
+
+    fn replay(&mut self, core: usize, mut key: u64) {
         let mut i = self.node.len() / 2 + core;
-        let (mut t, mut c) = (time, core);
-        self.node[i] = (t, c);
+        self.node[i] = key;
         while i > 1 {
             // Which of two waiters is earlier is a coin flip, and the next
             // level up needs the answer: select, never branch.
-            let (ts, cs) = self.node[i ^ 1];
-            let sibling_first = (ts, cs) < (t, c);
-            t = std::hint::select_unpredictable(sibling_first, ts, t);
-            c = std::hint::select_unpredictable(sibling_first, cs, c);
+            let sibling = self.node[i ^ 1];
+            key = std::hint::select_unpredictable(sibling < key, sibling, key);
             i /= 2;
-            self.node[i] = (t, c);
+            self.node[i] = key;
         }
     }
 
-    /// The time `core` waits at, if it waits.
+    /// The time `core`'s leaf holds, if any.
     fn waiting_at(&self, core: usize) -> Option<u64> {
-        Some(self.node[self.node.len() / 2 + core].0).filter(|&t| t != NOT_WAITING)
+        let key = self.node[self.node.len() / 2 + core];
+        (key != NOT_WAITING).then(|| self.unkey(key).0)
     }
 
-    /// The waiter with the minimum `(time, core)`.
+    /// Whether `core`'s key, at `time`, is the minimum.
+    fn leads(&self, core: usize, time: u64) -> bool {
+        self.node[1] == self.key(core, time)
+    }
+
+    /// The minimum `(time, core)`.
     fn first(&self) -> Option<(u64, usize)> {
-        Some(self.node[1]).filter(|&(t, _)| t != NOT_WAITING)
+        (self.node[1] != NOT_WAITING).then(|| self.unkey(self.node[1]))
     }
 
-    /// Every waiter as `(time, core)`, in ascending core order.
+    /// Every set leaf as `(time, core)`, in ascending core order.
     fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.node[self.node.len() / 2..].iter().copied().filter(|&(t, _)| t != NOT_WAITING)
+        let leaves = &self.node[self.node.len() / 2..];
+        leaves.iter().filter(|&&key| key != NOT_WAITING).map(|&key| self.unkey(key))
     }
 
-    /// The cores waiting at exactly `time`, in ascending core order.
+    /// The cores whose leaf holds exactly `time`, in ascending core order.
     fn tied_at(&self, time: u64) -> Vec<usize> {
         self.iter().filter(|&(t, _)| t == time).map(|(_, c)| c).collect()
     }
@@ -294,6 +318,12 @@ struct Inner<S> {
     in_place_grants: u64,
     /// Cores currently executing user code (not waiting, not retired).
     running: usize,
+    /// The core granted the token and resumed, until its next `enter`,
+    /// `park_poll` or `retire`. Its leaf keeps its grant key meanwhile —
+    /// still the minimum, since nothing else is picked while it runs — so
+    /// its next entry replays the tree once, whichever way that grant goes.
+    /// Every diagnostic masks it: it is not waiting.
+    runner: Option<usize>,
     /// Core picked for the token but not yet resumed: set by `pick_next`,
     /// cleared by the picked core when it wakes up in `enter`. From then on
     /// `running > 0` is what keeps a second pick from happening. Starts as
@@ -328,6 +358,8 @@ fn fold_grant(h: u64, time: u64, core: usize) -> u64 {
 #[derive(Debug)]
 pub struct Sequencer<S> {
     inner: Mutex<Inner<S>>,
+    /// The waiting set's [`WaitTree::max_time`], readable before the lock.
+    max_time: u64,
     watchdog: Option<WatchdogConfig>,
     /// Grants since the last progress mark (watchdog budget counter).
     since_progress: AtomicU64,
@@ -410,13 +442,16 @@ impl<S: PollState> Sequencer<S> {
     /// `host`, that owns the sequenced `state`.
     pub(crate) fn new(num_cores: usize, host: Host, state: S) -> Self {
         assert!(num_cores > 0);
+        let waiting = WaitTree::new(num_cores);
         Sequencer {
+            max_time: waiting.max_time(),
             inner: Mutex::new(Inner {
                 state,
-                waiting: WaitTree::new(num_cores),
+                waiting,
                 parked: vec![None; num_cores],
                 in_place_grants: 0,
                 running: num_cores,
+                runner: None,
                 current: Some(START_WAVE),
                 poisoned: false,
                 reason: None,
@@ -507,11 +542,12 @@ impl<S: PollState> Sequencer<S> {
                 return;
             }
             // Only a core still waiting for the token can be stuck: with
-            // the waiting set empty (or its one member already picked and
-            // about to wake) the run is starting up, finishing, or busy in
-            // host code nobody is blocked on.
-            let current = g.current;
-            let stuck = g.waiting.iter().filter(|&(_, c)| current != Some(c)).min();
+            // no leaf set but the runner's (or the picked core's, about to
+            // wake) the run is starting up, finishing, or busy in host code
+            // nobody is blocked on.
+            let (current, runner) = (g.current, g.runner);
+            let stuck =
+                (g.waiting.iter()).filter(|&(_, c)| current != Some(c) && runner != Some(c)).min();
             if let Some((time, core)) = stuck {
                 self.poison_locked(&mut g, PoisonReason::Watchdog { core, time });
                 return;
@@ -555,20 +591,13 @@ impl<S: PollState> Sequencer<S> {
         Some(chosen)
     }
 
-    /// Whether a sole running `core` entering at `time` is granted inline:
-    /// every waiter sits at a later `(time, core)`, so a pick would hand
-    /// the token right back. Under `Scripted`, a time tie with the earliest
-    /// waiter is a choice point the script decides and the run records, so
-    /// only a strictly earlier time qualifies; `MinCore` can take the tie —
-    /// `(time, core) < min` already encodes its lowest-core-id rule.
-    fn regrant_ok(g: &Inner<S>, core: usize, time: u64) -> bool {
-        g.waiting.first().is_none_or(|min| {
-            if g.script.is_none() {
-                (time, core) < min
-            } else {
-                time < min.0
-            }
-        })
+    /// Whether `core`, its leaf just set to `time`, is what a pick would
+    /// take without asking anyone: the waiting set's minimum — under
+    /// `MinCore` that already encodes the lowest-core-id tie rule — and,
+    /// under `Scripted`, alone at its time, since a tie is a choice point
+    /// the script decides and the run records.
+    fn ahead(g: &Inner<S>, core: usize, time: u64) -> bool {
+        g.waiting.leads(core, time) && (g.script.is_none() || g.waiting.tied_at(time).len() == 1)
     }
 
     /// Whether no core runs and none is picked; closes the start-up wave.
@@ -586,17 +615,15 @@ impl<S: PollState> Sequencer<S> {
     /// own `enter` calls would have done: picked out of the waiting set, its
     /// poll is a hand-off grant; from then on it is the sole running core,
     /// and each next poll is a fast re-grant while it stays ahead of every
-    /// other waiter and a wait in the set once it does not. `runner` on
+    /// other waiter and a wait in the set once it does not. `regranted` on
     /// entry is a core parking with its first poll eligible for the fast
     /// re-grant.
     ///
     /// A served poller is re-keyed at once (one replay per poll, and the
     /// waiting set is accurate whenever anyone looks): it has stayed ahead
-    /// exactly if it is still the set's minimum — alone at its time, under
-    /// `Scripted`.
-    fn dispatch(&self, g: &mut Inner<S>, runner: Option<usize>) -> Option<usize> {
-        debug_assert!(g.running == 0 && g.current.is_none());
-        let mut regranted = runner;
+    /// exactly if [`Self::ahead`] still holds.
+    fn dispatch(&self, g: &mut Inner<S>, mut regranted: Option<usize>) -> Option<usize> {
+        debug_assert!(g.running == 0 && g.current.is_none() && g.runner.is_none());
         loop {
             let core = match regranted.take() {
                 Some(core) => {
@@ -612,9 +639,7 @@ impl<S: PollState> Sequencer<S> {
             g.current = None;
             let time = g.parked[core].expect("only a parked core is served").time;
             g.waiting.set(core, time);
-            let ahead = g.waiting.first() == Some((time, core))
-                && (g.script.is_none() || g.waiting.tied_at(time).len() == 1);
-            regranted = ahead.then_some(core);
+            regranted = Self::ahead(g, core, time).then_some(core);
         }
     }
 
@@ -657,6 +682,7 @@ impl<S: PollState> Sequencer<S> {
     /// the sink.
     #[must_use]
     fn record_grant(&self, g: &mut Inner<S>, core: usize, time: u64) -> bool {
+        debug_assert_eq!(g.waiting.waiting_at(core), Some(time), "a grant keeps its key");
         g.cores[core].grants += 1;
         g.cores[core].last_time = time;
         g.op_hash = fold_grant(g.op_hash, time, core);
@@ -718,8 +744,10 @@ impl<S: PollState> Sequencer<S> {
     /// time is one the waiting set can hold, and the run is not poisoned.
     fn lock_to_enter(&self, core: usize, time: u64) -> MutexGuard<'_, Inner<S>> {
         assert!(
-            time != NOT_WAITING,
-            "core {core} entered the sequencer at cycle u64::MAX, which the waiting set reserves"
+            time <= self.max_time,
+            "core {core} entered the sequencer at cycle {time}, past the last one the waiting \
+             set can hold ({})",
+            self.max_time
         );
         let g = self.inner.lock();
         if g.poisoned {
@@ -731,18 +759,18 @@ impl<S: PollState> Sequencer<S> {
     /// Waits until `core` — which has just stopped running — is the picked
     /// core or the run is poisoned: hands the token on whenever nothing runs
     /// and nothing is picked, and hands the CPU to the host in between.
-    /// `runner` is passed on to the first `dispatch`.
+    /// `regranted` is passed on to the first `dispatch`.
     fn await_pick<'a>(
         &'a self,
         mut g: MutexGuard<'a, Inner<S>>,
         core: usize,
-        mut runner: Option<usize>,
+        mut regranted: Option<usize>,
     ) -> MutexGuard<'a, Inner<S>> {
         while g.current != Some(core) && !g.poisoned {
             // `running > 0` means another core still executes or, on the
             // fiber backend, is yet to be started by the launcher.
             let next =
-                if Self::pick_due(&mut g) { self.dispatch(&mut g, runner.take()) } else { None };
+                if Self::pick_due(&mut g) { self.dispatch(&mut g, regranted.take()) } else { None };
             if next == Some(core) {
                 break; // re-granted ourselves
             }
@@ -754,11 +782,19 @@ impl<S: PollState> Sequencer<S> {
     }
 
     /// The picked `core` resumes: the pick is consumed, and counting as
-    /// running again is what now keeps anyone else from being picked.
+    /// running again is what now keeps anyone else from being picked. Its
+    /// leaf keeps the grant key (see `Inner::runner`).
     fn resume(g: &mut Inner<S>, core: usize) {
         g.current = None;
-        g.waiting.set(core, NOT_WAITING);
+        g.runner = Some(core);
         g.running += 1;
+    }
+
+    /// The calling core stops running and gives the token up, its leaf
+    /// already set to its next key or cleared.
+    fn stop_running(g: &mut Inner<S>) {
+        g.runner = None;
+        g.running -= 1;
     }
 
     /// Blocks until `core` (at simulated time `time`) holds the global
@@ -767,26 +803,29 @@ impl<S: PollState> Sequencer<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is `u64::MAX` (reserved by the waiting set).
+    /// Panics if `time` does not fit the waiting set's keys, which keep
+    /// their low `log2(cores)` bits (rounded up) for the core id: from
+    /// cycle `2^56 - 1` on with 256 cores.
     /// Unwinds with the private `Poisoned` payload if the simulation was
     /// poisoned (by a panic on another core or by the watchdog), or if the
     /// armed watchdog finds the simulation stuck at this grant.
     pub fn enter(&self, core: usize, time: u64) -> Section<'_, S> {
         let mut g = self.lock_to_enter(core, time);
-        // Fast re-grant: this core is the only one running, no picked core
-        // is yet to resume, and every parked core waits at a later
-        // `(time, core)` — dispatch would pick this core right back. Grant
-        // inline and skip the waiting-set churn and the host hand-off
-        // entirely (the lock is simply kept for the section). This is the
-        // steady state of steal-free inner loops.
-        if g.running == 1 && g.current.is_none() && Self::regrant_ok(&g, core, time) {
+        // The core's leaf goes to its new key first: the one replay of this
+        // grant, whichever way it goes.
+        g.waiting.set(core, time);
+        // Fast re-grant: this core holds the token (so it is the only one
+        // running and no picked core is yet to resume) and is still the
+        // minimum — dispatch would pick it right back. Grant inline and
+        // skip the host hand-off entirely (the lock is simply kept for the
+        // section). This is the steady state of steal-free inner loops.
+        if g.runner == Some(core) && Self::ahead(&g, core, time) {
             bump(&self.fast_grants);
         } else {
-            // Slow path: join the waiting set, and until the token comes
-            // back hand it to the minimum waiter (when this core was the
-            // last one running) and give the CPU to the host.
-            g.waiting.set(core, time);
-            g.running -= 1;
+            // Slow path: wait in the set, and until the token comes back
+            // hand it to the minimum waiter (when this core was the last
+            // one running) and give the CPU to the host.
+            Self::stop_running(&mut g);
             g = self.await_pick(g, core, None);
             if g.poisoned {
                 unwind_poisoned();
@@ -824,16 +863,13 @@ impl<S: PollState> Sequencer<S> {
     ) -> Result<PollWake<'_, S>, u64> {
         let mut g = self.lock_to_enter(core, time);
         g.parked[core] = Some(Parked { plan, op, time, served: 0 });
+        g.waiting.set(core, time);
         // The first poll is stepped by `dispatch` like every later one: as
-        // the sole runner's fast re-grant where `enter` would take one, out
-        // of the waiting set otherwise.
-        let sole = g.running == 1 && g.current.is_none();
-        let runner = (sole && Self::regrant_ok(&g, core, time)).then_some(core);
-        if runner.is_none() {
-            g.waiting.set(core, time);
-        }
-        g.running -= 1;
-        g = self.await_pick(g, core, runner);
+        // the runner's fast re-grant where `enter` would take one, out of
+        // the waiting set otherwise.
+        let regranted = (g.runner == Some(core) && Self::ahead(&g, core, time)).then_some(core);
+        Self::stop_running(&mut g);
+        g = self.await_pick(g, core, regranted);
         let at = g.parked[core].take().expect("a parked core keeps its plan until it wakes");
         if g.poisoned {
             return Err(at.served);
@@ -860,7 +896,8 @@ impl<S: PollState> Sequencer<S> {
         if g.poisoned {
             return;
         }
-        g.running -= 1;
+        g.waiting.clear(core);
+        Self::stop_running(&mut g);
         let next = if Self::pick_due(&mut g) { self.dispatch(&mut g, None) } else { None };
         drop(g);
         self.host.wake_after_retire(next);
@@ -939,14 +976,15 @@ impl<S: PollState> Sequencer<S> {
     }
 
     /// Every core's sequencer-level state: the crash bundle's per-core
-    /// diagnostics and the heartbeat's strip.
+    /// diagnostics and the heartbeat's strip. The runner's leaf holds its
+    /// grant key, not a wait.
     fn strip(g: &Inner<S>) -> Vec<SeqCoreDiag> {
         (g.cores.iter().enumerate())
             .map(|(core, s)| SeqCoreDiag {
                 grants: s.grants,
                 last_time: s.last_time,
                 retired: s.retired,
-                waiting_at: g.waiting.waiting_at(core),
+                waiting_at: g.waiting.waiting_at(core).filter(|_| g.runner != Some(core)),
             })
             .collect()
     }
@@ -1232,13 +1270,13 @@ mod tests {
                 let core = rng.next_below(n as u64) as usize;
                 match tree.waiting_at(core) {
                     Some(t) => {
-                        tree.set(core, NOT_WAITING);
+                        tree.clear(core);
                         assert!(oracle.remove(&(t, core)));
                     }
                     None => {
                         // Four distinct times, one of them the largest a
-                        // core can wait at (one below the padding leaves').
-                        let t = [5, 6, 7, NOT_WAITING - 1][rng.next_below(4) as usize];
+                        // core can wait at.
+                        let t = [5, 6, 7, tree.max_time()][rng.next_below(4) as usize];
                         tree.set(core, t);
                         assert!(oracle.insert((t, core)));
                     }
@@ -1258,38 +1296,46 @@ mod tests {
         }
     }
 
-    /// `u64::MAX` is the tree's "not waiting" mark: entering at it must be
-    /// refused before the waiting set (or anything else) is touched.
+    /// A time past the last one a key can hold — the first of them, and
+    /// `u64::MAX`, the tree's "not waiting" key — must be refused before
+    /// the waiting set (or anything else) is touched; the last one itself
+    /// is granted like any other.
     #[test]
     fn enter_at_u64_max_is_rejected_up_front() {
         let seq = on_threads(2, ());
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            drop(seq.enter(0, u64::MAX));
-        }));
-        let msg = *r.expect_err("u64::MAX is not a time").downcast::<String>().unwrap();
-        assert!(msg.contains("u64::MAX"), "got: {msg}");
-        assert!(!seq.is_poisoned());
-        assert_eq!(seq.core_diag()[0].waiting_at, None);
-        assert_eq!(seq.total_grants(), 0);
+        let max = seq.max_time;
+        assert_eq!(max, (u64::MAX >> 1) - 1, "two cores keep one bit of each key");
+        for time in [max + 1, u64::MAX] {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                drop(seq.enter(0, time));
+            }));
+            let msg = *r.expect_err("not a time").downcast::<String>().unwrap();
+            assert!(msg.contains(&format!("cycle {time}, past the last one")), "got: {msg}");
+            assert!(!seq.is_poisoned());
+            assert_eq!(seq.core_diag()[0].waiting_at, None);
+            assert_eq!(seq.total_grants(), 0);
+        }
         // The sequencer is untouched: the run goes on.
         seq.retire(1);
-        drop(seq.enter(0, u64::MAX - 1));
+        drop(seq.enter(0, max));
         assert_eq!(seq.total_grants(), 1);
     }
 
-    /// Non-power-of-two core counts pad the tree with leaves that wait at
-    /// `u64::MAX`; the last real core waiting at the largest legal time must
-    /// still beat them, and an empty set must report no winner.
+    /// Non-power-of-two core counts pad the tree with leaves that hold
+    /// [`NOT_WAITING`]; the last real core waiting at the largest legal
+    /// time must still beat them, and an empty set must report no winner.
     #[test]
     fn padding_leaves_never_win() {
         for n in [1usize, 3, 65, 1000] {
             let seq = on_threads(n, ());
             let mut g = seq.inner.lock();
+            let max = g.waiting.max_time();
+            assert_eq!(max, seq.max_time, "{n} cores");
             assert_eq!(g.waiting.first(), None, "{n} cores");
-            g.waiting.set(n - 1, u64::MAX - 1);
-            assert_eq!(g.waiting.first(), Some((u64::MAX - 1, n - 1)), "{n} cores");
+            g.waiting.set(n - 1, max);
+            assert_eq!(g.waiting.first(), Some((max, n - 1)), "{n} cores");
             assert_eq!(g.waiting.iter().count(), 1, "{n} cores");
-            g.waiting.set(n - 1, NOT_WAITING);
+            g.waiting.clear(n - 1);
             assert_eq!(g.waiting.first(), None, "{n} cores");
         }
     }
@@ -1340,6 +1386,66 @@ mod tests {
         let early = start_wave_with_late(1);
         assert_eq!(early.0, 0, "core 1 arriving last dispatches core 0's grant");
         assert_eq!(start_wave_with_late(0), early, "core 0 arriving last");
+    }
+
+    /// The token holder's leaf keeps its grant key, but no diagnostic reads
+    /// it as a wait: every heartbeat strip and `core_diag` report `None`
+    /// for the core that holds the token, and the time a waiting core
+    /// really waits at.
+    #[test]
+    fn diagnostics_do_not_see_the_runners_leaf() {
+        let strips = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&strips);
+        let mut seq = on_threads(2, ());
+        let beat = Heartbeat::new(
+            1,
+            Arc::new(move |snap: &HeartbeatSnap| sink.lock().push(snap.cores.clone())),
+        );
+        seq.set_heartbeat(beat, Arc::new(LiveCounters::new(2)));
+        let waiting_at = |strip: &[SeqCoreDiag]| strip.iter().map(|d| d.waiting_at).collect();
+        let diag = std::thread::scope(|scope| {
+            let seq = &seq;
+            scope.spawn(move || {
+                adopt(seq, 1);
+                drop(seq.enter(1, 100));
+                seq.retire(1);
+            });
+            adopt(seq, 0);
+            while seq.core_diag()[1].waiting_at != Some(100) {
+                std::thread::yield_now();
+            }
+            drop(seq.enter(0, 7)); // a hand-off grant: core 0 now runs
+            let diag: Vec<Option<u64>> = waiting_at(&seq.core_diag());
+            drop(seq.enter(0, 8)); // a fast re-grant
+            seq.retire(0);
+            diag
+        });
+        assert_eq!(seq.fast_grants(), 1);
+        assert_eq!(diag, [None, Some(100)], "core_diag between core 0's grants");
+        let strips: Vec<Vec<Option<u64>>> = strips.lock().iter().map(|s| waiting_at(s)).collect();
+        assert_eq!(strips, [[None, Some(100)], [None, Some(100)], [None, None]], "strips");
+        assert_eq!(waiting_at(&seq.core_diag()), [None, None], "after the run");
+    }
+
+    /// A wall-clock window in which the runner computes without a grant
+    /// is not a stall, although its leaf still holds its grant key: nobody
+    /// waits.
+    #[test]
+    fn wall_clock_fallback_does_not_see_the_runners_leaf() {
+        let mut seq = on_threads(2, ());
+        seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 20 });
+        seq.retire(1);
+        let (running, stop) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let seq = &seq;
+            scope.spawn(move || seq.watch_wall_clock(stop));
+            drop(seq.enter(0, 7));
+            std::thread::sleep(Duration::from_millis(120)); // six windows
+            assert!(!seq.is_poisoned(), "the runner was taken for a stuck waiter");
+            drop(running);
+        });
+        seq.retire(0);
+        assert_eq!(seq.poison_reason(), None);
     }
 
     // ------------------------------------------------------------------
@@ -1585,5 +1691,205 @@ mod tests {
         assert_eq!(waiting_at, Some(102), "parked at its next poll");
         assert_eq!(served, Some(12));
         assert_eq!(seq.poison_reason(), Some(PoisonReason::WorkerPanic));
+    }
+
+    // ------------------------------------------------------------------
+    // The runner-leaf protocol against a reference model
+    // ------------------------------------------------------------------
+
+    /// One step of a core's script.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        /// `enter` this many cycles after the core's last grant.
+        Enter(u64),
+        /// `park_poll` on a `Response` poll this many cycles after the
+        /// core's last grant, with a deadline `.1` cycles after that
+        /// first poll; nothing ever answers.
+        Park(u64, u64),
+    }
+
+    /// The plan of a `Step::Park(_, span)` whose first poll is at `t`.
+    fn park_plan(t: u64, span: u64) -> PollPlan {
+        PollPlan { requests: false, deadline: Some(t + span) }
+    }
+
+    /// The grants `steps` ask for, from cycle `start`, as `(time, woken)`:
+    /// every poll of a parked wait is a grant, and the core itself is woken
+    /// only for the last one.
+    fn grant_requests(start: u64, steps: &[Step]) -> Vec<(u64, bool)> {
+        let mut out = Vec::new();
+        let mut t = start;
+        for &step in steps {
+            match step {
+                Step::Enter(dt) => {
+                    t += dt;
+                    out.push((t, true));
+                }
+                Step::Park(dt, span) => {
+                    t += dt;
+                    let (plan, mut op) = (park_plan(t, span), PollOp::Response);
+                    while !plan.ends_after(op, t) {
+                        out.push((t, false));
+                        t += op.gap();
+                        op = plan.next(op);
+                    }
+                    out.push((t, true));
+                }
+            }
+        }
+        out
+    }
+
+    /// What a core sees at a grant it is woken for (or takes inline): the
+    /// grant, the grant counters so far, the tree's `tied_at` its time,
+    /// and the strip's `waiting_at` of every core.
+    type Seen = ((u64, usize), u64, u64, Vec<usize>, Vec<Option<u64>>);
+
+    /// The reference model: the waiting cores only, as a `BTreeSet`, and
+    /// the runner outside it. The runner asks for its next grant: it takes
+    /// it inline if it is ahead of every waiter (strictly earlier in time,
+    /// under `Scripted`), and otherwise waits, and the minimum waiter (or
+    /// the script's choice among those tied at the minimum time) runs next.
+    /// Returns what the woken grants see, the op hash of every grant, the
+    /// fast re-grants and the recorded ties.
+    fn model(
+        requests: &[Vec<(u64, bool)>],
+        script: Option<&[u32]>,
+    ) -> (Vec<Seen>, u64, u64, Vec<ChoicePoint>) {
+        use std::collections::{BTreeSet, VecDeque};
+        let n = requests.len();
+        let mut next: Vec<VecDeque<(u64, bool)>> =
+            requests.iter().map(|r| r.iter().copied().collect()).collect();
+        let mut waiting: BTreeSet<(u64, usize)> =
+            (0..n).filter_map(|c| next[c].front().map(|&(t, _)| (t, c))).collect();
+        let (mut seen, mut hash, mut total, mut fast) = (Vec::new(), FNV_OFFSET, 0, 0);
+        let (mut choices, mut pos) = (Vec::new(), 0);
+        while let Some(&(min, lowest)) = waiting.first() {
+            let tied: Vec<usize> =
+                waiting.iter().take_while(|&&(t, _)| t == min).map(|&(_, c)| c).collect();
+            let mut core = lowest;
+            if let (Some(script), true) = (script, tied.len() > 1) {
+                let idx = script.get(pos).map_or(0, |&i| (i as usize).min(tied.len() - 1));
+                pos += 1;
+                core = tied[idx];
+                choices.push(ChoicePoint { time: min, candidates: tied, chosen: idx as u32 });
+            }
+            waiting.remove(&(min, core));
+            let mut inline = false;
+            while let Some((time, woken)) = next[core].pop_front() {
+                (hash, total, fast) =
+                    (fold_grant(hash, time, core), total + 1, fast + inline as u64);
+                if woken {
+                    let mut tied: Vec<usize> =
+                        waiting.iter().filter(|&&(t, _)| t == time).map(|&(_, c)| c).collect();
+                    tied.push(core);
+                    tied.sort_unstable();
+                    let mut strip = vec![None; n];
+                    for &(t, c) in &waiting {
+                        strip[c] = Some(t);
+                    }
+                    seen.push(((time, core), total, fast, tied, strip));
+                }
+                let Some(&(t, _)) = next[core].front() else { break };
+                inline = waiting.first().is_none_or(|&(wt, wc)| match script {
+                    None => (t, core) < (wt, wc),
+                    Some(_) => t < wt,
+                });
+                if !inline {
+                    waiting.insert((t, core));
+                    break;
+                }
+            }
+        }
+        (seen, hash, fast, choices)
+    }
+
+    /// Drives a sequencer on the backend `run_system` would pick with every
+    /// core running `steps[core]`, then retiring; returns what the woken
+    /// grants saw, the op hash, the fast re-grants and the recorded ties.
+    fn drive(
+        steps: &[Vec<Step>],
+        starts: &[u64],
+        script: Option<&[u32]>,
+    ) -> (Vec<Seen>, u64, u64, Vec<ChoicePoint>) {
+        let n = steps.len();
+        let backend = crate::host::resolve_backend(&crate::SystemConfig::o3(1));
+        let seq = Sequencer::new(n, Host::new(backend, n), ());
+        if let Some(script) = script {
+            seq.set_policy(SchedulePolicy::Scripted(script.to_vec()));
+        }
+        let log: Mutex<Vec<Seen>> = Mutex::new(Vec::new());
+        let see = |section: &Section<'_, ()>, core: usize, time: u64| {
+            let strip = Sequencer::strip(&section.g).iter().map(|d| d.waiting_at).collect();
+            let tied = section.g.waiting.tied_at(time);
+            let counts = (seq.total_grants(), seq.fast_grants());
+            log.lock().push(((time, core), counts.0, counts.1, tied, strip));
+        };
+        let bodies: Vec<crate::host::Body<'_>> = (0..n)
+            .map(|core| {
+                let (seq, see, steps, mut t) = (&seq, &see, &steps[core], starts[core]);
+                Box::new(move || {
+                    for &step in steps {
+                        match step {
+                            Step::Enter(dt) => {
+                                t += dt;
+                                see(&seq.enter(core, t), core, t);
+                            }
+                            Step::Park(dt, span) => {
+                                t += dt;
+                                let plan = park_plan(t, span);
+                                let wake = seq.park_poll(core, t, plan, PollOp::Response);
+                                let wake = wake.expect("nothing poisons this run");
+                                t = wake.time;
+                                see(&wake.section, core, t);
+                            }
+                        }
+                    }
+                    seq.retire(core);
+                }) as crate::host::Body<'_>
+            })
+            .collect();
+        seq.host().launch(64 * 1024, bodies);
+        let seen = std::mem::take(&mut *log.lock());
+        (seen, seq.op_hash(), seq.fast_grants(), seq.choice_points())
+    }
+
+    /// The runner's leaf stays in the tree with its grant key, and the
+    /// fast re-grant asks whether the entering core is still the root:
+    /// seeded random `enter` / `park_poll` / `retire` scripts, heavy on
+    /// time ties, must see the model's picks, fast re-grant decisions,
+    /// `tied_at` and strips at every grant a core is woken for, and the
+    /// model's op hash, fast re-grant count and choice points overall.
+    #[test]
+    fn runner_leaf_protocol_matches_a_waiting_set_model() {
+        for (n, seed) in [1usize, 3, 64, 65, 256].into_iter().zip(11u64..) {
+            let mut rng = bigtiny_mesh::XorShift64::new(seed);
+            let len = (600 / n).clamp(4, 40);
+            let steps: Vec<Vec<Step>> = (0..n)
+                .map(|_| {
+                    (0..len)
+                        .map(|_| match rng.next_below(5) {
+                            0 => Step::Park(rng.next_below(3), 1 + rng.next_below(25)),
+                            _ => Step::Enter(rng.next_below(3)),
+                        })
+                        .collect()
+                })
+                .collect();
+            let starts: Vec<u64> = (0..n).map(|_| rng.next_below(4)).collect();
+            let requests: Vec<_> = (0..n).map(|c| grant_requests(starts[c], &steps[c])).collect();
+            let script: Vec<u32> = (0..64).map(|_| rng.next_below(3) as u32).collect();
+            for script in [None, Some(&script[..])] {
+                let ctx = format!("{n} cores, scripted: {}", script.is_some());
+                let (seen, hash, fast, choices) = drive(&steps, &starts, script);
+                let (want_seen, want_hash, want_fast, want_choices) = model(&requests, script);
+                for (i, (got, want)) in seen.iter().zip(&want_seen).enumerate() {
+                    assert_eq!(got, want, "{ctx}: woken grant {i}");
+                }
+                assert_eq!(seen.len(), want_seen.len(), "{ctx}");
+                assert_eq!((hash, fast), (want_hash, want_fast), "{ctx}");
+                assert_eq!(choices, want_choices, "{ctx}");
+                assert!(script.is_none() || !choices.is_empty() || n == 1, "{ctx}: no tie");
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //!    host locks it held: the other core threads still need to lock shared
 //!    state to unwind cleanly and to assemble the crash diagnostic bundle.
 //!    Poison errors are therefore swallowed (`into_inner`) — the simulated
-//!    state itself is guarded by the [`Sequencer`](crate::sequencer)'s own
+//!    state itself is guarded by the sequencer's own
 //!    poison flag, which carries a reason and a diagnostic.
 //! 2. **No external dependency**, so the workspace builds fully offline and
 //!    lock behaviour cannot shift under a third-party version bump.

@@ -344,7 +344,7 @@ impl UliNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `to` has more than [`ULI_RESP_QUEUE_CAP`] responses buffered
+    /// Panics if `to` has more than `ULI_RESP_QUEUE_CAP` (4) responses buffered
     /// — that is a runtime bug, not a reachable fault state.
     pub fn send_response(&mut self, from: usize, to: usize, payload: u64, now: u64) {
         let lat = self.record(from, to);

@@ -27,7 +27,7 @@ use std::io;
 /// *fixed* keys (the same borrowed literals for every row of the schema),
 /// and what the serializer writes in front of each varying value — `{`
 /// plus every fixed `"key":value` plus `"first":`, then `,"next":` —
-/// rendered once, by [`keys!`], when the schema is declared. A row's boxed
+/// rendered once, by `keys!`, when the schema is declared. A row's boxed
 /// slice holds only the varying values. Keys and fixed values therefore
 /// hold no byte that needs a JSON escape; `every_declared_schema_is_well_formed`
 /// checks that for every schema in the crate.

@@ -5,7 +5,7 @@
 /// Identity pins as data. A family is one file, `tests/pins/<family>.txt`,
 /// owned by one test: a `# ` header naming the columns (the first names
 /// the key), then one `key<TAB>value<TAB>...` line per pinned cell. The
-/// test computes the whole table and hands it to [`check`]. Tests never
+/// test computes the whole table and hands it to [`check`](pins::check). Tests never
 /// write into the tree: re-pinning is the `cp` a failure prints.
 pub mod pins {
     use std::path::PathBuf;
