@@ -57,7 +57,8 @@ use std::sync::Arc;
 
 use bigtiny_coherence::Addr;
 use bigtiny_engine::{
-    try_run_system, AddrSpace, CorePort, FlightKind, RunFailure, RunReport, SystemConfig, Worker,
+    merge_by_key, try_run_system, AddrSpace, CorePort, FlightKind, RunFailure, RunReport,
+    SystemConfig, Worker,
 };
 
 use self::shared::{Join, Role, RtShared, Transport};
@@ -658,16 +659,12 @@ pub fn try_run_task_parallel(
         .map_err(|failure| RunFailure { state: rt.describe_state(), ..failure })?;
     let stats = *rt.counters.read();
     let telemetry = rt.tel.read().clone();
+    // Each worker's buffer is in its deterministic program order, and so
+    // in cycle order: merged by (cycle, core), ties keep per-core order.
     let task_events = match &rt.task_events {
         Some(bufs) => {
-            // Concatenate the per-worker buffers (each in its worker's
-            // deterministic program order) and stable-sort by (cycle,
-            // core): ties keep per-core order, so the merged stream is
-            // deterministic too.
-            let mut evs: Vec<TaskEvent> =
-                bufs.iter().flat_map(|b| b.read().iter().copied().collect::<Vec<_>>()).collect();
-            evs.sort_by_key(|e| (e.cycle, e.core));
-            evs
+            let bufs = bufs.iter().map(|b| std::mem::take(&mut *b.write())).collect();
+            merge_by_key(bufs, |e: &TaskEvent| (e.cycle, e.core), |e| e)
         }
         None => Vec::new(),
     };

@@ -77,16 +77,14 @@ fn single_crash_survived_on_all_runtimes() {
     }
 }
 
-/// Full recovery under an aggressive wall-clock watchdog window: a
-/// quarantined dead core stays dark for the whole remainder of the run,
-/// and that expected silence must never trip the wall-clock liveness
-/// fallback — grants from the survivors are the liveness evidence. (The
-/// deterministic budget stays armed too; a recovery livelock still fails
+/// Full recovery under an armed watchdog: a quarantined dead core stays
+/// dark for the whole remainder of the run, and that expected silence must
+/// never trip it — neither the grant budget nor the survivors' idle spins,
+/// each of which takes a grant per round. (A recovery livelock still fails
 /// loudly instead of hanging.)
 #[test]
 fn quarantined_dead_core_never_trips_wall_clock_fallback() {
-    let mut cfg = sys(Protocol::GpuWb, named("crash-one", 7));
-    cfg.watchdog_wall_ms = 60;
+    let cfg = sys(Protocol::GpuWb, named("crash-one", 7));
     let rt = RuntimeConfig::new(RuntimeKind::Dts);
     let (got, run) = run_fib(&cfg, &rt, 15);
     assert_eq!(got, serial_fib(15), "correct despite crash + aggressive wall window");

@@ -139,14 +139,10 @@ pub struct SystemConfig {
     /// zero-cost: no fault code runs and timing is bit-for-bit unchanged.
     pub faults: FaultPlan,
     /// Liveness watchdog: maximum sequencer grants between runtime
-    /// progress marks before the run is declared stuck. `None` (default)
-    /// disables the watchdog entirely.
+    /// progress marks before the run is declared stuck. Arming it also
+    /// arms the idle-spin rule ([`crate::MAX_IDLE_CHARGES`]). `None`
+    /// (default) disables the watchdog entirely.
     pub watchdog_budget: Option<u64>,
-    /// Wall-clock fallback window of the watchdog in milliseconds (only
-    /// meaningful with `watchdog_budget` set). Trips when a core waits for
-    /// the token while no sequencer grant and no productive local work
-    /// happens at all for this long.
-    pub watchdog_wall_ms: u64,
     /// Host execution backend (fibers vs one thread per core). Simulated
     /// results are identical whichever is picked; see [`ExecBackend`].
     pub backend: ExecBackend,
@@ -184,7 +180,6 @@ impl SystemConfig {
             attr: false,
             faults: FaultPlan::none(),
             watchdog_budget: None,
-            watchdog_wall_ms: 5_000,
             backend: ExecBackend::Auto,
             check: CheckMode::Off,
             schedule: SchedulePolicy::MinCore,

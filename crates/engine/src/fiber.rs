@@ -254,7 +254,7 @@ impl Drop for Fiber<'_> {
 /// All cells are only ever touched from the launcher thread (and the
 /// fibers it runs). The `Send`/`Sync` impls exist because the sequencer
 /// holding the host is shared across threads — the thread host's core
-/// threads, the watchdog monitor — and rustc cannot see that these cells
+/// threads — and rustc cannot see that these cells
 /// stay on one thread by construction.
 #[derive(Debug)]
 pub(crate) struct FiberHost {

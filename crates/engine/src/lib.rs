@@ -75,11 +75,11 @@ pub use sequencer::{
     ChoicePoint, PollOp, PollPlan, PollState, PollWake, Section, Sequencer, POLL_SPIN_CYCLES,
 };
 pub use space::{AddrSpace, ShScalar, ShVec};
-pub use system::{run_system, try_run_system, RunReport, UliReport, Worker};
+pub use system::{merge_by_key, run_system, try_run_system, RunReport, UliReport, Worker};
 pub use trace::{render_timeline, TraceEvent, UliMark, UliMarkKind};
 pub use watchdog::{
     panic_message, CoreDiag, DiagnosticBundle, PoisonReason, RunFailure, SeqCoreDiag,
-    WatchdogConfig, WATCHDOG_MSG,
+    MAX_IDLE_CHARGES, WATCHDOG_MSG,
 };
 
 // Re-export the vocabulary types callers need alongside the engine.

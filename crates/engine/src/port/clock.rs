@@ -6,6 +6,7 @@ use super::CorePort;
 use crate::breakdown::{TimeBreakdown, TimeCategory};
 use crate::config::CoreKind;
 use crate::sequencer::unwind_poisoned;
+use crate::watchdog::MAX_IDLE_CHARGES;
 
 /// Entries in each core's store buffer: stores retire into the buffer and
 /// only stall the core when it is full (or at drain points: AMOs, flushes).
@@ -33,6 +34,8 @@ pub(super) struct Clock {
     pub pending_compute: u64,
     /// Compute cycles since the last ULI-delivery opportunity.
     pub compute_since_poll: u64,
+    /// Idle charges since the last sequenced op ([`MAX_IDLE_CHARGES`]).
+    pub idle_charges: u64,
     pub breakdown: TimeBreakdown,
     /// Completion times of in-flight stores.
     store_buffer: VecDeque<u64>,
@@ -126,18 +129,20 @@ impl CorePort {
             if self.shared.seq.check_poison() {
                 unwind_poisoned();
             }
-            // Productive local cycles are liveness evidence for the
-            // watchdog's wall-clock fallback; idle spinning is not (it only
-            // waits on sequenced state, which needs a grant to change).
-            if cat != TimeCategory::Idle {
-                self.shared.seq.note_local_progress();
+        }
+        if cat == TimeCategory::Idle {
+            // Too many idle spins since the last grant is a hang: an armed
+            // watchdog trips on it here, before the charge.
+            self.clock.idle_charges += 1;
+            if self.clock.idle_charges > MAX_IDLE_CHARGES {
+                self.shared.seq.trip_spinner(self.core, self.clock.cycle);
             }
         }
         self.book(cat, cycles);
     }
 
     /// Moves the clock by `cycles` spent in `cat`: trace event, breakdown,
-    /// clock. Never panics and tells the watchdog nothing, so it is also
+    /// clock. Never panics and counts no idle spin, so it is also
     /// how a core accounts for time after the fact (polls served in place,
     /// the terminal flush of a worker that has already unwound).
     #[inline]

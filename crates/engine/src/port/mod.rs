@@ -149,8 +149,10 @@ impl CorePort {
             (r, msg)
         };
         self.rec.event(self.clock.cycle, || op_of(&r));
-        // Every sequenced operation is a ULI-delivery opportunity.
+        // Every sequenced operation is a ULI-delivery opportunity, and
+        // ends an idle spin.
         self.clock.compute_since_poll = 0;
+        self.clock.idle_charges = 0;
         if let Some(m) = msg {
             self.deliver_uli(m);
         }

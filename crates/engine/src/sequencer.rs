@@ -36,23 +36,22 @@
 //!
 //! The sequencer doubles as the attachment point of the liveness
 //! [`watchdog`](crate::watchdog): every grant is counted, and if too many
-//! grants pass without a progress mark (or the wall-clock monitor thread
-//! sees a core wait while nothing is granted and no core does productive
-//! local work for a whole window) the sequencer is poisoned with
-//! [`PoisonReason::Watchdog`]. Every core then unwinds with the private
+//! grants pass without a progress mark (or a core's port counts too many
+//! idle charges since its last grant, `Sequencer::trip_spinner`) the
+//! sequencer is poisoned with [`PoisonReason::Watchdog`]. Both rules count
+//! in simulated order, so a trip is as deterministic as the grant stream.
+//! Every core then unwinds with the private
 //! [`Poisoned`] payload, raised by `resume_unwind` so the panic hook stays
 //! quiet: a cascade carries no news, and `run_system` tells it from the
 //! panic that caused the failure by its type.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, MutexGuard};
-use std::time::Duration;
 
 use crate::flight::{Heartbeat, HeartbeatSnap, LiveCounters};
 use crate::host::Host;
 use crate::sync::Mutex;
-use crate::watchdog::{PoisonReason, SeqCoreDiag, WatchdogConfig};
+use crate::watchdog::{PoisonReason, SeqCoreDiag};
 
 /// What a core unwinds with when the run is poisoned, whoever poisoned it:
 /// the core that trips the watchdog and every core that then observes the
@@ -105,10 +104,6 @@ struct ScriptState {
 /// reaches it: [`Sequencer::enter`] rejects a time past
 /// [`WaitTree::max_time`] before touching the tree.
 const NOT_WAITING: u64 = u64::MAX;
-
-/// `Inner::current` until every core has arrived: a pick no core is, so no
-/// first grant is a fast re-grant, whichever core arrives last.
-const START_WAVE: usize = usize::MAX;
 
 /// One poll of a busy-wait loop the sequencer can serve in place (see
 /// [`PollPlan`]).
@@ -294,15 +289,30 @@ impl WaitTree {
         (self.node[1] != NOT_WAITING).then(|| self.unkey(self.node[1]))
     }
 
-    /// Every set leaf as `(time, core)`, in ascending core order.
-    fn iter(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        let leaves = &self.node[self.node.len() / 2..];
-        leaves.iter().filter(|&&key| key != NOT_WAITING).map(|&key| self.unkey(key))
+    /// Whether every other leaf holds a later time than `core`'s: one
+    /// sibling per level of its path, nothing allocated.
+    fn alone(&self, core: usize) -> bool {
+        let leaf = self.node.len() / 2 + core;
+        let time = self.node[leaf] >> self.bits;
+        (0..self.bits).all(|level| self.node[(leaf >> level) ^ 1] >> self.bits > time)
     }
 
-    /// The cores whose leaf holds exactly `time`, in ascending core order.
-    fn tied_at(&self, time: u64) -> Vec<usize> {
-        self.iter().filter(|&(t, _)| t == time).map(|(_, c)| c).collect()
+    /// The cores whose leaf holds the minimum time of a nonempty set, in
+    /// ascending core order: a descent into only the subtrees whose minimum
+    /// is that time.
+    fn tied(&self) -> Vec<usize> {
+        let (leaves, time) = (self.node.len() / 2, self.node[1] >> self.bits);
+        let (mut out, mut next) = (Vec::new(), vec![1]);
+        while let Some(i) = next.pop() {
+            if self.node[i] >> self.bits != time {
+                continue;
+            }
+            match i.checked_sub(leaves) {
+                Some(core) => out.push(core),
+                None => next.extend([2 * i + 1, 2 * i]),
+            }
+        }
+        out
     }
 }
 
@@ -326,8 +336,7 @@ struct Inner<S> {
     runner: Option<usize>,
     /// Core picked for the token but not yet resumed: set by `pick_next`,
     /// cleared by the picked core when it wakes up in `enter`. From then on
-    /// `running > 0` is what keeps a second pick from happening. Starts as
-    /// [`START_WAVE`].
+    /// `running > 0` is what keeps a second pick from happening.
     current: Option<usize>,
     poisoned: bool,
     reason: Option<PoisonReason>,
@@ -360,12 +369,13 @@ pub struct Sequencer<S> {
     inner: Mutex<Inner<S>>,
     /// The waiting set's [`WaitTree::max_time`], readable before the lock.
     max_time: u64,
-    watchdog: Option<WatchdogConfig>,
+    /// The armed watchdog's grant budget: the most grants allowed between
+    /// progress marks. `None` leaves the watchdog off.
+    budget: Option<u64>,
     /// Grants since the last progress mark (watchdog budget counter).
     since_progress: AtomicU64,
-    /// Total grants over the run (wall-clock stall discriminator + stats).
-    /// Written only under the sequencer lock (a plain load + store, no
-    /// locked read-modify-write); atomic so the wall-clock monitor and the
+    /// Total grants over the run. Written only under the sequencer lock (a
+    /// plain load + store, no locked read-modify-write); atomic so the
     /// ports' grant stamps can read it without the lock.
     total_grants: AtomicU64,
     /// Grants taken through the inline fast re-grant path (no waiting-set
@@ -374,16 +384,6 @@ pub struct Sequencer<S> {
     /// Diagnostic for the perf harness: the fraction of sequenced ops whose
     /// grantee was the sole runner and ahead of every waiter.
     fast_grants: AtomicU64,
-    /// Host-level liveness ticks from purely local *productive* work
-    /// (compute/memory charging between sequenced ops). Only bumped while a
-    /// watchdog is armed. The wall-clock fallback requires *both* this and
-    /// `total_grants` to stand still for a full window before poisoning, so
-    /// a slow-but-progressing run on an overloaded host (long local
-    /// compute, no grants) is never killed. Idle charges deliberately do
-    /// not count: an idle-spinning core is waiting on sequenced state,
-    /// which cannot change without a grant, so idle loops with zero grants
-    /// are a real deadlock and must still trip.
-    activity: AtomicU64,
     /// Lock-free mirror of `Inner::poisoned`, so cores spinning in purely
     /// local operations (which never take the sequencer lock) can still
     /// observe the poison and unwind.
@@ -452,18 +452,17 @@ impl<S: PollState> Sequencer<S> {
                 in_place_grants: 0,
                 running: num_cores,
                 runner: None,
-                current: Some(START_WAVE),
+                current: None,
                 poisoned: false,
                 reason: None,
                 cores: vec![CoreState::default(); num_cores],
                 op_hash: FNV_OFFSET,
                 script: None,
             }),
-            watchdog: None,
+            budget: None,
             since_progress: AtomicU64::new(0),
             total_grants: AtomicU64::new(0),
             fast_grants: AtomicU64::new(0),
-            activity: AtomicU64::new(0),
             poison_flag: AtomicBool::new(false),
             host,
             heartbeat: None,
@@ -498,61 +497,18 @@ impl<S: PollState> Sequencer<S> {
         self.inner.lock().script.as_ref().map_or_else(Vec::new, |s| s.choices.clone())
     }
 
-    /// Arms the liveness watchdog. Must be called before core threads
-    /// start. Every backend supports it: the grant budget is checked by
-    /// whichever core grants, and the wall-clock fallback runs on a monitor
-    /// thread of its own (`watch_wall_clock`, started by `run_system`).
-    pub fn set_watchdog(&mut self, config: WatchdogConfig) {
-        assert!(config.budget > 0, "watchdog budget must be positive");
-        self.watchdog = Some(config);
+    /// Arms the liveness watchdog with a grant `budget`. Must be called
+    /// before core threads start. Every backend supports it: the budget is
+    /// checked by whichever core grants, and the idle-spin rule by the
+    /// spinning core's own port ([`crate::MAX_IDLE_CHARGES`]).
+    pub fn set_watchdog(&mut self, budget: u64) {
+        assert!(budget > 0, "watchdog budget must be positive");
+        self.budget = Some(budget);
     }
 
     /// The host the cores run on.
     pub(crate) fn host(&self) -> &Host {
         &self.host
-    }
-
-    /// The watchdog's wall-clock fallback: the body of the monitor thread
-    /// `run_system` starts when a watchdog is armed. Until `stop` fires
-    /// (its sender is dropped), it compares the liveness counters across
-    /// one `wall_ms` window at a time; a window in which
-    /// nothing was granted anywhere AND no core did any productive local
-    /// work, while some core waits for the token, means the run is stuck,
-    /// not slow. The trip poisons without unwinding anything itself: the
-    /// woken cores' own `enter` (and the poison poll of purely local
-    /// spinners) unwind them, and `run_system` reports the run as a
-    /// watchdog failure, so the same monitor serves every backend —
-    /// including a single-thread fiber run, which has no second core thread
-    /// to observe the stall from.
-    pub(crate) fn watch_wall_clock(&self, stop: Receiver<()>) {
-        let Some(wd) = self.watchdog else { return };
-        let window = Duration::from_millis(wd.wall_ms);
-        let liveness =
-            || (self.total_grants.load(Ordering::Relaxed), self.activity.load(Ordering::Relaxed));
-        loop {
-            let before = liveness();
-            if stop.recv_timeout(window) != Err(RecvTimeoutError::Timeout) {
-                return;
-            }
-            if liveness() != before {
-                continue;
-            }
-            let mut g = self.inner.lock();
-            if g.poisoned {
-                return;
-            }
-            // Only a core still waiting for the token can be stuck: with
-            // no leaf set but the runner's (or the picked core's, about to
-            // wake) the run is starting up, finishing, or busy in host code
-            // nobody is blocked on.
-            let (current, runner) = (g.current, g.runner);
-            let stuck =
-                (g.waiting.iter()).filter(|&(_, c)| current != Some(c) && runner != Some(c)).min();
-            if let Some((time, core)) = stuck {
-                self.poison_locked(&mut g, PoisonReason::Watchdog { core, time });
-                return;
-            }
-        }
     }
 
     /// Grants the token to a minimum-*time* waiter, if any. This is the
@@ -579,10 +535,10 @@ impl<S: PollState> Sequencer<S> {
     /// it the whole choice tree — is deterministic.
     fn pick_scripted(inner: &mut Inner<S>) -> Option<usize> {
         let (min_time, first) = inner.waiting.first()?;
-        let candidates = inner.waiting.tied_at(min_time);
-        if candidates.len() < 2 {
+        if inner.waiting.alone(first) {
             return Some(first);
         }
+        let candidates = inner.waiting.tied();
         let st = inner.script.as_mut().expect("scripted pick without a script");
         let idx = st.script.get(st.pos).map_or(0, |&i| (i as usize).min(candidates.len() - 1));
         st.pos += 1;
@@ -597,14 +553,13 @@ impl<S: PollState> Sequencer<S> {
     /// under `Scripted`, alone at its time, since a tie is a choice point
     /// the script decides and the run records.
     fn ahead(g: &Inner<S>, core: usize, time: u64) -> bool {
-        g.waiting.leads(core, time) && (g.script.is_none() || g.waiting.tied_at(time).len() == 1)
+        g.waiting.leads(core, time) && (g.script.is_none() || g.waiting.alone(core))
     }
 
-    /// Whether no core runs and none is picked; closes the start-up wave.
-    fn pick_due(g: &mut Inner<S>) -> bool {
-        if g.running == 0 && g.current == Some(START_WAVE) {
-            g.current = None;
-        }
+    /// Whether no core runs and none is picked. No core runs the start-up
+    /// wave's first grant: `runner` is `None` until a core resumes, so the
+    /// first grant is a hand-off whichever core arrives last.
+    fn pick_due(g: &Inner<S>) -> bool {
         g.running == 0 && g.current.is_none()
     }
 
@@ -650,9 +605,8 @@ impl<S: PollState> Sequencer<S> {
     /// (the trip is the grantee's to raise).
     fn serve_in_place(&self, g: &mut Inner<S>, core: usize) -> bool {
         let Some(p) = g.parked[core] else { return false };
-        let budget_spent = self
-            .watchdog
-            .is_some_and(|wd| self.since_progress.load(Ordering::Relaxed) >= wd.budget);
+        let budget_spent =
+            self.budget.is_some_and(|b| self.since_progress.load(Ordering::Relaxed) >= b);
         if self.heartbeat.is_some()
             || budget_spent
             || p.plan.ends_after(p.op, p.time)
@@ -687,9 +641,9 @@ impl<S: PollState> Sequencer<S> {
         g.cores[core].last_time = time;
         g.op_hash = fold_grant(g.op_hash, time, core);
         let total = bump(&self.total_grants);
-        if let Some(wd) = self.watchdog {
+        if let Some(budget) = self.budget {
             let since = self.since_progress.fetch_add(1, Ordering::Relaxed) + 1;
-            if since > wd.budget {
+            if since > budget {
                 self.trip(g, core, time);
             }
         }
@@ -770,7 +724,7 @@ impl<S: PollState> Sequencer<S> {
             // `running > 0` means another core still executes or, on the
             // fiber backend, is yet to be started by the launcher.
             let next =
-                if Self::pick_due(&mut g) { self.dispatch(&mut g, regranted.take()) } else { None };
+                if Self::pick_due(&g) { self.dispatch(&mut g, regranted.take()) } else { None };
             if next == Some(core) {
                 break; // re-granted ourselves
             }
@@ -898,7 +852,7 @@ impl<S: PollState> Sequencer<S> {
         }
         g.waiting.clear(core);
         Self::stop_running(&mut g);
-        let next = if Self::pick_due(&mut g) { self.dispatch(&mut g, None) } else { None };
+        let next = if Self::pick_due(&g) { self.dispatch(&mut g, None) } else { None };
         drop(g);
         self.host.wake_after_retire(next);
     }
@@ -908,7 +862,7 @@ impl<S: PollState> Sequencer<S> {
     /// completed, completion was signalled). Free when no watchdog is
     /// armed.
     pub fn mark_progress(&self) {
-        if self.watchdog.is_some() {
+        if self.budget.is_some() {
             self.since_progress.store(0, Ordering::Relaxed);
         }
     }
@@ -947,15 +901,12 @@ impl<S: PollState> Sequencer<S> {
         self.poison_flag.load(Ordering::Relaxed)
     }
 
-    /// Records liveness evidence from a purely local *productive* charge
-    /// (compute, memory, ULI work — anything but idling), feeding the
-    /// wall-clock fallback's activity discriminator. Free when no watchdog
-    /// is armed. Callers must not report idle charges: idle cycles only
-    /// pass while waiting for sequenced state, which cannot change without
-    /// a grant, so an idle spinner with zero grants is genuinely stuck.
-    pub(crate) fn note_local_progress(&self) {
-        if self.watchdog.is_some() {
-            self.activity.fetch_add(1, Ordering::Relaxed);
+    /// The idle-spin rule's trip ([`crate::MAX_IDLE_CHARGES`]): poisons an
+    /// armed run for `core`, spinning at cycle `time`, and unwinds it. Does
+    /// nothing when no watchdog is armed.
+    pub(crate) fn trip_spinner(&self, core: usize, time: u64) {
+        if self.budget.is_some() {
+            self.trip(&mut self.inner.lock(), core, time);
         }
     }
 
@@ -1183,7 +1134,7 @@ mod tests {
     #[test]
     fn watchdog_trips_on_grant_budget() {
         let mut seq = on_threads(1, ());
-        seq.set_watchdog(WatchdogConfig { budget: 10, wall_ms: 60_000 });
+        seq.set_watchdog(10);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for t in 0..100 {
                 drop(seq.enter(0, t));
@@ -1194,10 +1145,23 @@ mod tests {
         assert!(matches!(seq.poison_reason(), Some(PoisonReason::Watchdog { core: 0, .. })));
     }
 
+    /// The idle-spin trip poisons only an armed run, and names the spinner
+    /// and its cycle.
+    #[test]
+    fn a_spinner_trips_only_an_armed_watchdog() {
+        let mut seq = on_threads(2, ());
+        seq.trip_spinner(1, 9);
+        assert!(!seq.is_poisoned(), "no watchdog, no trip");
+        seq.set_watchdog(10);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| seq.trip_spinner(1, 9)));
+        assert!(r.expect_err("an armed trip unwinds").is::<Poisoned>());
+        assert_eq!(seq.poison_reason(), Some(PoisonReason::Watchdog { core: 1, time: 9 }));
+    }
+
     #[test]
     fn progress_marks_keep_watchdog_quiet() {
         let mut seq = on_threads(1, ());
-        seq.set_watchdog(WatchdogConfig { budget: 10, wall_ms: 60_000 });
+        seq.set_watchdog(10);
         for t in 0..100 {
             drop(seq.enter(0, t));
             if t % 5 == 0 {
@@ -1207,49 +1171,6 @@ mod tests {
         seq.retire(0);
         assert!(!seq.is_poisoned());
         assert_eq!(seq.total_grants(), 100);
-    }
-
-    /// Drives the monitor function directly, as `run_system`'s monitor
-    /// thread does: it must stay quiet while nobody waits, trip once a core
-    /// has waited a whole window with nothing granted, and wake that core
-    /// to unwind.
-    #[test]
-    fn wall_clock_fallback_trips_when_nothing_is_granted() {
-        let mut seq = on_threads(2, ());
-        seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 30 });
-        let (_running, stop) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            let seq = &seq;
-            let monitor = scope.spawn(move || seq.watch_wall_clock(stop));
-            // Several windows with an empty waiting set: a run that is
-            // starting up (or busy in host code) is not stuck.
-            std::thread::sleep(Duration::from_millis(100));
-            assert!(!seq.is_poisoned(), "no core waits yet, so nothing can be stuck");
-            // Core 1 parks; core 0 never enters or retires (simulating a
-            // core stuck in host-level code while holding the logical
-            // token).
-            adopt(seq, 1);
-            let r =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(seq.enter(1, 7))));
-            let err = r.expect_err("stalled run must trip the wall-clock fallback");
-            assert!(err.is::<Poisoned>());
-            monitor.join().expect("the monitor returns once it has tripped");
-        });
-        assert_eq!(seq.poison_reason(), Some(PoisonReason::Watchdog { core: 1, time: 7 }));
-    }
-
-    /// The owner's stop request ends the monitor promptly, mid-window.
-    #[test]
-    fn wall_clock_monitor_stops_on_request() {
-        let mut seq = on_threads(1, ());
-        seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 60_000 });
-        let (running, stop) = std::sync::mpsc::channel::<()>();
-        std::thread::scope(|scope| {
-            let seq = &seq;
-            scope.spawn(move || seq.watch_wall_clock(stop));
-            drop(running);
-        });
-        assert!(!seq.is_poisoned());
     }
 
     /// The waiting set against the structure it replaced: a
@@ -1283,14 +1204,17 @@ mod tests {
                 }
                 let ctx = format!("{n} cores, step {step}");
                 assert_eq!(tree.first(), oracle.first().copied(), "{ctx}");
-                let mut waiters: Vec<_> = tree.iter().collect();
-                assert!(waiters.iter().all(|&(_, c)| c < n), "padding leaf surfaced: {ctx}");
+                let leaves = tree.node.len() / 2;
+                assert!((n..leaves).all(|c| tree.waiting_at(c).is_none()), "padding: {ctx}");
+                let mut waiters: Vec<_> =
+                    (0..n).filter_map(|c| Some((tree.waiting_at(c)?, c))).collect();
                 waiters.sort_unstable();
                 assert!(waiters.iter().eq(oracle.iter()), "{ctx}");
-                if let Some(&(min, _)) = oracle.first() {
+                if let Some(&(min, first)) = oracle.first() {
                     let tied: Vec<usize> =
                         oracle.iter().take_while(|&&(t, _)| t == min).map(|&(_, c)| c).collect();
-                    assert_eq!(tree.tied_at(min), tied, "{ctx}");
+                    assert_eq!(tree.alone(first), tied.len() == 1, "{ctx}");
+                    assert_eq!(tree.tied(), tied, "{ctx}");
                 }
             }
         }
@@ -1334,7 +1258,7 @@ mod tests {
             assert_eq!(g.waiting.first(), None, "{n} cores");
             g.waiting.set(n - 1, max);
             assert_eq!(g.waiting.first(), Some((max, n - 1)), "{n} cores");
-            assert_eq!(g.waiting.iter().count(), 1, "{n} cores");
+            assert_eq!(g.waiting.tied(), [n - 1], "{n} cores");
             g.waiting.clear(n - 1);
             assert_eq!(g.waiting.first(), None, "{n} cores");
         }
@@ -1425,27 +1349,6 @@ mod tests {
         let strips: Vec<Vec<Option<u64>>> = strips.lock().iter().map(|s| waiting_at(s)).collect();
         assert_eq!(strips, [[None, Some(100)], [None, Some(100)], [None, None]], "strips");
         assert_eq!(waiting_at(&seq.core_diag()), [None, None], "after the run");
-    }
-
-    /// A wall-clock window in which the runner computes without a grant
-    /// is not a stall, although its leaf still holds its grant key: nobody
-    /// waits.
-    #[test]
-    fn wall_clock_fallback_does_not_see_the_runners_leaf() {
-        let mut seq = on_threads(2, ());
-        seq.set_watchdog(WatchdogConfig { budget: 1_000_000, wall_ms: 20 });
-        seq.retire(1);
-        let (running, stop) = std::sync::mpsc::channel::<()>();
-        std::thread::scope(|scope| {
-            let seq = &seq;
-            scope.spawn(move || seq.watch_wall_clock(stop));
-            drop(seq.enter(0, 7));
-            std::thread::sleep(Duration::from_millis(120)); // six windows
-            assert!(!seq.is_poisoned(), "the runner was taken for a stuck waiter");
-            drop(running);
-        });
-        seq.retire(0);
-        assert_eq!(seq.poison_reason(), None);
     }
 
     // ------------------------------------------------------------------
@@ -1648,7 +1551,7 @@ mod tests {
     fn grant_budget_trips_on_the_parked_core_at_the_same_grant() {
         let trip = |how: Polling| {
             let mut seq = on_threads(2, ());
-            seq.set_watchdog(WatchdogConfig { budget: 25, wall_ms: 60_000 });
+            seq.set_watchdog(25);
             seq.retire(1);
             let log: GrantLog = Arc::new(Mutex::new(Vec::new()));
             let plan = PollPlan { requests: true, deadline: None };
@@ -1741,7 +1644,7 @@ mod tests {
     }
 
     /// What a core sees at a grant it is woken for (or takes inline): the
-    /// grant, the grant counters so far, the tree's `tied_at` its time,
+    /// grant, the grant counters so far, the cores tied at its time,
     /// and the strip's `waiting_at` of every core.
     type Seen = ((u64, usize), u64, u64, Vec<usize>, Vec<Option<u64>>);
 
@@ -1821,7 +1724,8 @@ mod tests {
         let log: Mutex<Vec<Seen>> = Mutex::new(Vec::new());
         let see = |section: &Section<'_, ()>, core: usize, time: u64| {
             let strip = Sequencer::strip(&section.g).iter().map(|d| d.waiting_at).collect();
-            let tied = section.g.waiting.tied_at(time);
+            assert_eq!(section.g.waiting.first().map(|(t, _)| t), Some(time));
+            let tied = section.g.waiting.tied();
             let counts = (seq.total_grants(), seq.fast_grants());
             log.lock().push(((time, core), counts.0, counts.1, tied, strip));
         };
@@ -1858,7 +1762,7 @@ mod tests {
     /// fast re-grant asks whether the entering core is still the root:
     /// seeded random `enter` / `park_poll` / `retire` scripts, heavy on
     /// time ties, must see the model's picks, fast re-grant decisions,
-    /// `tied_at` and strips at every grant a core is woken for, and the
+    /// tied cores and strips at every grant a core is woken for, and the
     /// model's op hash, fast re-grant count and choice points overall.
     #[test]
     fn runner_leaf_protocol_matches_a_waiting_set_model() {

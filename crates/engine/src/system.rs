@@ -17,7 +17,7 @@ use crate::host::{self, Body, Host};
 use crate::port::{CorePort, PortReport};
 use crate::sequencer::{ChoicePoint, Poisoned, PollOp, PollState, Sequencer};
 use crate::sync::Mutex;
-use crate::watchdog::{DiagnosticBundle, PoisonReason, RunFailure, WatchdogConfig};
+use crate::watchdog::{DiagnosticBundle, PoisonReason, RunFailure};
 
 /// All mutable simulated state, owned by the sequencer and reachable only
 /// through the sequenced section a grant returns.
@@ -254,7 +254,7 @@ pub fn try_run_system(
     let mut seq = Sequencer::new(num_cores, Host::new(backend, num_cores), state);
     seq.set_policy(config.schedule.clone());
     if let Some(budget) = config.watchdog_budget {
-        seq.set_watchdog(WatchdogConfig { budget, wall_ms: config.watchdog_wall_ms });
+        seq.set_watchdog(budget);
     }
     // Heartbeat arming: the live counters the ports publish into and the
     // sequencer hook that snapshots them every K grants. `None` keeps both
@@ -275,19 +275,7 @@ pub fn try_run_system(
             Box::new(move || run_core(port, worker, shared, reports, cause)) as Body<'_>
         })
         .collect();
-
-    // The watchdog's wall-clock fallback: one monitor thread, whatever the
-    // host, alive exactly as long as the cores run. Dropping `running`
-    // stops it, on unwind too.
-    let (running, stop) = std::sync::mpsc::channel::<()>();
-    std::thread::scope(|scope| {
-        if config.watchdog_budget.is_some() {
-            let seq = &shared.seq;
-            scope.spawn(move || seq.watch_wall_clock(stop));
-        }
-        let _running = running;
-        shared.seq.host().launch(config.core_stack_bytes(), bodies);
-    });
+    shared.seq.host().launch(config.core_stack_bytes(), bodies);
 
     if let Some(reason) = shared.seq.poison_reason() {
         // Every core has unwound (or retired) and stored its partial
@@ -366,26 +354,33 @@ pub fn try_run_system(
 /// core)` no longer reconstructs grant order; the grant stamp does (unique
 /// per sequenced op, with a core's annotation events sharing its op's
 /// stamp and kept in emission order).
-///
-/// Each buffer is already in key order, so one k-way merge over the
-/// buffers' heads gives that order without sorting; ties go to the lower
-/// core, then to the earlier event, exactly as a stable sort of the
-/// buffers' concatenation would place them.
 fn merge_events(schedule: &SchedulePolicy, buffers: Vec<Vec<(u64, MemEvent)>>) -> Vec<MemEvent> {
     let key = |&(stamp, e): &(u64, MemEvent)| match schedule {
         SchedulePolicy::MinCore => (e.cycle, e.core as u64),
         SchedulePolicy::Scripted(_) => (stamp, 0),
     };
-    debug_assert!(buffers.iter().all(|b| b.is_sorted_by_key(key)), "a core's events out of order");
+    merge_by_key(buffers, key, |(_, e)| e)
+}
+
+/// Merges per-core buffers, each already in `key` order, into one stream in
+/// `key` order, each element passed through `map` on its way in: one k-way
+/// merge over the buffers' heads, no sort. Ties go to the lower buffer,
+/// then to the earlier element, exactly as a stable sort of the buffers'
+/// concatenation would place them.
+pub fn merge_by_key<T, K: Ord, U>(
+    buffers: Vec<Vec<T>>,
+    key: impl Fn(&T) -> K,
+    map: impl Fn(T) -> U,
+) -> Vec<U> {
+    debug_assert!(buffers.iter().all(|b| b.is_sorted_by_key(&key)), "a buffer out of order");
     let mut merged = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
     let mut buffers: Vec<_> = buffers.into_iter().map(|b| b.into_iter().peekable()).collect();
-    let mut heads: BinaryHeap<Reverse<((u64, u64), usize)>> = (buffers.iter_mut().enumerate())
+    let mut heads: BinaryHeap<Reverse<(K, usize)>> = (buffers.iter_mut().enumerate())
         .filter_map(|(core, b)| Some(Reverse((key(b.peek()?), core))))
         .collect();
     while let Some(mut head) = heads.peek_mut() {
         let core = head.0 .1;
-        let (_, event) = buffers[core].next().expect("a queued head has an event");
-        merged.push(event);
+        merged.push(map(buffers[core].next().expect("a queued head has an element")));
         match buffers[core].peek() {
             // The replaced head sinks into place when `head` drops.
             Some(next) => head.0 .0 = key(next),

@@ -2,21 +2,19 @@
 //!
 //! A hung simulation — a livelocked steal loop, a task waiting on a child
 //! that is never spawned, a lost ULI — used to hang `cargo test` forever.
-//! The watchdog turns a hang into a diagnosed failure:
+//! The watchdog turns a hang into a diagnosed failure. It has two rules,
+//! and both count in simulated order, so the trip point — which core, at
+//! which cycle — is bit-for-bit reproducible across reruns and backends:
 //!
-//! * **Sequenced-op budget** (deterministic): the runtime marks *progress*
-//!   (a task executed, a steal completed, completion signalled) through
+//! * **Sequenced-op budget**: the runtime marks *progress* (a task
+//!   executed, a steal completed, completion signalled) through
 //!   [`CorePort::mark_progress`](crate::CorePort::mark_progress). If more
 //!   than `budget` sequencer grants happen with no progress mark, every
-//!   core is demonstrably spinning and the run is declared stuck. Because
-//!   grants are counted in simulated order, the trip point is bit-for-bit
-//!   reproducible.
-//! * **Wall-clock fallback** (safety net): a monitor thread beside the
-//!   cores that sees a core wait for the token through a whole `wall_ms`
-//!   window with no grant and no productive local work anywhere trips the
-//!   watchdog even if the token holder never re-enters the sequencer
-//!   (e.g. an accidental host-level deadlock). This path is inherently
-//!   non-deterministic and exists only to guarantee termination.
+//!   core is demonstrably spinning and the run is declared stuck.
+//! * **Idle spins**: a core that charges idle time more than
+//!   [`MAX_IDLE_CHARGES`] times since its last sequenced op is stuck: idle
+//!   cycles pass only while a core waits on sequenced state, which cannot
+//!   change without a grant. Its own port trips the run, on that core.
 //!
 //! On a trip the sequencer is poisoned with [`PoisonReason::Watchdog`],
 //! every core unwinds, and [`try_run_system`](crate::try_run_system)
@@ -42,6 +40,11 @@ use crate::trace::TraceEvent;
 /// message of a trip that nobody catches.
 pub const WATCHDOG_MSG: &str = "watchdog: simulation made no progress within its budget";
 
+/// Idle charges a core may make between two of its sequenced ops before an
+/// armed watchdog trips on it. A constant, not a knob: a real run makes at
+/// most a handful, since every runtime idle loop takes a grant per round.
+pub const MAX_IDLE_CHARGES: u64 = 1 << 16;
+
 /// Why the sequencer was poisoned.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PoisonReason {
@@ -49,23 +52,12 @@ pub enum PoisonReason {
     WorkerPanic,
     /// The liveness watchdog tripped on `core` at simulated time `time`.
     Watchdog {
-        /// Core holding the token when the budget ran out.
+        /// The core that tripped: the grantee of the grant that ran the
+        /// budget out, or the core that spun idle too long.
         core: usize,
         /// That core's simulated time at the trip.
         time: u64,
     },
-}
-
-/// Watchdog parameters, derived from
-/// [`SystemConfig`](crate::SystemConfig).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WatchdogConfig {
-    /// Maximum sequencer grants between progress marks.
-    pub budget: u64,
-    /// Wall-clock fallback: a core waiting this long with no grants and no
-    /// productive local work anywhere trips the watchdog regardless of the
-    /// budget.
-    pub wall_ms: u64,
 }
 
 /// One core's sequencer-level state: a line of the crash bundle, taken at

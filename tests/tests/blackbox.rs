@@ -40,8 +40,7 @@ fn idle_spin_workers(n: usize) -> Vec<Worker> {
 /// Trips the watchdog on `backend` and returns the serialized black-box
 /// document.
 fn trip_and_dump(backend: ExecBackend) -> String {
-    let mut config = SystemConfig::o3(4).with_watchdog(5_000).with_backend(backend);
-    config.watchdog_wall_ms = 60_000;
+    let config = SystemConfig::o3(4).with_watchdog(5_000).with_backend(backend);
     let bundle = try_run_system(&config, idle_spin_workers(4))
         .expect_err("a progress-free spin must trip the grant-budget watchdog")
         .bundle;

@@ -71,7 +71,6 @@ fn tripped_bundle_doc() -> Json {
     let name = "document-pins-trip";
     let mut config = SystemConfig::o3(4).with_watchdog(5_000);
     config.name = name.to_owned();
-    config.watchdog_wall_ms = 60_000;
     let workers: Vec<Worker> = (0..4)
         .map(|_| -> Worker {
             Box::new(|port| {

@@ -53,7 +53,8 @@ static BEATS: AtomicU64 = AtomicU64::new(0);
 
 /// Every variant. The backends share the sequencer's grant-selection rule
 /// and differ only in how a blocked core yields the host CPU; the watchdog
-/// only observes, from a wall-clock monitor thread beside the cores; the
+/// only counts grants and idle charges, and a run that does not trip it
+/// never knows it was armed; the
 /// checker's event capture, the trace, ULI marks, task events and
 /// attribution only read the simulated clock and write host-side buffers;
 /// the flight ring only reads computed core clocks and the heartbeat only

@@ -34,8 +34,8 @@ fn sequenced_op_stream_matches_golden_hashes() {
 }
 
 /// The backends share the sequencer's grant-selection rule and differ only
-/// in how a blocked core yields the host CPU, and the watchdog only
-/// observes from a monitor thread: both replay the golden pins, and `Auto`
+/// in how a blocked core yields the host CPU, and the watchdog only counts
+/// grants and idle charges: both replay the golden pins, and `Auto`
 /// stays on fibers where they are supported.
 #[test]
 fn both_backends_produce_identical_op_streams() {
@@ -74,8 +74,8 @@ fn crash_runs_pin_metrics_and_audit_verdict_across_backends() {
     let app = app_by_name("cilk5-nq").unwrap();
     let run_once = |backend: ExecBackend| {
         let mut setup = setup_by_label("b.T/HCC-DTS-gwb");
-        // The watchdog is observational: armed, with its monitor thread
-        // alive, it never perturbs simulated results on any backend.
+        // The watchdog is observational: armed, with both of its rules
+        // counting, it never perturbs simulated results on any backend.
         setup.sys = setup
             .sys
             .clone()
